@@ -255,6 +255,26 @@ def oracle_from_piecewise(dist: PiecewisePolyCdf) -> CdfOracle:
     return CdfOracle(dist, dist.lipschitz_bound())
 
 
+def float_view(cdf) -> Callable[[float], float]:
+    """Float evaluator of a cdf, for searches whose result is certified exactly.
+
+    A :class:`PiecewisePolyCdf` becomes a scalar Horner evaluation over float
+    coefficients; any other cdf is called on the exact rational value of x.
+    """
+    if not isinstance(cdf, PiecewisePolyCdf):
+        return lambda x: float(cdf(Fraction(x)))
+    inner = [float(b) for b in cdf.breakpoints[1:-1]]
+    rows = [tuple(float(c) for c in reversed(row)) for row in cdf.coeffs]
+
+    def ev(x: float) -> float:
+        acc = 0.0
+        for c in rows[bisect.bisect_left(inner, x)]:
+            acc = acc * x + c
+        return acc
+
+    return ev
+
+
 def strongly_increasing_transform(cdf, delta):
     """Affine mix F'(x) = delta*x + (1 - delta)*F(x); makes F delta-strongly increasing.
 

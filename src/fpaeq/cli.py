@@ -59,7 +59,18 @@ def _parse_bids(text: str) -> BidGrid:
 
 def _default_delta() -> Fraction | None:
     bits = os.environ.get("FPA_PRECISION_BITS")
-    return Fraction(1, 2 ** int(bits)) if bits else None
+    if not bits:
+        return None
+    if not bits.strip().isdecimal() or int(bits) < 1:
+        raise InputError(f"FPA_PRECISION_BITS must be an integer >= 1, got {bits!r}")
+    return Fraction(1, 2 ** int(bits))
+
+
+def _nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
 
 
 def _strategy_to_json(strategy: JumpPointStrategy, cert=None) -> dict:
@@ -264,9 +275,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", required=True, type=int, help="number of bidders (>= 2)")
     p.add_argument("--eps", help="approximation accuracy (rational)")
     p.add_argument("--at", help="evaluate the bid at one rational value (ccfpa-explicit)")
-    p.add_argument("--samples", type=int, help="emit a CSV sample of the bid function")
+    p.add_argument("--samples", type=_nonnegative_int, help="emit a CSV sample of the bid function")
     p.add_argument("--bids", help="JSON array of rational bids (cdfpa)")
-    p.add_argument("--delta", help="inner precision override (cdfpa)")
+    p.add_argument("--delta", help="search tolerance override (cdfpa)")
     p.add_argument("--certify", action="store_true", help="also measure regret (cdfpa)")
     p.add_argument("--no-extend", action="store_true",
                    help="reject values below the support infimum (ccfpa-explicit)")
@@ -293,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cdf", required=True)
     p.add_argument("--n", required=True, type=int)
     p.add_argument("--eps", required=True)
-    p.add_argument("--samples", type=int, default=10)
+    p.add_argument("--samples", type=_nonnegative_int, default=10)
     p.set_defaults(func=_cmd_query_stats)
 
     p = sub.add_parser("validate-cdf", help="check a cdf JSON file's invariants")

@@ -10,18 +10,29 @@ is Delta(s_{j-1}, s_j) with
 The solver binary-searches the equilibrium utility at the top value v = 1 and
 reconstructs the jump points from it (descending over bids, inverting Delta by
 bisection where needed).  Output is accepted only when the approximate
-equilibrium certificate passes; the worst-case precision parameter from the
-analysis is never required in practice.
+equilibrium certificate passes, so the search may use any arithmetic:
+
+1. The search first runs in floats, on a float view of the cdf.  Its jump
+   points are taken back as exact rationals (those within SNAP_TOL of their
+   bid become that bid, so condition 3 holds exactly), and its utilities as
+   the exact values of their floats.
+2. The exact certificate `check_conditions` then decides.  If it fails, the
+   same search reruns in exact Fractions, retrying with smaller delta, and
+   its output must pass the same certificate.
+
+delta is the search tolerance: the outer search on U stops within delta, and
+each bisection meets its target utility within delta.  The float search uses
+max(delta, FLOAT_DELTA_FLOOR).  The worst-case precision parameter from the
+analysis (`theoretical_delta`) is never required in practice.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .cdf import PiecewisePolyCdf, strongly_increasing_transform
+from .cdf import PiecewisePolyCdf, float_view, strongly_increasing_transform
 from .errors import DomainError, PrecisionError
 from .rationals import parse_rational
 
@@ -29,6 +40,8 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 EQUAL_UTILITY_TOL = Fraction(1, 2**40)  # slack for U_{i-1} = U_i on merged jumps
+FLOAT_DELTA_FLOOR = 2.0**-40  # the float search's tolerance never goes below this
+SNAP_TOL = 1e-12  # a float jump point this close to its bid is taken as that bid
 
 
 @dataclass(frozen=True)
@@ -136,6 +149,13 @@ def utility(F, n: int, s: JumpPointStrategy | Sequence, grid: BidGrid, j: int, v
     return (v - grid.bids[j - 1]) * delta_win_prob(F, n, sv[j - 1], sv[j])
 
 
+def _ceil_log2(r: Fraction) -> int:
+    """Smallest k >= 1 with 2**k >= r, exact from the bit lengths of r's terms."""
+    p, q = r.numerator, r.denominator
+    k = max(1, p.bit_length() - q.bit_length())
+    return k if q << k >= p else k + 1
+
+
 def compute_strategy(F, L, n: int, grid: BidGrid, U, delta):
     """Reconstruct jump points from a candidate top-value utility U.
 
@@ -143,19 +163,21 @@ def compute_strategy(F, L, n: int, grid: BidGrid, U, delta):
     interval pools (utility already below U), the bid is skipped down to its
     own level (utility exceeds U even at the bottom), or the jump point is
     located by bisection so that bidding here at the jump yields utility U
-    within delta.
+    within delta.  A Fraction U runs the walk exactly; any other U runs it in
+    floats, for which F must take and return floats.
     """
     if delta <= 0:
         raise DomainError("delta must be positive")
     m = grid.m
-    one = ONE if isinstance(U, Fraction) else 1.0
+    exact = isinstance(U, Fraction)
+    bids = grid.bids if exact else tuple(float(b) for b in grid.bids)
     s = [None] * (m + 1)
     uvec = [None] * (m + 1)
-    s[m] = one
+    s[m] = ONE if exact else 1.0
     uvec[m] = U
-    steps = max(1, math.ceil(math.log2(max(2, float(n * L) / float(delta)))))
+    steps = _ceil_log2(Fraction(n * L) / Fraction(delta))
     for i in range(m, 0, -1):
-        b = grid.bids[i - 1]
+        b = bids[i - 1]
         si, ui = s[i], uvec[i]
         margin = si - b
         if margin * delta_win_prob(F, n, si, si) <= ui:
@@ -223,9 +245,13 @@ def theoretical_delta(eps: Fraction, alpha: Fraction, n: int, L, m: int) -> Frac
 
 
 def _binary_search_top_utility(F, L, n, grid, delta):
-    """Outer binary search on the top-value utility U (the solver's core loop)."""
-    u_lo, u_hi = ZERO, ONE
-    s_r, uvec_r = compute_strategy(F, L, n, grid, ONE, delta)
+    """Outer binary search on the top-value utility U (the solver's core loop).
+
+    Runs in the arithmetic of delta: exact for a Fraction, float for a float.
+    """
+    u_lo = 0 * delta
+    u_hi = u_lo + 1
+    s_r, uvec_r = compute_strategy(F, L, n, grid, u_hi, delta)
     if s_r[0] == 0:
         raise RuntimeError("internal invariant breach: s_0 = 0 at U = 1")
     while u_hi - u_lo > delta:
@@ -237,6 +263,31 @@ def _binary_search_top_utility(F, L, n, grid, delta):
             u_hi = u_mid
             s_r, uvec_r = s, uvec
     return s_r, uvec_r
+
+
+def _float_search(F, L, n: int, grid: BidGrid, delta) -> Optional[JumpPointStrategy]:
+    """Run the outer search in floats and return its result in exact rationals.
+
+    s_0 = 0 and s_m = 1; a jump point pooled with the one above it takes that
+    one's value, one within SNAP_TOL of its bid becomes the bid, and every
+    other jump point and utility is the exact value of its float.  Returns
+    None when the float bisection misses its own residual bound.
+    """
+    tol = max(float(min(delta, ONE)), FLOAT_DELTA_FLOOR)
+    try:
+        s, uvec = _binary_search_top_utility(float_view(F), L, n, grid, tol)
+    except PrecisionError:
+        return None
+    exact_s = [ZERO] * grid.m + [ONE]
+    for i in range(grid.m, 1, -1):
+        x, b = s[i - 1], grid.bids[i - 1]
+        if x == s[i]:
+            exact_s[i - 1] = exact_s[i]
+        elif abs(x - float(b)) <= SNAP_TOL:
+            exact_s[i - 1] = b
+        else:
+            exact_s[i - 1] = Fraction(x)
+    return JumpPointStrategy(tuple(exact_s), tuple(Fraction(u) for u in uvec))
 
 
 def solve(F, L, n: int, grid: BidGrid, eps, params: Optional[SolveParams] = None) -> SolveResult:
@@ -267,6 +318,14 @@ def solve(F, L, n: int, grid: BidGrid, eps, params: Optional[SolveParams] = None
         delta = Fraction(1, 2**params.precision_bits)
     else:
         delta = min(gamma / 4, Fraction(1, 2**30))
+    if delta <= 0:
+        raise DomainError("delta must be positive")
+    transformed = F_mixed if params.expose_transformed else None
+    strategy = _float_search(F_mixed, L_mixed, n, grid, delta)
+    if strategy is not None:
+        cert = check_conditions(F_mixed, n, grid, strategy, None, gamma)
+        if cert.passed:
+            return SolveResult(strategy, cert, eps, delta, transformed)
     last_error = None
     for _ in range(params.max_retries + 1):
         try:
@@ -279,13 +338,7 @@ def solve(F, L, n: int, grid: BidGrid, eps, params: Optional[SolveParams] = None
         strategy = JumpPointStrategy(s_star, tuple(uvec_r))
         cert = check_conditions(F_mixed, n, grid, strategy, None, gamma)
         if cert.passed:
-            return SolveResult(
-                strategy,
-                cert,
-                eps,
-                delta,
-                F_mixed if params.expose_transformed else None,
-            )
+            return SolveResult(strategy, cert, eps, delta, transformed)
         last_error = PrecisionError(
             f"certificate failed at delta={delta} (max residual {cert.max_residual})"
         )

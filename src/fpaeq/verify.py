@@ -61,6 +61,8 @@ def epsilon_bne_check_cdfpa(
     consecutive distinct jump points, and a uniform grid; regret maxima of
     step strategies occur at such interval endpoints.
     """
+    if len(s.s) != grid.m + 1:
+        raise DomainError(f"strategy has {len(s.s)} jump points; {grid.m} bids need {grid.m + 1}")
     sv = _strategy_values(s.s)
     values = set(sv) | set(grid.bids)
     values |= {Fraction(i, value_grid_size) for i in range(value_grid_size + 1)}

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 import fpaeq as fq
 from fpaeq import AdversarialCdfParams, DomainError, PiecewisePolyCdf
+from fpaeq.cdf import float_view
 
 
 class TestEvalCdf:
@@ -33,6 +34,22 @@ class TestEvalCdf:
             fq.eval_cdf(uniform, F(3, 2))
         with pytest.raises(DomainError):
             fq.eval_cdf(uniform, F(-1, 2))
+
+
+class TestFloatView:
+    def test_matches_exact_on_every_piece(self, uniform, square, two_piece, shifted_support, adversarial):
+        for dist in (uniform, square, two_piece, shifted_support, adversarial):
+            fv = float_view(dist)
+            for i in range(129):
+                x = F(i, 128)
+                assert abs(fv(float(x)) - float(dist(x))) <= 1e-15
+
+    def test_oracle_evaluated_at_exact_value(self, square):
+        oracle = fq.oracle_from_piecewise(square)
+        fv = float_view(oracle)
+        y = fv(0.5)
+        assert y == 0.25 and isinstance(y, float)
+        assert oracle.query_count == 1
 
 
 class TestValidate:

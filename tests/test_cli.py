@@ -127,6 +127,49 @@ class TestSolveCdfpa:
         assert "bids" in err
 
 
+class TestInputContract:
+    @pytest.mark.parametrize("delta", [f"1/{2**1100}", "1e400"])  # beyond float range both ways
+    def test_extreme_delta(self, capout, uniform_json, delta):
+        # an uncaught exception would fail this test; a handled failure exits 1
+        code, out, _ = capout("solve", "--model", "cdfpa", "--cdf", uniform_json, "--n", "2",
+                              "--bids", "[\"0\", \"1/4\", \"1/2\"]", "--eps", "1/32",
+                              "--delta", delta)
+        assert code in (0, 1)
+        if code == 0:
+            assert json.loads(out)["certificate"]["pass"] is True
+
+    @pytest.mark.parametrize("delta", ["0", "-1/4"])
+    def test_nonpositive_delta(self, capout, uniform_json, delta):
+        code, _, err = capout("solve", "--model", "cdfpa", "--cdf", uniform_json, "--n", "2",
+                              "--bids", "[\"0\", \"1/2\"]", "--eps", "1/16", f"--delta={delta}")
+        assert code == 2
+        assert "delta" in err
+
+    @pytest.mark.parametrize("bits", ["-3", "0", "abc", "2.5"])
+    def test_bad_precision_env_var(self, capout, uniform_json, monkeypatch, bits):
+        monkeypatch.setenv("FPA_PRECISION_BITS", bits)
+        code, _, err = capout("solve", "--model", "cdfpa", "--cdf", uniform_json, "--n", "2",
+                              "--bids", "[\"0\", \"1/2\"]", "--eps", "1/16")
+        assert code == 2
+        assert "FPA_PRECISION_BITS" in err
+
+    def test_exact_verify_rejects_wrong_length_strategy(self, capout, tmp_path, uniform_json):
+        strat = tmp_path / "s.json"
+        strat.write_text(json.dumps({"kind": "jump_points", "s": ["0", "1"], "U": ["0", "1/2"]}))
+        code, _, err = capout("verify", "--strategy", str(strat), "--cdf", uniform_json, "--n", "2",
+                              "--bids", "[\"0\", \"1/4\", \"1/2\"]", "--mode", "exact")
+        assert code == 2
+        assert "jump points" in err
+
+    @pytest.mark.parametrize("model", ["ccfpa-explicit", "ccfpa-blackbox"])
+    def test_negative_samples(self, capsys, uniform_json, model):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--model", model, "--cdf", uniform_json, "--n", "2", "--eps", "1/4",
+                  "--samples", "-1"])
+        assert exc.value.code == 2
+        assert "--samples" in capsys.readouterr().err
+
+
 class TestVerifyModes:
     def test_grid_mode_on_rational_bid_function(self, capout, tmp_path, square_json):
         rbf = fq.canonical_bid_function(fq.power_cdf(2), 2)

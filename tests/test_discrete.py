@@ -5,11 +5,27 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fpaeq as fq
-from fpaeq import BidGrid, DomainError, JumpPointStrategy, SolveParams
+from fpaeq import BidGrid, DomainError, JumpPointStrategy, SolveParams, discrete
+from fpaeq.cdf import float_view
 
 
 def grid_of(*bids):
     return BidGrid(tuple(F(b) for b in bids))
+
+
+@pytest.fixture
+def exact_searches(monkeypatch):
+    """Deltas of the exact (Fraction) outer searches that solve runs during the test."""
+    seen = []
+    search = discrete._binary_search_top_utility
+
+    def spy(dist, L, n, grid, delta):
+        if isinstance(delta, F):
+            seen.append(delta)
+        return search(dist, L, n, grid, delta)
+
+    monkeypatch.setattr(discrete, "_binary_search_top_utility", spy)
+    return seen
 
 
 class TestBidGrid:
@@ -130,6 +146,19 @@ class TestComputeStrategy:
         with pytest.raises(DomainError):
             fq.compute_strategy(uniform, 1, 2, grid_of("0"), F(1, 2), F(0))
 
+    def test_float_walk_matches_exact(self, square):
+        g = grid_of("0", "1/8", "1/4", "3/8")
+        s, uvec = fq.compute_strategy(square, 2, 3, g, F(1, 3), F(1, 2**30))
+        fs, fu = fq.compute_strategy(float_view(square), 2, 3, g, 1 / 3, 2.0**-30)
+        assert all(isinstance(x, float) for x in fs + fu)
+        assert max(abs(a - b) for a, b in zip(s, fs)) < 1e-8
+        assert max(abs(a - b) for a, b in zip(uvec, fu)) < 1e-8
+
+    @pytest.mark.parametrize("r,k", [(F(0), 1), (F(2), 1), (F(3), 2), (F(4), 2), (F(5), 3),
+                                     (F(2**1100), 1100), (F(2**1100 + 1), 1101), (F(7, 3), 2)])
+    def test_step_count_exact_log2(self, r, k):
+        assert discrete._ceil_log2(r) == k
+
 
 class TestCheckConditions:
     def test_hand_equilibrium_passes(self, uniform):
@@ -204,3 +233,54 @@ class TestSolve:
     def test_explicit_delta_respected(self, uniform):
         res = fq.solve(uniform, 1, 2, grid_of("0", "1/2"), F(1, 16), SolveParams(delta=F(1, 2**20)))
         assert res.delta_used == F(1, 2**20)
+
+    def test_tiny_delta(self, uniform):
+        # float(delta) underflows to 0.0; the float search uses its tolerance floor
+        tiny = F(1, 2**1100)
+        res = fq.solve(uniform, 1, 2, grid_of("0", "1/4", "1/2"), F(1, 32), SolveParams(delta=tiny))
+        assert res.certificate.passed
+        assert res.delta_used == tiny
+
+    @pytest.mark.parametrize("delta", [F(0), F(-1, 4)])
+    def test_nonpositive_delta(self, uniform, delta):
+        with pytest.raises(DomainError):
+            fq.solve(uniform, 1, 2, grid_of("0", "1/2"), F(1, 16), SolveParams(delta=delta))
+
+    def test_float_result_taken_back_exactly(self, uniform, monkeypatch):
+        g = grid_of("0", "1/5", "1/3", "1/2")
+        third = float(F(1, 3))  # not 1/3: a float cannot hold it
+        uvec = [0.0, 0.01, 0.01, 0.1, 0.3]
+        monkeypatch.setattr(discrete, "_binary_search_top_utility",
+                            lambda *args: ([0.1, third, third, 0.7, 1.0], uvec))
+        strategy = discrete._float_search(uniform, 1, 2, g, F(1, 2**30))
+        # s_0 = 0; s_2 snaps onto its bid 1/3 and s_1, pooled with it, follows
+        assert strategy.s == (0, F(1, 3), F(1, 3), F(0.7), 1)
+        assert strategy.utilities == tuple(F(u) for u in uvec)
+
+    def test_uncertified_float_result_falls_back_to_exact(self, uniform, monkeypatch, exact_searches):
+        g = grid_of("0", "1/4", "1/2")
+        eps = F(1, 32)
+        # s_1 = 1/8 lies below the bid 1/4 it starts, so condition 3 fails whatever the cdf
+        bad = JumpPointStrategy((F(0), F(1, 8), F(1, 8), F(1)), (F(0),) * 4)
+        assert not fq.check_conditions(uniform, 2, g, bad, None, eps).passed
+        monkeypatch.setattr(discrete, "_float_search", lambda *args: bad)
+        res = fq.solve(uniform, 1, 2, g, eps)
+        assert exact_searches
+        assert res.strategy != bad
+        assert res.certificate.passed
+        assert fq.epsilon_bne_check_cdfpa(uniform, 2, g, res.strategy).max_regret <= eps
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_float_search_certified(self, seed, uniform, square, two_piece, exact_searches):
+        rng = random.Random(seed)
+        dist = rng.choice([uniform, square, two_piece])
+        n = rng.choice([2, 3, 4])
+        m = rng.randrange(1, 9)
+        den = rng.choice([128, 100, 21])  # dyadic bids and bids a float cannot hold exactly
+        raw = rng.sample(range(1, den), m - 1)
+        grid = BidGrid((F(0),) + tuple(sorted(F(k, den) for k in raw)))
+        eps = F(1, 64)
+        res = fq.solve(dist, None, n, grid, eps)
+        assert res.certificate.passed
+        assert exact_searches == []  # the float search alone was certified
+        assert fq.epsilon_bne_check_cdfpa(dist, n, grid, res.strategy).max_regret <= eps

@@ -44,6 +44,11 @@ class TestExactRegretCdfpa:
         assert report.max_regret >= 0
         assert len(report.samples) >= 5 + len(values)
 
+    def test_wrong_length_strategy_rejected(self, uniform):
+        g = grid_of("0", "1/4", "1/2")
+        with pytest.raises(fq.DomainError):
+            fq.epsilon_bne_check_cdfpa(uniform, 2, g, JumpPointStrategy((F(0), F(1)), (F(0),) * 2))
+
     def test_invalid_strategy_rejected(self, uniform):
         g = grid_of("0", "1/2")
         with pytest.raises(fq.DomainError):

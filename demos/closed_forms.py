@@ -29,11 +29,11 @@ two_piece = fq.PiecewisePolyCdf(
 )
 rbf = fq.canonical_bid_function(two_piece, 2)
 print("\ntwo-piece cdf, n = 2, per-piece rational bid function:")
-for j, piece in enumerate(rbf.pieces):
-    lo, hi = rbf.breakpoints[j], rbf.breakpoints[j + 1]
-    if piece is None:
+bps = rbf.denominator.breakpoints
+for j, (numer, denom) in enumerate(zip(rbf.numerator.rows, rbf.denominator.rows)):
+    lo, hi = bps[j], bps[j + 1]
+    if not any(denom):
         print(f"  [{lo}, {hi}]: identity (below the support)")
     else:
-        numer, denom = piece
         print(f"  [{lo}, {hi}]: numerator {numer} / denominator {denom}")
 print("  e.g. bid(3/4) =", rbf(Fraction(3, 4)))

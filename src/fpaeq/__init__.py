@@ -11,23 +11,17 @@ from .cdf import (
     PiecewisePolyCdf,
     ValidationReport,
     cdf_from_json,
-    eval_cdf,
     make_adversarial_cdf,
     oracle_from_piecewise,
     power_cdf,
-    query_count,
     strongly_increasing_transform,
-    support_infimum,
     uniform_cdf,
-    validate,
-    wrap_oracle,
 )
-from .blackbox import BidEvaluation, BlackBoxPlan, bid, bid_function, precompute, riemann_bounds
+from .blackbox import BidEvaluation, BlackBoxPlan, bid, precompute
 from .discrete import (
     BidGrid,
     Certificate,
     JumpPointStrategy,
-    SolveParams,
     SolveResult,
     check_conditions,
     compute_strategy,
@@ -48,6 +42,7 @@ from .explicit import (
     rbf_from_json,
     rbf_to_json,
 )
+from .poly import PiecewisePoly
 from .verify import (
     PropertyCheck,
     RegretReport,

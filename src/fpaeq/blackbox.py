@@ -35,9 +35,6 @@ class BlackBoxPlan:
     power_table: tuple
     prefix: tuple  # prefix[j] = sum(power_table[:j])
 
-    def power_prefix(self, j: int):
-        return self.prefix[j]
-
 
 @dataclass(frozen=True)
 class BidEvaluation:
@@ -48,12 +45,11 @@ class BidEvaluation:
     queries_used: int
 
 
-def precompute(oracle: CdfOracle, n: int, epsilon, *, query_endpoints: bool = False) -> BlackBoxPlan:
+def precompute(oracle: CdfOracle, n: int, epsilon) -> BlackBoxPlan:
     """Tabulate F(a_j)**(n-1) on the grid a_j = j/K, K = ceil(1/eps).
 
     Issues K-1 queries (grid interior); F(0) = 0 and F(1) = 1 are known for
-    continuous cdfs on [0, 1].  With ``query_endpoints`` the a_0 query is
-    issued as well (strict counting mode).
+    continuous cdfs on [0, 1].
     """
     if n < 2:
         raise DomainError("need n >= 2 bidders")
@@ -65,8 +61,7 @@ def precompute(oracle: CdfOracle, n: int, epsilon, *, query_endpoints: bool = Fa
     K = math.ceil(1 / Fraction(epsilon))
     eps_hat = Fraction(1, K)
     grid = tuple(Fraction(j, K) for j in range(K + 1))
-    f0 = oracle(grid[0]) if query_endpoints else 0
-    values = [f0] + [oracle(a) for a in grid[1:-1]] + [1]
+    values = [0] + [oracle(a) for a in grid[1:-1]] + [1]
     power_table = tuple(v ** (n - 1) for v in values)
     prefix, acc = [0], 0
     for p in power_table:
@@ -75,7 +70,12 @@ def precompute(oracle: CdfOracle, n: int, epsilon, *, query_endpoints: bool = Fa
     return BlackBoxPlan(n, Fraction(epsilon), K, eps_hat, grid, power_table, tuple(prefix))
 
 
-def _evaluate(plan: BlackBoxPlan, oracle: CdfOracle, x) -> BidEvaluation:
+def bid(plan: BlackBoxPlan, oracle: CdfOracle, x) -> BidEvaluation:
+    """One-query bid evaluation; the bid equals the upper Riemann sum.
+
+    The lower Riemann sum is reported with it: the two sandwich the exact
+    equilibrium bid.
+    """
     if not 0 <= x <= 1:
         raise DomainError(f"x={x} outside [0, 1]")
     fx = oracle(x)
@@ -91,18 +91,3 @@ def _evaluate(plan: BlackBoxPlan, oracle: CdfOracle, x) -> BidEvaluation:
     lower = plan.eps_hat * k_x - plan.eps_hat * (plan.prefix[k_x + 1] - plan.power_table[0]) / fn
     return BidEvaluation(x, upper, lower, upper, 1)
 
-
-def bid(plan: BlackBoxPlan, oracle: CdfOracle, x) -> BidEvaluation:
-    """One-query bid evaluation; the bid equals the upper Riemann sum."""
-    return _evaluate(plan, oracle, x)
-
-
-def riemann_bounds(plan: BlackBoxPlan, oracle: CdfOracle, x):
-    """Lower/upper Riemann sums sandwiching the exact equilibrium bid."""
-    ev = _evaluate(plan, oracle, x)
-    return ev.lower, ev.upper
-
-
-def bid_function(plan: BlackBoxPlan, oracle: CdfOracle):
-    """Value -> bid callable (each call costs one oracle query)."""
-    return lambda x: _evaluate(plan, oracle, x).bid

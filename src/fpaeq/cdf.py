@@ -12,13 +12,14 @@ Two representations are provided:
 
 from __future__ import annotations
 
-import bisect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable
+
+import numpy as np
 
 from .errors import DomainError
-from .poly import is_zero_poly, poly_derivative, poly_eval
+from .poly import PiecewisePoly, is_zero_poly, poly_derivative, poly_eval
 from .rationals import format_rational, parse_rational
 
 ZERO = Fraction(0)
@@ -26,6 +27,12 @@ ONE = Fraction(1)
 
 # points per piece used by the sampled monotonicity / range check
 GRID_FACTOR = 64
+
+# Highest polynomial degree an explicit cdf may have.  It bounds the work of
+# validate(), whose exact sampled check takes about 1.5 s at degree 64 and grows
+# faster than quadratically in the degree.  Bid functions built from a cdf are
+# not bounded by it: their denominators have degree (n - 1) times the cdf's.
+MAX_DEGREE = 64
 
 
 @dataclass(frozen=True)
@@ -38,42 +45,18 @@ class ValidationReport:
 
 
 @dataclass(frozen=True)
-class PiecewisePolyCdf:
-    """Piecewise-polynomial cdf: piece j covers [breakpoints[j], breakpoints[j+1]]."""
+class PiecewisePolyCdf(PiecewisePoly):
+    """Piecewise-polynomial cdf: piece j covers [breakpoints[j], breakpoints[j+1]].
 
-    breakpoints: tuple[Fraction, ...]
-    coeffs: tuple[tuple[Fraction, ...], ...]
+    Rows are zero-padded to a common length, at most MAX_DEGREE + 1.
+    """
 
     def __post_init__(self):
-        bps = tuple(Fraction(b) for b in self.breakpoints)
-        degree = max((len(row) - 1 for row in self.coeffs), default=0)
-        rows = tuple(
-            tuple(Fraction(c) for c in row) + (ZERO,) * (degree + 1 - len(row))
-            for row in self.coeffs
-        )
-        object.__setattr__(self, "breakpoints", bps)
-        object.__setattr__(self, "coeffs", rows)
-        if len(bps) != len(rows) + 1:
-            raise DomainError("need exactly one coefficient row per piece")
-
-    @property
-    def pieces(self) -> int:
-        return len(self.coeffs)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs[0]) - 1
-
-    def piece_index(self, x: Fraction) -> int:
-        """Index j of a piece with x in [v_j, v_{j+1}]."""
-        if not ZERO <= x <= ONE:
-            raise DomainError(f"x={x} outside [0, 1]")
-        j = bisect.bisect_left(self.breakpoints, x) - 1
-        return min(max(j, 0), self.pieces - 1)
-
-    def __call__(self, x):
-        x = Fraction(x) if not isinstance(x, Fraction) else x
-        return poly_eval(self.coeffs[self.piece_index(x)], x)
+        super().__post_init__()
+        if self.degree > MAX_DEGREE:
+            raise DomainError(f"cdf degree {self.degree} exceeds the limit of {MAX_DEGREE}")
+        width = self.degree + 1
+        object.__setattr__(self, "rows", tuple(row + (ZERO,) * (width - len(row)) for row in self.rows))
 
     def validate(self) -> ValidationReport:
         """Check every representation invariant; failures become report entries."""
@@ -86,17 +69,17 @@ class PiecewisePolyCdf:
         for j in range(len(bps) - 1):
             if not bps[j] < bps[j + 1]:
                 bad.append(f"breakpoints not strictly increasing at index {j}")
-        if poly_eval(self.coeffs[0], ZERO) != 0:
+        if poly_eval(self.rows[0], ZERO) != 0:
             bad.append("F_1(0) != 0")
-        if poly_eval(self.coeffs[-1], ONE) != 1:
+        if poly_eval(self.rows[-1], ONE) != 1:
             bad.append("F_k(1) != 1")
         for j in range(self.pieces - 1):
             v = bps[j + 1]
-            left, right = poly_eval(self.coeffs[j], v), poly_eval(self.coeffs[j + 1], v)
+            left, right = poly_eval(self.rows[j], v), poly_eval(self.rows[j + 1], v)
             if left != right:
                 bad.append(f"discontinuity at breakpoint {j + 1}: {left} != {right}")
         npts = GRID_FACTOR * (self.degree + 1)
-        for j, row in enumerate(self.coeffs):
+        for j, row in enumerate(self.rows):
             lo, hi = bps[j], bps[j + 1]
             step = (hi - lo) / npts
             prev = None
@@ -121,7 +104,7 @@ class PiecewisePolyCdf:
         report = self.validate()
         bad = list(report.violations)
         x = sympy.Symbol("x")
-        for j, row in enumerate(self.coeffs):
+        for j, row in enumerate(self.rows):
             dp = poly_derivative(row)
             if is_zero_poly(dp):
                 continue
@@ -142,20 +125,20 @@ class PiecewisePolyCdf:
         infimum is therefore always the left breakpoint of the first piece
         whose polynomial is not identically zero.
         """
-        for j, row in enumerate(self.coeffs):
+        for j, row in enumerate(self.rows):
             if not is_zero_poly(row):
                 return self.breakpoints[j]
         raise DomainError("cdf is identically zero")
 
     def lipschitz_bound(self) -> Fraction:
         """A valid (not necessarily tight) Lipschitz constant on [0, 1]."""
-        return max(sum(l * abs(c) for l, c in enumerate(row)) for row in self.coeffs)
+        return max(sum(l * abs(c) for l, c in enumerate(row)) for row in self.rows)
 
     def to_json(self) -> dict:
         return {
             "kind": "piecewise_poly",
             "breakpoints": [format_rational(b) for b in self.breakpoints],
-            "coeffs": [[format_rational(c) for c in row] for row in self.coeffs],
+            "coeffs": [[format_rational(c) for c in row] for row in self.rows],
         }
 
 
@@ -164,23 +147,11 @@ def uniform_cdf() -> PiecewisePolyCdf:
 
 
 def power_cdf(exponent: int) -> PiecewisePolyCdf:
-    """F(x) = x**exponent on [0, 1]."""
-    if exponent < 1:
-        raise DomainError("exponent must be >= 1")
+    """F(x) = x**exponent on [0, 1], for an integer exponent in [1, MAX_DEGREE]."""
+    if not 1 <= exponent <= MAX_DEGREE:
+        raise DomainError(f"exponent must be an integer in [1, {MAX_DEGREE}], got {exponent}")
     row = (ZERO,) * exponent + (ONE,)
     return PiecewisePolyCdf((ZERO, ONE), (row,))
-
-
-def eval_cdf(dist: PiecewisePolyCdf, x) -> Fraction:
-    return dist(x)
-
-
-def support_infimum(dist: PiecewisePolyCdf) -> Fraction:
-    return dist.support_infimum()
-
-
-def validate(dist: PiecewisePolyCdf) -> ValidationReport:
-    return dist.validate()
 
 
 @dataclass
@@ -242,35 +213,25 @@ class CdfOracle:
         self.query_count = 0
 
 
-def wrap_oracle(evaluator: Callable, lipschitz) -> CdfOracle:
-    return CdfOracle(evaluator, lipschitz)
-
-
-def query_count(oracle: CdfOracle) -> int:
-    return oracle.query_count
-
-
 def oracle_from_piecewise(dist: PiecewisePolyCdf) -> CdfOracle:
     """Exact-rational oracle backed by an explicit cdf."""
     return CdfOracle(dist, dist.lipschitz_bound())
 
 
-def float_view(cdf) -> Callable[[float], float]:
-    """Float evaluator of a cdf, for searches whose result is certified exactly.
+def float_view(cdf) -> Callable:
+    """Float evaluator of a cdf, taking a float or a numpy array of floats.
 
-    A :class:`PiecewisePolyCdf` becomes a scalar Horner evaluation over float
-    coefficients; any other cdf is called on the exact rational value of x.
+    A piecewise polynomial evaluates its float coefficients
+    (:meth:`PiecewisePoly.float_evaluator`); any other cdf is called on the
+    exact rational value of x, elementwise for an array.
     """
-    if not isinstance(cdf, PiecewisePolyCdf):
-        return lambda x: float(cdf(Fraction(x)))
-    inner = [float(b) for b in cdf.breakpoints[1:-1]]
-    rows = [tuple(float(c) for c in reversed(row)) for row in cdf.coeffs]
+    if isinstance(cdf, PiecewisePoly):
+        return cdf.float_evaluator()
 
-    def ev(x: float) -> float:
-        acc = 0.0
-        for c in rows[bisect.bisect_left(inner, x)]:
-            acc = acc * x + c
-        return acc
+    def ev(x):
+        if isinstance(x, np.ndarray):
+            return np.array([float(cdf(Fraction(v))) for v in x.ravel().tolist()]).reshape(x.shape)
+        return float(cdf(Fraction(x)))
 
     return ev
 
@@ -286,7 +247,7 @@ def strongly_increasing_transform(cdf, delta):
         raise DomainError("delta must lie in (0, 1)")
     if isinstance(cdf, PiecewisePolyCdf):
         rows = []
-        for row in cdf.coeffs:
+        for row in cdf.rows:
             new = [(1 - delta) * c for c in row]
             if len(new) < 2:
                 new.append(ZERO)
@@ -309,10 +270,12 @@ def cdf_from_json(obj: dict) -> PiecewisePolyCdf:
         return uniform_cdf()
     if kind == "power":
         try:
-            exponent = int(parse_rational(obj["exponent"]))
+            exponent = parse_rational(obj["exponent"])
         except KeyError:
             raise DomainError("power cdf needs an 'exponent' field")
-        return power_cdf(exponent)
+        if exponent.denominator != 1:
+            raise DomainError(f"exponent must be an integer in [1, {MAX_DEGREE}], got {exponent}")
+        return power_cdf(int(exponent))
     if kind == "adversarial":
         try:
             params = AdversarialCdfParams(obj["v1"], obj["gap"], obj["kink"])

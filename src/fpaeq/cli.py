@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from . import blackbox, discrete, explicit, verify
 from .cdf import CdfOracle, cdf_from_json, oracle_from_piecewise
-from .discrete import BidGrid, JumpPointStrategy, SolveParams
+from .discrete import BidGrid, JumpPointStrategy
 from .errors import DomainError, PrecisionError
 from .rationals import format_rational, parse_rational
 
@@ -149,9 +149,8 @@ def _cmd_solve(args) -> int:
         raise InputError("--eps is required for the cdfpa model")
     grid = _parse_bids(args.bids)
     delta = parse_rational(args.delta) if args.delta else _default_delta()
-    params = SolveParams(delta=delta)
     try:
-        result = discrete.solve(dist, None, args.n, grid, parse_rational(args.eps), params)
+        result = discrete.solve(dist, None, args.n, grid, parse_rational(args.eps), delta=delta)
     except PrecisionError as exc:
         print(f"solve failed: {exc}", file=sys.stderr)
         return FAILURE
@@ -220,8 +219,7 @@ def _cmd_eval(args) -> int:
         if isinstance(strategy, JumpPointStrategy):
             if args.bids is None:
                 raise InputError("--bids is required for jump_points strategies")
-            grid = _parse_bids(args.bids)
-            print(format_rational(grid.bids[strategy.bid_index(x) - 1]))
+            print(format_rational(strategy.as_bid_function(_parse_bids(args.bids))(x)))
         else:
             print(format_rational(explicit.eval_canonical(strategy, x)))
         return 0

@@ -34,6 +34,7 @@ from typing import Optional, Sequence
 
 from .cdf import PiecewisePolyCdf, float_view, strongly_increasing_transform
 from .errors import DomainError, PrecisionError
+from .poly import PiecewisePoly
 from .rationals import parse_rational
 
 ZERO = Fraction(0)
@@ -42,6 +43,7 @@ ONE = Fraction(1)
 EQUAL_UTILITY_TOL = Fraction(1, 2**40)  # slack for U_{i-1} = U_i on merged jumps
 FLOAT_DELTA_FLOOR = 2.0**-40  # the float search's tolerance never goes below this
 SNAP_TOL = 1e-12  # a float jump point this close to its bid is taken as that bid
+MAX_RETRIES = 4  # exact searches after the first, each with delta / 2**8
 
 
 @dataclass(frozen=True)
@@ -86,18 +88,15 @@ class JumpPointStrategy:
                 return j
         return m
 
-    def as_bid_function(self, grid: BidGrid):
-        return lambda v: grid.bids[self.bid_index(v) - 1]
+    def check_length(self, grid: BidGrid) -> None:
+        """Raise DomainError unless there is one jump point per bid, plus s_0."""
+        if len(self.s) != grid.m + 1:
+            raise DomainError(f"strategy has {len(self.s)} jump points; {grid.m} bids need {grid.m + 1}")
 
-
-@dataclass
-class SolveParams:
-    """Practical precision controls; `delta=None` picks a certificate-gated default."""
-
-    delta: Optional[Fraction] = None
-    precision_bits: Optional[int] = None
-    max_retries: int = 4
-    expose_transformed: bool = False
+    def as_bid_function(self, grid: BidGrid) -> PiecewisePoly:
+        """The step bid function on [0, 1]: b_j on (s_{j-1}, s_j], and b_1 at and below s_0."""
+        self.check_length(grid)
+        return PiecewisePoly(self.s, tuple((b,) for b in grid.bids))
 
 
 @dataclass(frozen=True)
@@ -127,7 +126,7 @@ class SolveResult:
     certificate: Certificate
     epsilon: Fraction
     delta_used: Fraction
-    transformed_cdf: Optional[object] = None
+    transformed_cdf: object  # the mixed cdf the certificate was checked under
 
 
 def delta_win_prob(F, n: int, x, y):
@@ -290,14 +289,15 @@ def _float_search(F, L, n: int, grid: BidGrid, delta) -> Optional[JumpPointStrat
     return JumpPointStrategy(tuple(exact_s), tuple(Fraction(u) for u in uvec))
 
 
-def solve(F, L, n: int, grid: BidGrid, eps, params: Optional[SolveParams] = None) -> SolveResult:
+def solve(F, L, n: int, grid: BidGrid, eps, *, delta=None) -> SolveResult:
     """Compute a certified eps-approximate symmetric equilibrium for a finite bid grid.
 
     The cdf is first mixed with the identity (weight eps/3n) so that it is
     strongly increasing; a certificate under the mixed cdf at accuracy eps/3n
     transfers back to an eps-approximate equilibrium of the original cdf.
+    delta is the search tolerance; None picks min(gamma/4, 2**-30), where
+    gamma is the certificate's residual bound.
     """
-    params = params or SolveParams()
     eps = Fraction(eps)
     if not 0 < eps < 1:
         raise DomainError("eps must lie in (0, 1)")
@@ -312,22 +312,16 @@ def solve(F, L, n: int, grid: BidGrid, eps, params: Optional[SolveParams] = None
     L_mixed = max(ONE, Fraction(L))
     eps_run = mix  # accuracy target under the mixed cdf
     gamma = eps_run / (2 * grid.m)
-    if params.delta is not None:
-        delta = Fraction(params.delta)
-    elif params.precision_bits is not None:
-        delta = Fraction(1, 2**params.precision_bits)
-    else:
-        delta = min(gamma / 4, Fraction(1, 2**30))
+    delta = min(gamma / 4, Fraction(1, 2**30)) if delta is None else Fraction(delta)
     if delta <= 0:
         raise DomainError("delta must be positive")
-    transformed = F_mixed if params.expose_transformed else None
     strategy = _float_search(F_mixed, L_mixed, n, grid, delta)
     if strategy is not None:
         cert = check_conditions(F_mixed, n, grid, strategy, None, gamma)
         if cert.passed:
-            return SolveResult(strategy, cert, eps, delta, transformed)
+            return SolveResult(strategy, cert, eps, delta, F_mixed)
     last_error = None
-    for _ in range(params.max_retries + 1):
+    for _ in range(MAX_RETRIES + 1):
         try:
             s_r, uvec_r = _binary_search_top_utility(F_mixed, L_mixed, n, grid, delta)
         except PrecisionError as exc:
@@ -338,11 +332,11 @@ def solve(F, L, n: int, grid: BidGrid, eps, params: Optional[SolveParams] = None
         strategy = JumpPointStrategy(s_star, tuple(uvec_r))
         cert = check_conditions(F_mixed, n, grid, strategy, None, gamma)
         if cert.passed:
-            return SolveResult(strategy, cert, eps, delta, transformed)
+            return SolveResult(strategy, cert, eps, delta, F_mixed)
         last_error = PrecisionError(
             f"certificate failed at delta={delta} (max residual {cert.max_residual})"
         )
         delta /= 2**8
     raise PrecisionError(
-        f"could not certify an equilibrium after {params.max_retries + 1} attempts: {last_error}"
+        f"could not certify an equilibrium after {MAX_RETRIES + 1} attempts: {last_error}"
     )

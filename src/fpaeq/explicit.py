@@ -6,7 +6,7 @@ equilibrium bid function
     bid(x) = x - (integral of F**(n-1) from 0 to x) / F(x)**(n-1)
 
 is a piecewise rational function whose numerator/denominator coefficients are
-computed exactly: the cdf powers by repeated coefficient convolution, the
+computed exactly: the cdf powers by repeated squaring of coefficient rows, the
 integral by termwise antidifferentiation with continuity-matching constants.
 Rational values therefore map to exact rational bids.
 """
@@ -19,18 +19,19 @@ from typing import Optional
 
 from .cdf import PiecewisePolyCdf
 from .errors import ConsistencyError, DomainError
-from .poly import is_zero_poly, poly_eval
+from .poly import PiecewisePoly, is_zero_poly, poly_antiderivative, poly_eval, poly_mul
+from .rationals import format_rational, parse_rational
 
 ZERO = Fraction(0)
+IDENTITY_ROW = (ZERO,)  # numerator and denominator of a piece left of the support
 
 
 @dataclass(frozen=True)
 class PowerTable:
-    """Per-piece coefficients of F_j**kappa; only kappa = n-1 is kept unless debug."""
+    """Per-piece coefficients of F_j**(n-1)."""
 
     n: int
-    final: tuple[tuple[Fraction, ...], ...]  # kappa = n-1, one row per piece
-    layers: Optional[tuple[tuple[tuple[Fraction, ...], ...], ...]] = None  # kappa = 1..n-1
+    final: tuple[tuple[Fraction, ...], ...]  # one row per piece
     source: Optional[PiecewisePolyCdf] = None
 
 
@@ -45,48 +46,42 @@ class IntegralTable:
 
 @dataclass(frozen=True)
 class RationalBidFunction:
-    """Per-piece numerator/denominator of the equilibrium bid; identity below v_low.
+    """Per-piece ratio numerator/denominator of the equilibrium bid.
 
-    ``pieces[j]`` is either an ``(numerator, denominator)`` coefficient pair or
-    None for pieces entirely left of the support infimum, where the bid is the
-    identity.
+    The bid is the identity at and below the support infimum, and on every
+    piece whose denominator row is zero (pieces entirely left of the support).
     """
 
-    breakpoints: tuple[Fraction, ...]
-    pieces: tuple[Optional[tuple[tuple[Fraction, ...], tuple[Fraction, ...]]], ...]
+    numerator: PiecewisePoly
+    denominator: PiecewisePoly
     support_infimum: Fraction
     n: int
+
+    def __post_init__(self):
+        if self.numerator.breakpoints != self.denominator.breakpoints:
+            raise DomainError("numerator and denominator need the same breakpoints")
 
     def __call__(self, x) -> Fraction:
         return eval_canonical(self, x)
 
 
-def power_coefficients(dist: PiecewisePolyCdf, n: int, *, keep_all: bool = False) -> PowerTable:
-    """Coefficients of F_j**(n-1) by exact convolution, for every piece j."""
+def _power(row: tuple, k: int) -> tuple:
+    """row**k for k >= 1, by repeated squaring."""
+    result, square = None, row
+    while True:
+        if k & 1:
+            result = square if result is None else poly_mul(result, square)
+        k >>= 1
+        if not k:
+            return tuple(result)
+        square = poly_mul(square, square)
+
+
+def power_coefficients(dist: PiecewisePolyCdf, n: int) -> PowerTable:
+    """Coefficients of F_j**(n-1), exact, for every piece j."""
     if n < 2:
         raise DomainError("need n >= 2 bidders")
-    d = dist.degree
-    per_piece_layers = []
-    for row in dist.coeffs:
-        layers = [tuple(row)]
-        for kappa in range(2, n):
-            prev = layers[-1]
-            out = [ZERO] * (kappa * d + 1)
-            for l in range(kappa * d + 1):
-                lo = max(0, l - (kappa - 1) * d)
-                for xi in range(lo, min(l, d) + 1):
-                    out[l] += prev[l - xi] * row[xi]
-            layers.append(tuple(out))
-        per_piece_layers.append(tuple(layers))
-    final = tuple(layers[-1] for layers in per_piece_layers)
-    all_layers = None
-    if keep_all:
-        # regroup as layers[kappa-1][piece]
-        all_layers = tuple(
-            tuple(per_piece_layers[j][kappa] for j in range(dist.pieces))
-            for kappa in range(n - 1)
-        )
-    return PowerTable(n, final, all_layers, dist)
+    return PowerTable(n, tuple(_power(row, n - 1) for row in dist.rows), dist)
 
 
 def integral_coefficients(pt: PowerTable, dist: PiecewisePolyCdf) -> IntegralTable:
@@ -96,15 +91,13 @@ def integral_coefficients(pt: PowerTable, dist: PiecewisePolyCdf) -> IntegralTab
     if len(pt.final) != dist.pieces:
         raise ConsistencyError("power table has the wrong number of pieces")
     rows = []
-    prev_row = None
     for j, b_row in enumerate(pt.final):
-        c = [ZERO] + [b / (l + 1) for l, b in enumerate(b_row)]
+        c = poly_antiderivative(b_row)
         if j > 0:
             v = dist.breakpoints[j]
             # match the value of the previous piece's polynomial at the breakpoint
-            c[0] = poly_eval(prev_row, v) - sum(cl * v**l for l, cl in enumerate(c) if l >= 1)
+            c[0] = poly_eval(rows[-1], v) - poly_eval(c, v)
         rows.append(tuple(c))
-        prev_row = rows[-1]
     return IntegralTable(pt.n, tuple(rows), dist)
 
 
@@ -113,26 +106,26 @@ def canonical_bid_function(dist: PiecewisePolyCdf, n: int) -> RationalBidFunctio
     pt = power_coefficients(dist, n)
     it = integral_coefficients(pt, dist)
     v_low = dist.support_infimum()
-    pieces = []
+    numer, denom = [], []
     for b_row, c_row in zip(pt.final, it.rows):
         if is_zero_poly(b_row):
-            pieces.append(None)  # entirely left of the support: identity bid
+            numer.append(IDENTITY_ROW)
+            denom.append(IDENTITY_ROW)
             continue
         # numerator(x) = x * denominator(x) - integral(x)
-        numer = [-c_row[0]] + [b_row[l - 1] - c_row[l] for l in range(1, len(c_row))]
-        pieces.append((tuple(numer), tuple(b_row)))
-    return RationalBidFunction(dist.breakpoints, tuple(pieces), v_low, n)
+        numer.append((-c_row[0],) + tuple(b_row[l - 1] - c_row[l] for l in range(1, len(c_row))))
+        denom.append(b_row)
+    return RationalBidFunction(
+        PiecewisePoly(dist.breakpoints, numer), PiecewisePoly(dist.breakpoints, denom), v_low, n
+    )
 
 
 def rbf_to_json(rbf: RationalBidFunction) -> dict:
-    from .rationals import format_rational
-
     pieces = []
-    for piece in rbf.pieces:
-        if piece is None:
+    for numer, denom in zip(rbf.numerator.rows, rbf.denominator.rows):
+        if is_zero_poly(denom):
             pieces.append("identity")
         else:
-            numer, denom = piece
             pieces.append(
                 {
                     "numerator": [format_rational(c) for c in numer],
@@ -143,30 +136,26 @@ def rbf_to_json(rbf: RationalBidFunction) -> dict:
         "kind": "rational_bid_function",
         "n": rbf.n,
         "support_infimum": format_rational(rbf.support_infimum),
-        "breakpoints": [format_rational(b) for b in rbf.breakpoints],
+        "breakpoints": [format_rational(b) for b in rbf.denominator.breakpoints],
         "pieces": pieces,
     }
 
 
 def rbf_from_json(obj: dict) -> RationalBidFunction:
-    from .rationals import parse_rational
-
     if obj.get("kind") != "rational_bid_function":
         raise DomainError("expected a rational_bid_function object")
-    pieces = []
+    numer, denom = [], []
     for piece in obj["pieces"]:
         if piece == "identity":
-            pieces.append(None)
+            numer.append(IDENTITY_ROW)
+            denom.append(IDENTITY_ROW)
         else:
-            pieces.append(
-                (
-                    tuple(parse_rational(c) for c in piece["numerator"]),
-                    tuple(parse_rational(c) for c in piece["denominator"]),
-                )
-            )
+            numer.append(tuple(parse_rational(c) for c in piece["numerator"]))
+            denom.append(tuple(parse_rational(c) for c in piece["denominator"]))
+    bps = tuple(parse_rational(b) for b in obj["breakpoints"])
     return RationalBidFunction(
-        tuple(parse_rational(b) for b in obj["breakpoints"]),
-        tuple(pieces),
+        PiecewisePoly(bps, numer),
+        PiecewisePoly(bps, denom),
         parse_rational(obj["support_infimum"]),
         int(obj["n"]),
     )
@@ -175,19 +164,12 @@ def rbf_from_json(obj: dict) -> RationalBidFunction:
 def eval_canonical(rbf: RationalBidFunction, x) -> Fraction:
     """Exact bid at x; the identity extension applies at and below the support infimum."""
     x = Fraction(x)
-    if not 0 <= x <= 1:
-        raise DomainError(f"x={x} outside [0, 1]")
+    j = rbf.denominator.piece_index(x)
     if x <= rbf.support_infimum:
         return x
-    import bisect
-
-    j = min(max(bisect.bisect_left(rbf.breakpoints, x) - 1, 0), len(rbf.pieces) - 1)
-    piece = rbf.pieces[j]
-    if piece is None:
-        return x
-    numer, denom = piece
-    den = poly_eval(denom, x)
+    den = poly_eval(rbf.denominator.rows[j], x)
     if den == 0:
-        # removable singularity at the support infimum: continuity gives bid = x
+        # an identity piece, or the removable singularity at the support
+        # infimum, where continuity gives bid = x
         return x
-    return poly_eval(numer, x) / den
+    return poly_eval(rbf.numerator.rows[j], x) / den

@@ -17,7 +17,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .cdf import PiecewisePolyCdf
+from .cdf import PiecewisePolyCdf, float_view
 from .discrete import BidGrid, JumpPointStrategy, delta_win_prob, utility
 from .errors import DomainError
 
@@ -61,8 +61,7 @@ def epsilon_bne_check_cdfpa(
     consecutive distinct jump points, and a uniform grid; regret maxima of
     step strategies occur at such interval endpoints.
     """
-    if len(s.s) != grid.m + 1:
-        raise DomainError(f"strategy has {len(s.s)} jump points; {grid.m} bids need {grid.m + 1}")
+    s.check_length(grid)
     sv = _strategy_values(s.s)
     values = set(sv) | set(grid.bids)
     values |= {Fraction(i, value_grid_size) for i in range(value_grid_size + 1)}
@@ -78,36 +77,6 @@ def epsilon_bne_check_cdfpa(
         samples.append(max(utility(F, n, s, grid, j, v) - own for j in range(1, grid.m + 1)))
     max_regret = max(best[0], 0 * best[0])
     return RegretReport(max_regret, best[1], tuple(samples), method="exact")
-
-
-def _float_cdf(F) -> Callable:
-    """Float evaluator accepting scalars or numpy arrays."""
-    if isinstance(F, PiecewisePolyCdf):
-        bps = np.array([float(b) for b in F.breakpoints])
-        coeffs = np.array([[float(c) for c in row] for row in F.coeffs])  # (pieces, deg+1)
-
-        def ev(x):
-            arr = np.asarray(x, dtype=float)
-            j = np.clip(np.searchsorted(bps, arr) - 1, 0, len(coeffs) - 1)
-            rows = coeffs[j]  # (..., deg+1) via fancy indexing
-            acc = np.zeros_like(arr)
-            for k in range(coeffs.shape[1] - 1, -1, -1):
-                acc = acc * arr + rows[..., k]
-            return acc if arr.ndim else float(acc)
-
-        return ev
-
-    def scalar(x):
-        arr = np.asarray(x, dtype=float)
-        if not arr.ndim:
-            return float(F(float(arr)))
-        out = np.empty(arr.shape)
-        flat_in, flat_out = arr.ravel(), out.ravel()
-        for i, v in enumerate(flat_in):
-            flat_out[i] = float(F(float(v)))
-        return out
-
-    return scalar
 
 
 def _support_infimum_float(F, fcdf) -> float:
@@ -139,7 +108,7 @@ def epsilon_bne_check_ccfpa(
     F(z)**(n-1) * (v - b).  The sup over continuous deviations is approximated
     on a grid, so the reported regret carries the grid resolution.
     """
-    fcdf = _float_cdf(F)
+    fcdf = float_view(F)
     probe = [i / 512 for i in range(513)]
     bids = [float(bid_fn(p)) for p in probe]
     for (p, ba), bb in zip(zip(probe, bids), bids[1:]):
@@ -184,14 +153,7 @@ def _vectorized_strategy(strategy, grid: Optional[BidGrid]):
     if isinstance(strategy, JumpPointStrategy):
         if grid is None:
             raise DomainError("a bid grid is required for jump-point strategies")
-        s = np.array([float(x) for x in strategy.s])
-        bids = np.array([float(b) for b in grid.bids])
-
-        def apply(v: np.ndarray) -> np.ndarray:
-            j = np.searchsorted(s[1:], v, side="left")
-            return bids[np.minimum(j, len(bids) - 1)]
-
-        return apply
+        return strategy.as_bid_function(grid).float_evaluator()
     return np.vectorize(lambda v: float(strategy(v)))
 
 
@@ -212,7 +174,7 @@ def monte_carlo_utility(
     """Ex-post utility estimate for value v deviating to bid b; returns (mean, std_err)."""
     if trials < 1:
         raise DomainError("trials must be >= 1")
-    fcdf = _float_cdf(F)
+    fcdf = float_view(F)
     apply = _vectorized_strategy(strategy, grid)
     rng = np.random.Generator(np.random.Philox(seed))
     u = rng.random((trials, n - 1))

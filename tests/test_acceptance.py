@@ -14,7 +14,7 @@ from fractions import Fraction as F
 import pytest
 
 import fpaeq as fq
-from fpaeq import BidGrid, SolveParams
+from fpaeq import BidGrid
 
 
 @contextlib.contextmanager
@@ -133,7 +133,7 @@ def test_criterion_6_cdfpa_solver(uniform):
         for n in (2, 3):
             for m in (2, 4, 8):
                 grid = equidistant_grid(m)
-                res = fq.solve(uniform, 1, n, grid, eps, SolveParams(expose_transformed=True))
+                res = fq.solve(uniform, 1, n, grid, eps)
                 # (a) measured regret under the original cdf
                 report = fq.epsilon_bne_check_cdfpa(uniform, n, grid, res.strategy)
                 assert report.max_regret <= eps
@@ -187,7 +187,7 @@ def test_criterion_8_transform_regret_transfer(uniform):
         instances.append((fq.power_cdf(2), 2, 4))
         for dist, n, m in instances:
             grid = equidistant_grid(m)
-            res = fq.solve(dist, None, n, grid, eps, SolveParams(expose_transformed=True))
+            res = fq.solve(dist, None, n, grid, eps)
             mixed_regret = fq.epsilon_bne_check_cdfpa(
                 res.transformed_cdf, n, grid, res.strategy
             ).max_regret

@@ -81,10 +81,11 @@ class TestAgainstSymbolicReference:
         plan = fq.precompute(oracle, n, eps)
         for x in (F(1, 7), F(1, 3), F(5, 8), F(9, 10), F(1)):
             exact = reference_bid(expr, n, x)
-            lo, hi = fq.riemann_bounds(plan, oracle, x)
+            ev = fq.bid(plan, oracle, x)
+            lo, hi = ev.lower, ev.upper
             assert lo <= exact <= hi
             assert hi - lo <= eps
-            assert abs(fq.bid(plan, oracle, x).bid - exact) <= eps
+            assert abs(ev.bid - exact) <= eps
 
 
 class TestQueryAccounting:
@@ -95,16 +96,11 @@ class TestQueryAccounting:
         assert plan.K == expected_K
         assert oracle.query_count == expected_K - 1
 
-    def test_strict_endpoint_mode(self, uniform):
-        oracle = fq.oracle_from_piecewise(uniform)
-        fq.precompute(oracle, 2, F(1, 8), query_endpoints=True)
-        assert oracle.query_count == 8
-
     def test_one_query_per_bid(self, square):
         oracle = fq.oracle_from_piecewise(square)
         plan = fq.precompute(oracle, 3, F(1, 16))
         base = oracle.query_count
-        f = fq.bid_function(plan, oracle)
+        f = lambda x: fq.bid(plan, oracle, x).bid
         for i in range(10):
             f(F(i, 10))
         assert oracle.query_count == base + 10
@@ -134,12 +130,12 @@ class TestProperties:
     def test_bid_monotone_in_value(self, two_piece):
         oracle = fq.oracle_from_piecewise(two_piece)
         plan = fq.precompute(oracle, 2, F(1, 64))
-        f = fq.bid_function(plan, oracle)
+        f = lambda x: fq.bid(plan, oracle, x).bid
         bids = [f(F(i, 200)) for i in range(201)]
         assert all(b >= a for a, b in zip(bids, bids[1:]))
 
     def test_float_oracle_follows_type(self):
-        oracle = fq.wrap_oracle(lambda x: float(x), 1.0)
+        oracle = fq.CdfOracle(lambda x: float(x), 1.0)
         plan = fq.precompute(oracle, 2, 0.25)
         ev = fq.bid(plan, oracle, 1.0)
         assert isinstance(ev.bid, float)

@@ -1,48 +1,112 @@
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 import fpaeq as fq
-from fpaeq import AdversarialCdfParams, DomainError, PiecewisePolyCdf
-from fpaeq.cdf import float_view
+from fpaeq import AdversarialCdfParams, DomainError, PiecewisePoly, PiecewisePolyCdf
+from fpaeq.cdf import MAX_DEGREE, float_view
+from fpaeq.poly import poly_eval
+
+FIXTURES = "uniform square two_piece shifted_support adversarial".split()
+
+
+def points(pp: PiecewisePoly) -> list:
+    """x = i/128 and every breakpoint."""
+    return sorted({F(i, 128) for i in range(129)} | set(pp.breakpoints))
+
+
+def left_piece(pp: PiecewisePoly, x) -> int:
+    """The piece [v_j, v_{j+1}] holding x, the left one on a shared breakpoint."""
+    return next(j for j in range(pp.pieces) if x <= pp.breakpoints[j + 1])
+
+
+def piecewise_inputs(request) -> list:
+    """Every fixture cdf, plus rational bid functions, each with its exact evaluation by hand."""
+    out = []
+    for name in FIXTURES:
+        dist = request.getfixturevalue(name)
+        out.append((dist, dist, lambda x, d=dist: poly_eval(d.rows[left_piece(d, x)], x)))
+    for name, n in (("two_piece", 3), ("shifted_support", 2), ("adversarial", 2)):
+        rbf = fq.canonical_bid_function(request.getfixturevalue(name), n)
+
+        def by_hand(x, rbf=rbf):
+            j = left_piece(rbf.denominator, x)
+            den = poly_eval(rbf.denominator.rows[j], x)
+            if x <= rbf.support_infimum or den == 0:
+                return x
+            return poly_eval(rbf.numerator.rows[j], x) / den
+
+        out.append((rbf.denominator, rbf, by_hand))
+    return out
 
 
 class TestEvalCdf:
     def test_uniform_identity(self, uniform):
-        assert fq.eval_cdf(uniform, F(1, 3)) == F(1, 3)
+        assert uniform(F(1, 3)) == F(1, 3)
 
     def test_zero_at_origin(self, uniform, square, two_piece, shifted_support, adversarial):
         for dist in (uniform, square, two_piece, shifted_support, adversarial):
-            assert fq.eval_cdf(dist, F(0)) == 0
+            assert dist(F(0)) == 0
 
     def test_second_piece_by_hand(self):
         # x^2 then x - 1/4: F(3/4) falls in the linear piece
         dist = PiecewisePolyCdf((F(0), F(1, 2), F(1)), ((F(0), F(0), F(1)), (F(-1, 4), F(1))))
-        assert fq.eval_cdf(dist, F(3, 4)) == F(1, 2)
+        assert dist(F(3, 4)) == F(1, 2)
 
     def test_shared_breakpoint_agrees(self, two_piece):
         v = two_piece.breakpoints[1]
-        from fpaeq.poly import poly_eval
-
-        assert poly_eval(two_piece.coeffs[0], v) == poly_eval(two_piece.coeffs[1], v)
-        assert fq.eval_cdf(two_piece, v) == F(1, 4)
+        assert poly_eval(two_piece.rows[0], v) == poly_eval(two_piece.rows[1], v)
+        assert two_piece(v) == F(1, 4)
 
     def test_domain_error(self, uniform):
         with pytest.raises(DomainError):
-            fq.eval_cdf(uniform, F(3, 2))
+            uniform(F(3, 2))
         with pytest.raises(DomainError):
-            fq.eval_cdf(uniform, F(-1, 2))
+            uniform(F(-1, 2))
+
+    def test_every_point_uses_its_left_piece(self, request):
+        for pp, evaluate, by_hand in piecewise_inputs(request):
+            for x in points(pp):
+                assert pp.piece_index(x) == left_piece(pp, x)
+                assert evaluate(x) == by_hand(x)
+
+    def test_breakpoint_takes_left_piece_of_a_jump(self):
+        step = PiecewisePoly((F(0), F(1, 2), F(1)), ((F(0),), (F(1),)))
+        assert step(F(1, 2)) == 0
+        assert step(F(1, 2) + F(1, 10**9)) == 1
+        assert float_view(step)(0.5) == 0.0
+        assert float_view(step)(np.array([0.5]))[0] == 0.0
 
 
 class TestFloatView:
-    def test_matches_exact_on_every_piece(self, uniform, square, two_piece, shifted_support, adversarial):
-        for dist in (uniform, square, two_piece, shifted_support, adversarial):
-            fv = float_view(dist)
-            for i in range(129):
-                x = F(i, 128)
-                assert abs(fv(float(x)) - float(dist(x))) <= 1e-15
+    def test_matches_exact_on_every_piece(self, request):
+        for name in FIXTURES:
+            pp = request.getfixturevalue(name)
+            fv = float_view(pp)
+            xs = points(pp)
+            vector = fv(np.array([float(x) for x in xs]))
+            for x, y in zip(xs, vector):
+                scalar = fv(float(x))
+                assert isinstance(scalar, float)
+                assert np.float64(scalar).tobytes() == y.tobytes()  # bit for bit
+                assert abs(scalar - float(pp(x))) <= 1e-15
+
+    def test_array_shape_kept(self, two_piece):
+        fv = float_view(two_piece)
+        grid = np.linspace(0.0, 1.0, 12).reshape(3, 4)
+        out = fv(grid)
+        assert out.shape == (3, 4)
+        assert [fv(float(x)) for x in grid.ravel()] == out.ravel().tolist()
+
+    def test_domain_error(self, square):
+        fv = float_view(square)
+        with pytest.raises(DomainError):
+            fv(1.5)
+        with pytest.raises(DomainError):
+            fv(np.array([0.5, -0.25]))
 
     def test_oracle_evaluated_at_exact_value(self, square):
         oracle = fq.oracle_from_piecewise(square)
@@ -50,15 +114,17 @@ class TestFloatView:
         y = fv(0.5)
         assert y == 0.25 and isinstance(y, float)
         assert oracle.query_count == 1
+        assert fv(np.array([[0.5, 1.0]])).tolist() == [[0.25, 1.0]]
+        assert oracle.query_count == 3
 
 
 class TestValidate:
     def test_uniform_ok(self, uniform):
-        assert fq.validate(uniform).ok
+        assert uniform.validate().ok
 
     def test_fixtures_ok(self, square, two_piece, shifted_support, adversarial):
         for dist in (square, two_piece, shifted_support, adversarial):
-            assert fq.validate(dist).ok, fq.validate(dist).violations
+            assert dist.validate().ok, dist.validate().violations
 
     def test_continuity_violation(self):
         # F_1(1/2) = 1/2 but F_2(1/2) = 1/3
@@ -81,13 +147,13 @@ class TestValidate:
 
 class TestSupportInfimum:
     def test_uniform(self, uniform):
-        assert fq.support_infimum(uniform) == 0
+        assert uniform.support_infimum() == 0
 
     def test_shifted(self, shifted_support):
-        assert fq.support_infimum(shifted_support) == F(1, 4)
+        assert shifted_support.support_infimum() == F(1, 4)
 
     def test_square_touches_zero_only_at_origin(self, square):
-        assert fq.support_infimum(square) == 0
+        assert square.support_infimum() == 0
 
 
 class TestStronglyIncreasingTransform:
@@ -149,18 +215,18 @@ class TestAdversarialCdf:
 class TestCdfOracle:
     def test_fresh_count_zero(self, uniform):
         oracle = fq.oracle_from_piecewise(uniform)
-        assert fq.query_count(oracle) == 0
+        assert oracle.query_count == 0
 
     def test_count_increments(self, uniform):
         oracle = fq.oracle_from_piecewise(uniform)
         for i in range(5):
             oracle(F(i, 5))
-        assert fq.query_count(oracle) == 5
+        assert oracle.query_count == 5
         oracle.reset()
-        assert fq.query_count(oracle) == 0
+        assert oracle.query_count == 0
 
     def test_wrap_callable(self):
-        oracle = fq.wrap_oracle(lambda x: float(x) ** 2, 2.0)
+        oracle = fq.CdfOracle(lambda x: float(x) ** 2, 2.0)
         assert oracle(0.5) == 0.25
         assert oracle.query_count == 1
 
@@ -212,3 +278,14 @@ class TestJson:
             fq.cdf_from_json({"kind": "power"})
         with pytest.raises(DomainError):
             fq.cdf_from_json([1, 2])
+
+    @pytest.mark.parametrize("exponent", ["5/2", "0", "-1", str(MAX_DEGREE + 1), "100000"])
+    def test_power_exponent_limits(self, exponent):
+        with pytest.raises(DomainError):
+            fq.cdf_from_json({"kind": "power", "exponent": exponent})
+
+    def test_degree_limit(self):
+        assert fq.cdf_from_json({"kind": "power", "exponent": str(MAX_DEGREE)}).degree == MAX_DEGREE
+        row = ["0"] * (MAX_DEGREE + 1) + ["1"]
+        with pytest.raises(DomainError):
+            fq.cdf_from_json({"kind": "piecewise_poly", "breakpoints": ["0", "1"], "coeffs": [row]})

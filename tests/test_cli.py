@@ -161,6 +161,35 @@ class TestInputContract:
         assert code == 2
         assert "jump points" in err
 
+    def test_eval_rejects_wrong_length_strategy(self, capout, tmp_path):
+        strat = tmp_path / "s.json"
+        strat.write_text(json.dumps({"kind": "jump_points", "s": ["0", "1/5", "2/5", "3/5", "1"]}))
+        code, out, err = capout("eval", "--strategy", str(strat), "--bids", "[\"0\", \"1/3\"]",
+                                "--at", "9/10")
+        assert code == 2 and out == ""
+        assert "jump points" in err
+
+    @pytest.mark.parametrize("mode", ["grid", "mc"])
+    @pytest.mark.parametrize("s,bids", [
+        (["0", "1/5", "2/5", "3/5", "1"], ["0", "1/3"]),
+        (["0", "1"], ["0", "1/4", "1/2"]),
+    ])
+    def test_verify_rejects_wrong_length_strategy(self, capout, tmp_path, uniform_json, mode, s, bids):
+        strat = tmp_path / "s.json"
+        strat.write_text(json.dumps({"kind": "jump_points", "s": s}))
+        code, out, err = capout("verify", "--strategy", str(strat), "--cdf", uniform_json, "--n", "2",
+                                "--bids", json.dumps(bids), "--mode", mode, "--trials", "100")
+        assert code == 2 and out == ""
+        assert "jump points" in err
+
+    @pytest.mark.parametrize("exponent", ["5/2", "0", "65", "100000"])
+    def test_power_exponent_out_of_range(self, capout, tmp_path, exponent):
+        path = tmp_path / "power.json"
+        path.write_text(json.dumps({"kind": "power", "exponent": exponent}))
+        code, out, err = capout("validate-cdf", "--cdf", str(path))
+        assert code == 2 and out == ""
+        assert "exponent must be an integer in [1, 64]" in err
+
     @pytest.mark.parametrize("model", ["ccfpa-explicit", "ccfpa-blackbox"])
     def test_negative_samples(self, capsys, uniform_json, model):
         with pytest.raises(SystemExit) as exc:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fpaeq as fq
-from fpaeq import BidGrid, DomainError, JumpPointStrategy, SolveParams, discrete
+from fpaeq import BidGrid, DomainError, JumpPointStrategy, discrete
 from fpaeq.cdf import float_view
 
 
@@ -217,7 +217,7 @@ class TestSolve:
         assert all(a <= b for a, b in zip(s, s[1:]))
 
     def test_expose_transformed(self, uniform):
-        res = fq.solve(uniform, 1, 2, grid_of("0", "1/2"), F(1, 16), SolveParams(expose_transformed=True))
+        res = fq.solve(uniform, 1, 2, grid_of("0", "1/2"), F(1, 16))
         assert res.transformed_cdf is not None
         assert res.transformed_cdf(F(1, 2)) == F(1, 2)  # mixing fixes the identity cdf
 
@@ -231,20 +231,20 @@ class TestSolve:
             fq.solve(uniform, 1, 2, grid_of("0", "1/2"), F(2))
 
     def test_explicit_delta_respected(self, uniform):
-        res = fq.solve(uniform, 1, 2, grid_of("0", "1/2"), F(1, 16), SolveParams(delta=F(1, 2**20)))
+        res = fq.solve(uniform, 1, 2, grid_of("0", "1/2"), F(1, 16), delta=F(1, 2**20))
         assert res.delta_used == F(1, 2**20)
 
     def test_tiny_delta(self, uniform):
         # float(delta) underflows to 0.0; the float search uses its tolerance floor
         tiny = F(1, 2**1100)
-        res = fq.solve(uniform, 1, 2, grid_of("0", "1/4", "1/2"), F(1, 32), SolveParams(delta=tiny))
+        res = fq.solve(uniform, 1, 2, grid_of("0", "1/4", "1/2"), F(1, 32), delta=tiny)
         assert res.certificate.passed
         assert res.delta_used == tiny
 
     @pytest.mark.parametrize("delta", [F(0), F(-1, 4)])
     def test_nonpositive_delta(self, uniform, delta):
         with pytest.raises(DomainError):
-            fq.solve(uniform, 1, 2, grid_of("0", "1/2"), F(1, 16), SolveParams(delta=delta))
+            fq.solve(uniform, 1, 2, grid_of("0", "1/2"), F(1, 16), delta=delta)
 
     def test_float_result_taken_back_exactly(self, uniform, monkeypatch):
         g = grid_of("0", "1/5", "1/3", "1/2")

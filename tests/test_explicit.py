@@ -22,12 +22,6 @@ class TestPowerCoefficients:
         pt = fq.power_coefficients(dist, 3)
         assert pt.final == ((F(1, 16), F(1, 4), F(1, 4)),)
 
-    def test_debug_layers(self, square):
-        pt = fq.power_coefficients(square, 4, keep_all=True)
-        assert len(pt.layers) == 3  # kappa = 1, 2, 3
-        assert pt.layers[0][0] == square.coeffs[0]
-        assert poly_eval(pt.layers[2][0], F(1, 2)) == F(1, 64)
-
     @settings(max_examples=40, deadline=None)
     @given(
         a=st.fractions(min_value=0, max_value=1),
@@ -92,7 +86,7 @@ class TestCanonicalBid:
     def test_identity_below_support(self, shifted_support):
         rbf = fq.canonical_bid_function(shifted_support, 2)
         assert rbf.support_infimum == F(1, 4)
-        assert rbf.pieces[0] is None
+        assert rbf.denominator.rows[0] == (0,)  # the identity piece
         assert rbf(F(1, 8)) == F(1, 8)
         assert rbf(F(1, 4)) == F(1, 4)
         # continuous at the support infimum from the right
@@ -115,7 +109,7 @@ class TestCanonicalBid:
         if expr is None:
             pieces = [
                 (poly_eval([sympy.Rational(c) for c in row], T), T <= sympy.Rational(dist.breakpoints[j + 1]))
-                for j, row in enumerate(dist.coeffs)
+                for j, row in enumerate(dist.rows)
             ]
             pieces[-1] = (pieces[-1][0], True)
             expr = sympy.Piecewise(*pieces)
@@ -136,8 +130,8 @@ class TestJsonRoundTrip:
         dist = request.getfixturevalue(name)
         rbf = fq.canonical_bid_function(dist, n)
         again = fq.rbf_from_json(fq.rbf_to_json(rbf))
-        assert again.breakpoints == rbf.breakpoints
-        assert again.pieces == rbf.pieces
+        assert again.numerator == rbf.numerator
+        assert again.denominator == rbf.denominator
         assert again.support_infimum == rbf.support_infimum
         for x in (F(1, 5), F(1, 2), F(9, 10)):
             assert again(x) == rbf(x)

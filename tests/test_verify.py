@@ -80,7 +80,7 @@ class TestContinuousRegret:
         eps = F(1, 64)
         oracle = fq.oracle_from_piecewise(adversarial)
         plan = fq.precompute(oracle, 2, eps)
-        report = fq.epsilon_bne_check_ccfpa(adversarial, 2, fq.bid_function(plan, oracle))
+        report = fq.epsilon_bne_check_ccfpa(adversarial, 2, lambda x: fq.bid(plan, oracle, x).bid)
         assert report.max_regret < float(eps) + 0.02
 
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DomainError
 from .poly import PiecewisePoly, is_zero_poly, poly_derivative, poly_eval
-from .rationals import format_rational, parse_rational
+from .rationals import format_rational, parse_rational, parse_rational_list
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -284,9 +284,11 @@ def cdf_from_json(obj: dict) -> PiecewisePolyCdf:
         return make_adversarial_cdf(params)
     if kind == "piecewise_poly":
         try:
-            bps = tuple(parse_rational(b) for b in obj["breakpoints"])
-            rows = tuple(tuple(parse_rational(c) for c in row) for row in obj["coeffs"])
+            bps = parse_rational_list(obj["breakpoints"], "breakpoints")
+            coeffs = obj["coeffs"]
         except KeyError as exc:
             raise DomainError(f"piecewise_poly cdf is missing field {exc}")
-        return PiecewisePolyCdf(bps, rows)
+        if not isinstance(coeffs, list):
+            raise DomainError(f"coeffs must be a JSON array of coefficient rows, got {coeffs!r}")
+        return PiecewisePolyCdf(bps, tuple(parse_rational_list(row, "a coefficient row") for row in coeffs))
     raise DomainError(f"unknown cdf kind: {kind!r}")

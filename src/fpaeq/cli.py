@@ -17,7 +17,7 @@ from . import blackbox, discrete, explicit, verify
 from .cdf import CdfOracle, cdf_from_json, oracle_from_piecewise
 from .discrete import BidGrid, JumpPointStrategy
 from .errors import DomainError, PrecisionError
-from .rationals import format_rational, parse_rational
+from .rationals import format_rational, parse_rational, parse_rational_list
 
 USAGE_ERROR = 2
 FAILURE = 1
@@ -49,11 +49,9 @@ def _parse_bids(text: str) -> BidGrid:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"bids: malformed JSON array: {exc}")
-    if not isinstance(raw, list):
-        raise InputError("bids: expected a JSON array of rationals")
     try:
-        return BidGrid(tuple(parse_rational(b) for b in raw))
-    except (ValueError, DomainError) as exc:
+        return BidGrid(parse_rational_list(raw, "bids"))
+    except ValueError as exc:
         raise InputError(f"bids: {exc}")
 
 
@@ -89,19 +87,18 @@ def _strategy_to_json(strategy: JumpPointStrategy, cert=None) -> dict:
 
 
 def _strategy_from_json(obj: dict):
-    kind = obj.get("kind")
+    kind = obj.get("kind") if isinstance(obj, dict) else None
     if kind == "jump_points":
         try:
             return JumpPointStrategy(
-                tuple(parse_rational(x) for x in obj["s"]),
-                tuple(parse_rational(u) for u in obj.get("U", [])),
+                parse_rational_list(obj["s"], "s"), parse_rational_list(obj.get("U", []), "U")
             )
         except (KeyError, ValueError) as exc:
             raise InputError(f"strategy: bad jump_points object ({exc})")
     if kind == "rational_bid_function":
         try:
             return explicit.rbf_from_json(obj)
-        except (KeyError, ValueError, DomainError) as exc:
+        except (KeyError, ValueError) as exc:
             raise InputError(f"strategy: bad rational_bid_function object ({exc})")
     raise InputError(f"strategy: unknown kind field {kind!r}")
 
@@ -149,11 +146,7 @@ def _cmd_solve(args) -> int:
         raise InputError("--eps is required for the cdfpa model")
     grid = _parse_bids(args.bids)
     delta = parse_rational(args.delta) if args.delta else _default_delta()
-    try:
-        result = discrete.solve(dist, None, args.n, grid, parse_rational(args.eps), delta=delta)
-    except PrecisionError as exc:
-        print(f"solve failed: {exc}", file=sys.stderr)
-        return FAILURE
+    result = discrete.solve(dist, None, args.n, grid, parse_rational(args.eps), delta=delta)
     out = _strategy_to_json(result.strategy, result.certificate)
     if args.certify:
         report = verify.epsilon_bne_check_cdfpa(dist, args.n, grid, result.strategy)
@@ -318,10 +311,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except (DomainError, ValueError) as exc:
+    except (InputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except PrecisionError as exc:

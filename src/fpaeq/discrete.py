@@ -28,9 +28,10 @@ analysis (`theoretical_delta`) is never required in practice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import bisect
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 from .cdf import PiecewisePolyCdf, float_view, strongly_increasing_transform
 from .errors import DomainError, PrecisionError
@@ -75,18 +76,29 @@ class BidGrid:
 
 @dataclass(frozen=True)
 class JumpPointStrategy:
+    """Jump points 0 <= s_0 <= ... <= s_m = 1 and the utilities U_0..U_m solved with them."""
+
     s: tuple
     utilities: tuple
 
+    def __post_init__(self):
+        s = self.s
+        if len(s) < 2:
+            raise DomainError(f"a strategy needs at least 2 jump points, got {len(s)}")
+        if s[0] < 0:
+            raise DomainError("first jump point must be >= 0")
+        if any(a > b for a, b in zip(s, s[1:])):
+            raise DomainError("jump points must be nondecreasing")
+        if s[-1] != 1:
+            raise DomainError("last jump point must be 1")
+
     def bid_index(self, v) -> int:
         """1-based index j of the bid taken at value v: v in (s_{j-1}, s_j] -> j."""
-        m = len(self.s) - 1
-        if v <= self.s[0]:
-            return 1
-        for j in range(1, m + 1):
-            if self.s[j - 1] < v <= self.s[j]:
-                return j
-        return m
+        return min(max(bisect.bisect_left(self.s, v), 1), len(self.s) - 1)
+
+    def win_probs(self, F, n: int) -> tuple:
+        """Delta_1..Delta_m: bid b_j wins with Delta(s_{j-1}, s_j), whatever the value."""
+        return tuple(delta_win_prob(F, n, x, y) for x, y in zip(self.s, self.s[1:]))
 
     def check_length(self, grid: BidGrid) -> None:
         """Raise DomainError unless there is one jump point per bid, plus s_0."""
@@ -140,12 +152,11 @@ def delta_win_prob(F, n: int, x, y):
     return total / n
 
 
-def utility(F, n: int, s: JumpPointStrategy | Sequence, grid: BidGrid, j: int, v):
+def utility(F, n: int, strategy: JumpPointStrategy, grid: BidGrid, j: int, v):
     """Interim utility of bidding b_j at value v against the jump-point strategy."""
-    sv = s.s if isinstance(s, JumpPointStrategy) else s
     if not 1 <= j <= grid.m:
         raise DomainError(f"bid index {j} out of range [1, {grid.m}]")
-    return (v - grid.bids[j - 1]) * delta_win_prob(F, n, sv[j - 1], sv[j])
+    return (v - grid.bids[j - 1]) * delta_win_prob(F, n, strategy.s[j - 1], strategy.s[j])
 
 
 def _ceil_log2(r: Fraction) -> int:
@@ -205,30 +216,30 @@ def compute_strategy(F, L, n: int, grid: BidGrid, U, delta):
     return s, uvec
 
 
-def check_conditions(F, n: int, grid: BidGrid, s, uvec, gamma) -> Certificate:
+def check_conditions(F, n: int, grid: BidGrid, strategy: JumpPointStrategy, gamma) -> Certificate:
     """Approximate-equilibrium certificate; passing implies a 2*gamma*m equilibrium."""
-    sv = s.s if isinstance(s, JumpPointStrategy) else tuple(s)
-    uv = s.utilities if isinstance(s, JumpPointStrategy) else tuple(uvec)
+    strategy.check_length(grid)
+    s, u = strategy.s, strategy.utilities
+    win = strategy.win_probs(F, n)
     residuals = []
     ok = True
     for i in range(1, grid.m + 1):
         b = grid.bids[i - 1]
-        lo, hi, u_lo, u_hi = sv[i - 1], sv[i], uv[i - 1], uv[i]
+        lo, hi, u_lo, u_hi = s[i - 1], s[i], u[i - 1], u[i]
         gap = b - lo  # condition (3): s_{i-1} >= b_i
         residuals.append(ConditionResidual(3, i, max(0 * gap, gap), 0))
         if gap > 0:
             ok = False
-        win = delta_win_prob(F, n, min(lo, hi), hi)
         if lo < hi:
-            r_top = abs((hi - b) * win - u_hi)
-            r_bot = abs((lo - b) * win - u_lo)
+            r_top = abs((hi - b) * win[i - 1] - u_hi)
+            r_bot = abs((lo - b) * win[i - 1] - u_lo)
             residuals.append(ConditionResidual(1, i, r_top, gamma))
             residuals.append(ConditionResidual(1, i, r_bot, gamma))
             if r_top > gamma or r_bot > gamma:
                 ok = False
         else:
             r_eq = abs(u_hi - u_lo)
-            r_dev = (hi - b) * delta_win_prob(F, n, hi, hi) - u_hi
+            r_dev = (hi - b) * win[i - 1] - u_hi
             residuals.append(ConditionResidual(2, i, r_eq, EQUAL_UTILITY_TOL))
             residuals.append(ConditionResidual(2, i, max(0 * r_dev, r_dev), gamma))
             if r_eq > EQUAL_UTILITY_TOL or r_dev > gamma:
@@ -270,7 +281,8 @@ def _float_search(F, L, n: int, grid: BidGrid, delta) -> Optional[JumpPointStrat
     s_0 = 0 and s_m = 1; a jump point pooled with the one above it takes that
     one's value, one within SNAP_TOL of its bid becomes the bid, and every
     other jump point and utility is the exact value of its float.  Returns
-    None when the float bisection misses its own residual bound.
+    None when the float bisection misses its own residual bound, or when
+    snapping leaves the jump points out of order.
     """
     tol = max(float(min(delta, ONE)), FLOAT_DELTA_FLOOR)
     try:
@@ -286,7 +298,10 @@ def _float_search(F, L, n: int, grid: BidGrid, delta) -> Optional[JumpPointStrat
             exact_s[i - 1] = b
         else:
             exact_s[i - 1] = Fraction(x)
-    return JumpPointStrategy(tuple(exact_s), tuple(Fraction(u) for u in uvec))
+    try:
+        return JumpPointStrategy(tuple(exact_s), tuple(Fraction(u) for u in uvec))
+    except DomainError:
+        return None
 
 
 def solve(F, L, n: int, grid: BidGrid, eps, *, delta=None) -> SolveResult:
@@ -317,7 +332,7 @@ def solve(F, L, n: int, grid: BidGrid, eps, *, delta=None) -> SolveResult:
         raise DomainError("delta must be positive")
     strategy = _float_search(F_mixed, L_mixed, n, grid, delta)
     if strategy is not None:
-        cert = check_conditions(F_mixed, n, grid, strategy, None, gamma)
+        cert = check_conditions(F_mixed, n, grid, strategy, gamma)
         if cert.passed:
             return SolveResult(strategy, cert, eps, delta, F_mixed)
     last_error = None
@@ -330,7 +345,7 @@ def solve(F, L, n: int, grid: BidGrid, eps, *, delta=None) -> SolveResult:
             continue
         s_star = (ZERO,) + tuple(s_r[1:])
         strategy = JumpPointStrategy(s_star, tuple(uvec_r))
-        cert = check_conditions(F_mixed, n, grid, strategy, None, gamma)
+        cert = check_conditions(F_mixed, n, grid, strategy, gamma)
         if cert.passed:
             return SolveResult(strategy, cert, eps, delta, F_mixed)
         last_error = PrecisionError(

@@ -20,7 +20,7 @@ from typing import Optional
 from .cdf import PiecewisePolyCdf
 from .errors import ConsistencyError, DomainError
 from .poly import PiecewisePoly, is_zero_poly, poly_antiderivative, poly_eval, poly_mul
-from .rationals import format_rational, parse_rational
+from .rationals import format_rational, parse_rational, parse_rational_list
 
 ZERO = Fraction(0)
 IDENTITY_ROW = (ZERO,)  # numerator and denominator of a piece left of the support
@@ -142,22 +142,30 @@ def rbf_to_json(rbf: RationalBidFunction) -> dict:
 
 
 def rbf_from_json(obj: dict) -> RationalBidFunction:
-    if obj.get("kind") != "rational_bid_function":
+    if not isinstance(obj, dict) or obj.get("kind") != "rational_bid_function":
         raise DomainError("expected a rational_bid_function object")
+    pieces = obj["pieces"]
+    if not isinstance(pieces, list):
+        raise DomainError(f"pieces must be a JSON array, got {pieces!r}")
     numer, denom = [], []
-    for piece in obj["pieces"]:
+    for piece in pieces:
         if piece == "identity":
             numer.append(IDENTITY_ROW)
             denom.append(IDENTITY_ROW)
+        elif isinstance(piece, dict):
+            numer.append(parse_rational_list(piece["numerator"], "numerator"))
+            denom.append(parse_rational_list(piece["denominator"], "denominator"))
         else:
-            numer.append(tuple(parse_rational(c) for c in piece["numerator"]))
-            denom.append(tuple(parse_rational(c) for c in piece["denominator"]))
-    bps = tuple(parse_rational(b) for b in obj["breakpoints"])
+            raise DomainError(f'a piece must be "identity" or a numerator/denominator object, got {piece!r}')
+    bps = parse_rational_list(obj["breakpoints"], "breakpoints")
+    n = parse_rational(obj["n"])
+    if n.denominator != 1:
+        raise DomainError(f"n must be an integer, got {obj['n']!r}")
     return RationalBidFunction(
         PiecewisePoly(bps, numer),
         PiecewisePoly(bps, denom),
         parse_rational(obj["support_infimum"]),
-        int(obj["n"]),
+        int(n),
     )
 
 

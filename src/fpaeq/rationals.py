@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .errors import DomainError
+
 
 def parse_rational(value) -> Fraction:
     """Accept "p/q" / integer strings, ints, and Fractions.
@@ -20,6 +22,13 @@ def parse_rational(value) -> Fraction:
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"not a rational: {value!r}") from exc
     raise ValueError(f"not a rational: {value!r} (floats are not accepted)")
+
+
+def parse_rational_list(value, what: str) -> tuple:
+    """A JSON array of rationals as a tuple of Fractions; DomainError for any other shape."""
+    if not isinstance(value, list):
+        raise DomainError(f"{what} must be a JSON array of rationals, got {value!r}")
+    return tuple(parse_rational(x) for x in value)
 
 
 def format_rational(q: Fraction) -> str:

@@ -11,25 +11,28 @@ Three routes, deliberately independent of the solvers they audit:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
 from .cdf import PiecewisePolyCdf, float_view
-from .discrete import BidGrid, JumpPointStrategy, delta_win_prob, utility
+from .discrete import BidGrid, JumpPointStrategy
 from .errors import DomainError
 
 INVERSION_STEPS = 60  # bisection steps when inverting a monotone bid function
 SAMPLING_STEPS = 50  # bisection steps for inverse-cdf sampling
+EXACT_VALUE_GRID = 64  # the exact verifier's uniform values are i/64
+GRID_VALUES = 128  # the grid verifier's values split [v_low, 1] into 128 steps
+GRID_DEVIATIONS = 256  # the grid verifier's deviations are j/256
+MC_GRID = 8  # the Monte Carlo verifier's values and deviations are i/8
 
 
 @dataclass(frozen=True)
 class RegretReport:
     max_regret: object
     argmax: Optional[tuple] = None  # (value, deviation bid)
-    samples: tuple = ()
     method: str = "exact"
     trials: Optional[int] = None
     seed: Optional[int] = None
@@ -43,40 +46,30 @@ class PropertyCheck:
     monotonicity_witnesses: tuple = ()
 
 
-def _strategy_values(s: Sequence) -> tuple:
-    sv = tuple(s)
-    if any(a > b for a, b in zip(sv, sv[1:])):
-        raise DomainError("jump points must be nondecreasing")
-    if sv[-1] != 1:
-        raise DomainError("last jump point must be 1")
-    return sv
+def epsilon_bne_check_cdfpa(F, n: int, grid: BidGrid, s: JumpPointStrategy) -> RegretReport:
+    """Deviation regret over all grid bids, exact for rational inputs.
 
-
-def epsilon_bne_check_cdfpa(
-    F, n: int, grid: BidGrid, s: JumpPointStrategy, value_grid_size: int = 64
-) -> RegretReport:
-    """Brute-force deviation regret over all grid bids, exact for rational inputs.
-
-    The value grid contains every jump point, every bid, midpoints of
-    consecutive distinct jump points, and a uniform grid; regret maxima of
-    step strategies occur at such interval endpoints.
+    The result is the exact maximum over a finite value set: every jump
+    point, every bid, i/64 and the midpoints of consecutive distinct jump
+    points.  Bid b_k wins with Delta_k whatever the value, so the regret at v
+    is max_k (v - b_k) * Delta_k minus the utility of v's own bid.  The true
+    supremum over all values can lie above this maximum.
     """
     s.check_length(grid)
-    sv = _strategy_values(s.s)
-    values = set(sv) | set(grid.bids)
-    values |= {Fraction(i, value_grid_size) for i in range(value_grid_size + 1)}
-    values |= {(a + b) / 2 for a, b in zip(sv, sv[1:]) if a < b}
+    win = s.win_probs(F, n)
+    values = set(s.s) | set(grid.bids)
+    values |= {Fraction(i, EXACT_VALUE_GRID) for i in range(EXACT_VALUE_GRID + 1)}
+    values |= {(a + b) / 2 for a, b in zip(s.s, s.s[1:]) if a < b}
     best = None
-    samples = []
     for v in sorted(values):
-        own = utility(F, n, s, grid, s.bid_index(v), v)
-        for j in range(1, grid.m + 1):
-            regret = utility(F, n, s, grid, j, v) - own
+        k = s.bid_index(v)
+        own = (v - grid.bids[k - 1]) * win[k - 1]
+        for b, w in zip(grid.bids, win):
+            regret = (v - b) * w - own
             if best is None or regret > best[0]:
-                best = (regret, (v, grid.bids[j - 1]))
-        samples.append(max(utility(F, n, s, grid, j, v) - own for j in range(1, grid.m + 1)))
+                best = (regret, (v, b))
     max_regret = max(best[0], 0 * best[0])
-    return RegretReport(max_regret, best[1], tuple(samples), method="exact")
+    return RegretReport(max_regret, best[1], method="exact")
 
 
 def _support_infimum_float(F, fcdf) -> float:
@@ -94,13 +87,7 @@ def _support_infimum_float(F, fcdf) -> float:
     return lo
 
 
-def epsilon_bne_check_ccfpa(
-    F,
-    n: int,
-    bid_fn: Callable,
-    deviation_grid_size: int = 256,
-    value_grid_size: int = 128,
-) -> RegretReport:
+def epsilon_bne_check_ccfpa(F, n: int, bid_fn: Callable) -> RegretReport:
     """Deviation regret for a continuous monotone bid function.
 
     A deviation to bid b wins against all opponent values below
@@ -132,21 +119,17 @@ def epsilon_bne_check_ccfpa(
         return lo
 
     v_low = _support_infimum_float(F, fcdf)
-    deviations = [i / deviation_grid_size for i in range(deviation_grid_size + 1)]
+    deviations = [i / GRID_DEVIATIONS for i in range(GRID_DEVIATIONS + 1)]
     dev_power = [fcdf(threshold(b)) ** (n - 1) for b in deviations]
     best = (float("-inf"), None)
-    samples = []
-    for i in range(value_grid_size + 1):
-        v = v_low + (1 - v_low) * i / value_grid_size
+    for i in range(GRID_VALUES + 1):
+        v = v_low + (1 - v_low) * i / GRID_VALUES
         own = fcdf(v) ** (n - 1) * (v - float(bid_fn(v)))
-        reg_v = float("-inf")
         for b, p in zip(deviations, dev_power):
             regret = p * (v - b) - own
-            reg_v = max(reg_v, regret)
             if regret > best[0]:
                 best = (regret, (v, b))
-        samples.append(reg_v)
-    return RegretReport(max(best[0], 0.0), best[1], tuple(samples), method="grid")
+    return RegretReport(max(best[0], 0.0), best[1], method="grid")
 
 
 def _vectorized_strategy(strategy, grid: Optional[BidGrid]):
@@ -188,16 +171,9 @@ def monte_carlo_utility(
 
 
 def monte_carlo_regret(
-    F,
-    n: int,
-    strategy,
-    trials: int,
-    seed: int,
-    grid: Optional[BidGrid] = None,
-    value_grid_size: int = 8,
-    deviation_grid_size: int = 8,
+    F, n: int, strategy, trials: int, seed: int, grid: Optional[BidGrid] = None
 ) -> RegretReport:
-    """Monte Carlo regret estimate over a small (value, deviation) grid.
+    """Monte Carlo regret estimate over values and deviations i/8.
 
     Deterministic given the seed; per-pair seeds derive from the root seed.
     The reported sigma is the largest standard error across estimates, so the
@@ -206,16 +182,15 @@ def monte_carlo_regret(
     if trials < 1:
         raise DomainError("trials must be >= 1")
     apply = _vectorized_strategy(strategy, grid)
-    values = [i / value_grid_size for i in range(value_grid_size + 1)]
-    deviations = [i / deviation_grid_size for i in range(deviation_grid_size + 1)]
+    points = [i / MC_GRID for i in range(MC_GRID + 1)]
     best = (float("-inf"), None)
     worst_sigma = 0.0
     sub = 0
-    for v in values:
+    for v in points:
         own_bid = float(apply(np.array([v]))[0])
         own, s_own = monte_carlo_utility(F, n, strategy, v, own_bid, trials, seed * 1_000_003 + sub, grid)
         sub += 1
-        for b in deviations:
+        for b in points:
             est, s_dev = monte_carlo_utility(F, n, strategy, v, b, trials, seed * 1_000_003 + sub, grid)
             sub += 1
             regret = est - own
@@ -223,7 +198,7 @@ def monte_carlo_regret(
             if regret > best[0]:
                 best = (regret, (v, b))
     return RegretReport(
-        max(best[0], 0.0), best[1], (), method="monte-carlo", trials=trials, seed=seed, sigma=worst_sigma
+        max(best[0], 0.0), best[1], method="monte-carlo", trials=trials, seed=seed, sigma=worst_sigma
     )
 
 

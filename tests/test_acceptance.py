@@ -138,9 +138,7 @@ def test_criterion_6_cdfpa_solver(uniform):
                 report = fq.epsilon_bne_check_cdfpa(uniform, n, grid, res.strategy)
                 assert report.max_regret <= eps
                 # (b) certificate at gamma = eps/2m against the cdf it was solved under
-                cert = fq.check_conditions(
-                    res.transformed_cdf, n, grid, res.strategy, None, eps / (2 * m)
-                )
+                cert = fq.check_conditions(res.transformed_cdf, n, grid, res.strategy, eps / (2 * m))
                 assert cert.passed
                 # (c) top-value equilibrium utility is 1/n up to eps
                 top = fq.utility(uniform, n, res.strategy, grid, res.strategy.bid_index(F(1)), F(1))

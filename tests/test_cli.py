@@ -182,6 +182,74 @@ class TestInputContract:
         assert code == 2 and out == ""
         assert "jump points" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--bids", "[\"0\", \"1/4\", \"1/2\"]", "--at", "1/2"],
+        ["verify", "--bids", "[\"0\", \"1/4\", \"1/2\"]", "--mode", "mc", "--trials", "100"],
+        ["verify", "--bids", "[\"0\", \"1/4\", \"1/2\"]", "--mode", "grid"],
+        ["verify", "--bids", "[\"0\", \"1/4\", \"1/2\"]", "--mode", "exact"],
+    ])
+    @pytest.mark.parametrize("s", [
+        ["0", "3/4", "1/4", "1"],  # decreasing
+        ["-1/4", "1/4", "1/2", "1"],  # s_0 < 0
+        ["0", "1/4", "1/2", "3/4"],  # s_m != 1
+        [],
+        "0 1/4 1/2 1",
+    ])
+    def test_invalid_jump_points(self, capout, tmp_path, uniform_json, argv, s):
+        strat = tmp_path / "s.json"
+        strat.write_text(json.dumps({"kind": "jump_points", "s": s}))
+        if argv[0] == "verify":
+            argv = argv + ["--cdf", uniform_json, "--n", "2"]
+        code, out, err = capout(*argv, "--strategy", str(strat))
+        assert code == 2 and out == ""
+        assert "strategy: bad jump_points object" in err
+
+    @pytest.mark.parametrize("mode", ["grid", "mc"])
+    def test_jump_point_above_one(self, capout, tmp_path, uniform_json, mode):
+        strat = tmp_path / "s.json"
+        strat.write_text(json.dumps({"kind": "jump_points", "s": ["0", "3/2", "1"]}))
+        code, out, err = capout("verify", "--strategy", str(strat), "--cdf", uniform_json, "--n", "2",
+                                "--bids", "[\"0\", \"1/2\"]", "--mode", mode, "--trials", "100")
+        assert code == 2 and out == ""
+        assert "nondecreasing" in err
+
+    @pytest.mark.parametrize("strategy", [
+        {"pieces": ["foo"]},
+        {"pieces": "identity"},
+        {"pieces": [{"numerator": "1/2", "denominator": ["1"]}]},
+        {"pieces": [{"numerator": ["0", "1"], "denominator": 1}]},
+        {"pieces": ["identity"], "breakpoints": "0 1"},
+        {"pieces": ["identity"], "n": [2]},
+        {"pieces": ["identity"], "n": "5/2"},
+    ])
+    def test_malformed_rational_bid_function(self, capout, tmp_path, strategy):
+        obj = {"kind": "rational_bid_function", "n": 2, "support_infimum": "0",
+               "breakpoints": ["0", "1"], **strategy}
+        strat = tmp_path / "s.json"
+        strat.write_text(json.dumps(obj))
+        code, out, err = capout("eval", "--strategy", str(strat), "--at", "1/2")
+        assert code == 2 and out == ""
+        assert "rational_bid_function" in err
+
+    def test_strategy_not_an_object(self, capout, tmp_path):
+        strat = tmp_path / "s.json"
+        strat.write_text(json.dumps(["jump_points"]))
+        code, out, err = capout("eval", "--strategy", str(strat), "--bids", "[\"0\"]", "--at", "1/2")
+        assert code == 2 and out == ""
+        assert "strategy" in err
+
+    @pytest.mark.parametrize("fields", [
+        {"breakpoints": 5, "coeffs": [["0", "1"]]},
+        {"breakpoints": ["0", "1"], "coeffs": "0 1"},
+        {"breakpoints": ["0", "1"], "coeffs": [1]},
+    ])
+    def test_malformed_piecewise_cdf(self, capout, tmp_path, fields):
+        path = tmp_path / "cdf.json"
+        path.write_text(json.dumps({"kind": "piecewise_poly", **fields}))
+        code, out, err = capout("eval", "--cdf", str(path), "--at", "1/2")
+        assert code == 2 and out == ""
+        assert "JSON array" in err
+
     @pytest.mark.parametrize("exponent", ["5/2", "0", "65", "100000"])
     def test_power_exponent_out_of_range(self, capout, tmp_path, exponent):
         path = tmp_path / "power.json"

@@ -60,6 +60,38 @@ class TestJumpPointStrategy:
         assert s.bid_index(F(1, 2)) == 1
         assert s.bid_index(F(3, 4)) == 3
 
+    def test_bid_index_matches_interval_rule(self):
+        # reference: v in (s_{j-1}, s_j] bids b_j; v <= s_0 bids b_1
+        rng = random.Random(7)
+        for _ in range(200):
+            m = rng.randint(1, 6)
+            s0 = rng.randint(0, 4)
+            s = tuple(F(k, 8) for k in [s0] + sorted(rng.randint(s0, 8) for _ in range(m - 1))) + (F(1),)
+            strategy = JumpPointStrategy(s, ())
+            for v in set(s) | {F(i, 16) for i in range(17)}:
+                j = strategy.bid_index(v)
+                if v <= s[0]:
+                    assert j == 1
+                else:
+                    assert s[j - 1] < v <= s[j]
+
+    @pytest.mark.parametrize("s", [
+        (),
+        (F(1),),
+        (F(-1, 4), F(1, 2), F(1)),
+        (F(0), F(3, 4), F(1, 4), F(1)),
+        (F(0), F(3, 2), F(1)),
+        (F(0), F(1, 2), F(3, 4)),
+    ])
+    def test_invalid_jump_points_rejected(self, s):
+        with pytest.raises(DomainError, match="jump point"):
+            JumpPointStrategy(s, ())
+
+    def test_win_probs(self, uniform):
+        s = JumpPointStrategy((F(0), F(1, 4), F(1, 4), F(1)), ())
+        # n = 2: Delta(x, y) = (x + y)/2
+        assert s.win_probs(uniform, 2) == (F(1, 8), F(1, 4), F(5, 8))
+
     def test_as_bid_function(self):
         g = grid_of("0", "1/4")
         s = JumpPointStrategy((F(0), F(1, 2), F(1)), (F(0),) * 3)
@@ -165,20 +197,20 @@ class TestCheckConditions:
         # uniform, n = 2, bids {0, 1/2}: full pooling at 0 is an exact equilibrium
         g = grid_of("0", "1/2")
         s = JumpPointStrategy((F(0), F(1), F(1)), (F(0), F(1, 2), F(1, 2)))
-        cert = fq.check_conditions(uniform, 2, g, s, None, F(1, 2**10))
+        cert = fq.check_conditions(uniform, 2, g, s, F(1, 2**10))
         assert cert.passed
         assert cert.max_residual == 0
 
     def test_perturbed_utilities_fail(self, uniform):
         g = grid_of("0", "1/2")
         s = JumpPointStrategy((F(0), F(1), F(1)), (F(0), F(1, 2), F(1, 4)))
-        cert = fq.check_conditions(uniform, 2, g, s, None, F(1, 2**10))
+        cert = fq.check_conditions(uniform, 2, g, s, F(1, 2**10))
         assert not cert.passed
 
     def test_jump_below_bid_fails(self, uniform):
         g = grid_of("0", "1/2")
         s = JumpPointStrategy((F(0), F(1, 4), F(1)), (F(0), F(1, 8), F(7, 16)))
-        cert = fq.check_conditions(uniform, 2, g, s, None, F(1, 2))
+        cert = fq.check_conditions(uniform, 2, g, s, F(1, 2))
         assert any(r.condition == 3 and r.residual > 0 for r in cert.residuals)
         assert not cert.passed
 
@@ -257,12 +289,19 @@ class TestSolve:
         assert strategy.s == (0, F(1, 3), F(1, 3), F(0.7), 1)
         assert strategy.utilities == tuple(F(u) for u in uvec)
 
+    def test_snapping_out_of_order_returns_none(self, uniform, monkeypatch):
+        # s_2 snaps down onto its bid 1/2, below s_1, which is nowhere near its own bid 1/3
+        g = grid_of("0", "1/3", "1/2")
+        monkeypatch.setattr(discrete, "_binary_search_top_utility",
+                            lambda *args: ([0.1, 0.5 + 2e-13, 0.5 + 5e-13, 1.0], [0.0] * 4))
+        assert discrete._float_search(uniform, 1, 2, g, F(1, 2**30)) is None
+
     def test_uncertified_float_result_falls_back_to_exact(self, uniform, monkeypatch, exact_searches):
         g = grid_of("0", "1/4", "1/2")
         eps = F(1, 32)
         # s_1 = 1/8 lies below the bid 1/4 it starts, so condition 3 fails whatever the cdf
         bad = JumpPointStrategy((F(0), F(1, 8), F(1, 8), F(1)), (F(0),) * 4)
-        assert not fq.check_conditions(uniform, 2, g, bad, None, eps).passed
+        assert not fq.check_conditions(uniform, 2, g, bad, eps).passed
         monkeypatch.setattr(discrete, "_float_search", lambda *args: bad)
         res = fq.solve(uniform, 1, 2, g, eps)
         assert exact_searches

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -36,13 +37,15 @@ class TestExactRegretCdfpa:
         report = fq.epsilon_bne_check_cdfpa(square, 2, g, res.strategy)
         assert 0 <= report.max_regret <= eps
 
-    def test_value_grid_includes_jump_midpoints(self, uniform):
-        g = grid_of("0", "1/2")
-        s = JumpPointStrategy((F(0), F(1, 3), F(1)), (F(0), F(1, 18), F(5, 12)))
-        report = fq.epsilon_bne_check_cdfpa(uniform, 2, g, s, value_grid_size=4)
-        values = {F(1, 3), F(2, 3)}  # jump point and the midpoint above it
-        assert report.max_regret >= 0
-        assert len(report.samples) >= 5 + len(values)
+    def test_argmax_at_a_jump_midpoint(self, uniform):
+        # bid 39/64 on (63/64, 1]: regret falls with v there, and no i/64 or bid lies inside,
+        # so the largest value-set regret sits at the midpoint 127/128
+        g = grid_of("0", "39/64")
+        s = JumpPointStrategy((F(0), F(63, 64), F(1)), ())
+        report = fq.epsilon_bne_check_cdfpa(uniform, 2, g, s)
+        # (127/128) * Delta(0, 63/64) - (127/128 - 39/64) * Delta(63/64, 1)
+        assert report.max_regret == F(889, 8192)
+        assert report.argmax == (F(127, 128), F(0))
 
     def test_wrong_length_strategy_rejected(self, uniform):
         g = grid_of("0", "1/4", "1/2")
@@ -53,6 +56,48 @@ class TestExactRegretCdfpa:
         g = grid_of("0", "1/2")
         with pytest.raises(fq.DomainError):
             fq.epsilon_bne_check_cdfpa(uniform, 2, g, JumpPointStrategy((F(0), F(1, 2), F(1, 4)), (F(0),) * 3))
+
+
+def brute_force_exact_regret(dist, n, grid, s):
+    """The exact verifier's documented result, one delta_win_prob call per (value, bid): the
+    largest regret, floored at 0, over every jump point, every bid, i/64 and the midpoints of
+    consecutive distinct jump points; the first maximum in increasing value, then bid, order."""
+    m = grid.m
+    values = set(s) | set(grid.bids) | {F(i, 64) for i in range(65)}
+    values |= {(a + b) / 2 for a, b in zip(s, s[1:]) if a < b}
+    best = None
+    for v in sorted(values):
+        own = 1 if v <= s[0] else next(j for j in range(1, m + 1) if s[j - 1] < v <= s[j])
+        u_own = (v - grid.bids[own - 1]) * fq.delta_win_prob(dist, n, s[own - 1], s[own])
+        for j in range(1, m + 1):
+            regret = (v - grid.bids[j - 1]) * fq.delta_win_prob(dist, n, s[j - 1], s[j]) - u_own
+            if best is None or regret > best[0]:
+                best = (regret, (v, grid.bids[j - 1]))
+    return max(best[0], 0), best[1]
+
+
+def reference_case(seed):
+    """A seeded (cdf, n, grid, jump points) case; jump points None means: solve for them."""
+    rng = random.Random(seed)
+    name = ("uniform", "square", "two_piece")[seed % 3]
+    n = rng.choice((2, 3, 4))
+    m = rng.randint(1, 8)
+    grid = BidGrid((F(0),) + tuple(F(i, 64) for i in sorted(rng.sample(range(1, 48), m - 1))))
+    if seed % 4 == 0:
+        return name, n, grid, None
+    # points on a coarse grid, so some coincide (pooled bids) and some sit on i/64
+    return name, n, grid, tuple(sorted(F(rng.randint(0, 24), 24) for _ in range(m))) + (F(1),)
+
+
+class TestExactRegretReference:
+    @pytest.mark.parametrize("seed", range(50))
+    def test_matches_brute_force(self, seed, request):
+        name, n, grid, s = reference_case(seed)
+        dist = request.getfixturevalue(name)
+        if s is None:
+            s = fq.solve(dist, None, n, grid, F(1, 16)).strategy.s
+        report = fq.epsilon_bne_check_cdfpa(dist, n, grid, JumpPointStrategy(s, ()))
+        assert (report.max_regret, report.argmax) == brute_force_exact_regret(dist, n, grid, s)
 
 
 class TestContinuousRegret:

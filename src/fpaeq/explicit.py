@@ -19,7 +19,7 @@ from typing import Optional
 
 from .cdf import PiecewisePolyCdf
 from .errors import ConsistencyError, DomainError
-from .poly import PiecewisePoly, is_zero_poly, poly_antiderivative, poly_eval, poly_mul
+from .poly import PiecewisePoly, horner_int, is_zero_poly, poly_antiderivative, poly_eval, poly_mul
 from .rationals import format_rational, parse_rational, parse_rational_list
 
 ZERO = Fraction(0)
@@ -170,14 +170,26 @@ def rbf_from_json(obj: dict) -> RationalBidFunction:
 
 
 def eval_canonical(rbf: RationalBidFunction, x) -> Fraction:
-    """Exact bid at x; the identity extension applies at and below the support infimum."""
+    """Exact bid at x; the identity extension applies at and below the support infimum.
+
+    At x = p/q both rows run Horner on integers (:func:`poly.horner_int`), and
+    the bid is built as one Fraction from the two integer results.
+    """
     x = Fraction(x)
     j = rbf.denominator.piece_index(x)
     if x <= rbf.support_infimum:
         return x
-    den = poly_eval(rbf.denominator.rows[j], x)
+    (num_row, num_scale), (den_row, den_scale) = rbf.numerator.int_rows[j], rbf.denominator.int_rows[j]
+    p, q = x.numerator, x.denominator
+    den = horner_int(den_row, p, q)
     if den == 0:
         # an identity piece, or the removable singularity at the support
         # infimum, where continuity gives bid = x
         return x
-    return poly_eval(rbf.numerator.rows[j], x) / den
+    # numerator(x) / denominator(x) = (N / (num_scale q^a)) / (D / (den_scale q^b))
+    num = horner_int(num_row, p, q) * den_scale
+    den *= num_scale
+    shift = len(den_row) - len(num_row)  # b - a
+    if shift >= 0:
+        return Fraction(num * q**shift, den)
+    return Fraction(num, den * q**-shift)

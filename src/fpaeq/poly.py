@@ -1,24 +1,30 @@
 """Dense univariate polynomials and piecewise polynomials over exact rationals.
 
 Coefficient vectors are low-to-high degree: ``coeffs[l]`` multiplies ``x**l``.
-The helpers work with any field that supports +, * and / (Fraction, float).
-:class:`PiecewisePoly` is the one place that decides which piece a point falls
-in and how a piece is evaluated, exactly or in floats.
+:func:`poly_eval` and the derivative helpers work with any field that supports
++, * and / (Fraction, float).  :class:`PiecewisePoly` is the one place that
+decides which piece a point falls in and how a piece is evaluated, exactly or
+in floats.
+
+Exact evaluation and multiplication run on integer rows: a row of Fractions is
+held as integer numerators over one denominator, the lcm of its coefficients'
+denominators (Knuth, TAOCP vol. 2, 4.6.1).  Horner's rule at x = p/q and the
+coefficient convolution then run on Python ints, and each result is normalised
+once, where Fraction arithmetic would take a gcd per operation.  The results
+are the same normalised Fractions.  Float evaluation does not change.
 """
 
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import DomainError
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 def poly_eval(coeffs: Sequence, x):
@@ -29,15 +35,40 @@ def poly_eval(coeffs: Sequence, x):
     return acc
 
 
+def int_row(row: Sequence) -> tuple[tuple[int, ...], int]:
+    """A row of Fractions or ints as (numerators, L): row[l] == Fraction(numerators[l], L), L the lcm of the
+    denominators.  An empty row is the zero polynomial, ``((0,), 1)``.
+    """
+    scale = math.lcm(*(c.denominator for c in row))
+    return tuple(c.numerator * (scale // c.denominator) for c in row) or (0,), scale
+
+
+def horner_int(nums: Sequence[int], p: int, q: int) -> int:
+    """sum(nums[l] * p**l * q**(d - l)) with d = len(nums) - 1: q**d times the polynomial at p/q."""
+    d = len(nums) - 1
+    acc, qk = nums[d], 1
+    for l in range(d - 1, -1, -1):
+        qk *= q
+        c = nums[l]
+        acc = acc * p + c * qk if c else acc * p
+    return acc
+
+
 def poly_mul(a: Sequence, b: Sequence) -> list:
-    """Coefficient convolution: (a * b)(x) = a(x) * b(x)."""
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            out[i + j] += ai * bj
-    return out
+    """Exact product of two rational rows: (a * b)(x) = a(x) * b(x), with len(a) + len(b) - 1 terms.
+
+    Convolves the integer numerators of the two rows and divides by the
+    product of their denominators, one normalisation per output coefficient.
+    """
+    (na, la), (nb, lb) = int_row(a), int_row(b)
+    out = [0] * (len(na) + len(nb) - 1)
+    for i, ai in enumerate(na):
+        if ai:
+            for j, bj in enumerate(nb):
+                out[i + j] += ai * bj
+    scale = la * lb
+    # an empty row is (0,) in int_row; the terms beyond len(a) + len(b) - 1 are then zero
+    return [Fraction(c, scale) for c in out[: max(len(a) + len(b) - 1, 0)]]
 
 
 def poly_derivative(coeffs: Sequence) -> list:
@@ -58,17 +89,25 @@ class PiecewisePoly:
     """Polynomial ``rows[j]`` on piece j = [breakpoints[j], breakpoints[j+1]], inside [0, 1].
 
     A point on a shared breakpoint belongs to the piece on its left, and the
-    outer pieces extend to 0 and 1.  Rows keep their own lengths.
+    outer pieces extend to 0 and 1.  Rows keep their own lengths.  The piece
+    lookup assumes nondecreasing breakpoints, which every valid cdf, bid
+    function and jump-point strategy has.
+
+    ``int_rows[j]`` is row j on integers, as :func:`int_row` gives it.
     """
 
     breakpoints: tuple[Fraction, ...]
     rows: tuple[tuple[Fraction, ...], ...]
+    int_rows: tuple[tuple[tuple[int, ...], int], ...] = field(init=False, repr=False, compare=False)
+    _inner: tuple[float, ...] = field(init=False, repr=False, compare=False)  # inner breakpoints as floats
 
     def __post_init__(self):
         object.__setattr__(self, "breakpoints", tuple(Fraction(b) for b in self.breakpoints))
         object.__setattr__(self, "rows", tuple(tuple(Fraction(c) for c in row) for row in self.rows))
         if not self.rows or len(self.breakpoints) != len(self.rows) + 1:
             raise DomainError("need one or more pieces, with exactly one coefficient row per piece")
+        object.__setattr__(self, "int_rows", tuple(int_row(row) for row in self.rows))
+        object.__setattr__(self, "_inner", tuple(float(b) for b in self.breakpoints[1:-1]))
 
     @property
     def pieces(self) -> int:
@@ -79,16 +118,32 @@ class PiecewisePoly:
         return max(len(row) for row in self.rows) - 1
 
     def piece_index(self, x) -> int:
-        """Index j of the piece that evaluates x: bisect_left - 1, clipped to the pieces."""
-        if not ZERO <= x <= ONE:
+        """Index j of the piece that evaluates a rational x: bisect_left - 1, clipped to the pieces.
+
+        That is the number of inner breakpoints below x.  The bisection runs
+        on their floats: rounding to float is monotone, so a strict float
+        comparison decides the exact one, and only a float tie with a
+        breakpoint is settled by an exact comparison.
+        """
+        p, q = x.numerator, x.denominator
+        if p < 0 or p > q:
             raise DomainError(f"x={x} outside [0, 1]")
-        j = bisect.bisect_left(self.breakpoints, x) - 1
-        return min(max(j, 0), self.pieces - 1)
+        fx, inner = p / q, self._inner
+        j = bisect.bisect_left(inner, fx)
+        while j < len(inner) and inner[j] == fx and x > self.breakpoints[j + 1]:
+            j += 1
+        return j
+
+    def row_value(self, j: int, x: Fraction) -> Fraction:
+        """Exact value of row j at x."""
+        nums, scale = self.int_rows[j]
+        q = x.denominator
+        return Fraction(horner_int(nums, x.numerator, q), scale * q ** (len(nums) - 1))
 
     def __call__(self, x) -> Fraction:
         """Exact value at x (converted to a Fraction)."""
         x = x if isinstance(x, Fraction) else Fraction(x)
-        return poly_eval(self.rows[self.piece_index(x)], x)
+        return self.row_value(self.piece_index(x), x)
 
     def float_evaluator(self) -> Callable:
         """Float evaluator with the same piece rule, for a float or a numpy array of floats.
@@ -97,7 +152,7 @@ class PiecewisePoly:
         dominate the scalar searches.  An array runs the same operations, in
         the same order, elementwise in numpy, so both give the same bits.
         """
-        inner = [float(b) for b in self.breakpoints[1:-1]]  # bisect_left over these is the piece
+        inner = self._inner  # bisect_left over these is the piece
         rows = [tuple(float(c) for c in reversed(row)) for row in self.rows]  # highest degree first
         width = max(len(row) for row in rows)
         inner_arr = np.array(inner)

@@ -46,6 +46,11 @@ class PropertyCheck:
     monotonicity_witnesses: tuple = ()
 
 
+def _check_bidders(n: int) -> None:
+    if n < 2:
+        raise DomainError(f"need n >= 2 bidders, got {n}")
+
+
 def epsilon_bne_check_cdfpa(F, n: int, grid: BidGrid, s: JumpPointStrategy) -> RegretReport:
     """Deviation regret over all grid bids, exact for rational inputs.
 
@@ -55,6 +60,7 @@ def epsilon_bne_check_cdfpa(F, n: int, grid: BidGrid, s: JumpPointStrategy) -> R
     is max_k (v - b_k) * Delta_k minus the utility of v's own bid.  The true
     supremum over all values can lie above this maximum.
     """
+    _check_bidders(n)
     s.check_length(grid)
     win = s.win_probs(F, n)
     values = set(s.s) | set(grid.bids)
@@ -95,6 +101,7 @@ def epsilon_bne_check_ccfpa(F, n: int, bid_fn: Callable) -> RegretReport:
     F(z)**(n-1) * (v - b).  The sup over continuous deviations is approximated
     on a grid, so the reported regret carries the grid resolution.
     """
+    _check_bidders(n)
     fcdf = float_view(F)
     probe = [i / 512 for i in range(513)]
     bids = [float(bid_fn(p)) for p in probe]
@@ -103,11 +110,12 @@ def epsilon_bne_check_ccfpa(F, n: int, bid_fn: Callable) -> RegretReport:
             raise DomainError(f"bid function decreases near v={p}")
         if ba > p + 1e-12:
             raise DomainError(f"bid function overbids at v={p}")
+    bid_at_0, bid_at_1 = bids[0], bids[-1]  # the probes include 0.0 and 1.0
 
     def threshold(b: float) -> float:
-        if float(bid_fn(1.0)) <= b:
+        if bid_at_1 <= b:
             return 1.0
-        if float(bid_fn(0.0)) > b:
+        if bid_at_0 > b:
             return 0.0
         lo, hi = 0.0, 1.0
         for _ in range(INVERSION_STEPS):
@@ -155,6 +163,7 @@ def monte_carlo_utility(
     F, n: int, strategy, v: float, b: float, trials: int, seed: int, grid: Optional[BidGrid] = None
 ):
     """Ex-post utility estimate for value v deviating to bid b; returns (mean, std_err)."""
+    _check_bidders(n)
     if trials < 1:
         raise DomainError("trials must be >= 1")
     fcdf = float_view(F)
@@ -179,6 +188,7 @@ def monte_carlo_regret(
     The reported sigma is the largest standard error across estimates, so the
     regret is max_regret +- 3*sigma.
     """
+    _check_bidders(n)
     if trials < 1:
         raise DomainError("trials must be >= 1")
     apply = _vectorized_strategy(strategy, grid)

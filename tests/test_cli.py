@@ -1,7 +1,10 @@
+import contextlib
+import io
 import json
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import fpaeq as fq
 from fpaeq.cli import main
@@ -258,6 +261,16 @@ class TestInputContract:
         assert code == 2 and out == ""
         assert "exponent must be an integer in [1, 64]" in err
 
+    @pytest.mark.parametrize("mode", ["exact", "grid", "mc"])
+    @pytest.mark.parametrize("n", ["-1", "0", "1"])
+    def test_verify_needs_two_bidders(self, capout, tmp_path, uniform_json, mode, n):
+        strat = tmp_path / "s.json"
+        strat.write_text(json.dumps({"kind": "jump_points", "s": ["0", "1/2", "1"], "U": ["0", "1/4"]}))
+        code, out, err = capout("verify", "--strategy", str(strat), "--cdf", uniform_json, f"--n={n}",
+                                "--bids", "[\"0\", \"1/4\"]", "--mode", mode, "--trials", "100")
+        assert code == 2 and out == ""
+        assert "n >= 2" in err
+
     @pytest.mark.parametrize("model", ["ccfpa-explicit", "ccfpa-blackbox"])
     def test_negative_samples(self, capsys, uniform_json, model):
         with pytest.raises(SystemExit) as exc:
@@ -265,6 +278,70 @@ class TestInputContract:
                   "--samples", "-1"])
         assert exc.value.code == 2
         assert "--samples" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def contract_files(tmp_path_factory):
+    """A small cdf, a jump-point strategy on two bids and a rational bid function."""
+    d = tmp_path_factory.mktemp("contract")
+    files = {
+        "cdf": {"kind": "power", "exponent": "2"},
+        "jump": {"kind": "jump_points", "s": ["0", "1/2", "1"], "U": ["0", "1/8"]},
+        "rbf": fq.rbf_to_json(fq.canonical_bid_function(fq.power_cdf(2), 2)),
+    }
+    for name, obj in files.items():
+        (d / f"{name}.json").write_text(json.dumps(obj))
+    return {name: str(d / f"{name}.json") for name in files}
+
+
+SMALL_INTS = st.integers(-2, 5).map(str)
+NUMBERS = st.one_of(SMALL_INTS, SMALL_INTS, st.sampled_from(["", "x", "1.5", "1e3", "+2", " 3 ", "0x10"]))
+AT_VALUES = st.one_of(
+    st.fractions(min_value=-1, max_value=2, max_denominator=2**64).map(str),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from(["", "abc", "1/0", "0/0", "1e400", "-0", "1/2/3", "1_000/3000", "\u0661/2"]),
+)
+
+
+@st.composite
+def cli_argv(draw, files):
+    n, trials, samples, at = (f"--n={draw(NUMBERS)}", f"--trials={draw(NUMBERS)}",
+                              f"--samples={draw(NUMBERS)}", f"--at={draw(AT_VALUES)}")
+    cdf, bids = ["--cdf", files["cdf"]], ["--bids", '["0", "1/4"]']
+    solve = ["solve", *cdf, n]
+    verify = ["verify", *cdf, n, trials, "--seed", "1", "--strategy"]
+    return draw(st.sampled_from([
+        [*solve, "--model", "ccfpa-explicit", at],
+        [*solve, "--model", "ccfpa-explicit", samples],
+        [*solve, "--model", "ccfpa-blackbox", "--eps", "1/8", samples],
+        [*solve, "--model", "cdfpa", "--eps", "1/8", *bids],
+        [*verify, files["jump"], *bids, "--mode", "exact"],
+        [*verify, files["jump"], *bids, "--mode", "grid"],
+        [*verify, files["jump"], *bids, "--mode", "mc"],
+        [*verify, files["rbf"], "--mode", "grid"],
+        [*verify, files["rbf"], "--mode", "mc"],
+        ["eval", *cdf, at],
+        ["eval", "--strategy", files["rbf"], at],
+        ["eval", "--strategy", files["jump"], *bids, at],
+        ["query-stats", *cdf, n, "--eps", "1/8", samples],
+    ]))
+
+
+class TestContractProperty:
+    """Generated --n, --trials, --samples and --at values get a documented exit code and no traceback."""
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_exit_code_contract(self, contract_files, data):
+        argv = data.draw(cli_argv(contract_files))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse rejects the value
+                code = exc.code
+        assert code in (0, 1, 2), argv
+        assert "Traceback" not in err.getvalue(), argv
 
 
 class TestVerifyModes:

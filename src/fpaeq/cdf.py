@@ -4,7 +4,8 @@ Two representations are provided:
 
 * :class:`PiecewisePolyCdf` -- an explicit cdf over [0, 1] given by rational
   breakpoints and per-piece polynomial coefficients, with all arithmetic done
-  in exact rationals.
+  in exact rationals.  :meth:`PiecewisePolyCdf.validate` decides exactly
+  whether it is a cdf: no point is sampled.
 * :class:`CdfOracle` -- a query-counted wrapper around an arbitrary cdf
   evaluator, for the black-box model.  The Lipschitz constant is asserted by
   the caller, not estimated.
@@ -19,19 +20,19 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError
-from .poly import PiecewisePoly, horner_int, is_zero_poly, poly_derivative
+from .poly import PiecewisePoly, is_zero_poly, nonnegative_on, poly_derivative
 from .rationals import format_rational, parse_rational, parse_rational_list
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
-# points per piece used by the sampled monotonicity / range check
-GRID_FACTOR = 64
-
 # Highest polynomial degree an explicit cdf may have.  It bounds the work of
-# validate(), whose exact sampled check takes about 0.1 s per dense piece at degree 64
-# and grows faster than quadratically in the degree.  Bid functions built from a cdf are
-# not bounded by it: their denominators have degree (n - 1) times the cdf's.
+# validate(), whose exact monotonicity decision runs remainder sequences of degree up to
+# 63.  Measured with CPython 3.11 on one Xeon core: 0.06 s for a dense degree-64 piece
+# whose coefficients share a 20-bit denominator, 0.7 s at 157 bits and 10 s at 961 bits
+# (the work grows with the coefficient size, not only the degree), 0.01 s for a piece
+# with derivative 1 + T_63(2x - 1).  Bid functions built from a cdf are not bounded by
+# it: their denominators have degree (n - 1) times the cdf's.
 MAX_DEGREE = 64
 
 
@@ -59,7 +60,13 @@ class PiecewisePolyCdf(PiecewisePoly):
         object.__setattr__(self, "rows", tuple(row + (ZERO,) * (width - len(row)) for row in self.rows))
 
     def validate(self) -> ValidationReport:
-        """Check every representation invariant; failures become report entries."""
+        """Check every representation invariant exactly; failures become report entries.
+
+        The breakpoints run from 0 to 1 in increasing order, F_1(0) = 0,
+        F_k(1) = 1, the pieces meet at the breakpoints and each piece is
+        nondecreasing, which :func:`poly.nonnegative_on` decides for its
+        derivative.  Together these imply 0 <= F <= 1.
+        """
         bad: list[str] = []
         bps = self.breakpoints
         if bps[0] != 0:
@@ -78,49 +85,11 @@ class PiecewisePolyCdf(PiecewisePoly):
             left, right = self.row_value(j, v), self.row_value(j + 1, v)
             if left != right:
                 bad.append(f"discontinuity at breakpoint {j + 1}: {left} != {right}")
-        npts = GRID_FACTOR * (self.degree + 1)
-        for j, (nums, scale) in enumerate(self.int_rows):
+        for j, (nums, _) in enumerate(self.int_rows):
             lo, hi = bps[j], bps[j + 1]
-            # x_i = lo + i * (hi - lo) / npts = (p0 + i * dp) / q: one denominator for every sample,
-            # so every value is an integer over the one denominator den
-            q = lo.denominator * hi.denominator * npts
-            p0 = lo.numerator * hi.denominator * npts
-            dp = hi.numerator * lo.denominator - lo.numerator * hi.denominator
-            den = scale * q ** (len(nums) - 1)
-            prev = None
-            range_bad = monotone_bad = False
-            for i in range(npts + 1):
-                p = p0 + i * dp
-                y = horner_int(nums, p, q)
-                if not range_bad and not 0 <= y <= den:
-                    bad.append(f"piece {j}: value {Fraction(y, den)} at x={Fraction(p, q)} outside [0, 1]")
-                    range_bad = True
-                if not monotone_bad and prev is not None and y < prev:
-                    bad.append(f"piece {j}: decreasing near x={Fraction(p, q)}")
-                    monotone_bad = True
-                if range_bad and monotone_bad:
-                    break
-                prev = y
-        return ValidationReport(tuple(bad))
-
-    def validate_exact_monotone(self) -> ValidationReport:
-        """Stronger mode: exact derivative sign check via real-root isolation."""
-        import sympy
-
-        report = self.validate()
-        bad = list(report.violations)
-        x = sympy.Symbol("x")
-        for j, row in enumerate(self.rows):
-            dp = poly_derivative(row)
-            if is_zero_poly(dp):
-                continue
-            expr = sum(sympy.Rational(c) * x**l for l, c in enumerate(dp))
-            lo, hi = map(sympy.Rational, (self.breakpoints[j], self.breakpoints[j + 1]))
-            roots = [r for r in sympy.real_roots(sympy.Poly(expr, x)) if lo < r < hi]
-            # derivative sign is constant between consecutive roots
-            probes = [lo, hi] + [(a + b) / 2 for a, b in zip([lo] + roots, roots + [hi])]
-            if any(expr.subs(x, p) < 0 for p in probes):
-                bad.append(f"piece {j}: derivative negative inside the piece")
+            # a piece with lo >= hi is reported with the breakpoints above
+            if lo < hi and not nonnegative_on(poly_derivative(nums), lo, hi):
+                bad.append(f"piece {j}: decreasing somewhere in [{lo}, {hi}]")
         return ValidationReport(tuple(bad))
 
     def support_infimum(self) -> Fraction:

@@ -1,6 +1,7 @@
 """Command-line front-end: parse auction specs, dispatch solvers, emit results.
 
-Exit codes: 0 success, 1 validation/solve failure, 2 usage or input error.
+Exit codes: 0 success, 1 validation/solve failure, 2 usage or input error.  Every
+command validates the cdf it loads, and an invalid one exits 1.
 Exact rationals are serialized as "p/q" strings; float output is tagged with
 an explicit precision field.
 """
@@ -37,11 +38,24 @@ def _load_json(path: str, what: str) -> dict:
         raise InputError(f"{what}: malformed JSON in {path}: {exc}")
 
 
-def _load_cdf(path: str):
+class InvalidCdf(Exception):
+    pass
+
+
+def _read_cdf(path: str):
     try:
         return cdf_from_json(_load_json(path, "cdf"))
     except DomainError as exc:
         raise InputError(f"cdf: {exc}")
+
+
+def _load_cdf(path: str):
+    """A cdf that passes validate(): every command but validate-cdf loads its cdf here."""
+    dist = _read_cdf(path)
+    report = dist.validate()
+    if not report.ok:
+        raise InvalidCdf("; ".join(report.violations))
+    return dist
 
 
 def _parse_bids(text: str) -> BidGrid:
@@ -105,10 +119,6 @@ def _strategy_from_json(obj: dict):
 
 def _cmd_solve(args) -> int:
     dist = _load_cdf(args.cdf)
-    report = dist.validate()
-    if not report.ok:
-        print("invalid cdf:", "; ".join(report.violations), file=sys.stderr)
-        return FAILURE
     if args.model == "ccfpa-explicit":
         rbf = explicit.canonical_bid_function(dist, args.n)
         if args.at is not None:
@@ -247,8 +257,7 @@ def _cmd_query_stats(args) -> int:
 
 
 def _cmd_validate_cdf(args) -> int:
-    dist = _load_cdf(args.cdf)
-    report = dist.validate_exact_monotone() if args.exact else dist.validate()
+    report = _read_cdf(args.cdf).validate()
     print(json.dumps({"ok": report.ok, "violations": list(report.violations)}, indent=2))
     return 0 if report.ok else FAILURE
 
@@ -300,7 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate-cdf", help="check a cdf JSON file's invariants")
     p.add_argument("--cdf", required=True)
-    p.add_argument("--exact", action="store_true", help="exact derivative-sign monotonicity check")
     p.set_defaults(func=_cmd_validate_cdf)
 
     return parser
@@ -314,6 +322,9 @@ def main(argv=None) -> int:
     except (InputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except InvalidCdf as exc:
+        print(f"invalid cdf: {exc}", file=sys.stderr)
+        return FAILURE
     except PrecisionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return FAILURE

@@ -12,6 +12,10 @@ denominators (Knuth, TAOCP vol. 2, 4.6.1).  Horner's rule at x = p/q and the
 coefficient convolution then run on Python ints, and each result is normalised
 once, where Fraction arithmetic would take a gcd per operation.  The results
 are the same normalised Fractions.  Float evaluation does not change.
+
+:func:`nonnegative_on` decides on the same integers, exactly and without
+sampling, whether a polynomial is >= 0 on an interval; a cdf piece is
+nondecreasing iff its derivative is.
 """
 
 from __future__ import annotations
@@ -82,6 +86,78 @@ def poly_antiderivative(coeffs: Sequence) -> list:
 
 def is_zero_poly(coeffs: Sequence) -> bool:
     return all(c == 0 for c in coeffs)
+
+
+def _trim(a: list[int]) -> list[int]:
+    """Drop zero leading coefficients in place; the zero polynomial becomes []."""
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _prem(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """A positive multiple of the remainder of a by b (b nonzero and trimmed), with coprime coefficients.
+
+    Each step scales a by |lc(b)| / g, which is positive, before it cancels
+    the leading term, so the result has the sign of the true remainder at
+    every point: a sign-correct pseudo-remainder.
+    """
+    a, lb = _trim(list(a)), b[-1]
+    while len(a) >= len(b):
+        la, shift = a[-1], len(a) - len(b)
+        g = math.gcd(la, lb)
+        ka, kb = abs(lb) // g, (la if lb > 0 else -la) // g  # ka * la == kb * lb
+        a = [ka * c for c in a]
+        for i, c in enumerate(b):
+            a[shift + i] -= kb * c
+        _trim(a)
+    g = math.gcd(*a)
+    return [c // g for c in a] if g > 1 else a
+
+
+def _sign_beside(f: Sequence[int], x: Fraction, side: int) -> int:
+    """Sign of the nonzero polynomial f just right of x (side 1) or just left of it (side -1).
+
+    That is the sign of the first derivative of f that does not vanish at x,
+    times side to the order of that derivative.
+    """
+    p, q, flip = x.numerator, x.denominator, 1
+    while True:
+        v = horner_int(f, p, q)
+        if v:
+            return flip if v > 0 else -flip
+        f, flip = poly_derivative(f), flip * side
+
+
+def nonnegative_on(f: Sequence[int], lo: Fraction, hi: Fraction) -> bool:
+    """Whether the polynomial with integer coefficients f is >= 0 on all of [lo, hi], for rationals lo < hi.
+
+    A nonzero f is >= 0 there iff it is positive just right of lo and changes
+    sign nowhere in (lo, hi), that is, has no root of odd multiplicity there.
+    A root of multiplicity m is a root of g_k for k < m, where g_0 = f and
+    g_(k+1) = gcd(g_k, g_k'), so the number of sign changes is the alternating
+    sum over k of the number of distinct roots of g_k in (lo, hi): the Tarski
+    query TaQ(1, g_k), counted by Sturm's theorem from the signed remainder
+    sequence of g_k and g_k', whose last term is g_(k+1) (Basu, Pollack and
+    Roy, Algorithms in Real Algebraic Geometry, ch. 2).  Signs are taken just
+    inside [lo, hi], so a root on an endpoint counts for nothing.
+    """
+    f = _trim(list(f))
+    if not f:
+        return True
+    if _sign_beside(f, lo, 1) < 0:
+        return False
+    changes, weight = 0, 1
+    while len(f) > 1:
+        seq, r = [f], _trim(poly_derivative(f))
+        while r:
+            seq.append(r)
+            r = [-c for c in _prem(seq[-2], r)]
+        for x, side, w in ((lo, 1, weight), (hi, -1, -weight)):
+            signs = [_sign_beside(g, x, side) for g in seq]
+            changes += w * sum(s != t for s, t in zip(signs, signs[1:]))
+        f, weight = seq[-1], -weight
+    return changes == 0
 
 
 @dataclass(frozen=True)

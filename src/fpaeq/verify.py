@@ -27,6 +27,10 @@ EXACT_VALUE_GRID = 64  # the exact verifier's uniform values are i/64
 GRID_VALUES = 128  # the grid verifier's values split [v_low, 1] into 128 steps
 GRID_DEVIATIONS = 256  # the grid verifier's deviations are j/256
 MC_GRID = 8  # the Monte Carlo verifier's values and deviations are i/8
+# Most opponent values, trials * (n - 1), one Monte Carlo estimate may draw.  Each draw
+# holds about 70 bytes of float arrays at once, so the limit caps an estimate near 280 MB;
+# it admits the CLI default of 100 000 trials up to n = 41.
+MAX_MC_DRAWS = 4_000_000
 
 
 @dataclass(frozen=True)
@@ -49,6 +53,14 @@ class PropertyCheck:
 def _check_bidders(n: int) -> None:
     if n < 2:
         raise DomainError(f"need n >= 2 bidders, got {n}")
+
+
+def _check_monte_carlo(n: int, trials: int) -> None:
+    _check_bidders(n)
+    if trials < 1:
+        raise DomainError("trials must be >= 1")
+    if trials * (n - 1) > MAX_MC_DRAWS:
+        raise DomainError(f"trials * (n - 1) = {trials * (n - 1)} exceeds the limit of {MAX_MC_DRAWS} draws")
 
 
 def epsilon_bne_check_cdfpa(F, n: int, grid: BidGrid, s: JumpPointStrategy) -> RegretReport:
@@ -163,9 +175,7 @@ def monte_carlo_utility(
     F, n: int, strategy, v: float, b: float, trials: int, seed: int, grid: Optional[BidGrid] = None
 ):
     """Ex-post utility estimate for value v deviating to bid b; returns (mean, std_err)."""
-    _check_bidders(n)
-    if trials < 1:
-        raise DomainError("trials must be >= 1")
+    _check_monte_carlo(n, trials)
     fcdf = float_view(F)
     apply = _vectorized_strategy(strategy, grid)
     rng = np.random.Generator(np.random.Philox(seed))
@@ -188,9 +198,7 @@ def monte_carlo_regret(
     The reported sigma is the largest standard error across estimates, so the
     regret is max_regret +- 3*sigma.
     """
-    _check_bidders(n)
-    if trials < 1:
-        raise DomainError("trials must be >= 1")
+    _check_monte_carlo(n, trials)
     apply = _vectorized_strategy(strategy, grid)
     points = [i / MC_GRID for i in range(MC_GRID + 1)]
     best = (float("-inf"), None)

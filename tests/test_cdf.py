@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 import fpaeq as fq
 from fpaeq import AdversarialCdfParams, DomainError, PiecewisePoly, PiecewisePolyCdf
 from fpaeq.cdf import MAX_DEGREE, float_view
-from fpaeq.poly import poly_eval
+from fpaeq.poly import nonnegative_on, poly_derivative, poly_eval
 
 FIXTURES = "uniform square two_piece shifted_support adversarial".split()
 
@@ -139,10 +139,19 @@ class TestValidate:
         assert any("decreasing" in v for v in report.violations)
 
     def test_exact_monotone_mode(self, two_piece):
-        assert two_piece.validate_exact_monotone().ok
+        assert two_piece.validate().ok
         wavy = PiecewisePolyCdf((F(0), F(1)), ((F(0), F(3), F(-3), F(1)),))
         # 3x - 3x^2 + x^3 is monotone (derivative 3(x-1)^2 >= 0)
-        assert wavy.validate_exact_monotone().ok
+        assert wavy.validate().ok
+
+    def test_narrow_dip(self):
+        # (x - a)^3 + a^3 - eta x, normalised, decreases only on a window about 1e-3 wide around a
+        a, eta = F(1, 3) + F(1, 997), F(1, 10**6)
+        row = (F(0), 3 * a**2 - eta, -3 * a, F(1))
+        dist = PiecewisePolyCdf((F(0), F(1)), (tuple(c / sum(row) for c in row),))
+        assert dist.validate().violations == ("piece 0: decreasing somewhere in [0, 1]",)
+        # the same cubic is nondecreasing on a piece that stops short of the window
+        assert nonnegative_on(poly_derivative(dist.int_rows[0][0]), F(0), F(1, 3))
 
 
 class TestSupportInfimum:

@@ -1,7 +1,11 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -271,6 +275,22 @@ class TestInputContract:
         assert code == 2 and out == ""
         assert "n >= 2" in err
 
+    def test_monte_carlo_draws_bounded(self, capout, tmp_path, uniform_json, monkeypatch):
+        strat = tmp_path / "s.json"
+        strat.write_text(json.dumps({"kind": "jump_points", "s": ["0", "1/2", "1"], "U": ["0", "1/4"]}))
+        verify = ["verify", "--strategy", str(strat), "--cdf", uniform_json, "--bids", "[\"0\", \"1/4\"]",
+                  "--mode", "mc"]
+        code, out, err = capout(*verify, "--n", "2", "--trials", "10000000000000")
+        assert code == 2 and out == ""
+        assert "exceeds the limit" in err and "Traceback" not in err
+        # the CLI default of 100 000 trials is admitted for every n up to 41
+        assert 100_000 * (41 - 1) <= fq.verify.MAX_MC_DRAWS
+        # the limit is on trials * (n - 1): 100 trials at n = 3 are 200 draws
+        monkeypatch.setattr(fq.verify, "MAX_MC_DRAWS", 200)
+        assert capout(*verify, "--n", "3", "--trials", "100")[0] == 0
+        code, _, err = capout(*verify, "--n", "3", "--trials", "101")
+        assert code == 2 and "202 exceeds the limit of 200" in err
+
     @pytest.mark.parametrize("model", ["ccfpa-explicit", "ccfpa-blackbox"])
     def test_negative_samples(self, capsys, uniform_json, model):
         with pytest.raises(SystemExit) as exc:
@@ -424,11 +444,78 @@ class TestValidateCdf:
         assert code == 1
         assert json.loads(out)["ok"] is False
 
-    def test_exact_mode(self, capout, square_json):
-        code, out, _ = capout("validate-cdf", "--cdf", square_json, "--exact")
-        assert code == 0
-
     def test_missing_file(self, capout):
         code, _, err = capout("validate-cdf", "--cdf", "/nonexistent.json")
         assert code == 2
         assert "not found" in err
+
+
+# F proportional to (x - a)^3 + a^3 - eta x, a = 1/3 + 1/997, eta = 10^-6: F' < 0 only on a window about 10^-3 wide
+A, ETA = F(1, 3) + F(1, 997), F(1, 10**6)
+DIP_ROW = [F(0), 3 * A**2 - ETA, -3 * A, F(1)]
+DIP_CDF = {"kind": "piecewise_poly", "breakpoints": ["0", "1"],
+           "coeffs": [[str(c / sum(DIP_ROW)) for c in DIP_ROW]]}
+UNORDERED_CDF = {"kind": "piecewise_poly", "breakpoints": ["0", "3/4", "1/4", "1"],
+                 "coeffs": [["0", "1"], ["0", "1"], ["0", "1"]]}
+
+
+class TestValidationGate:
+    """Every command validates the cdf it loads; an invalid cdf exits 1."""
+
+    @pytest.fixture
+    def dip_json(self, tmp_path):
+        path = tmp_path / "dip.json"
+        path.write_text(json.dumps(DIP_CDF))
+        return str(path)
+
+    @pytest.fixture
+    def unordered_json(self, tmp_path):
+        path = tmp_path / "unordered.json"
+        path.write_text(json.dumps(UNORDERED_CDF))
+        return str(path)
+
+    def test_narrow_dip_is_invalid(self, capout, dip_json):
+        code, out, _ = capout("validate-cdf", "--cdf", dip_json)
+        assert code == 1
+        assert json.loads(out) == {"ok": False, "violations": ["piece 0: decreasing somewhere in [0, 1]"]}
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--model", "cdfpa", "--n", "2", "--bids", "[\"0\", \"1/4\"]", "--eps", "1/64"],
+        ["solve", "--model", "ccfpa-explicit", "--n", "2", "--at", "1/3"],
+    ])
+    def test_solve_rejects_narrow_dip(self, capout, dip_json, argv):
+        code, out, err = capout(*argv, "--cdf", dip_json)
+        assert code == 1 and out == ""
+        assert err == "invalid cdf: piece 0: decreasing somewhere in [0, 1]\n"
+
+    def test_rejected_without_sympy(self, dip_json):
+        src = str(Path(fq.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        script = ("import sys; sys.modules['sympy'] = None; from fpaeq.cli import main; "
+                  f"sys.exit(main(['solve', '--model', 'ccfpa-explicit', '--n', '2', '--at', '1/3', "
+                  f"'--cdf', {dip_json!r}]))")
+        run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+        assert run.returncode == 1 and run.stdout == ""
+        assert run.stderr.startswith("invalid cdf: piece 0: decreasing")
+
+    def test_report_still_printed(self, capout, unordered_json):
+        code, out, _ = capout("validate-cdf", "--cdf", unordered_json)
+        assert code == 1
+        assert "breakpoints not strictly increasing at index 1" in json.loads(out)["violations"]
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--at", "1/2"],
+        ["query-stats", "--n", "2", "--eps", "1/8"],
+        ["solve", "--model", "ccfpa-blackbox", "--n", "2", "--eps", "1/8"],
+        ["verify", "--n", "2", "--bids", "[\"0\", \"1/4\"]", "--mode", "exact"],
+        ["verify", "--n", "2", "--bids", "[\"0\", \"1/4\"]", "--mode", "grid"],
+        ["verify", "--n", "2", "--bids", "[\"0\", \"1/4\"]", "--mode", "mc", "--trials", "100"],
+    ])
+    def test_every_command_rejects(self, capout, tmp_path, unordered_json, argv):
+        strat = tmp_path / "s.json"
+        strat.write_text(json.dumps({"kind": "jump_points", "s": ["0", "1/2", "1"], "U": ["0", "1/4"]}))
+        if argv[0] == "verify":
+            argv = [*argv, "--strategy", str(strat)]
+        code, out, err = capout(*argv, "--cdf", unordered_json)
+        assert code == 1 and out == ""
+        assert err.startswith("invalid cdf: breakpoints not strictly increasing at index 1")

@@ -1,8 +1,9 @@
-"""Exact arithmetic on integer rows, checked against plain Fraction arithmetic.
+"""Exact arithmetic on integer rows, checked against independent references.
 
-Each reference below is the Fraction code the integer path replaced: Horner's
-rule with `poly_eval`, the exact `bisect_left` piece rule, a naive Fraction
-convolution, and the sampled `validate` check.
+The references are the Fraction code the integer path replaced (Horner's rule
+with `poly_eval`, the exact `bisect_left` piece rule, a naive Fraction
+convolution) and, for the sign decision behind `validate`, sympy's square-free
+factorisation and real-root counts.
 """
 
 import bisect
@@ -11,13 +12,14 @@ import random
 from fractions import Fraction as F
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 import fpaeq as fq
 from fpaeq import DomainError, PiecewisePoly, PiecewisePolyCdf, RationalBidFunction
-from fpaeq.cdf import GRID_FACTOR, ValidationReport
+from fpaeq.cdf import ValidationReport
 from fpaeq.explicit import eval_canonical, power_coefficients
-from fpaeq.poly import int_row, poly_eval, poly_mul
+from fpaeq.poly import int_row, nonnegative_on, poly_antiderivative, poly_derivative, poly_eval, poly_mul
 
 BIG = 2**64
 FIXTURES = "uniform square two_piece shifted_support adversarial".split()
@@ -63,15 +65,38 @@ def reference_bid(rbf: RationalBidFunction, x) -> F:
 
 
 def naive_mul(a, b) -> list:
-    out = [F(0)] * (len(a) + len(b) - 1)
+    out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         for j, bj in enumerate(b):
             out[i + j] += ai * bj
     return out
 
 
+X = sympy.Symbol("x")
+
+
+def reference_nonnegative(f, lo, hi) -> bool:
+    """f >= 0 on [lo, hi], from sympy's square-free factorisation and real-root counts.
+
+    A nonzero f changes sign exactly at its roots of odd multiplicity, so it
+    is >= 0 on [lo, hi] iff no factor of odd multiplicity has a root strictly
+    inside and f is positive at a point inside that is not a root; of deg f + 1
+    points one is not.
+    """
+    poly = sympy.Poly([sympy.Rational(F(c).numerator, F(c).denominator) for c in reversed(f)], X)
+    if poly.is_zero:
+        return True
+    lo, hi = (sympy.Rational(v.numerator, v.denominator) for v in (lo, hi))
+    for factor, multiplicity in poly.sqf_list()[1]:
+        on_ends = (factor.eval(lo) == 0) + (factor.eval(hi) == 0)
+        if multiplicity % 2 and factor.count_roots(lo, hi) > on_ends:
+            return False
+    points = (lo + (hi - lo) * sympy.Rational(k, poly.degree() + 2) for k in range(1, poly.degree() + 2))
+    return next(v for v in map(poly.eval, points) if v != 0) > 0
+
+
 def reference_validate(dist: PiecewisePolyCdf) -> ValidationReport:
-    """validate() in Fraction arithmetic: the same checks, messages and sample points."""
+    """validate() in Fraction arithmetic, with reference_nonnegative deciding whether each piece is nondecreasing."""
     bad = []
     bps = dist.breakpoints
     if bps[0] != 0:
@@ -90,24 +115,49 @@ def reference_validate(dist: PiecewisePolyCdf) -> ValidationReport:
         left, right = poly_eval(dist.rows[j], v), poly_eval(dist.rows[j + 1], v)
         if left != right:
             bad.append(f"discontinuity at breakpoint {j + 1}: {left} != {right}")
-    npts = GRID_FACTOR * (dist.degree + 1)
     for j, row in enumerate(dist.rows):
         lo, hi = bps[j], bps[j + 1]
-        step = (hi - lo) / npts
-        prev = None
-        range_bad = monotone_bad = False
-        for i in range(npts + 1):
-            y = poly_eval(row, lo + i * step)
-            if not range_bad and not 0 <= y <= 1:
-                bad.append(f"piece {j}: value {y} at x={lo + i * step} outside [0, 1]")
-                range_bad = True
-            if not monotone_bad and prev is not None and y < prev:
-                bad.append(f"piece {j}: decreasing near x={lo + i * step}")
-                monotone_bad = True
-            if range_bad and monotone_bad:
-                break
-            prev = y
+        if lo < hi and not reference_nonnegative(poly_derivative(row), lo, hi):
+            bad.append(f"piece {j}: decreasing somewhere in [{lo}, {hi}]")
     return ValidationReport(tuple(bad))
+
+
+def times_root(f, r, times=1) -> list:
+    """f * (q x - p)**times for r = p/q, on integer coefficients."""
+    for _ in range(times):
+        f = naive_mul(f, [-r.numerator, r.denominator])
+    return f
+
+
+def shifted_chebyshev(k: int) -> list:
+    """Integer coefficients of T_k(2x - 1), from T_(k+1) = 2 (2x - 1) T_k - T_(k-1)."""
+    prev, cur = [1], [-1, 2]
+    for _ in range(k - 1):
+        nxt = naive_mul([-2, 4], cur)
+        for i, c in enumerate(prev):
+            nxt[i] -= c
+        prev, cur = cur, nxt
+    return cur
+
+
+@st.composite
+def pieces_with_roots(draw):
+    """(f, lo, hi): an integer polynomial with repeated roots at, inside and just beside the ends of [lo, hi]."""
+    lo = draw(st.fractions(min_value=0, max_value=F(15, 16), max_denominator=16))
+    hi = lo + draw(st.fractions(min_value=F(1, 16), max_value=1, max_denominator=16))
+    tiny = F(1, 2 ** draw(st.sampled_from([4, 20, 60])))
+    places = [lo, hi, lo - tiny, lo + tiny, hi - tiny, hi + tiny, (lo + hi) / 2, (2 * lo + hi) / 3]
+    f = [draw(st.sampled_from([-3, -1, 1, 2]))]
+    for _ in range(draw(st.integers(0, 4))):
+        f = times_root(f, draw(st.sampled_from(places)), draw(st.integers(1, 3)))
+    if draw(st.booleans()):  # a quadratic factor with complex roots near the interval
+        m = draw(st.sampled_from(places))
+        f = naive_mul(f, [m.numerator ** 2 + 1, -2 * m.numerator * m.denominator, m.denominator ** 2])
+    if draw(st.booleans()):  # move the roots a little: split, lift or sink them
+        f = [c + draw(st.integers(-2, 2)) for c in f]
+    if draw(st.integers(0, 3)) == 0:  # every root of even multiplicity, touching 0
+        f = naive_mul(f, f)
+    return f, lo, hi
 
 
 def normalised(r) -> bool:
@@ -248,3 +298,55 @@ class TestValidate:
         bps, coeffs = parts
         dist = PiecewisePolyCdf(tuple(bps), tuple(coeffs))
         assert dist.validate() == reference_validate(dist)
+
+
+class TestNonnegativeOn:
+    @settings(max_examples=300, deadline=None)
+    @given(pieces_with_roots())
+    def test_matches_real_roots(self, piece):
+        f, lo, hi = piece
+        assert nonnegative_on(f, lo, hi) == reference_nonnegative(f, lo, hi)
+
+    def test_double_roots_at_both_ends(self):
+        # -x (x - 1/3)^2 (x - 2/3)^2 is 0 at both ends of [1/3, 2/3] and negative between them
+        f = times_root(times_root(times_root([-1], F(0)), F(1, 3), 2), F(2, 3), 2)
+        assert not nonnegative_on(f, F(1, 3), F(2, 3))
+        assert nonnegative_on([-c for c in f], F(1, 3), F(2, 3))
+
+    def test_odd_roots_on_the_ends(self):
+        # a root of odd multiplicity on an end does not make f change sign inside
+        assert nonnegative_on([2, -2], F(0), F(1))
+        assert nonnegative_on(times_root([-1], F(1), 3), F(1, 2), F(1))
+        assert nonnegative_on(times_root(times_root([-1], F(1, 3)), F(2, 3)), F(1, 3), F(2, 3))
+        assert not nonnegative_on(times_root(times_root([1], F(1, 3)), F(2, 3)), F(1, 3), F(2, 3))
+        assert PiecewisePolyCdf((0, 1), ((0, 2, -1),)).validate().ok  # F = 2x - x^2, F'(1) = 0
+
+    def test_constants_and_lines(self):
+        assert nonnegative_on([], F(0), F(1))
+        assert nonnegative_on([0, 0], F(0), F(1))
+        assert not nonnegative_on([-1], F(0), F(1))
+        assert nonnegative_on([0, 1], F(0), F(1))
+        assert not nonnegative_on([0, 1], F(-1, 2), F(1))
+        assert nonnegative_on([0, 0, 1], F(-1), F(1))
+        assert not nonnegative_on([1, -2], F(0), F(1))
+
+    @pytest.mark.parametrize("k", range(1, 64))
+    def test_chebyshev(self, k):
+        # min T_k = -1 on [0, 1], so 1 + r T_k(2x - 1) >= 0 there iff r <= 1; at r = 1 it touches 0
+        t = shifted_chebyshev(k)
+        for r in (F(99, 100), F(1), F(101, 100)):
+            f = [r.numerator * c for c in t]
+            f[0] += r.denominator
+            assert nonnegative_on(f, F(0), F(1)) == reference_nonnegative(f, F(0), F(1)) == (r <= 1)
+
+    @pytest.mark.parametrize("r", [F(1), F(101, 100)])
+    def test_chebyshev_cdf(self, r):
+        # the degree-64 cdf whose density is proportional to 1 + r T_63(2x - 1)
+        density = [r * c for c in shifted_chebyshev(63)]
+        density[0] += 1
+        row = poly_antiderivative(density)
+        total = sum(row)
+        dist = PiecewisePolyCdf((0, 1), (tuple(c / total for c in row),))
+        assert dist.degree == 64
+        assert dist.validate() == reference_validate(dist)
+        assert dist.validate().ok == (r <= 1)

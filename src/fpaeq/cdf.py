@@ -34,6 +34,13 @@ ONE = Fraction(1)
 # with derivative 1 + T_63(2x - 1).  Bid functions built from a cdf are not bounded by
 # it: their denominators have degree (n - 1) times the cdf's.
 MAX_DEGREE = 64
+# Most bits of an integer in a piecewise_poly row read by cdf_from_json: each numerator and
+# the common denominator of the row's integer form (PiecewisePoly.int_rows).  validate()'s
+# remainder sequences grow with these sizes; with CPython 3.11 on one Xeon core, a dense
+# degree-64 piece with 64-bit numerators took 0.45 s, at 128 bits 1.3 s.  Cdfs the
+# library builds, such as bid-function rows or strongly_increasing_transform's mix, are
+# not bounded by it.
+MAX_ROW_BITS = 64
 
 
 @dataclass(frozen=True)
@@ -265,5 +272,11 @@ def cdf_from_json(obj: dict) -> PiecewisePolyCdf:
             raise DomainError(f"piecewise_poly cdf is missing field {exc}")
         if not isinstance(coeffs, list):
             raise DomainError(f"coeffs must be a JSON array of coefficient rows, got {coeffs!r}")
-        return PiecewisePolyCdf(bps, tuple(parse_rational_list(row, "a coefficient row") for row in coeffs))
+        dist = PiecewisePolyCdf(bps, tuple(parse_rational_list(row, "a coefficient row") for row in coeffs))
+        for j, (nums, scale) in enumerate(dist.int_rows):
+            bits = max(scale.bit_length(), *(abs(c).bit_length() for c in nums))
+            if bits > MAX_ROW_BITS:
+                raise DomainError(f"coefficient row {j} needs {bits}-bit integers over one denominator, "
+                                  f"above the limit of {MAX_ROW_BITS} bits")
+        return dist
     raise DomainError(f"unknown cdf kind: {kind!r}")

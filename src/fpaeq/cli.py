@@ -1,7 +1,8 @@
 """Command-line front-end: parse auction specs, dispatch solvers, emit results.
 
 Exit codes: 0 success, 1 validation/solve failure, 2 usage or input error.  Every
-command validates the cdf it loads, and an invalid one exits 1.
+command validates the cdf it loads, and an invalid one exits 1.  The number of
+bidders and the black-box grid size are checked against their limits first.
 Exact rationals are serialized as "p/q" strings; float output is tagged with
 an explicit precision field.
 """
@@ -17,7 +18,7 @@ from fractions import Fraction
 from . import blackbox, discrete, explicit, verify
 from .cdf import CdfOracle, cdf_from_json, oracle_from_piecewise
 from .discrete import BidGrid, JumpPointStrategy
-from .errors import DomainError, PrecisionError
+from .errors import DomainError, PrecisionError, check_bidders
 from .rationals import format_rational, parse_rational, parse_rational_list
 
 USAGE_ERROR = 2
@@ -118,6 +119,9 @@ def _strategy_from_json(obj: dict):
 
 
 def _cmd_solve(args) -> int:
+    check_bidders(args.n)
+    if args.model == "ccfpa-blackbox" and args.eps is not None:
+        blackbox.grid_size(parse_rational(args.eps))
     dist = _load_cdf(args.cdf)
     if args.model == "ccfpa-explicit":
         rbf = explicit.canonical_bid_function(dist, args.n)
@@ -166,6 +170,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    check_bidders(args.n)
     dist = _load_cdf(args.cdf)
     strategy = _strategy_from_json(_load_json(args.strategy, "strategy"))
     if args.mode == "exact":
@@ -234,9 +239,10 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_query_stats(args) -> int:
-    dist = _load_cdf(args.cdf)
-    oracle = oracle_from_piecewise(dist)
+    check_bidders(args.n)
     eps = parse_rational(args.eps)
+    blackbox.grid_size(eps)
+    oracle = oracle_from_piecewise(_load_cdf(args.cdf))
     plan = blackbox.precompute(oracle, args.n, eps)
     precompute_queries = oracle.query_count
     for i in range(args.samples):

@@ -34,7 +34,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .cdf import PiecewisePolyCdf, float_view, strongly_increasing_transform
-from .errors import DomainError, PrecisionError
+from .errors import DomainError, PrecisionError, check_bidders
 from .poly import PiecewisePoly
 from .rationals import parse_rational
 
@@ -316,8 +316,7 @@ def solve(F, L, n: int, grid: BidGrid, eps, *, delta=None) -> SolveResult:
     eps = Fraction(eps)
     if not 0 < eps < 1:
         raise DomainError("eps must lie in (0, 1)")
-    if n < 2:
-        raise DomainError("need n >= 2 bidders")
+    check_bidders(n)
     if L is None:
         if not isinstance(F, PiecewisePolyCdf):
             raise DomainError("a Lipschitz constant is required for oracle cdfs")

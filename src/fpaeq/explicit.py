@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .cdf import PiecewisePolyCdf
-from .errors import ConsistencyError, DomainError
+from .errors import ConsistencyError, DomainError, check_bidders
 from .poly import PiecewisePoly, horner_int, is_zero_poly, poly_antiderivative, poly_eval, poly_mul
 from .rationals import format_rational, parse_rational, parse_rational_list
 
@@ -79,8 +79,7 @@ def _power(row: tuple, k: int) -> tuple:
 
 def power_coefficients(dist: PiecewisePolyCdf, n: int) -> PowerTable:
     """Coefficients of F_j**(n-1), exact, for every piece j."""
-    if n < 2:
-        raise DomainError("need n >= 2 bidders")
+    check_bidders(n)
     return PowerTable(n, tuple(_power(row, n - 1) for row in dist.rows), dist)
 
 

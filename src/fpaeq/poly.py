@@ -232,8 +232,9 @@ class PiecewisePoly:
         rows = [tuple(float(c) for c in reversed(row)) for row in self.rows]  # highest degree first
         width = max(len(row) for row in rows)
         inner_arr = np.array(inner)
-        # leading zeros leave Horner's accumulator at +0.0, so padding changes no bit
-        table = np.array([(0.0,) * (width - len(row)) + row for row in rows])
+        # leading zeros leave Horner's accumulator at +0.0, so padding changes no bit;
+        # columns[k] holds every piece's k-th coefficient, highest degree first
+        columns = np.array([(0.0,) * (width - len(row)) + row for row in rows]).T
         bisect_left = bisect.bisect_left
 
         def ev(x):
@@ -242,10 +243,12 @@ class PiecewisePoly:
                 x = np.asarray(x, dtype=float)
                 if not ((x >= 0) & (x <= 1)).all():
                     raise DomainError("x outside [0, 1]")
-                coeffs = table[np.searchsorted(inner_arr, x)]
+                # one column gathered at a time keeps the work memory at a few arrays of x's size
+                piece = np.searchsorted(inner_arr, x)
                 acc = np.zeros(x.shape)
-                for k in range(width):
-                    acc = acc * x + coeffs[..., k]
+                for column in columns:
+                    acc *= x
+                    acc += column[piece]
                 return acc
             if not 0.0 <= x <= 1.0:
                 raise DomainError(f"x={x} outside [0, 1]")

@@ -5,8 +5,10 @@ Three routes, deliberately independent of the solvers they audit:
 * exact deviation regret over a finite bid grid (rational arithmetic),
 * grid-based deviation regret for continuous monotone bid functions, with the
   deviation's winning threshold recovered by bisection of the bid function,
-* Monte Carlo ex-post play with uniform tie-breaking, on a counter-based
-  deterministic generator so runs are bit-reproducible.
+* Monte Carlo ex-post play with uniform tie-breaking.  A run draws the
+  opponents once, from the counter-based Philox stream its seed names, so it
+  is bit-reproducible, and compares every (value, deviation) pair on that one
+  draw (common random numbers): its sigma comes from paired differences.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 
 from .cdf import PiecewisePolyCdf, float_view
 from .discrete import BidGrid, JumpPointStrategy
-from .errors import DomainError
+from .errors import DomainError, check_bidders
 
 INVERSION_STEPS = 60  # bisection steps when inverting a monotone bid function
 SAMPLING_STEPS = 50  # bisection steps for inverse-cdf sampling
@@ -27,9 +29,12 @@ EXACT_VALUE_GRID = 64  # the exact verifier's uniform values are i/64
 GRID_VALUES = 128  # the grid verifier's values split [v_low, 1] into 128 steps
 GRID_DEVIATIONS = 256  # the grid verifier's deviations are j/256
 MC_GRID = 8  # the Monte Carlo verifier's values and deviations are i/8
-# Most opponent values, trials * (n - 1), one Monte Carlo estimate may draw.  Each draw
-# holds about 70 bytes of float arrays at once, so the limit caps an estimate near 280 MB;
-# it admits the CLI default of 100 000 trials up to n = 41.
+# Most opponent values, trials * (n - 1), one Monte Carlo run may draw.  Measured with
+# tracemalloc (numpy 2.4), a run holds at most about 57 bytes of arrays per draw for a
+# jump-point strategy and 80 for a rational bid function, whatever the cdf's degree; at
+# n = 2 comparing the pairs takes more, 112 and 152 bytes per trial.  So the limit caps
+# a run near 610 MB (a bid function at n = 2), and at 230-320 MB from n = 3 on.  It
+# admits the CLI default of 100 000 trials up to n = 41.
 MAX_MC_DRAWS = 4_000_000
 
 
@@ -50,13 +55,8 @@ class PropertyCheck:
     monotonicity_witnesses: tuple = ()
 
 
-def _check_bidders(n: int) -> None:
-    if n < 2:
-        raise DomainError(f"need n >= 2 bidders, got {n}")
-
-
 def _check_monte_carlo(n: int, trials: int) -> None:
-    _check_bidders(n)
+    check_bidders(n)
     if trials < 1:
         raise DomainError("trials must be >= 1")
     if trials * (n - 1) > MAX_MC_DRAWS:
@@ -72,7 +72,7 @@ def epsilon_bne_check_cdfpa(F, n: int, grid: BidGrid, s: JumpPointStrategy) -> R
     is max_k (v - b_k) * Delta_k minus the utility of v's own bid.  The true
     supremum over all values can lie above this maximum.
     """
-    _check_bidders(n)
+    check_bidders(n)
     s.check_length(grid)
     win = s.win_probs(F, n)
     values = set(s.s) | set(grid.bids)
@@ -113,7 +113,7 @@ def epsilon_bne_check_ccfpa(F, n: int, bid_fn: Callable) -> RegretReport:
     F(z)**(n-1) * (v - b).  The sup over continuous deviations is approximated
     on a grid, so the reported regret carries the grid resolution.
     """
-    _check_bidders(n)
+    check_bidders(n)
     fcdf = float_view(F)
     probe = [i / 512 for i in range(513)]
     bids = [float(bid_fn(p)) for p in probe]
@@ -171,52 +171,76 @@ def _sample_values(fcdf, u: np.ndarray) -> np.ndarray:
     return (lo + hi) / 2
 
 
+def _top_opposing_bids(F, n: int, apply, trials: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each trial's highest opposing bid and the number of opponents who bid it.
+
+    The n - 1 opponent values of all trials are one (trials, n - 1) draw from
+    the Philox stream named by the seed, inverted through the cdf.
+    """
+    rng = np.random.Generator(np.random.Philox(seed))
+    opp_bids = apply(_sample_values(float_view(F), rng.random((trials, n - 1))))
+    top = opp_bids.max(axis=1)
+    return top, (opp_bids == top[:, None]).sum(axis=1)
+
+
+def _win_share(top: np.ndarray, ties: np.ndarray, b: float) -> np.ndarray:
+    """Share of the item that bid b wins in each trial, ties split uniformly."""
+    return np.where(top < b, 1.0, np.where(top == b, 1.0 / (1.0 + ties), 0.0))
+
+
 def monte_carlo_utility(
     F, n: int, strategy, v: float, b: float, trials: int, seed: int, grid: Optional[BidGrid] = None
 ):
     """Ex-post utility estimate for value v deviating to bid b; returns (mean, std_err)."""
     _check_monte_carlo(n, trials)
-    fcdf = float_view(F)
-    apply = _vectorized_strategy(strategy, grid)
-    rng = np.random.Generator(np.random.Philox(seed))
-    u = rng.random((trials, n - 1))
-    opp_values = _sample_values(fcdf, u)
-    opp_bids = apply(opp_values)
-    top = opp_bids.max(axis=1)
-    n_eq = (opp_bids == b).sum(axis=1)
-    share = np.where(top < b, 1.0, np.where(top == b, 1.0 / (1.0 + n_eq), 0.0))
-    payoff = (v - b) * share
+    top, ties = _top_opposing_bids(F, n, _vectorized_strategy(strategy, grid), trials, seed)
+    payoff = (v - b) * _win_share(top, ties, b)
     return float(payoff.mean()), float(payoff.std(ddof=1) / np.sqrt(trials))
+
+
+def _paired_regrets(F, n: int, strategy, trials: int, seed: int, grid: Optional[BidGrid] = None):
+    """The values and deviations i/8, and the mean and standard error of each pair's regret.
+
+    ``means[i, j]`` estimates the utility of value points[i] bidding points[j]
+    minus that of its own bid, from the paired differences of the two on the
+    same trials.
+    """
+    _check_monte_carlo(n, trials)
+    if trials < 2:
+        raise DomainError("a standard error needs trials >= 2")
+    apply = _vectorized_strategy(strategy, grid)
+    top, ties = _top_opposing_bids(F, n, apply, trials, seed)
+    points = [i / MC_GRID for i in range(MC_GRID + 1)]
+    own_bids = apply(np.array(points)).tolist()
+    shares = {b: _win_share(top, ties, b) for b in dict.fromkeys(points + own_bids)}
+    means = np.empty((len(points), len(points)))
+    std_errs = np.empty_like(means)
+    for i, (v, own_bid) in enumerate(zip(points, own_bids)):
+        own = (v - own_bid) * shares[own_bid]
+        for j, b in enumerate(points):
+            diff = (v - b) * shares[b] - own
+            means[i, j] = diff.mean()
+            std_errs[i, j] = diff.std(ddof=1) / np.sqrt(trials)
+    return points, means, std_errs
 
 
 def monte_carlo_regret(
     F, n: int, strategy, trials: int, seed: int, grid: Optional[BidGrid] = None
 ) -> RegretReport:
-    """Monte Carlo regret estimate over values and deviations i/8.
+    """Monte Carlo regret estimate over values and deviations i/8, on common random numbers.
 
-    Deterministic given the seed; per-pair seeds derive from the root seed.
-    The reported sigma is the largest standard error across estimates, so the
-    regret is max_regret +- 3*sigma.
+    The opponents are drawn once, from the Philox stream named by the seed,
+    and every (value, deviation) pair is compared on those same trials: a
+    pair's regret is the mean of the per-trial difference between the
+    deviation's payoff and the own bid's.  The reported sigma is the largest
+    standard error of those paired differences, so the regret is
+    max_regret +- 3*sigma.
     """
-    _check_monte_carlo(n, trials)
-    apply = _vectorized_strategy(strategy, grid)
-    points = [i / MC_GRID for i in range(MC_GRID + 1)]
-    best = (float("-inf"), None)
-    worst_sigma = 0.0
-    sub = 0
-    for v in points:
-        own_bid = float(apply(np.array([v]))[0])
-        own, s_own = monte_carlo_utility(F, n, strategy, v, own_bid, trials, seed * 1_000_003 + sub, grid)
-        sub += 1
-        for b in points:
-            est, s_dev = monte_carlo_utility(F, n, strategy, v, b, trials, seed * 1_000_003 + sub, grid)
-            sub += 1
-            regret = est - own
-            worst_sigma = max(worst_sigma, s_own + s_dev)
-            if regret > best[0]:
-                best = (regret, (v, b))
+    points, means, std_errs = _paired_regrets(F, n, strategy, trials, seed, grid)
+    i, j = np.unravel_index(np.argmax(means), means.shape)
     return RegretReport(
-        max(best[0], 0.0), best[1], method="monte-carlo", trials=trials, seed=seed, sigma=worst_sigma
+        max(float(means[i, j]), 0.0), (points[i], points[j]), method="monte-carlo", trials=trials, seed=seed,
+        sigma=float(std_errs.max()),
     )
 
 

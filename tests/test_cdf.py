@@ -293,6 +293,23 @@ class TestJson:
         with pytest.raises(DomainError):
             fq.cdf_from_json({"kind": "power", "exponent": exponent})
 
+    def test_coefficient_bits_limit(self):
+        limit = fq.cdf.MAX_ROW_BITS
+
+        def row_json(*row):
+            return {"kind": "piecewise_poly", "breakpoints": ["0", "1"], "coeffs": [[str(c) for c in row]]}
+
+        at_limit = [(0, 2**limit - 1), (0, F(1, 2**(limit - 1)), F(2**(limit - 1) - 1, 2**(limit - 1)))]
+        for row in at_limit:
+            assert fq.cdf_from_json(row_json(*row)).rows[0] == row
+        # a numerator, or the common denominator of the row, one bit over
+        for row in [(0, 2**limit), (0, F(1, 2**limit), F(2**limit - 1, 2**limit)), (F(1, 3), F(1, 2**(limit - 1)))]:
+            with pytest.raises(DomainError, match="bits"):
+                fq.cdf_from_json(row_json(*row))
+        # cdfs the library builds are not bounded: the mix below has a 66-bit denominator
+        mixed = fq.strongly_increasing_transform(fq.power_cdf(2), F(1, 2**65 + 1))
+        assert mixed.int_rows[0][1].bit_length() > limit and mixed.validate().ok
+
     def test_degree_limit(self):
         assert fq.cdf_from_json({"kind": "power", "exponent": str(MAX_DEGREE)}).degree == MAX_DEGREE
         row = ["0"] * (MAX_DEGREE + 1) + ["1"]

@@ -291,6 +291,64 @@ class TestInputContract:
         code, _, err = capout(*verify, "--n", "3", "--trials", "101")
         assert code == 2 and "202 exceeds the limit of 200" in err
 
+    # one argv per command that takes --n; the cdf is invalid (exit 1 once loaded), so exit 2
+    # shows that the limits are checked before the cdf is loaded
+    SIZED = [
+        ["solve", "--model", "ccfpa-explicit", "--at", "1/2"],
+        ["solve", "--model", "ccfpa-blackbox", "--eps", "1/64"],
+        ["solve", "--model", "cdfpa", "--eps", "1/64", "--bids", "[\"0\", \"1/4\"]"],
+        ["query-stats", "--eps", "1/64"],
+        ["verify", "--bids", "[\"0\", \"1/4\"]", "--mode", "exact"],
+        ["verify", "--bids", "[\"0\", \"1/4\"]", "--mode", "grid"],
+        ["verify", "--bids", "[\"0\", \"1/4\"]", "--mode", "mc", "--trials", "100"],
+    ]
+
+    @pytest.fixture
+    def sized_argv(self, tmp_path):
+        cdf, strat = tmp_path / "unordered.json", tmp_path / "s.json"
+        cdf.write_text(json.dumps(UNORDERED_CDF))
+        strat.write_text(json.dumps({"kind": "jump_points", "s": ["0", "1/2", "1"]}))
+
+        def argv(base, n):
+            extra = ["--strategy", str(strat)] if base[0] == "verify" else []
+            return [*base, *extra, "--cdf", str(cdf), "--n", str(n)]
+
+        return argv
+
+    @pytest.mark.parametrize("base", SIZED)
+    def test_bidders_limit(self, capout, sized_argv, base):
+        assert capout(*sized_argv(base, fq.errors.MAX_BIDDERS))[0] == 1  # admitted: the cdf is loaded
+        code, out, err = capout(*sized_argv(base, fq.errors.MAX_BIDDERS + 1))
+        assert code == 2 and out == ""
+        assert f"n = {fq.errors.MAX_BIDDERS + 1} exceeds the limit of {fq.errors.MAX_BIDDERS} bidders" in err
+
+    @pytest.mark.parametrize("eps", [f"1/{fq.blackbox.MAX_K + 1}", "1/1000000000", f"1/{2**4000}"])
+    @pytest.mark.parametrize("base", [SIZED[1], SIZED[3]])
+    def test_grid_limit(self, capout, sized_argv, base, eps):
+        base = [eps if arg == "1/64" else arg for arg in base]
+        code, out, err = capout(*sized_argv(base, 2))
+        assert code == 2 and out == ""
+        assert f"above the limit of {fq.blackbox.MAX_K}" in err
+
+    def test_limits_admit_the_largest_sizes(self, capout, uniform_json):
+        # the benchmark's largest sizes: n = 64 and eps = 1/16384
+        assert fq.errors.MAX_BIDDERS >= 64 and fq.blackbox.MAX_K >= 16384
+        # uniform: the equilibrium bid is x (n - 1) / n
+        assert capout("solve", "--model", "ccfpa-explicit", "--cdf", uniform_json, "--n", "64",
+                      "--at", "1/2") == (0, "63/128\n", "")
+        code, out, _ = capout("query-stats", "--cdf", uniform_json, "--n", "2", "--eps", "1/16384",
+                              "--samples", "1")
+        assert code == 0 and json.loads(out)["K"] == 16384
+
+    def test_coefficient_bits_limit(self, capout, tmp_path):
+        path = tmp_path / "big.json"
+        big = 2**fq.cdf.MAX_ROW_BITS
+        path.write_text(json.dumps({"kind": "piecewise_poly", "breakpoints": ["0", "1"],
+                                    "coeffs": [["0", f"{big - 1}/{big}", f"1/{big}"]]}))
+        code, out, err = capout("validate-cdf", "--cdf", str(path))
+        assert code == 2 and out == ""
+        assert f"above the limit of {fq.cdf.MAX_ROW_BITS} bits" in err
+
     @pytest.mark.parametrize("model", ["ccfpa-explicit", "ccfpa-blackbox"])
     def test_negative_samples(self, capsys, uniform_json, model):
         with pytest.raises(SystemExit) as exc:

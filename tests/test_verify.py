@@ -163,6 +163,110 @@ class TestMonteCarlo:
             fq.monte_carlo_utility(uniform, 2, lambda v: 0.0, 0.5, 0.0, 0, seed=1)
 
 
+EIGHTHS = grid_of(*(F(i, 8) for i in range(8)))
+
+
+def mc_grid_regret(dist, n, grid, s):
+    """The exact expected regret that monte_carlo_regret estimates, by brute force: the largest,
+    floored at 0, over values and deviations i/8.  A deviation to grid bid b_k wins with
+    Delta(s_(k-1), s_k), ties split evenly; any other deviation wins when every opponent bids
+    below it, with probability F(s_k)**(n-1) for the k grid bids below it."""
+    points = [F(i, 8) for i in range(9)]
+    win = [fq.delta_win_prob(dist, n, x, y) for x, y in zip(s, s[1:])]
+    deviation = []
+    for b in points:
+        below = sum(1 for x in grid.bids if x < b)
+        deviation.append(win[below] if b in grid.bids else dist(s[below]) ** (n - 1))
+    best = F(0)
+    for v in points:
+        own = JumpPointStrategy(s, ()).bid_index(v) - 1
+        u_own = (v - grid.bids[own]) * win[own]
+        best = max(best, max((v - b) * w for b, w in zip(points, deviation)) - u_own)
+    return best
+
+
+class TestCommonRandomNumbers:
+    """monte_carlo_regret compares every (value, deviation) pair on one draw of the opponents."""
+
+    def test_own_bid_pair_is_exactly_zero(self, uniform):
+        s = fq.solve(uniform, None, 3, EIGHTHS, F(1, 64)).strategy
+        points, means, std_errs = fq.verify._paired_regrets(uniform, 3, s, 500, 4, EIGHTHS)
+        checked = 0
+        for i, v in enumerate(points):
+            own = float(EIGHTHS.bids[s.bid_index(F(v)) - 1])
+            j = points.index(own)
+            assert means[i, j] == 0.0 and std_errs[i, j] == 0.0
+            checked += 1
+        assert checked == 9 and std_errs.max() > 0
+
+    @pytest.mark.parametrize("kind", ["jump", "rbf"])
+    def test_same_seed_same_report(self, square, kind):
+        if kind == "jump":
+            strategy, grid = fq.solve(square, None, 2, EIGHTHS, F(1, 64)).strategy, EIGHTHS
+        else:
+            strategy, grid = fq.canonical_bid_function(square, 2), None
+        a = fq.monte_carlo_regret(square, 2, strategy, 300, 17, grid)
+        assert a == fq.monte_carlo_regret(square, 2, strategy, 300, 17, grid)
+        assert a != fq.monte_carlo_regret(square, 2, strategy, 300, 18, grid)
+
+    def test_one_draw_per_run(self, uniform, monkeypatch):
+        calls = []
+        sample = fq.verify._sample_values
+        monkeypatch.setattr(fq.verify, "_sample_values", lambda fcdf, u: calls.append(u.shape) or sample(fcdf, u))
+        s = fq.solve(uniform, None, 3, EIGHTHS, F(1, 64)).strategy
+        fq.monte_carlo_regret(uniform, 3, s, 250, 1, EIGHTHS)
+        assert calls == [(250, 2)]
+
+    def test_regret_needs_two_trials(self, uniform):
+        s = JumpPointStrategy((F(0), F(1, 2), F(1)), ())
+        with pytest.raises(fq.DomainError):
+            fq.monte_carlo_regret(uniform, 2, s, 1, 0, grid_of("0", "1/4"))
+
+    # (mean, std_err) as the per-pair estimator gave them before the runs shared one draw
+    JUMP = JumpPointStrategy((F(0), F(1, 3), F(1, 3), F(1)), ())  # pools at 0 and at 1/2: ties
+    PINNED_JUMP = [
+        ((4, 0.75, 0.25, 3000, 7), (0.018, 0.0017008716357916251)),
+        ((4, 0.75, 0.0, 3000, 7), (0.00675, 0.0006378268634218596)),
+        ((3, 1.0, 0.5, 1000, 2), (0.2385, 0.003069012137833416)),
+        ((3, 0.5, 0.125, 1000, 2), (0.038625, 0.003606312502385901)),
+    ]
+    PINNED_RBF = [
+        (("square", 2, 0.5, 0.25, 2000, 11), (0.036125, 0.001965972968368634)),
+        (("square", 2, 0.875, 0.375, 500, 4), (0.146, 0.010177187740265048)),
+        (("two_piece", 3, 0.5, 0.25, 2000, 11), (0.002625, 0.0005699492157677534)),
+        (("two_piece", 3, 0.875, 0.375, 500, 4), (0.021, 0.00448980140243046)),
+    ]
+
+    @pytest.mark.parametrize("args,expected", PINNED_JUMP)
+    def test_utility_pinned_on_jump_points(self, uniform, args, expected):
+        n, v, b, trials, seed = args
+        grid = grid_of("0", "1/4", "1/2")
+        assert fq.monte_carlo_utility(uniform, n, self.JUMP, v, b, trials, seed, grid) == expected
+
+    @pytest.mark.parametrize("args,expected", PINNED_RBF)
+    def test_utility_pinned_on_bid_function(self, request, args, expected):
+        name, n, v, b, trials, seed = args
+        dist = request.getfixturevalue(name)
+        rbf = fq.canonical_bid_function(dist, n)
+        assert fq.monte_carlo_utility(dist, n, rbf, v, b, trials, seed) == expected
+
+    @pytest.mark.parametrize("name", ["uniform", "square"])
+    @pytest.mark.parametrize("n_solved", [2, 3])
+    def test_estimate_within_three_sigma(self, request, name, n_solved):
+        # the eps-equilibrium certified for n_solved bidders on the bids i/8, played by 2: at
+        # n_solved = 3 its regret is known positive.  The estimate is not below the exact
+        # expected regret by more than 3 sigma, nor, when certified, above eps by more
+        dist, eps = request.getfixturevalue(name), F(1, 64)
+        s = fq.solve(dist, None, n_solved, EIGHTHS, eps).strategy
+        exact = mc_grid_regret(dist, 2, EIGHTHS, s.s)
+        assert (exact > eps) == (n_solved == 3)
+        for seed in range(20):
+            report = fq.monte_carlo_regret(dist, 2, s, 500, seed, EIGHTHS)
+            assert report.max_regret >= float(exact) - 3 * report.sigma, seed
+            if n_solved == 2:
+                assert report.max_regret <= float(eps) + 3 * report.sigma, seed
+
+
 class TestMonotoneNoOverbid:
     def test_equilibrium_passes(self, two_piece):
         rbf = fq.canonical_bid_function(two_piece, 3)

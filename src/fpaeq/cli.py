@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -70,20 +69,15 @@ def _parse_bids(text: str) -> BidGrid:
         raise InputError(f"bids: {exc}")
 
 
-def _default_delta() -> Fraction | None:
-    bits = os.environ.get("FPA_PRECISION_BITS")
-    if not bits:
-        return None
-    if not bits.strip().isdecimal() or int(bits) < 1:
-        raise InputError(f"FPA_PRECISION_BITS must be an integer >= 1, got {bits!r}")
-    return Fraction(1, 2 ** int(bits))
+def _int_at_least(low: int):
+    """An argparse type for integers >= low."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
 
-
-def _nonnegative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
+    return integer
 
 
 def _strategy_to_json(strategy: JumpPointStrategy, cert=None) -> dict:
@@ -159,8 +153,7 @@ def _cmd_solve(args) -> int:
     if args.eps is None:
         raise InputError("--eps is required for the cdfpa model")
     grid = _parse_bids(args.bids)
-    delta = parse_rational(args.delta) if args.delta else _default_delta()
-    result = discrete.solve(dist, None, args.n, grid, parse_rational(args.eps), delta=delta)
+    result = discrete.solve(dist, None, args.n, grid, parse_rational(args.eps))
     out = _strategy_to_json(result.strategy, result.certificate)
     if args.certify:
         report = verify.epsilon_bne_check_cdfpa(dist, args.n, grid, result.strategy)
@@ -281,9 +274,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", required=True, type=int, help="number of bidders (>= 2)")
     p.add_argument("--eps", help="approximation accuracy (rational)")
     p.add_argument("--at", help="evaluate the bid at one rational value (ccfpa-explicit)")
-    p.add_argument("--samples", type=_nonnegative_int, help="emit a CSV sample of the bid function")
+    p.add_argument("--samples", type=_int_at_least(1), help="emit a CSV sample of the bid function")
     p.add_argument("--bids", help="JSON array of rational bids (cdfpa)")
-    p.add_argument("--delta", help="search tolerance override (cdfpa)")
     p.add_argument("--certify", action="store_true", help="also measure regret (cdfpa)")
     p.add_argument("--no-extend", action="store_true",
                    help="reject values below the support infimum (ccfpa-explicit)")
@@ -310,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cdf", required=True)
     p.add_argument("--n", required=True, type=int)
     p.add_argument("--eps", required=True)
-    p.add_argument("--samples", type=_nonnegative_int, default=10)
+    p.add_argument("--samples", type=_int_at_least(0), default=10)
     p.set_defaults(func=_cmd_query_stats)
 
     p = sub.add_parser("validate-cdf", help="check a cdf JSON file's invariants")

@@ -9,19 +9,22 @@ is Delta(s_{j-1}, s_j) with
 
 The solver binary-searches the equilibrium utility at the top value v = 1 and
 reconstructs the jump points from it (descending over bids, inverting Delta by
-bisection where needed).  Output is accepted only when the approximate
-equilibrium certificate passes, so the search may use any arithmetic:
+bisection where needed).  The approximate equilibrium certificate
+`check_conditions` is the only gate, so the search may use any arithmetic.
+`solve` runs its attempts in one loop and returns the first whose strategy
+passes the certificate:
 
-1. The search first runs in floats, on a float view of the cdf.  Its jump
-   points are taken back as exact rationals (those within SNAP_TOL of their
-   bid become that bid, so condition 3 holds exactly), and its utilities as
-   the exact values of their floats.
-2. The exact certificate `check_conditions` then decides.  If it fails, the
-   same search reruns in exact Fractions, retrying with smaller delta, and
-   its output must pass the same certificate.
+1. The search in floats, on a float view of the cdf.  Its jump points are
+   taken back as exact rationals (those within SNAP_TOL of their bid become
+   that bid, so condition 3 holds exactly), and its utilities as the exact
+   values of their floats.
+2. The same search in exact Fractions at delta, then at delta / 2**8 and so
+   on, MAX_RETRIES times after the first.
 
-delta is the search tolerance: the outer search on U stops within delta, and
-each bisection meets its target utility within delta.  The float search uses
+Every attempt's strategy has s_0 = 0 and U_0 = 0.  delta is the search
+tolerance, min(gamma/4, 2**-30) for the certificate's residual bound gamma:
+the outer search on U stops within delta, and each bisection brackets its
+jump point within delta / (n L).  The float search uses
 max(delta, FLOAT_DELTA_FLOOR).  The worst-case precision parameter from the
 analysis (`theoretical_delta`) is never required in practice.
 """
@@ -172,9 +175,10 @@ def compute_strategy(F, L, n: int, grid: BidGrid, U, delta):
     Walks bids from the highest down.  At each bid either the whole remaining
     interval pools (utility already below U), the bid is skipped down to its
     own level (utility exceeds U even at the bottom), or the jump point is
-    located by bisection so that bidding here at the jump yields utility U
-    within delta.  A Fraction U runs the walk exactly; any other U runs it in
-    floats, for which F must take and return floats.
+    located by bisection so that bidding here at the jump yields about utility
+    U.  How close it comes is left to the certificate's condition-1 residual.
+    A Fraction U runs the walk exactly; any other U runs it in floats, for
+    which F must take and return floats.
     """
     if delta <= 0:
         raise DomainError("delta must be positive")
@@ -205,12 +209,6 @@ def compute_strategy(F, L, n: int, grid: BidGrid, U, delta):
                 else:
                     hi = mid
             x = (lo + hi) / 2
-            achieved = margin * delta_win_prob(F, n, x, si)
-            if abs(achieved - ui) > delta:
-                raise PrecisionError(
-                    f"bisection residual {abs(achieved - ui)} > delta={delta} at bid {i}; "
-                    "increase the step budget (smaller delta) or precision"
-                )
             s[i - 1] = x
             uvec[i - 1] = (x - b) * delta_win_prob(F, n, x, si)
     return s, uvec
@@ -275,43 +273,49 @@ def _binary_search_top_utility(F, L, n, grid, delta):
     return s_r, uvec_r
 
 
+def _strategy(s, uvec) -> JumpPointStrategy:
+    """A search's jump points and utilities as exact rationals, with s_0 = 0 and U_0 = 0 (b_1 = 0)."""
+    return JumpPointStrategy((ZERO,) + tuple(Fraction(x) for x in s[1:]),
+                             (ZERO,) + tuple(Fraction(u) for u in uvec[1:]))
+
+
 def _float_search(F, L, n: int, grid: BidGrid, delta) -> Optional[JumpPointStrategy]:
     """Run the outer search in floats and return its result in exact rationals.
 
-    s_0 = 0 and s_m = 1; a jump point pooled with the one above it takes that
-    one's value, one within SNAP_TOL of its bid becomes the bid, and every
-    other jump point and utility is the exact value of its float.  Returns
-    None when the float bisection misses its own residual bound, or when
-    snapping leaves the jump points out of order.
+    A jump point pooled with the one above it takes that one's value, one
+    within SNAP_TOL of its bid becomes the bid, and every other jump point and
+    utility is the exact value of its float.  Returns None when snapping
+    leaves the jump points out of order.
     """
-    tol = max(float(min(delta, ONE)), FLOAT_DELTA_FLOOR)
-    try:
-        s, uvec = _binary_search_top_utility(float_view(F), L, n, grid, tol)
-    except PrecisionError:
-        return None
-    exact_s = [ZERO] * grid.m + [ONE]
+    tol = max(float(delta), FLOAT_DELTA_FLOOR)
+    s, uvec = _binary_search_top_utility(float_view(F), L, n, grid, tol)
+    snapped = list(s)
     for i in range(grid.m, 1, -1):
         x, b = s[i - 1], grid.bids[i - 1]
         if x == s[i]:
-            exact_s[i - 1] = exact_s[i]
+            snapped[i - 1] = snapped[i]
         elif abs(x - float(b)) <= SNAP_TOL:
-            exact_s[i - 1] = b
-        else:
-            exact_s[i - 1] = Fraction(x)
+            snapped[i - 1] = b
     try:
-        return JumpPointStrategy(tuple(exact_s), tuple(Fraction(u) for u in uvec))
+        return _strategy(snapped, uvec)
     except DomainError:
         return None
 
 
-def solve(F, L, n: int, grid: BidGrid, eps, *, delta=None) -> SolveResult:
+def _exact_search(F, L, n: int, grid: BidGrid, delta) -> JumpPointStrategy:
+    """Run the outer search in exact Fractions at tolerance delta."""
+    return _strategy(*_binary_search_top_utility(F, L, n, grid, delta))
+
+
+def solve(F, L, n: int, grid: BidGrid, eps) -> SolveResult:
     """Compute a certified eps-approximate symmetric equilibrium for a finite bid grid.
 
     The cdf is first mixed with the identity (weight eps/3n) so that it is
     strongly increasing; a certificate under the mixed cdf at accuracy eps/3n
     transfers back to an eps-approximate equilibrium of the original cdf.
-    delta is the search tolerance; None picks min(gamma/4, 2**-30), where
-    gamma is the certificate's residual bound.
+    The search tolerance is delta = min(gamma/4, 2**-30), where gamma is the
+    certificate's residual bound.  Raises PrecisionError when no attempt
+    passes the certificate.
     """
     eps = Fraction(eps)
     if not 0 < eps < 1:
@@ -326,31 +330,17 @@ def solve(F, L, n: int, grid: BidGrid, eps, *, delta=None) -> SolveResult:
     L_mixed = max(ONE, Fraction(L))
     eps_run = mix  # accuracy target under the mixed cdf
     gamma = eps_run / (2 * grid.m)
-    delta = min(gamma / 4, Fraction(1, 2**30)) if delta is None else Fraction(delta)
-    if delta <= 0:
-        raise DomainError("delta must be positive")
-    strategy = _float_search(F_mixed, L_mixed, n, grid, delta)
-    if strategy is not None:
-        cert = check_conditions(F_mixed, n, grid, strategy, gamma)
-        if cert.passed:
-            return SolveResult(strategy, cert, eps, delta, F_mixed)
-    last_error = None
-    for _ in range(MAX_RETRIES + 1):
-        try:
-            s_r, uvec_r = _binary_search_top_utility(F_mixed, L_mixed, n, grid, delta)
-        except PrecisionError as exc:
-            last_error = exc
-            delta /= 2**8
+    delta = min(gamma / 4, Fraction(1, 2**30))
+    attempts = [(_float_search, delta)]
+    attempts += [(_exact_search, delta / 2 ** (8 * k)) for k in range(MAX_RETRIES + 1)]
+    for search, attempt_delta in attempts:
+        strategy = search(F_mixed, L_mixed, n, grid, attempt_delta)
+        if strategy is None:
             continue
-        s_star = (ZERO,) + tuple(s_r[1:])
-        strategy = JumpPointStrategy(s_star, tuple(uvec_r))
         cert = check_conditions(F_mixed, n, grid, strategy, gamma)
         if cert.passed:
-            return SolveResult(strategy, cert, eps, delta, F_mixed)
-        last_error = PrecisionError(
-            f"certificate failed at delta={delta} (max residual {cert.max_residual})"
-        )
-        delta /= 2**8
+            return SolveResult(strategy, cert, eps, attempt_delta, F_mixed)
     raise PrecisionError(
-        f"could not certify an equilibrium after {MAX_RETRIES + 1} attempts: {last_error}"
+        f"no attempt passed the certificate: the float search and {MAX_RETRIES + 1} exact searches, "
+        f"the last at delta={attempt_delta} (max residual {cert.max_residual} > gamma={gamma})"
     )

@@ -6,7 +6,7 @@ class DomainError(ValueError):
 
 
 class PrecisionError(RuntimeError):
-    """A bisection step budget was exhausted before reaching the target residual."""
+    """No attempt of the finite-grid solver produced a strategy that passes the certificate."""
 
 
 class ConsistencyError(ValueError):

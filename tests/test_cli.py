@@ -121,12 +121,6 @@ class TestSolveCdfpa:
         assert code == 0
         assert F(json.loads(out)["measured_regret"]) <= F(1, 16)
 
-    def test_precision_env_var(self, capout, uniform_json, monkeypatch):
-        monkeypatch.setenv("FPA_PRECISION_BITS", "20")
-        code, out, _ = capout("solve", "--model", "cdfpa", "--cdf", uniform_json, "--n", "2",
-                              "--bids", "[\"0\", \"1/2\"]", "--eps", "1/16")
-        assert code == 0
-
     def test_malformed_bids(self, capout, uniform_json):
         code, _, err = capout("solve", "--model", "cdfpa", "--cdf", uniform_json, "--n", "2",
                               "--bids", "[\"1/4\", \"1/2\"]", "--eps", "1/16")
@@ -135,31 +129,6 @@ class TestSolveCdfpa:
 
 
 class TestInputContract:
-    @pytest.mark.parametrize("delta", [f"1/{2**1100}", "1e400"])  # beyond float range both ways
-    def test_extreme_delta(self, capout, uniform_json, delta):
-        # an uncaught exception would fail this test; a handled failure exits 1
-        code, out, _ = capout("solve", "--model", "cdfpa", "--cdf", uniform_json, "--n", "2",
-                              "--bids", "[\"0\", \"1/4\", \"1/2\"]", "--eps", "1/32",
-                              "--delta", delta)
-        assert code in (0, 1)
-        if code == 0:
-            assert json.loads(out)["certificate"]["pass"] is True
-
-    @pytest.mark.parametrize("delta", ["0", "-1/4"])
-    def test_nonpositive_delta(self, capout, uniform_json, delta):
-        code, _, err = capout("solve", "--model", "cdfpa", "--cdf", uniform_json, "--n", "2",
-                              "--bids", "[\"0\", \"1/2\"]", "--eps", "1/16", f"--delta={delta}")
-        assert code == 2
-        assert "delta" in err
-
-    @pytest.mark.parametrize("bits", ["-3", "0", "abc", "2.5"])
-    def test_bad_precision_env_var(self, capout, uniform_json, monkeypatch, bits):
-        monkeypatch.setenv("FPA_PRECISION_BITS", bits)
-        code, _, err = capout("solve", "--model", "cdfpa", "--cdf", uniform_json, "--n", "2",
-                              "--bids", "[\"0\", \"1/2\"]", "--eps", "1/16")
-        assert code == 2
-        assert "FPA_PRECISION_BITS" in err
-
     def test_exact_verify_rejects_wrong_length_strategy(self, capout, tmp_path, uniform_json):
         strat = tmp_path / "s.json"
         strat.write_text(json.dumps({"kind": "jump_points", "s": ["0", "1"], "U": ["0", "1/2"]}))
@@ -357,6 +326,18 @@ class TestInputContract:
         assert exc.value.code == 2
         assert "--samples" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("model", ["ccfpa-explicit", "ccfpa-blackbox"])
+    def test_zero_samples(self, capsys, uniform_json, model):
+        # a CSV sample of the bid function needs at least one interval
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--model", model, "--cdf", uniform_json, "--n", "2", "--eps", "1/4",
+                  "--samples", "0"])
+        assert exc.value.code == 2
+        assert "must be >= 1" in capsys.readouterr().err
+        # query-stats --samples 0 evaluates no bid
+        assert main(["query-stats", "--cdf", uniform_json, "--n", "2", "--eps", "1/4", "--samples", "0"]) == 0
+        assert json.loads(capsys.readouterr().out)["bid_evaluations"] == 0
+
 
 @pytest.fixture(scope="module")
 def contract_files(tmp_path_factory):
@@ -418,6 +399,90 @@ class TestContractProperty:
                 code = main(argv)
             except SystemExit as exc:  # argparse rejects the value
                 code = exc.code
+        assert code in (0, 1, 2), argv
+        assert "Traceback" not in err.getvalue(), argv
+
+
+VALID_CDFS = [
+    {"kind": "uniform"},
+    {"kind": "power", "exponent": "2"},
+    {"kind": "adversarial", "v1": "3/4", "gap": "1/8", "kink": "1/32"},
+    {"kind": "piecewise_poly", "breakpoints": ["0", "1/2", "1"], "coeffs": [["0", "0", "2"], ["-1", "4", "-2"]]},
+]
+VALID_STRATEGIES = [
+    {"kind": "jump_points", "s": ["0", "1/2", "1"], "U": ["0", "1/8", "1/4"]},
+    {"kind": "rational_bid_function", "n": 2, "support_infimum": "0", "breakpoints": ["0", "1"],
+     "pieces": [{"numerator": ["0", "0", "0", "2"], "denominator": ["0", "0", "3"]}]},
+]
+FIELDS = ["kind", "exponent", "v1", "gap", "kink", "breakpoints", "coeffs", "s", "U", "n",
+          "support_infimum", "pieces", "numerator", "denominator"]
+RATIONAL_TEXTS = st.fractions(min_value=-2, max_value=2, max_denominator=64).map(str)
+JSON_LEAVES = st.one_of(
+    RATIONAL_TEXTS, RATIONAL_TEXTS, st.none(), st.booleans(), st.integers(-2**70, 2**70), st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from(["", "0", "1", "1/2", "-1/3", "3/2", "65", "1/0", "abc", "1e400", "identity", "uniform",
+                     "power", "adversarial", "piecewise_poly", "jump_points", "rational_bid_function"]),
+    st.text(max_size=4),
+)
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.sampled_from(FIELDS) | st.text(max_size=3),
+                                                                  inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def _locations(doc, path=()):
+    """Every path into a JSON document, the root () included."""
+    yield path
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from _locations(value, path + (key,))
+
+
+@st.composite
+def malformed_document(draw, valid):
+    """A valid document with one to three values replaced by generated JSON or deleted."""
+    doc = json.loads(json.dumps(draw(st.sampled_from(valid))))
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_locations(doc))))
+        value = draw(JSON_VALUES)
+        if not path:
+            doc = value
+            continue
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if draw(st.booleans()):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+    return doc
+
+
+class TestMalformedFileProperty:
+    """Generated malformed cdf and strategy files get a documented exit code and no traceback."""
+
+    BIDS = ["--bids", '["0", "1/4"]']
+
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_exit_code_contract(self, contract_files, tmp_path, data):
+        bad = tmp_path / "bad.json"
+        if data.draw(st.booleans(), label="malformed cdf"):
+            bad.write_text(json.dumps(data.draw(malformed_document(VALID_CDFS))))
+            cdf, strategy = str(bad), contract_files["jump"]
+            commands = [["validate-cdf", "--cdf", cdf], ["eval", "--cdf", cdf, "--at", "1/2"],
+                        ["solve", "--model", "ccfpa-explicit", "--cdf", cdf, "--n", "2", "--at", "1/2"]]
+        else:
+            bad.write_text(json.dumps(data.draw(malformed_document(VALID_STRATEGIES))))
+            cdf, strategy = contract_files["cdf"], str(bad)
+            commands = [["eval", "--strategy", strategy, *self.BIDS, "--at", "1/2"]]
+        commands += [["verify", "--cdf", cdf, "--strategy", strategy, "--n", "2", *self.BIDS, "--mode", mode,
+                      "--trials", "100"] for mode in ("exact", "grid", "mc")]
+        argv = data.draw(st.sampled_from(commands))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
         assert code in (0, 1, 2), argv
         assert "Traceback" not in err.getvalue(), argv
 

@@ -262,21 +262,23 @@ class TestSolve:
         with pytest.raises(DomainError):
             fq.solve(uniform, 1, 2, grid_of("0", "1/2"), F(2))
 
-    def test_explicit_delta_respected(self, uniform):
-        res = fq.solve(uniform, 1, 2, grid_of("0", "1/2"), F(1, 16), delta=F(1, 2**20))
-        assert res.delta_used == F(1, 2**20)
-
     def test_tiny_delta(self, uniform):
         # float(delta) underflows to 0.0; the float search uses its tolerance floor
-        tiny = F(1, 2**1100)
-        res = fq.solve(uniform, 1, 2, grid_of("0", "1/4", "1/2"), F(1, 32), delta=tiny)
-        assert res.certificate.passed
-        assert res.delta_used == tiny
+        g = grid_of("0", "1/4", "1/2")
+        strategy = discrete._float_search(uniform, 1, 2, g, F(1, 2**1100))
+        assert fq.check_conditions(uniform, 2, g, strategy, F(1, 2**20)).passed
 
-    @pytest.mark.parametrize("delta", [F(0), F(-1, 4)])
-    def test_nonpositive_delta(self, uniform, delta):
-        with pytest.raises(DomainError):
-            fq.solve(uniform, 1, 2, grid_of("0", "1/2"), F(1, 16), delta=delta)
+    def test_lowest_utility_is_zero(self, square, exact_searches):
+        # b_1 = 0, so U_0 = 0; the walk's s_0 * Delta(s_0, s_1) = 8.8e-8 here would be the bottom
+        # residual of bid 1, far above the largest true residual, 9.7e-10
+        g = grid_of("0", "1/6", "1/3")
+        res = fq.solve(square, None, 2, g, F(1, 64))
+        assert res.strategy.s[0] == 0 and res.strategy.utilities[0] == 0
+        assert res.certificate.max_residual < F(1, 10**9)
+        # at eps = 2^-20 that walk value alone would fail the float result and three exact searches
+        res = fq.solve(square, None, 2, g, F(1, 2**20))
+        assert res.certificate.passed and res.strategy.utilities[0] == 0
+        assert exact_searches == []
 
     def test_float_result_taken_back_exactly(self, uniform, monkeypatch):
         g = grid_of("0", "1/5", "1/3", "1/2")
@@ -304,7 +306,7 @@ class TestSolve:
         assert not fq.check_conditions(uniform, 2, g, bad, eps).passed
         monkeypatch.setattr(discrete, "_float_search", lambda *args: bad)
         res = fq.solve(uniform, 1, 2, g, eps)
-        assert exact_searches
+        assert exact_searches == [res.delta_used]  # the first exact search was certified
         assert res.strategy != bad
         assert res.certificate.passed
         assert fq.epsilon_bne_check_cdfpa(uniform, 2, g, res.strategy).max_regret <= eps
@@ -321,5 +323,6 @@ class TestSolve:
         eps = F(1, 64)
         res = fq.solve(dist, None, n, grid, eps)
         assert res.certificate.passed
+        assert res.strategy.s[0] == 0 and res.strategy.utilities[0] == 0
         assert exact_searches == []  # the float search alone was certified
         assert fq.epsilon_bne_check_cdfpa(dist, n, grid, res.strategy).max_regret <= eps

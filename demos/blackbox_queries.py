@@ -2,8 +2,8 @@
 
 The solver only sees the cdf through a counted oracle.  After tabulating
 F^(n-1) on a grid of width ~eps (K-1 queries), every bid evaluation costs a
-single extra query and is guaranteed to be within eps of the exact equilibrium
-bid, sandwiched between a lower and an upper Riemann sum.
+single extra query.  It returns a lower and an upper Riemann sum, which
+sandwich the exact equilibrium bid within eps; the upper sum is the bid.
 
 The stress distribution here is nearly flat on a subinterval and then very
 steep, which is the worst case for grid-based tabulation.
@@ -26,7 +26,7 @@ for k in (4, 6, 8, 10):
     for i in range(101):
         x = Fraction(i, 100)
         ev = fq.bid(plan, oracle, x)
-        err = abs(ev.bid - exact(x))
+        err = abs(ev.upper - exact(x))
         worst = max(worst, err)
         assert ev.lower <= exact(x) <= ev.upper
     print(

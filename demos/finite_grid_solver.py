@@ -16,7 +16,7 @@ n = 3
 grid = fq.BidGrid(tuple(Fraction(i, 8) for i in range(8)))
 eps = Fraction(1, 64)
 
-res = fq.solve(dist, None, n, grid, eps)
+res = fq.solve(dist, n, grid, eps)
 print(f"n = {n}, m = {grid.m} bids, eps = {eps}")
 print("jump points:")
 for j, (lo, hi) in enumerate(zip(res.strategy.s, res.strategy.s[1:])):
@@ -38,7 +38,7 @@ print(f"monte carlo regret: {mc.max_regret:.4f} +- {3 * mc.sigma:.4f} "
 top = fq.utility(dist, n, res.strategy, grid, res.strategy.bid_index(Fraction(1)), Fraction(1))
 # with continuous bids the top value's utility is the integral of F^(n-1);
 # for F(x) = x^2 and n = 3 that is 1/5 (and 1/n for the uniform cdf)
-it = fq.integral_coefficients(fq.power_coefficients(dist, n), dist)
-theory = sum(c for c in it.rows[-1])
+integral_rows = fq.integral_coefficients(fq.power_coefficients(dist, n), dist)
+theory = sum(integral_rows[-1])
 print(f"\nutility of the highest value: {float(top):.4f} "
       f"(continuous-bid benchmark: {float(theory):.4f})")

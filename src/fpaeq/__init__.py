@@ -27,13 +27,10 @@ from .discrete import (
     compute_strategy,
     delta_win_prob,
     solve,
-    theoretical_delta,
     utility,
 )
-from .errors import ConsistencyError, DomainError, PrecisionError
+from .errors import DomainError, PrecisionError
 from .explicit import (
-    IntegralTable,
-    PowerTable,
     RationalBidFunction,
     canonical_bid_function,
     eval_canonical,

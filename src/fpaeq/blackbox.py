@@ -1,14 +1,14 @@
 """Approximate equilibrium bidding for continuous bids under cdf oracle access.
 
-A plan precomputes the cdf (raised to the n-1 power) on a regular grid of
-width 1/ceil(1/eps).  Each subsequent bid evaluation issues exactly one cdf
-query (at the bidder's own value) and combines it with the tabulated powers:
-the bid is the upper Riemann sum of the win-probability deficit
+A plan precomputes the cdf (raised to the n-1 power) on the regular grid
+j/K, K = ceil(1/eps).  Each subsequent bid evaluation issues exactly one cdf
+query (at the bidder's own value) and combines it with the tabulated powers
+into the lower and upper Riemann sums of the win-probability deficit
 
     g_x(t) = 1 - F(t)**(n-1) / F(x)**(n-1),
 
-whose integral over [0, x] is the exact equilibrium bid.  The upper/lower sums
-sandwich the exact bid and differ by at most eps.
+whose integral over [0, x] is the exact equilibrium bid.  The two sums
+sandwich the exact bid and differ by at most eps; the upper sum is the bid.
 
 Arithmetic follows the oracle: an exact-rational oracle yields exact rational
 plans and bids, a float oracle yields float ones.
@@ -17,7 +17,6 @@ plans and bids, a float oracle yields float ones.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -36,21 +35,15 @@ MAX_K = 2**14
 @dataclass(frozen=True)
 class BlackBoxPlan:
     n: int
-    epsilon: Fraction
     K: int
-    eps_hat: Fraction
-    grid: tuple
-    power_table: tuple
+    power_table: tuple  # power_table[j] = F(j/K)**(n-1)
     prefix: tuple  # prefix[j] = sum(power_table[:j])
 
 
 @dataclass(frozen=True)
 class BidEvaluation:
-    x: object
-    bid: object
     lower: object
-    upper: object
-    queries_used: int
+    upper: object  # the bid
 
 
 def grid_size(epsilon) -> int:
@@ -64,45 +57,40 @@ def grid_size(epsilon) -> int:
 
 
 def precompute(oracle: CdfOracle, n: int, epsilon) -> BlackBoxPlan:
-    """Tabulate F(a_j)**(n-1) on the grid a_j = j/K, K = ceil(1/eps).
+    """Tabulate F(j/K)**(n-1) for j = 0..K, K = ceil(1/eps) (so K = 1 for eps >= 1).
 
     Issues K-1 queries (grid interior); F(0) = 0 and F(1) = 1 are known for
     continuous cdfs on [0, 1].
     """
     check_bidders(n)
     K = grid_size(epsilon)
-    if epsilon > 1:
-        warnings.warn("epsilon > 1 clamped to 1")
-        epsilon = 1
-    eps_hat = Fraction(1, K)
-    grid = tuple(Fraction(j, K) for j in range(K + 1))
-    values = [0] + [oracle(a) for a in grid[1:-1]] + [1]
+    values = [0] + [oracle(Fraction(j, K)) for j in range(1, K)] + [1]
     power_table = tuple(v ** (n - 1) for v in values)
     prefix, acc = [0], 0
     for p in power_table:
         acc = acc + p
         prefix.append(acc)
-    return BlackBoxPlan(n, Fraction(epsilon), K, eps_hat, grid, power_table, tuple(prefix))
+    return BlackBoxPlan(n, K, power_table, tuple(prefix))
 
 
 def bid(plan: BlackBoxPlan, oracle: CdfOracle, x) -> BidEvaluation:
-    """One-query bid evaluation; the bid equals the upper Riemann sum.
+    """One-query evaluation of the lower and upper Riemann sums; the upper sum is the bid.
 
-    The lower Riemann sum is reported with it: the two sandwich the exact
-    equilibrium bid.
+    The two sandwich the exact equilibrium bid.
     """
     if not 0 <= x <= 1:
         raise DomainError(f"x={x} outside [0, 1]")
     fx = oracle(x)
     if fx == 0:
         # x is weakly below the support: bidding the value is exact
-        return BidEvaluation(x, x, x, x, 1)
+        return BidEvaluation(x, x)
+    width = Fraction(1, plan.K)
     k_x = min(math.floor(x * plan.K), plan.K)
     fn = fx ** (plan.n - 1)
-    partial = x - k_x * plan.eps_hat
-    inner = plan.eps_hat * plan.prefix[k_x] + partial * plan.power_table[k_x]
+    partial = x - k_x * width
+    inner = width * plan.prefix[k_x] + partial * plan.power_table[k_x]
     upper = x - inner / fn
-    # lower Riemann sum: right endpoints; the [a_{k_x}, x] term vanishes (g_x(x) = 0)
-    lower = plan.eps_hat * k_x - plan.eps_hat * (plan.prefix[k_x + 1] - plan.power_table[0]) / fn
-    return BidEvaluation(x, upper, lower, upper, 1)
+    # lower Riemann sum: right endpoints (power_table[0] = 0); the [k_x/K, x] term vanishes (g_x(x) = 0)
+    lower = width * k_x - width * plan.prefix[k_x + 1] / fn
+    return BidEvaluation(lower, upper)
 

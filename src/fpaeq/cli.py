@@ -24,18 +24,14 @@ USAGE_ERROR = 2
 FAILURE = 1
 
 
-class InputError(Exception):
-    pass
-
-
 def _load_json(path: str, what: str) -> dict:
     try:
         with open(path) as fh:
             return json.load(fh)
     except FileNotFoundError:
-        raise InputError(f"{what}: file not found: {path}")
+        raise DomainError(f"{what}: file not found: {path}")
     except json.JSONDecodeError as exc:
-        raise InputError(f"{what}: malformed JSON in {path}: {exc}")
+        raise DomainError(f"{what}: malformed JSON in {path}: {exc}")
 
 
 class InvalidCdf(Exception):
@@ -43,10 +39,11 @@ class InvalidCdf(Exception):
 
 
 def _read_cdf(path: str):
+    obj = _load_json(path, "cdf")
     try:
-        return cdf_from_json(_load_json(path, "cdf"))
+        return cdf_from_json(obj)
     except DomainError as exc:
-        raise InputError(f"cdf: {exc}")
+        raise DomainError(f"cdf: {exc}")
 
 
 def _load_cdf(path: str):
@@ -62,11 +59,11 @@ def _parse_bids(text: str) -> BidGrid:
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise InputError(f"bids: malformed JSON array: {exc}")
+        raise DomainError(f"bids: malformed JSON array: {exc}")
     try:
         return BidGrid(parse_rational_list(raw, "bids"))
     except ValueError as exc:
-        raise InputError(f"bids: {exc}")
+        raise DomainError(f"bids: {exc}")
 
 
 def _int_at_least(low: int):
@@ -103,13 +100,13 @@ def _strategy_from_json(obj: dict):
                 parse_rational_list(obj["s"], "s"), parse_rational_list(obj.get("U", []), "U")
             )
         except (KeyError, ValueError) as exc:
-            raise InputError(f"strategy: bad jump_points object ({exc})")
+            raise DomainError(f"strategy: bad jump_points object ({exc})")
     if kind == "rational_bid_function":
         try:
             return explicit.rbf_from_json(obj)
         except (KeyError, ValueError) as exc:
-            raise InputError(f"strategy: bad rational_bid_function object ({exc})")
-    raise InputError(f"strategy: unknown kind field {kind!r}")
+            raise DomainError(f"strategy: bad rational_bid_function object ({exc})")
+    raise DomainError(f"strategy: unknown kind field {kind!r}")
 
 
 def _cmd_solve(args) -> int:
@@ -137,7 +134,7 @@ def _cmd_solve(args) -> int:
         return 0
     if args.model == "ccfpa-blackbox":
         if args.eps is None:
-            raise InputError("--eps is required for ccfpa-blackbox")
+            raise DomainError("--eps is required for ccfpa-blackbox")
         oracle = oracle_from_piecewise(dist)
         plan = blackbox.precompute(oracle, args.n, parse_rational(args.eps))
         samples = args.samples or 100
@@ -145,15 +142,15 @@ def _cmd_solve(args) -> int:
         for i in range(samples + 1):
             x = Fraction(i, samples)
             ev = blackbox.bid(plan, oracle, x)
-            print(f"{float(x)},{float(ev.bid)},{float(ev.lower)},{float(ev.upper)},{oracle.query_count}")
+            print(f"{float(x)},{float(ev.upper)},{float(ev.lower)},{float(ev.upper)},{oracle.query_count}")
         return 0
     # cdfpa
     if args.bids is None:
-        raise InputError("--bids is required for the cdfpa model")
+        raise DomainError("--bids is required for the cdfpa model")
     if args.eps is None:
-        raise InputError("--eps is required for the cdfpa model")
+        raise DomainError("--eps is required for the cdfpa model")
     grid = _parse_bids(args.bids)
-    result = discrete.solve(dist, None, args.n, grid, parse_rational(args.eps))
+    result = discrete.solve(dist, args.n, grid, parse_rational(args.eps))
     out = _strategy_to_json(result.strategy, result.certificate)
     if args.certify:
         report = verify.epsilon_bne_check_cdfpa(dist, args.n, grid, result.strategy)
@@ -168,9 +165,9 @@ def _cmd_verify(args) -> int:
     strategy = _strategy_from_json(_load_json(args.strategy, "strategy"))
     if args.mode == "exact":
         if args.bids is None:
-            raise InputError("--bids is required in exact mode")
+            raise DomainError("--bids is required in exact mode")
         if not isinstance(strategy, JumpPointStrategy):
-            raise InputError("exact mode needs a jump_points strategy")
+            raise DomainError("exact mode needs a jump_points strategy")
         grid = _parse_bids(args.bids)
         report = verify.epsilon_bne_check_cdfpa(dist, args.n, grid, strategy)
         out = {
@@ -184,7 +181,7 @@ def _cmd_verify(args) -> int:
     elif args.mode == "grid":
         if isinstance(strategy, JumpPointStrategy):
             if args.bids is None:
-                raise InputError("--bids is required for jump_points strategies")
+                raise DomainError("--bids is required for jump_points strategies")
             bid_fn = strategy.as_bid_function(_parse_bids(args.bids))
         else:
             bid_fn = strategy
@@ -198,7 +195,7 @@ def _cmd_verify(args) -> int:
     else:  # mc
         grid = _parse_bids(args.bids) if args.bids else None
         if isinstance(strategy, JumpPointStrategy) and grid is None:
-            raise InputError("--bids is required for jump_points strategies")
+            raise DomainError("--bids is required for jump_points strategies")
         report = verify.monte_carlo_regret(dist, args.n, strategy, args.trials, args.seed, grid)
         out = {
             "max_regret": report.max_regret,
@@ -219,13 +216,13 @@ def _cmd_eval(args) -> int:
         strategy = _strategy_from_json(_load_json(args.strategy, "strategy"))
         if isinstance(strategy, JumpPointStrategy):
             if args.bids is None:
-                raise InputError("--bids is required for jump_points strategies")
+                raise DomainError("--bids is required for jump_points strategies")
             print(format_rational(strategy.as_bid_function(_parse_bids(args.bids))(x)))
         else:
             print(format_rational(explicit.eval_canonical(strategy, x)))
         return 0
     if args.cdf is None:
-        raise InputError("need --cdf or --strategy")
+        raise DomainError("need --cdf or --strategy")
     dist = _load_cdf(args.cdf)
     print(format_rational(dist(x)))
     return 0
@@ -317,7 +314,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except InvalidCdf as exc:

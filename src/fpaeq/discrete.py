@@ -24,14 +24,14 @@ passes the certificate:
 Every attempt's strategy has s_0 = 0 and U_0 = 0.  delta is the search
 tolerance, min(gamma/4, 2**-30) for the certificate's residual bound gamma:
 the outer search on U stops within delta, and each bisection brackets its
-jump point within delta / (n L).  The float search uses
-max(delta, FLOAT_DELTA_FLOOR).  The worst-case precision parameter from the
-analysis (`theoretical_delta`) is never required in practice.
+jump point within delta / (n L), with L the cdf's Lipschitz constant.  The
+float search uses max(delta, 2**-52), the resolution of floats on [0, 1].
 """
 
 from __future__ import annotations
 
 import bisect
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -45,7 +45,6 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 EQUAL_UTILITY_TOL = Fraction(1, 2**40)  # slack for U_{i-1} = U_i on merged jumps
-FLOAT_DELTA_FLOOR = 2.0**-40  # the float search's tolerance never goes below this
 SNAP_TOL = 1e-12  # a float jump point this close to its bid is taken as that bid
 MAX_RETRIES = 4  # exact searches after the first, each with delta / 2**8
 
@@ -69,12 +68,6 @@ class BidGrid:
     @property
     def m(self) -> int:
         return len(self.bids)
-
-    @property
-    def alpha(self) -> Fraction:
-        """Minimum gap between consecutive bids, with sentinel b_{m+1} = 1."""
-        extended = self.bids + (ONE,)
-        return min(b - a for a, b in zip(extended, extended[1:]))
 
 
 @dataclass(frozen=True)
@@ -129,17 +122,11 @@ class Certificate:
     max_residual: object
     residuals: tuple[ConditionResidual, ...]
 
-    @property
-    def implied_epsilon(self):
-        """A passing certificate implies a (2 * gamma * m)-approximate equilibrium."""
-        return 2 * self.gamma * len({r.index for r in self.residuals})
-
 
 @dataclass(frozen=True)
 class SolveResult:
     strategy: JumpPointStrategy
     certificate: Certificate
-    epsilon: Fraction
     delta_used: Fraction
     transformed_cdf: object  # the mixed cdf the certificate was checked under
 
@@ -246,12 +233,6 @@ def check_conditions(F, n: int, grid: BidGrid, strategy: JumpPointStrategy, gamm
     return Certificate(gamma, ok, max_res, tuple(residuals))
 
 
-def theoretical_delta(eps: Fraction, alpha: Fraction, n: int, L, m: int) -> Fraction:
-    """Worst-case sufficient precision from the analysis (astronomically small)."""
-    eps, alpha, L = Fraction(eps), Fraction(alpha), Fraction(L)
-    return (eps ** (5 * n) * alpha ** (3 * n) / (100 * n**3 * L**4)) ** m
-
-
 def _binary_search_top_utility(F, L, n, grid, delta):
     """Outer binary search on the top-value utility U (the solver's core loop).
 
@@ -287,7 +268,7 @@ def _float_search(F, L, n: int, grid: BidGrid, delta) -> Optional[JumpPointStrat
     utility is the exact value of its float.  Returns None when snapping
     leaves the jump points out of order.
     """
-    tol = max(float(delta), FLOAT_DELTA_FLOOR)
+    tol = max(float(delta), sys.float_info.epsilon)  # 2**-52: halving [0, 1] stays exact down to it
     s, uvec = _binary_search_top_utility(float_view(F), L, n, grid, tol)
     snapped = list(s)
     for i in range(grid.m, 1, -1):
@@ -307,12 +288,14 @@ def _exact_search(F, L, n: int, grid: BidGrid, delta) -> JumpPointStrategy:
     return _strategy(*_binary_search_top_utility(F, L, n, grid, delta))
 
 
-def solve(F, L, n: int, grid: BidGrid, eps) -> SolveResult:
+def solve(F, n: int, grid: BidGrid, eps) -> SolveResult:
     """Compute a certified eps-approximate symmetric equilibrium for a finite bid grid.
 
     The cdf is first mixed with the identity (weight eps/3n) so that it is
     strongly increasing; a certificate under the mixed cdf at accuracy eps/3n
     transfers back to an eps-approximate equilibrium of the original cdf.
+    F is a PiecewisePolyCdf, whose Lipschitz bound the search uses, or a
+    CdfOracle, whose caller asserted one; any other cdf raises DomainError.
     The search tolerance is delta = min(gamma/4, 2**-30), where gamma is the
     certificate's residual bound.  Raises PrecisionError when no attempt
     passes the certificate.
@@ -321,15 +304,11 @@ def solve(F, L, n: int, grid: BidGrid, eps) -> SolveResult:
     if not 0 < eps < 1:
         raise DomainError("eps must lie in (0, 1)")
     check_bidders(n)
-    if L is None:
-        if not isinstance(F, PiecewisePolyCdf):
-            raise DomainError("a Lipschitz constant is required for oracle cdfs")
-        L = F.lipschitz_bound()
     mix = eps / (3 * n)
-    F_mixed = strongly_increasing_transform(F, mix)
+    F_mixed = strongly_increasing_transform(F, mix)  # DomainError for any other kind of cdf
+    L = F.lipschitz_bound() if isinstance(F, PiecewisePolyCdf) else F.lipschitz
     L_mixed = max(ONE, Fraction(L))
-    eps_run = mix  # accuracy target under the mixed cdf
-    gamma = eps_run / (2 * grid.m)
+    gamma = mix / (2 * grid.m)  # mix is the accuracy target under the mixed cdf
     delta = min(gamma / 4, Fraction(1, 2**30))
     attempts = [(_float_search, delta)]
     attempts += [(_exact_search, delta / 2 ** (8 * k)) for k in range(MAX_RETRIES + 1)]
@@ -339,7 +318,7 @@ def solve(F, L, n: int, grid: BidGrid, eps) -> SolveResult:
             continue
         cert = check_conditions(F_mixed, n, grid, strategy, gamma)
         if cert.passed:
-            return SolveResult(strategy, cert, eps, attempt_delta, F_mixed)
+            return SolveResult(strategy, cert, attempt_delta, F_mixed)
     raise PrecisionError(
         f"no attempt passed the certificate: the float search and {MAX_RETRIES + 1} exact searches, "
         f"the last at delta={attempt_delta} (max residual {cert.max_residual} > gamma={gamma})"

@@ -9,10 +9,6 @@ class PrecisionError(RuntimeError):
     """No attempt of the finite-grid solver produced a strategy that passes the certificate."""
 
 
-class ConsistencyError(ValueError):
-    """Two precomputed tables do not belong to the same distribution / parameters."""
-
-
 # Most bidders any solver or verifier accepts.  The exact work grows with n: F**(n-1) has
 # n - 1 times the cdf's degree, with coefficients to match.  Measured with CPython 3.11 on
 # one Xeon core at n = 64, through the CLI: on an 8-piece cubic, ccfpa-explicit and cdfpa

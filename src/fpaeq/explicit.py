@@ -15,33 +15,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .cdf import PiecewisePolyCdf
-from .errors import ConsistencyError, DomainError, check_bidders
+from .errors import DomainError, check_bidders
 from .poly import PiecewisePoly, horner_int, is_zero_poly, poly_antiderivative, poly_eval, poly_mul
 from .rationals import format_rational, parse_rational, parse_rational_list
 
 ZERO = Fraction(0)
 IDENTITY_ROW = (ZERO,)  # numerator and denominator of a piece left of the support
-
-
-@dataclass(frozen=True)
-class PowerTable:
-    """Per-piece coefficients of F_j**(n-1)."""
-
-    n: int
-    final: tuple[tuple[Fraction, ...], ...]  # one row per piece
-    source: Optional[PiecewisePolyCdf] = None
-
-
-@dataclass(frozen=True)
-class IntegralTable:
-    """Per-piece coefficients of x -> integral_0^x F(t)**(n-1) dt."""
-
-    n: int
-    rows: tuple[tuple[Fraction, ...], ...]
-    source: Optional[PiecewisePolyCdf] = None
 
 
 @dataclass(frozen=True)
@@ -77,36 +58,31 @@ def _power(row: tuple, k: int) -> tuple:
         square = poly_mul(square, square)
 
 
-def power_coefficients(dist: PiecewisePolyCdf, n: int) -> PowerTable:
-    """Coefficients of F_j**(n-1), exact, for every piece j."""
+def power_coefficients(dist: PiecewisePolyCdf, n: int) -> tuple:
+    """Coefficients of F_j**(n-1), exact, one row per piece j."""
     check_bidders(n)
-    return PowerTable(n, tuple(_power(row, n - 1) for row in dist.rows), dist)
+    return tuple(_power(row, n - 1) for row in dist.rows)
 
 
-def integral_coefficients(pt: PowerTable, dist: PiecewisePolyCdf) -> IntegralTable:
-    """Piecewise polynomial for integral_0^x F(t)**(n-1) dt, continuous across pieces."""
-    if pt.source is not None and pt.source is not dist and pt.source != dist:
-        raise ConsistencyError("power table was built from a different cdf")
-    if len(pt.final) != dist.pieces:
-        raise ConsistencyError("power table has the wrong number of pieces")
+def integral_coefficients(power_rows: tuple, dist: PiecewisePolyCdf) -> tuple:
+    """Rows of x -> integral_0^x F(t)**(n-1) dt from the power rows of dist, continuous across pieces."""
     rows = []
-    for j, b_row in enumerate(pt.final):
+    for j, b_row in enumerate(power_rows):
         c = poly_antiderivative(b_row)
         if j > 0:
             v = dist.breakpoints[j]
             # match the value of the previous piece's polynomial at the breakpoint
             c[0] = poly_eval(rows[-1], v) - poly_eval(c, v)
         rows.append(tuple(c))
-    return IntegralTable(pt.n, tuple(rows), dist)
+    return tuple(rows)
 
 
 def canonical_bid_function(dist: PiecewisePolyCdf, n: int) -> RationalBidFunction:
     """Exact per-piece rational representation of the equilibrium bid."""
-    pt = power_coefficients(dist, n)
-    it = integral_coefficients(pt, dist)
+    power_rows = power_coefficients(dist, n)
     v_low = dist.support_infimum()
     numer, denom = [], []
-    for b_row, c_row in zip(pt.final, it.rows):
+    for b_row, c_row in zip(power_rows, integral_coefficients(power_rows, dist)):
         if is_zero_poly(b_row):
             numer.append(IDENTITY_ROW)
             denom.append(IDENTITY_ROW)

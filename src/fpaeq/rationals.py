@@ -10,13 +10,16 @@ from .errors import DomainError
 def parse_rational(value) -> Fraction:
     """Accept "p/q" / integer strings, ints, and Fractions.
 
-    Floats are deliberately rejected to keep JSON inputs lossless.
+    Floats are deliberately rejected to keep JSON inputs lossless, and so is
+    exponent notation, for which Fraction would first build the power of ten.
     """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        if "e" in value or "E" in value:
+            raise ValueError(f"not a rational: {value!r} (exponent notation is not accepted)")
         try:
             return Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:

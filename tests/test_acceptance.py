@@ -68,7 +68,7 @@ def test_criterion_3_blackbox_approximation(uniform, square, two_piece):
                 plan = fq.precompute(oracle, 2, eps)
                 for x in points:
                     ev = fq.bid(plan, oracle, x)
-                    assert abs(ev.bid - exact[x]) <= eps
+                    assert abs(ev.upper - exact[x]) <= eps
                     assert ev.lower <= exact[x] <= ev.upper
         assert time.monotonic() - start < 30.0
 
@@ -98,7 +98,7 @@ def test_criterion_4_query_budget(adversarial):
             plan = fq.precompute(oracle, 2, eps)
             for x in points:
                 ev = fq.bid(plan, oracle, x)
-                assert abs(ev.bid - rbf(x)) <= eps
+                assert abs(ev.upper - rbf(x)) <= eps
                 assert ev.lower <= rbf(x) <= ev.upper
 
 
@@ -133,7 +133,7 @@ def test_criterion_6_cdfpa_solver(uniform):
         for n in (2, 3):
             for m in (2, 4, 8):
                 grid = equidistant_grid(m)
-                res = fq.solve(uniform, 1, n, grid, eps)
+                res = fq.solve(uniform, n, grid, eps)
                 # (a) measured regret under the original cdf
                 report = fq.epsilon_bne_check_cdfpa(uniform, n, grid, res.strategy)
                 assert report.max_regret <= eps
@@ -163,7 +163,7 @@ def test_criterion_7_brute_force_equivalence(uniform, square):
 
         for dist in (uniform, square):
             best_reg, best_s1 = brute_force_best(dist)
-            res = fq.solve(dist, None, 2, grid, eps)
+            res = fq.solve(dist, 2, grid, eps)
             solver_reg = fq.epsilon_bne_check_cdfpa(dist, 2, grid, res.strategy).max_regret
             assert solver_reg <= best_reg + eps
             # the solver's jump point, snapped to the search grid, is itself a
@@ -185,7 +185,7 @@ def test_criterion_8_transform_regret_transfer(uniform):
         instances.append((fq.power_cdf(2), 2, 4))
         for dist, n, m in instances:
             grid = equidistant_grid(m)
-            res = fq.solve(dist, None, n, grid, eps)
+            res = fq.solve(dist, n, grid, eps)
             mixed_regret = fq.epsilon_bne_check_cdfpa(
                 res.transformed_cdf, n, grid, res.strategy
             ).max_regret
@@ -205,11 +205,11 @@ def test_criterion_9_property_suite(uniform, square, two_piece):
             oracle = fq.oracle_from_piecewise(dist)
             plan = fq.precompute(oracle, 3, F(1, 32))
             assert fq.monotone_no_overbid_check(
-                lambda v: fq.bid(plan, oracle, F(v).limit_denominator(10**6)).bid,
+                lambda v: fq.bid(plan, oracle, F(v).limit_denominator(10**6)).upper,
                 samples=500,
             ).passed
             grid = equidistant_grid(4)
-            res = fq.solve(dist, None, 2, grid, F(1, 32))
+            res = fq.solve(dist, 2, grid, F(1, 32))
             assert fq.monotone_no_overbid_check(
                 res.strategy.as_bid_function(grid), samples=2000
             ).passed

@@ -12,6 +12,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import fpaeq as fq
 from fpaeq.cli import main
+from fpaeq.rationals import parse_rational
 
 
 @pytest.fixture
@@ -298,6 +299,15 @@ class TestInputContract:
         code, out, err = capout(*sized_argv(base, 2))
         assert code == 2 and out == ""
         assert f"above the limit of {fq.blackbox.MAX_K}" in err
+
+    def test_exponent_notation_rejected(self, capout, uniform_json):
+        # Fraction would build 10**10000000 first
+        with pytest.raises(ValueError):
+            parse_rational("1e-3")
+        code, out, err = capout("solve", "--model", "ccfpa-blackbox", "--cdf", uniform_json, "--n", "2",
+                                "--eps", "1e-10000000")
+        assert code == 2 and out == ""
+        assert "exponent notation is not accepted" in err
 
     def test_limits_admit_the_largest_sizes(self, capout, uniform_json):
         # the benchmark's largest sizes: n = 64 and eps = 1/16384

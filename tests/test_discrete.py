@@ -29,13 +29,8 @@ def exact_searches(monkeypatch):
 
 
 class TestBidGrid:
-    def test_alpha_includes_sentinel(self):
-        g = grid_of("0", "1/4", "1/2")
-        assert g.m == 3
-        assert g.alpha == F(1, 4)
-        assert grid_of("0", "7/8").alpha == F(1, 8)
-
     def test_invariants(self):
+        assert grid_of("0", "1/4", "1/2").m == 3
         with pytest.raises(DomainError):
             grid_of("1/4", "1/2")  # lowest bid must be 0
         with pytest.raises(DomainError):
@@ -215,21 +210,12 @@ class TestCheckConditions:
         assert not cert.passed
 
 
-class TestTheoreticalDelta:
-    def test_closed_form(self):
-        assert fq.theoretical_delta(F(1, 2), F(1, 2), 2, 1, 1) == F(1, 2**16 * 800)
-
-    def test_astronomically_small(self):
-        d = fq.theoretical_delta(F(1, 64), F(1, 8), 3, 2, 8)
-        assert 0 < d < F(1, 10**100)
-
-
 class TestSolve:
     @pytest.mark.parametrize("n,bids", [(2, ("0", "1/2")), (2, ("0", "1/4", "1/2", "3/4")), (3, ("0", "1/3", "2/3"))])
     def test_certified_low_regret_uniform(self, uniform, n, bids):
         eps = F(1, 64)
         g = grid_of(*bids)
-        res = fq.solve(uniform, 1, n, g, eps)
+        res = fq.solve(uniform, n, g, eps)
         assert res.certificate.passed
         report = fq.epsilon_bne_check_cdfpa(uniform, n, g, res.strategy)
         assert report.max_regret <= eps
@@ -237,46 +223,62 @@ class TestSolve:
     def test_nonuniform_cdf(self, square):
         eps = F(1, 32)
         g = grid_of("0", "1/4", "1/2")
-        res = fq.solve(square, None, 2, g, eps)
+        res = fq.solve(square, 2, g, eps)
         assert res.certificate.passed
         assert fq.epsilon_bne_check_cdfpa(square, 2, g, res.strategy).max_regret <= eps
 
     def test_strategy_shape(self, uniform):
         g = grid_of("0", "1/4", "1/2")
-        res = fq.solve(uniform, 1, 2, g, F(1, 32))
+        res = fq.solve(uniform, 2, g, F(1, 32))
         s = res.strategy.s
         assert s[0] == 0 and s[-1] == 1
         assert all(a <= b for a, b in zip(s, s[1:]))
 
     def test_expose_transformed(self, uniform):
-        res = fq.solve(uniform, 1, 2, grid_of("0", "1/2"), F(1, 16))
+        res = fq.solve(uniform, 2, grid_of("0", "1/2"), F(1, 16))
         assert res.transformed_cdf is not None
         assert res.transformed_cdf(F(1, 2)) == F(1, 2)  # mixing fixes the identity cdf
 
-    def test_oracle_needs_lipschitz(self, uniform):
+    def test_oracle_uses_its_own_lipschitz(self, uniform):
         oracle = fq.oracle_from_piecewise(uniform)
+        g = grid_of("0", "1/2")
+        res = fq.solve(oracle, 2, g, F(1, 16))
+        assert res.certificate.passed
+        assert res.strategy == fq.solve(uniform, 2, g, F(1, 16)).strategy  # the same L = 1
+
+    def test_bare_callable_rejected(self):
         with pytest.raises(DomainError):
-            fq.solve(oracle, None, 2, grid_of("0", "1/2"), F(1, 16))
+            fq.solve(lambda x: x, 2, grid_of("0", "1/2"), F(1, 16))
 
     def test_bad_eps(self, uniform):
         with pytest.raises(DomainError):
-            fq.solve(uniform, 1, 2, grid_of("0", "1/2"), F(2))
+            fq.solve(uniform, 2, grid_of("0", "1/2"), F(2))
 
     def test_tiny_delta(self, uniform):
-        # float(delta) underflows to 0.0; the float search uses its tolerance floor
+        # float(delta) underflows to 0.0; the float search stops at the float resolution 2**-52
         g = grid_of("0", "1/4", "1/2")
         strategy = discrete._float_search(uniform, 1, 2, g, F(1, 2**1100))
         assert fq.check_conditions(uniform, 2, g, strategy, F(1, 2**20)).passed
+
+    def test_float_search_below_2_to_minus_40(self, square, monkeypatch):
+        # gamma / 4 = 2**-41 / 3 here; a float tolerance floored at 2**-40 left residuals above
+        # gamma and one exact search (0.6 s), while 2**-52 certifies the float result
+        def no_exact_search(*args):
+            raise AssertionError("the float search was not certified")
+
+        monkeypatch.setattr(discrete, "_exact_search", no_exact_search)
+        g = grid_of(*(F(i, 8) for i in range(4)))
+        assert fq.solve(square, 4, g, F(1, 2**34)).certificate.passed
 
     def test_lowest_utility_is_zero(self, square, exact_searches):
         # b_1 = 0, so U_0 = 0; the walk's s_0 * Delta(s_0, s_1) = 8.8e-8 here would be the bottom
         # residual of bid 1, far above the largest true residual, 9.7e-10
         g = grid_of("0", "1/6", "1/3")
-        res = fq.solve(square, None, 2, g, F(1, 64))
+        res = fq.solve(square, 2, g, F(1, 64))
         assert res.strategy.s[0] == 0 and res.strategy.utilities[0] == 0
         assert res.certificate.max_residual < F(1, 10**9)
         # at eps = 2^-20 that walk value alone would fail the float result and three exact searches
-        res = fq.solve(square, None, 2, g, F(1, 2**20))
+        res = fq.solve(square, 2, g, F(1, 2**20))
         assert res.certificate.passed and res.strategy.utilities[0] == 0
         assert exact_searches == []
 
@@ -305,7 +307,7 @@ class TestSolve:
         bad = JumpPointStrategy((F(0), F(1, 8), F(1, 8), F(1)), (F(0),) * 4)
         assert not fq.check_conditions(uniform, 2, g, bad, eps).passed
         monkeypatch.setattr(discrete, "_float_search", lambda *args: bad)
-        res = fq.solve(uniform, 1, 2, g, eps)
+        res = fq.solve(uniform, 2, g, eps)
         assert exact_searches == [res.delta_used]  # the first exact search was certified
         assert res.strategy != bad
         assert res.certificate.passed
@@ -321,7 +323,7 @@ class TestSolve:
         raw = rng.sample(range(1, den), m - 1)
         grid = BidGrid((F(0),) + tuple(sorted(F(k, den) for k in raw)))
         eps = F(1, 64)
-        res = fq.solve(dist, None, n, grid, eps)
+        res = fq.solve(dist, n, grid, eps)
         assert res.certificate.passed
         assert res.strategy.s[0] == 0 and res.strategy.utilities[0] == 0
         assert exact_searches == []  # the float search alone was certified

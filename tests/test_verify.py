@@ -33,7 +33,7 @@ class TestExactRegretCdfpa:
     def test_solver_output_has_small_exact_regret(self, square):
         g = grid_of("0", "1/4", "1/2")
         eps = F(1, 64)
-        res = fq.solve(square, None, 2, g, eps)
+        res = fq.solve(square, 2, g, eps)
         report = fq.epsilon_bne_check_cdfpa(square, 2, g, res.strategy)
         assert 0 <= report.max_regret <= eps
 
@@ -95,7 +95,7 @@ class TestExactRegretReference:
         name, n, grid, s = reference_case(seed)
         dist = request.getfixturevalue(name)
         if s is None:
-            s = fq.solve(dist, None, n, grid, F(1, 16)).strategy.s
+            s = fq.solve(dist, n, grid, F(1, 16)).strategy.s
         report = fq.epsilon_bne_check_cdfpa(dist, n, grid, JumpPointStrategy(s, ()))
         assert (report.max_regret, report.argmax) == brute_force_exact_regret(dist, n, grid, s)
 
@@ -125,7 +125,7 @@ class TestContinuousRegret:
         eps = F(1, 64)
         oracle = fq.oracle_from_piecewise(adversarial)
         plan = fq.precompute(oracle, 2, eps)
-        report = fq.epsilon_bne_check_ccfpa(adversarial, 2, lambda x: fq.bid(plan, oracle, x).bid)
+        report = fq.epsilon_bne_check_ccfpa(adversarial, 2, lambda x: fq.bid(plan, oracle, x).upper)
         assert report.max_regret < float(eps) + 0.02
 
 
@@ -189,7 +189,7 @@ class TestCommonRandomNumbers:
     """monte_carlo_regret compares every (value, deviation) pair on one draw of the opponents."""
 
     def test_own_bid_pair_is_exactly_zero(self, uniform):
-        s = fq.solve(uniform, None, 3, EIGHTHS, F(1, 64)).strategy
+        s = fq.solve(uniform, 3, EIGHTHS, F(1, 64)).strategy
         points, means, std_errs = fq.verify._paired_regrets(uniform, 3, s, 500, 4, EIGHTHS)
         checked = 0
         for i, v in enumerate(points):
@@ -202,7 +202,7 @@ class TestCommonRandomNumbers:
     @pytest.mark.parametrize("kind", ["jump", "rbf"])
     def test_same_seed_same_report(self, square, kind):
         if kind == "jump":
-            strategy, grid = fq.solve(square, None, 2, EIGHTHS, F(1, 64)).strategy, EIGHTHS
+            strategy, grid = fq.solve(square, 2, EIGHTHS, F(1, 64)).strategy, EIGHTHS
         else:
             strategy, grid = fq.canonical_bid_function(square, 2), None
         a = fq.monte_carlo_regret(square, 2, strategy, 300, 17, grid)
@@ -213,7 +213,7 @@ class TestCommonRandomNumbers:
         calls = []
         sample = fq.verify._sample_values
         monkeypatch.setattr(fq.verify, "_sample_values", lambda fcdf, u: calls.append(u.shape) or sample(fcdf, u))
-        s = fq.solve(uniform, None, 3, EIGHTHS, F(1, 64)).strategy
+        s = fq.solve(uniform, 3, EIGHTHS, F(1, 64)).strategy
         fq.monte_carlo_regret(uniform, 3, s, 250, 1, EIGHTHS)
         assert calls == [(250, 2)]
 
@@ -257,7 +257,7 @@ class TestCommonRandomNumbers:
         # n_solved = 3 its regret is known positive.  The estimate is not below the exact
         # expected regret by more than 3 sigma, nor, when certified, above eps by more
         dist, eps = request.getfixturevalue(name), F(1, 64)
-        s = fq.solve(dist, None, n_solved, EIGHTHS, eps).strategy
+        s = fq.solve(dist, n_solved, EIGHTHS, eps).strategy
         exact = mc_grid_regret(dist, 2, EIGHTHS, s.s)
         assert (exact > eps) == (n_solved == 3)
         for seed in range(20):

@@ -31,9 +31,10 @@ print(f"\nexact brute-force regret: {float(report.max_regret):.2e} (bound {float
 v, b = report.argmax
 print(f"  worst deviation: value {float(v):.4f} -> bid {b}")
 
-mc = fq.monte_carlo_regret(dist, n, res.strategy, trials=20_000, seed=42, grid=grid)
+trials, seed = 20_000, 42
+mc = fq.monte_carlo_regret(dist, n, res.strategy.as_bid_function(grid), trials, seed)
 print(f"monte carlo regret: {mc.max_regret:.4f} +- {3 * mc.sigma:.4f} "
-      f"({mc.trials} trials, seed {mc.seed})")
+      f"({trials} trials, seed {seed})")
 
 top = fq.utility(dist, n, res.strategy, grid, res.strategy.bid_index(Fraction(1)), Fraction(1))
 # with continuous bids the top value's utility is the integral of F^(n-1);

@@ -47,7 +47,6 @@ from .verify import (
     epsilon_bne_check_cdfpa,
     monotone_no_overbid_check,
     monte_carlo_regret,
-    monte_carlo_utility,
 )
 
 __version__ = "0.1.0"

@@ -222,7 +222,8 @@ def strongly_increasing_transform(cdf, delta):
     """Affine mix F'(x) = delta*x + (1 - delta)*F(x); makes F delta-strongly increasing.
 
     Applied exactly to coefficients for :class:`PiecewisePolyCdf`; for a
-    :class:`CdfOracle` a fresh oracle (with its own counter) is returned.
+    :class:`CdfOracle` a fresh oracle is returned that queries the given one,
+    so each query counts on both.
     """
     delta = Fraction(delta) if not isinstance(cdf, CdfOracle) else delta
     if not 0 < delta < 1:
@@ -237,9 +238,8 @@ def strongly_increasing_transform(cdf, delta):
             rows.append(tuple(new))
         return PiecewisePolyCdf(cdf.breakpoints, tuple(rows))
     if isinstance(cdf, CdfOracle):
-        base = cdf._evaluator
         lip = max(1, cdf.lipschitz)  # delta*1 + (1-delta)*L <= max(1, L)
-        return CdfOracle(lambda x: delta * x + (1 - delta) * base(x), lip)
+        return CdfOracle(lambda x: delta * x + (1 - delta) * cdf(x), lip)
     raise DomainError(f"unsupported cdf type: {type(cdf).__name__}")
 
 

@@ -118,6 +118,8 @@ def _cmd_solve(args) -> int:
         rbf = explicit.canonical_bid_function(dist, args.n)
         if args.at is not None:
             x = parse_rational(args.at)
+            if not 0 <= x <= 1:
+                raise DomainError(f"x={x} outside [0, 1]")
             if args.no_extend and x < rbf.support_infimum:
                 print(f"value {args.at} below the support infimum "
                       f"{format_rational(rbf.support_infimum)} (extension disabled)",
@@ -176,34 +178,23 @@ def _cmd_verify(args) -> int:
                 "value": format_rational(Fraction(report.argmax[0])),
                 "bid": format_rational(Fraction(report.argmax[1])),
             },
-            "method": report.method,
+            "method": "exact",
         }
-    elif args.mode == "grid":
+    else:
+        bid_fn = strategy
         if isinstance(strategy, JumpPointStrategy):
             if args.bids is None:
                 raise DomainError("--bids is required for jump_points strategies")
             bid_fn = strategy.as_bid_function(_parse_bids(args.bids))
+        if args.mode == "grid":
+            report, fields = verify.epsilon_bne_check_ccfpa(dist, args.n, bid_fn), {"method": "grid"}
         else:
-            bid_fn = strategy
-        report = verify.epsilon_bne_check_ccfpa(dist, args.n, bid_fn)
+            report = verify.monte_carlo_regret(dist, args.n, bid_fn, args.trials, args.seed)
+            fields = {"method": "monte-carlo", "trials": args.trials, "seed": args.seed, "sigma": report.sigma}
         out = {
             "max_regret": report.max_regret,
             "argmax": {"value": report.argmax[0], "bid": report.argmax[1]},
-            "method": report.method,
-            "precision": "float64",
-        }
-    else:  # mc
-        grid = _parse_bids(args.bids) if args.bids else None
-        if isinstance(strategy, JumpPointStrategy) and grid is None:
-            raise DomainError("--bids is required for jump_points strategies")
-        report = verify.monte_carlo_regret(dist, args.n, strategy, args.trials, args.seed, grid)
-        out = {
-            "max_regret": report.max_regret,
-            "argmax": {"value": report.argmax[0], "bid": report.argmax[1]},
-            "method": report.method,
-            "trials": report.trials,
-            "seed": report.seed,
-            "sigma": report.sigma,
+            **fields,
             "precision": "float64",
         }
     print(json.dumps(out, indent=2))

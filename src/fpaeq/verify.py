@@ -9,6 +9,10 @@ Three routes, deliberately independent of the solvers they audit:
   opponents once, from the counter-based Philox stream its seed names, so it
   is bit-reproducible, and compares every (value, deviation) pair on that one
   draw (common random numbers): its sigma comes from paired differences.
+
+The exact route takes the bid grid and the jump points.  The other two take a
+bid function: a :class:`PiecewisePoly` (``JumpPointStrategy.as_bid_function(grid)``
+for jump points), a :class:`RationalBidFunction` or any callable on [0, 1].
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ import numpy as np
 from .cdf import PiecewisePolyCdf, float_view
 from .discrete import BidGrid, JumpPointStrategy
 from .errors import DomainError, check_bidders
+from .poly import PiecewisePoly
 
 INVERSION_STEPS = 60  # bisection steps when inverting a monotone bid function
 SAMPLING_STEPS = 50  # bisection steps for inverse-cdf sampling
@@ -41,11 +46,8 @@ MAX_MC_DRAWS = 4_000_000
 @dataclass(frozen=True)
 class RegretReport:
     max_regret: object
-    argmax: Optional[tuple] = None  # (value, deviation bid)
-    method: str = "exact"
-    trials: Optional[int] = None
-    seed: Optional[int] = None
-    sigma: Optional[float] = None
+    argmax: tuple  # (value, deviation bid)
+    sigma: Optional[float] = None  # Monte Carlo only: the largest standard error of a pair's regret
 
 
 @dataclass(frozen=True)
@@ -53,14 +55,6 @@ class PropertyCheck:
     passed: bool
     overbid_witnesses: tuple = ()
     monotonicity_witnesses: tuple = ()
-
-
-def _check_monte_carlo(n: int, trials: int) -> None:
-    check_bidders(n)
-    if trials < 1:
-        raise DomainError("trials must be >= 1")
-    if trials * (n - 1) > MAX_MC_DRAWS:
-        raise DomainError(f"trials * (n - 1) = {trials * (n - 1)} exceeds the limit of {MAX_MC_DRAWS} draws")
 
 
 def epsilon_bne_check_cdfpa(F, n: int, grid: BidGrid, s: JumpPointStrategy) -> RegretReport:
@@ -87,22 +81,7 @@ def epsilon_bne_check_cdfpa(F, n: int, grid: BidGrid, s: JumpPointStrategy) -> R
             if best is None or regret > best[0]:
                 best = (regret, (v, b))
     max_regret = max(best[0], 0 * best[0])
-    return RegretReport(max_regret, best[1], method="exact")
-
-
-def _support_infimum_float(F, fcdf) -> float:
-    if isinstance(F, PiecewisePolyCdf):
-        return float(F.support_infimum())
-    if fcdf(0.0) > 0:
-        return 0.0
-    lo, hi = 0.0, 1.0
-    for _ in range(SAMPLING_STEPS):
-        mid = (lo + hi) / 2
-        if fcdf(mid) > 0:
-            hi = mid
-        else:
-            lo = mid
-    return lo
+    return RegretReport(max_regret, best[1])
 
 
 def epsilon_bne_check_ccfpa(F, n: int, bid_fn: Callable) -> RegretReport:
@@ -111,18 +90,19 @@ def epsilon_bne_check_ccfpa(F, n: int, bid_fn: Callable) -> RegretReport:
     A deviation to bid b wins against all opponent values below
     z = sup {v' : bid_fn(v') <= b}, found by bisection; utility is then
     F(z)**(n-1) * (v - b).  The sup over continuous deviations is approximated
-    on a grid, so the reported regret carries the grid resolution.
+    on a grid, so the reported regret carries the grid resolution.  F is a
+    PiecewisePolyCdf; the bid function must pass monotone_no_overbid_check at
+    the values i/512, else DomainError names a witness.
     """
     check_bidders(n)
+    if not isinstance(F, PiecewisePolyCdf):
+        raise DomainError(f"unsupported cdf type: {type(F).__name__}")
+    probe = monotone_no_overbid_check(bid_fn, samples=512)
+    for what, witnesses in (("overbids", probe.overbid_witnesses), ("decreases", probe.monotonicity_witnesses)):
+        if witnesses:
+            raise DomainError(f"bid function {what} at v={witnesses[0][0]}")
     fcdf = float_view(F)
-    probe = [i / 512 for i in range(513)]
-    bids = [float(bid_fn(p)) for p in probe]
-    for (p, ba), bb in zip(zip(probe, bids), bids[1:]):
-        if bb < ba - 1e-12:
-            raise DomainError(f"bid function decreases near v={p}")
-        if ba > p + 1e-12:
-            raise DomainError(f"bid function overbids at v={p}")
-    bid_at_0, bid_at_1 = bids[0], bids[-1]  # the probes include 0.0 and 1.0
+    bid_at_0, bid_at_1 = float(bid_fn(0.0)), float(bid_fn(1.0))
 
     def threshold(b: float) -> float:
         if bid_at_1 <= b:
@@ -138,7 +118,7 @@ def epsilon_bne_check_ccfpa(F, n: int, bid_fn: Callable) -> RegretReport:
                 hi = mid
         return lo
 
-    v_low = _support_infimum_float(F, fcdf)
+    v_low = float(F.support_infimum())
     deviations = [i / GRID_DEVIATIONS for i in range(GRID_DEVIATIONS + 1)]
     dev_power = [fcdf(threshold(b)) ** (n - 1) for b in deviations]
     best = (float("-inf"), None)
@@ -149,15 +129,13 @@ def epsilon_bne_check_ccfpa(F, n: int, bid_fn: Callable) -> RegretReport:
             regret = p * (v - b) - own
             if regret > best[0]:
                 best = (regret, (v, b))
-    return RegretReport(max(best[0], 0.0), best[1], method="grid")
+    return RegretReport(max(best[0], 0.0), best[1])
 
 
-def _vectorized_strategy(strategy, grid: Optional[BidGrid]):
-    if isinstance(strategy, JumpPointStrategy):
-        if grid is None:
-            raise DomainError("a bid grid is required for jump-point strategies")
-        return strategy.as_bid_function(grid).float_evaluator()
-    return np.vectorize(lambda v: float(strategy(v)))
+def _vectorized_strategy(bid_fn):
+    if isinstance(bid_fn, PiecewisePoly):
+        return bid_fn.float_evaluator()
+    return np.vectorize(lambda v: float(bid_fn(v)))
 
 
 def _sample_values(fcdf, u: np.ndarray) -> np.ndarray:
@@ -188,27 +166,19 @@ def _win_share(top: np.ndarray, ties: np.ndarray, b: float) -> np.ndarray:
     return np.where(top < b, 1.0, np.where(top == b, 1.0 / (1.0 + ties), 0.0))
 
 
-def monte_carlo_utility(
-    F, n: int, strategy, v: float, b: float, trials: int, seed: int, grid: Optional[BidGrid] = None
-):
-    """Ex-post utility estimate for value v deviating to bid b; returns (mean, std_err)."""
-    _check_monte_carlo(n, trials)
-    top, ties = _top_opposing_bids(F, n, _vectorized_strategy(strategy, grid), trials, seed)
-    payoff = (v - b) * _win_share(top, ties, b)
-    return float(payoff.mean()), float(payoff.std(ddof=1) / np.sqrt(trials))
-
-
-def _paired_regrets(F, n: int, strategy, trials: int, seed: int, grid: Optional[BidGrid] = None):
+def _paired_regrets(F, n: int, bid_fn, trials: int, seed: int):
     """The values and deviations i/8, and the mean and standard error of each pair's regret.
 
     ``means[i, j]`` estimates the utility of value points[i] bidding points[j]
     minus that of its own bid, from the paired differences of the two on the
     same trials.
     """
-    _check_monte_carlo(n, trials)
+    check_bidders(n)
     if trials < 2:
         raise DomainError("a standard error needs trials >= 2")
-    apply = _vectorized_strategy(strategy, grid)
+    if trials * (n - 1) > MAX_MC_DRAWS:
+        raise DomainError(f"trials * (n - 1) = {trials * (n - 1)} exceeds the limit of {MAX_MC_DRAWS} draws")
+    apply = _vectorized_strategy(bid_fn)
     top, ties = _top_opposing_bids(F, n, apply, trials, seed)
     points = [i / MC_GRID for i in range(MC_GRID + 1)]
     own_bids = apply(np.array(points)).tolist()
@@ -224,9 +194,7 @@ def _paired_regrets(F, n: int, strategy, trials: int, seed: int, grid: Optional[
     return points, means, std_errs
 
 
-def monte_carlo_regret(
-    F, n: int, strategy, trials: int, seed: int, grid: Optional[BidGrid] = None
-) -> RegretReport:
+def monte_carlo_regret(F, n: int, bid_fn, trials: int, seed: int) -> RegretReport:
     """Monte Carlo regret estimate over values and deviations i/8, on common random numbers.
 
     The opponents are drawn once, from the Philox stream named by the seed,
@@ -236,12 +204,9 @@ def monte_carlo_regret(
     standard error of those paired differences, so the regret is
     max_regret +- 3*sigma.
     """
-    points, means, std_errs = _paired_regrets(F, n, strategy, trials, seed, grid)
+    points, means, std_errs = _paired_regrets(F, n, bid_fn, trials, seed)
     i, j = np.unravel_index(np.argmax(means), means.shape)
-    return RegretReport(
-        max(float(means[i, j]), 0.0), (points[i], points[j]), method="monte-carlo", trials=trials, seed=seed,
-        sigma=float(std_errs.max()),
-    )
+    return RegretReport(max(float(means[i, j]), 0.0), (points[i], points[j]), float(std_errs.max()))
 
 
 def monotone_no_overbid_check(strategy: Callable, samples: int = 10_000) -> PropertyCheck:

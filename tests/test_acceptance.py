@@ -240,13 +240,19 @@ def test_criterion_9_property_suite(uniform, square, two_piece):
             d2 = fq.delta_win_prob(square, n, x2, y2)
             assert abs(d1 - d2) <= n * L * (abs(x1 - x2) + abs(y1 - y2))
 
-        # Monte Carlo against hand-computed utilities, 4 sigma at 1e5 trials
+        # Monte Carlo regret against hand-computed utilities, 3 sigma at 1e5 trials: over the
+        # values and deviations i/8, bid b at value v earns (v - b) * win(b), two bidders
         cases = [
-            # uniform, opponents bid v/2: bid 1/4 at v=1/2 wins iff opp < 1/2
-            (uniform, 2, fq.canonical_bid_function(uniform, 2), 0.5, 0.25, 0.5 * 0.25),
-            # square cdf, opponents bid 2v/3: bid 1/3 wins iff opp < 1/2
-            (square, 2, fq.canonical_bid_function(square, 2), 0.75, 1 / 3, 0.25 * (0.75 - 1 / 3)),
+            # uniform, opponents bid v/2: bid b wins iff opp < 2b; no deviation gains
+            (uniform, fq.canonical_bid_function(uniform, 2), lambda b: min(2 * b, 1)),
+            # square cdf, opponents bid 2v/3: bid b wins iff opp < 3b/2; no deviation gains
+            (square, fq.canonical_bid_function(square, 2), lambda b: min(3 * b / 2, 1) ** 2),
+            # uniform, truthful bidding earns 0, and bidding 1/2 at value 1 earns 1/4
+            (uniform, lambda v: v, lambda b: b),
         ]
-        for dist, n, strategy, v, b, want in cases:
-            mean, se = fq.monte_carlo_utility(dist, n, strategy, v, b, 100_000, seed=17)
-            assert abs(mean - want) <= 4 * se
+        points = [F(i, 8) for i in range(9)]
+        for dist, strategy, win in cases:
+            want = max(max((v - b) * win(b) for b in points) - (v - strategy(v)) * win(strategy(v))
+                       for v in points)
+            report = fq.monte_carlo_regret(dist, 2, strategy, 100_000, seed=17)
+            assert abs(report.max_regret - float(max(want, 0))) <= 3 * report.sigma

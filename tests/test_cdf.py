@@ -194,7 +194,7 @@ class TestStronglyIncreasingTransform:
         t(F(1, 2))
         t(F(3, 4))
         assert t.query_count == 2
-        assert oracle.query_count == 0  # transformed oracle has its own counter
+        assert oracle.query_count == 2  # the transformed oracle queries the given one
 
 
 class TestAdversarialCdf:

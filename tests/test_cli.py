@@ -115,6 +115,7 @@ class TestSolveCdfpa:
         assert code == 0
         report = json.loads(out)
         assert F(report["max_regret"]) <= F(1, 32)
+        assert report["method"] == "exact"
 
     def test_certify_flag_reports_regret(self, capout, uniform_json):
         code, out, _ = capout("solve", "--model", "cdfpa", "--cdf", uniform_json, "--n", "2",
@@ -130,6 +131,13 @@ class TestSolveCdfpa:
 
 
 class TestInputContract:
+    def test_no_extend_checks_the_domain_first(self, capout, shifted_json):
+        solve = ("solve", "--model", "ccfpa-explicit", "--cdf", shifted_json, "--n", "2", "--no-extend")
+        code, out, err = capout(*solve, "--at", "-1")
+        assert code == 2 and out == ""
+        assert "outside [0, 1]" in err
+        assert capout(*solve, "--at", "1/8")[0] == 1
+
     def test_exact_verify_rejects_wrong_length_strategy(self, capout, tmp_path, uniform_json):
         strat = tmp_path / "s.json"
         strat.write_text(json.dumps({"kind": "jump_points", "s": ["0", "1"], "U": ["0", "1/2"]}))
@@ -507,7 +515,7 @@ class TestVerifyModes:
         assert code == 0
         report = json.loads(out)
         assert report["max_regret"] < 0.02
-        assert report["precision"] == "float64"
+        assert (report["method"], report["precision"]) == ("grid", "float64")
 
     def test_mc_mode_deterministic(self, capout, tmp_path, uniform_json):
         rbf = fq.canonical_bid_function(fq.uniform_cdf(), 2)
@@ -521,6 +529,15 @@ class TestVerifyModes:
         assert out1 == out2
         report = json.loads(out1)
         assert report["max_regret"] <= 3 * report["sigma"] + 0.05
+        assert (report["method"], report["trials"], report["seed"]) == ("monte-carlo", 2000, 7)
+
+    @pytest.mark.parametrize("mode", ["grid", "mc"])
+    def test_bids_ignored_for_bid_functions(self, capout, tmp_path, uniform_json, mode):
+        strat = tmp_path / "rbf.json"
+        strat.write_text(json.dumps(fq.rbf_to_json(fq.canonical_bid_function(fq.uniform_cdf(), 2))))
+        args = ("verify", "--strategy", str(strat), "--cdf", uniform_json, "--n", "2", "--mode", mode,
+                "--trials", "100")
+        assert capout(*args, "--bids", "not json") == capout(*args)
 
     def test_exact_mode_needs_bids(self, capout, tmp_path, uniform_json):
         strat = tmp_path / "s.json"

@@ -246,6 +246,11 @@ class TestSolve:
         assert res.certificate.passed
         assert res.strategy == fq.solve(uniform, 2, g, F(1, 16)).strategy  # the same L = 1
 
+    def test_oracle_counts_the_queries_of_a_solve(self, square):
+        oracle = fq.oracle_from_piecewise(square)
+        res = fq.solve(oracle, 2, grid_of("0", "1/4", "1/2"), F(1, 64))
+        assert oracle.query_count == res.transformed_cdf.query_count > 0
+
     def test_bare_callable_rejected(self):
         with pytest.raises(DomainError):
             fq.solve(lambda x: x, 2, grid_of("0", "1/2"), F(1, 16))

@@ -18,7 +18,6 @@ class TestExactRegretCdfpa:
         s = JumpPointStrategy((F(0), F(1), F(1)), (F(0), F(1, 2), F(1, 2)))
         report = fq.epsilon_bne_check_cdfpa(uniform, 2, g, s)
         assert report.max_regret == 0
-        assert report.method == "exact"
 
     def test_bad_strategy_regret_by_hand(self, uniform):
         # everyone bids 1/2 regardless of value; v = 1/2 prefers bidding 0
@@ -128,39 +127,31 @@ class TestContinuousRegret:
         report = fq.epsilon_bne_check_ccfpa(adversarial, 2, lambda x: fq.bid(plan, oracle, x).upper)
         assert report.max_regret < float(eps) + 0.02
 
+    def test_other_cdf_rejected(self, uniform):
+        with pytest.raises(fq.DomainError):
+            fq.epsilon_bne_check_ccfpa(fq.oracle_from_piecewise(uniform), 2, lambda v: v / 2)
+
 
 class TestMonteCarlo:
-    def test_reproducible(self, uniform):
-        rbf = fq.canonical_bid_function(uniform, 2)
-        a = fq.monte_carlo_utility(uniform, 2, rbf, 0.5, 0.25, 2000, seed=11)
-        b = fq.monte_carlo_utility(uniform, 2, rbf, 0.5, 0.25, 2000, seed=11)
-        assert a == b
-        c = fq.monte_carlo_utility(uniform, 2, rbf, 0.5, 0.25, 2000, seed=12)
-        assert a != c
-
     def test_matches_analytic_utility(self, uniform):
-        # uniform n=2, opponents bid v/2: bidding 1/4 at value 1/2 wins iff
-        # opponent value < 1/2, so expected utility = 1/2 * 1/4 = 1/8
-        rbf = fq.canonical_bid_function(uniform, 2)
-        mean, se = fq.monte_carlo_utility(uniform, 2, rbf, 0.5, 0.25, 40_000, seed=5)
-        assert abs(mean - 0.125) <= 4 * se + 1e-9
+        # uniform n=2, truthful bidding earns 0; bidding b at value v wins iff the opponent's
+        # value is below b, so it earns (v - b) * b, at most 1/4 at v = 1, b = 1/2
+        report = fq.monte_carlo_regret(uniform, 2, lambda v: v, 40_000, seed=5)
+        assert abs(report.max_regret - 0.25) <= 3 * report.sigma
+        assert report.argmax == (1.0, 0.5)
 
     def test_jump_point_strategy_and_ties(self, uniform):
-        # all three opponents pool at 0; deviating to 0 shares the tie 1/4
+        # all three opponents pool at 0, so bidding 0 shares the tie 1/4; every trial sees the
+        # same opposing bids, so sigma is 0 and the estimate must equal the expectation
         g = grid_of("0", "1/2")
         s = JumpPointStrategy((F(0), F(1), F(1)), (F(0), F(1, 2), F(1, 2)))
-        mean, se = fq.monte_carlo_utility(uniform, 4, s, 1.0, 0.0, 20_000, seed=3, grid=g)
-        assert abs(mean - 0.25) <= 4 * se + 1e-9
+        report = fq.monte_carlo_regret(uniform, 4, s.as_bid_function(g), 20_000, seed=3)
+        assert abs(report.max_regret - float(mc_grid_regret(uniform, 4, g, s.s))) <= 3 * report.sigma + 1e-12
 
     def test_regret_of_equilibrium_near_zero(self, square):
         rbf = fq.canonical_bid_function(square, 2)
         report = fq.monte_carlo_regret(square, 2, rbf, trials=4000, seed=9)
-        assert report.method == "monte-carlo"
         assert report.max_regret <= 3 * report.sigma + 0.02
-
-    def test_bad_trials(self, uniform):
-        with pytest.raises(fq.DomainError):
-            fq.monte_carlo_utility(uniform, 2, lambda v: 0.0, 0.5, 0.0, 0, seed=1)
 
 
 EIGHTHS = grid_of(*(F(i, 8) for i in range(8)))
@@ -190,7 +181,7 @@ class TestCommonRandomNumbers:
 
     def test_own_bid_pair_is_exactly_zero(self, uniform):
         s = fq.solve(uniform, 3, EIGHTHS, F(1, 64)).strategy
-        points, means, std_errs = fq.verify._paired_regrets(uniform, 3, s, 500, 4, EIGHTHS)
+        points, means, std_errs = fq.verify._paired_regrets(uniform, 3, s.as_bid_function(EIGHTHS), 500, 4)
         checked = 0
         for i, v in enumerate(points):
             own = float(EIGHTHS.bids[s.bid_index(F(v)) - 1])
@@ -202,53 +193,25 @@ class TestCommonRandomNumbers:
     @pytest.mark.parametrize("kind", ["jump", "rbf"])
     def test_same_seed_same_report(self, square, kind):
         if kind == "jump":
-            strategy, grid = fq.solve(square, 2, EIGHTHS, F(1, 64)).strategy, EIGHTHS
+            bid_fn = fq.solve(square, 2, EIGHTHS, F(1, 64)).strategy.as_bid_function(EIGHTHS)
         else:
-            strategy, grid = fq.canonical_bid_function(square, 2), None
-        a = fq.monte_carlo_regret(square, 2, strategy, 300, 17, grid)
-        assert a == fq.monte_carlo_regret(square, 2, strategy, 300, 17, grid)
-        assert a != fq.monte_carlo_regret(square, 2, strategy, 300, 18, grid)
+            bid_fn = fq.canonical_bid_function(square, 2)
+        a = fq.monte_carlo_regret(square, 2, bid_fn, 300, 17)
+        assert a == fq.monte_carlo_regret(square, 2, bid_fn, 300, 17)
+        assert a != fq.monte_carlo_regret(square, 2, bid_fn, 300, 18)
 
     def test_one_draw_per_run(self, uniform, monkeypatch):
         calls = []
         sample = fq.verify._sample_values
         monkeypatch.setattr(fq.verify, "_sample_values", lambda fcdf, u: calls.append(u.shape) or sample(fcdf, u))
         s = fq.solve(uniform, 3, EIGHTHS, F(1, 64)).strategy
-        fq.monte_carlo_regret(uniform, 3, s, 250, 1, EIGHTHS)
+        fq.monte_carlo_regret(uniform, 3, s.as_bid_function(EIGHTHS), 250, 1)
         assert calls == [(250, 2)]
 
     def test_regret_needs_two_trials(self, uniform):
         s = JumpPointStrategy((F(0), F(1, 2), F(1)), ())
         with pytest.raises(fq.DomainError):
-            fq.monte_carlo_regret(uniform, 2, s, 1, 0, grid_of("0", "1/4"))
-
-    # (mean, std_err) as the per-pair estimator gave them before the runs shared one draw
-    JUMP = JumpPointStrategy((F(0), F(1, 3), F(1, 3), F(1)), ())  # pools at 0 and at 1/2: ties
-    PINNED_JUMP = [
-        ((4, 0.75, 0.25, 3000, 7), (0.018, 0.0017008716357916251)),
-        ((4, 0.75, 0.0, 3000, 7), (0.00675, 0.0006378268634218596)),
-        ((3, 1.0, 0.5, 1000, 2), (0.2385, 0.003069012137833416)),
-        ((3, 0.5, 0.125, 1000, 2), (0.038625, 0.003606312502385901)),
-    ]
-    PINNED_RBF = [
-        (("square", 2, 0.5, 0.25, 2000, 11), (0.036125, 0.001965972968368634)),
-        (("square", 2, 0.875, 0.375, 500, 4), (0.146, 0.010177187740265048)),
-        (("two_piece", 3, 0.5, 0.25, 2000, 11), (0.002625, 0.0005699492157677534)),
-        (("two_piece", 3, 0.875, 0.375, 500, 4), (0.021, 0.00448980140243046)),
-    ]
-
-    @pytest.mark.parametrize("args,expected", PINNED_JUMP)
-    def test_utility_pinned_on_jump_points(self, uniform, args, expected):
-        n, v, b, trials, seed = args
-        grid = grid_of("0", "1/4", "1/2")
-        assert fq.monte_carlo_utility(uniform, n, self.JUMP, v, b, trials, seed, grid) == expected
-
-    @pytest.mark.parametrize("args,expected", PINNED_RBF)
-    def test_utility_pinned_on_bid_function(self, request, args, expected):
-        name, n, v, b, trials, seed = args
-        dist = request.getfixturevalue(name)
-        rbf = fq.canonical_bid_function(dist, n)
-        assert fq.monte_carlo_utility(dist, n, rbf, v, b, trials, seed) == expected
+            fq.monte_carlo_regret(uniform, 2, s.as_bid_function(grid_of("0", "1/4")), 1, 0)
 
     @pytest.mark.parametrize("name", ["uniform", "square"])
     @pytest.mark.parametrize("n_solved", [2, 3])
@@ -261,7 +224,7 @@ class TestCommonRandomNumbers:
         exact = mc_grid_regret(dist, 2, EIGHTHS, s.s)
         assert (exact > eps) == (n_solved == 3)
         for seed in range(20):
-            report = fq.monte_carlo_regret(dist, 2, s, 500, seed, EIGHTHS)
+            report = fq.monte_carlo_regret(dist, 2, s.as_bid_function(EIGHTHS), 500, seed)
             assert report.max_regret >= float(exact) - 3 * report.sigma, seed
             if n_solved == 2:
                 assert report.max_regret <= float(eps) + 3 * report.sigma, seed

@@ -10,8 +10,15 @@ into the lower and upper Riemann sums of the win-probability deficit
 whose integral over [0, x] is the exact equilibrium bid.  The two sums
 sandwich the exact bid and differ by at most eps; the upper sum is the bid.
 
-Arithmetic follows the oracle: an exact-rational oracle yields exact rational
-plans and bids, a float oracle yields float ones.
+The plan takes its grid from one batch query, :meth:`CdfOracle.grid_values`,
+which counts as the K-1 interior queries.  It runs on one of two routes:
+
+* an oracle backed by a piecewise-polynomial cdf answers with integers over
+  one denominator, so the powers and their prefix sums are Python ints over
+  one scale, den**(n-1), and bids are exact rationals;
+* any other oracle is queried point by point over den = 1 and its arithmetic
+  carries through: an exact-rational oracle yields exact rational plans and
+  bids, a float oracle yields float ones.
 """
 
 from __future__ import annotations
@@ -19,16 +26,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from .cdf import CdfOracle
 from .errors import DomainError, check_bidders
 
 # Largest grid a plan may tabulate, K = ceil(1/eps): K - 1 oracle queries and K + 1 powers
 # F(j/K)**(n-1) summed exactly.  Measured with CPython 3.11 on one Xeon core at K = MAX_K,
-# through the CLI (ccfpa-blackbox): an 8-piece cubic takes 0.5 s at n = 2 and 1.4 s at
-# n = 64; a dense degree-64 piece whose coefficients share a 64-bit denominator takes
-# 141 s at n = 64, where the exact sums run on numbers of about 60 000 bits.  At K = 2**16 the cubic took 1.2 s
-# at n = 2.
+# through the CLI (ccfpa-blackbox, 101 bids): an 8-piece cubic takes 0.3 s at n = 2 and
+# 0.4 s at n = 64; a dense degree-64 piece whose coefficients share a 64-bit denominator
+# takes 12 s at n = 64, 10 s of it in the integer powers of about 60 000 bits.  At
+# K = 2**16 the cubic's plan and 101 bids took 0.1 s at n = 2.
 MAX_K = 2**14
 
 
@@ -36,8 +44,9 @@ MAX_K = 2**14
 class BlackBoxPlan:
     n: int
     K: int
-    power_table: tuple  # power_table[j] = F(j/K)**(n-1)
+    power_table: tuple  # power_table[j] / scale = F(j/K)**(n-1)
     prefix: tuple  # prefix[j] = sum(power_table[:j])
+    scale: object  # den**(n-1), den the denominator of the grid query
 
 
 @dataclass(frozen=True)
@@ -50,7 +59,8 @@ def grid_size(epsilon) -> int:
     """K = ceil(1/eps), the number of grid cells of a plan at accuracy eps; at most MAX_K."""
     if epsilon <= 0:
         raise DomainError("epsilon must be positive")
-    K = math.ceil(1 / Fraction(epsilon))
+    num, den = epsilon.as_integer_ratio()
+    K = -(-den // num)
     if K > MAX_K:
         raise DomainError(f"eps = {epsilon} needs K = {K} grid cells, above the limit of {MAX_K}")
     return K
@@ -59,18 +69,15 @@ def grid_size(epsilon) -> int:
 def precompute(oracle: CdfOracle, n: int, epsilon) -> BlackBoxPlan:
     """Tabulate F(j/K)**(n-1) for j = 0..K, K = ceil(1/eps) (so K = 1 for eps >= 1).
 
-    Issues K-1 queries (grid interior); F(0) = 0 and F(1) = 1 are known for
-    continuous cdfs on [0, 1].
+    One batch query costs K-1 queries (grid interior); F(0) = 0 and F(1) = 1
+    are known for continuous cdfs on [0, 1].  The table holds the powers of
+    the query's numerators, over the scale den**(n-1).
     """
     check_bidders(n)
     K = grid_size(epsilon)
-    values = [0] + [oracle(Fraction(j, K)) for j in range(1, K)] + [1]
-    power_table = tuple(v ** (n - 1) for v in values)
-    prefix, acc = [0], 0
-    for p in power_table:
-        acc = acc + p
-        prefix.append(acc)
-    return BlackBoxPlan(n, K, power_table, tuple(prefix))
+    nums, den = oracle.grid_values(K)
+    power_table = tuple(v ** (n - 1) for v in nums)
+    return BlackBoxPlan(n, K, power_table, tuple(accumulate(power_table, initial=0)), den ** (n - 1))
 
 
 def bid(plan: BlackBoxPlan, oracle: CdfOracle, x) -> BidEvaluation:
@@ -86,7 +93,7 @@ def bid(plan: BlackBoxPlan, oracle: CdfOracle, x) -> BidEvaluation:
         return BidEvaluation(x, x)
     width = Fraction(1, plan.K)
     k_x = min(math.floor(x * plan.K), plan.K)
-    fn = fx ** (plan.n - 1)
+    fn = fx ** (plan.n - 1) * plan.scale  # on the scale of the table
     partial = x - k_x * width
     inner = width * plan.prefix[k_x] + partial * plan.power_table[k_x]
     upper = x - inner / fn

@@ -178,7 +178,11 @@ def make_adversarial_cdf(p: AdversarialCdfParams) -> PiecewisePolyCdf:
 
 
 class CdfOracle:
-    """Query-counted cdf evaluator with a caller-asserted Lipschitz constant."""
+    """Query-counted cdf evaluator with a caller-asserted Lipschitz constant.
+
+    Each call is one query.  The batch query :meth:`grid_values` tabulates
+    the grid j/K and counts as its K - 1 interior points.
+    """
 
     def __init__(self, evaluator: Callable, lipschitz):
         if lipschitz <= 0:
@@ -191,8 +195,22 @@ class CdfOracle:
         self.query_count += 1
         return self._evaluator(x)
 
-    def reset(self) -> None:
-        self.query_count = 0
+    def grid_values(self, K: int) -> tuple[list, object]:
+        """(nums, den) with F(j/K) == nums[j] / den for j = 0..K; costs K - 1 queries.
+
+        F(0) = 0 and F(1) = 1 are known for a cdf on [0, 1], so nums[0] = 0
+        and nums[K] = den.  A piecewise-polynomial evaluator answers on ints
+        over one denominator (:meth:`PiecewisePoly.grid_values`); any other
+        is called at each interior point, over den = 1, and keeps its own
+        arithmetic.
+        """
+        self.query_count += K - 1
+        ev = self._evaluator
+        if isinstance(ev, PiecewisePoly):
+            nums, den = ev.grid_values(K)
+            nums[0], nums[K] = 0, den
+            return nums, den
+        return [0] + [ev(Fraction(j, K)) for j in range(1, K)] + [1], 1
 
 
 def oracle_from_piecewise(dist: PiecewisePolyCdf) -> CdfOracle:

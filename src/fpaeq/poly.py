@@ -221,6 +221,24 @@ class PiecewisePoly:
         x = x if isinstance(x, Fraction) else Fraction(x)
         return self.row_value(self.piece_index(x), x)
 
+    def grid_values(self, K: int) -> tuple[list[int], int]:
+        """(nums, den) with self(j/K) == Fraction(nums[j], den) for j = 0..K, on ints.
+
+        den is the lcm of the row denominators times K**d, d the highest
+        degree of the integer rows (:attr:`int_rows`).  One walk through the
+        pieces gives each piece the grid points up to its right breakpoint,
+        so a point on a breakpoint goes to the left piece, as in
+        :meth:`piece_index`; the last piece takes the rest.
+        """
+        d = max(len(nums) for nums, _ in self.int_rows) - 1
+        lcm = math.lcm(*(scale for _, scale in self.int_rows))
+        ends = [b.numerator * K // b.denominator for b in self.breakpoints[1:-1]] + [K]
+        out: list[int] = []
+        for (nums, scale), end in zip(self.int_rows, ends):
+            m = lcm // scale * K ** (d + 1 - len(nums))
+            out.extend(horner_int(nums, j, K) * m for j in range(len(out), end + 1))
+        return out, lcm * K**d
+
     def float_evaluator(self) -> Callable:
         """Float evaluator with the same piece rule, for a float or a numpy array of floats.
 

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -21,6 +22,52 @@ def reference_bid(cdf_expr, n, x):
 
 
 T = sympy.Symbol("t")
+
+
+def seeded_cdf(seed: int, K: int) -> fq.PiecewisePolyCdf:
+    """A continuous piecewise-polynomial cdf with up to 4 pieces, some breakpoints on the grid j/K.
+
+    Piece i is y_i + (y_(i+1) - y_i) * ((x - b_i) / (b_(i+1) - b_i))**k, k in 1..3,
+    so it is nondecreasing; a piece that does not rise is a constant row, and
+    the first one may be all zero, as in the shifted_support fixture.
+    """
+    rng = random.Random(seed)
+    inner = {F(rng.randint(1, K - 1), K) if K > 1 and rng.random() < 0.5 else F(rng.randint(1, 39), 40)
+             for _ in range(rng.randint(0, 3))}
+    bps = [F(0), *sorted(inner), F(1)]
+    rises = [F(0) if i == 0 and len(bps) > 2 and rng.random() < 0.4 else F(rng.randint(1, 9))
+             for i in range(len(bps) - 1)]
+    levels = [sum(rises[:i], F(0)) / sum(rises) for i in range(len(bps))]
+    rows = []
+    for a, b, lo, hi in zip(bps, bps[1:], levels, levels[1:]):
+        if hi == lo:
+            rows.append((lo,))
+            continue
+        k = rng.randint(1, 3)
+        scale = (hi - lo) / (b - a) ** k
+        # lo + scale * (x - a)**k, expanded by the binomial theorem
+        row = [scale * math.comb(k, l) * (-a) ** (k - l) for l in range(k + 1)]
+        row[0] += lo
+        rows.append(tuple(row))
+    dist = fq.PiecewisePolyCdf(tuple(bps), tuple(rows))
+    assert dist.validate().ok
+    return dist
+
+
+def fraction_plan_bid(dist, n: int, K: int, x: F) -> tuple[F, F]:
+    """Reference (lower, upper): the two Riemann sums in Fraction arithmetic, F queried point by point."""
+    powers = [F(0)] + [dist(F(j, K)) ** (n - 1) for j in range(1, K)] + [F(1)]
+    prefix, acc = [F(0)], F(0)
+    for p in powers:
+        acc += p
+        prefix.append(acc)
+    fx = dist(x)
+    if fx == 0:
+        return x, x
+    fn, k = fx ** (n - 1), min(math.floor(x * K), K)
+    upper = x - (prefix[k] / K + (x - F(k, K)) * powers[k]) / fn
+    lower = F(k, K) - prefix[k + 1] / K / fn
+    return lower, upper
 
 
 class TestWorkedExamples:
@@ -138,3 +185,64 @@ class TestProperties:
         ev = fq.bid(plan, oracle, 1.0)
         assert isinstance(ev.upper, float)
         assert ev.upper == pytest.approx(0.625)
+
+
+class TestIntegerPlan:
+    """The plan of a piecewise-polynomial oracle runs on ints over one scale, with the same values."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32),
+        K=st.integers(1, 12),
+        n=st.one_of(st.integers(2, 5), st.sampled_from([16, 63, 64])),
+        xs=st.lists(st.fractions(min_value=0, max_value=1, max_denominator=50), max_size=3),
+    )
+    def test_matches_fraction_sums(self, seed, K, n, xs):
+        dist = seeded_cdf(seed, K)
+        oracle = fq.oracle_from_piecewise(dist)
+        plan = fq.precompute(oracle, n, F(1, K))
+        assert all(type(v) is int for v in plan.power_table + plan.prefix) and type(plan.scale) is int
+        for j in range(K + 1):
+            assert F(plan.power_table[j], plan.scale) == dist(F(j, K)) ** (n - 1)
+        # the per-point route of an opaque exact callable gives the same bids
+        opaque = fq.CdfOracle(lambda x: dist(x), dist.lipschitz_bound())
+        opaque_plan = fq.precompute(opaque, n, F(1, K))
+        for x in (F(0), F(1), *dist.breakpoints, *xs):
+            ev = fq.bid(plan, oracle, x)
+            assert (ev.lower, ev.upper) == fraction_plan_bid(dist, n, K, x)
+            opaque_ev = fq.bid(opaque_plan, opaque, x)
+            assert (opaque_ev.lower, opaque_ev.upper) == (ev.lower, ev.upper)
+
+    def test_shifted_support_leading_zero_piece(self, shifted_support):
+        # the zero piece ends on the grid point 2/8; F(2/8) = 0 belongs to it
+        oracle = fq.oracle_from_piecewise(shifted_support)
+        plan = fq.precompute(oracle, 3, F(1, 8))
+        assert plan.power_table[:3] == (0, 0, 0) and plan.power_table[3] > 0
+        for x in (F(1, 4), F(1, 3), F(1)):
+            ev = fq.bid(plan, oracle, x)
+            assert (ev.lower, ev.upper) == fraction_plan_bid(shifted_support, 3, 8, x)
+
+
+class TestBatchQueryCount:
+    """precompute costs exactly K - 1 queries on both routes, and bid one."""
+
+    @pytest.mark.parametrize("K", [1, 2, 7, 64])
+    @pytest.mark.parametrize("route", ["piecewise", "float", "transformed"])
+    def test_precompute_then_bid(self, square, route, K):
+        if route == "piecewise":
+            counted = oracle = fq.oracle_from_piecewise(square)
+        elif route == "float":
+            counted = oracle = fq.CdfOracle(lambda x: float(x), 1.0)
+        else:
+            counted = fq.oracle_from_piecewise(square)
+            oracle = fq.strongly_increasing_transform(counted, F(1, 4))
+        plan = fq.precompute(oracle, 3, F(1, K))
+        assert oracle.query_count == counted.query_count == K - 1
+        fq.bid(plan, oracle, F(1, 3))
+        assert oracle.query_count == counted.query_count == K
+
+    def test_grid_values_endpoints(self, two_piece):
+        for oracle in (fq.oracle_from_piecewise(two_piece), fq.CdfOracle(lambda x: float(x), 1.0)):
+            nums, den = oracle.grid_values(5)
+            assert (len(nums), nums[0], nums[5]) == (6, 0, den)
+            assert oracle.query_count == 4

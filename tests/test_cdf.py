@@ -231,8 +231,9 @@ class TestCdfOracle:
         for i in range(5):
             oracle(F(i, 5))
         assert oracle.query_count == 5
-        oracle.reset()
-        assert oracle.query_count == 0
+        fresh = fq.oracle_from_piecewise(uniform)  # counts are per oracle: a new one starts at 0
+        fresh(F(1, 2))
+        assert (fresh.query_count, oracle.query_count) == (1, 5)
 
     def test_wrap_callable(self):
         oracle = fq.CdfOracle(lambda x: float(x) ** 2, 2.0)

@@ -200,6 +200,21 @@ class TestPiecewiseEval:
         pp = PiecewisePoly((F(0), b, b + F(1, 2**80), F(1)), ((F(0),), (F(1),), (F(2),)))
         assert [pp(x) for x in (b, b + F(1, 2**81), b + F(1, 2**80), b + F(1, 2**79))] == [0, 1, 1, 2]
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 12), st.data())
+    def test_grid_values_match_each_point(self, K, data):
+        # breakpoints on the grid j/K, off it and repeated: each grid point takes the piece __call__ takes
+        on_grid = st.integers(0, K).map(lambda j: F(j, K))
+        points = sorted(data.draw(st.lists(st.one_of(on_grid, unit), min_size=2, max_size=6)))
+        pp = PiecewisePoly(tuple(points), tuple(data.draw(rows) for _ in points[1:]))
+        nums, den = pp.grid_values(K)
+        assert all(type(v) is int for v in nums) and type(den) is int
+        assert [F(v, den) for v in nums] == [pp(F(j, K)) for j in range(K + 1)]
+
+    def test_grid_values_left_piece_of_a_jump(self):
+        pp = PiecewisePoly((F(0), F(1, 2), F(1)), ((F(0),), (F(1),)))
+        assert pp.grid_values(4) == ([0, 0, 0, 1, 1], 1)
+
     def test_repeated_breakpoints(self):
         # a jump-point strategy can repeat a jump point; the value there takes the first piece
         pp = PiecewisePoly((F(0), F(1, 2), F(1, 2), F(1)), ((F(0),), (F(1),), (F(2),)))

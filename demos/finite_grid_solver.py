@@ -36,7 +36,8 @@ mc = fq.monte_carlo_regret(dist, n, res.strategy.as_bid_function(grid), trials, 
 print(f"monte carlo regret: {mc.max_regret:.4f} +- {3 * mc.sigma:.4f} "
       f"({trials} trials, seed {seed})")
 
-top = fq.utility(dist, n, res.strategy, grid, res.strategy.bid_index(Fraction(1)), Fraction(1))
+j = res.strategy.bid_index(Fraction(1))
+top = (1 - grid.bids[j - 1]) * res.strategy.win_probs(dist, n)[j - 1]
 # with continuous bids the top value's utility is the integral of F^(n-1);
 # for F(x) = x^2 and n = 3 that is 1/5 (and 1/n for the uniform cdf)
 integral_rows = fq.integral_coefficients(fq.power_coefficients(dist, n), dist)

@@ -27,7 +27,6 @@ from .discrete import (
     compute_strategy,
     delta_win_prob,
     solve,
-    utility,
 )
 from .errors import DomainError, PrecisionError
 from .explicit import (

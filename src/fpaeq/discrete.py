@@ -9,23 +9,25 @@ is Delta(s_{j-1}, s_j) with
 
 The solver binary-searches the equilibrium utility at the top value v = 1 and
 reconstructs the jump points from it (descending over bids, inverting Delta by
-bisection where needed).  The approximate equilibrium certificate
-`check_conditions` is the only gate, so the search may use any arithmetic.
-`solve` runs its attempts in one loop and returns the first whose strategy
-passes the certificate:
+bisection where needed, and ending each bisection with one linear
+interpolation inside its final bracket, so the jump points move continuously
+with U).  The approximate equilibrium certificate `check_conditions` is the
+only gate, so the search may use any arithmetic.  `solve` makes at most two
+attempts and returns the first whose strategy passes the certificate:
 
 1. The search in floats, on a float view of the cdf.  Its jump points are
    taken back as exact rationals (those within SNAP_TOL of their bid become
    that bid, so condition 3 holds exactly), and its utilities as the exact
    values of their floats.
-2. The same search in exact Fractions at delta, then at delta / 2**8 and so
-   on, MAX_RETRIES times after the first.
+2. The same search in exact Fractions.
 
-Every attempt's strategy has s_0 = 0 and U_0 = 0.  delta is the search
-tolerance, min(gamma/4, 2**-30) for the certificate's residual bound gamma:
-the outer search on U stops within delta, and each bisection brackets its
-jump point within delta / (n L), with L the cdf's Lipschitz constant.  The
-float search uses max(delta, 2**-52), the resolution of floats on [0, 1].
+Every attempt's strategy has s_0 = 0 and U_0 = 0.  Both attempts search at
+delta = gamma/4, for the certificate's residual bound gamma: each bisection
+brackets its jump point within delta / (n L), with L the cdf's Lipschitz
+constant, and the outer search on U stops once bid 1's condition-1 residual
+under s_0 = 0 is at most 2 delta = gamma/2, or once its bracket on U is 2**-52
+wide (delta * 2**-52 in Fractions).  The float search bisects to
+max(delta, 2**-52), the resolution of floats on [0, 1].
 """
 
 from __future__ import annotations
@@ -46,7 +48,6 @@ ONE = Fraction(1)
 
 EQUAL_UTILITY_TOL = Fraction(1, 2**40)  # slack for U_{i-1} = U_i on merged jumps
 SNAP_TOL = 1e-12  # a float jump point this close to its bid is taken as that bid
-MAX_RETRIES = 4  # exact searches after the first, each with delta / 2**8
 
 
 @dataclass(frozen=True)
@@ -127,7 +128,6 @@ class Certificate:
 class SolveResult:
     strategy: JumpPointStrategy
     certificate: Certificate
-    delta_used: Fraction
     transformed_cdf: object  # the mixed cdf the certificate was checked under
 
 
@@ -140,13 +140,6 @@ def delta_win_prob(F, n: int, x, y):
     for i in range(n):
         total += fx ** (n - 1 - i) * fy**i
     return total / n
-
-
-def utility(F, n: int, strategy: JumpPointStrategy, grid: BidGrid, j: int, v):
-    """Interim utility of bidding b_j at value v against the jump-point strategy."""
-    if not 1 <= j <= grid.m:
-        raise DomainError(f"bid index {j} out of range [1, {grid.m}]")
-    return (v - grid.bids[j - 1]) * delta_win_prob(F, n, strategy.s[j - 1], strategy.s[j])
 
 
 def _ceil_log2(r: Fraction) -> int:
@@ -163,9 +156,11 @@ def compute_strategy(F, L, n: int, grid: BidGrid, U, delta):
     interval pools (utility already below U), the bid is skipped down to its
     own level (utility exceeds U even at the bottom), or the jump point is
     located by bisection so that bidding here at the jump yields about utility
-    U.  How close it comes is left to the certificate's condition-1 residual.
-    A Fraction U runs the walk exactly; any other U runs it in floats, for
-    which F must take and return floats.
+    U.  The bisection ends with one linear-interpolation step inside its final
+    bracket, its ratio taken as a float in either arithmetic, so the jump
+    point moves continuously with U.  How close it comes is left to the
+    certificate's condition-1 residual.  A Fraction U runs the walk exactly;
+    any other U runs it in floats, for which F must take and return floats.
     """
     if delta <= 0:
         raise DomainError("delta must be positive")
@@ -181,23 +176,28 @@ def compute_strategy(F, L, n: int, grid: BidGrid, U, delta):
         b = bids[i - 1]
         si, ui = s[i], uvec[i]
         margin = si - b
-        if margin * delta_win_prob(F, n, si, si) <= ui:
+        f_hi = margin * delta_win_prob(F, n, si, si)
+        if f_hi <= ui:
             s[i - 1] = si
             uvec[i - 1] = ui
-        elif margin * delta_win_prob(F, n, b, si) >= ui:
+            continue
+        f_lo = margin * delta_win_prob(F, n, b, si)
+        if f_lo >= ui:
             s[i - 1] = b
             uvec[i - 1] = 0 * ui
-        else:
-            lo, hi = b, si
-            for _ in range(steps):
-                mid = (lo + hi) / 2
-                if margin * delta_win_prob(F, n, mid, si) < ui:
-                    lo = mid
-                else:
-                    hi = mid
-            x = (lo + hi) / 2
-            s[i - 1] = x
-            uvec[i - 1] = (x - b) * delta_win_prob(F, n, x, si)
+            continue
+        lo, hi = b, si
+        for _ in range(steps):
+            mid = (lo + hi) / 2
+            f_mid = margin * delta_win_prob(F, n, mid, si)
+            if f_mid < ui:
+                lo, f_lo = mid, f_mid
+            else:
+                hi, f_hi = mid, f_mid
+        t = float((ui - f_lo) / (f_hi - f_lo))  # in (0, 1]: f_lo < ui <= f_hi
+        x = lo + (hi - lo) * (Fraction(t) if exact else t)
+        s[i - 1] = x
+        uvec[i - 1] = (x - b) * delta_win_prob(F, n, x, si)
     return s, uvec
 
 
@@ -237,20 +237,28 @@ def _binary_search_top_utility(F, L, n, grid, delta):
     """Outer binary search on the top-value utility U (the solver's core loop).
 
     Runs in the arithmetic of delta: exact for a Fraction, float for a float.
+    Returns the walk at the lowest U tried whose s_0 is positive, once bid 1's
+    condition-1 residual there, |s_1 Delta(0, s_1) - U_1| with s_0 set to 0,
+    is at most 2 delta, or once the bracket on U is at its floor: 2**-52 in
+    floats, which halve [0, 1] exactly down to it, and delta * 2**-52 in
+    Fractions, which resolve U past a float where bid 1's residual needs it.
     """
-    u_lo = 0 * delta
-    u_hi = u_lo + 1
+    zero = 0 * delta
+    u_lo, u_hi = zero, zero + 1
+    floor = delta / 2**52 if isinstance(delta, Fraction) else sys.float_info.epsilon
     s_r, uvec_r = compute_strategy(F, L, n, grid, u_hi, delta)
     if s_r[0] == 0:
         raise RuntimeError("internal invariant breach: s_0 = 0 at U = 1")
-    while u_hi - u_lo > delta:
+    while u_hi - u_lo > floor:
         u_mid = (u_lo + u_hi) / 2
         s, uvec = compute_strategy(F, L, n, grid, u_mid, delta)
         if s[0] == 0:
             u_lo = u_mid
-        else:
-            u_hi = u_mid
-            s_r, uvec_r = s, uvec
+            continue
+        u_hi = u_mid
+        s_r, uvec_r = s, uvec
+        if abs(s[1] * delta_win_prob(F, n, zero, s[1]) - uvec[1]) <= 2 * delta:
+            break
     return s_r, uvec_r
 
 
@@ -296,9 +304,9 @@ def solve(F, n: int, grid: BidGrid, eps) -> SolveResult:
     transfers back to an eps-approximate equilibrium of the original cdf.
     F is a PiecewisePolyCdf, whose Lipschitz bound the search uses, or a
     CdfOracle, whose caller asserted one; any other cdf raises DomainError.
-    The search tolerance is delta = min(gamma/4, 2**-30), where gamma is the
-    certificate's residual bound.  Raises PrecisionError when no attempt
-    passes the certificate.
+    Both attempts, the float search and then the exact one, search at
+    delta = gamma/4, where gamma is the certificate's residual bound.  Raises
+    PrecisionError when neither passes the certificate.
     """
     eps = Fraction(eps)
     if not 0 < eps < 1:
@@ -309,17 +317,14 @@ def solve(F, n: int, grid: BidGrid, eps) -> SolveResult:
     L = F.lipschitz_bound() if isinstance(F, PiecewisePolyCdf) else F.lipschitz
     L_mixed = max(ONE, Fraction(L))
     gamma = mix / (2 * grid.m)  # mix is the accuracy target under the mixed cdf
-    delta = min(gamma / 4, Fraction(1, 2**30))
-    attempts = [(_float_search, delta)]
-    attempts += [(_exact_search, delta / 2 ** (8 * k)) for k in range(MAX_RETRIES + 1)]
-    for search, attempt_delta in attempts:
-        strategy = search(F_mixed, L_mixed, n, grid, attempt_delta)
+    for search in (_float_search, _exact_search):
+        strategy = search(F_mixed, L_mixed, n, grid, gamma / 4)
         if strategy is None:
             continue
         cert = check_conditions(F_mixed, n, grid, strategy, gamma)
         if cert.passed:
-            return SolveResult(strategy, cert, attempt_delta, F_mixed)
+            return SolveResult(strategy, cert, F_mixed)
     raise PrecisionError(
-        f"no attempt passed the certificate: the float search and {MAX_RETRIES + 1} exact searches, "
-        f"the last at delta={attempt_delta} (max residual {cert.max_residual} > gamma={gamma})"
+        f"neither the float search nor the exact search at delta={gamma / 4} passed the certificate "
+        f"(max residual {cert.max_residual} > gamma={gamma})"
     )

@@ -141,7 +141,8 @@ def test_criterion_6_cdfpa_solver(uniform):
                 cert = fq.check_conditions(res.transformed_cdf, n, grid, res.strategy, eps / (2 * m))
                 assert cert.passed
                 # (c) top-value equilibrium utility is 1/n up to eps
-                top = fq.utility(uniform, n, res.strategy, grid, res.strategy.bid_index(F(1)), F(1))
+                j = res.strategy.bid_index(F(1))
+                top = (1 - grid.bids[j - 1]) * res.strategy.win_probs(uniform, n)[j - 1]
                 assert abs(top - F(1, n)) <= eps
         assert time.monotonic() - start < 60.0
 

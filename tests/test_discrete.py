@@ -126,22 +126,6 @@ class TestDeltaWinProb:
             assert n * d * (y - x) == y**n - x**n
 
 
-class TestUtility:
-    def test_by_hand(self, uniform):
-        g = grid_of("0", "1/2")
-        s = JumpPointStrategy((F(0), F(3, 4), F(1)), (F(0),) * 3)
-        # bid 0 at v = 1/2: win prob Delta(0, 3/4) = 3/8
-        assert fq.utility(uniform, 2, s, g, 1, F(1, 2)) == F(3, 16)
-        # bid 1/2 at v = 1: win prob Delta(3/4, 1) = 7/8
-        assert fq.utility(uniform, 2, s, g, 2, F(1)) == F(7, 16)
-
-    def test_index_range(self, uniform):
-        g = grid_of("0", "1/2")
-        s = JumpPointStrategy((F(0), F(3, 4), F(1)), (F(0),) * 3)
-        with pytest.raises(DomainError):
-            fq.utility(uniform, 2, s, g, 3, F(1))
-
-
 class TestComputeStrategy:
     def test_top_utility_one_pools_everything(self, uniform):
         g = grid_of("0", "1/4", "1/2")
@@ -276,16 +260,29 @@ class TestSolve:
         assert fq.solve(square, 4, g, F(1, 2**34)).certificate.passed
 
     def test_lowest_utility_is_zero(self, square, exact_searches):
-        # b_1 = 0, so U_0 = 0; the walk's s_0 * Delta(s_0, s_1) = 8.8e-8 here would be the bottom
-        # residual of bid 1, far above the largest true residual, 9.7e-10
+        # b_1 = 0, so U_0 = 0 and s_0 = 0 make bid 1's bottom residual 0 exactly; the walk's own
+        # s_0 * Delta(s_0, s_1) would sit there instead
         g = grid_of("0", "1/6", "1/3")
-        res = fq.solve(square, 2, g, F(1, 64))
-        assert res.strategy.s[0] == 0 and res.strategy.utilities[0] == 0
-        assert res.certificate.max_residual < F(1, 10**9)
-        # at eps = 2^-20 that walk value alone would fail the float result and three exact searches
-        res = fq.solve(square, 2, g, F(1, 2**20))
-        assert res.certificate.passed and res.strategy.utilities[0] == 0
+        for eps in (F(1, 64), F(1, 2**20)):
+            res = fq.solve(square, 2, g, eps)
+            assert res.strategy.s[0] == 0 and res.strategy.utilities[0] == 0
+            bottom = [r for r in res.certificate.residuals if (r.condition, r.index) == (1, 1)][-1]
+            assert bottom.residual == 0
+            assert res.certificate.passed
         assert exact_searches == []
+
+    def test_power_8_certified_by_the_float_search(self, exact_searches):
+        # a bisection that ends at the midpoint makes s_0 a step function of U: searched to a U bracket
+        # of delta = gamma/4, both arithmetics left bid 1 with a residual of 312 gamma; the
+        # interpolated bracket end makes the walk continuous in U
+        dist = fq.power_cdf(8)
+        g = grid_of(*(F(k, 256) for k in (0, 10, 63, 71, 122, 137, 144, 201, 240)))
+        res = fq.solve(dist, 2, g, F(1, 2**20))
+        assert res.certificate.passed
+        assert exact_searches == []
+        gamma, mixed = res.certificate.gamma, res.transformed_cdf
+        strategy = discrete._exact_search(mixed, dist.lipschitz_bound(), 2, g, gamma / 4)
+        assert fq.check_conditions(mixed, 2, g, strategy, gamma).passed
 
     def test_float_result_taken_back_exactly(self, uniform, monkeypatch):
         g = grid_of("0", "1/5", "1/3", "1/2")
@@ -313,7 +310,7 @@ class TestSolve:
         assert not fq.check_conditions(uniform, 2, g, bad, eps).passed
         monkeypatch.setattr(discrete, "_float_search", lambda *args: bad)
         res = fq.solve(uniform, 2, g, eps)
-        assert exact_searches == [res.delta_used]  # the first exact search was certified
+        assert exact_searches == [res.certificate.gamma / 4]  # one exact search, at gamma/4
         assert res.strategy != bad
         assert res.certificate.passed
         assert fq.epsilon_bne_check_cdfpa(uniform, 2, g, res.strategy).max_regret <= eps
@@ -321,15 +318,41 @@ class TestSolve:
     @pytest.mark.parametrize("seed", range(12))
     def test_float_search_certified(self, seed, uniform, square, two_piece, exact_searches):
         rng = random.Random(seed)
-        dist = rng.choice([uniform, square, two_piece])
-        n = rng.choice([2, 3, 4])
+        dist = rng.choice([uniform, square, two_piece, fq.power_cdf(8)])
+        n = rng.choice([2, 3, 4, 8, 16])
         m = rng.randrange(1, 9)
         den = rng.choice([128, 100, 21])  # dyadic bids and bids a float cannot hold exactly
         raw = rng.sample(range(1, den), m - 1)
         grid = BidGrid((F(0),) + tuple(sorted(F(k, den) for k in raw)))
-        eps = F(1, 64)
+        eps = F(1, 2 ** rng.choice([6, 20, 34]))
         res = fq.solve(dist, n, grid, eps)
         assert res.certificate.passed
         assert res.strategy.s[0] == 0 and res.strategy.utilities[0] == 0
         assert exact_searches == []  # the float search alone was certified
         assert fq.epsilon_bne_check_cdfpa(dist, n, grid, res.strategy).max_regret <= eps
+
+    @pytest.mark.parametrize("seed,forced_exact", [(seed, seed % 3 == 0) for seed in range(6)])
+    def test_query_count_within_algorithm_bound(self, seed, forced_exact, uniform, square, two_piece,
+                                                monkeypatch):
+        rng = random.Random(seed)
+        dist = rng.choice([uniform, square, two_piece])
+        n, m = rng.choice([2, 3, 4]), rng.randrange(1, 7)
+        grid = BidGrid((F(0),) + tuple(sorted(F(k, 128) for k in rng.sample(range(1, 128), m - 1))))
+        eps = F(1, 2 ** rng.choice([6, 20]))
+        if forced_exact:
+            monkeypatch.setattr(discrete, "_float_search", lambda *args: None)
+        oracle = fq.oracle_from_piecewise(dist)
+        res = fq.solve(oracle, n, grid, eps)
+        assert res.certificate.passed
+        delta, L = res.certificate.gamma / 4, max(1, dist.lipschitz_bound())
+
+        def walk(tol):
+            # per bid: the pool test, the skip test, the bisection and the utility at the jump;
+            # then bid 1's residual
+            return m * (discrete._ceil_log2(n * L / tol) + 3) + 1
+
+        float_walks = 1 + 52  # U = 1, then halvings down to a bracket of 2**-52
+        exact_walks = 1 + 52 + discrete._ceil_log2(1 / delta)  # down to delta * 2**-52
+        float_tol = F(max(float(delta), 2.0**-52))
+        deltas = float_walks * walk(float_tol) + exact_walks * walk(delta) + 2 * m  # and two certificates
+        assert 0 < oracle.query_count <= 2 * deltas  # F(x) and F(y) per Delta

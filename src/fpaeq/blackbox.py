@@ -1,9 +1,10 @@
 """Approximate equilibrium bidding for continuous bids under cdf oracle access.
 
-A plan precomputes the cdf (raised to the n-1 power) on the regular grid
-j/K, K = ceil(1/eps).  Each subsequent bid evaluation issues exactly one cdf
-query (at the bidder's own value) and combines it with the tabulated powers
-into the lower and upper Riemann sums of the win-probability deficit
+A plan precomputes the prefix sums of the cdf (raised to the n-1 power) on
+the regular grid j/K, K = ceil(1/eps).  Each subsequent bid evaluation issues
+exactly one cdf query (at the bidder's own value) and combines it with the
+tabulated sums into the lower and upper Riemann sums of the win-probability
+deficit
 
     g_x(t) = 1 - F(t)**(n-1) / F(x)**(n-1),
 
@@ -14,8 +15,8 @@ The plan takes its grid from one batch query, :meth:`CdfOracle.grid_values`,
 which counts as the K-1 interior queries.  It runs on one of two routes:
 
 * an oracle backed by a piecewise-polynomial cdf answers with integers over
-  one denominator, so the powers and their prefix sums are Python ints over
-  one scale, den**(n-1), and bids are exact rationals;
+  one denominator, so the prefix sums of the powers are Python ints over one
+  scale, den**(n-1), and bids are exact rationals;
 * any other oracle is queried point by point over den = 1 and its arithmetic
   carries through: an exact-rational oracle yields exact rational plans and
   bids, a float oracle yields float ones.
@@ -44,8 +45,7 @@ MAX_K = 2**14
 class BlackBoxPlan:
     n: int
     K: int
-    power_table: tuple  # power_table[j] / scale = F(j/K)**(n-1)
-    prefix: tuple  # prefix[j] = sum(power_table[:j])
+    prefix: tuple  # prefix[j] / scale = sum of F(i/K)**(n-1) over i < j, for j = 0..K+1
     scale: object  # den**(n-1), den the denominator of the grid query
 
 
@@ -67,17 +67,16 @@ def grid_size(epsilon) -> int:
 
 
 def precompute(oracle: CdfOracle, n: int, epsilon) -> BlackBoxPlan:
-    """Tabulate F(j/K)**(n-1) for j = 0..K, K = ceil(1/eps) (so K = 1 for eps >= 1).
+    """Tabulate the prefix sums of F(j/K)**(n-1), j = 0..K, K = ceil(1/eps) (so K = 1 for eps >= 1).
 
     One batch query costs K-1 queries (grid interior); F(0) = 0 and F(1) = 1
-    are known for continuous cdfs on [0, 1].  The table holds the powers of
-    the query's numerators, over the scale den**(n-1).
+    are known for continuous cdfs on [0, 1].  The plan keeps only the prefix
+    sums of the powers of the query's numerators, over the scale den**(n-1).
     """
     check_bidders(n)
     K = grid_size(epsilon)
     nums, den = oracle.grid_values(K)
-    power_table = tuple(v ** (n - 1) for v in nums)
-    return BlackBoxPlan(n, K, power_table, tuple(accumulate(power_table, initial=0)), den ** (n - 1))
+    return BlackBoxPlan(n, K, tuple(accumulate((v ** (n - 1) for v in nums), initial=0)), den ** (n - 1))
 
 
 def bid(plan: BlackBoxPlan, oracle: CdfOracle, x) -> BidEvaluation:
@@ -95,9 +94,10 @@ def bid(plan: BlackBoxPlan, oracle: CdfOracle, x) -> BidEvaluation:
     k_x = min(math.floor(x * plan.K), plan.K)
     fn = fx ** (plan.n - 1) * plan.scale  # on the scale of the table
     partial = x - k_x * width
-    inner = width * plan.prefix[k_x] + partial * plan.power_table[k_x]
+    inner = width * plan.prefix[k_x] + partial * (plan.prefix[k_x + 1] - plan.prefix[k_x])
     upper = x - inner / fn
-    # lower Riemann sum: right endpoints (power_table[0] = 0); the [k_x/K, x] term vanishes (g_x(x) = 0)
+    # lower Riemann sum: right endpoints, j = 1..k_x, which prefix[k_x + 1] sums since F(0) = 0;
+    # the [k_x/K, x] term vanishes (g_x(x) = 0)
     lower = width * k_x - width * plan.prefix[k_x + 1] / fn
     return BidEvaluation(lower, upper)
 

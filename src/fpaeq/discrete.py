@@ -7,6 +7,9 @@ is Delta(s_{j-1}, s_j) with
 
     Delta(x, y) = (1/n) * sum_{i<n} F(x)**(n-1-i) * F(y)**i.
 
+Delta is symmetric in x and y.  `delta_win_prob` takes the two cdf values, and
+the code that owns the jump points evaluates F once per point.
+
 The solver binary-searches the equilibrium utility at the top value v = 1 and
 reconstructs the jump points from it (descending over bids, inverting Delta by
 bisection where needed, and ending each bisection with one linear
@@ -16,9 +19,9 @@ only gate, so the search may use any arithmetic.  `solve` makes at most two
 attempts and returns the first whose strategy passes the certificate:
 
 1. The search in floats, on a float view of the cdf.  Its jump points are
-   taken back as exact rationals (those within SNAP_TOL of their bid become
-   that bid, so condition 3 holds exactly), and its utilities as the exact
-   values of their floats.
+   taken back as exact rationals, each clamped between its bid and the jump
+   point above it, so they are ordered and condition 3 holds exactly; its
+   utilities are taken as the exact values of their floats.
 2. The same search in exact Fractions.
 
 Every attempt's strategy has s_0 = 0 and U_0 = 0.  Both attempts search at
@@ -36,7 +39,6 @@ import bisect
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .cdf import PiecewisePolyCdf, float_view, strongly_increasing_transform
 from .errors import DomainError, PrecisionError, check_bidders
@@ -47,7 +49,6 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 EQUAL_UTILITY_TOL = Fraction(1, 2**40)  # slack for U_{i-1} = U_i on merged jumps
-SNAP_TOL = 1e-12  # a float jump point this close to its bid is taken as that bid
 
 
 @dataclass(frozen=True)
@@ -95,7 +96,8 @@ class JumpPointStrategy:
 
     def win_probs(self, F, n: int) -> tuple:
         """Delta_1..Delta_m: bid b_j wins with Delta(s_{j-1}, s_j), whatever the value."""
-        return tuple(delta_win_prob(F, n, x, y) for x, y in zip(self.s, self.s[1:]))
+        fs = [F(x) for x in self.s]
+        return tuple(delta_win_prob(fx, fy, n) for fx, fy in zip(fs, fs[1:]))
 
     def check_length(self, grid: BidGrid) -> None:
         """Raise DomainError unless there is one jump point per bid, plus s_0."""
@@ -131,11 +133,8 @@ class SolveResult:
     transformed_cdf: object  # the mixed cdf the certificate was checked under
 
 
-def delta_win_prob(F, n: int, x, y):
-    """Win probability of a bid whose opponents' jump interval around it is [x, y]."""
-    if x > y:
-        raise DomainError("need x <= y")
-    fx, fy = F(x), F(y)
+def delta_win_prob(fx, fy, n: int):
+    """Win probability of a bid whose opponents' jump interval around it has cdf values fx and fy."""
     total = 0 * fy
     for i in range(n):
         total += fx ** (n - 1 - i) * fy**i
@@ -172,32 +171,37 @@ def compute_strategy(F, L, n: int, grid: BidGrid, U, delta):
     s[m] = ONE if exact else 1.0
     uvec[m] = U
     steps = _ceil_log2(Fraction(n * L) / Fraction(delta))
+    fs = F(s[m])  # F at the jump point above the current bid
     for i in range(m, 0, -1):
         b = bids[i - 1]
         si, ui = s[i], uvec[i]
         margin = si - b
-        f_hi = margin * delta_win_prob(F, n, si, si)
+        f_hi = margin * delta_win_prob(fs, fs, n)
         if f_hi <= ui:
             s[i - 1] = si
             uvec[i - 1] = ui
             continue
-        f_lo = margin * delta_win_prob(F, n, b, si)
+        fb = F(b)
+        f_lo = margin * delta_win_prob(fb, fs, n)
         if f_lo >= ui:
             s[i - 1] = b
             uvec[i - 1] = 0 * ui
+            fs = fb
             continue
         lo, hi = b, si
         for _ in range(steps):
             mid = (lo + hi) / 2
-            f_mid = margin * delta_win_prob(F, n, mid, si)
+            f_mid = margin * delta_win_prob(F(mid), fs, n)
             if f_mid < ui:
                 lo, f_lo = mid, f_mid
             else:
                 hi, f_hi = mid, f_mid
         t = float((ui - f_lo) / (f_hi - f_lo))  # in (0, 1]: f_lo < ui <= f_hi
         x = lo + (hi - lo) * (Fraction(t) if exact else t)
+        fx = F(x)
         s[i - 1] = x
-        uvec[i - 1] = (x - b) * delta_win_prob(F, n, x, si)
+        uvec[i - 1] = (x - b) * delta_win_prob(fx, fs, n)
+        fs = fx
     return s, uvec
 
 
@@ -257,7 +261,7 @@ def _binary_search_top_utility(F, L, n, grid, delta):
             continue
         u_hi = u_mid
         s_r, uvec_r = s, uvec
-        if abs(s[1] * delta_win_prob(F, n, zero, s[1]) - uvec[1]) <= 2 * delta:
+        if abs(s[1] * delta_win_prob(F(zero), F(s[1]), n) - uvec[1]) <= 2 * delta:
             break
     return s_r, uvec_r
 
@@ -268,27 +272,22 @@ def _strategy(s, uvec) -> JumpPointStrategy:
                              (ZERO,) + tuple(Fraction(u) for u in uvec[1:]))
 
 
-def _float_search(F, L, n: int, grid: BidGrid, delta) -> Optional[JumpPointStrategy]:
+def _float_search(F, L, n: int, grid: BidGrid, delta) -> JumpPointStrategy:
     """Run the outer search in floats and return its result in exact rationals.
 
-    A jump point pooled with the one above it takes that one's value, one
-    within SNAP_TOL of its bid becomes the bid, and every other jump point and
-    utility is the exact value of its float.  Returns None when snapping
-    leaves the jump points out of order.
+    A jump point pooled with the one above it takes that one's value; every
+    other is the exact value of its float, clamped to [b_i, the point above].
+    Each point is then at least the bid above it, from s_m = 1 down, so the
+    range is never empty and the result is a valid strategy.  Utilities are
+    the exact values of their floats.
     """
     tol = max(float(delta), sys.float_info.epsilon)  # 2**-52: halving [0, 1] stays exact down to it
     s, uvec = _binary_search_top_utility(float_view(F), L, n, grid, tol)
-    snapped = list(s)
+    exact = [ONE] * (grid.m + 1)
     for i in range(grid.m, 1, -1):
-        x, b = s[i - 1], grid.bids[i - 1]
-        if x == s[i]:
-            snapped[i - 1] = snapped[i]
-        elif abs(x - float(b)) <= SNAP_TOL:
-            snapped[i - 1] = b
-    try:
-        return _strategy(snapped, uvec)
-    except DomainError:
-        return None
+        x, b, above = s[i - 1], grid.bids[i - 1], exact[i]
+        exact[i - 1] = above if x == s[i] else min(above, max(Fraction(x), b))
+    return _strategy(exact, uvec)
 
 
 def _exact_search(F, L, n: int, grid: BidGrid, delta) -> JumpPointStrategy:
@@ -319,8 +318,6 @@ def solve(F, n: int, grid: BidGrid, eps) -> SolveResult:
     gamma = mix / (2 * grid.m)  # mix is the accuracy target under the mixed cdf
     for search in (_float_search, _exact_search):
         strategy = search(F_mixed, L_mixed, n, grid, gamma / 4)
-        if strategy is None:
-            continue
         cert = check_conditions(F_mixed, n, grid, strategy, gamma)
         if cert.passed:
             return SolveResult(strategy, cert, F_mixed)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -47,7 +47,7 @@ MAX_MC_DRAWS = 4_000_000
 class RegretReport:
     max_regret: object
     argmax: tuple  # (value, deviation bid)
-    sigma: Optional[float] = None  # Monte Carlo only: the largest standard error of a pair's regret
+    sigma: float | None = None  # Monte Carlo only: the largest standard error of a pair's regret
 
 
 @dataclass(frozen=True)

@@ -219,7 +219,7 @@ def test_criterion_9_property_suite(uniform, square, two_piece):
         for _ in range(200):
             x = F(rng.randrange(10**4 + 1), 10**4)
             n = rng.randrange(2, 6)
-            assert fq.delta_win_prob(square, n, x, x) == square(x) ** (n - 1)
+            assert fq.delta_win_prob(square(x), square(x), n) == square(x) ** (n - 1)
 
         # the tie-splitting polynomial is n-Lipschitz in its arguments; on the
         # uniform cdf delta_win_prob evaluates it directly
@@ -227,8 +227,8 @@ def test_criterion_9_property_suite(uniform, square, two_piece):
             n = rng.randrange(2, 6)
             x1, y1 = sorted(F(rng.randrange(10**4 + 1), 10**4) for _ in range(2))
             x2, y2 = sorted(F(rng.randrange(10**4 + 1), 10**4) for _ in range(2))
-            d1 = fq.delta_win_prob(uniform, n, x1, y1)
-            d2 = fq.delta_win_prob(uniform, n, x2, y2)
+            d1 = fq.delta_win_prob(uniform(x1), uniform(y1), n)
+            d2 = fq.delta_win_prob(uniform(x2), uniform(y2), n)
             assert abs(d1 - d2) <= n * (abs(x1 - x2) + abs(y1 - y2))
 
         # Delta is n*L-Lipschitz through an L-Lipschitz cdf
@@ -237,8 +237,8 @@ def test_criterion_9_property_suite(uniform, square, two_piece):
             n = rng.randrange(2, 6)
             x1, y1 = sorted(F(rng.randrange(10**4 + 1), 10**4) for _ in range(2))
             x2, y2 = sorted(F(rng.randrange(10**4 + 1), 10**4) for _ in range(2))
-            d1 = fq.delta_win_prob(square, n, x1, y1)
-            d2 = fq.delta_win_prob(square, n, x2, y2)
+            d1 = fq.delta_win_prob(square(x1), square(y1), n)
+            d2 = fq.delta_win_prob(square(x2), square(y2), n)
             assert abs(d1 - d2) <= n * L * (abs(x1 - x2) + abs(y1 - y2))
 
         # Monte Carlo regret against hand-computed utilities, 3 sigma at 1e5 trials: over the

@@ -201,9 +201,9 @@ class TestIntegerPlan:
         dist = seeded_cdf(seed, K)
         oracle = fq.oracle_from_piecewise(dist)
         plan = fq.precompute(oracle, n, F(1, K))
-        assert all(type(v) is int for v in plan.power_table + plan.prefix) and type(plan.scale) is int
+        assert all(type(v) is int for v in plan.prefix) and type(plan.scale) is int
         for j in range(K + 1):
-            assert F(plan.power_table[j], plan.scale) == dist(F(j, K)) ** (n - 1)
+            assert F(plan.prefix[j + 1] - plan.prefix[j], plan.scale) == dist(F(j, K)) ** (n - 1)
         # the per-point route of an opaque exact callable gives the same bids
         opaque = fq.CdfOracle(lambda x: dist(x), dist.lipschitz_bound())
         opaque_plan = fq.precompute(opaque, n, F(1, K))
@@ -217,7 +217,8 @@ class TestIntegerPlan:
         # the zero piece ends on the grid point 2/8; F(2/8) = 0 belongs to it
         oracle = fq.oracle_from_piecewise(shifted_support)
         plan = fq.precompute(oracle, 3, F(1, 8))
-        assert plan.power_table[:3] == (0, 0, 0) and plan.power_table[3] > 0
+        powers = [b - a for a, b in zip(plan.prefix, plan.prefix[1:])]
+        assert powers[:3] == [0, 0, 0] and powers[3] > 0
         for x in (F(1, 4), F(1, 3), F(1)):
             ev = fq.bid(plan, oracle, x)
             assert (ev.lower, ev.upper) == fraction_plan_bid(shifted_support, 3, 8, x)

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -98,16 +99,12 @@ class TestJumpPointStrategy:
 class TestDeltaWinProb:
     def test_uniform_pair(self, uniform):
         # n = 2: Delta(x, y) = (x + y)/2
-        assert fq.delta_win_prob(uniform, 2, F(1, 4), F(3, 4)) == F(1, 2)
+        assert fq.delta_win_prob(uniform(F(1, 4)), uniform(F(3, 4)), 2) == F(1, 2)
 
     def test_diagonal_is_power(self, square):
         for n in (2, 3, 4):
             for x in (F(0), F(1, 3), F(1)):
-                assert fq.delta_win_prob(square, n, x, x) == square(x) ** (n - 1)
-
-    def test_order_enforced(self, uniform):
-        with pytest.raises(DomainError):
-            fq.delta_win_prob(uniform, 2, F(3, 4), F(1, 4))
+                assert fq.delta_win_prob(square(x), square(x), n) == square(x) ** (n - 1)
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -119,7 +116,8 @@ class TestDeltaWinProb:
         # n * Delta is the geometric sum (F(y)^n - F(x)^n)/(F(y) - F(x))
         x, y = min(x, y), max(x, y)
         uniform = fq.uniform_cdf()
-        d = fq.delta_win_prob(uniform, n, x, y)
+        d = fq.delta_win_prob(uniform(x), uniform(y), n)
+        assert fq.delta_win_prob(uniform(y), uniform(x), n) == d
         if x == y:
             assert d == x ** (n - 1)
         else:
@@ -144,7 +142,7 @@ class TestComputeStrategy:
         s, uvec = fq.compute_strategy(square, 2, 2, g, F(1, 3), delta)
         for i in range(1, g.m + 1):
             if s[i - 1] > g.bids[i - 1] and s[i - 1] < s[i]:
-                achieved = (s[i - 1] - g.bids[i - 1]) * fq.delta_win_prob(square, 2, s[i - 1], s[i])
+                achieved = (s[i - 1] - g.bids[i - 1]) * fq.delta_win_prob(square(s[i - 1]), square(s[i]), 2)
                 assert abs(achieved - uvec[i - 1]) <= delta
 
     def test_jump_points_monotone_and_above_bids(self, uniform):
@@ -295,12 +293,18 @@ class TestSolve:
         assert strategy.s == (0, F(1, 3), F(1, 3), F(0.7), 1)
         assert strategy.utilities == tuple(F(u) for u in uvec)
 
-    def test_snapping_out_of_order_returns_none(self, uniform, monkeypatch):
-        # s_2 snaps down onto its bid 1/2, below s_1, which is nowhere near its own bid 1/3
-        g = grid_of("0", "1/3", "1/2")
-        monkeypatch.setattr(discrete, "_binary_search_top_utility",
-                            lambda *args: ([0.1, 0.5 + 2e-13, 0.5 + 5e-13, 1.0], [0.0] * 4))
-        assert discrete._float_search(uniform, 1, 2, g, F(1, 2**30)) is None
+    @pytest.mark.parametrize("walk,expected", [
+        # s_1 is the largest float below its bid 1/5, which no float holds: it becomes the bid
+        ([0.1, math.nextafter(0.2, 0), 0.75, 1.0], (0, F(1, 5), F(3, 4), 1)),
+        # s_1 lies one ulp above s_2, from rounding in the interpolation: it is clamped to s_2
+        ([0.1, math.nextafter(0.75, 1), 0.75, 1.0], (0, F(3, 4), F(3, 4), 1)),
+    ], ids=["below-its-bid", "above-the-next-point"])
+    def test_float_result_is_a_valid_strategy(self, walk, expected, uniform, monkeypatch):
+        g = grid_of("0", "1/5", "1/2")
+        monkeypatch.setattr(discrete, "_binary_search_top_utility", lambda *args: (walk, [0.0] * 4))
+        strategy = discrete._float_search(uniform, 1, 2, g, F(1, 2**30))
+        assert isinstance(strategy, JumpPointStrategy)
+        assert strategy.s == expected
 
     def test_uncertified_float_result_falls_back_to_exact(self, uniform, monkeypatch, exact_searches):
         g = grid_of("0", "1/4", "1/2")
@@ -340,19 +344,20 @@ class TestSolve:
         grid = BidGrid((F(0),) + tuple(sorted(F(k, 128) for k in rng.sample(range(1, 128), m - 1))))
         eps = F(1, 2 ** rng.choice([6, 20]))
         if forced_exact:
-            monkeypatch.setattr(discrete, "_float_search", lambda *args: None)
+            # every value pools at the top bid with utility 0: bid 1's top residual is 1/n
+            bad = JumpPointStrategy((F(0),) + (F(1),) * m, (F(0),) * (m + 1))
+            monkeypatch.setattr(discrete, "_float_search", lambda *args: bad)
+        tols = []  # the tolerance of each walk the solve runs
+        walk = discrete.compute_strategy
+        monkeypatch.setattr(discrete, "compute_strategy", lambda *args: tols.append(args[-1]) or walk(*args))
         oracle = fq.oracle_from_piecewise(dist)
         res = fq.solve(oracle, n, grid, eps)
         assert res.certificate.passed
         delta, L = res.certificate.gamma / 4, max(1, dist.lipschitz_bound())
-
-        def walk(tol):
-            # per bid: the pool test, the skip test, the bisection and the utility at the jump;
-            # then bid 1's residual
-            return m * (discrete._ceil_log2(n * L / tol) + 3) + 1
-
-        float_walks = 1 + 52  # U = 1, then halvings down to a bracket of 2**-52
-        exact_walks = 1 + 52 + discrete._ceil_log2(1 / delta)  # down to delta * 2**-52
-        float_tol = F(max(float(delta), 2.0**-52))
-        deltas = float_walks * walk(float_tol) + exact_walks * walk(delta) + 2 * m  # and two certificates
-        assert 0 < oracle.query_count <= 2 * deltas  # F(x) and F(y) per Delta
+        exact_walks = sum(isinstance(tol, F) for tol in tols)
+        assert len(tols) - exact_walks <= 1 + 52  # U = 1, then halvings down to a bracket of 2**-52
+        assert exact_walks <= 1 + 52 + discrete._ceil_log2(1 / delta)  # down to delta * 2**-52
+        # per walk: F(1); per bid F(b), one F per bisection step and F at the jump; then F(0) and
+        # F(s_1) for bid 1's residual.  Each certificate evaluates m + 1 points, and solve checks two
+        points = sum(m * (discrete._ceil_log2(n * L / F(tol)) + 2) + 3 for tol in tols) + 2 * (m + 1)
+        assert 0 < oracle.query_count <= points  # one query per evaluated point

@@ -67,9 +67,9 @@ def brute_force_exact_regret(dist, n, grid, s):
     best = None
     for v in sorted(values):
         own = 1 if v <= s[0] else next(j for j in range(1, m + 1) if s[j - 1] < v <= s[j])
-        u_own = (v - grid.bids[own - 1]) * fq.delta_win_prob(dist, n, s[own - 1], s[own])
+        u_own = (v - grid.bids[own - 1]) * fq.delta_win_prob(dist(s[own - 1]), dist(s[own]), n)
         for j in range(1, m + 1):
-            regret = (v - grid.bids[j - 1]) * fq.delta_win_prob(dist, n, s[j - 1], s[j]) - u_own
+            regret = (v - grid.bids[j - 1]) * fq.delta_win_prob(dist(s[j - 1]), dist(s[j]), n) - u_own
             if best is None or regret > best[0]:
                 best = (regret, (v, grid.bids[j - 1]))
     return max(best[0], 0), best[1]
@@ -163,7 +163,7 @@ def mc_grid_regret(dist, n, grid, s):
     Delta(s_(k-1), s_k), ties split evenly; any other deviation wins when every opponent bids
     below it, with probability F(s_k)**(n-1) for the k grid bids below it."""
     points = [F(i, 8) for i in range(9)]
-    win = [fq.delta_win_prob(dist, n, x, y) for x, y in zip(s, s[1:])]
+    win = [fq.delta_win_prob(dist(x), dist(y), n) for x, y in zip(s, s[1:])]
     deviation = []
     for b in points:
         below = sum(1 for x in grid.bids if x < b)

@@ -218,20 +218,23 @@ def oracle_from_piecewise(dist: PiecewisePolyCdf) -> CdfOracle:
     return CdfOracle(dist, dist.lipschitz_bound())
 
 
-def float_view(cdf) -> Callable:
-    """Float evaluator of a cdf, taking a float or a numpy array of floats.
+def float_view(f) -> Callable:
+    """Float evaluator of a cdf or a bid function on [0, 1], taking a float or a numpy array of floats.
 
-    A piecewise polynomial evaluates its float coefficients
-    (:meth:`PiecewisePoly.float_evaluator`); any other cdf is called on the
-    exact rational value of x, elementwise for an array.
+    A piecewise polynomial, such as a cdf or the step bid function of jump
+    points, evaluates its float coefficients
+    (:meth:`PiecewisePoly.float_evaluator`); any other function, such as a
+    :class:`RationalBidFunction` or a :class:`CdfOracle`, is called on the
+    exact rational value of x, elementwise for an array, and its result is
+    taken as a float.
     """
-    if isinstance(cdf, PiecewisePoly):
-        return cdf.float_evaluator()
+    if isinstance(f, PiecewisePoly):
+        return f.float_evaluator()
 
     def ev(x):
         if isinstance(x, np.ndarray):
-            return np.array([float(cdf(Fraction(v))) for v in x.ravel().tolist()]).reshape(x.shape)
-        return float(cdf(Fraction(x)))
+            return np.array([float(f(Fraction(v))) for v in x.ravel().tolist()]).reshape(x.shape)
+        return float(f(Fraction(x)))
 
     return ev
 

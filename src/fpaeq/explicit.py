@@ -150,7 +150,7 @@ def eval_canonical(rbf: RationalBidFunction, x) -> Fraction:
     At x = p/q both rows run Horner on integers (:func:`poly.horner_int`), and
     the bid is built as one Fraction from the two integer results.
     """
-    x = Fraction(x)
+    x = x if isinstance(x, Fraction) else Fraction(x)
     j = rbf.denominator.piece_index(x)
     if x <= rbf.support_infimum:
         return x

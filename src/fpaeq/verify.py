@@ -26,7 +26,6 @@ import numpy as np
 from .cdf import PiecewisePolyCdf, float_view
 from .discrete import BidGrid, JumpPointStrategy
 from .errors import DomainError, check_bidders
-from .poly import PiecewisePoly
 
 INVERSION_STEPS = 60  # bisection steps when inverting a monotone bid function
 SAMPLING_STEPS = 50  # bisection steps for inverse-cdf sampling
@@ -90,9 +89,11 @@ def epsilon_bne_check_ccfpa(F, n: int, bid_fn: Callable) -> RegretReport:
     A deviation to bid b wins against all opponent values below
     z = sup {v' : bid_fn(v') <= b}, found by bisection; utility is then
     F(z)**(n-1) * (v - b).  The sup over continuous deviations is approximated
-    on a grid, so the reported regret carries the grid resolution.  F is a
-    PiecewisePolyCdf; the bid function must pass monotone_no_overbid_check at
-    the values i/512, else DomainError names a witness.
+    on a grid, so the reported regret carries the grid resolution.  Ties are
+    not split: a bid function that pools values on one bid is under-reported.
+    F is a PiecewisePolyCdf; the bid function must pass
+    monotone_no_overbid_check at the values i/512, else DomainError names a
+    witness.
     """
     check_bidders(n)
     if not isinstance(F, PiecewisePolyCdf):
@@ -101,62 +102,45 @@ def epsilon_bne_check_ccfpa(F, n: int, bid_fn: Callable) -> RegretReport:
     for what, witnesses in (("overbids", probe.overbid_witnesses), ("decreases", probe.monotonicity_witnesses)):
         if witnesses:
             raise DomainError(f"bid function {what} at v={witnesses[0][0]}")
-    fcdf = float_view(F)
-    bid_at_0, bid_at_1 = float(bid_fn(0.0)), float(bid_fn(1.0))
-
-    def threshold(b: float) -> float:
-        if bid_at_1 <= b:
-            return 1.0
-        if bid_at_0 > b:
-            return 0.0
-        lo, hi = 0.0, 1.0
-        for _ in range(INVERSION_STEPS):
-            mid = (lo + hi) / 2
-            if float(bid_fn(mid)) <= b:
-                lo = mid
-            else:
-                hi = mid
-        return lo
-
+    fcdf, fbid = float_view(F), float_view(bid_fn)
+    bid_at_0, bid_at_1 = fbid(np.array([0.0, 1.0]))
+    deviations = np.arange(GRID_DEVIATIONS + 1) / GRID_DEVIATIONS
+    # a deviation at or above bid_fn(1) wins against every value, one below bid_fn(0) against none
+    z = np.where(bid_at_1 <= deviations, 1.0, 0.0)
+    inside = (bid_at_0 <= deviations) & (deviations < bid_at_1)
+    z[inside] = _invert(fbid, deviations[inside], INVERSION_STEPS)[0]
     v_low = float(F.support_infimum())
-    deviations = [i / GRID_DEVIATIONS for i in range(GRID_DEVIATIONS + 1)]
-    dev_power = [fcdf(threshold(b)) ** (n - 1) for b in deviations]
-    best = (float("-inf"), None)
-    for i in range(GRID_VALUES + 1):
-        v = v_low + (1 - v_low) * i / GRID_VALUES
-        own = fcdf(v) ** (n - 1) * (v - float(bid_fn(v)))
-        for b, p in zip(deviations, dev_power):
-            regret = p * (v - b) - own
-            if regret > best[0]:
-                best = (regret, (v, b))
-    return RegretReport(max(best[0], 0.0), best[1])
+    values = v_low + (1 - v_low) * np.arange(GRID_VALUES + 1) / GRID_VALUES
+    own = fcdf(values) ** (n - 1) * (values - fbid(values))
+    regret = fcdf(z) ** (n - 1) * (values[:, None] - deviations) - own[:, None]
+    i, j = np.unravel_index(np.argmax(regret), regret.shape)
+    return RegretReport(max(float(regret[i, j]), 0.0), (float(values[i]), float(deviations[j])))
 
 
-def _vectorized_strategy(bid_fn):
-    if isinstance(bid_fn, PiecewisePoly):
-        return bid_fn.float_evaluator()
-    return np.vectorize(lambda v: float(bid_fn(v)))
+def _invert(f: Callable, y: np.ndarray, steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """Brackets [lo, hi] on sup {x in [0, 1] : f(x) <= y}, elementwise over y, for a nondecreasing f.
 
-
-def _sample_values(fcdf, u: np.ndarray) -> np.ndarray:
-    lo = np.zeros_like(u)
-    hi = np.ones_like(u)
-    for _ in range(SAMPLING_STEPS):
+    f takes an array (:func:`cdf.float_view`).  Each of the steps halves
+    every bracket, from [0, 1], with one call of f on all the midpoints.
+    """
+    lo, hi = np.zeros_like(y), np.ones_like(y)
+    for _ in range(steps):
         mid = (lo + hi) / 2
-        below = fcdf(mid) < u
+        below = f(mid) <= y
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
-    return (lo + hi) / 2
+    return lo, hi
 
 
-def _top_opposing_bids(F, n: int, apply, trials: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+def _top_opposing_bids(F, n: int, fbid, trials: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Each trial's highest opposing bid and the number of opponents who bid it.
 
     The n - 1 opponent values of all trials are one (trials, n - 1) draw from
     the Philox stream named by the seed, inverted through the cdf.
     """
     rng = np.random.Generator(np.random.Philox(seed))
-    opp_bids = apply(_sample_values(float_view(F), rng.random((trials, n - 1))))
+    lo, hi = _invert(float_view(F), rng.random((trials, n - 1)), SAMPLING_STEPS)
+    opp_bids = fbid((lo + hi) / 2)
     top = opp_bids.max(axis=1)
     return top, (opp_bids == top[:, None]).sum(axis=1)
 
@@ -178,10 +162,10 @@ def _paired_regrets(F, n: int, bid_fn, trials: int, seed: int):
         raise DomainError("a standard error needs trials >= 2")
     if trials * (n - 1) > MAX_MC_DRAWS:
         raise DomainError(f"trials * (n - 1) = {trials * (n - 1)} exceeds the limit of {MAX_MC_DRAWS} draws")
-    apply = _vectorized_strategy(bid_fn)
-    top, ties = _top_opposing_bids(F, n, apply, trials, seed)
+    fbid = float_view(bid_fn)
+    top, ties = _top_opposing_bids(F, n, fbid, trials, seed)
     points = [i / MC_GRID for i in range(MC_GRID + 1)]
-    own_bids = apply(np.array(points)).tolist()
+    own_bids = fbid(np.array(points)).tolist()
     shares = {b: _win_share(top, ties, b) for b in dict.fromkeys(points + own_bids)}
     means = np.empty((len(points), len(points)))
     std_errs = np.empty_like(means)
@@ -210,17 +194,15 @@ def monte_carlo_regret(F, n: int, bid_fn, trials: int, seed: int) -> RegretRepor
 
 
 def monotone_no_overbid_check(strategy: Callable, samples: int = 10_000) -> PropertyCheck:
-    """Sampled check that a strategy never overbids and is nondecreasing."""
-    overbids, decreases = [], []
-    prev = None
-    for i in range(samples + 1):
-        v = i / samples
-        b = strategy(v)
-        if b > v + 1e-12:
-            overbids.append((v, b))
-        if prev is not None and b < prev - 1e-12:
-            decreases.append((v, b))
-        prev = b
-        if len(overbids) > 4 and len(decreases) > 4:
-            break
-    return PropertyCheck(not overbids and not decreases, tuple(overbids[:5]), tuple(decreases[:5]))
+    """Sampled check, at the values i/samples, that a strategy never overbids and is nondecreasing.
+
+    The strategy is evaluated at all the values in one call of its float view
+    (:func:`cdf.float_view`).  Each kind of witness lists its first five.
+    """
+    if samples < 1:
+        raise DomainError(f"samples must be >= 1, got {samples}")
+    v = np.arange(samples + 1) / samples
+    b = float_view(strategy)(v)
+    overbids = tuple((float(v[k]), float(b[k])) for k in np.flatnonzero(b > v + 1e-12)[:5])
+    decreases = tuple((float(v[k]), float(b[k])) for k in np.flatnonzero(b[1:] < b[:-1] - 1e-12)[:5] + 1)
+    return PropertyCheck(not overbids and not decreases, overbids, decreases)

@@ -221,14 +221,16 @@ def oracle_from_piecewise(dist: PiecewisePolyCdf) -> CdfOracle:
 def float_view(f) -> Callable:
     """Float evaluator of a cdf or a bid function on [0, 1], taking a float or a numpy array of floats.
 
-    A piecewise polynomial, such as a cdf or the step bid function of jump
-    points, evaluates its float coefficients
-    (:meth:`PiecewisePoly.float_evaluator`); any other function, such as a
-    :class:`RationalBidFunction` or a :class:`CdfOracle`, is called on the
-    exact rational value of x, elementwise for an array, and its result is
-    taken as a float.
+    Anything with a ``float_evaluator`` gives its own: a piecewise polynomial,
+    such as a cdf or the step bid function of jump points, evaluates its float
+    coefficients (:meth:`PiecewisePoly.float_evaluator`), and a
+    :class:`RationalBidFunction` divides float rows where their error bound
+    allows and is exact elsewhere (:meth:`RationalBidFunction.float_evaluator`).
+    Any other function, such as a :class:`CdfOracle`, is called on the exact
+    rational value of x, elementwise for an array, and its result is taken as
+    a float.
     """
-    if isinstance(f, PiecewisePoly):
+    if hasattr(f, "float_evaluator"):
         return f.float_evaluator()
 
     def ev(x):

@@ -9,20 +9,32 @@ is a piecewise rational function whose numerator/denominator coefficients are
 computed exactly: the cdf powers by repeated squaring of coefficient rows, the
 integral by termwise antidifferentiation with continuity-matching constants.
 Rational values therefore map to exact rational bids.
+
+The float view of a bid function (:meth:`RationalBidFunction.float_evaluator`)
+divides the two rows' float values wherever Horner's error bound shows the
+quotient within a relative :data:`FLOAT_BID_REL_ERROR` of the exact bid, and
+takes the float of the exact bid everywhere else.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
-from .cdf import PiecewisePolyCdf
+import numpy as np
+
+from .cdf import PiecewisePolyCdf, float_view
 from .errors import DomainError, check_bidders
 from .poly import PiecewisePoly, horner_int, is_zero_poly, poly_antiderivative, poly_eval, poly_mul
 from .rationals import format_rational, parse_rational, parse_rational_list
 
 ZERO = Fraction(0)
 IDENTITY_ROW = (ZERO,)  # numerator and denominator of a piece left of the support
+# A float bid is within this relative error of the exact one.  monotone_no_overbid_check
+# flags a gap above 1e-12 between two bids <= 1; two such floats are off by less than
+# 2 * 2**-42 ~ 4.5e-13 together, so they make no false witness.
+FLOAT_BID_REL_ERROR = 2.0**-42
 
 
 @dataclass(frozen=True)
@@ -31,6 +43,8 @@ class RationalBidFunction:
 
     The bid is the identity at and below the support infimum, and on every
     piece whose denominator row is zero (pieces entirely left of the support).
+    Calling it gives the exact bid (:func:`eval_canonical`);
+    :meth:`float_evaluator` gives floats.
     """
 
     numerator: PiecewisePoly
@@ -44,6 +58,77 @@ class RationalBidFunction:
 
     def __call__(self, x) -> Fraction:
         return eval_canonical(self, x)
+
+    def float_evaluator(self) -> Callable:
+        """Float bid, within a relative FLOAT_BID_REL_ERROR of the exact one, for a float or a numpy array.
+
+        A point takes the float quotient of the two rows where it lies above
+        the support infimum and off every breakpoint that floats do not hold
+        exactly (the float piece rule may pick the wrong piece there), both
+        rows are normal floats, and each row's error bound (:func:`_bounded_row`)
+        is at most a quarter of FLOAT_BID_REL_ERROR of its value: the quotient
+        of two such values, rounded once more, is within FLOAT_BID_REL_ERROR.
+        Every other point, such as an identity piece (denominator 0), an
+        underflow or an ill-conditioned row, takes the float of the exact bid.
+        A scalar runs the same operations as an array element, so both give
+        the same bits; an array keeps its shape.
+        """
+        try:
+            num_row, den_row = _bounded_row(self.numerator), _bounded_row(self.denominator)
+        except OverflowError:  # a coefficient beyond the float range: every point is exact
+            return float_view(lambda x: eval_canonical(self, x))
+        v_low = float(self.support_infimum)  # x > v_low implies x > support_infimum
+        inexact = [float(b) for b in self.denominator.breakpoints[1:-1] if float(b) != b]
+        tiny, limit = np.finfo(float).tiny, FLOAT_BID_REL_ERROR / 4
+
+        def accepted(row, x):
+            """The row's value at x, and whether it is a normal float within its share of the error."""
+            value, err = row(x)
+            size = abs(value)
+            # an overflow leaves an infinite or NaN value or bound, which fails these tests
+            return value, (tiny <= size) & (size < np.inf) & (err / limit <= size)
+
+        def exact(x: float) -> float:
+            return float(eval_canonical(self, Fraction(x)))
+
+        def ev(x):
+            if not isinstance(x, np.ndarray):
+                x = float(x)
+                (num, num_ok), (den, den_ok) = accepted(num_row, x), accepted(den_row, x)
+                return num / den if num_ok and den_ok and x > v_low and x not in inexact else exact(x)
+            x = np.asarray(x, dtype=float)
+            with np.errstate(over="ignore", invalid="ignore"):
+                num, ok = accepted(num_row, x)
+                den, den_ok = accepted(den_row, x)
+            ok &= den_ok & (x > v_low)
+            if inexact:
+                ok &= ~np.isin(x, inexact)
+            out = np.empty(x.shape)
+            out[ok] = num[ok] / den[ok]
+            rest = ~ok
+            out[rest] = [exact(v) for v in x[rest].tolist()]
+            return out
+
+        return ev
+
+
+def _bounded_row(poly: PiecewisePoly) -> Callable:
+    """x -> (poly at x in floats, a bound on that value's error), for a float or a numpy array x.
+
+    Horner's rule on float coefficients is off by at most
+    gamma_k * sum |a_l| x**l (Higham, Accuracy and Stability of Numerical
+    Algorithms, 5.1), with gamma_k = k u / (1 - k u), u = 2**-53 and
+    k = 2d + 2: the 2d roundings of Horner's rule, the rounding of each
+    coefficient to a float, and one more that covers the rounding of the
+    sum itself, which is Horner's rule on the absolute row.  k * 2**-1074
+    covers each operation's absolute error if it underflows.
+    """
+    k = 2 * poly.degree + 2
+    gamma = k * 2.0**-53 / (1 - k * 2.0**-53)
+    value = poly.float_evaluator()
+    size = PiecewisePoly(poly.breakpoints, [[abs(c) for c in row] for row in poly.rows]).float_evaluator()
+    floor = k * np.finfo(float).smallest_subnormal
+    return lambda x: (value(x), gamma * size(x) + floor)
 
 
 def _power(row: tuple, k: int) -> tuple:

@@ -1,13 +1,41 @@
+import math
+import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
 import fpaeq as fq
+from fpaeq.cdf import float_view
+from fpaeq.explicit import FLOAT_BID_REL_ERROR, eval_canonical
 from fpaeq.poly import poly_eval
 
 from test_blackbox import T, reference_bid
+
+
+def seeded_cubic(seed: int, pieces: int) -> fq.PiecewisePolyCdf:
+    """Continuous piecewise-cubic cdf near the identity, with a seeded shape.
+
+    Piece j spans [a, b] = [j/p, (j+1)/p] and rises from its seeded end value
+    F(a) to F(b) as F(a) + (F(b) - F(a)) * sum_k w_k t**k, t = (x - a)/(b - a),
+    with seeded weights w_k in eighths that sum to 1.  In the monomial basis
+    the rows of its bid function cancel heavily: floats alone misjudge them.
+    """
+    rng = random.Random(seed)
+    bps = [F(j, pieces) for j in range(pieces + 1)]
+    ys = [F(0)] + [F(8 * j + rng.randint(-2, 2), 8 * pieces) for j in range(1, pieces)] + [F(1)]
+    rows = []
+    for a, b, ya, yb in zip(bps, bps[1:], ys, ys[1:]):
+        cut = sorted(rng.randint(0, 8) for _ in range(2))
+        row = [ya, F(0), F(0), F(0)]
+        for k, w in enumerate((cut[0], cut[1] - cut[0], 8 - cut[1]), start=1):
+            scale = (yb - ya) * F(w, 8) / (b - a) ** k
+            for i in range(k + 1):  # scale * (x - a)**k
+                row[i] += scale * math.comb(k, i) * (-a) ** (k - i)
+        rows.append(row)
+    return fq.PiecewisePolyCdf(bps, rows)
 
 
 class TestPowerCoefficients:
@@ -134,3 +162,68 @@ class TestJsonRoundTrip:
     def test_wrong_kind_rejected(self):
         with pytest.raises(fq.DomainError):
             fq.rbf_from_json({"kind": "jump_points"})
+
+
+def float_case(name, request):
+    if name == "power8":
+        return fq.power_cdf(8)
+    if name == "cubic":
+        return seeded_cubic(0, 8)
+    return request.getfixturevalue(name)
+
+
+def exact_floats(rbf, xs):
+    return np.array([float(eval_canonical(rbf, F(x))) for x in np.ravel(xs).tolist()]).reshape(np.shape(xs))
+
+
+class TestFloatEvaluator:
+    @pytest.mark.parametrize("n", [2, 3, 4, 8, 16, 64])
+    @pytest.mark.parametrize("name", ["uniform", "square", "power8", "adversarial", "cubic", "shifted_support"])
+    def test_within_bound_of_exact(self, name, n, request):
+        dist = float_case(name, request)
+        assert dist.validate().ok
+        rbf = fq.canonical_bid_function(dist, n)
+        v_low = float(dist.support_infimum())
+        # i/1024 (0 among them), every breakpoint, and the support infimum and points below it
+        points = [i / 1024 for i in range(1025)] + [float(b) for b in dist.breakpoints]
+        points += [v_low, v_low / 2, float(np.nextafter(v_low, 0.0))]
+        xs = np.array(points)
+        ev = float_view(rbf)
+        got, want = ev(xs), exact_floats(rbf, xs)
+        assert (np.abs(got - want) <= FLOAT_BID_REL_ERROR * np.abs(want)).all()
+        # a scalar gives the bits of its array element; an array of any shape keeps it
+        for k in list(range(0, 1025, 61)) + list(range(1025, len(points))):
+            assert ev(points[k]) == got[k]
+            assert type(ev(points[k])) is float
+        assert np.array_equal(ev(xs[:1024].reshape(256, 4)), got[:1024].reshape(256, 4))
+        assert np.array_equal(ev(xs[:1023].reshape(341, 3)[:, :1]), got[:1023:3, None])
+
+    def test_breakpoint_that_floats_round_up(self):
+        # float(1/10) > 1/10, so float 0.1 lies on the right piece, where the bid is x/4, not x/2
+        rows = ((F(0), F(0), F(1, 2)), (F(0), F(0), F(1, 4)))
+        rbf = fq.RationalBidFunction(fq.PiecewisePoly((F(0), F(1, 10), F(1)), rows),
+                                     fq.PiecewisePoly((F(0), F(1, 10), F(1)), ((F(0), F(1)),) * 2), F(0), 2)
+        assert F(0.1) > F(1, 10)
+        assert float_view(rbf)(0.1) == float(rbf(F(0.1))) == 0.1 / 4
+        assert float_view(rbf)(np.array([0.05, 0.1]))[1] == 0.1 / 4
+
+    def test_row_that_overflows_is_exact(self):
+        # (c x^2 + c x^3) / (2 c x + 2 c x^2) = x/2 with c = 2**1022: the denominator overflows to
+        # inf near x = 1, so those points take the exact bid, with no warning
+        c = F(2**1022)
+        bps = (F(0), F(1))
+        rbf = fq.RationalBidFunction(fq.PiecewisePoly(bps, ((F(0), F(0), c, c),)),
+                                     fq.PiecewisePoly(bps, ((F(0), 2 * c, 2 * c),)), F(0), 2)
+        xs = np.array([0.25, 0.5, 1.0])
+        assert float_view(rbf)(xs).tolist() == [0.125, 0.25, 0.5]
+        assert float_view(rbf)(1.0) == 0.5
+
+    def test_coefficient_beyond_float_range(self):
+        # (c x^2 / 2) / (c x) with c = 10**400: no row has a float, so every point is exact
+        c = F(10**400)
+        bps = (F(0), F(1))
+        rbf = fq.RationalBidFunction(fq.PiecewisePoly(bps, ((F(0), F(0), c / 2),)),
+                                     fq.PiecewisePoly(bps, ((F(0), c),)), F(0), 2)
+        xs = np.array([[0.0, 0.25], [0.5, 1.0]])
+        assert float_view(rbf)(xs).tolist() == [[0.0, 0.125], [0.25, 0.5]]
+        assert float_view(rbf)(0.75) == 0.375

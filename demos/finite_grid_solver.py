@@ -40,7 +40,7 @@ j = res.strategy.bid_index(Fraction(1))
 top = (1 - grid.bids[j - 1]) * res.strategy.win_probs(dist, n)[j - 1]
 # with continuous bids the top value's utility is the integral of F^(n-1);
 # for F(x) = x^2 and n = 3 that is 1/5 (and 1/n for the uniform cdf)
-integral_rows = fq.integral_coefficients(fq.power_coefficients(dist, n), dist)
-theory = sum(integral_rows[-1])
+nums, scale = fq.integral_coefficients(fq.power_coefficients(dist, n), dist)[-1]
+theory = Fraction(sum(nums), scale)
 print(f"\nutility of the highest value: {float(top):.4f} "
       f"(continuous-bid benchmark: {float(theory):.4f})")

@@ -32,7 +32,11 @@ ONE = Fraction(1)
 # whose coefficients share a 20-bit denominator, 0.7 s at 157 bits and 10 s at 961 bits
 # (the work grows with the coefficient size, not only the degree), 0.01 s for a piece
 # with derivative 1 + T_63(2x - 1).  Bid functions built from a cdf are not bounded by
-# it: their denominators have degree (n - 1) times the cdf's.
+# it: their denominators have degree (n - 1) times the cdf's.  The largest admitted
+# explicit solve, `solve --model ccfpa-explicit --n 64` on one dense degree-64 row with
+# 58-bit weights over their sum (a 64-bit denominator), takes about 8 s and 101 MB peak
+# RSS with CPython 3.11 on one core, 1.6 s at n = 32; a rule that admits inputs by their
+# estimated bit-work should keep this case in bounds.
 MAX_DEGREE = 64
 # Most bits of an integer in a piecewise_poly row read by cdf_from_json: each numerator and
 # the common denominator of the row's integer form (PiecewisePoly.int_rows).  validate()'s
@@ -60,11 +64,12 @@ class PiecewisePolyCdf(PiecewisePoly):
     """
 
     def __post_init__(self):
+        # padded before PiecewisePoly builds its integer rows, so that those have the same lengths
+        width = max(map(len, self.rows), default=0)
+        if width > MAX_DEGREE + 1:
+            raise DomainError(f"cdf degree {width - 1} exceeds the limit of {MAX_DEGREE}")
+        object.__setattr__(self, "rows", tuple(tuple(row) + (ZERO,) * (width - len(row)) for row in self.rows))
         super().__post_init__()
-        if self.degree > MAX_DEGREE:
-            raise DomainError(f"cdf degree {self.degree} exceeds the limit of {MAX_DEGREE}")
-        width = self.degree + 1
-        object.__setattr__(self, "rows", tuple(row + (ZERO,) * (width - len(row)) for row in self.rows))
 
     def validate(self) -> ValidationReport:
         """Check every representation invariant exactly; failures become report entries.
@@ -180,8 +185,9 @@ def make_adversarial_cdf(p: AdversarialCdfParams) -> PiecewisePolyCdf:
 class CdfOracle:
     """Query-counted cdf evaluator with a caller-asserted Lipschitz constant.
 
-    Each call is one query.  The batch query :meth:`grid_values` tabulates
-    the grid j/K and counts as its K - 1 interior points.
+    Each call is one query, and so is each point its float view
+    (:meth:`float_evaluator`) evaluates.  The batch query :meth:`grid_values`
+    tabulates the grid j/K and counts as its K - 1 interior points.
     """
 
     def __init__(self, evaluator: Callable, lipschitz):
@@ -212,9 +218,42 @@ class CdfOracle:
             return nums, den
         return [0] + [ev(Fraction(j, K)) for j in range(1, K)] + [1], 1
 
+    def float_evaluator(self) -> Callable:
+        """Float view of the oracle for a float or a numpy array; each evaluated point, array elements
+        included, is one query.
+
+        An evaluator with a float view of its own, such as a piecewise
+        polynomial or the mix of :func:`strongly_increasing_transform`,
+        evaluates in floats; any other is called on the exact rational value
+        of each point (:func:`float_view`).
+        """
+        if not hasattr(self._evaluator, "float_evaluator"):
+            return _exact_view(self)  # each point is one call, counted by __call__
+        inner = self._evaluator.float_evaluator()
+
+        def ev(x):
+            self.query_count += x.size if isinstance(x, np.ndarray) else 1
+            return inner(x)
+
+        return ev
+
+
+class _AffineMix:
+    """x -> delta*x + (1 - delta)*F(x) for an oracle F: exact on a rational x, in floats through F's float view."""
+
+    def __init__(self, oracle: CdfOracle, delta):
+        self.oracle, self.delta = oracle, delta
+
+    def __call__(self, x):
+        return self.delta * x + (1 - self.delta) * self.oracle(x)
+
+    def float_evaluator(self) -> Callable:
+        inner, delta = self.oracle.float_evaluator(), float(self.delta)
+        return lambda x: delta * x + (1 - delta) * inner(x)
+
 
 def oracle_from_piecewise(dist: PiecewisePolyCdf) -> CdfOracle:
-    """Exact-rational oracle backed by an explicit cdf."""
+    """Oracle backed by an explicit cdf: exact on a rational, and its float view is the cdf's."""
     return CdfOracle(dist, dist.lipschitz_bound())
 
 
@@ -223,15 +262,21 @@ def float_view(f) -> Callable:
 
     Anything with a ``float_evaluator`` gives its own: a piecewise polynomial,
     such as a cdf or the step bid function of jump points, evaluates its float
-    coefficients (:meth:`PiecewisePoly.float_evaluator`), and a
+    coefficients (:meth:`PiecewisePoly.float_evaluator`), a
     :class:`RationalBidFunction` divides float rows where their error bound
-    allows and is exact elsewhere (:meth:`RationalBidFunction.float_evaluator`).
-    Any other function, such as a :class:`CdfOracle`, is called on the exact
-    rational value of x, elementwise for an array, and its result is taken as
-    a float.
+    allows and is exact elsewhere (:meth:`RationalBidFunction.float_evaluator`),
+    and a :class:`CdfOracle` counts a query per point
+    (:meth:`CdfOracle.float_evaluator`).  Any other function is called on the
+    exact rational value of x, elementwise for an array, and its result is
+    taken as a float.
     """
     if hasattr(f, "float_evaluator"):
         return f.float_evaluator()
+    return _exact_view(f)
+
+
+def _exact_view(f) -> Callable:
+    """x -> float(f(Fraction(x))) for a float, elementwise for a numpy array."""
 
     def ev(x):
         if isinstance(x, np.ndarray):
@@ -246,7 +291,8 @@ def strongly_increasing_transform(cdf, delta):
 
     Applied exactly to coefficients for :class:`PiecewisePolyCdf`; for a
     :class:`CdfOracle` a fresh oracle is returned that queries the given one,
-    so each query counts on both.
+    so each query counts on both.  Its float view mixes in floats over the
+    given oracle's float view.
     """
     delta = Fraction(delta) if not isinstance(cdf, CdfOracle) else delta
     if not 0 < delta < 1:
@@ -262,7 +308,7 @@ def strongly_increasing_transform(cdf, delta):
         return PiecewisePolyCdf(cdf.breakpoints, tuple(rows))
     if isinstance(cdf, CdfOracle):
         lip = max(1, cdf.lipschitz)  # delta*1 + (1-delta)*L <= max(1, L)
-        return CdfOracle(lambda x: delta * x + (1 - delta) * cdf(x), lip)
+        return CdfOracle(_AffineMix(cdf, delta), lip)
     raise DomainError(f"unsupported cdf type: {type(cdf).__name__}")
 
 

@@ -6,9 +6,17 @@ equilibrium bid function
     bid(x) = x - (integral of F**(n-1) from 0 to x) / F(x)**(n-1)
 
 is a piecewise rational function whose numerator/denominator coefficients are
-computed exactly: the cdf powers by repeated squaring of coefficient rows, the
-integral by termwise antidifferentiation with continuity-matching constants.
-Rational values therefore map to exact rational bids.
+computed exactly on integer rows (nums, scale), coefficient l being
+nums[l] / scale, the form of :attr:`PiecewisePoly.int_rows`:
+
+* each piece's F_j**(n-1) is one packed big-int power (:func:`poly.power_int`);
+* the integral is antidifferentiated on ints over scale * lcm(1, ..., len(row)),
+  and its constant matches the previous piece at the breakpoint, by Horner's
+  rule on ints;
+* the numerator row x * F_j**(n-1) - integral is formed on ints over one scale.
+
+No stage takes a gcd per term: each output coefficient is normalised once, as
+one Fraction.  Rational values therefore map to exact rational bids.
 
 The float view of a bid function (:meth:`RationalBidFunction.float_evaluator`)
 divides the two rows' float values wherever Horner's error bound shows the
@@ -18,6 +26,7 @@ takes the float of the exact bid everywhere else.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -26,7 +35,7 @@ import numpy as np
 
 from .cdf import PiecewisePolyCdf, float_view
 from .errors import DomainError, check_bidders
-from .poly import PiecewisePoly, horner_int, is_zero_poly, poly_antiderivative, poly_eval, poly_mul
+from .poly import PiecewisePoly, horner_int, is_zero_poly, power_int
 from .rationals import format_rational, parse_rational, parse_rational_list
 
 ZERO = Fraction(0)
@@ -131,34 +140,36 @@ def _bounded_row(poly: PiecewisePoly) -> Callable:
     return lambda x: (value(x), gamma * size(x) + floor)
 
 
-def _power(row: tuple, k: int) -> tuple:
-    """row**k for k >= 1, by repeated squaring."""
-    result, square = None, row
-    while True:
-        if k & 1:
-            result = square if result is None else poly_mul(result, square)
-        k >>= 1
-        if not k:
-            return tuple(result)
-        square = poly_mul(square, square)
-
-
 def power_coefficients(dist: PiecewisePolyCdf, n: int) -> tuple:
-    """Coefficients of F_j**(n-1), exact, one row per piece j."""
+    """Integer rows (nums, scale) of F_j**(n-1), one per piece j: coefficient l is nums[l] / scale."""
     check_bidders(n)
-    return tuple(_power(row, n - 1) for row in dist.rows)
+    k = n - 1
+    return tuple((power_int(nums, k), scale**k) for nums, scale in dist.int_rows)
 
 
 def integral_coefficients(power_rows: tuple, dist: PiecewisePolyCdf) -> tuple:
-    """Rows of x -> integral_0^x F(t)**(n-1) dt from the power rows of dist, continuous across pieces."""
+    """Integer rows (nums, scale) of x -> integral_0^x F(t)**(n-1) dt from the power rows of dist, continuous across pieces.
+
+    Row j is antidifferentiated over its power row's scale times
+    lcm(1, ..., len(row)).  Its constant is the previous row's value at
+    breakpoint j less its own there, both by :func:`horner_int`; the row's
+    scale grows to the constant's denominator where that one does not divide it.
+    """
     rows = []
-    for j, b_row in enumerate(power_rows):
-        c = poly_antiderivative(b_row)
+    for j, (b_row, b_scale) in enumerate(power_rows):
+        m = math.lcm(*range(1, len(b_row) + 1))
+        c_row, scale = [0] + [c * (m // (l + 1)) for l, c in enumerate(b_row)], b_scale * m
         if j > 0:
-            v = dist.breakpoints[j]
-            # match the value of the previous piece's polynomial at the breakpoint
-            c[0] = poly_eval(rows[-1], v) - poly_eval(c, v)
-        rows.append(tuple(c))
+            (prev, prev_scale), v = rows[-1], dist.breakpoints[j]
+            p, q = v.numerator, v.denominator
+            # a row's value at p/q is horner_int / (scale * q**degree)
+            c0 = (Fraction(horner_int(prev, p, q), prev_scale * q ** (len(prev) - 1))
+                  - Fraction(horner_int(c_row, p, q), scale * q ** (len(c_row) - 1)))
+            grow = c0.denominator // math.gcd(c0.denominator, scale)
+            if grow > 1:
+                c_row, scale = [c * grow for c in c_row], scale * grow
+            c_row[0] = c0.numerator * (scale // c0.denominator)
+        rows.append((c_row, scale))
     return tuple(rows)
 
 
@@ -167,14 +178,16 @@ def canonical_bid_function(dist: PiecewisePolyCdf, n: int) -> RationalBidFunctio
     power_rows = power_coefficients(dist, n)
     v_low = dist.support_infimum()
     numer, denom = [], []
-    for b_row, c_row in zip(power_rows, integral_coefficients(power_rows, dist)):
-        if is_zero_poly(b_row):
+    for (b_row, b_scale), (c_row, scale) in zip(power_rows, integral_coefficients(power_rows, dist)):
+        if not any(b_row):
             numer.append(IDENTITY_ROW)
             denom.append(IDENTITY_ROW)
             continue
-        # numerator(x) = x * denominator(x) - integral(x)
-        numer.append((-c_row[0],) + tuple(b_row[l - 1] - c_row[l] for l in range(1, len(c_row))))
-        denom.append(b_row)
+        # numerator(x) = x * denominator(x) - integral(x), over the integral's scale, a multiple of b_scale
+        up = scale // b_scale
+        row = [-c_row[0]] + [b * up - c for b, c in zip(b_row, c_row[1:])]
+        numer.append(tuple(Fraction(c, scale) for c in row))
+        denom.append(tuple(Fraction(b, b_scale) for b in b_row))
     return RationalBidFunction(
         PiecewisePoly(dist.breakpoints, numer), PiecewisePoly(dist.breakpoints, denom), v_low, n
     )

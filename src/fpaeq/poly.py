@@ -1,17 +1,16 @@
 """Dense univariate polynomials and piecewise polynomials over exact rationals.
 
 Coefficient vectors are low-to-high degree: ``coeffs[l]`` multiplies ``x**l``.
-:func:`poly_eval` and the derivative helpers work with any field that supports
-+, * and / (Fraction, float).  :class:`PiecewisePoly` is the one place that
-decides which piece a point falls in and how a piece is evaluated, exactly or
-in floats.
+:class:`PiecewisePoly` is the one place that decides which piece a point falls
+in and how a piece is evaluated, exactly or in floats.
 
-Exact evaluation and multiplication run on integer rows: a row of Fractions is
-held as integer numerators over one denominator, the lcm of its coefficients'
-denominators (Knuth, TAOCP vol. 2, 4.6.1).  Horner's rule at x = p/q and the
-coefficient convolution then run on Python ints, and each result is normalised
-once, where Fraction arithmetic would take a gcd per operation.  The results
-are the same normalised Fractions.  Float evaluation does not change.
+Exact arithmetic runs on integer rows: a row of Fractions is held as integer
+numerators over one denominator, the lcm of its coefficients' denominators
+(Knuth, TAOCP vol. 2, 4.6.1).  Horner's rule at x = p/q (:func:`horner_int`)
+and the power of a row (:func:`power_int`, one big-int power by Kronecker
+substitution) then run on Python ints, and each result is normalised once,
+where Fraction arithmetic would take a gcd per operation.  The results are the
+same normalised Fractions.  Float evaluation does not change.
 
 :func:`nonnegative_on` decides on the same integers, exactly and without
 sampling, whether a polynomial is >= 0 on an interval; a cdf piece is
@@ -29,14 +28,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DomainError
-
-
-def poly_eval(coeffs: Sequence, x):
-    """Evaluate a polynomial with Horner's rule."""
-    acc = 0 * x
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
 
 
 def int_row(row: Sequence) -> tuple[tuple[int, ...], int]:
@@ -58,30 +49,38 @@ def horner_int(nums: Sequence[int], p: int, q: int) -> int:
     return acc
 
 
-def poly_mul(a: Sequence, b: Sequence) -> list:
-    """Exact product of two rational rows: (a * b)(x) = a(x) * b(x), with len(a) + len(b) - 1 terms.
+def power_int(nums: Sequence[int], k: int) -> list[int]:
+    """The k * (len(nums) - 1) + 1 coefficients of the k-th power (k >= 1) of the integer polynomial nums.
 
-    Convolves the integer numerators of the two rows and divides by the
-    product of their denominators, one normalisation per output coefficient.
+    Kronecker substitution (Schoenhage 1982; Harvey, "Faster polynomial
+    multiplication via multipoint Kronecker substitution", J. Symb. Comp.
+    2009): the row is packed into one int, sum(nums[l] * R**l) with R = 2**(8B),
+    and raised to the k-th power in one big-int operation.  No coefficient of
+    the power exceeds (sum |nums[l]|)**k in absolute value, and the B-byte slots
+    hold that bound with two bits to spare, so slot l of the power holds
+    coefficient l less a borrow of 1 where the coefficients below it sum to a
+    negative number.  One signed ``to_bytes``, byte slices and a carry recover
+    the coefficients.
     """
-    (na, la), (nb, lb) = int_row(a), int_row(b)
-    out = [0] * (len(na) + len(nb) - 1)
-    for i, ai in enumerate(na):
-        if ai:
-            for j, bj in enumerate(nb):
-                out[i + j] += ai * bj
-    scale = la * lb
-    # an empty row is (0,) in int_row; the terms beyond len(a) + len(b) - 1 are then zero
-    return [Fraction(c, scale) for c in out[: max(len(a) + len(b) - 1, 0)]]
+    size = k * (len(nums) - 1) + 1
+    width = ((sum(map(abs, nums)) ** k).bit_length() + 2 + 7) // 8  # B, in bytes
+    shift = 8 * width
+    packed = 0
+    for c in reversed(nums):
+        packed = (packed << shift) + c
+    raw = (packed**k).to_bytes(size * width, "little", signed=True)
+    full, half = 1 << shift, 1 << (shift - 1)
+    out, carry = [], 0
+    for i in range(0, size * width, width):
+        v = int.from_bytes(raw[i : i + width], "little") + carry
+        # v is the coefficient modulo R; it lies in [0, R], and |coefficient| < R/4
+        carry = v >= half
+        out.append(v - full if carry else v)
+    return out
 
 
 def poly_derivative(coeffs: Sequence) -> list:
     return [l * c for l, c in enumerate(coeffs)][1:] or [Fraction(0)]
-
-
-def poly_antiderivative(coeffs: Sequence) -> list:
-    """Antiderivative with zero constant term."""
-    return [Fraction(0)] + [Fraction(c, 1) / (l + 1) for l, c in enumerate(coeffs)]
 
 
 def is_zero_poly(coeffs: Sequence) -> bool:
@@ -160,6 +159,11 @@ def nonnegative_on(f: Sequence[int], lo: Fraction, hi: Fraction) -> bool:
     return changes == 0
 
 
+def _fraction(c) -> Fraction:
+    """c as a Fraction; one that already is a Fraction is kept as it is."""
+    return c if c.__class__ is Fraction else Fraction(c)
+
+
 @dataclass(frozen=True)
 class PiecewisePoly:
     """Polynomial ``rows[j]`` on piece j = [breakpoints[j], breakpoints[j+1]], inside [0, 1].
@@ -178,8 +182,8 @@ class PiecewisePoly:
     _inner: tuple[float, ...] = field(init=False, repr=False, compare=False)  # inner breakpoints as floats
 
     def __post_init__(self):
-        object.__setattr__(self, "breakpoints", tuple(Fraction(b) for b in self.breakpoints))
-        object.__setattr__(self, "rows", tuple(tuple(Fraction(c) for c in row) for row in self.rows))
+        object.__setattr__(self, "breakpoints", tuple(map(_fraction, self.breakpoints)))
+        object.__setattr__(self, "rows", tuple(tuple(map(_fraction, row)) for row in self.rows))
         if not self.rows or len(self.breakpoints) != len(self.rows) + 1:
             raise DomainError("need one or more pieces, with exactly one coefficient row per piece")
         object.__setattr__(self, "int_rows", tuple(int_row(row) for row in self.rows))

@@ -30,3 +30,17 @@ def shifted_support():
 @pytest.fixture
 def adversarial():
     return make_adversarial_cdf(AdversarialCdfParams(F(3, 4), F(1, 8), F(1, 32)))
+
+
+def poly_eval(coeffs, x):
+    """A polynomial's value by Horner's rule in the arithmetic of its coefficients and x (Fraction, sympy)."""
+    acc = 0 * x
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def row_fractions(row) -> list:
+    """The coefficients of an integer row (nums, scale) as Fractions."""
+    nums, scale = row
+    return [F(c, scale) for c in nums]

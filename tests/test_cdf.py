@@ -8,7 +8,9 @@ from hypothesis import given, strategies as st
 import fpaeq as fq
 from fpaeq import AdversarialCdfParams, DomainError, PiecewisePoly, PiecewisePolyCdf
 from fpaeq.cdf import MAX_DEGREE, float_view
-from fpaeq.poly import nonnegative_on, poly_derivative, poly_eval
+from fpaeq.poly import nonnegative_on, poly_derivative
+
+from conftest import poly_eval
 
 FIXTURES = "uniform square two_piece shifted_support adversarial".split()
 
@@ -109,13 +111,22 @@ class TestFloatView:
             fv(np.array([0.5, -0.25]))
 
     def test_oracle_evaluated_at_exact_value(self, square):
-        oracle = fq.oracle_from_piecewise(square)
+        oracle = fq.CdfOracle(lambda x: square(x), 2)  # an evaluator with no float view of its own
         fv = float_view(oracle)
         y = fv(0.5)
         assert y == 0.25 and isinstance(y, float)
         assert oracle.query_count == 1
         assert fv(np.array([[0.5, 1.0]])).tolist() == [[0.25, 1.0]]
         assert oracle.query_count == 3
+
+    def test_oracle_float_path_counts_each_point(self, two_piece):
+        oracle = fq.oracle_from_piecewise(two_piece)
+        fv, direct = float_view(oracle), two_piece.float_evaluator()
+        xs = np.array([[0.0, 0.3], [0.5, 0.9]])
+        assert fv(0.3) == direct(0.3)
+        assert oracle.query_count == 1
+        assert np.array_equal(fv(xs), direct(xs))
+        assert oracle.query_count == 5  # one query per array element
 
 
 class TestValidate:
@@ -195,6 +206,20 @@ class TestStronglyIncreasingTransform:
         t(F(3, 4))
         assert t.query_count == 2
         assert oracle.query_count == 2  # the transformed oracle queries the given one
+
+    @pytest.mark.parametrize("float_path", [True, False])
+    def test_oracle_transform_float_view(self, square, float_path):
+        # the mix runs in floats over the given oracle's float view, or over its exact values
+        oracle = fq.oracle_from_piecewise(square) if float_path else fq.CdfOracle(lambda x: square(x), 2)
+        delta = F(1, 3)
+        t = fq.strongly_increasing_transform(oracle, delta)
+        xs = np.array([0.0, 0.25, 0.7, 1.0])
+        got = float_view(t)(xs)
+        assert t.query_count == oracle.query_count == 4
+        want = [float(delta * F(x) + (1 - delta) * square(F(x))) for x in xs.tolist()]
+        assert np.allclose(got, want, rtol=4 * 2.0**-52, atol=0)
+        assert float_view(t)(0.7) == got[2]
+        assert t.query_count == oracle.query_count == 5
 
 
 class TestAdversarialCdf:

@@ -233,6 +233,33 @@ class TestSolve:
         res = fq.solve(oracle, 2, grid_of("0", "1/4", "1/2"), F(1, 64))
         assert oracle.query_count == res.transformed_cdf.query_count > 0
 
+    def test_oracle_queries_equal_evaluated_points(self, two_piece):
+        class Counted:
+            """two_piece, counting the points it evaluates: exact ones and float ones, array elements included."""
+
+            def __init__(self):
+                self.exact = self.floats = 0
+
+            def __call__(self, x):
+                self.exact += 1
+                return two_piece(x)
+
+            def float_evaluator(self):
+                inner = two_piece.float_evaluator()
+
+                def ev(x):
+                    self.floats += getattr(x, "size", 1)
+                    return inner(x)
+
+                return ev
+
+        counted = Counted()
+        oracle = fq.CdfOracle(counted, two_piece.lipschitz_bound())
+        res = fq.solve(oracle, 3, grid_of("0", "1/8", "3/8", "1/2"), F(1, 2**20))
+        assert res.certificate.passed
+        assert counted.floats > 0  # the float search ran in floats, not on exact rationals
+        assert oracle.query_count == res.transformed_cdf.query_count == counted.exact + counted.floats
+
     def test_bare_callable_rejected(self):
         with pytest.raises(DomainError):
             fq.solve(lambda x: x, 2, grid_of("0", "1/2"), F(1, 16))

@@ -10,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 import fpaeq as fq
 from fpaeq.cdf import float_view
 from fpaeq.explicit import FLOAT_BID_REL_ERROR, eval_canonical
-from fpaeq.poly import poly_eval
 
+from conftest import poly_eval, row_fractions
 from test_blackbox import T, reference_bid
 
 
@@ -41,12 +41,14 @@ def seeded_cubic(seed: int, pieces: int) -> fq.PiecewisePolyCdf:
 class TestPowerCoefficients:
     def test_uniform_cubed(self, uniform):
         # (x)^3 for n = 4
-        assert fq.power_coefficients(uniform, 4) == ((F(0), F(0), F(0), F(1)),)
+        assert fq.power_coefficients(uniform, 4) == (([0, 0, 0, 1], 1),)
 
     def test_linear_piece_squared(self):
-        # (1/4 + x/2)^2 = 1/16 + x/4 + x^2/4
+        # (1/4 + x/2)^2 = (1 + 2x)^2 / 16 = 1/16 + x/4 + x^2/4
         dist = fq.PiecewisePolyCdf((F(0), F(1)), ((F(1, 4), F(1, 2)),))
-        assert fq.power_coefficients(dist, 3) == ((F(1, 16), F(1, 4), F(1, 4)),)
+        (row,) = fq.power_coefficients(dist, 3)
+        assert row == ([1, 4, 4], 16)
+        assert row_fractions(row) == [F(1, 16), F(1, 4), F(1, 4)]
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -57,16 +59,16 @@ class TestPowerCoefficients:
     def test_power_matches_pointwise(self, a, x, n):
         dist = fq.PiecewisePolyCdf((F(0), F(1)), ((F(0), a, 1 - a),))
         rows = fq.power_coefficients(dist, n)
-        assert poly_eval(rows[0], x) == dist(x) ** (n - 1)
+        assert poly_eval(row_fractions(rows[0]), x) == dist(x) ** (n - 1)
 
 
 class TestIntegralCoefficients:
     def test_uniform_square(self, uniform):
-        rows = fq.integral_coefficients(fq.power_coefficients(uniform, 3), uniform)
-        assert rows == ((F(0), F(0), F(0), F(1, 3)),)
+        (row,) = fq.integral_coefficients(fq.power_coefficients(uniform, 3), uniform)
+        assert row_fractions(row) == [F(0), F(0), F(0), F(1, 3)]
 
     def test_continuity_across_pieces(self, two_piece):
-        rows = fq.integral_coefficients(fq.power_coefficients(two_piece, 2), two_piece)
+        rows = [row_fractions(r) for r in fq.integral_coefficients(fq.power_coefficients(two_piece, 2), two_piece)]
         v = two_piece.breakpoints[1]
         assert poly_eval(rows[0], v) == poly_eval(rows[1], v)
         # integral of x^2 on [0, 1/2] is 1/24
@@ -78,10 +80,54 @@ class TestIntegralCoefficients:
         dist = fq.power_cdf(2)
         rows = fq.integral_coefficients(fq.power_coefficients(dist, n), dist)
         want = sympy.integrate((T**2) ** (n - 1), (T, 0, sympy.Rational(x)))
-        assert poly_eval(rows[0], x) == F(sympy.Rational(want).p, sympy.Rational(want).q)
+        assert poly_eval(row_fractions(rows[0]), x) == F(sympy.Rational(want).p, sympy.Rational(want).q)
+
+
+def fraction_pipeline(dist, n) -> tuple:
+    """canonical_bid_function's rows in Fraction arithmetic: (numerator rows, denominator rows).
+
+    Each power is a repeated product of Fraction rows, each integral a termwise
+    antiderivative whose constant matches the previous piece's value at the
+    breakpoint, and each numerator x * power - integral; a piece whose power is
+    zero is the identity row (0,).
+    """
+    numer, denom, prev = [], [], None
+    for j, row in enumerate(dist.rows):
+        power = [F(1)]
+        for _ in range(n - 1):
+            out = [F(0)] * (len(power) + len(row) - 1)
+            for i, a in enumerate(power):
+                for l, c in enumerate(row):
+                    out[i + l] += a * c
+            power = out
+        integral = [F(0)] + [c / (l + 1) for l, c in enumerate(power)]
+        if j > 0:
+            v = dist.breakpoints[j]
+            integral[0] = poly_eval(prev, v) - poly_eval(integral, v)
+        prev = integral
+        if all(c == 0 for c in power):
+            numer.append((F(0),))
+            denom.append((F(0),))
+        else:
+            numer.append((-integral[0],) + tuple(power[l - 1] - integral[l] for l in range(1, len(integral))))
+            denom.append(tuple(power))
+    return tuple(numer), tuple(denom)
 
 
 class TestCanonicalBid:
+    @pytest.mark.parametrize("name,n", [("cubic", 2), ("cubic", 16), ("cubic", 64), ("adversarial", 8),
+                                        ("shifted_support", 8), ("two_piece", 3), ("power3", 16)])
+    def test_rows_match_fraction_pipeline(self, request, name, n):
+        # adversarial has identity pieces F(x) = x; shifted_support has an identity bid piece (zero
+        # denominator); two_piece has pieces of degrees 2 and 1, zero-padded to one length
+        dist = {"cubic": lambda: seeded_cubic(0, 8), "power3": lambda: fq.power_cdf(3)}.get(
+            name, lambda: request.getfixturevalue(name))()
+        rbf = fq.canonical_bid_function(dist, n)
+        numer, denom = fraction_pipeline(dist, n)
+        assert rbf.numerator.rows == numer
+        assert rbf.denominator.rows == denom
+        assert all(type(c) is F for rows in (rbf.numerator.rows, rbf.denominator.rows) for row in rows for c in row)
+
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_uniform_closed_form(self, uniform, n):
         rbf = fq.canonical_bid_function(uniform, n)

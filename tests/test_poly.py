@@ -1,9 +1,9 @@
 """Exact arithmetic on integer rows, checked against independent references.
 
 The references are the Fraction code the integer path replaced (Horner's rule
-with `poly_eval`, the exact `bisect_left` piece rule, a naive Fraction
-convolution) and, for the sign decision behind `validate`, sympy's square-free
-factorisation and real-root counts.
+with a test-local `poly_eval`, the exact `bisect_left` piece rule, a naive
+convolution, repeated for powers) and, for the sign decision behind `validate`,
+sympy's square-free factorisation and real-root counts.
 """
 
 import bisect
@@ -19,7 +19,9 @@ import fpaeq as fq
 from fpaeq import DomainError, PiecewisePoly, PiecewisePolyCdf, RationalBidFunction
 from fpaeq.cdf import ValidationReport
 from fpaeq.explicit import eval_canonical, power_coefficients
-from fpaeq.poly import int_row, nonnegative_on, poly_antiderivative, poly_derivative, poly_eval, poly_mul
+from fpaeq.poly import int_row, nonnegative_on, poly_derivative, power_int
+
+from conftest import poly_eval, row_fractions
 
 BIG = 2**64
 FIXTURES = "uniform square two_piece shifted_support adversarial".split()
@@ -263,13 +265,35 @@ class TestEvalCanonical:
         assert eval_canonical(lowered, F(1, 3)) == F(6, 7) * F(1, 3)
 
 
+def naive_power(row, k) -> list:
+    """row**k by k - 1 schoolbook products."""
+    out = list(row)
+    for _ in range(k - 1):
+        out = naive_mul(out, row)
+    return out
+
+
+# rows of ints with zeros, negatives, a single coefficient, trailing (high) zeros and every coefficient 0
+int_rows = st.lists(st.one_of(st.just(0), st.integers(-3, 3), st.integers(-(2**70), 2**70)), min_size=1, max_size=8)
+
+
 class TestProducts:
     @settings(max_examples=150, deadline=None)
-    @given(rows, rows)
-    def test_poly_mul_matches_naive_convolution(self, a, b):
-        product = poly_mul(a, b)
-        assert product == naive_mul(a, b)
-        assert all(normalised(c) for c in product)
+    @given(int_rows, st.sampled_from([1, 2, 3, 63]))
+    def test_packed_power_matches_repeated_multiplication(self, row, k):
+        assert power_int(row, k) == naive_power(row, k)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 63])
+    @pytest.mark.parametrize("row", [
+        [-1, -1], [1, 1], [0, 0, 0], [0], [-5], [7, 0, 0], [0, -1, 0, 2],
+        # one coefficient, whose power is +-(sum |a_l|)**k; at k = 1, 63 and 2**62 - 1 fill their
+        # slots up to the two spare bits
+        [-63], [63], [0, -255], [-(2**62 - 1)], [2**62 - 1, 0],
+        # a negative coefficient below zeros: its borrow turns the zero slots above it to all ones
+        [-1, 0, 0, 1], [1, 0, -1], [-(2**64 - 1), 2**64 - 1],
+    ])
+    def test_packed_power_edges(self, row, k):
+        assert power_int(row, k) == naive_power(row, k)
 
     @pytest.mark.parametrize("n", [2, 3, 8, 17, 64])
     @pytest.mark.parametrize("name", ["two_piece", "adversarial", "seeded"])
@@ -279,10 +303,7 @@ class TestProducts:
         else:
             dist = request.getfixturevalue(name)
         for row, power in zip(dist.rows, power_coefficients(dist, n)):
-            expected = [F(1)]
-            for _ in range(n - 1):
-                expected = naive_mul(expected, row)
-            assert list(power) == expected
+            assert row_fractions(power) == naive_power(row, n - 1)
 
 
 class TestValidate:
@@ -358,7 +379,7 @@ class TestNonnegativeOn:
         # the degree-64 cdf whose density is proportional to 1 + r T_63(2x - 1)
         density = [r * c for c in shifted_chebyshev(63)]
         density[0] += 1
-        row = poly_antiderivative(density)
+        row = [F(0)] + [F(c, l + 1) for l, c in enumerate(density)]
         total = sum(row)
         dist = PiecewisePolyCdf((0, 1), (tuple(c / total for c in row),))
         assert dist.degree == 64

@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError
-from .poly import PiecewisePoly, is_zero_poly, nonnegative_on, poly_derivative
+from .poly import PiecewisePoly, nonnegative_on, poly_derivative
 from .rationals import format_rational, parse_rational, parse_rational_list
 
 ZERO = Fraction(0)
@@ -34,8 +34,8 @@ ONE = Fraction(1)
 # with derivative 1 + T_63(2x - 1).  Bid functions built from a cdf are not bounded by
 # it: their denominators have degree (n - 1) times the cdf's.  The largest admitted
 # explicit solve, `solve --model ccfpa-explicit --n 64` on one dense degree-64 row with
-# 58-bit weights over their sum (a 64-bit denominator), takes about 8 s and 101 MB peak
-# RSS with CPython 3.11 on one core, 1.6 s at n = 32; a rule that admits inputs by their
+# 58-bit weights over their sum (a 64-bit denominator), takes 7-9 s and 92 MB peak RSS
+# with CPython 3.11 on one core, 1.8 s at n = 32; a rule that admits inputs by their
 # estimated bit-work should keep this case in bounds.
 MAX_DEGREE = 64
 # Most bits of an integer in a piecewise_poly row read by cdf_from_json: each numerator and
@@ -56,20 +56,18 @@ class ValidationReport:
         return not self.violations
 
 
-@dataclass(frozen=True)
 class PiecewisePolyCdf(PiecewisePoly):
     """Piecewise-polynomial cdf: piece j covers [breakpoints[j], breakpoints[j+1]].
 
-    Rows are zero-padded to a common length, at most MAX_DEGREE + 1.
+    Both constructors check that no row is longer than MAX_DEGREE + 1, then
+    zero-pad the integer rows to a common length.
     """
 
-    def __post_init__(self):
-        # padded before PiecewisePoly builds its integer rows, so that those have the same lengths
-        width = max(map(len, self.rows), default=0)
+    def _set(self, breakpoints, int_rows: list) -> None:
+        width = max((len(nums) for nums, _ in int_rows), default=0)
         if width > MAX_DEGREE + 1:
             raise DomainError(f"cdf degree {width - 1} exceeds the limit of {MAX_DEGREE}")
-        object.__setattr__(self, "rows", tuple(tuple(row) + (ZERO,) * (width - len(row)) for row in self.rows))
-        super().__post_init__()
+        super()._set(breakpoints, [(nums + (0,) * (width - len(nums)), scale) for nums, scale in int_rows])
 
     def validate(self) -> ValidationReport:
         """Check every representation invariant exactly; failures become report entries.
@@ -112,14 +110,14 @@ class PiecewisePolyCdf(PiecewisePoly):
         infimum is therefore always the left breakpoint of the first piece
         whose polynomial is not identically zero.
         """
-        for j, row in enumerate(self.rows):
-            if not is_zero_poly(row):
+        for j, (nums, _) in enumerate(self.int_rows):
+            if any(nums):
                 return self.breakpoints[j]
         raise DomainError("cdf is identically zero")
 
     def lipschitz_bound(self) -> Fraction:
         """A valid (not necessarily tight) Lipschitz constant on [0, 1]."""
-        return max(sum(l * abs(c) for l, c in enumerate(row)) for row in self.rows)
+        return max(Fraction(sum(l * abs(c) for l, c in enumerate(nums)), scale) for nums, scale in self.int_rows)
 
     def to_json(self) -> dict:
         return {

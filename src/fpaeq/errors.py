@@ -12,9 +12,10 @@ class PrecisionError(RuntimeError):
 # Most bidders any solver or verifier accepts.  The exact work grows with n: F**(n-1) has
 # n - 1 times the cdf's degree, with coefficients to match.  Measured with CPython 3.11 on
 # one Xeon core at n = 64, through the CLI: on an 8-piece cubic, ccfpa-explicit and cdfpa
-# (three bids) take 0.4 s; on a dense degree-64 piece whose coefficients share a 64-bit
-# denominator, near the largest cdf a JSON file may give, ccfpa-explicit takes 37 s,
-# cdfpa 8.6 s and exact verify 0.5 s.  At n = 256 ccfpa-explicit on the cubic took 6.3 s.
+# (three bids) take 0.3 s; on a dense degree-64 piece whose coefficients share a 64-bit
+# denominator, near the largest cdf a JSON file may give, ccfpa-explicit takes 7-9 s, and
+# cdfpa (three bids, eps 1/64) 15 s and exact verify 25 s before each fails to print a
+# rational of over 4300 digits.  At n = 256 (limit lifted) ccfpa-explicit on the cubic: 2.4 s.
 MAX_BIDDERS = 64
 
 

@@ -15,8 +15,9 @@ nums[l] / scale, the form of :attr:`PiecewisePoly.int_rows`:
   rule on ints;
 * the numerator row x * F_j**(n-1) - integral is formed on ints over one scale.
 
-No stage takes a gcd per term: each output coefficient is normalised once, as
-one Fraction.  Rational values therefore map to exact rational bids.
+No stage takes a gcd per term: the bid function keeps these integer rows, each
+put in lowest terms by one gcd, and a coefficient becomes a Fraction only when
+it is printed.  Rational values therefore map to exact rational bids.
 
 The float view of a bid function (:meth:`RationalBidFunction.float_evaluator`)
 divides the two rows' float values wherever Horner's error bound shows the
@@ -35,11 +36,9 @@ import numpy as np
 
 from .cdf import PiecewisePolyCdf, float_view
 from .errors import DomainError, check_bidders
-from .poly import PiecewisePoly, horner_int, is_zero_poly, power_int
+from .poly import PiecewisePoly, horner_int, power_int
 from .rationals import format_rational, parse_rational, parse_rational_list
 
-ZERO = Fraction(0)
-IDENTITY_ROW = (ZERO,)  # numerator and denominator of a piece left of the support
 # A float bid is within this relative error of the exact one.  monotone_no_overbid_check
 # flags a gap above 1e-12 between two bids <= 1; two such floats are off by less than
 # 2 * 2**-42 ~ 4.5e-13 together, so they make no false witness.
@@ -135,7 +134,8 @@ def _bounded_row(poly: PiecewisePoly) -> Callable:
     k = 2 * poly.degree + 2
     gamma = k * 2.0**-53 / (1 - k * 2.0**-53)
     value = poly.float_evaluator()
-    size = PiecewisePoly(poly.breakpoints, [[abs(c) for c in row] for row in poly.rows]).float_evaluator()
+    size = PiecewisePoly.from_int_rows(
+        poly.breakpoints, [(tuple(map(abs, nums)), scale) for nums, scale in poly.int_rows]).float_evaluator()
     floor = k * np.finfo(float).smallest_subnormal
     return lambda x: (value(x), gamma * size(x) + floor)
 
@@ -179,32 +179,23 @@ def canonical_bid_function(dist: PiecewisePolyCdf, n: int) -> RationalBidFunctio
     v_low = dist.support_infimum()
     numer, denom = [], []
     for (b_row, b_scale), (c_row, scale) in zip(power_rows, integral_coefficients(power_rows, dist)):
-        if not any(b_row):
-            numer.append(IDENTITY_ROW)
-            denom.append(IDENTITY_ROW)
-            continue
-        # numerator(x) = x * denominator(x) - integral(x), over the integral's scale, a multiple of b_scale
-        up = scale // b_scale
-        row = [-c_row[0]] + [b * up - c for b, c in zip(b_row, c_row[1:])]
-        numer.append(tuple(Fraction(c, scale) for c in row))
-        denom.append(tuple(Fraction(b, b_scale) for b in b_row))
-    return RationalBidFunction(
-        PiecewisePoly(dist.breakpoints, numer), PiecewisePoly(dist.breakpoints, denom), v_low, n
-    )
+        if any(b_row):
+            # numerator(x) = x * denominator(x) - integral(x), over the integral's scale, a multiple of b_scale
+            up = scale // b_scale
+            numer.append(([-c_row[0]] + [b * up - c for b, c in zip(b_row, c_row[1:])], scale))
+            denom.append((b_row, b_scale))
+        else:  # left of the support: the identity piece, both rows zero
+            numer.append(((0,), 1))
+            denom.append(((0,), 1))
+    bps = dist.breakpoints
+    return RationalBidFunction(PiecewisePoly.from_int_rows(bps, numer), PiecewisePoly.from_int_rows(bps, denom),
+                               v_low, n)
 
 
 def rbf_to_json(rbf: RationalBidFunction) -> dict:
-    pieces = []
-    for numer, denom in zip(rbf.numerator.rows, rbf.denominator.rows):
-        if is_zero_poly(denom):
-            pieces.append("identity")
-        else:
-            pieces.append(
-                {
-                    "numerator": [format_rational(c) for c in numer],
-                    "denominator": [format_rational(c) for c in denom],
-                }
-            )
+    pieces = ["identity" if not any(denom) else
+              {"numerator": [format_rational(c) for c in numer], "denominator": [format_rational(c) for c in denom]}
+              for numer, denom in zip(rbf.numerator.rows, rbf.denominator.rows)]
     return {
         "kind": "rational_bid_function",
         "n": rbf.n,
@@ -223,8 +214,8 @@ def rbf_from_json(obj: dict) -> RationalBidFunction:
     numer, denom = [], []
     for piece in pieces:
         if piece == "identity":
-            numer.append(IDENTITY_ROW)
-            denom.append(IDENTITY_ROW)
+            numer.append((0,))
+            denom.append((0,))
         elif isinstance(piece, dict):
             numer.append(parse_rational_list(piece["numerator"], "numerator"))
             denom.append(parse_rational_list(piece["denominator"], "denominator"))

@@ -4,13 +4,13 @@ Coefficient vectors are low-to-high degree: ``coeffs[l]`` multiplies ``x**l``.
 :class:`PiecewisePoly` is the one place that decides which piece a point falls
 in and how a piece is evaluated, exactly or in floats.
 
-Exact arithmetic runs on integer rows: a row of Fractions is held as integer
-numerators over one denominator, the lcm of its coefficients' denominators
+A row is held once, as integer numerators over one denominator in lowest terms
 (Knuth, TAOCP vol. 2, 4.6.1).  Horner's rule at x = p/q (:func:`horner_int`)
 and the power of a row (:func:`power_int`, one big-int power by Kronecker
-substitution) then run on Python ints, and each result is normalised once,
-where Fraction arithmetic would take a gcd per operation.  The results are the
-same normalised Fractions.  Float evaluation does not change.
+substitution) run on Python ints, and each result is normalised once, where
+Fraction arithmetic would take a gcd per operation.  A row's Fractions are made
+only to be read (:attr:`PiecewisePoly.rows`), as when they are printed; float
+coefficients are the correctly rounded quotients of the integers.
 
 :func:`nonnegative_on` decides on the same integers, exactly and without
 sampling, whether a polynomial is >= 0 on an interval; a cdf piece is
@@ -32,7 +32,7 @@ from .errors import DomainError
 
 def int_row(row: Sequence) -> tuple[tuple[int, ...], int]:
     """A row of Fractions or ints as (numerators, L): row[l] == Fraction(numerators[l], L), L the lcm of the
-    denominators.  An empty row is the zero polynomial, ``((0,), 1)``.
+    denominators, so the row is in lowest terms.  An empty row is the zero polynomial, ``((0,), 1)``.
     """
     scale = math.lcm(*(c.denominator for c in row))
     return tuple(c.numerator * (scale // c.denominator) for c in row) or (0,), scale
@@ -80,11 +80,7 @@ def power_int(nums: Sequence[int], k: int) -> list[int]:
 
 
 def poly_derivative(coeffs: Sequence) -> list:
-    return [l * c for l, c in enumerate(coeffs)][1:] or [Fraction(0)]
-
-
-def is_zero_poly(coeffs: Sequence) -> bool:
-    return all(c == 0 for c in coeffs)
+    return [l * c for l, c in enumerate(coeffs)][1:] or [0]
 
 
 def _trim(a: list[int]) -> list[int]:
@@ -159,43 +155,57 @@ def nonnegative_on(f: Sequence[int], lo: Fraction, hi: Fraction) -> bool:
     return changes == 0
 
 
-def _fraction(c) -> Fraction:
-    """c as a Fraction; one that already is a Fraction is kept as it is."""
-    return c if c.__class__ is Fraction else Fraction(c)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PiecewisePoly:
     """Polynomial ``rows[j]`` on piece j = [breakpoints[j], breakpoints[j+1]], inside [0, 1].
 
     A point on a shared breakpoint belongs to the piece on its left, and the
-    outer pieces extend to 0 and 1.  Rows keep their own lengths.  The piece
-    lookup assumes nondecreasing breakpoints, which every valid cdf, bid
-    function and jump-point strategy has.
-
-    ``int_rows[j]`` is row j on integers, as :func:`int_row` gives it.
+    outer pieces extend to 0 and 1.  Rows keep their own lengths and are
+    stored only as ``int_rows``, in lowest terms as :func:`int_row` gives them;
+    equality and hashing compare these and the breakpoints.  The piece lookup
+    assumes nondecreasing breakpoints, which every valid cdf, bid function and
+    jump-point strategy has.
     """
 
     breakpoints: tuple[Fraction, ...]
-    rows: tuple[tuple[Fraction, ...], ...]
-    int_rows: tuple[tuple[tuple[int, ...], int], ...] = field(init=False, repr=False, compare=False)
-    _inner: tuple[float, ...] = field(init=False, repr=False, compare=False)  # inner breakpoints as floats
+    int_rows: tuple[tuple[tuple[int, ...], int], ...]
+    _inner: tuple[float, ...] = field(repr=False, compare=False)  # inner breakpoints as floats
 
-    def __post_init__(self):
-        object.__setattr__(self, "breakpoints", tuple(map(_fraction, self.breakpoints)))
-        object.__setattr__(self, "rows", tuple(tuple(map(_fraction, row)) for row in self.rows))
-        if not self.rows or len(self.breakpoints) != len(self.rows) + 1:
+    def __init__(self, breakpoints: Sequence, rows: Sequence[Sequence]):
+        """From rows of Fractions or ints, low-to-high degree."""
+        self._set(breakpoints, [int_row(row) for row in rows])
+
+    @classmethod
+    def from_int_rows(cls, breakpoints: Sequence, int_rows: Sequence[tuple[Sequence[int], int]]):
+        """From integer rows (nums, scale) with scale > 0, each put in lowest terms by one gcd."""
+        self, rows = cls.__new__(cls), []
+        for nums, scale in int_rows:
+            g = math.gcd(scale, *nums)
+            rows.append(((tuple(c // g for c in nums) if g > 1 else tuple(nums)) or (0,), scale // g))
+        self._set(breakpoints, rows)
+        return self
+
+    def _set(self, breakpoints: Sequence, int_rows: list) -> None:
+        """Store the breakpoints and the integer rows, which are in lowest terms; both constructors end here."""
+        breakpoints = tuple(b if b.__class__ is Fraction else Fraction(b) for b in breakpoints)
+        if not int_rows or len(breakpoints) != len(int_rows) + 1:
             raise DomainError("need one or more pieces, with exactly one coefficient row per piece")
-        object.__setattr__(self, "int_rows", tuple(int_row(row) for row in self.rows))
-        object.__setattr__(self, "_inner", tuple(float(b) for b in self.breakpoints[1:-1]))
+        object.__setattr__(self, "breakpoints", breakpoints)
+        object.__setattr__(self, "int_rows", tuple(int_rows))
+        object.__setattr__(self, "_inner", tuple(float(b) for b in breakpoints[1:-1]))
+
+    @property
+    def rows(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The rows as Fractions, made from :attr:`int_rows` at each read."""
+        return tuple(tuple(Fraction(c, scale) for c in nums) for nums, scale in self.int_rows)
 
     @property
     def pieces(self) -> int:
-        return len(self.rows)
+        return len(self.int_rows)
 
     @property
     def degree(self) -> int:
-        return max(len(row) for row in self.rows) - 1
+        return max(len(nums) for nums, _ in self.int_rows) - 1
 
     def piece_index(self, x) -> int:
         """Index j of the piece that evaluates a rational x: bisect_left - 1, clipped to the pieces.
@@ -228,11 +238,10 @@ class PiecewisePoly:
     def grid_values(self, K: int) -> tuple[list[int], int]:
         """(nums, den) with self(j/K) == Fraction(nums[j], den) for j = 0..K, on ints.
 
-        den is the lcm of the row denominators times K**d, d the highest
-        degree of the integer rows (:attr:`int_rows`).  One walk through the
-        pieces gives each piece the grid points up to its right breakpoint,
-        so a point on a breakpoint goes to the left piece, as in
-        :meth:`piece_index`; the last piece takes the rest.
+        den is the lcm of the row scales times K**d, d the highest degree of
+        the rows.  One walk through the pieces gives each piece the grid
+        points up to its right breakpoint, so a point on a breakpoint goes to
+        the left piece, as in :meth:`piece_index`; the last piece takes the rest.
         """
         d = max(len(nums) for nums, _ in self.int_rows) - 1
         lcm = math.lcm(*(scale for _, scale in self.int_rows))
@@ -251,7 +260,7 @@ class PiecewisePoly:
         the same order, elementwise in numpy, so both give the same bits.
         """
         inner = self._inner  # bisect_left over these is the piece
-        rows = [tuple(float(c) for c in reversed(row)) for row in self.rows]  # highest degree first
+        rows = [tuple(c / scale for c in reversed(nums)) for nums, scale in self.int_rows]  # highest degree first
         width = max(len(row) for row in rows)
         inner_arr = np.array(inner)
         # leading zeros leave Horner's accumulator at +0.0, so padding changes no bit;

@@ -341,3 +341,33 @@ class TestJson:
         row = ["0"] * (MAX_DEGREE + 1) + ["1"]
         with pytest.raises(DomainError):
             fq.cdf_from_json({"kind": "piecewise_poly", "breakpoints": ["0", "1"], "coeffs": [row]})
+
+
+class TestConstructors:
+    """Both constructors of a cdf, from rational rows and from integer rows, pass through one padding step."""
+
+    @pytest.mark.parametrize("build", ["rational", "integer"])
+    def test_mixed_degrees_padded(self, build):
+        # x^2 on [0, 1/2], then (3x - 1)/2: rows of lengths 3 and 2
+        bps, rows = (F(0), F(1, 2), F(1)), ((F(0), F(0), F(1)), (F(-1, 2), F(3, 2)))
+        if build == "rational":
+            dist = PiecewisePolyCdf(bps, rows)
+        else:
+            dist = PiecewisePolyCdf.from_int_rows(bps, [((0, 0, 1), 1), ((-1, 3), 2)])
+        assert dist.int_rows == (((0, 0, 1), 1), ((-1, 3, 0), 2))
+        assert dist.rows == ((0, 0, 1), (F(-1, 2), F(3, 2), 0))
+        assert dist == PiecewisePolyCdf(bps, rows) and hash(dist) == hash(PiecewisePolyCdf(bps, rows))
+        assert fq.power_coefficients(dist, 3) == (([0, 0, 0, 0, 1], 1), ([1, -6, 9, 0, 0], 4))
+
+    @pytest.mark.parametrize("build", ["rational", "integer"])
+    def test_degree_limit_checked_first(self, build):
+        # the breakpoints are neither rationals nor one more than the rows: the degree is reported first
+        bps, nums = ("0", "not a rational", "1"), (0,) * (MAX_DEGREE + 1) + (1,)
+        with pytest.raises(DomainError, match=f"degree {MAX_DEGREE + 1} exceeds"):
+            if build == "rational":
+                PiecewisePolyCdf(bps, (nums,))
+            else:
+                PiecewisePolyCdf.from_int_rows(bps, ((nums, 1),))
+        at_limit = nums[1:]
+        assert PiecewisePolyCdf((0, 1), (at_limit,)).degree == MAX_DEGREE
+        assert PiecewisePolyCdf.from_int_rows((0, 1), ((at_limit, 1),)).degree == MAX_DEGREE

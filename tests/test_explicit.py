@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 import fpaeq as fq
 from fpaeq.cdf import float_view
 from fpaeq.explicit import FLOAT_BID_REL_ERROR, eval_canonical
+from fpaeq.poly import int_row
 
 from conftest import poly_eval, row_fractions
 from test_blackbox import T, reference_bid
@@ -127,6 +128,16 @@ class TestCanonicalBid:
         assert rbf.numerator.rows == numer
         assert rbf.denominator.rows == denom
         assert all(type(c) is F for rows in (rbf.numerator.rows, rbf.denominator.rows) for row in rows for c in row)
+
+    @pytest.mark.parametrize("n", [2, 64])
+    def test_rows_stay_integer(self, monkeypatch, n):
+        # the bid function takes the integer rows as they are: no row goes through int_row again
+        dist, calls = seeded_cubic(0, 8), []
+        monkeypatch.setattr(fq.poly, "int_row", lambda row: calls.append(row) or int_row(row))
+        rbf = fq.canonical_bid_function(dist, n)
+        assert calls == []
+        assert all(type(c) is int for poly in (rbf.numerator, rbf.denominator) for nums, _ in poly.int_rows
+                   for c in nums)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_uniform_closed_form(self, uniform, n):

@@ -33,6 +33,9 @@ coefficients = st.one_of(
 )
 rows = st.lists(coefficients, min_size=0, max_size=8).map(tuple)
 unit = st.fractions(min_value=0, max_value=1, max_denominator=BIG)
+# rows of ints with zeros, negatives, a single coefficient, trailing (high) zeros and every coefficient 0
+int_rows = st.lists(st.one_of(st.just(0), st.integers(-3, 3), st.integers(-(2**70), 2**70)), min_size=1, max_size=8)
+factors = st.one_of(st.just(1), st.integers(2, 12), st.integers(1, BIG))  # k >= 1
 
 
 @st.composite
@@ -45,9 +48,21 @@ def sorted_breakpoints(draw, pieces):
 
 
 @st.composite
+def built(draw, breakpoints, rational_rows):
+    """A PiecewisePoly of these rows: from the rationals, or from their integer rows with both parts times k >= 1."""
+    if draw(st.booleans()):
+        return PiecewisePoly(breakpoints, rational_rows)
+    scaled = []
+    for nums, scale in map(int_row, rational_rows):
+        k = draw(factors)
+        scaled.append(([k * c for c in nums], k * scale))
+    return PiecewisePoly.from_int_rows(breakpoints, scaled)
+
+
+@st.composite
 def piecewise(draw):
     pieces = draw(st.integers(1, 5))
-    return PiecewisePoly(draw(sorted_breakpoints(pieces)), tuple(draw(rows) for _ in range(pieces)))
+    return draw(built(draw(sorted_breakpoints(pieces)), [draw(rows) for _ in range(pieces)]))
 
 
 def reference_piece(pp: PiecewisePoly, x) -> int:
@@ -173,6 +188,19 @@ class TestIntRow:
         assert scale == math.lcm(*(c.denominator for c in row))
         assert [F(c, scale) for c in nums] == (list(row) or [0])
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(int_rows, st.integers(1, BIG), factors), min_size=1, max_size=4), st.data())
+    def test_integer_entry_point(self, parts, data):
+        # integer rows times k >= 1 become the rational constructor's rows, in lowest terms, and compare equal
+        scaled = [([k * c for c in nums], k * scale) for nums, scale, k in parts]
+        bps = data.draw(sorted_breakpoints(len(scaled)))
+        pp = PiecewisePoly.from_int_rows(bps, scaled)
+        ref = PiecewisePoly(bps, [row_fractions(row) for row in scaled])
+        assert pp == ref and hash(pp) == hash(ref)
+        assert pp.rows == tuple(tuple(row_fractions(row)) for row in scaled)
+        for nums, scale in pp.int_rows:
+            assert scale > 0 and math.gcd(scale, *nums) == 1 and all(type(c) is int for c in nums)
+
 
 class TestPiecewiseEval:
     @settings(max_examples=100, deadline=None)
@@ -208,7 +236,7 @@ class TestPiecewiseEval:
         # breakpoints on the grid j/K, off it and repeated: each grid point takes the piece __call__ takes
         on_grid = st.integers(0, K).map(lambda j: F(j, K))
         points = sorted(data.draw(st.lists(st.one_of(on_grid, unit), min_size=2, max_size=6)))
-        pp = PiecewisePoly(tuple(points), tuple(data.draw(rows) for _ in points[1:]))
+        pp = data.draw(built(tuple(points), [data.draw(rows) for _ in points[1:]]))
         nums, den = pp.grid_values(K)
         assert all(type(v) is int for v in nums) and type(den) is int
         assert [F(v, den) for v in nums] == [pp(F(j, K)) for j in range(K + 1)]
@@ -227,10 +255,10 @@ class TestEvalCanonical:
     @settings(max_examples=100, deadline=None)
     @given(st.integers(1, 4).flatmap(lambda k: st.tuples(
         sorted_breakpoints(k), *[st.lists(rows, min_size=k, max_size=k)] * 2)),
-        unit, st.lists(unit, min_size=1, max_size=6))
-    def test_random_rows_match_fraction_division(self, parts, v_low, xs):
+        unit, st.lists(unit, min_size=1, max_size=6), st.data())
+    def test_random_rows_match_fraction_division(self, parts, v_low, xs, data):
         bps, numer, denom = parts
-        rbf = RationalBidFunction(PiecewisePoly(bps, numer), PiecewisePoly(bps, denom), v_low, 2)
+        rbf = RationalBidFunction(data.draw(built(bps, numer)), data.draw(built(bps, denom)), v_low, 2)
         for x in [*xs, *bps]:
             bid = eval_canonical(rbf, x)
             assert bid == reference_bid(rbf, x)
@@ -273,8 +301,6 @@ def naive_power(row, k) -> list:
     return out
 
 
-# rows of ints with zeros, negatives, a single coefficient, trailing (high) zeros and every coefficient 0
-int_rows = st.lists(st.one_of(st.just(0), st.integers(-3, 3), st.integers(-(2**70), 2**70)), min_size=1, max_size=8)
 
 
 class TestProducts:

@@ -59,14 +59,17 @@ class ValidationReport:
 class PiecewisePolyCdf(PiecewisePoly):
     """Piecewise-polynomial cdf: piece j covers [breakpoints[j], breakpoints[j+1]].
 
-    Both constructors check that no row is longer than MAX_DEGREE + 1, then
-    zero-pad the integer rows to a common length.
+    Both constructors check that no row is longer than MAX_DEGREE + 1 before
+    they convert a row, then zero-pad the integer rows to a common length.
     """
+
+    def _check_widths(self, widths) -> None:
+        width = max(widths, default=0)
+        if width > MAX_DEGREE + 1:
+            raise DomainError(f"cdf degree {width - 1} exceeds the limit of {MAX_DEGREE}")
 
     def _set(self, breakpoints, int_rows: list) -> None:
         width = max((len(nums) for nums, _ in int_rows), default=0)
-        if width > MAX_DEGREE + 1:
-            raise DomainError(f"cdf degree {width - 1} exceeds the limit of {MAX_DEGREE}")
         super()._set(breakpoints, [(nums + (0,) * (width - len(nums)), scale) for nums, scale in int_rows])
 
     def validate(self) -> ValidationReport:
@@ -287,7 +290,7 @@ def _exact_view(f) -> Callable:
 def strongly_increasing_transform(cdf, delta):
     """Affine mix F'(x) = delta*x + (1 - delta)*F(x); makes F delta-strongly increasing.
 
-    Applied exactly to coefficients for :class:`PiecewisePolyCdf`; for a
+    Applied exactly to the integer rows of a :class:`PiecewisePolyCdf`; for a
     :class:`CdfOracle` a fresh oracle is returned that queries the given one,
     so each query counts on both.  Its float view mixes in floats over the
     given oracle's float view.
@@ -296,14 +299,12 @@ def strongly_increasing_transform(cdf, delta):
     if not 0 < delta < 1:
         raise DomainError("delta must lie in (0, 1)")
     if isinstance(cdf, PiecewisePolyCdf):
-        rows = []
-        for row in cdf.rows:
-            new = [(1 - delta) * c for c in row]
-            if len(new) < 2:
-                new.append(ZERO)
-            new[1] += delta
-            rows.append(tuple(new))
-        return PiecewisePolyCdf(cdf.breakpoints, tuple(rows))
+        p, q, rows = delta.numerator, delta.denominator, []
+        for nums, scale in cdf.int_rows:  # nums/scale becomes ((q - p)*nums + p*scale*x) / (q*scale)
+            new = [(q - p) * c for c in nums] + [0] * (2 - len(nums))
+            new[1] += p * scale
+            rows.append((new, q * scale))
+        return PiecewisePolyCdf.from_int_rows(cdf.breakpoints, rows)
     if isinstance(cdf, CdfOracle):
         lip = max(1, cdf.lipschitz)  # delta*1 + (1-delta)*L <= max(1, L)
         return CdfOracle(_AffineMix(cdf, delta), lip)

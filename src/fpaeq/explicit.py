@@ -187,9 +187,8 @@ def canonical_bid_function(dist: PiecewisePolyCdf, n: int) -> RationalBidFunctio
         else:  # left of the support: the identity piece, both rows zero
             numer.append(((0,), 1))
             denom.append(((0,), 1))
-    bps = dist.breakpoints
-    return RationalBidFunction(PiecewisePoly.from_int_rows(bps, numer), PiecewisePoly.from_int_rows(bps, denom),
-                               v_low, n)
+    numer, denom = (PiecewisePoly.from_int_rows(dist.breakpoints, rows) for rows in (numer, denom))
+    return RationalBidFunction(numer, denom, v_low, n)
 
 
 def rbf_to_json(rbf: RationalBidFunction) -> dict:
@@ -225,12 +224,8 @@ def rbf_from_json(obj: dict) -> RationalBidFunction:
     n = parse_rational(obj["n"])
     if n.denominator != 1:
         raise DomainError(f"n must be an integer, got {obj['n']!r}")
-    return RationalBidFunction(
-        PiecewisePoly(bps, numer),
-        PiecewisePoly(bps, denom),
-        parse_rational(obj["support_infimum"]),
-        int(n),
-    )
+    return RationalBidFunction(PiecewisePoly(bps, numer), PiecewisePoly(bps, denom),
+                               parse_rational(obj["support_infimum"]), int(n))
 
 
 def eval_canonical(rbf: RationalBidFunction, x) -> Fraction:

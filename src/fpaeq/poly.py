@@ -173,17 +173,22 @@ class PiecewisePoly:
 
     def __init__(self, breakpoints: Sequence, rows: Sequence[Sequence]):
         """From rows of Fractions or ints, low-to-high degree."""
+        self._check_widths(map(len, rows))
         self._set(breakpoints, [int_row(row) for row in rows])
 
     @classmethod
     def from_int_rows(cls, breakpoints: Sequence, int_rows: Sequence[tuple[Sequence[int], int]]):
         """From integer rows (nums, scale) with scale > 0, each put in lowest terms by one gcd."""
         self, rows = cls.__new__(cls), []
+        self._check_widths(len(nums) for nums, _ in int_rows)
         for nums, scale in int_rows:
             g = math.gcd(scale, *nums)
             rows.append(((tuple(c // g for c in nums) if g > 1 else tuple(nums)) or (0,), scale // g))
         self._set(breakpoints, rows)
         return self
+
+    def _check_widths(self, widths) -> None:
+        """Hook on the row lengths, which both constructors call before they convert anything."""
 
     def _set(self, breakpoints: Sequence, int_rows: list) -> None:
         """Store the breakpoints and the integer rows, which are in lowest terms; both constructors end here."""
@@ -243,7 +248,7 @@ class PiecewisePoly:
         points up to its right breakpoint, so a point on a breakpoint goes to
         the left piece, as in :meth:`piece_index`; the last piece takes the rest.
         """
-        d = max(len(nums) for nums, _ in self.int_rows) - 1
+        d = self.degree
         lcm = math.lcm(*(scale for _, scale in self.int_rows))
         ends = [b.numerator * K // b.denominator for b in self.breakpoints[1:-1]] + [K]
         out: list[int] = []

@@ -1,5 +1,7 @@
+import math
 import random
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -199,6 +201,21 @@ class TestStronglyIncreasingTransform:
         t = fq.strongly_increasing_transform(square, delta)
         assert t(x) == delta * x + (1 - delta) * square(x)
 
+    @pytest.mark.parametrize("name", FIXTURES)
+    @pytest.mark.parametrize("delta", [F(1, 10), F(7, 9), F(1, 2**65 + 1)])
+    def test_mix_on_integer_rows(self, request, monkeypatch, name, delta):
+        # the mix runs on the integer rows: no row goes through int_row, and the result is the Fraction mix
+        dist = request.getfixturevalue(name)
+        ref = PiecewisePolyCdf(dist.breakpoints, [
+            [(1 - delta) * c + (delta if l == 1 else 0) for l, c in enumerate(row + (F(0),) * (2 - len(row)))]
+            for row in dist.rows])
+        calls = []
+        monkeypatch.setattr(fq.poly, "int_row", lambda row: calls.append(row))
+        t = fq.strongly_increasing_transform(dist, delta)
+        assert not calls
+        assert t == ref and hash(t) == hash(ref) and t.rows == ref.rows
+        assert all(math.gcd(scale, *nums) == 1 for nums, scale in t.int_rows)
+
     def test_oracle_transform_counts_queries(self, square):
         oracle = fq.oracle_from_piecewise(square)
         t = fq.strongly_increasing_transform(oracle, F(1, 4))
@@ -371,3 +388,20 @@ class TestConstructors:
         at_limit = nums[1:]
         assert PiecewisePolyCdf((0, 1), (at_limit,)).degree == MAX_DEGREE
         assert PiecewisePolyCdf.from_int_rows((0, 1), ((at_limit, 1),)).degree == MAX_DEGREE
+
+    @pytest.mark.parametrize("build", ["json", "integer"])
+    def test_degree_limit_before_any_conversion(self, monkeypatch, build):
+        # an over-long row of coefficients with distinct large denominators: its lcm would have thousands
+        # of bits, and the row is refused before int_row, lcm or gcd touches it
+        dens = [2**60 + 2 * i + 1 for i in range(MAX_DEGREE + 2)]
+        calls = []
+        spy = lambda name: lambda *args: calls.append(name)
+        monkeypatch.setattr(fq.poly, "int_row", spy("int_row"))
+        monkeypatch.setattr(fq.poly, "math", SimpleNamespace(gcd=spy("gcd"), lcm=spy("lcm")))
+        with pytest.raises(DomainError, match=f"degree {MAX_DEGREE + 1} exceeds"):
+            if build == "json":
+                fq.cdf_from_json({"kind": "piecewise_poly", "breakpoints": ["0", "1"],
+                                  "coeffs": [[f"1/{d}" for d in dens]]})
+            else:
+                PiecewisePolyCdf.from_int_rows((0, 1), ((tuple(dens), math.prod(dens)),))
+        assert not calls

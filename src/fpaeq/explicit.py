@@ -20,9 +20,11 @@ put in lowest terms by one gcd, and a coefficient becomes a Fraction only when
 it is printed.  Rational values therefore map to exact rational bids.
 
 The float view of a bid function (:meth:`RationalBidFunction.float_evaluator`)
-divides the two rows' float values wherever Horner's error bound shows the
-quotient within a relative :data:`FLOAT_BID_REL_ERROR` of the exact bid, and
-takes the float of the exact bid everywhere else.
+makes one pass per call: one domain check, one piece search, and both rows and
+their error bounds through the one array Horner loop (:func:`poly.horner_floats`).
+It divides the rows wherever Horner's error bound shows the quotient within a
+relative :data:`FLOAT_BID_REL_ERROR` of the exact bid, and takes the float of
+the exact bid everywhere else; a scalar runs as an array of one element.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ import numpy as np
 
 from .cdf import PiecewisePolyCdf, float_view
 from .errors import DomainError, check_bidders
-from .poly import PiecewisePoly, horner_int, power_int
+from .poly import PiecewisePoly, float_pieces, float_table, horner_floats, horner_int, power_int
 from .rationals import format_rational, parse_rational, parse_rational_list
 
 # A float bid is within this relative error of the exact one.  monotone_no_overbid_check
@@ -70,74 +72,57 @@ class RationalBidFunction:
     def float_evaluator(self) -> Callable:
         """Float bid, within a relative FLOAT_BID_REL_ERROR of the exact one, for a float or a numpy array.
 
-        A point takes the float quotient of the two rows where it lies above
-        the support infimum and off every breakpoint that floats do not hold
-        exactly (the float piece rule may pick the wrong piece there), both
-        rows are normal floats, and each row's error bound (:func:`_bounded_row`)
-        is at most a quarter of FLOAT_BID_REL_ERROR of its value: the quotient
-        of two such values, rounded once more, is within FLOAT_BID_REL_ERROR.
-        Every other point, such as an identity piece (denominator 0), an
-        underflow or an ill-conditioned row, takes the float of the exact bid.
-        A scalar runs the same operations as an array element, so both give
-        the same bits; an array keeps its shape.
+        Each call makes one domain check and one piece search (:func:`poly.float_pieces`), and
+        runs the numerator, the denominator and the absolute row of each, one after another,
+        through :func:`poly.horner_floats`.  A row's float is off by at most gamma_k times its
+        absolute row's (Higham, Accuracy and Stability of Numerical Algorithms, 5.1):
+        gamma_k = k u / (1 - k u), u = 2**-53, and k = 2d + 2 for degree d counts Horner's
+        2d roundings, each coefficient's and the absolute row's own; k * 2**-1074 covers
+        underflow.  A point takes the quotient of the rows where it lies above the support
+        infimum and off every breakpoint that floats do not hold exactly (the float piece rule
+        may pick the wrong piece there), and each row is a normal float whose bound is at most
+        FLOAT_BID_REL_ERROR / 4 of it, so the rounded quotient is within FLOAT_BID_REL_ERROR.
+        Every other point (an identity piece, an underflow, an ill-conditioned row) takes the
+        float of the exact bid.  A scalar runs as a one-element array and comes back as a float.
         """
         try:
-            num_row, den_row = _bounded_row(self.numerator), _bounded_row(self.denominator)
+            tables = [float_table(poly.int_rows) for poly in (self.numerator, self.denominator)]
         except OverflowError:  # a coefficient beyond the float range: every point is exact
             return float_view(lambda x: eval_canonical(self, x))
+        rows = []  # (table, absolute table, gamma_k, underflow floor) of the numerator, then the denominator
+        for table in tables:
+            k = 2 * len(table)  # 2d + 2: a table holds d + 1 coefficients per row
+            # rounding to nearest is symmetric, so |float(c)| is the float of |c|
+            rows.append((table, np.abs(table), k * 2.0**-53 / (1 - k * 2.0**-53), k * 2.0**-1074))
+        breakpoints = self.denominator.breakpoints[1:-1]
+        inner = np.array([float(b) for b in breakpoints])
+        inexact = [float(b) for b in breakpoints if float(b) != b]
         v_low = float(self.support_infimum)  # x > v_low implies x > support_infimum
-        inexact = [float(b) for b in self.denominator.breakpoints[1:-1] if float(b) != b]
         tiny, limit = np.finfo(float).tiny, FLOAT_BID_REL_ERROR / 4
-
-        def accepted(row, x):
-            """The row's value at x, and whether it is a normal float within its share of the error."""
-            value, err = row(x)
-            size = abs(value)
-            # an overflow leaves an infinite or NaN value or bound, which fails these tests
-            return value, (tiny <= size) & (size < np.inf) & (err / limit <= size)
-
-        def exact(x: float) -> float:
-            return float(eval_canonical(self, Fraction(x)))
 
         def ev(x):
             if not isinstance(x, np.ndarray):
-                x = float(x)
-                (num, num_ok), (den, den_ok) = accepted(num_row, x), accepted(den_row, x)
-                return num / den if num_ok and den_ok and x > v_low and x not in inexact else exact(x)
+                return float(ev(np.array([float(x)]))[0])
             x = np.asarray(x, dtype=float)
-            with np.errstate(over="ignore", invalid="ignore"):
-                num, ok = accepted(num_row, x)
-                den, den_ok = accepted(den_row, x)
-            ok &= den_ok & (x > v_low)
+            piece, values = float_pieces(inner, x), []
+            ok = x > v_low
             if inexact:
                 ok &= ~np.isin(x, inexact)
-            out = np.empty(x.shape)
-            out[ok] = num[ok] / den[ok]
-            rest = ~ok
-            out[rest] = [exact(v) for v in x[rest].tolist()]
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                for table, abs_table, gamma, floor in rows:
+                    value = horner_floats(table, piece, x)
+                    err = gamma * horner_floats(abs_table, piece, x) + floor
+                    size = abs(value)
+                    # an overflow leaves an infinite or NaN value or bound, which fails these tests
+                    ok &= (tiny <= size) & (size < np.inf) & (err / limit <= size)
+                    values.append(value)
+                    del err, size  # the next row's Horner loops run without them
+                out = values[0] / values[1]  # kept only where ok holds
+            del piece, value, values  # the exact points below need only x, ok and out
+            out[~ok] = [float(eval_canonical(self, Fraction(v))) for v in x[~ok].tolist()]
             return out
 
         return ev
-
-
-def _bounded_row(poly: PiecewisePoly) -> Callable:
-    """x -> (poly at x in floats, a bound on that value's error), for a float or a numpy array x.
-
-    Horner's rule on float coefficients is off by at most
-    gamma_k * sum |a_l| x**l (Higham, Accuracy and Stability of Numerical
-    Algorithms, 5.1), with gamma_k = k u / (1 - k u), u = 2**-53 and
-    k = 2d + 2: the 2d roundings of Horner's rule, the rounding of each
-    coefficient to a float, and one more that covers the rounding of the
-    sum itself, which is Horner's rule on the absolute row.  k * 2**-1074
-    covers each operation's absolute error if it underflows.
-    """
-    k = 2 * poly.degree + 2
-    gamma = k * 2.0**-53 / (1 - k * 2.0**-53)
-    value = poly.float_evaluator()
-    size = PiecewisePoly.from_int_rows(
-        poly.breakpoints, [(tuple(map(abs, nums)), scale) for nums, scale in poly.int_rows]).float_evaluator()
-    floor = k * np.finfo(float).smallest_subnormal
-    return lambda x: (value(x), gamma * size(x) + floor)
 
 
 def power_coefficients(dist: PiecewisePolyCdf, n: int) -> tuple:

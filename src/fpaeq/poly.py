@@ -2,7 +2,8 @@
 
 Coefficient vectors are low-to-high degree: ``coeffs[l]`` multiplies ``x**l``.
 :class:`PiecewisePoly` is the one place that decides which piece a point falls
-in and how a piece is evaluated, exactly or in floats.
+in and how a piece is evaluated, exactly or in floats; its array float path
+(:func:`float_pieces`, :func:`horner_floats`) also serves rational bid functions.
 
 A row is held once, as integer numerators over one denominator in lowest terms
 (Knuth, TAOCP vol. 2, 4.6.1).  Horner's rule at x = p/q (:func:`horner_int`)
@@ -260,32 +261,19 @@ class PiecewisePoly:
     def float_evaluator(self) -> Callable:
         """Float evaluator with the same piece rule, for a float or a numpy array of floats.
 
-        A scalar runs Horner in pure Python: numpy's per-call overhead would
-        dominate the scalar searches.  An array runs the same operations, in
-        the same order, elementwise in numpy, so both give the same bits.
+        An array runs :func:`horner_floats`.  A scalar runs the same operations,
+        in the same order, in pure Python, so both give the same bits: numpy's
+        per-call overhead would dominate the scalar searches.
         """
-        inner = self._inner  # bisect_left over these is the piece
-        rows = [tuple(c / scale for c in reversed(nums)) for nums, scale in self.int_rows]  # highest degree first
-        width = max(len(row) for row in rows)
-        inner_arr = np.array(inner)
-        # leading zeros leave Horner's accumulator at +0.0, so padding changes no bit;
-        # columns[k] holds every piece's k-th coefficient, highest degree first
-        columns = np.array([(0.0,) * (width - len(row)) + row for row in rows]).T
+        inner, table = self._inner, float_table(self.int_rows)  # bisect_left over inner is the piece
+        inner_arr, rows = np.array(inner), table.T.tolist()
         bisect_left = bisect.bisect_left
 
         def ev(x):
             # the exact-class test keeps a Python float off the slower isinstance check
             if x.__class__ is not float and isinstance(x, np.ndarray):
                 x = np.asarray(x, dtype=float)
-                if not ((x >= 0) & (x <= 1)).all():
-                    raise DomainError("x outside [0, 1]")
-                # one column gathered at a time keeps the work memory at a few arrays of x's size
-                piece = np.searchsorted(inner_arr, x)
-                acc = np.zeros(x.shape)
-                for column in columns:
-                    acc *= x
-                    acc += column[piece]
-                return acc
+                return horner_floats(table, float_pieces(inner_arr, x), x)
             if not 0.0 <= x <= 1.0:
                 raise DomainError(f"x={x} outside [0, 1]")
             acc = 0.0
@@ -294,3 +282,29 @@ class PiecewisePoly:
             return acc
 
         return ev
+
+
+def float_table(int_rows: Sequence[tuple[Sequence[int], int]]) -> np.ndarray:
+    """Float coefficients of integer rows (nums, scale) for :func:`horner_floats`: column j is row j, highest degree first.
+
+    Each is the correctly rounded quotient of its integers (OverflowError beyond the float range).  Leading
+    zeros pad the shorter rows; they leave Horner's accumulator at +0.0, so padding changes no bit.
+    """
+    width = max(len(nums) for nums, _ in int_rows)
+    return np.array([[0.0] * (width - len(nums)) + [c / scale for c in reversed(nums)] for nums, scale in int_rows]).T
+
+
+def float_pieces(inner: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The piece of each float in x, given the inner breakpoints' floats; DomainError unless all of x is in [0, 1]."""
+    if not ((x >= 0) & (x <= 1)).all():  # a NaN fails too
+        raise DomainError("x outside [0, 1]")
+    return np.searchsorted(inner, x)
+
+
+def horner_floats(table: np.ndarray, piece: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Row piece[i] of a :func:`float_table` at x[i], by Horner's rule elementwise in numpy."""
+    acc = np.zeros(x.shape)
+    for coeffs in table:  # one coefficient gathered at a time keeps the work memory at a few arrays of x's size
+        acc *= x
+        acc += coeffs[piece]
+    return acc

@@ -38,11 +38,11 @@ GRID_VALUES = 128  # the grid verifier's values split [v_low, 1] into 128 steps
 GRID_DEVIATIONS = 256  # the grid verifier's deviations are j/256
 MC_GRID = 8  # the Monte Carlo verifier's values and deviations are i/8
 # Most opponent values, trials * (n - 1), one Monte Carlo run may draw.  Measured with
-# tracemalloc (numpy 2.4) on x**2 at 10**5 to 10**6 draws, a run holds at most about 57
-# bytes of arrays per draw for a jump-point strategy and 84 for a rational bid function,
-# whatever the cdf's degree; at n = 2 comparing the pairs takes more, up to 120 and 168
-# bytes per trial.  So the limit caps a run near 670 MB (a bid function at n = 2), and
-# at 230-340 MB from n = 3 on.  It admits the CLI default of 100 000 trials up to n = 41.
+# tracemalloc (numpy 2.4) at 2 * 10**5 and 8 * 10**5 draws, a run holds at most about 57
+# bytes of arrays per draw for a jump-point strategy and 88 for a rational bid function
+# (x**2 and an 8-piece cubic); at n = 2 comparing the pairs takes more, up to 120 and 176
+# bytes per trial.  So the limit caps a run near 700 MB (a bid function at n = 2), and at
+# 230-360 MB from n = 3 on.  It admits the CLI default of 100 000 trials up to n = 41.
 MAX_MC_DRAWS = 4_000_000
 
 

@@ -106,11 +106,11 @@ class TestFloatView:
         assert [fv(float(x)) for x in grid.ravel()] == out.ravel().tolist()
 
     def test_domain_error(self, square):
-        fv = float_view(square)
-        with pytest.raises(DomainError):
-            fv(1.5)
-        with pytest.raises(DomainError):
-            fv(np.array([0.5, -0.25]))
+        # a cdf and a rational bid function refuse a scalar, an array element and a NaN outside [0, 1]
+        for fv in (float_view(square), float_view(fq.canonical_bid_function(square, 2))):
+            for x in (1.5, np.array([0.5, -0.25]), float("nan"), np.array([[0.5], [np.nan]])):
+                with pytest.raises(DomainError):
+                    fv(x)
 
     def test_oracle_evaluated_at_exact_value(self, square):
         oracle = fq.CdfOracle(lambda x: square(x), 2)  # an evaluator with no float view of its own

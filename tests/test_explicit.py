@@ -255,6 +255,17 @@ class TestFloatEvaluator:
         assert np.array_equal(ev(xs[:1024].reshape(256, 4)), got[:1024].reshape(256, 4))
         assert np.array_equal(ev(xs[:1023].reshape(341, 3)[:, :1]), got[:1023:3, None])
 
+    def test_builds_no_piecewise_poly(self, square, monkeypatch):
+        # the float tables come straight from the integer rows, with no second PiecewisePoly for the absolute rows
+        rbf, built = fq.canonical_bid_function(square, 3), []
+        init, from_int_rows = fq.PiecewisePoly.__init__, fq.PiecewisePoly.from_int_rows.__func__
+        monkeypatch.setattr(fq.PiecewisePoly, "__init__", lambda self, *args: built.append(args) or init(self, *args))
+        monkeypatch.setattr(fq.PiecewisePoly, "from_int_rows",
+                            classmethod(lambda cls, *args: built.append(args) or from_int_rows(cls, *args)))
+        ev = float_view(rbf)
+        assert ev(0.5) == ev(np.array([0.0, 0.5, 1.0]))[1]
+        assert built == []
+
     def test_breakpoint_that_floats_round_up(self):
         # float(1/10) > 1/10, so float 0.1 lies on the right piece, where the bid is x/4, not x/2
         rows = ((F(0), F(0), F(1, 2)), (F(0), F(0), F(1, 4)))

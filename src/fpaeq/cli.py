@@ -109,6 +109,15 @@ def _strategy_from_json(obj: dict):
     raise DomainError(f"strategy: unknown kind field {kind!r}")
 
 
+def _bid_function(strategy, bids):
+    """A jump-point strategy's step function on the bids, or a rational bid function itself."""
+    if not isinstance(strategy, JumpPointStrategy):
+        return strategy
+    if bids is None:
+        raise DomainError("--bids is required for jump_points strategies")
+    return strategy.as_bid_function(_parse_bids(bids))
+
+
 def _cmd_solve(args) -> int:
     check_bidders(args.n)
     if args.model == "ccfpa-blackbox" and args.eps is not None:
@@ -181,11 +190,7 @@ def _cmd_verify(args) -> int:
             "method": "exact",
         }
     else:
-        bid_fn = strategy
-        if isinstance(strategy, JumpPointStrategy):
-            if args.bids is None:
-                raise DomainError("--bids is required for jump_points strategies")
-            bid_fn = strategy.as_bid_function(_parse_bids(args.bids))
+        bid_fn = _bid_function(strategy, args.bids)
         if args.mode == "grid":
             report, fields = verify.epsilon_bne_check_ccfpa(dist, args.n, bid_fn), {"method": "grid"}
         else:
@@ -205,12 +210,7 @@ def _cmd_eval(args) -> int:
     x = parse_rational(args.at)
     if args.strategy:
         strategy = _strategy_from_json(_load_json(args.strategy, "strategy"))
-        if isinstance(strategy, JumpPointStrategy):
-            if args.bids is None:
-                raise DomainError("--bids is required for jump_points strategies")
-            print(format_rational(strategy.as_bid_function(_parse_bids(args.bids))(x)))
-        else:
-            print(format_rational(explicit.eval_canonical(strategy, x)))
+        print(format_rational(_bid_function(strategy, args.bids)(x)))
         return 0
     if args.cdf is None:
         raise DomainError("need --cdf or --strategy")

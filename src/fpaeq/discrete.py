@@ -14,14 +14,16 @@ The solver binary-searches the equilibrium utility at the top value v = 1 and
 reconstructs the jump points from it (descending over bids, inverting Delta by
 bisection where needed, and ending each bisection with one linear
 interpolation inside its final bracket, so the jump points move continuously
-with U).  The approximate equilibrium certificate `check_conditions` is the
-only gate, so the search may use any arithmetic.  `solve` makes at most two
-attempts and returns the first whose strategy passes the certificate:
+with U).  A jump point that reaches the one above pools with it and takes its
+utility, so the certificate `check_conditions` demands condition 2's
+U_{i-1} = U_i exactly.  The certificate is the only gate, so the search may
+use any arithmetic.  `solve` makes at most two attempts and returns the first
+whose strategy passes the certificate:
 
 1. The search in floats, on a float view of the cdf.  Its jump points are
-   taken back as exact rationals, each clamped between its bid and the jump
-   point above it, so they are ordered and condition 3 holds exactly; its
-   utilities are taken as the exact values of their floats.
+   taken back as exact rationals, each clamped up to its bid, so condition 3
+   holds exactly, and each at or below the one above, as the walk keeps them;
+   its utilities are taken as the exact values of their floats.
 2. The same search in exact Fractions.
 
 Every attempt's strategy has s_0 = 0 and U_0 = 0.  Both attempts search at
@@ -47,8 +49,6 @@ from .rationals import parse_rational
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-
-EQUAL_UTILITY_TOL = Fraction(1, 2**40)  # slack for U_{i-1} = U_i on merged jumps
 
 
 @dataclass(frozen=True)
@@ -157,7 +157,8 @@ def compute_strategy(F, L, n: int, grid: BidGrid, U, delta):
     located by bisection so that bidding here at the jump yields about utility
     U.  The bisection ends with one linear-interpolation step inside its final
     bracket, its ratio taken as a float in either arithmetic, so the jump
-    point moves continuously with U.  How close it comes is left to the
+    point moves continuously with U; a point it puts at the one above pools
+    with it, utility and all.  How close it comes is left to the
     certificate's condition-1 residual.  A Fraction U runs the walk exactly;
     any other U runs it in floats, for which F must take and return floats.
     """
@@ -197,42 +198,37 @@ def compute_strategy(F, L, n: int, grid: BidGrid, U, delta):
             else:
                 hi, f_hi = mid, f_mid
         t = float((ui - f_lo) / (f_hi - f_lo))  # in (0, 1]: f_lo < ui <= f_hi
-        x = lo + (hi - lo) * (Fraction(t) if exact else t)
+        x = min(lo + (hi - lo) * (Fraction(t) if exact else t), si)
         fx = F(x)
         s[i - 1] = x
-        uvec[i - 1] = (x - b) * delta_win_prob(fx, fs, n)
+        uvec[i - 1] = (x - b) * delta_win_prob(fx, fs, n) if x < si else ui
         fs = fx
     return s, uvec
 
 
 def check_conditions(F, n: int, grid: BidGrid, strategy: JumpPointStrategy, gamma) -> Certificate:
-    """Approximate-equilibrium certificate; passing implies a 2*gamma*m equilibrium."""
+    """Approximate-equilibrium certificate; passing implies a 2*gamma*m equilibrium.
+
+    It passes when every residual is within its bound: gamma, or 0 for condition 3's
+    s_{i-1} >= b_i and condition 2's U_{i-1} = U_i, so a pass has max_residual <= gamma.
+    """
     strategy.check_length(grid)
     s, u = strategy.s, strategy.utilities
     win = strategy.win_probs(F, n)
     residuals = []
-    ok = True
     for i in range(1, grid.m + 1):
         b = grid.bids[i - 1]
         lo, hi, u_lo, u_hi = s[i - 1], s[i], u[i - 1], u[i]
         gap = b - lo  # condition (3): s_{i-1} >= b_i
         residuals.append(ConditionResidual(3, i, max(0 * gap, gap), 0))
-        if gap > 0:
-            ok = False
         if lo < hi:
-            r_top = abs((hi - b) * win[i - 1] - u_hi)
-            r_bot = abs((lo - b) * win[i - 1] - u_lo)
-            residuals.append(ConditionResidual(1, i, r_top, gamma))
-            residuals.append(ConditionResidual(1, i, r_bot, gamma))
-            if r_top > gamma or r_bot > gamma:
-                ok = False
+            residuals.append(ConditionResidual(1, i, abs((hi - b) * win[i - 1] - u_hi), gamma))
+            residuals.append(ConditionResidual(1, i, abs((lo - b) * win[i - 1] - u_lo), gamma))
         else:
-            r_eq = abs(u_hi - u_lo)
             r_dev = (hi - b) * win[i - 1] - u_hi
-            residuals.append(ConditionResidual(2, i, r_eq, EQUAL_UTILITY_TOL))
+            residuals.append(ConditionResidual(2, i, abs(u_hi - u_lo), 0))
             residuals.append(ConditionResidual(2, i, max(0 * r_dev, r_dev), gamma))
-            if r_eq > EQUAL_UTILITY_TOL or r_dev > gamma:
-                ok = False
+    ok = all(r.residual <= r.bound for r in residuals)
     max_res = max(r.residual for r in residuals)
     return Certificate(gamma, ok, max_res, tuple(residuals))
 
@@ -276,17 +272,18 @@ def _float_search(F, L, n: int, grid: BidGrid, delta) -> JumpPointStrategy:
     """Run the outer search in floats and return its result in exact rationals.
 
     A jump point pooled with the one above it takes that one's value; every
-    other is the exact value of its float, clamped to [b_i, the point above].
-    Each point is then at least the bid above it, from s_m = 1 down, so the
-    range is never empty and the result is a valid strategy.  Utilities are
-    the exact values of their floats.
+    other is the exact value of its float, clamped up to its bid b_i.  The
+    walk puts each unpooled float below the one above it, and every point
+    taken back is at least its own float and its own bid, so the points stay
+    ordered and the result is a valid strategy.  Utilities are the exact
+    values of their floats.
     """
     tol = max(float(delta), sys.float_info.epsilon)  # 2**-52: halving [0, 1] stays exact down to it
     s, uvec = _binary_search_top_utility(float_view(F), L, n, grid, tol)
     exact = [ONE] * (grid.m + 1)
     for i in range(grid.m, 1, -1):
-        x, b, above = s[i - 1], grid.bids[i - 1], exact[i]
-        exact[i - 1] = above if x == s[i] else min(above, max(Fraction(x), b))
+        x = s[i - 1]
+        exact[i - 1] = exact[i] if x == s[i] else max(Fraction(x), grid.bids[i - 1])
     return _strategy(exact, uvec)
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from decimal import Decimal
 from fractions import Fraction
 
 from .errors import DomainError
@@ -35,7 +36,6 @@ def parse_rational_list(value, what: str) -> tuple:
 
 
 def format_rational(q: Fraction) -> str:
-    q = Fraction(q)
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+    """q as "p/q", or "p" for an integer, with every digit: Decimal has no int-to-str limit."""
+    p, d = Fraction(q).as_integer_ratio()
+    return str(Decimal(p)) if d == 1 else str(Decimal(p)) + "/" + str(Decimal(d))

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -12,7 +13,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import fpaeq as fq
 from fpaeq.cli import main
-from fpaeq.rationals import parse_rational
+from fpaeq.rationals import format_rational, parse_rational
 
 
 @pytest.fixture
@@ -128,6 +129,24 @@ class TestSolveCdfpa:
                               "--bids", "[\"1/4\", \"1/2\"]", "--eps", "1/16")
         assert code == 2
         assert "bids" in err
+
+    @pytest.mark.parametrize("argv,message", [
+        (["--eps", "1/16"], "error: --bids is required for the cdfpa model"),
+        (["--bids", "[\"0\", \"1/2\"]"], "error: --eps is required for the cdfpa model"),
+        (["--bids", "[0, 1/2]", "--eps", "1/16"], "error: bids: malformed JSON array"),
+        (["--bids", "[\"0\", \"1/2\"]", "--eps", "1/0"], "error: not a rational: '1/0'"),
+    ])
+    def test_bad_arguments(self, capout, uniform_json, argv, message):
+        code, out, err = capout("solve", "--model", "cdfpa", "--cdf", uniform_json, "--n", "2", *argv)
+        assert code == 2 and out == ""
+        assert err.startswith(message)
+
+    def test_uncertified_solve_exits_1(self, capout, uniform_json, monkeypatch):
+        monkeypatch.setattr(fq.discrete, "check_conditions", lambda *args: fq.Certificate(F(1), False, F(1), ()))
+        code, out, err = capout("solve", "--model", "cdfpa", "--cdf", uniform_json, "--n", "2",
+                                "--bids", "[\"0\", \"1/2\"]", "--eps", "1/16")
+        assert code == 1 and out == ""
+        assert err.startswith("error: neither the float search nor the exact search")
 
 
 class TestInputContract:
@@ -316,6 +335,33 @@ class TestInputContract:
                                 "--eps", "1e-10000000")
         assert code == 2 and out == ""
         assert "exponent notation is not accepted" in err
+
+    def test_outputs_past_the_int_to_str_limit(self, capout, tmp_path):
+        # F = (x + x**2)/2 at n = 64: the bid at 1/(10**100 + 1) has about 12,800 digits
+        path = tmp_path / "half.json"
+        path.write_text(json.dumps({"kind": "piecewise_poly", "breakpoints": ["0", "1"],
+                                    "coeffs": [["0", "1/2", "1/2"]]}))
+        code, out, err = capout("solve", "--model", "ccfpa-explicit", "--cdf", str(path), "--n", "64",
+                                "--at", f"1/{10**100 + 1}")
+        assert code == 0 and err == ""
+        p, q = out.strip().split("/")
+        assert p.isdigit() and q.isdigit() and len(p) + len(q) > 4300
+
+    @pytest.mark.parametrize("argv", [
+        ["--model", "ccfpa-explicit", "--at"],
+        ["--model", "cdfpa", "--bids", "[\"0\", \"1/2\"]", "--eps"],
+    ])
+    def test_inputs_past_the_int_to_str_limit_refused(self, capout, uniform_json, argv):
+        code, out, err = capout("solve", "--cdf", uniform_json, "--n", "2", *argv, "1/" + "7" * 5000)
+        assert code == 2 and out == ""
+        assert err.startswith("error: not a rational")
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_format_rational_prints_every_digit(self, sign):
+        q = sign * F(3**35631, 2**56471)  # 17,001 and 17,000 digits
+        p_text, q_text = format_rational(q).split("/")
+        assert F(int(Decimal(p_text)), int(Decimal(q_text))) == q
+        assert format_rational(F(-(10**5000))) == "-1" + "0" * 5000
 
     def test_limits_admit_the_largest_sizes(self, capout, uniform_json):
         # the benchmark's largest sizes: n = 64 and eps = 1/16384
@@ -539,6 +585,33 @@ class TestVerifyModes:
                 "--trials", "100")
         assert capout(*args, "--bids", "not json") == capout(*args)
 
+    def test_exact_mode_needs_jump_points(self, capout, tmp_path, uniform_json):
+        strat = tmp_path / "rbf.json"
+        strat.write_text(json.dumps(fq.rbf_to_json(fq.canonical_bid_function(fq.uniform_cdf(), 2))))
+        code, out, err = capout("verify", "--strategy", str(strat), "--cdf", uniform_json, "--n", "2",
+                                "--bids", "[\"0\"]", "--mode", "exact")
+        assert code == 2 and out == ""
+        assert err.startswith("error: exact mode needs a jump_points strategy")
+
+    @pytest.mark.parametrize("argv", [["eval", "--at", "1/2"], ["verify", "--mode", "grid"],
+                                      ["verify", "--mode", "mc", "--trials", "100"]])
+    def test_jump_points_need_bids(self, capout, tmp_path, uniform_json, argv):
+        strat = tmp_path / "s.json"
+        strat.write_text(json.dumps({"kind": "jump_points", "s": ["0", "1/2", "1"], "U": ["0", "1/4"]}))
+        if argv[0] == "verify":
+            argv = argv + ["--cdf", uniform_json, "--n", "2"]
+        code, out, err = capout(*argv, "--strategy", str(strat))
+        assert code == 2 and out == ""
+        assert err.startswith("error: --bids is required for jump_points strategies")
+
+    @pytest.mark.parametrize("what", ["cdf", "strategy"])
+    def test_malformed_json_file(self, capout, tmp_path, what):
+        path = tmp_path / "bad.json"
+        path.write_text('{"kind": ')
+        code, out, err = capout("eval", f"--{what}", str(path), "--at", "1/2")
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {what}: malformed JSON in {path}")
+
     def test_exact_mode_needs_bids(self, capout, tmp_path, uniform_json):
         strat = tmp_path / "s.json"
         strat.write_text(json.dumps({"kind": "jump_points", "s": ["0", "1"], "U": ["0", "1/2"]}))
@@ -558,6 +631,11 @@ class TestEval:
         strat.write_text(json.dumps({"kind": "jump_points", "s": ["0", "2/3", "1"], "U": ["0", "0", "0"]}))
         code, out, _ = capout("eval", "--strategy", str(strat), "--bids", "[\"0\", \"1/3\"]", "--at", "3/4")
         assert code == 0 and out.strip() == "1/3"
+
+    def test_rational_bid_function_point(self, capout, tmp_path):
+        strat = tmp_path / "rbf.json"
+        strat.write_text(json.dumps(fq.rbf_to_json(fq.canonical_bid_function(fq.uniform_cdf(), 2))))
+        assert capout("eval", "--strategy", str(strat), "--at", "2/3") == (0, "1/3\n", "")
 
     def test_needs_input(self, capout):
         code, _, err = capout("eval", "--at", "1/2")

@@ -155,6 +155,13 @@ class TestComputeStrategy:
         with pytest.raises(DomainError):
             fq.compute_strategy(uniform, 1, 2, grid_of("0"), F(1, 2), F(0))
 
+    def test_interpolation_reaching_the_point_above_pools(self, uniform):
+        # U sits 3/2**62 below bid 2's utility at s_1 = 1; the float ratio of the interpolation
+        # rounds to 1, so s_1 lands on s_2 and pools with it, taking U_2 rather than 3/4
+        s, uvec = fq.compute_strategy(uniform, 1, 2, grid_of("0", "1/4"), F(3, 4) * (1 - F(1, 2**60)), F(1, 4))
+        assert s[1] == s[2] == 1
+        assert uvec[1] == uvec[2]
+
     def test_float_walk_matches_exact(self, square):
         g = grid_of("0", "1/8", "1/4", "3/8")
         s, uvec = fq.compute_strategy(square, 2, 3, g, F(1, 3), F(1, 2**30))
@@ -182,6 +189,17 @@ class TestCheckConditions:
         g = grid_of("0", "1/2")
         s = JumpPointStrategy((F(0), F(1), F(1)), (F(0), F(1, 2), F(1, 4)))
         cert = fq.check_conditions(uniform, 2, g, s, F(1, 2**10))
+        assert not cert.passed
+
+    def test_pooled_utilities_must_be_equal(self, uniform):
+        # bid 3/4 pools at the top; its two utilities differ by 2**-41, 18 gamma at eps = 2**-40
+        g = grid_of("0", "1/4", "3/4")
+        res = fq.solve(uniform, 2, g, F(1, 2**40))
+        s, u = res.strategy.s, list(res.strategy.utilities)
+        assert res.certificate.passed and s[2] == s[3] == 1
+        u[3] += F(1, 2**41)
+        cert = fq.check_conditions(res.transformed_cdf, 2, g, JumpPointStrategy(s, tuple(u)), res.certificate.gamma)
+        assert (2, 3, F(1, 2**41), 0) in [(r.condition, r.index, r.residual, r.bound) for r in cert.residuals]
         assert not cert.passed
 
     def test_jump_below_bid_fails(self, uniform):
@@ -323,9 +341,7 @@ class TestSolve:
     @pytest.mark.parametrize("walk,expected", [
         # s_1 is the largest float below its bid 1/5, which no float holds: it becomes the bid
         ([0.1, math.nextafter(0.2, 0), 0.75, 1.0], (0, F(1, 5), F(3, 4), 1)),
-        # s_1 lies one ulp above s_2, from rounding in the interpolation: it is clamped to s_2
-        ([0.1, math.nextafter(0.75, 1), 0.75, 1.0], (0, F(3, 4), F(3, 4), 1)),
-    ], ids=["below-its-bid", "above-the-next-point"])
+    ], ids=["below-its-bid"])
     def test_float_result_is_a_valid_strategy(self, walk, expected, uniform, monkeypatch):
         g = grid_of("0", "1/5", "1/2")
         monkeypatch.setattr(discrete, "_binary_search_top_utility", lambda *args: (walk, [0.0] * 4))
@@ -346,6 +362,13 @@ class TestSolve:
         assert res.certificate.passed
         assert fq.epsilon_bne_check_cdfpa(uniform, 2, g, res.strategy).max_regret <= eps
 
+    def test_no_certified_attempt_raises(self, uniform, monkeypatch, exact_searches):
+        failed = fq.Certificate(F(1), False, F(1), ())
+        monkeypatch.setattr(discrete, "check_conditions", lambda *args: failed)
+        with pytest.raises(fq.PrecisionError, match="neither the float search nor the exact search"):
+            fq.solve(uniform, 2, grid_of("0", "1/2"), F(1, 16))
+        assert len(exact_searches) == 1
+
     @pytest.mark.parametrize("seed", range(12))
     def test_float_search_certified(self, seed, uniform, square, two_piece, exact_searches):
         rng = random.Random(seed)
@@ -359,6 +382,8 @@ class TestSolve:
         res = fq.solve(dist, n, grid, eps)
         assert res.certificate.passed
         assert res.strategy.s[0] == 0 and res.strategy.utilities[0] == 0
+        assert all(r.residual == 0 for r in res.certificate.residuals if (r.condition, r.bound) == (2, 0))
+        assert res.certificate.max_residual <= res.certificate.gamma
         assert exact_searches == []  # the float search alone was certified
         assert fq.epsilon_bne_check_cdfpa(dist, n, grid, res.strategy).max_regret <= eps
 

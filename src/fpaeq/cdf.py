@@ -223,14 +223,12 @@ class CdfOracle:
         """Float view of the oracle for a float or a numpy array; each evaluated point, array elements
         included, is one query.
 
-        An evaluator with a float view of its own, such as a piecewise
-        polynomial or the mix of :func:`strongly_increasing_transform`,
-        evaluates in floats; any other is called on the exact rational value
-        of each point (:func:`float_view`).
+        The view is the evaluator's own (:func:`float_view`): a piecewise
+        polynomial or the mix of :func:`strongly_increasing_transform`
+        evaluates in floats, and any other evaluator is called on the exact
+        rational value of each point.
         """
-        if not hasattr(self._evaluator, "float_evaluator"):
-            return _exact_view(self)  # each point is one call, counted by __call__
-        inner = self._evaluator.float_evaluator()
+        inner = float_view(self._evaluator)
 
         def ev(x):
             self.query_count += x.size if isinstance(x, np.ndarray) else 1

@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 
 from . import blackbox, discrete, explicit, verify
-from .cdf import CdfOracle, cdf_from_json, oracle_from_piecewise
+from .cdf import cdf_from_json, oracle_from_piecewise
 from .discrete import BidGrid, JumpPointStrategy
 from .errors import DomainError, PrecisionError, check_bidders
 from .rationals import format_rational, parse_rational, parse_rational_list
@@ -80,14 +80,14 @@ def _int_at_least(low: int):
 def _strategy_to_json(strategy: JumpPointStrategy, cert=None) -> dict:
     out = {
         "kind": "jump_points",
-        "s": [format_rational(Fraction(x)) for x in strategy.s],
-        "U": [format_rational(Fraction(u)) for u in strategy.utilities],
+        "s": [format_rational(x) for x in strategy.s],
+        "U": [format_rational(u) for u in strategy.utilities],
     }
     if cert is not None:
         out["certificate"] = {
-            "gamma": format_rational(Fraction(cert.gamma)),
+            "gamma": format_rational(cert.gamma),
             "pass": cert.passed,
-            "max_residual": format_rational(Fraction(cert.max_residual)),
+            "max_residual": format_rational(cert.max_residual),
         }
     return out
 
@@ -126,15 +126,7 @@ def _cmd_solve(args) -> int:
     if args.model == "ccfpa-explicit":
         rbf = explicit.canonical_bid_function(dist, args.n)
         if args.at is not None:
-            x = parse_rational(args.at)
-            if not 0 <= x <= 1:
-                raise DomainError(f"x={x} outside [0, 1]")
-            if args.no_extend and x < rbf.support_infimum:
-                print(f"value {args.at} below the support infimum "
-                      f"{format_rational(rbf.support_infimum)} (extension disabled)",
-                      file=sys.stderr)
-                return FAILURE
-            print(format_rational(explicit.eval_canonical(rbf, x)))
+            print(format_rational(explicit.eval_canonical(rbf, parse_rational(args.at))))
         elif args.samples:
             print("x,bid")
             for i in range(args.samples + 1):
@@ -165,7 +157,7 @@ def _cmd_solve(args) -> int:
     out = _strategy_to_json(result.strategy, result.certificate)
     if args.certify:
         report = verify.epsilon_bne_check_cdfpa(dist, args.n, grid, result.strategy)
-        out["measured_regret"] = format_rational(Fraction(report.max_regret))
+        out["measured_regret"] = format_rational(report.max_regret)
     print(json.dumps(out, indent=2))
     return 0
 
@@ -182,10 +174,10 @@ def _cmd_verify(args) -> int:
         grid = _parse_bids(args.bids)
         report = verify.epsilon_bne_check_cdfpa(dist, args.n, grid, strategy)
         out = {
-            "max_regret": format_rational(Fraction(report.max_regret)),
+            "max_regret": format_rational(report.max_regret),
             "argmax": {
-                "value": format_rational(Fraction(report.argmax[0])),
-                "bid": format_rational(Fraction(report.argmax[1])),
+                "value": format_rational(report.argmax[0]),
+                "bid": format_rational(report.argmax[1]),
             },
             "method": "exact",
         }
@@ -219,30 +211,6 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _cmd_query_stats(args) -> int:
-    check_bidders(args.n)
-    eps = parse_rational(args.eps)
-    blackbox.grid_size(eps)
-    oracle = oracle_from_piecewise(_load_cdf(args.cdf))
-    plan = blackbox.precompute(oracle, args.n, eps)
-    precompute_queries = oracle.query_count
-    for i in range(args.samples):
-        blackbox.bid(plan, oracle, Fraction(i, max(args.samples - 1, 1)))
-    bid_queries = oracle.query_count - precompute_queries
-    budget = plan.K + 1
-    out = {
-        "K": plan.K,
-        "precompute_queries": precompute_queries,
-        "bid_evaluations": args.samples,
-        "bid_queries": bid_queries,
-        "total": oracle.query_count,
-        "budget_per_evaluation": budget,
-        "within_budget": precompute_queries + 1 <= budget,
-    }
-    print(json.dumps(out, indent=2))
-    return 0
-
-
 def _cmd_validate_cdf(args) -> int:
     report = _read_cdf(args.cdf).validate()
     print(json.dumps({"ok": report.ok, "violations": list(report.violations)}, indent=2))
@@ -265,8 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=_int_at_least(1), help="emit a CSV sample of the bid function")
     p.add_argument("--bids", help="JSON array of rational bids (cdfpa)")
     p.add_argument("--certify", action="store_true", help="also measure regret (cdfpa)")
-    p.add_argument("--no-extend", action="store_true",
-                   help="reject values below the support infimum (ccfpa-explicit)")
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("verify", help="certify a strategy's regret")
@@ -276,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bids", help="JSON array of rational bids")
     p.add_argument("--mode", required=True, choices=["exact", "grid", "mc"])
     p.add_argument("--trials", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("eval", help="evaluate a cdf or strategy at a point")
@@ -285,13 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bids")
     p.add_argument("--at", required=True)
     p.set_defaults(func=_cmd_eval)
-
-    p = sub.add_parser("query-stats", help="oracle query accounting for the black-box solver")
-    p.add_argument("--cdf", required=True)
-    p.add_argument("--n", required=True, type=int)
-    p.add_argument("--eps", required=True)
-    p.add_argument("--samples", type=_int_at_least(0), default=10)
-    p.set_defaults(func=_cmd_query_stats)
 
     p = sub.add_parser("validate-cdf", help="check a cdf JSON file's invariants")
     p.add_argument("--cdf", required=True)

@@ -69,12 +69,6 @@ class TestSolveExplicit:
         assert len(lines) == 6
         assert lines[-1] == "1.0,0.5"
 
-    def test_no_extend_rejects_below_support(self, capout, shifted_json):
-        code, _, err = capout("solve", "--model", "ccfpa-explicit", "--cdf", shifted_json,
-                              "--n", "2", "--at", "1/8", "--no-extend")
-        assert code == 1
-        assert "support infimum" in err
-
     def test_extension_is_default(self, capout, shifted_json):
         code, out, _ = capout("solve", "--model", "ccfpa-explicit", "--cdf", shifted_json,
                               "--n", "2", "--at", "1/8")
@@ -92,6 +86,14 @@ class TestSolveBlackbox:
         # 3 precompute queries, then one per row
         assert lines[1].endswith(",4")
         assert lines[3].split(",") == ["1.0", "0.625", "0.375", "0.625", "6"]
+
+    def test_budget_accounting(self, capout, square_json):
+        # K = 16: the grid costs K - 1 = 15 queries, and each bid one more
+        code, out, _ = capout("solve", "--model", "ccfpa-blackbox", "--cdf", square_json, "--n", "3",
+                              "--eps", "1/16", "--samples", "5")
+        assert code == 0
+        rows = out.strip().splitlines()[1:]
+        assert [int(row.split(",")[-1]) for row in rows] == [16 + i for i in range(6)]
 
     def test_eps_required(self, capout, uniform_json):
         code, _, err = capout("solve", "--model", "ccfpa-blackbox", "--cdf", uniform_json, "--n", "2")
@@ -150,12 +152,12 @@ class TestSolveCdfpa:
 
 
 class TestInputContract:
-    def test_no_extend_checks_the_domain_first(self, capout, shifted_json):
-        solve = ("solve", "--model", "ccfpa-explicit", "--cdf", shifted_json, "--n", "2", "--no-extend")
-        code, out, err = capout(*solve, "--at", "-1")
+    def test_explicit_at_checks_the_domain(self, capout, shifted_json):
+        # below the support infimum the bid is x, but only inside [0, 1]
+        code, out, err = capout("solve", "--model", "ccfpa-explicit", "--cdf", shifted_json, "--n", "2",
+                                "--at", "-1")
         assert code == 2 and out == ""
         assert "outside [0, 1]" in err
-        assert capout(*solve, "--at", "1/8")[0] == 1
 
     def test_exact_verify_rejects_wrong_length_strategy(self, capout, tmp_path, uniform_json):
         strat = tmp_path / "s.json"
@@ -294,7 +296,6 @@ class TestInputContract:
         ["solve", "--model", "ccfpa-explicit", "--at", "1/2"],
         ["solve", "--model", "ccfpa-blackbox", "--eps", "1/64"],
         ["solve", "--model", "cdfpa", "--eps", "1/64", "--bids", "[\"0\", \"1/4\"]"],
-        ["query-stats", "--eps", "1/64"],
         ["verify", "--bids", "[\"0\", \"1/4\"]", "--mode", "exact"],
         ["verify", "--bids", "[\"0\", \"1/4\"]", "--mode", "grid"],
         ["verify", "--bids", "[\"0\", \"1/4\"]", "--mode", "mc", "--trials", "100"],
@@ -320,7 +321,7 @@ class TestInputContract:
         assert f"n = {fq.errors.MAX_BIDDERS + 1} exceeds the limit of {fq.errors.MAX_BIDDERS} bidders" in err
 
     @pytest.mark.parametrize("eps", [f"1/{fq.blackbox.MAX_K + 1}", "1/1000000000", f"1/{2**4000}"])
-    @pytest.mark.parametrize("base", [SIZED[1], SIZED[3]])
+    @pytest.mark.parametrize("base", [SIZED[1]])
     def test_grid_limit(self, capout, sized_argv, base, eps):
         base = [eps if arg == "1/64" else arg for arg in base]
         code, out, err = capout(*sized_argv(base, 2))
@@ -369,9 +370,9 @@ class TestInputContract:
         # uniform: the equilibrium bid is x (n - 1) / n
         assert capout("solve", "--model", "ccfpa-explicit", "--cdf", uniform_json, "--n", "64",
                       "--at", "1/2") == (0, "63/128\n", "")
-        code, out, _ = capout("query-stats", "--cdf", uniform_json, "--n", "2", "--eps", "1/16384",
-                              "--samples", "1")
-        assert code == 0 and json.loads(out)["K"] == 16384
+        code, out, _ = capout("solve", "--model", "ccfpa-blackbox", "--cdf", uniform_json, "--n", "2",
+                              "--eps", "1/16384", "--samples", "1")
+        assert code == 0 and out.splitlines()[1].endswith(",16384")  # K - 1 grid queries and one bid
 
     def test_coefficient_bits_limit(self, capout, tmp_path):
         path = tmp_path / "big.json"
@@ -390,6 +391,15 @@ class TestInputContract:
         assert exc.value.code == 2
         assert "--samples" in capsys.readouterr().err
 
+    def test_negative_seed_names_the_option(self, capsys, tmp_path, uniform_json):
+        strat = tmp_path / "s.json"
+        strat.write_text(json.dumps({"kind": "jump_points", "s": ["0", "1/2", "1"]}))
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--strategy", str(strat), "--cdf", uniform_json, "--n", "2",
+                  "--bids", "[\"0\", \"1/4\"]", "--mode", "mc", "--trials", "100", "--seed", "-1"])
+        assert exc.value.code == 2
+        assert "argument --seed: must be >= 0, got -1" in capsys.readouterr().err
+
     @pytest.mark.parametrize("model", ["ccfpa-explicit", "ccfpa-blackbox"])
     def test_zero_samples(self, capsys, uniform_json, model):
         # a CSV sample of the bid function needs at least one interval
@@ -398,9 +408,6 @@ class TestInputContract:
                   "--samples", "0"])
         assert exc.value.code == 2
         assert "must be >= 1" in capsys.readouterr().err
-        # query-stats --samples 0 evaluates no bid
-        assert main(["query-stats", "--cdf", uniform_json, "--n", "2", "--eps", "1/4", "--samples", "0"]) == 0
-        assert json.loads(capsys.readouterr().out)["bid_evaluations"] == 0
 
 
 @pytest.fixture(scope="module")
@@ -446,7 +453,6 @@ def cli_argv(draw, files):
         ["eval", *cdf, at],
         ["eval", "--strategy", files["rbf"], at],
         ["eval", "--strategy", files["jump"], *bids, at],
-        ["query-stats", *cdf, n, "--eps", "1/8", samples],
     ]))
 
 
@@ -642,19 +648,6 @@ class TestEval:
         assert code == 2
 
 
-class TestQueryStats:
-    def test_budget_accounting(self, capout, square_json):
-        code, out, _ = capout("query-stats", "--cdf", square_json, "--n", "3",
-                              "--eps", "1/16", "--samples", "5")
-        assert code == 0
-        stats = json.loads(out)
-        assert stats["K"] == 16
-        assert stats["precompute_queries"] == 15
-        assert stats["bid_queries"] == 5
-        assert stats["budget_per_evaluation"] == 17
-        assert stats["within_budget"] is True
-
-
 class TestValidateCdf:
     def test_valid(self, capout, uniform_json):
         code, out, _ = capout("validate-cdf", "--cdf", uniform_json)
@@ -733,7 +726,6 @@ class TestValidationGate:
 
     @pytest.mark.parametrize("argv", [
         ["eval", "--at", "1/2"],
-        ["query-stats", "--n", "2", "--eps", "1/8"],
         ["solve", "--model", "ccfpa-blackbox", "--n", "2", "--eps", "1/8"],
         ["verify", "--n", "2", "--bids", "[\"0\", \"1/4\"]", "--mode", "exact"],
         ["verify", "--n", "2", "--bids", "[\"0\", \"1/4\"]", "--mode", "grid"],

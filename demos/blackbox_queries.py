@@ -13,8 +13,7 @@ from fractions import Fraction
 
 import fpaeq as fq
 
-params = fq.AdversarialCdfParams(Fraction(3, 4), Fraction(1, 8), Fraction(1, 32))
-dist = fq.make_adversarial_cdf(params)
+dist = fq.make_adversarial_cdf(Fraction(3, 4), Fraction(1, 8), Fraction(1, 32))
 exact = fq.canonical_bid_function(dist, 2)
 
 for k in (4, 6, 8, 10):

@@ -36,8 +36,8 @@ mc = fq.monte_carlo_regret(dist, n, res.strategy.as_bid_function(grid), trials, 
 print(f"monte carlo regret: {mc.max_regret:.4f} +- {3 * mc.sigma:.4f} "
       f"({trials} trials, seed {seed})")
 
-j = res.strategy.bid_index(Fraction(1))
-top = (1 - grid.bids[j - 1]) * res.strategy.win_probs(dist, n)[j - 1]
+j = res.strategy.as_bid_function(grid).piece_index(Fraction(1))
+top = (1 - grid.bids[j]) * res.strategy.win_probs(dist, n)[j]
 # with continuous bids the top value's utility is the integral of F^(n-1);
 # for F(x) = x^2 and n = 3 that is 1/5 (and 1/n for the uniform cdf)
 nums, scale = fq.integral_coefficients(fq.power_coefficients(dist, n), dist)[-1]

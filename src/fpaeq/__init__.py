@@ -6,7 +6,6 @@ that certify the regret of any candidate strategy.
 """
 
 from .cdf import (
-    AdversarialCdfParams,
     CdfOracle,
     PiecewisePolyCdf,
     ValidationReport,

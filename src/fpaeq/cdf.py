@@ -142,35 +142,23 @@ def power_cdf(exponent: int) -> PiecewisePolyCdf:
     return PiecewisePolyCdf((ZERO, ONE), (row,))
 
 
-@dataclass
-class AdversarialCdfParams:
-    """Parameters of the flattened-then-steepened piecewise-linear stress cdf.
+def make_adversarial_cdf(v1, gap, kink) -> PiecewisePolyCdf:
+    """The flattened-then-steepened piecewise-linear stress cdf, from rationals or their strings.
 
     The cdf equals the identity outside (v1, v1 + gap), runs at slope
     kink/(gap - kink) on [v1, v2 - kink] and at slope (gap - kink)/kink on
     [v2 - kink, v2], with v2 = v1 + gap.
     """
-
-    v1: Fraction
-    gap: Fraction
-    kink: Fraction
-
-    def __post_init__(self):
-        self.v1 = parse_rational(self.v1)
-        self.gap = parse_rational(self.gap)
-        self.kink = parse_rational(self.kink)
-        if not Fraction(2, 3) <= self.v1 < 1:
-            raise DomainError("v1 must lie in [2/3, 1)")
-        if not (self.gap > 0 and self.v1 + self.gap <= 1):
-            raise DomainError("need gap > 0 and v1 + gap <= 1")
-        if not ZERO < self.kink < self.gap:
-            raise DomainError("need 0 < kink < gap")
-
-
-def make_adversarial_cdf(p: AdversarialCdfParams) -> PiecewisePolyCdf:
-    v1, v2, xi = p.v1, p.v1 + p.gap, p.kink
-    slope_flat = xi / (p.gap - xi)
-    slope_steep = (p.gap - xi) / xi
+    v1, gap, xi = parse_rational(v1), parse_rational(gap), parse_rational(kink)
+    if not Fraction(2, 3) <= v1 < 1:
+        raise DomainError("v1 must lie in [2/3, 1)")
+    if not (gap > 0 and v1 + gap <= 1):
+        raise DomainError("need gap > 0 and v1 + gap <= 1")
+    if not ZERO < xi < gap:
+        raise DomainError("need 0 < kink < gap")
+    v2 = v1 + gap
+    slope_flat = xi / (gap - xi)
+    slope_steep = (gap - xi) / xi
     bps = [ZERO, v1, v2 - xi, v2]
     rows = [
         (ZERO, ONE),
@@ -326,10 +314,10 @@ def cdf_from_json(obj: dict) -> PiecewisePolyCdf:
         return power_cdf(int(exponent))
     if kind == "adversarial":
         try:
-            params = AdversarialCdfParams(obj["v1"], obj["gap"], obj["kink"])
+            v1, gap, kink = obj["v1"], obj["gap"], obj["kink"]
         except KeyError as exc:
             raise DomainError(f"adversarial cdf is missing field {exc}")
-        return make_adversarial_cdf(params)
+        return make_adversarial_cdf(v1, gap, kink)
     if kind == "piecewise_poly":
         try:
             bps = parse_rational_list(obj["breakpoints"], "breakpoints")

@@ -37,7 +37,6 @@ max(delta, 2**-52), the resolution of floats on [0, 1].
 
 from __future__ import annotations
 
-import bisect
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -89,10 +88,6 @@ class JumpPointStrategy:
             raise DomainError("jump points must be nondecreasing")
         if s[-1] != 1:
             raise DomainError("last jump point must be 1")
-
-    def bid_index(self, v) -> int:
-        """1-based index j of the bid taken at value v: v in (s_{j-1}, s_j] -> j."""
-        return min(max(bisect.bisect_left(self.s, v), 1), len(self.s) - 1)
 
     def win_probs(self, F, n: int) -> tuple:
         """Delta_1..Delta_m: bid b_j wins with Delta(s_{j-1}, s_j), whatever the value."""

@@ -38,7 +38,7 @@ import numpy as np
 
 from .cdf import PiecewisePolyCdf, float_view
 from .errors import DomainError, check_bidders
-from .poly import PiecewisePoly, float_pieces, float_table, horner_floats, horner_int, power_int
+from .poly import PiecewisePoly, float_table, horner_floats, horner_int, power_int
 from .rationals import format_rational, parse_rational, parse_rational_list
 
 # A float bid is within this relative error of the exact one.  monotone_no_overbid_check
@@ -72,18 +72,18 @@ class RationalBidFunction:
     def float_evaluator(self) -> Callable:
         """Float bid, within a relative FLOAT_BID_REL_ERROR of the exact one, for a float or a numpy array.
 
-        Each call makes one domain check and one piece search (:func:`poly.float_pieces`), and
-        runs the numerator, the denominator and the absolute row of each, one after another,
-        through :func:`poly.horner_floats`.  A row's float is off by at most gamma_k times its
-        absolute row's (Higham, Accuracy and Stability of Numerical Algorithms, 5.1):
-        gamma_k = k u / (1 - k u), u = 2**-53, and k = 2d + 2 for degree d counts Horner's
-        2d roundings, each coefficient's and the absolute row's own; k * 2**-1074 covers
-        underflow.  A point takes the quotient of the rows where it lies above the support
-        infimum and off every breakpoint that floats do not hold exactly (the float piece rule
-        may pick the wrong piece there), and each row is a normal float whose bound is at most
-        FLOAT_BID_REL_ERROR / 4 of it, so the rounded quotient is within FLOAT_BID_REL_ERROR.
-        Every other point (an identity piece, an underflow, an ill-conditioned row) takes the
-        float of the exact bid.  A scalar runs as a one-element array and comes back as a float.
+        Each call makes one domain check and one piece search, the denominator's
+        (:meth:`PiecewisePoly.float_pieces`), and runs the numerator, the denominator and the
+        absolute row of each, one after another, through :func:`poly.horner_floats`.  A row's
+        float is off by at most gamma_k times its absolute row's (Higham, Accuracy and
+        Stability of Numerical Algorithms, 5.1): gamma_k = k u / (1 - k u), u = 2**-53, and
+        k = 2d + 2 for degree d counts Horner's 2d roundings, each coefficient's and the
+        absolute row's own; k * 2**-1074 covers underflow.  A point takes the quotient of the
+        rows where it lies above the support infimum and each row is a normal float whose
+        bound is at most FLOAT_BID_REL_ERROR / 4 of it, so the rounded quotient is within
+        FLOAT_BID_REL_ERROR.  Every other point (an identity piece, an underflow, an
+        ill-conditioned row) takes the float of the exact bid.  A scalar runs as a
+        one-element array and comes back as a float.
         """
         try:
             tables = [float_table(poly.int_rows) for poly in (self.numerator, self.denominator)]
@@ -94,9 +94,6 @@ class RationalBidFunction:
             k = 2 * len(table)  # 2d + 2: a table holds d + 1 coefficients per row
             # rounding to nearest is symmetric, so |float(c)| is the float of |c|
             rows.append((table, np.abs(table), k * 2.0**-53 / (1 - k * 2.0**-53), k * 2.0**-1074))
-        breakpoints = self.denominator.breakpoints[1:-1]
-        inner = np.array([float(b) for b in breakpoints])
-        inexact = [float(b) for b in breakpoints if float(b) != b]
         v_low = float(self.support_infimum)  # x > v_low implies x > support_infimum
         tiny, limit = np.finfo(float).tiny, FLOAT_BID_REL_ERROR / 4
 
@@ -104,10 +101,8 @@ class RationalBidFunction:
             if not isinstance(x, np.ndarray):
                 return float(ev(np.array([float(x)]))[0])
             x = np.asarray(x, dtype=float)
-            piece, values = float_pieces(inner, x), []
+            piece, values = self.denominator.float_pieces(x), []
             ok = x > v_low
-            if inexact:
-                ok &= ~np.isin(x, inexact)
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                 for table, abs_table, gamma, floor in rows:
                     value = horner_floats(table, piece, x)
@@ -206,6 +201,8 @@ def rbf_from_json(obj: dict) -> RationalBidFunction:
         else:
             raise DomainError(f'a piece must be "identity" or a numerator/denominator object, got {piece!r}')
     bps = parse_rational_list(obj["breakpoints"], "breakpoints")
+    if not (bps and bps[0] == 0 and bps[-1] == 1 and all(a < b for a, b in zip(bps, bps[1:]))):
+        raise DomainError(f"breakpoints must increase strictly from 0 to 1, got {obj['breakpoints']!r}")
     n = parse_rational(obj["n"])
     if n.denominator != 1:
         raise DomainError(f"n must be an integer, got {obj['n']!r}")

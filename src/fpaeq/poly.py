@@ -3,7 +3,12 @@
 Coefficient vectors are low-to-high degree: ``coeffs[l]`` multiplies ``x**l``.
 :class:`PiecewisePoly` is the one place that decides which piece a point falls
 in and how a piece is evaluated, exactly or in floats; its array float path
-(:func:`float_pieces`, :func:`horner_floats`) also serves rational bid functions.
+(:meth:`PiecewisePoly.float_pieces`, :func:`horner_floats`) also serves
+rational bid functions.  The piece search runs on one float table: each inner
+breakpoint is held as the largest float at or below it (:func:`float_below`),
+so a bisection on any float x counts exactly the breakpoints below x, and a
+rational x needs an exact comparison only where a breakpoint's table float is
+within one float below x's nearest float.
 
 A row is held once, as integer numerators over one denominator in lowest terms
 (Knuth, TAOCP vol. 2, 4.6.1).  Horner's rule at x = p/q (:func:`horner_int`)
@@ -37,6 +42,14 @@ def int_row(row: Sequence) -> tuple[tuple[int, ...], int]:
     """
     scale = math.lcm(*(c.denominator for c in row))
     return tuple(c.numerator * (scale // c.denominator) for c in row) or (0,), scale
+
+
+def float_below(x) -> float:
+    """The largest float at or below the rational x: its correctly rounded float, less one ulp if that is above x."""
+    p, q = x.numerator, x.denominator
+    f = p / q
+    a, c = f.as_integer_ratio()
+    return math.nextafter(f, -math.inf) if a * q > p * c else f
 
 
 def horner_int(nums: Sequence[int], p: int, q: int) -> int:
@@ -170,7 +183,7 @@ class PiecewisePoly:
 
     breakpoints: tuple[Fraction, ...]
     int_rows: tuple[tuple[tuple[int, ...], int], ...]
-    _inner: tuple[float, ...] = field(repr=False, compare=False)  # inner breakpoints as floats
+    _inner: tuple[float, ...] = field(repr=False, compare=False)  # float_below of each inner breakpoint
 
     def __init__(self, breakpoints: Sequence, rows: Sequence[Sequence]):
         """From rows of Fractions or ints, low-to-high degree."""
@@ -198,7 +211,7 @@ class PiecewisePoly:
             raise DomainError("need one or more pieces, with exactly one coefficient row per piece")
         object.__setattr__(self, "breakpoints", breakpoints)
         object.__setattr__(self, "int_rows", tuple(int_rows))
-        object.__setattr__(self, "_inner", tuple(float(b) for b in breakpoints[1:-1]))
+        object.__setattr__(self, "_inner", tuple(map(float_below, breakpoints[1:-1])))
 
     @property
     def rows(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -217,16 +230,18 @@ class PiecewisePoly:
         """Index j of the piece that evaluates a rational x: bisect_left - 1, clipped to the pieces.
 
         That is the number of inner breakpoints below x.  The bisection runs
-        on their floats: rounding to float is monotone, so a strict float
-        comparison decides the exact one, and only a float tie with a
-        breakpoint is settled by an exact comparison.
+        on the float table the float paths search, each breakpoint's
+        :func:`float_below`.  With fx the float nearest x, a breakpoint whose
+        table float is below the float before fx is below x, and one whose
+        table float is above fx is above x; only the table floats equal to
+        fx or to the float before it are settled by an exact comparison.
         """
         p, q = x.numerator, x.denominator
         if p < 0 or p > q:
             raise DomainError(f"x={x} outside [0, 1]")
         fx, inner = p / q, self._inner
-        j = bisect.bisect_left(inner, fx)
-        while j < len(inner) and inner[j] == fx and x > self.breakpoints[j + 1]:
+        j = bisect.bisect_left(inner, math.nextafter(fx, -math.inf))
+        while j < len(inner) and inner[j] <= fx and x > self.breakpoints[j + 1]:
             j += 1
         return j
 
@@ -266,14 +281,13 @@ class PiecewisePoly:
         per-call overhead would dominate the scalar searches.
         """
         inner, table = self._inner, float_table(self.int_rows)  # bisect_left over inner is the piece
-        inner_arr, rows = np.array(inner), table.T.tolist()
-        bisect_left = bisect.bisect_left
+        rows, bisect_left = table.T.tolist(), bisect.bisect_left
 
         def ev(x):
             # the exact-class test keeps a Python float off the slower isinstance check
             if x.__class__ is not float and isinstance(x, np.ndarray):
                 x = np.asarray(x, dtype=float)
-                return horner_floats(table, float_pieces(inner_arr, x), x)
+                return horner_floats(table, self.float_pieces(x), x)
             if not 0.0 <= x <= 1.0:
                 raise DomainError(f"x={x} outside [0, 1]")
             acc = 0.0
@@ -282,6 +296,12 @@ class PiecewisePoly:
             return acc
 
         return ev
+
+    def float_pieces(self, x: np.ndarray) -> np.ndarray:
+        """The piece of each float in x, by the same rule as :meth:`piece_index`; DomainError unless all of x is in [0, 1]."""
+        if not ((x >= 0) & (x <= 1)).all():  # a NaN fails too
+            raise DomainError("x outside [0, 1]")
+        return np.searchsorted(self._inner, x)
 
 
 def float_table(int_rows: Sequence[tuple[Sequence[int], int]]) -> np.ndarray:
@@ -292,13 +312,6 @@ def float_table(int_rows: Sequence[tuple[Sequence[int], int]]) -> np.ndarray:
     """
     width = max(len(nums) for nums, _ in int_rows)
     return np.array([[0.0] * (width - len(nums)) + [c / scale for c in reversed(nums)] for nums, scale in int_rows]).T
-
-
-def float_pieces(inner: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """The piece of each float in x, given the inner breakpoints' floats; DomainError unless all of x is in [0, 1]."""
-    if not ((x >= 0) & (x <= 1)).all():  # a NaN fails too
-        raise DomainError("x outside [0, 1]")
-    return np.searchsorted(inner, x)
 
 
 def horner_floats(table: np.ndarray, piece: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -70,15 +70,15 @@ def epsilon_bne_check_cdfpa(F, n: int, grid: BidGrid, s: JumpPointStrategy) -> R
     supremum over all values can lie above this maximum.
     """
     check_bidders(n)
-    s.check_length(grid)
+    bid_fn = s.as_bid_function(grid)
     win = s.win_probs(F, n)
     values = set(s.s) | set(grid.bids)
     values |= {Fraction(i, EXACT_VALUE_GRID) for i in range(EXACT_VALUE_GRID + 1)}
     values |= {(a + b) / 2 for a, b in zip(s.s, s.s[1:]) if a < b}
     best = None
     for v in sorted(values):
-        k = s.bid_index(v)
-        own = (v - grid.bids[k - 1]) * win[k - 1]
+        k = bid_fn.piece_index(v)
+        own = (v - grid.bids[k]) * win[k]
         for b, w in zip(grid.bids, win):
             regret = (v - b) * w - own
             if best is None or regret > best[0]:

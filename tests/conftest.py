@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from fpaeq import AdversarialCdfParams, PiecewisePolyCdf, make_adversarial_cdf, power_cdf, uniform_cdf
+from fpaeq import PiecewisePolyCdf, make_adversarial_cdf, power_cdf, uniform_cdf
 
 
 @pytest.fixture
@@ -29,7 +29,7 @@ def shifted_support():
 
 @pytest.fixture
 def adversarial():
-    return make_adversarial_cdf(AdversarialCdfParams(F(3, 4), F(1, 8), F(1, 32)))
+    return make_adversarial_cdf(F(3, 4), F(1, 8), F(1, 32))
 
 
 def poly_eval(coeffs, x):

@@ -141,8 +141,8 @@ def test_criterion_6_cdfpa_solver(uniform):
                 cert = fq.check_conditions(res.transformed_cdf, n, grid, res.strategy, eps / (2 * m))
                 assert cert.passed
                 # (c) top-value equilibrium utility is 1/n up to eps
-                j = res.strategy.bid_index(F(1))
-                top = (1 - grid.bids[j - 1]) * res.strategy.win_probs(uniform, n)[j - 1]
+                j = res.strategy.as_bid_function(grid).piece_index(F(1))
+                top = (1 - grid.bids[j]) * res.strategy.win_probs(uniform, n)[j]
                 assert abs(top - F(1, n)) <= eps
         assert time.monotonic() - start < 60.0
 

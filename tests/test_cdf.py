@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import fpaeq as fq
-from fpaeq import AdversarialCdfParams, DomainError, PiecewisePoly, PiecewisePolyCdf
+from fpaeq import DomainError, PiecewisePoly, PiecewisePolyCdf
 from fpaeq.cdf import MAX_DEGREE, float_view
 from fpaeq.poly import nonnegative_on, poly_derivative
 
@@ -256,11 +256,11 @@ class TestAdversarialCdf:
 
     def test_param_invariants(self):
         with pytest.raises(DomainError):
-            AdversarialCdfParams(F(1, 2), F(1, 8), F(1, 32))  # v1 < 2/3
+            fq.make_adversarial_cdf(F(1, 2), F(1, 8), F(1, 32))  # v1 < 2/3
         with pytest.raises(DomainError):
-            AdversarialCdfParams(F(3, 4), F(1, 8), F(1, 4))  # kink >= gap
+            fq.make_adversarial_cdf(F(3, 4), F(1, 8), F(1, 4))  # kink >= gap
         with pytest.raises(DomainError):
-            AdversarialCdfParams(F(15, 16), F(1, 8), F(1, 32))  # v1 + gap > 1
+            fq.make_adversarial_cdf(F(15, 16), F(1, 8), F(1, 32))  # v1 + gap > 1
 
 
 class TestCdfOracle:

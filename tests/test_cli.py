@@ -237,6 +237,16 @@ class TestInputContract:
         assert code == 2 and out == ""
         assert "rational_bid_function" in err
 
+    @pytest.mark.parametrize("argv", [["eval", "--at", "1/2"], ["verify", "--mode", "grid", "--n", "2"]])
+    def test_rational_bid_function_breakpoints_out_of_order(self, capout, tmp_path, uniform_json, argv):
+        obj = {"kind": "rational_bid_function", "n": 2, "support_infimum": "0",
+               "breakpoints": ["0", "3/4", "1/4", "1"], "pieces": ["identity"] * 3}
+        strat = tmp_path / "s.json"
+        strat.write_text(json.dumps(obj))
+        code, out, err = capout(*argv, "--strategy", str(strat), "--cdf", uniform_json)
+        assert code == 2 and out == ""
+        assert "strategy: bad rational_bid_function object (breakpoints must increase strictly from 0 to 1" in err
+
     def test_strategy_not_an_object(self, capout, tmp_path):
         strat = tmp_path / "s.json"
         strat.write_text(json.dumps(["jump_points"]))

@@ -43,18 +43,21 @@ class TestBidGrid:
 
 
 class TestJumpPointStrategy:
+    # the bid index of value v is 1 + the piece of v in the step bid function, b_j on piece j - 1
     def test_bid_index_intervals(self):
         s = JumpPointStrategy((F(0), F(1, 3), F(2, 3), F(1)), (F(0),) * 4)
-        assert s.bid_index(F(0)) == 1
-        assert s.bid_index(F(1, 4)) == 1
-        assert s.bid_index(F(1, 3)) == 1
-        assert s.bid_index(F(1, 2)) == 2
-        assert s.bid_index(F(1)) == 3
+        piece = s.as_bid_function(grid_of("0", "1/4", "1/2")).piece_index
+        assert piece(F(0)) == 0
+        assert piece(F(1, 4)) == 0
+        assert piece(F(1, 3)) == 0
+        assert piece(F(1, 2)) == 1
+        assert piece(F(1)) == 2
 
     def test_merged_interval_skipped(self):
         s = JumpPointStrategy((F(0), F(1, 2), F(1, 2), F(1)), (F(0),) * 4)
-        assert s.bid_index(F(1, 2)) == 1
-        assert s.bid_index(F(3, 4)) == 3
+        piece = s.as_bid_function(grid_of("0", "1/4", "1/2")).piece_index
+        assert piece(F(1, 2)) == 0
+        assert piece(F(3, 4)) == 2
 
     def test_bid_index_matches_interval_rule(self):
         # reference: v in (s_{j-1}, s_j] bids b_j; v <= s_0 bids b_1
@@ -63,9 +66,9 @@ class TestJumpPointStrategy:
             m = rng.randint(1, 6)
             s0 = rng.randint(0, 4)
             s = tuple(F(k, 8) for k in [s0] + sorted(rng.randint(s0, 8) for _ in range(m - 1))) + (F(1),)
-            strategy = JumpPointStrategy(s, ())
+            bid_fn = JumpPointStrategy(s, ()).as_bid_function(grid_of(*(F(i, 8) for i in range(m))))
             for v in set(s) | {F(i, 16) for i in range(17)}:
-                j = strategy.bid_index(v)
+                j = bid_fn.piece_index(v) + 1
                 if v <= s[0]:
                     assert j == 1
                 else:

@@ -11,6 +11,7 @@ import math
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
@@ -200,6 +201,49 @@ class TestIntRow:
         assert pp.rows == tuple(tuple(row_fractions(row)) for row in scaled)
         for nums, scale in pp.int_rows:
             assert scale > 0 and math.gcd(scale, *nums) == 1 and all(type(c) is int for c in nums)
+
+
+class TestPieceRule:
+    """Exact and float points alike: the piece of x counts the inner breakpoints below x."""
+
+    # breakpoints whose float rounds up (1/10), rounds down (1/3) or is exact (1/4), and 0 and 1
+    UP = [F(1, 10), F(1, 5), F(2, 5), F(4, 5), F(9, 10)]
+    DOWN = [F(1, 3), F(2, 3), F(3, 10), F(3, 5), F(7, 10), F(1, 7)]
+    EXACT = [F(1, 4), F(1, 2), F(3, 4), F(5, 8), F(0), F(1)]
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_float_views_pick_the_exact_piece(self, seed):
+        assert all(F(float(b)) > b for b in self.UP) and all(F(float(b)) < b for b in self.DOWN)
+        assert all(F(float(b)) == b for b in self.EXACT)
+        rng = random.Random(seed)
+        pool = self.UP + self.DOWN + self.EXACT
+        inner = [rng.choice(pool) for _ in range(rng.randint(1, 6))]
+        inner += rng.sample(inner, rng.randint(0, len(inner)))  # pooled: equal breakpoints
+        inner += [b + F(rng.choice([-1, 1]), 2**80) for b in inner[:2] if 0 < b < 1]  # one float, two rationals
+        bps = (F(0), *sorted(inner), F(1))
+        pp = PiecewisePoly(bps, [(F(j),) for j in range(len(bps) - 1)])  # row j is the constant j
+        ev = pp.float_evaluator()
+        xs = sorted({y for b in bps for f in [float(b)]
+                     for y in (f, math.nextafter(f, -1.0), math.nextafter(f, 2.0)) if 0 <= y <= 1})
+        want = [pp.piece_index(F(x)) for x in xs]
+        assert want == [reference_piece(pp, F(x)) for x in xs]
+        assert [ev(x) for x in xs] == want
+        assert ev(np.array(xs)).tolist() == want
+        assert pp.float_pieces(np.array(xs)).tolist() == want
+        # the exact path on and beside each breakpoint, and halfway between the floats tested
+        near = [x for b in bps for x in (b, b - F(1, 2**81), b + F(1, 2**81))]
+        near += [F(x) + F(math.ulp(x)) / 2 for x in xs]
+        for x in near:
+            if 0 <= x <= 1:
+                assert pp.piece_index(x) == reference_piece(pp, x)
+
+    def test_jump_point_that_floats_round_up(self):
+        # jump points (0, 1/10, 1) with bids (0, 1/2): float 0.1 lies above 1/10, where the bid is 1/2
+        bid_fn = fq.JumpPointStrategy((F(0), F(1, 10), F(1)), ()).as_bid_function(fq.BidGrid((F(0), F(1, 2))))
+        assert bid_fn(F(0.1)) == F(1, 2) and bid_fn(F(1, 10)) == 0
+        ev = bid_fn.float_evaluator()
+        assert ev(0.1) == 0.5
+        assert ev(np.array([0.05, 0.1])).tolist() == [0.0, 0.5]
 
 
 class TestPiecewiseEval:

@@ -1,3 +1,4 @@
+import bisect
 import random
 from fractions import Fraction as F
 
@@ -286,6 +287,11 @@ class TestMonteCarlo:
 EIGHTHS = grid_of(*(F(i, 8) for i in range(8)))
 
 
+def own_bid(s, v) -> int:
+    """0-based index of the bid that value v takes under jump points s: v in (s_j, s_(j+1)], or b_1 at and below s_0."""
+    return min(max(bisect.bisect_left(s, v) - 1, 0), len(s) - 2)
+
+
 def mc_grid_regret(dist, n, grid, s):
     """The exact expected regret that monte_carlo_regret estimates, by brute force: the largest,
     floored at 0, over values and deviations i/8.  A deviation to grid bid b_k wins with
@@ -299,7 +305,7 @@ def mc_grid_regret(dist, n, grid, s):
         deviation.append(win[below] if b in grid.bids else dist(s[below]) ** (n - 1))
     best = F(0)
     for v in points:
-        own = JumpPointStrategy(s, ()).bid_index(v) - 1
+        own = own_bid(s, v)
         u_own = (v - grid.bids[own]) * win[own]
         best = max(best, max((v - b) * w for b, w in zip(points, deviation)) - u_own)
     return best
@@ -313,7 +319,7 @@ class TestCommonRandomNumbers:
         points, means, std_errs = fq.verify._paired_regrets(uniform, 3, s.as_bid_function(EIGHTHS), 500, 4)
         checked = 0
         for i, v in enumerate(points):
-            own = float(EIGHTHS.bids[s.bid_index(F(v)) - 1])
+            own = float(EIGHTHS.bids[own_bid(s.s, F(v))])
             j = points.index(own)
             assert means[i, j] == 0.0 and std_errs[i, j] == 0.0
             checked += 1

@@ -15,8 +15,10 @@ The plan takes its grid from one batch query, :meth:`CdfOracle.grid_values`,
 which counts as the K-1 interior queries.  It runs on one of two routes:
 
 * an oracle backed by a piecewise-polynomial cdf answers with integers over
-  one denominator, so the prefix sums of the powers are Python ints over one
-  scale, den**(n-1), and bids are exact rationals;
+  one denominator, tabulated piece by piece by integer additions of forward
+  differences (:meth:`PiecewisePoly.grid_values`), so the prefix sums of the
+  powers are Python ints over one scale, den**(n-1), and bids are exact
+  rationals;
 * any other oracle is queried point by point over den = 1 and its arithmetic
   carries through: an exact-rational oracle yields exact rational plans and
   bids, a float oracle yields float ones.
@@ -27,17 +29,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, repeat
 
 from .cdf import CdfOracle
 from .errors import DomainError, check_bidders
 
 # Largest grid a plan may tabulate, K = ceil(1/eps): K - 1 oracle queries and K + 1 powers
-# F(j/K)**(n-1) summed exactly.  Measured with CPython 3.11 on one Xeon core at K = MAX_K,
-# through the CLI (ccfpa-blackbox, 101 bids): an 8-piece cubic takes 0.3 s at n = 2 and
-# 0.4 s at n = 64; a dense degree-64 piece whose coefficients share a 64-bit denominator
-# takes 12 s at n = 64, 10 s of it in the integer powers of about 60 000 bits.  At
-# K = 2**16 the cubic's plan and 101 bids took 0.1 s at n = 2.
+# F(j/K)**(n-1) summed exactly.  Measured with CPython 3.11 on 2 vCPUs at K = MAX_K, through
+# the CLI (ccfpa-blackbox, 101 bids): a seeded 8-piece cubic takes 0.27 s at n = 2 and 0.38 s
+# at n = 64, most of it interpreter start-up; a dense degree-64 piece whose coefficients share
+# a 64-bit denominator takes 16 s at n = 64: 12 s in the integer powers of about 60 000 bits,
+# 2 s in the bids and 0.07 s in the grid query.  At K = 2**16 the cubic's plan and 101 bids
+# take 0.02 s at n = 2, in process.
 MAX_K = 2**14
 
 
@@ -76,7 +79,7 @@ def precompute(oracle: CdfOracle, n: int, epsilon) -> BlackBoxPlan:
     check_bidders(n)
     K = grid_size(epsilon)
     nums, den = oracle.grid_values(K)
-    return BlackBoxPlan(n, K, tuple(accumulate((v ** (n - 1) for v in nums), initial=0)), den ** (n - 1))
+    return BlackBoxPlan(n, K, tuple(accumulate(map(pow, nums, repeat(n - 1)), initial=0)), den ** (n - 1))
 
 
 def bid(plan: BlackBoxPlan, oracle: CdfOracle, x) -> BidEvaluation:

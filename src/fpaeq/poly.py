@@ -16,7 +16,11 @@ and the power of a row (:func:`power_int`, one big-int power by Kronecker
 substitution) run on Python ints, and each result is normalised once, where
 Fraction arithmetic would take a gcd per operation.  A row's Fractions are made
 only to be read (:attr:`PiecewisePoly.rows`), as when they are printed; float
-coefficients are the correctly rounded quotients of the integers.
+coefficients are the correctly rounded quotients of the integers.  The batch
+query on the grid j/K (:meth:`PiecewisePoly.grid_values`) tabulates each piece
+by forward differences (TAOCP vol. 2, 4.6.4): Horner's rule at the first
+e + 1 points of a row of degree e, then e integer additions per point, exact
+on ints where in floats their errors would grow along the piece.
 
 :func:`nonnegative_on` decides on the same integers, exactly and without
 sampling, whether a polynomial is >= 0 on an interval; a cdf piece is
@@ -29,6 +33,7 @@ import bisect
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate, repeat
 from typing import Callable, Sequence
 
 import numpy as np
@@ -263,14 +268,33 @@ class PiecewisePoly:
         the rows.  One walk through the pieces gives each piece the grid
         points up to its right breakpoint, so a point on a breakpoint goes to
         the left piece, as in :meth:`piece_index`; the last piece takes the rest.
+
+        A piece is tabulated by forward differences (Knuth, TAOCP vol. 2,
+        4.6.4): a row of true degree e takes :func:`horner_int` at its first
+        e + 1 grid points only, and e chained running sums rebuild every
+        point from the top edge of their difference table, e integer
+        additions per point.  On ints the additions are exact, so no error
+        grows along the piece.  A piece of s <= e + 1 points takes s seeds and
+        the same s - 1 sums, which give back the seeds.
         """
         d = self.degree
         lcm = math.lcm(*(scale for _, scale in self.int_rows))
         ends = [b.numerator * K // b.denominator for b in self.breakpoints[1:-1]] + [K]
         out: list[int] = []
         for (nums, scale), end in zip(self.int_rows, ends):
+            count, nums = end + 1 - len(out), _trim(list(nums)) or [0]
+            if count <= 0:
+                continue
             m = lcm // scale * K ** (d + 1 - len(nums))
-            out.extend(horner_int(nums, j, K) * m for j in range(len(out), end + 1))
+            row = [horner_int(nums, j, K) * m for j in range(len(out), len(out) + min(len(nums), count))]
+            edge = []  # edge[k]: the k-th forward difference of the seeds at the piece's first grid point
+            while row:
+                edge.append(row[0])
+                row = [b - a for a, b in zip(row, row[1:])]
+            vals = repeat(edge[-1], count + 1 - len(edge))
+            for delta in reversed(edge[:-1]):
+                vals = accumulate(vals, initial=delta)
+            out.extend(vals)
         return out, lcm * K**d
 
     def float_evaluator(self) -> Callable:

@@ -20,7 +20,7 @@ import fpaeq as fq
 from fpaeq import DomainError, PiecewisePoly, PiecewisePolyCdf, RationalBidFunction
 from fpaeq.cdf import ValidationReport
 from fpaeq.explicit import eval_canonical, power_coefficients
-from fpaeq.poly import int_row, nonnegative_on, poly_derivative, power_int
+from fpaeq.poly import horner_int, int_row, nonnegative_on, poly_derivative, power_int
 
 from conftest import poly_eval, row_fractions
 
@@ -275,15 +275,32 @@ class TestPiecewiseEval:
         assert [pp(x) for x in (b, b + F(1, 2**81), b + F(1, 2**80), b + F(1, 2**79))] == [0, 1, 1, 2]
 
     @settings(max_examples=100, deadline=None)
-    @given(st.integers(1, 12), st.data())
+    @given(st.one_of(st.integers(1, 12), st.sampled_from([64, 257, 1024])), st.data())
     def test_grid_values_match_each_point(self, K, data):
-        # breakpoints on the grid j/K, off it and repeated: each grid point takes the piece __call__ takes
+        # breakpoints on the grid j/K, off it and repeated: each grid point takes the piece __call__ takes;
+        # at the large K a piece spans more grid points than its degree + 1, past the seeds of its differences
         on_grid = st.integers(0, K).map(lambda j: F(j, K))
         points = sorted(data.draw(st.lists(st.one_of(on_grid, unit), min_size=2, max_size=6)))
-        pp = data.draw(built(tuple(points), [data.draw(rows) for _ in points[1:]]))
+        grid_rows = st.one_of(
+            rows,
+            st.tuples(coefficients),  # a constant row
+            st.tuples(rows, st.integers(1, 4)).map(lambda r: r[0] + (F(0),) * r[1]),  # zero-padded, as in a cdf
+        )
+        pp = data.draw(built(tuple(points), [data.draw(grid_rows) for _ in points[1:]]))
         nums, den = pp.grid_values(K)
         assert all(type(v) is int for v in nums) and type(den) is int
         assert [F(v, den) for v in nums] == [pp(F(j, K)) for j in range(K + 1)]
+
+    def test_grid_values_dense_row(self):
+        # the largest admitted black-box input: one dense degree-64 row of seeded 58-bit weights over their sum,
+        # at K = 2**14 (MAX_K), against Horner's rule at each grid point
+        rng = random.Random(1)
+        w = [rng.getrandbits(58) for _ in range(64)]
+        pp = PiecewisePolyCdf((F(0), F(1)), [[F(0)] + [F(x, sum(w)) for x in w]])
+        K = 2**14
+        ((row, scale),) = pp.int_rows
+        m = K ** (pp.degree + 1 - len(row))
+        assert pp.grid_values(K) == ([horner_int(row, j, K) * m for j in range(K + 1)], scale * K**pp.degree)
 
     def test_grid_values_left_piece_of_a_jump(self):
         pp = PiecewisePoly((F(0), F(1, 2), F(1)), ((F(0),), (F(1),)))

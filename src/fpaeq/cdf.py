@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DomainError
 from .poly import PiecewisePoly, nonnegative_on, poly_derivative
-from .rationals import format_rational, parse_rational, parse_rational_list
+from .rationals import parse_rational, parse_rational_list
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -60,17 +60,14 @@ class PiecewisePolyCdf(PiecewisePoly):
     """Piecewise-polynomial cdf: piece j covers [breakpoints[j], breakpoints[j+1]].
 
     Both constructors check that no row is longer than MAX_DEGREE + 1 before
-    they convert a row, then zero-pad the integer rows to a common length.
+    they convert a row; each row is then stored at its true degree, as every
+    :class:`PiecewisePoly` row is, with no padding to a common length.
     """
 
     def _check_widths(self, widths) -> None:
         width = max(widths, default=0)
         if width > MAX_DEGREE + 1:
             raise DomainError(f"cdf degree {width - 1} exceeds the limit of {MAX_DEGREE}")
-
-    def _set(self, breakpoints, int_rows: list) -> None:
-        width = max((len(nums) for nums, _ in int_rows), default=0)
-        super()._set(breakpoints, [(nums + (0,) * (width - len(nums)), scale) for nums, scale in int_rows])
 
     def validate(self) -> ValidationReport:
         """Check every representation invariant exactly; failures become report entries.
@@ -121,13 +118,6 @@ class PiecewisePolyCdf(PiecewisePoly):
     def lipschitz_bound(self) -> Fraction:
         """A valid (not necessarily tight) Lipschitz constant on [0, 1]."""
         return max(Fraction(sum(l * abs(c) for l, c in enumerate(nums)), scale) for nums, scale in self.int_rows)
-
-    def to_json(self) -> dict:
-        return {
-            "kind": "piecewise_poly",
-            "breakpoints": [format_rational(b) for b in self.breakpoints],
-            "coeffs": [[format_rational(c) for c in row] for row in self.rows],
-        }
 
 
 def uniform_cdf() -> PiecewisePolyCdf:

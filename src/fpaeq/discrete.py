@@ -17,22 +17,21 @@ interpolation inside its final bracket, so the jump points move continuously
 with U).  A jump point that reaches the one above pools with it and takes its
 utility, so the certificate `check_conditions` demands condition 2's
 U_{i-1} = U_i exactly.  The certificate is the only gate, so the search may
-use any arithmetic.  `solve` makes at most two attempts and returns the first
-whose strategy passes the certificate:
+use any arithmetic.  `solve` makes at most two attempts, the search in
+floats on a float view of the cdf and then the same search in exact
+Fractions, and returns the first whose strategy passes the certificate.
 
-1. The search in floats, on a float view of the cdf.  Its jump points are
-   taken back as exact rationals, each clamped up to its bid, so condition 3
-   holds exactly, and each at or below the one above, as the walk keeps them;
-   its utilities are taken as the exact values of their floats.
-2. The same search in exact Fractions.
-
-Every attempt's strategy has s_0 = 0 and U_0 = 0.  Both attempts search at
-delta = gamma/4, for the certificate's residual bound gamma: each bisection
-brackets its jump point within delta / (n L), with L the cdf's Lipschitz
-constant, and the outer search on U stops once bid 1's condition-1 residual
-under s_0 = 0 is at most 2 delta = gamma/2, or once its bracket on U is 2**-52
-wide (delta * 2**-52 in Fractions).  The float search bisects to
-max(delta, 2**-52), the resolution of floats on [0, 1].
+Both attempts' results pass through one conversion to exact rationals: s_0
+and U_0 become 0, each jump point is taken back at or above its bid, so
+condition 3 holds exactly, and at or below the one above, as the walk keeps
+them, and each utility is taken as the exact value of its float.  On an exact
+walk the conversion changes nothing.  Both attempts search at delta = gamma/4,
+for the certificate's residual bound gamma: each bisection brackets its jump
+point within delta / (n L), with L the cdf's Lipschitz constant, and the outer
+search on U stops once bid 1's condition-1 residual under s_0 = 0 is at most
+2 delta = gamma/2, or once its bracket on U is 2**-52 wide (delta * 2**-52 in
+Fractions).  The float search bisects to max(delta, 2**-52), the resolution
+of floats on [0, 1].
 """
 
 from __future__ import annotations
@@ -257,34 +256,23 @@ def _binary_search_top_utility(F, L, n, grid, delta):
     return s_r, uvec_r
 
 
-def _strategy(s, uvec) -> JumpPointStrategy:
-    """A search's jump points and utilities as exact rationals, with s_0 = 0 and U_0 = 0 (b_1 = 0)."""
-    return JumpPointStrategy((ZERO,) + tuple(Fraction(x) for x in s[1:]),
-                             (ZERO,) + tuple(Fraction(u) for u in uvec[1:]))
+def _search(F, L, n: int, grid: BidGrid, delta) -> JumpPointStrategy:
+    """Run the outer search in the arithmetic of delta and return its result in exact rationals.
 
-
-def _float_search(F, L, n: int, grid: BidGrid, delta) -> JumpPointStrategy:
-    """Run the outer search in floats and return its result in exact rationals.
-
-    A jump point pooled with the one above it takes that one's value; every
-    other is the exact value of its float, clamped up to its bid b_i.  The
-    walk puts each unpooled float below the one above it, and every point
-    taken back is at least its own float and its own bid, so the points stay
-    ordered and the result is a valid strategy.  Utilities are the exact
-    values of their floats.
+    s_0 and U_0 become 0 (b_1 = 0).  A jump point pooled with the one above
+    it takes that one's value; every other is the exact value of its float,
+    clamped up to its bid b_i.  The float walk puts each unpooled float below
+    the one above it, and every point taken back is at least its own float
+    and its own bid, so the points stay ordered and the result is a valid
+    strategy.  Utilities are the exact values of their floats.  An exact walk
+    passes unchanged: each of its points is pooled or at or above its bid.
     """
-    tol = max(float(delta), sys.float_info.epsilon)  # 2**-52: halving [0, 1] stays exact down to it
-    s, uvec = _binary_search_top_utility(float_view(F), L, n, grid, tol)
+    s, uvec = _binary_search_top_utility(F, L, n, grid, delta)
     exact = [ONE] * (grid.m + 1)
     for i in range(grid.m, 1, -1):
         x = s[i - 1]
         exact[i - 1] = exact[i] if x == s[i] else max(Fraction(x), grid.bids[i - 1])
-    return _strategy(exact, uvec)
-
-
-def _exact_search(F, L, n: int, grid: BidGrid, delta) -> JumpPointStrategy:
-    """Run the outer search in exact Fractions at tolerance delta."""
-    return _strategy(*_binary_search_top_utility(F, L, n, grid, delta))
+    return JumpPointStrategy((ZERO,) + tuple(exact[1:]), (ZERO,) + tuple(Fraction(u) for u in uvec[1:]))
 
 
 def solve(F, n: int, grid: BidGrid, eps) -> SolveResult:
@@ -296,7 +284,8 @@ def solve(F, n: int, grid: BidGrid, eps) -> SolveResult:
     F is a PiecewisePolyCdf, whose Lipschitz bound the search uses, or a
     CdfOracle, whose caller asserted one; any other cdf raises DomainError.
     Both attempts, the float search and then the exact one, search at
-    delta = gamma/4, where gamma is the certificate's residual bound.  Raises
+    delta = gamma/4, where gamma is the certificate's residual bound, and
+    their results pass through the one conversion of :func:`_search`.  Raises
     PrecisionError when neither passes the certificate.
     """
     eps = Fraction(eps)
@@ -308,8 +297,9 @@ def solve(F, n: int, grid: BidGrid, eps) -> SolveResult:
     L = F.lipschitz_bound() if isinstance(F, PiecewisePolyCdf) else F.lipschitz
     L_mixed = max(ONE, Fraction(L))
     gamma = mix / (2 * grid.m)  # mix is the accuracy target under the mixed cdf
-    for search in (_float_search, _exact_search):
-        strategy = search(F_mixed, L_mixed, n, grid, gamma / 4)
+    tol = max(float(gamma / 4), sys.float_info.epsilon)  # 2**-52: halving [0, 1] stays exact down to it
+    for F_search, delta in ((float_view(F_mixed), tol), (F_mixed, gamma / 4)):
+        strategy = _search(F_search, L_mixed, n, grid, delta)
         cert = check_conditions(F_mixed, n, grid, strategy, gamma)
         if cert.passed:
             return SolveResult(strategy, cert, F_mixed)

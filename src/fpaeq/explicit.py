@@ -16,8 +16,10 @@ nums[l] / scale, the form of :attr:`PiecewisePoly.int_rows`:
 * the numerator row x * F_j**(n-1) - integral is formed on ints over one scale.
 
 No stage takes a gcd per term: the bid function keeps these integer rows, each
-put in lowest terms by one gcd, and a coefficient becomes a Fraction only when
-it is printed.  Rational values therefore map to exact rational bids.
+put in lowest terms by one gcd and at its true degree, and a coefficient
+becomes a Fraction only when it is printed.  A row is as long as its piece's
+degree needs, whatever the other pieces' degrees, and a piece left of the
+support gets zero rows, the identity piece, from the same formula.  Rational values therefore map to exact rational bids.
 
 The float view of a bid function (:meth:`RationalBidFunction.float_evaluator`)
 makes one pass per call: one domain check, one piece search, and both rows and
@@ -159,14 +161,11 @@ def canonical_bid_function(dist: PiecewisePolyCdf, n: int) -> RationalBidFunctio
     v_low = dist.support_infimum()
     numer, denom = [], []
     for (b_row, b_scale), (c_row, scale) in zip(power_rows, integral_coefficients(power_rows, dist)):
-        if any(b_row):
-            # numerator(x) = x * denominator(x) - integral(x), over the integral's scale, a multiple of b_scale
-            up = scale // b_scale
-            numer.append(([-c_row[0]] + [b * up - c for b, c in zip(b_row, c_row[1:])], scale))
-            denom.append((b_row, b_scale))
-        else:  # left of the support: the identity piece, both rows zero
-            numer.append(((0,), 1))
-            denom.append(((0,), 1))
+        # numerator(x) = x * denominator(x) - integral(x), over the integral's scale, a multiple of b_scale;
+        # left of the support both rows are zero, ((0,), 1), the identity piece
+        up = scale // b_scale
+        numer.append(([-c_row[0]] + [b * up - c for b, c in zip(b_row, c_row[1:])], scale))
+        denom.append((b_row, b_scale))
     numer, denom = (PiecewisePoly.from_int_rows(dist.breakpoints, rows) for rows in (numer, denom))
     return RationalBidFunction(numer, denom, v_low, n)
 

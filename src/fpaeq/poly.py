@@ -11,9 +11,10 @@ rational x needs an exact comparison only where a breakpoint's table float is
 within one float below x's nearest float.
 
 A row is held once, as integer numerators over one denominator in lowest terms
-(Knuth, TAOCP vol. 2, 4.6.1).  Horner's rule at x = p/q (:func:`horner_int`)
-and the power of a row (:func:`power_int`, one big-int power by Kronecker
-substitution) run on Python ints, and each result is normalised once, where
+and at its true degree, with no zero leading coefficient (Knuth, TAOCP vol. 2,
+4.6.1); the zero polynomial is ``(0,)``.  Horner's rule at x = p/q
+(:func:`horner_int`) and the power of a row (:func:`power_int`, one big-int
+power by Kronecker substitution) run on Python ints, and each result is normalised once, where
 Fraction arithmetic would take a gcd per operation.  A row's Fractions are made
 only to be read (:attr:`PiecewisePoly.rows`), as when they are printed; float
 coefficients are the correctly rounded quotients of the integers.  The batch
@@ -41,12 +42,20 @@ import numpy as np
 from .errors import DomainError
 
 
+def _trim(a: list[int]) -> list[int]:
+    """Drop zero leading coefficients in place; the zero polynomial becomes []."""
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
 def int_row(row: Sequence) -> tuple[tuple[int, ...], int]:
     """A row of Fractions or ints as (numerators, L): row[l] == Fraction(numerators[l], L), L the lcm of the
-    denominators, so the row is in lowest terms.  An empty row is the zero polynomial, ``((0,), 1)``.
+    denominators, so the row is in lowest terms, and at its true degree: trailing zeros are dropped.  The
+    zero polynomial, an empty row among them, is ``((0,), 1)``.
     """
     scale = math.lcm(*(c.denominator for c in row))
-    return tuple(c.numerator * (scale // c.denominator) for c in row) or (0,), scale
+    return tuple(_trim([c.numerator * (scale // c.denominator) for c in row])) or (0,), scale
 
 
 def float_below(x) -> float:
@@ -100,13 +109,6 @@ def power_int(nums: Sequence[int], k: int) -> list[int]:
 
 def poly_derivative(coeffs: Sequence) -> list:
     return [l * c for l, c in enumerate(coeffs)][1:] or [0]
-
-
-def _trim(a: list[int]) -> list[int]:
-    """Drop zero leading coefficients in place; the zero polynomial becomes []."""
-    while a and not a[-1]:
-        a.pop()
-    return a
 
 
 def _prem(a: Sequence[int], b: Sequence[int]) -> list[int]:
@@ -179,9 +181,9 @@ class PiecewisePoly:
     """Polynomial ``rows[j]`` on piece j = [breakpoints[j], breakpoints[j+1]], inside [0, 1].
 
     A point on a shared breakpoint belongs to the piece on its left, and the
-    outer pieces extend to 0 and 1.  Rows keep their own lengths and are
-    stored only as ``int_rows``, in lowest terms as :func:`int_row` gives them;
-    equality and hashing compare these and the breakpoints.  The piece lookup
+    outer pieces extend to 0 and 1.  Rows are stored only as ``int_rows``,
+    each in lowest terms and at its true degree, as :func:`int_row` gives
+    them; equality and hashing compare these and the breakpoints.  The piece lookup
     assumes nondecreasing breakpoints, which every valid cdf, bid function and
     jump-point strategy has.
     """
@@ -197,10 +199,11 @@ class PiecewisePoly:
 
     @classmethod
     def from_int_rows(cls, breakpoints: Sequence, int_rows: Sequence[tuple[Sequence[int], int]]):
-        """From integer rows (nums, scale) with scale > 0, each put in lowest terms by one gcd."""
+        """From integer rows (nums, scale) with scale > 0: trailing zeros dropped, each in lowest terms by one gcd."""
         self, rows = cls.__new__(cls), []
         self._check_widths(len(nums) for nums, _ in int_rows)
         for nums, scale in int_rows:
+            nums = _trim(list(nums))
             g = math.gcd(scale, *nums)
             rows.append(((tuple(c // g for c in nums) if g > 1 else tuple(nums)) or (0,), scale // g))
         self._set(breakpoints, rows)
@@ -210,7 +213,7 @@ class PiecewisePoly:
         """Hook on the row lengths, which both constructors call before they convert anything."""
 
     def _set(self, breakpoints: Sequence, int_rows: list) -> None:
-        """Store the breakpoints and the integer rows, which are in lowest terms; both constructors end here."""
+        """Store the breakpoints and the integer rows, which are in the row form above; both constructors end here."""
         breakpoints = tuple(b if b.__class__ is Fraction else Fraction(b) for b in breakpoints)
         if not int_rows or len(breakpoints) != len(int_rows) + 1:
             raise DomainError("need one or more pieces, with exactly one coefficient row per piece")
@@ -282,7 +285,7 @@ class PiecewisePoly:
         ends = [b.numerator * K // b.denominator for b in self.breakpoints[1:-1]] + [K]
         out: list[int] = []
         for (nums, scale), end in zip(self.int_rows, ends):
-            count, nums = end + 1 - len(out), _trim(list(nums)) or [0]
+            count = end + 1 - len(out)
             if count <= 0:
                 continue
             m = lcm // scale * K ** (d + 1 - len(nums))

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 import pytest
 
 from fpaeq import PiecewisePolyCdf, make_adversarial_cdf, power_cdf, uniform_cdf
+from fpaeq.rationals import format_rational
 
 
 @pytest.fixture
@@ -44,3 +45,9 @@ def row_fractions(row) -> list:
     """The coefficients of an integer row (nums, scale) as Fractions."""
     nums, scale = row
     return [F(c, scale) for c in nums]
+
+
+def piecewise_json(dist) -> dict:
+    """The piecewise_poly JSON description of a cdf, as cdf_from_json reads it."""
+    return {"kind": "piecewise_poly", "breakpoints": [format_rational(b) for b in dist.breakpoints],
+            "coeffs": [[format_rational(c) for c in row] for row in dist.rows]}

@@ -12,7 +12,7 @@ from fpaeq import DomainError, PiecewisePoly, PiecewisePolyCdf
 from fpaeq.cdf import MAX_DEGREE, float_view
 from fpaeq.poly import nonnegative_on, poly_derivative
 
-from conftest import poly_eval
+from conftest import piecewise_json, poly_eval
 
 FIXTURES = "uniform square two_piece shifted_support adversarial".split()
 
@@ -320,7 +320,7 @@ class TestJson:
         assert adv(F(27, 32)) == F(25, 32)
 
     def test_piecewise_roundtrip(self, two_piece):
-        again = fq.cdf_from_json(two_piece.to_json())
+        again = fq.cdf_from_json(piecewise_json(two_piece))
         assert again == two_piece
 
     def test_bad_inputs(self):
@@ -361,20 +361,36 @@ class TestJson:
 
 
 class TestConstructors:
-    """Both constructors of a cdf, from rational rows and from integer rows, pass through one padding step."""
+    """Both constructors of a cdf, from rational rows and from integer rows, store each row at its true degree."""
 
     @pytest.mark.parametrize("build", ["rational", "integer"])
-    def test_mixed_degrees_padded(self, build):
-        # x^2 on [0, 1/2], then (3x - 1)/2: rows of lengths 3 and 2
+    def test_rows_at_true_degree(self, build):
+        # x^2 on [0, 1/2], then (3x - 1)/2: rows of lengths 3 and 2, and no padding to one length
         bps, rows = (F(0), F(1, 2), F(1)), ((F(0), F(0), F(1)), (F(-1, 2), F(3, 2)))
         if build == "rational":
             dist = PiecewisePolyCdf(bps, rows)
         else:
             dist = PiecewisePolyCdf.from_int_rows(bps, [((0, 0, 1), 1), ((-1, 3), 2)])
-        assert dist.int_rows == (((0, 0, 1), 1), ((-1, 3, 0), 2))
-        assert dist.rows == ((0, 0, 1), (F(-1, 2), F(3, 2), 0))
+        assert dist.int_rows == (((0, 0, 1), 1), ((-1, 3), 2))
+        assert dist.rows == ((0, 0, 1), (F(-1, 2), F(3, 2)))
         assert dist == PiecewisePolyCdf(bps, rows) and hash(dist) == hash(PiecewisePolyCdf(bps, rows))
-        assert fq.power_coefficients(dist, 3) == (([0, 0, 0, 0, 1], 1), ([1, -6, 9, 0, 0], 4))
+        assert fq.power_coefficients(dist, 3) == (([0, 0, 0, 0, 1], 1), ([1, -6, 9], 4))
+
+    def test_trailing_zeros_dropped(self):
+        # the same cdf with zero top coefficients, from rational rows, integer rows and JSON: one stored form
+        bps = (F(0), F(1, 2), F(1))
+        plain = PiecewisePolyCdf(bps, ((F(0), F(0), F(1)), (F(-1, 2), F(3, 2))))
+        padded = [
+            PiecewisePolyCdf(bps, ((F(0), F(0), F(1), F(0)), (F(-1, 2), F(3, 2), F(0), F(0)))),
+            PiecewisePolyCdf.from_int_rows(bps, [((0, 0, 1, 0), 1), ((-1, 3, 0, 0), 2)]),
+            PiecewisePolyCdf.from_int_rows(bps, [((0, 0, 6, 0), 6), ((-3, 9, 0), 6)]),
+            fq.cdf_from_json({"kind": "piecewise_poly", "breakpoints": ["0", "1/2", "1"],
+                              "coeffs": [["0", "0", "1", "0"], ["-1/2", "3/2", "0/7", "0"]]}),
+        ]
+        for dist in padded:
+            assert dist.int_rows == (((0, 0, 1), 1), ((-1, 3), 2))
+            assert dist == plain and hash(dist) == hash(plain)
+            assert dist.degree == 2
 
     @pytest.mark.parametrize("build", ["rational", "integer"])
     def test_degree_limit_checked_first(self, build):

@@ -15,6 +15,8 @@ import fpaeq as fq
 from fpaeq.cli import main
 from fpaeq.rationals import format_rational, parse_rational
 
+from conftest import piecewise_json
+
 
 @pytest.fixture
 def capout(capsys):
@@ -43,7 +45,7 @@ def square_json(tmp_path):
 @pytest.fixture
 def shifted_json(tmp_path, shifted_support):
     path = tmp_path / "shifted.json"
-    path.write_text(json.dumps(shifted_support.to_json()))
+    path.write_text(json.dumps(piecewise_json(shifted_support)))
     return str(path)
 
 

@@ -29,6 +29,12 @@ def exact_searches(monkeypatch):
     return seen
 
 
+def force_exact_attempt(monkeypatch, bad: JumpPointStrategy) -> None:
+    """Make solve's float attempt return bad, an uncertified strategy, so that the exact attempt runs."""
+    search = discrete._search
+    monkeypatch.setattr(discrete, "_search", lambda *args: search(*args) if isinstance(args[-1], F) else bad)
+
+
 class TestBidGrid:
     def test_invariants(self):
         assert grid_of("0", "1/4", "1/2").m == 3
@@ -289,19 +295,28 @@ class TestSolve:
         with pytest.raises(DomainError):
             fq.solve(uniform, 2, grid_of("0", "1/2"), F(2))
 
-    def test_tiny_delta(self, uniform):
-        # float(delta) underflows to 0.0; the float search stops at the float resolution 2**-52
+    def test_tiny_delta(self, uniform, monkeypatch):
+        # float(gamma / 4) underflows to 0.0; the float search stops at the float resolution 2**-52
         g = grid_of("0", "1/4", "1/2")
-        strategy = discrete._float_search(uniform, 1, 2, g, F(1, 2**1100))
-        assert fq.check_conditions(uniform, 2, g, strategy, F(1, 2**20)).passed
+        deltas, search = [], discrete._search
+        monkeypatch.setattr(discrete, "_search", lambda *args: deltas.append(args[-1]) or search(*args))
+        passed = fq.Certificate(F(0), True, F(0), ())
+        monkeypatch.setattr(discrete, "check_conditions", lambda *args: passed)  # stop after the float attempt
+        res = fq.solve(uniform, 2, g, F(1, 2**1100))
+        assert deltas == [2.0**-52]
+        assert fq.check_conditions(uniform, 2, g, res.strategy, F(1, 2**20)).passed
 
     def test_float_search_below_2_to_minus_40(self, square, monkeypatch):
         # gamma / 4 = 2**-41 / 3 here; a float tolerance floored at 2**-40 left residuals above
         # gamma and one exact search (0.6 s), while 2**-52 certifies the float result
-        def no_exact_search(*args):
-            raise AssertionError("the float search was not certified")
+        search = discrete._search
 
-        monkeypatch.setattr(discrete, "_exact_search", no_exact_search)
+        def no_exact_search(F_search, L, n, grid, delta):
+            if isinstance(delta, F):
+                raise AssertionError("the float search was not certified")
+            return search(F_search, L, n, grid, delta)
+
+        monkeypatch.setattr(discrete, "_search", no_exact_search)
         g = grid_of(*(F(i, 8) for i in range(4)))
         assert fq.solve(square, 4, g, F(1, 2**34)).certificate.passed
 
@@ -327,8 +342,23 @@ class TestSolve:
         assert res.certificate.passed
         assert exact_searches == []
         gamma, mixed = res.certificate.gamma, res.transformed_cdf
-        strategy = discrete._exact_search(mixed, dist.lipschitz_bound(), 2, g, gamma / 4)
+        strategy = discrete._search(mixed, dist.lipschitz_bound(), 2, g, gamma / 4)
         assert fq.check_conditions(mixed, 2, g, strategy, gamma).passed
+
+    def test_exact_attempt_takes_the_walk_as_it_is(self, monkeypatch):
+        # the conversion that takes a float walk back to rationals changes an exact walk only at s_0 and U_0:
+        # each exact point is pooled or at or above its bid
+        dist = fq.power_cdf(8)
+        g = grid_of(*(F(k, 256) for k in (0, 10, 63, 71, 122, 137, 144, 201, 240)))
+        mixed = fq.strongly_increasing_transform(dist, F(1, 3 * 2**21))
+        gamma = F(1, 3 * 2**21) / (2 * g.m)
+        walks, walk = [], discrete._binary_search_top_utility
+        monkeypatch.setattr(discrete, "_binary_search_top_utility",
+                            lambda *args: walks.append(walk(*args)) or walks[-1])
+        strategy = discrete._search(mixed, dist.lipschitz_bound(), 2, g, gamma / 4)
+        ((s, uvec),) = walks
+        assert all(type(x) is F for x in s + uvec)
+        assert strategy == JumpPointStrategy((F(0),) + tuple(s[1:]), (F(0),) + tuple(uvec[1:]))
 
     def test_float_result_taken_back_exactly(self, uniform, monkeypatch):
         g = grid_of("0", "1/5", "1/3", "1/2")
@@ -336,7 +366,7 @@ class TestSolve:
         uvec = [0.0, 0.01, 0.01, 0.1, 0.3]
         monkeypatch.setattr(discrete, "_binary_search_top_utility",
                             lambda *args: ([0.1, third, third, 0.7, 1.0], uvec))
-        strategy = discrete._float_search(uniform, 1, 2, g, F(1, 2**30))
+        strategy = discrete._search(float_view(uniform), 1, 2, g, 2.0**-30)
         # s_0 = 0; s_2 snaps onto its bid 1/3 and s_1, pooled with it, follows
         assert strategy.s == (0, F(1, 3), F(1, 3), F(0.7), 1)
         assert strategy.utilities == tuple(F(u) for u in uvec)
@@ -348,7 +378,7 @@ class TestSolve:
     def test_float_result_is_a_valid_strategy(self, walk, expected, uniform, monkeypatch):
         g = grid_of("0", "1/5", "1/2")
         monkeypatch.setattr(discrete, "_binary_search_top_utility", lambda *args: (walk, [0.0] * 4))
-        strategy = discrete._float_search(uniform, 1, 2, g, F(1, 2**30))
+        strategy = discrete._search(float_view(uniform), 1, 2, g, 2.0**-30)
         assert isinstance(strategy, JumpPointStrategy)
         assert strategy.s == expected
 
@@ -358,7 +388,7 @@ class TestSolve:
         # s_1 = 1/8 lies below the bid 1/4 it starts, so condition 3 fails whatever the cdf
         bad = JumpPointStrategy((F(0), F(1, 8), F(1, 8), F(1)), (F(0),) * 4)
         assert not fq.check_conditions(uniform, 2, g, bad, eps).passed
-        monkeypatch.setattr(discrete, "_float_search", lambda *args: bad)
+        force_exact_attempt(monkeypatch, bad)
         res = fq.solve(uniform, 2, g, eps)
         assert exact_searches == [res.certificate.gamma / 4]  # one exact search, at gamma/4
         assert res.strategy != bad
@@ -401,7 +431,7 @@ class TestSolve:
         if forced_exact:
             # every value pools at the top bid with utility 0: bid 1's top residual is 1/n
             bad = JumpPointStrategy((F(0),) + (F(1),) * m, (F(0),) * (m + 1))
-            monkeypatch.setattr(discrete, "_float_search", lambda *args: bad)
+            force_exact_attempt(monkeypatch, bad)
         tols = []  # the tolerance of each walk the solve runs
         walk = discrete.compute_strategy
         monkeypatch.setattr(discrete, "compute_strategy", lambda *args: tols.append(args[-1]) or walk(*args))

@@ -120,7 +120,7 @@ class TestCanonicalBid:
                                         ("shifted_support", 8), ("two_piece", 3), ("power3", 16)])
     def test_rows_match_fraction_pipeline(self, request, name, n):
         # adversarial has identity pieces F(x) = x; shifted_support has an identity bid piece (zero
-        # denominator); two_piece has pieces of degrees 2 and 1, zero-padded to one length
+        # denominator); two_piece has pieces of degrees 2 and 1, each row at its own length
         dist = {"cubic": lambda: seeded_cubic(0, 8), "power3": lambda: fq.power_cdf(3)}.get(
             name, lambda: request.getfixturevalue(name))()
         rbf = fq.canonical_bid_function(dist, n)
@@ -168,6 +168,38 @@ class TestCanonicalBid:
         # continuous at the support infimum from the right
         gap = rbf(F(1, 4) + F(1, 10**6)) - F(1, 4)
         assert 0 <= gap < F(1, 10**5)
+
+    def test_zero_piece_rows(self, shifted_support):
+        # the zero cdf row is (0,), however long its input row, and x * D - I gives the identity piece's rows
+        # with no branch of its own
+        padded = fq.PiecewisePolyCdf.from_int_rows(shifted_support.breakpoints, [((0, 0, 0), 5), ((-1, 4), 3)])
+        assert padded == shifted_support and shifted_support.int_rows[0] == ((0,), 1)
+        rbf = fq.canonical_bid_function(shifted_support, 8)
+        assert rbf.numerator.int_rows[0] == rbf.denominator.int_rows[0] == ((0,), 1)
+        assert fq.rbf_to_json(rbf)["pieces"][0] == "identity"
+        for x in (F(0), F(1, 8), F(1, 5), F(1, 4)):
+            assert rbf(x) == x
+
+    def test_rows_at_true_degree(self, two_piece):
+        # at n = 64 the linear piece's bid rows have 63 + 1 and 63 + 2 coefficients, the quadratic piece's
+        # 126 + 1 and 126 + 2: no row is padded to the widest
+        rbf = fq.canonical_bid_function(two_piece, 64)
+        assert [len(nums) for nums, _ in rbf.denominator.int_rows] == [127, 64]
+        assert [len(nums) for nums, _ in rbf.numerator.int_rows] == [128, 65]
+        numer, denom = fraction_pipeline(two_piece, 64)
+        assert rbf.numerator.rows == numer and rbf.denominator.rows == denom
+
+    def test_flat_piece_rows(self):
+        # 2x on [0, 1/4], 1/2 on [1/4, 1/2], x on [1/2, 1]: on the flat piece x * D - I is a constant,
+        # its x term cancelled
+        dist = fq.PiecewisePolyCdf((F(0), F(1, 4), F(1, 2), F(1)), ((F(0), F(2)), (F(1, 2),), (F(0), F(1))))
+        rbf = fq.canonical_bid_function(dist, 3)
+        assert [len(nums) for nums, _ in rbf.numerator.int_rows] == [4, 1, 4]
+        assert [len(nums) for nums, _ in rbf.denominator.int_rows] == [3, 1, 3]
+        numer, denom = fraction_pipeline(dist, 3)
+        for x in (F(1, 8), F(1, 4), F(3, 8), F(1, 2), F(3, 4), F(1)):
+            j = rbf.denominator.piece_index(x)
+            assert rbf(x) == poly_eval(numer[j], x) / poly_eval(denom[j], x)
 
     def test_domain_error(self, uniform):
         rbf = fq.canonical_bid_function(uniform, 2)

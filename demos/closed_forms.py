@@ -9,6 +9,7 @@ then prints the per-piece representation for a cdf without a closed form.
 from fractions import Fraction
 
 import fpaeq as fq
+from fpaeq.rationals import format_rational
 
 print("uniform cdf, n = 2..5 (bid at x = 2/3):")
 uniform = fq.uniform_cdf()
@@ -28,12 +29,19 @@ two_piece = fq.PiecewisePolyCdf(
     ((Fraction(0), Fraction(0), Fraction(1)), (Fraction(-1, 2), Fraction(3, 2))),
 )
 rbf = fq.canonical_bid_function(two_piece, 2)
-print("\ntwo-piece cdf, n = 2, per-piece rational bid function:")
+
+
+def row(coeffs):
+    """A coefficient row, constant term first, as rationals p/q."""
+    return "(" + ", ".join(map(format_rational, coeffs)) + ")"
+
+
+print("\ntwo-piece cdf, n = 2, per-piece rational bid function (coefficients from the constant term up):")
 bps = rbf.denominator.breakpoints
 for j, (numer, denom) in enumerate(zip(rbf.numerator.rows, rbf.denominator.rows)):
     lo, hi = bps[j], bps[j + 1]
     if not any(denom):
         print(f"  [{lo}, {hi}]: identity (below the support)")
     else:
-        print(f"  [{lo}, {hi}]: numerator {numer} / denominator {denom}")
+        print(f"  [{lo}, {hi}]: numerator {row(numer)} / denominator {row(denom)}")
 print("  e.g. bid(3/4) =", rbf(Fraction(3, 4)))

@@ -205,8 +205,11 @@ def rbf_from_json(obj: dict) -> RationalBidFunction:
     n = parse_rational(obj["n"])
     if n.denominator != 1:
         raise DomainError(f"n must be an integer, got {obj['n']!r}")
-    return RationalBidFunction(PiecewisePoly(bps, numer), PiecewisePoly(bps, denom),
-                               parse_rational(obj["support_infimum"]), int(n))
+    numer, denom, v_low = PiecewisePoly(bps, numer), PiecewisePoly(bps, denom), parse_rational(obj["support_infimum"])
+    if v_low != next((b for b, (nums, _) in zip(bps, denom.int_rows) if any(nums)), None):
+        raise DomainError(f"support_infimum {obj['support_infimum']!r} is not the left end of the first piece "
+                          "with a nonzero denominator, the first that is not the identity")
+    return RationalBidFunction(numer, denom, v_low, int(n))
 
 
 def eval_canonical(rbf: RationalBidFunction, x) -> Fraction:

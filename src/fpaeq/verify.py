@@ -21,6 +21,7 @@ rational of each point.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -65,26 +66,38 @@ def epsilon_bne_check_cdfpa(F, n: int, grid: BidGrid, s: JumpPointStrategy) -> R
 
     The result is the exact maximum over a finite value set: every jump
     point, every bid, i/64 and the midpoints of consecutive distinct jump
-    points.  Bid b_k wins with Delta_k whatever the value, so the regret at v
-    is max_k (v - b_k) * Delta_k minus the utility of v's own bid.  The true
-    supremum over all values can lie above this maximum.
+    points.  Bid b_k wins with Delta_k = N_k / D_k whatever the value, so with
+    the bids over their lcm B as integers c_k it pays (p*B - c_k*q) * N_k /
+    (q*B*D_k) at v = p/q; the regret at v is the best payoff less the own
+    bid's.  All comparisons are cross-multiplications of Python ints, and the
+    one Fraction built is the result.  The argmax is the first maximum in
+    increasing value, then bid.  The supremum over all values can lie above.
     """
     check_bidders(n)
-    bid_fn = s.as_bid_function(grid)
-    win = s.win_probs(F, n)
+    bid_fn, win = s.as_bid_function(grid), s.win_probs(F, n)
     values = set(s.s) | set(grid.bids)
     values |= {Fraction(i, EXACT_VALUE_GRID) for i in range(EXACT_VALUE_GRID + 1)}
     values |= {(a + b) / 2 for a, b in zip(s.s, s.s[1:]) if a < b}
-    best = None
-    for v in sorted(values):
-        k = bid_fn.piece_index(v)
-        own = (v - grid.bids[k]) * win[k]
-        for b, w in zip(grid.bids, win):
-            regret = (v - b) * w - own
-            if best is None or regret > best[0]:
-                best = (regret, (v, b))
-    max_regret = max(best[0], 0 * best[0])
-    return RegretReport(max_regret, best[1])
+    B = math.lcm(*(b.denominator for b in grid.bids))
+    lines = [(b.numerator * (B // b.denominator), w.numerator, w.denominator, b) for b, w in zip(grid.bids, win)]
+    (_, N0, D0, b0), rest = lines[0], lines[1:]  # the lowest bid is 0
+    best = (-1, 0, None, None)  # regret X / Y at value v deviating to bid b, as (X, Y, v, b); -1/0 is below all
+    for v in values:  # in the set's order: an exact tie keeps the smaller value
+        pB, q = v.numerator * B, v.denominator
+        c, N, own_den, _ = lines[bid_fn.piece_index(v)]
+        own = (pB - c * q) * N
+        top, top_den, top_bid = pB * N0, D0, b0
+        for c, N, D, b in rest:
+            if c * q >= pB:
+                break  # from here on b >= v: the payoff is at most 0, no more than bid 0's
+            A = (pB - c * q) * N
+            if A * top_den > top * D:
+                top, top_den, top_bid = A, D, b
+        X, Y = top * own_den - own * top_den, q * B * top_den * own_den
+        d = X * best[1] - best[0] * Y
+        if d > 0 or d == 0 and v < best[2]:
+            best = (X, Y, v, top_bid)
+    return RegretReport(Fraction(max(best[0], 0), best[1]), best[2:])
 
 
 def epsilon_bne_check_ccfpa(F, n: int, bid_fn: Callable) -> RegretReport:

@@ -239,6 +239,24 @@ class TestInputContract:
         assert code == 2 and out == ""
         assert "rational_bid_function" in err
 
+    def test_solver_bid_function_loads(self, capout, tmp_path, shifted_json):
+        # zero on [0, 1/4], then (4x - 1)/3: the identity piece ends at the support infimum 1/4
+        code, out, _ = capout("solve", "--model", "ccfpa-explicit", "--cdf", shifted_json, "--n", "2")
+        assert code == 0 and json.loads(out)["support_infimum"] == "1/4"
+        strat = tmp_path / "s.json"
+        strat.write_text(out)
+        assert capout("eval", "--strategy", str(strat), "--at", "3/8")[:2] == (0, "5/16\n")
+
+    @pytest.mark.parametrize("argv", [["eval", "--at", "3/8"], ["verify", "--mode", "grid", "--n", "2"]])
+    def test_support_infimum_off_the_rows(self, capout, tmp_path, shifted_json, argv):
+        # the same bid function claiming support infimum 1/2 would bid 3/8, the identity, at 3/8
+        code, out, _ = capout("solve", "--model", "ccfpa-explicit", "--cdf", shifted_json, "--n", "2")
+        strat = tmp_path / "s.json"
+        strat.write_text(json.dumps({**json.loads(out), "support_infimum": "1/2"}))
+        code, out, err = capout(*argv, "--strategy", str(strat), "--cdf", shifted_json)
+        assert code == 2 and out == ""
+        assert "support_infimum '1/2' is not the left end of the first piece" in err
+
     @pytest.mark.parametrize("argv", [["eval", "--at", "1/2"], ["verify", "--mode", "grid", "--n", "2"]])
     def test_rational_bid_function_breakpoints_out_of_order(self, capout, tmp_path, uniform_json, argv):
         obj = {"kind": "rational_bid_function", "n": 2, "support_infimum": "0",

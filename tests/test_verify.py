@@ -103,6 +103,43 @@ class TestExactRegretReference:
         report = fq.epsilon_bne_check_cdfpa(dist, n, grid, JumpPointStrategy(s, ()))
         assert (report.max_regret, report.argmax) == brute_force_exact_regret(dist, n, grid, s)
 
+    @pytest.mark.parametrize("name,bids,s,regret,argmax,tied", [
+        # Delta = 1/8, 1/2, 7/8: 17/64 deviating to 0 and 49/64 deviating to 1/4 both gain 13/512
+        ("uniform", ("0", "1/4", "1/2"), ("0", "1/4", "3/4", "1"), F(13, 512), (F(17, 64), F(0)), F(49, 64)),
+        # 25/64 deviating to 0 and 1 deviating to 5/8 both gain 23/256
+        ("square", ("0", "1/2", "5/8"), ("0", "3/8", "1", "1"), F(23, 256), (F(25, 64), F(0)), F(1)),
+    ], ids=["uniform", "square"])
+    def test_tie_between_values_keeps_the_smaller(self, name, bids, s, regret, argmax, tied, request):
+        dist, grid, s = request.getfixturevalue(name), grid_of(*bids), tuple(F(x) for x in s)
+        report = fq.epsilon_bne_check_cdfpa(dist, 2, grid, JumpPointStrategy(s, ()))
+        assert (report.max_regret, report.argmax) == (regret, argmax) == brute_force_exact_regret(dist, 2, grid, s)
+        # the larger value does tie: its best deviation less its own bid's utility is the same regret
+        win, j = JumpPointStrategy(s, ()).win_probs(dist, 2), next(j for j in range(grid.m) if s[j] < tied <= s[j + 1])
+        assert max((tied - b) * w for b, w in zip(grid.bids, win)) - (tied - grid.bids[j]) * win[j] == regret
+
+    @pytest.mark.parametrize("bids,s", [
+        (("0",), ("1/3", "1")),  # one bid: every value's own bid is its only deviation
+        (("0", "1/2"), ("0", "1", "1")),  # everyone pools at 0, an exact equilibrium for n = 2
+    ])
+    def test_no_positive_regret(self, uniform, bids, s):
+        # every regret is 0, so the first maximum is value 0 deviating to bid 0
+        grid, s = grid_of(*bids), tuple(F(x) for x in s)
+        report = fq.epsilon_bne_check_cdfpa(uniform, 2, grid, JumpPointStrategy(s, ()))
+        assert (report.max_regret, report.argmax) == (0, (0, 0)) == brute_force_exact_regret(uniform, 2, grid, s)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_mixed_denominators(self, seed, request):
+        # bids over 3, 5, 7, 12 and 64 beside each other, up to 32 of them, and jump points over 24
+        # and 60 with s_0 > 0
+        rng = random.Random(seed)
+        dist = request.getfixturevalue(("uniform", "square", "two_piece")[seed % 3])
+        pool = sorted({F(k, q) for q in (3, 5, 7, 12, 64) for k in range(1, q) if F(k, q) < F(15, 16)})
+        grid = BidGrid((F(0),) + tuple(sorted(rng.sample(pool, rng.randint(8, 31)))))
+        s = tuple(sorted(F(rng.randint(1, q), q) for q in rng.choices((24, 60), k=grid.m))) + (F(1),)
+        n = rng.choice((2, 3, 4))
+        report = fq.epsilon_bne_check_cdfpa(dist, n, grid, JumpPointStrategy(s, ()))
+        assert (report.max_regret, report.argmax) == brute_force_exact_regret(dist, n, grid, s)
+
 
 class TestContinuousRegret:
     @pytest.mark.parametrize("name,n", [("uniform", 2), ("uniform", 4), ("square", 3), ("two_piece", 2)])

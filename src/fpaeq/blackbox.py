@@ -1,10 +1,10 @@
 """Approximate equilibrium bidding for continuous bids under cdf oracle access.
 
-A plan precomputes the prefix sums of the cdf (raised to the n-1 power) on
-the regular grid j/K, K = ceil(1/eps).  Each subsequent bid evaluation issues
-exactly one cdf query (at the bidder's own value) and combines it with the
-tabulated sums into the lower and upper Riemann sums of the win-probability
-deficit
+A plan holds the oracle it was built from and the prefix sums of the cdf
+(raised to the n-1 power) on the regular grid j/K, K = ceil(1/eps).  Each
+subsequent bid evaluation, ``bid(plan, x)``, issues exactly one query to that
+oracle (at the bidder's own value) and combines it with the tabulated sums
+into the lower and upper Riemann sums of the win-probability deficit
 
     g_x(t) = 1 - F(t)**(n-1) / F(x)**(n-1),
 
@@ -46,6 +46,7 @@ MAX_K = 2**14
 
 @dataclass(frozen=True)
 class BlackBoxPlan:
+    oracle: CdfOracle  # the oracle the table was queried from; every bid queries it once
     n: int
     K: int
     prefix: tuple  # prefix[j] / scale = sum of F(i/K)**(n-1) over i < j, for j = 0..K+1
@@ -74,22 +75,22 @@ def precompute(oracle: CdfOracle, n: int, epsilon) -> BlackBoxPlan:
 
     One batch query costs K-1 queries (grid interior); F(0) = 0 and F(1) = 1
     are known for continuous cdfs on [0, 1].  The plan keeps only the prefix
-    sums of the powers of the query's numerators, over the scale den**(n-1).
+    sums of the powers of the query's numerators, over the scale den**(n-1), and the oracle.
     """
     check_bidders(n)
     K = grid_size(epsilon)
     nums, den = oracle.grid_values(K)
-    return BlackBoxPlan(n, K, tuple(accumulate(map(pow, nums, repeat(n - 1)), initial=0)), den ** (n - 1))
+    return BlackBoxPlan(oracle, n, K, tuple(accumulate(map(pow, nums, repeat(n - 1)), initial=0)), den ** (n - 1))
 
 
-def bid(plan: BlackBoxPlan, oracle: CdfOracle, x) -> BidEvaluation:
-    """One-query evaluation of the lower and upper Riemann sums; the upper sum is the bid.
+def bid(plan: BlackBoxPlan, x) -> BidEvaluation:
+    """Lower and upper Riemann sums at x from one query of the plan's oracle; the upper sum is the bid.
 
     The two sandwich the exact equilibrium bid.
     """
     if not 0 <= x <= 1:
         raise DomainError(f"x={x} outside [0, 1]")
-    fx = oracle(x)
+    fx = plan.oracle(x)
     if fx == 0:
         # x is weakly below the support: bidding the value is exact
         return BidEvaluation(x, x)

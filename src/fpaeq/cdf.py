@@ -102,21 +102,9 @@ class PiecewisePolyCdf(PiecewisePoly):
                 bad.append(f"piece {j}: decreasing somewhere in [{lo}, {hi}]")
         return ValidationReport(tuple(bad))
 
-    def support_infimum(self) -> Fraction:
-        """Largest x with F(x) = 0 (0 when F > 0 everywhere right of 0).
-
-        Because each piece polynomial is nondecreasing on its piece, a piece
-        that vanishes on more than a point is identically zero; the support
-        infimum is therefore always the left breakpoint of the first piece
-        whose polynomial is not identically zero.
-        """
-        for j, (nums, _) in enumerate(self.int_rows):
-            if any(nums):
-                return self.breakpoints[j]
-        raise DomainError("cdf is identically zero")
-
-    def lipschitz_bound(self) -> Fraction:
-        """A valid (not necessarily tight) Lipschitz constant on [0, 1]."""
+    @property
+    def lipschitz(self) -> Fraction:
+        """A valid (not necessarily tight) Lipschitz constant on [0, 1], read as :attr:`CdfOracle.lipschitz` is."""
         return max(Fraction(sum(l * abs(c) for l, c in enumerate(nums)), scale) for nums, scale in self.int_rows)
 
 
@@ -231,7 +219,7 @@ class _AffineMix:
 
 def oracle_from_piecewise(dist: PiecewisePolyCdf) -> CdfOracle:
     """Oracle backed by an explicit cdf: exact on a rational, and its float view is the cdf's."""
-    return CdfOracle(dist, dist.lipschitz_bound())
+    return CdfOracle(dist, dist.lipschitz)
 
 
 def float_view(f) -> Callable:

@@ -40,7 +40,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cdf import PiecewisePolyCdf, float_view, strongly_increasing_transform
+from .cdf import float_view, strongly_increasing_transform
 from .errors import DomainError, PrecisionError, check_bidders
 from .poly import PiecewisePoly
 from .rationals import parse_rational
@@ -281,8 +281,8 @@ def solve(F, n: int, grid: BidGrid, eps) -> SolveResult:
     The cdf is first mixed with the identity (weight eps/3n) so that it is
     strongly increasing; a certificate under the mixed cdf at accuracy eps/3n
     transfers back to an eps-approximate equilibrium of the original cdf.
-    F is a PiecewisePolyCdf, whose Lipschitz bound the search uses, or a
-    CdfOracle, whose caller asserted one; any other cdf raises DomainError.
+    F is a PiecewisePolyCdf or a CdfOracle, whose Lipschitz constant
+    ``F.lipschitz`` the search uses; any other cdf raises DomainError.
     Both attempts, the float search and then the exact one, search at
     delta = gamma/4, where gamma is the certificate's residual bound, and
     their results pass through the one conversion of :func:`_search`.  Raises
@@ -294,8 +294,7 @@ def solve(F, n: int, grid: BidGrid, eps) -> SolveResult:
     check_bidders(n)
     mix = eps / (3 * n)
     F_mixed = strongly_increasing_transform(F, mix)  # DomainError for any other kind of cdf
-    L = F.lipschitz_bound() if isinstance(F, PiecewisePolyCdf) else F.lipschitz
-    L_mixed = max(ONE, Fraction(L))
+    L_mixed = max(ONE, Fraction(F.lipschitz))
     gamma = mix / (2 * grid.m)  # mix is the accuracy target under the mixed cdf
     tol = max(float(gamma / 4), sys.float_info.epsilon)  # 2**-52: halving [0, 1] stays exact down to it
     for F_search, delta in ((float_view(F_mixed), tol), (F_mixed, gamma / 4)):

@@ -14,7 +14,7 @@ class PrecisionError(RuntimeError):
 # one Xeon core at n = 64, through the CLI: on an 8-piece cubic, ccfpa-explicit and cdfpa
 # (three bids) take 0.3 s; on a dense degree-64 piece whose coefficients share a 64-bit
 # denominator, near the largest cdf a JSON file may give, ccfpa-explicit takes 7-9 s, and
-# cdfpa (three bids, eps 1/64) 15 s and the exact verify of its strategy 29 s, each printing
+# cdfpa (three bids, eps 1/64) 15 s and the exact verify of its strategy 15.2-16.0 s, each printing
 # rationals of about 134,000 characters.  At n = 256 (limit lifted) ccfpa-explicit on the cubic: 2.4 s.
 MAX_BIDDERS = 64
 

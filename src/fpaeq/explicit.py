@@ -53,20 +53,24 @@ FLOAT_BID_REL_ERROR = 2.0**-42
 class RationalBidFunction:
     """Per-piece ratio numerator/denominator of the equilibrium bid.
 
-    The bid is the identity at and below the support infimum, and on every
-    piece whose denominator row is zero (pieces entirely left of the support).
-    Calling it gives the exact bid (:func:`eval_canonical`);
-    :meth:`float_evaluator` gives floats.
+    The bid is x wherever the denominator row is 0 at x: on every piece whose
+    rows are zero (pieces entirely left of the support) and at the support
+    infimum, which the rows fix.  Calling it gives the exact bid
+    (:func:`eval_canonical`); :meth:`float_evaluator` gives floats.
     """
 
     numerator: PiecewisePoly
     denominator: PiecewisePoly
-    support_infimum: Fraction
     n: int
 
     def __post_init__(self):
         if self.numerator.breakpoints != self.denominator.breakpoints:
             raise DomainError("numerator and denominator need the same breakpoints")
+
+    @property
+    def support_infimum(self) -> Fraction:
+        """The left end of the first piece whose denominator row is not zero (:meth:`PiecewisePoly.support_infimum`)."""
+        return self.denominator.support_infimum()
 
     def __call__(self, x) -> Fraction:
         return eval_canonical(self, x)
@@ -81,11 +85,11 @@ class RationalBidFunction:
         Stability of Numerical Algorithms, 5.1): gamma_k = k u / (1 - k u), u = 2**-53, and
         k = 2d + 2 for degree d counts Horner's 2d roundings, each coefficient's and the
         absolute row's own; k * 2**-1074 covers underflow.  A point takes the quotient of the
-        rows where it lies above the support infimum and each row is a normal float whose
-        bound is at most FLOAT_BID_REL_ERROR / 4 of it, so the rounded quotient is within
-        FLOAT_BID_REL_ERROR.  Every other point (an identity piece, an underflow, an
-        ill-conditioned row) takes the float of the exact bid.  A scalar runs as a
-        one-element array and comes back as a float.
+        rows where each row is a normal float whose bound is at most FLOAT_BID_REL_ERROR / 4
+        of it, so the rounded quotient is within FLOAT_BID_REL_ERROR.  Every other point (a
+        zero denominator, whose exact bid is x, an underflow, an ill-conditioned row) takes
+        the float of the exact bid.  A scalar runs as a one-element array and comes back as
+        a float.
         """
         try:
             tables = [float_table(poly.int_rows) for poly in (self.numerator, self.denominator)]
@@ -96,15 +100,13 @@ class RationalBidFunction:
             k = 2 * len(table)  # 2d + 2: a table holds d + 1 coefficients per row
             # rounding to nearest is symmetric, so |float(c)| is the float of |c|
             rows.append((table, np.abs(table), k * 2.0**-53 / (1 - k * 2.0**-53), k * 2.0**-1074))
-        v_low = float(self.support_infimum)  # x > v_low implies x > support_infimum
         tiny, limit = np.finfo(float).tiny, FLOAT_BID_REL_ERROR / 4
 
         def ev(x):
             if not isinstance(x, np.ndarray):
                 return float(ev(np.array([float(x)]))[0])
             x = np.asarray(x, dtype=float)
-            piece, values = self.denominator.float_pieces(x), []
-            ok = x > v_low
+            piece, values, ok = self.denominator.float_pieces(x), [], np.ones(x.shape, dtype=bool)
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                 for table, abs_table, gamma, floor in rows:
                     value = horner_floats(table, piece, x)
@@ -158,7 +160,6 @@ def integral_coefficients(power_rows: tuple, dist: PiecewisePolyCdf) -> tuple:
 def canonical_bid_function(dist: PiecewisePolyCdf, n: int) -> RationalBidFunction:
     """Exact per-piece rational representation of the equilibrium bid."""
     power_rows = power_coefficients(dist, n)
-    v_low = dist.support_infimum()
     numer, denom = [], []
     for (b_row, b_scale), (c_row, scale) in zip(power_rows, integral_coefficients(power_rows, dist)):
         # numerator(x) = x * denominator(x) - integral(x), over the integral's scale, a multiple of b_scale;
@@ -167,7 +168,7 @@ def canonical_bid_function(dist: PiecewisePolyCdf, n: int) -> RationalBidFunctio
         numer.append(([-c_row[0]] + [b * up - c for b, c in zip(b_row, c_row[1:])], scale))
         denom.append((b_row, b_scale))
     numer, denom = (PiecewisePoly.from_int_rows(dist.breakpoints, rows) for rows in (numer, denom))
-    return RationalBidFunction(numer, denom, v_low, n)
+    return RationalBidFunction(numer, denom, n)
 
 
 def rbf_to_json(rbf: RationalBidFunction) -> dict:
@@ -205,23 +206,21 @@ def rbf_from_json(obj: dict) -> RationalBidFunction:
     n = parse_rational(obj["n"])
     if n.denominator != 1:
         raise DomainError(f"n must be an integer, got {obj['n']!r}")
-    numer, denom, v_low = PiecewisePoly(bps, numer), PiecewisePoly(bps, denom), parse_rational(obj["support_infimum"])
-    if v_low != next((b for b, (nums, _) in zip(bps, denom.int_rows) if any(nums)), None):
+    rbf = RationalBidFunction(PiecewisePoly(bps, numer), PiecewisePoly(bps, denom), int(n))
+    if parse_rational(obj["support_infimum"]) != rbf.support_infimum:
         raise DomainError(f"support_infimum {obj['support_infimum']!r} is not the left end of the first piece "
                           "with a nonzero denominator, the first that is not the identity")
-    return RationalBidFunction(numer, denom, v_low, int(n))
+    return rbf
 
 
 def eval_canonical(rbf: RationalBidFunction, x) -> Fraction:
-    """Exact bid at x; the identity extension applies at and below the support infimum.
+    """Exact bid at x, and x itself wherever the denominator row is 0 at x.
 
     At x = p/q both rows run Horner on integers (:func:`poly.horner_int`), and
     the bid is built as one Fraction from the two integer results.
     """
     x = x if isinstance(x, Fraction) else Fraction(x)
     j = rbf.denominator.piece_index(x)
-    if x <= rbf.support_infimum:
-        return x
     (num_row, num_scale), (den_row, den_scale) = rbf.numerator.int_rows[j], rbf.denominator.int_rows[j]
     p, q = x.numerator, x.denominator
     den = horner_int(den_row, p, q)

@@ -253,6 +253,14 @@ class PiecewisePoly:
             j += 1
         return j
 
+    def support_infimum(self) -> Fraction:
+        """Left end of the first piece whose row is not zero: for a cdf, whose pieces are nondecreasing, the
+        largest x with F(x) = 0, and the same point for the denominator rows F_j**(n-1) of its bid function."""
+        for b, (nums, _) in zip(self.breakpoints, self.int_rows):
+            if any(nums):
+                return b
+        raise DomainError("every row is zero: there is no support infimum")
+
     def row_value(self, j: int, x: Fraction) -> Fraction:
         """Exact value of row j at x."""
         nums, scale = self.int_rows[j]

@@ -43,7 +43,7 @@ MC_GRID = 8  # the Monte Carlo verifier's values and deviations are i/8
 # bytes of arrays per draw for a jump-point strategy and 88 for a rational bid function
 # (x**2 and an 8-piece cubic); at n = 2 comparing the pairs takes more, up to 120 and 176
 # bytes per trial.  So the limit caps a run near 700 MB (a bid function at n = 2), and at
-# 230-360 MB from n = 3 on.  It admits the CLI default of 100 000 trials up to n = 41.
+# 230-360 MB from n = 3 on.  The CLI's default, min(100 000, MAX_MC_DRAWS // (n - 1)) trials, keeps within it.
 MAX_MC_DRAWS = 4_000_000
 
 

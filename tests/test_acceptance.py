@@ -67,7 +67,7 @@ def test_criterion_3_blackbox_approximation(uniform, square, two_piece):
                 oracle = fq.oracle_from_piecewise(dist)
                 plan = fq.precompute(oracle, 2, eps)
                 for x in points:
-                    ev = fq.bid(plan, oracle, x)
+                    ev = fq.bid(plan, x)
                     assert abs(ev.upper - exact[x]) <= eps
                     assert ev.lower <= exact[x] <= ev.upper
         assert time.monotonic() - start < 30.0
@@ -83,7 +83,7 @@ def test_criterion_4_query_budget(adversarial):
             assert oracle.query_count == plan.K - 1
             calls = plan.K
             for i in range(calls):
-                fq.bid(plan, oracle, F(i, calls))
+                fq.bid(plan, F(i, calls))
             assert oracle.query_count == plan.K - 1 + calls
             per_eval = (plan.K - 1) / calls + 1
             assert per_eval <= plan.K + 1
@@ -97,7 +97,7 @@ def test_criterion_4_query_budget(adversarial):
             oracle = fq.oracle_from_piecewise(adversarial)
             plan = fq.precompute(oracle, 2, eps)
             for x in points:
-                ev = fq.bid(plan, oracle, x)
+                ev = fq.bid(plan, x)
                 assert abs(ev.upper - rbf(x)) <= eps
                 assert ev.lower <= rbf(x) <= ev.upper
 
@@ -119,7 +119,7 @@ def test_criterion_5_endpoint_lemma(uniform, square, two_piece, adversarial, shi
             m = rng.randrange(2, 6)
             raw = sorted({F(rng.randrange(1, 64), 64) for _ in range(m - 1)})
             grid = BidGrid((F(0),) + tuple(raw))
-            L = dist.lipschitz_bound()
+            L = dist.lipschitz
             s0_zero, _ = fq.compute_strategy(dist, L, n, grid, F(0), F(1, 2**30))
             s0_one, _ = fq.compute_strategy(dist, L, n, grid, F(1), F(1, 2**30))
             assert s0_zero[0] == 0
@@ -206,7 +206,7 @@ def test_criterion_9_property_suite(uniform, square, two_piece):
             oracle = fq.oracle_from_piecewise(dist)
             plan = fq.precompute(oracle, 3, F(1, 32))
             assert fq.monotone_no_overbid_check(
-                lambda v: fq.bid(plan, oracle, F(v).limit_denominator(10**6)).upper,
+                lambda v: fq.bid(plan, F(v).limit_denominator(10**6)).upper,
                 samples=500,
             ).passed
             grid = equidistant_grid(4)
@@ -232,7 +232,7 @@ def test_criterion_9_property_suite(uniform, square, two_piece):
             assert abs(d1 - d2) <= n * (abs(x1 - x2) + abs(y1 - y2))
 
         # Delta is n*L-Lipschitz through an L-Lipschitz cdf
-        L = square.lipschitz_bound()
+        L = square.lipschitz
         for _ in range(500):
             n = rng.randrange(2, 6)
             x1, y1 = sorted(F(rng.randrange(10**4 + 1), 10**4) for _ in range(2))

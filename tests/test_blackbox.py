@@ -76,19 +76,19 @@ class TestWorkedExamples:
         plan = fq.precompute(oracle, 2, F(1, 4))
         assert plan.K == 4
         assert oracle.query_count == 3
-        ev = fq.bid(plan, oracle, F(1))
+        ev = fq.bid(plan, F(1))
         assert (ev.lower, ev.upper) == (F(3, 8), F(5, 8))
         assert oracle.query_count == 4
 
     def test_uniform_half_value(self, uniform):
         oracle = fq.oracle_from_piecewise(uniform)
         plan = fq.precompute(oracle, 2, F(1, 4))
-        assert fq.bid(plan, oracle, F(1, 2)).upper == F(3, 8)
+        assert fq.bid(plan, F(1, 2)).upper == F(3, 8)
 
     def test_below_support_is_identity(self, shifted_support):
         oracle = fq.oracle_from_piecewise(shifted_support)
         plan = fq.precompute(oracle, 3, F(1, 8))
-        ev = fq.bid(plan, oracle, F(1, 8))
+        ev = fq.bid(plan, F(1, 8))
         assert ev.lower == ev.upper == F(1, 8)
 
     def test_epsilon_above_one_clamps(self, uniform):
@@ -104,7 +104,7 @@ class TestWorkedExamples:
             fq.precompute(oracle, 2, 0)
         plan = fq.precompute(oracle, 2, F(1, 4))
         with pytest.raises(fq.DomainError):
-            fq.bid(plan, oracle, F(3, 2))
+            fq.bid(plan, F(3, 2))
 
 
 class TestAgainstSymbolicReference:
@@ -126,7 +126,7 @@ class TestAgainstSymbolicReference:
         plan = fq.precompute(oracle, n, eps)
         for x in (F(1, 7), F(1, 3), F(5, 8), F(9, 10), F(1)):
             exact = reference_bid(expr, n, x)
-            ev = fq.bid(plan, oracle, x)
+            ev = fq.bid(plan, x)
             lo, hi = ev.lower, ev.upper
             assert lo <= exact <= hi
             assert hi - lo <= eps
@@ -145,7 +145,7 @@ class TestQueryAccounting:
         oracle = fq.oracle_from_piecewise(square)
         plan = fq.precompute(oracle, 3, F(1, 16))
         base = oracle.query_count
-        f = lambda x: fq.bid(plan, oracle, x).upper
+        f = lambda x: fq.bid(plan, x).upper
         for i in range(10):
             f(F(i, 10))
         assert oracle.query_count == base + 10
@@ -154,7 +154,7 @@ class TestQueryAccounting:
         eps = F(1, 32)
         oracle = fq.oracle_from_piecewise(adversarial)
         plan = fq.precompute(oracle, 2, eps)
-        fq.bid(plan, oracle, F(13, 16))
+        fq.bid(plan, F(13, 16))
         assert oracle.query_count <= math.ceil(1 / eps) + 1
 
 
@@ -168,21 +168,21 @@ class TestProperties:
         dist = fq.power_cdf(2)
         oracle = fq.oracle_from_piecewise(dist)
         plan = fq.precompute(oracle, n, F(1, 16))
-        ev = fq.bid(plan, oracle, x)
+        ev = fq.bid(plan, x)
         assert ev.lower <= ev.upper <= x
         assert ev.upper - ev.lower <= F(1, 16)
 
     def test_bid_monotone_in_value(self, two_piece):
         oracle = fq.oracle_from_piecewise(two_piece)
         plan = fq.precompute(oracle, 2, F(1, 64))
-        f = lambda x: fq.bid(plan, oracle, x).upper
+        f = lambda x: fq.bid(plan, x).upper
         bids = [f(F(i, 200)) for i in range(201)]
         assert all(b >= a for a, b in zip(bids, bids[1:]))
 
     def test_float_oracle_follows_type(self):
         oracle = fq.CdfOracle(lambda x: float(x), 1.0)
         plan = fq.precompute(oracle, 2, 0.25)
-        ev = fq.bid(plan, oracle, 1.0)
+        ev = fq.bid(plan, 1.0)
         assert isinstance(ev.upper, float)
         assert ev.upper == pytest.approx(0.625)
 
@@ -205,12 +205,12 @@ class TestIntegerPlan:
         for j in range(K + 1):
             assert F(plan.prefix[j + 1] - plan.prefix[j], plan.scale) == dist(F(j, K)) ** (n - 1)
         # the per-point route of an opaque exact callable gives the same bids
-        opaque = fq.CdfOracle(lambda x: dist(x), dist.lipschitz_bound())
+        opaque = fq.CdfOracle(lambda x: dist(x), dist.lipschitz)
         opaque_plan = fq.precompute(opaque, n, F(1, K))
         for x in (F(0), F(1), *dist.breakpoints, *xs):
-            ev = fq.bid(plan, oracle, x)
+            ev = fq.bid(plan, x)
             assert (ev.lower, ev.upper) == fraction_plan_bid(dist, n, K, x)
-            opaque_ev = fq.bid(opaque_plan, opaque, x)
+            opaque_ev = fq.bid(opaque_plan, x)
             assert (opaque_ev.lower, opaque_ev.upper) == (ev.lower, ev.upper)
 
     def test_shifted_support_leading_zero_piece(self, shifted_support):
@@ -220,7 +220,7 @@ class TestIntegerPlan:
         powers = [b - a for a, b in zip(plan.prefix, plan.prefix[1:])]
         assert powers[:3] == [0, 0, 0] and powers[3] > 0
         for x in (F(1, 4), F(1, 3), F(1)):
-            ev = fq.bid(plan, oracle, x)
+            ev = fq.bid(plan, x)
             assert (ev.lower, ev.upper) == fraction_plan_bid(shifted_support, 3, 8, x)
 
 
@@ -238,9 +238,11 @@ class TestBatchQueryCount:
             counted = fq.oracle_from_piecewise(square)
             oracle = fq.strongly_increasing_transform(counted, F(1, 4))
         plan = fq.precompute(oracle, 3, F(1, K))
-        assert oracle.query_count == counted.query_count == K - 1
-        fq.bid(plan, oracle, F(1, 3))
-        assert oracle.query_count == counted.query_count == K
+        assert plan.oracle is oracle and oracle.query_count == counted.query_count == K - 1
+        # each bid queries the plan's own oracle once
+        for i in range(1, 4):
+            fq.bid(plan, F(i, 3))
+            assert oracle.query_count == counted.query_count == K - 1 + i
 
     def test_grid_values_endpoints(self, two_piece):
         for oracle in (fq.oracle_from_piecewise(two_piece), fq.CdfOracle(lambda x: float(x), 1.0)):

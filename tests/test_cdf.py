@@ -39,7 +39,7 @@ def piecewise_inputs(request) -> list:
         def by_hand(x, rbf=rbf):
             j = left_piece(rbf.denominator, x)
             den = poly_eval(rbf.denominator.rows[j], x)
-            if x <= rbf.support_infimum or den == 0:
+            if den == 0:
                 return x
             return poly_eval(rbf.numerator.rows[j], x) / den
 
@@ -304,7 +304,7 @@ class TestSampledProperties:
     @pytest.mark.parametrize("name", DISTS)
     def test_lipschitz_audit(self, name, request):
         dist = request.getfixturevalue(name)
-        L = dist.lipschitz_bound()
+        L = dist.lipschitz
         rng = random.Random(13)
         for _ in range(500):
             x = F(rng.randrange(10**6), 10**6)

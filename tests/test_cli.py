@@ -320,6 +320,37 @@ class TestInputContract:
         code, _, err = capout(*verify, "--n", "3", "--trials", "101")
         assert code == 2 and "202 exceeds the limit of 200" in err
 
+    def test_monte_carlo_default_trials_from_the_draw_limit(self, capout, tmp_path, uniform_json, monkeypatch):
+        # with no --trials a run takes min(100 000, MAX_MC_DRAWS // (n - 1)), so every admitted n runs;
+        # an explicit --trials is still checked against the limit
+        strat = tmp_path / "s.json"
+        strat.write_text(json.dumps({"kind": "jump_points", "s": ["0", "1/2", "1"], "U": ["0", "1/4"]}))
+        verify = ["verify", "--strategy", str(strat), "--cdf", uniform_json, "--bids", "[\"0\", \"1/4\"]",
+                  "--mode", "mc"]
+        n = fq.errors.MAX_BIDDERS
+        monkeypatch.setattr(fq.verify, "MAX_MC_DRAWS", 50 * (n - 1))
+        code, out, _ = capout(*verify, "--n", str(n))
+        assert code == 0 and json.loads(out)["trials"] == 50
+        code, out, _ = capout(*verify, "--n", "2")
+        assert code == 0 and json.loads(out)["trials"] == 50 * (n - 1)
+        code, _, err = capout(*verify, "--n", str(n), "--trials", "51")
+        assert code == 2 and "exceeds the limit" in err
+        monkeypatch.setattr(fq.verify, "MAX_MC_DRAWS", 10**6)
+        code, out, _ = capout(*verify, "--n", "3")
+        assert code == 0 and json.loads(out)["trials"] == 100_000
+
+    @pytest.mark.parametrize("model", ["ccfpa-explicit", "ccfpa-blackbox"])
+    def test_samples_bounded(self, capout, uniform_json, monkeypatch, model):
+        solve = ["solve", "--model", model, "--cdf", uniform_json, "--n", "2", "--eps", "1/4"]
+        code, out, err = capout(*solve, "--samples", "100000000")
+        assert code == 2 and out == ""
+        assert f"--samples 100000000 exceeds the limit of {fq.blackbox.MAX_K}" in err
+        # the limit is blackbox.MAX_K, read at each call
+        monkeypatch.setattr(fq.blackbox, "MAX_K", 4)
+        code, out, _ = capout(*solve, "--samples", "4")
+        assert code == 0 and len(out.splitlines()) == 6  # the header and x = i/4, i = 0..4
+        assert capout(*solve, "--samples", "5")[0] == 2
+
     # one argv per command that takes --n; the cdf is invalid (exit 1 once loaded), so exit 2
     # shows that the limits are checked before the cdf is loaded
     SIZED = [

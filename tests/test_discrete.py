@@ -281,7 +281,7 @@ class TestSolve:
                 return ev
 
         counted = Counted()
-        oracle = fq.CdfOracle(counted, two_piece.lipschitz_bound())
+        oracle = fq.CdfOracle(counted, two_piece.lipschitz)
         res = fq.solve(oracle, 3, grid_of("0", "1/8", "3/8", "1/2"), F(1, 2**20))
         assert res.certificate.passed
         assert counted.floats > 0  # the float search ran in floats, not on exact rationals
@@ -342,7 +342,7 @@ class TestSolve:
         assert res.certificate.passed
         assert exact_searches == []
         gamma, mixed = res.certificate.gamma, res.transformed_cdf
-        strategy = discrete._search(mixed, dist.lipschitz_bound(), 2, g, gamma / 4)
+        strategy = discrete._search(mixed, dist.lipschitz, 2, g, gamma / 4)
         assert fq.check_conditions(mixed, 2, g, strategy, gamma).passed
 
     def test_exact_attempt_takes_the_walk_as_it_is(self, monkeypatch):
@@ -355,7 +355,7 @@ class TestSolve:
         walks, walk = [], discrete._binary_search_top_utility
         monkeypatch.setattr(discrete, "_binary_search_top_utility",
                             lambda *args: walks.append(walk(*args)) or walks[-1])
-        strategy = discrete._search(mixed, dist.lipschitz_bound(), 2, g, gamma / 4)
+        strategy = discrete._search(mixed, dist.lipschitz, 2, g, gamma / 4)
         ((s, uvec),) = walks
         assert all(type(x) is F for x in s + uvec)
         assert strategy == JumpPointStrategy((F(0),) + tuple(s[1:]), (F(0),) + tuple(uvec[1:]))
@@ -438,7 +438,7 @@ class TestSolve:
         oracle = fq.oracle_from_piecewise(dist)
         res = fq.solve(oracle, n, grid, eps)
         assert res.certificate.passed
-        delta, L = res.certificate.gamma / 4, max(1, dist.lipschitz_bound())
+        delta, L = res.certificate.gamma / 4, max(1, dist.lipschitz)
         exact_walks = sum(isinstance(tol, F) for tol in tols)
         assert len(tols) - exact_walks <= 1 + 52  # U = 1, then halvings down to a bracket of 2**-52
         assert exact_walks <= 1 + 52 + discrete._ceil_log2(1 / delta)  # down to delta * 2**-52

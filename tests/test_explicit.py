@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from fractions import Fraction as F
@@ -5,12 +6,13 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import fpaeq as fq
 from fpaeq.cdf import float_view
 from fpaeq.explicit import FLOAT_BID_REL_ERROR, eval_canonical
 from fpaeq.poly import int_row
+from fpaeq.rationals import format_rational
 
 from conftest import poly_eval, row_fractions
 from test_blackbox import T, reference_bid
@@ -232,15 +234,43 @@ class TestCanonicalBid:
         assert 0 <= rbf(x) <= x
 
 
+class TestSupportFromRows:
+    """A bid function reads its support infimum from its denominator rows, and bids x at and below it."""
+
+    # the fixtures are immutable cdfs, so sharing them across examples is safe
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(seed=st.integers(0, 2**16), n=st.integers(2, 8),
+           u=st.fractions(min_value=0, max_value=1, max_denominator=2**20))
+    def test_identity_at_and_below_the_support(self, shifted_support, adversarial, seed, n, u):
+        for dist in (seeded_cubic(seed, 1 + seed % 8), shifted_support, adversarial):
+            rbf = fq.canonical_bid_function(dist, n)
+            low = dist.support_infimum()
+            assert rbf.support_infimum == low
+            for x in (low, low * u):
+                assert eval_canonical(rbf, x) == x
+            above = low + (1 - low) * max(u, F(1, 2**20))
+            assert eval_canonical(rbf, above) < above
+
+    def test_all_identity_rows_have_no_support(self):
+        rbf = fq.RationalBidFunction(fq.PiecewisePoly((F(0), F(1)), ((F(0),),)),
+                                     fq.PiecewisePoly((F(0), F(1)), ((F(0),),)), 2)
+        assert rbf(F(1, 3)) == F(1, 3)
+        with pytest.raises(fq.DomainError, match="no support infimum"):
+            rbf.support_infimum
+
+
 class TestJsonRoundTrip:
     @pytest.mark.parametrize("name,n", [("uniform", 2), ("two_piece", 3), ("shifted_support", 2)])
     def test_roundtrip(self, name, n, request):
         dist = request.getfixturevalue(name)
         rbf = fq.canonical_bid_function(dist, n)
-        again = fq.rbf_from_json(fq.rbf_to_json(rbf))
+        obj = fq.rbf_to_json(rbf)
+        again = fq.rbf_from_json(obj)
         assert again.numerator == rbf.numerator
         assert again.denominator == rbf.denominator
-        assert again.support_infimum == rbf.support_infimum
+        # the support infimum is written from the rows and read back against them, byte for byte
+        assert obj["support_infimum"] == format_rational(dist.support_infimum())
+        assert json.dumps(fq.rbf_to_json(again)) == json.dumps(obj)
         for x in (F(1, 5), F(1, 2), F(9, 10)):
             assert again(x) == rbf(x)
 
@@ -317,7 +347,7 @@ class TestFloatEvaluator:
         # float(1/10) > 1/10, so float 0.1 lies on the right piece, where the bid is x/4, not x/2
         rows = ((F(0), F(0), F(1, 2)), (F(0), F(0), F(1, 4)))
         rbf = fq.RationalBidFunction(fq.PiecewisePoly((F(0), F(1, 10), F(1)), rows),
-                                     fq.PiecewisePoly((F(0), F(1, 10), F(1)), ((F(0), F(1)),) * 2), F(0), 2)
+                                     fq.PiecewisePoly((F(0), F(1, 10), F(1)), ((F(0), F(1)),) * 2), 2)
         assert F(0.1) > F(1, 10)
         # the float quotient: within FLOAT_BID_REL_ERROR of 0.1/4, where the left piece would give 0.1/2
         for got in (float_view(rbf)(0.1), float_view(rbf)(np.array([0.05, 0.1]))[1]):
@@ -329,7 +359,7 @@ class TestFloatEvaluator:
         c = F(2**1022)
         bps = (F(0), F(1))
         rbf = fq.RationalBidFunction(fq.PiecewisePoly(bps, ((F(0), F(0), c, c),)),
-                                     fq.PiecewisePoly(bps, ((F(0), 2 * c, 2 * c),)), F(0), 2)
+                                     fq.PiecewisePoly(bps, ((F(0), 2 * c, 2 * c),)), 2)
         xs = np.array([0.25, 0.5, 1.0])
         assert float_view(rbf)(xs).tolist() == [0.125, 0.25, 0.5]
         assert float_view(rbf)(1.0) == 0.5
@@ -339,7 +369,7 @@ class TestFloatEvaluator:
         c = F(10**400)
         bps = (F(0), F(1))
         rbf = fq.RationalBidFunction(fq.PiecewisePoly(bps, ((F(0), F(0), c / 2),)),
-                                     fq.PiecewisePoly(bps, ((F(0), c),)), F(0), 2)
+                                     fq.PiecewisePoly(bps, ((F(0), c),)), 2)
         xs = np.array([[0.0, 0.25], [0.5, 1.0]])
         assert float_view(rbf)(xs).tolist() == [[0.0, 0.125], [0.25, 0.5]]
         assert float_view(rbf)(0.75) == 0.375

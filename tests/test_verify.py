@@ -166,7 +166,7 @@ class TestContinuousRegret:
         eps = F(1, 64)
         oracle = fq.oracle_from_piecewise(adversarial)
         plan = fq.precompute(oracle, 2, eps)
-        report = fq.epsilon_bne_check_ccfpa(adversarial, 2, lambda x: fq.bid(plan, oracle, x).upper)
+        report = fq.epsilon_bne_check_ccfpa(adversarial, 2, lambda x: fq.bid(plan, x).upper)
         assert report.max_regret < float(eps) + 0.02
 
     def test_other_cdf_rejected(self, uniform):
@@ -249,7 +249,7 @@ def grid_case(kind, n, request):
     dist = request.getfixturevalue("adversarial")
     oracle = fq.oracle_from_piecewise(dist)
     plan = fq.precompute(oracle, n, F(1, 64))
-    return dist, lambda x: fq.bid(plan, oracle, x).upper
+    return dist, lambda x: fq.bid(plan, x).upper
 
 
 class TestGridMatchesScalarReference:

@@ -26,17 +26,17 @@ print(f"certificate: pass = {res.certificate.passed}, "
       f"gamma = {float(res.certificate.gamma):.2e}, "
       f"max residual = {float(res.certificate.max_residual):.2e}")
 
-report = fq.epsilon_bne_check_cdfpa(dist, n, grid, res.strategy)
+report = fq.epsilon_bne_check_cdfpa(dist, n, res.strategy)
 print(f"\nexact brute-force regret: {float(report.max_regret):.2e} (bound {float(eps):.2e})")
 v, b = report.argmax
 print(f"  worst deviation: value {float(v):.4f} -> bid {b}")
 
 trials, seed = 20_000, 42
-mc = fq.monte_carlo_regret(dist, n, res.strategy.as_bid_function(grid), trials, seed)
+mc = fq.monte_carlo_regret(dist, n, res.strategy, trials, seed)
 print(f"monte carlo regret: {mc.max_regret:.4f} +- {3 * mc.sigma:.4f} "
       f"({trials} trials, seed {seed})")
 
-j = res.strategy.as_bid_function(grid).piece_index(Fraction(1))
+j = res.strategy.piece_index(Fraction(1))
 top = (1 - grid.bids[j]) * res.strategy.win_probs(dist, n)[j]
 # with continuous bids the top value's utility is the integral of F^(n-1);
 # for F(x) = x^2 and n = 3 that is 1/5 (and 1/n for the uniform cdf)

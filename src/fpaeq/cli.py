@@ -30,6 +30,8 @@ def _load_json(path: str, what: str) -> dict:
             return json.load(fh)
     except FileNotFoundError:
         raise DomainError(f"{what}: file not found: {path}")
+    except OSError as exc:  # a directory, or a file without read permission
+        raise DomainError(f"{what}: cannot read {path}: {exc.strerror}")
     except json.JSONDecodeError as exc:
         raise DomainError(f"{what}: malformed JSON in {path}: {exc}")
 
@@ -92,30 +94,24 @@ def _strategy_to_json(strategy: JumpPointStrategy, cert=None) -> dict:
     return out
 
 
-def _strategy_from_json(obj: dict):
+def _load_strategy(path: str, bids):
+    """A strategy file: a rational bid function, or jump points on the grid of the --bids text."""
+    obj = _load_json(path, "strategy")
     kind = obj.get("kind") if isinstance(obj, dict) else None
-    if kind == "jump_points":
-        try:
-            return JumpPointStrategy(
-                parse_rational_list(obj["s"], "s"), parse_rational_list(obj.get("U", []), "U")
-            )
-        except (KeyError, ValueError) as exc:
-            raise DomainError(f"strategy: bad jump_points object ({exc})")
     if kind == "rational_bid_function":
         try:
             return explicit.rbf_from_json(obj)
         except (KeyError, ValueError) as exc:
             raise DomainError(f"strategy: bad rational_bid_function object ({exc})")
-    raise DomainError(f"strategy: unknown kind field {kind!r}")
-
-
-def _bid_function(strategy, bids):
-    """A jump-point strategy's step function on the bids, or a rational bid function itself."""
-    if not isinstance(strategy, JumpPointStrategy):
-        return strategy
+    if kind != "jump_points":
+        raise DomainError(f"strategy: unknown kind field {kind!r}")
     if bids is None:
         raise DomainError("--bids is required for jump_points strategies")
-    return strategy.as_bid_function(_parse_bids(bids))
+    grid = _parse_bids(bids)
+    try:
+        return JumpPointStrategy(grid, parse_rational_list(obj["s"], "s"), parse_rational_list(obj.get("U", []), "U"))
+    except (KeyError, ValueError) as exc:
+        raise DomainError(f"strategy: bad jump_points object ({exc})")
 
 
 def _cmd_solve(args) -> int:
@@ -159,7 +155,7 @@ def _cmd_solve(args) -> int:
     result = discrete.solve(dist, args.n, grid, parse_rational(args.eps))
     out = _strategy_to_json(result.strategy, result.certificate)
     if args.certify:
-        report = verify.epsilon_bne_check_cdfpa(dist, args.n, grid, result.strategy)
+        report = verify.epsilon_bne_check_cdfpa(dist, args.n, result.strategy)
         out["measured_regret"] = format_rational(report.max_regret)
     print(json.dumps(out, indent=2))
     return 0
@@ -168,14 +164,11 @@ def _cmd_solve(args) -> int:
 def _cmd_verify(args) -> int:
     check_bidders(args.n)
     dist = _load_cdf(args.cdf)
-    strategy = _strategy_from_json(_load_json(args.strategy, "strategy"))
+    strategy = _load_strategy(args.strategy, args.bids)
     if args.mode == "exact":
-        if args.bids is None:
-            raise DomainError("--bids is required in exact mode")
         if not isinstance(strategy, JumpPointStrategy):
             raise DomainError("exact mode needs a jump_points strategy")
-        grid = _parse_bids(args.bids)
-        report = verify.epsilon_bne_check_cdfpa(dist, args.n, grid, strategy)
+        report = verify.epsilon_bne_check_cdfpa(dist, args.n, strategy)
         out = {
             "max_regret": format_rational(report.max_regret),
             "argmax": {
@@ -185,12 +178,11 @@ def _cmd_verify(args) -> int:
             "method": "exact",
         }
     else:
-        bid_fn = _bid_function(strategy, args.bids)
         if args.mode == "grid":
-            report, fields = verify.epsilon_bne_check_ccfpa(dist, args.n, bid_fn), {"method": "grid"}
+            report, fields = verify.epsilon_bne_check_ccfpa(dist, args.n, strategy), {"method": "grid"}
         else:
             trials = args.trials if args.trials is not None else min(100_000, verify.MAX_MC_DRAWS // (args.n - 1))
-            report = verify.monte_carlo_regret(dist, args.n, bid_fn, trials, args.seed)
+            report = verify.monte_carlo_regret(dist, args.n, strategy, trials, args.seed)
             fields = {"method": "monte-carlo", "trials": trials, "seed": args.seed, "sigma": report.sigma}
         out = {
             "max_regret": report.max_regret,
@@ -205,8 +197,7 @@ def _cmd_verify(args) -> int:
 def _cmd_eval(args) -> int:
     x = parse_rational(args.at)
     if args.strategy:
-        strategy = _strategy_from_json(_load_json(args.strategy, "strategy"))
-        print(format_rational(_bid_function(strategy, args.bids)(x)))
+        print(format_rational(_load_strategy(args.strategy, args.bids)(x)))
         return 0
     if args.cdf is None:
         raise DomainError("need --cdf or --strategy")

@@ -2,6 +2,8 @@
 
 A monotone strategy over bids b_1 < ... < b_m is encoded by jump points
 0 <= s_0 <= ... <= s_m = 1: a bidder with value v in (s_{j-1}, s_j] bids b_j.
+:class:`JumpPointStrategy` is that step function, a :class:`PiecewisePoly` with
+breakpoints s and constant rows b_j; the certificate and the verifiers take it as it is.
 The win probability of bid b_j against n-1 opponents playing the same strategy
 is Delta(s_{j-1}, s_j) with
 
@@ -39,6 +41,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from .cdf import float_view, strongly_increasing_transform
 from .errors import DomainError, PrecisionError, check_bidders
@@ -70,38 +73,39 @@ class BidGrid:
         return len(self.bids)
 
 
-@dataclass(frozen=True)
-class JumpPointStrategy:
-    """Jump points 0 <= s_0 <= ... <= s_m = 1 and the utilities U_0..U_m solved with them."""
+@dataclass(frozen=True, init=False)
+class JumpPointStrategy(PiecewisePoly):
+    """The step bid function of jump points 0 <= s_0 <= ... <= s_m = 1 on a grid's bids b_1 < ... < b_m, and the
+    utilities U_0..U_m solved with them: b_j on (s_{j-1}, s_j], and b_1 at and below s_0, held as constant rows."""
 
-    s: tuple
     utilities: tuple
 
-    def __post_init__(self):
-        s = self.s
-        if len(s) < 2:
-            raise DomainError(f"a strategy needs at least 2 jump points, got {len(s)}")
+    def __init__(self, grid: BidGrid, s: Sequence, utilities: Sequence):
+        if len(s) != grid.m + 1:
+            raise DomainError(f"strategy has {len(s)} jump points; {grid.m} bids need {grid.m + 1}")
         if s[0] < 0:
             raise DomainError("first jump point must be >= 0")
         if any(a > b for a, b in zip(s, s[1:])):
             raise DomainError("jump points must be nondecreasing")
         if s[-1] != 1:
             raise DomainError("last jump point must be 1")
+        super().__init__(s, [(b,) for b in grid.bids])
+        object.__setattr__(self, "utilities", tuple(utilities))
+
+    @property
+    def s(self) -> tuple[Fraction, ...]:
+        """The jump points s_0..s_m: the breakpoints."""
+        return self.breakpoints
+
+    @property
+    def bids(self) -> tuple[Fraction, ...]:
+        """The bids b_1..b_m: the constant rows."""
+        return tuple(row[0] for row in self.rows)
 
     def win_probs(self, F, n: int) -> tuple:
         """Delta_1..Delta_m: bid b_j wins with Delta(s_{j-1}, s_j), whatever the value."""
         fs = [F(x) for x in self.s]
         return tuple(delta_win_prob(fx, fy, n) for fx, fy in zip(fs, fs[1:]))
-
-    def check_length(self, grid: BidGrid) -> None:
-        """Raise DomainError unless there is one jump point per bid, plus s_0."""
-        if len(self.s) != grid.m + 1:
-            raise DomainError(f"strategy has {len(self.s)} jump points; {grid.m} bids need {grid.m + 1}")
-
-    def as_bid_function(self, grid: BidGrid) -> PiecewisePoly:
-        """The step bid function on [0, 1]: b_j on (s_{j-1}, s_j], and b_1 at and below s_0."""
-        self.check_length(grid)
-        return PiecewisePoly(self.s, tuple((b,) for b in grid.bids))
 
 
 @dataclass(frozen=True)
@@ -200,18 +204,19 @@ def compute_strategy(F, L, n: int, grid: BidGrid, U, delta):
     return s, uvec
 
 
-def check_conditions(F, n: int, grid: BidGrid, strategy: JumpPointStrategy, gamma) -> Certificate:
+def check_conditions(F, n: int, strategy: JumpPointStrategy, gamma) -> Certificate:
     """Approximate-equilibrium certificate; passing implies a 2*gamma*m equilibrium.
 
     It passes when every residual is within its bound: gamma, or 0 for condition 3's
     s_{i-1} >= b_i and condition 2's U_{i-1} = U_i, so a pass has max_residual <= gamma.
+    DomainError unless the strategy has a utility per jump point.
     """
-    strategy.check_length(grid)
-    s, u = strategy.s, strategy.utilities
+    s, u, bids = strategy.s, strategy.utilities, strategy.bids
+    if len(u) != len(s):
+        raise DomainError(f"strategy has {len(u)} utilities; {len(bids)} bids need {len(s)}")
     win = strategy.win_probs(F, n)
     residuals = []
-    for i in range(1, grid.m + 1):
-        b = grid.bids[i - 1]
+    for i, b in enumerate(bids, 1):
         lo, hi, u_lo, u_hi = s[i - 1], s[i], u[i - 1], u[i]
         gap = b - lo  # condition (3): s_{i-1} >= b_i
         residuals.append(ConditionResidual(3, i, max(0 * gap, gap), 0))
@@ -272,7 +277,7 @@ def _search(F, L, n: int, grid: BidGrid, delta) -> JumpPointStrategy:
     for i in range(grid.m, 1, -1):
         x = s[i - 1]
         exact[i - 1] = exact[i] if x == s[i] else max(Fraction(x), grid.bids[i - 1])
-    return JumpPointStrategy((ZERO,) + tuple(exact[1:]), (ZERO,) + tuple(Fraction(u) for u in uvec[1:]))
+    return JumpPointStrategy(grid, (ZERO,) + tuple(exact[1:]), (ZERO,) + tuple(Fraction(u) for u in uvec[1:]))
 
 
 def solve(F, n: int, grid: BidGrid, eps) -> SolveResult:
@@ -299,7 +304,7 @@ def solve(F, n: int, grid: BidGrid, eps) -> SolveResult:
     tol = max(float(gamma / 4), sys.float_info.epsilon)  # 2**-52: halving [0, 1] stays exact down to it
     for F_search, delta in ((float_view(F_mixed), tol), (F_mixed, gamma / 4)):
         strategy = _search(F_search, L_mixed, n, grid, delta)
-        cert = check_conditions(F_mixed, n, grid, strategy, gamma)
+        cert = check_conditions(F_mixed, n, strategy, gamma)
         if cert.passed:
             return SolveResult(strategy, cert, F_mixed)
     raise PrecisionError(

@@ -16,6 +16,8 @@ def parse_rational(value) -> Fraction:
     """
     if isinstance(value, Fraction):
         return value
+    if isinstance(value, bool):  # an int subclass: JSON true and false are not 1 and 0
+        raise ValueError(f"not a rational: {value!r} (booleans are not accepted)")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):

@@ -10,9 +10,9 @@ Three routes, deliberately independent of the solvers they audit:
   is bit-reproducible, and compares every (value, deviation) pair on that one
   draw (common random numbers): its sigma comes from paired differences.
 
-The exact route takes the bid grid and the jump points.  The other two take a
-bid function: a :class:`PiecewisePoly` (``JumpPointStrategy.as_bid_function(grid)``
-for jump points), a :class:`RationalBidFunction` or any callable on [0, 1].
+The exact route takes a :class:`JumpPointStrategy`, which carries its bids.
+The other two take a bid function: a :class:`PiecewisePoly`, such as a
+jump-point strategy, a :class:`RationalBidFunction` or any callable on [0, 1].
 They read it in floats through :func:`cdf.float_view`: the first two by their
 own float evaluators (a rational bid function falls back to its exact bid
 wherever the float error bound is too wide), any other callable on the exact
@@ -29,7 +29,7 @@ from typing import Callable
 import numpy as np
 
 from .cdf import PiecewisePolyCdf, float_view
-from .discrete import BidGrid, JumpPointStrategy
+from .discrete import JumpPointStrategy
 from .errors import DomainError, check_bidders
 
 INVERSION_STEPS = 60  # bisection steps when inverting a monotone bid function
@@ -61,8 +61,8 @@ class PropertyCheck:
     monotonicity_witnesses: tuple = ()
 
 
-def epsilon_bne_check_cdfpa(F, n: int, grid: BidGrid, s: JumpPointStrategy) -> RegretReport:
-    """Deviation regret over all grid bids, exact for rational inputs.
+def epsilon_bne_check_cdfpa(F, n: int, strategy: JumpPointStrategy) -> RegretReport:
+    """Deviation regret over all the strategy's bids, exact for rational inputs.
 
     The result is the exact maximum over a finite value set: every jump
     point, every bid, i/64 and the midpoints of consecutive distinct jump
@@ -74,17 +74,17 @@ def epsilon_bne_check_cdfpa(F, n: int, grid: BidGrid, s: JumpPointStrategy) -> R
     increasing value, then bid.  The supremum over all values can lie above.
     """
     check_bidders(n)
-    bid_fn, win = s.as_bid_function(grid), s.win_probs(F, n)
-    values = set(s.s) | set(grid.bids)
+    s, bids, win = strategy.s, strategy.bids, strategy.win_probs(F, n)
+    values = set(s) | set(bids)
     values |= {Fraction(i, EXACT_VALUE_GRID) for i in range(EXACT_VALUE_GRID + 1)}
-    values |= {(a + b) / 2 for a, b in zip(s.s, s.s[1:]) if a < b}
-    B = math.lcm(*(b.denominator for b in grid.bids))
-    lines = [(b.numerator * (B // b.denominator), w.numerator, w.denominator, b) for b, w in zip(grid.bids, win)]
+    values |= {(a + b) / 2 for a, b in zip(s, s[1:]) if a < b}
+    B = math.lcm(*(b.denominator for b in bids))
+    lines = [(b.numerator * (B // b.denominator), w.numerator, w.denominator, b) for b, w in zip(bids, win)]
     (_, N0, D0, b0), rest = lines[0], lines[1:]  # the lowest bid is 0
     best = (-1, 0, None, None)  # regret X / Y at value v deviating to bid b, as (X, Y, v, b); -1/0 is below all
     for v in values:  # in the set's order: an exact tie keeps the smaller value
         pB, q = v.numerator * B, v.denominator
-        c, N, own_den, _ = lines[bid_fn.piece_index(v)]
+        c, N, own_den, _ = lines[strategy.piece_index(v)]
         own = (pB - c * q) * N
         top, top_den, top_bid = pB * N0, D0, b0
         for c, N, D, b in rest:

@@ -135,13 +135,13 @@ def test_criterion_6_cdfpa_solver(uniform):
                 grid = equidistant_grid(m)
                 res = fq.solve(uniform, n, grid, eps)
                 # (a) measured regret under the original cdf
-                report = fq.epsilon_bne_check_cdfpa(uniform, n, grid, res.strategy)
+                report = fq.epsilon_bne_check_cdfpa(uniform, n, res.strategy)
                 assert report.max_regret <= eps
                 # (b) certificate at gamma = eps/2m against the cdf it was solved under
-                cert = fq.check_conditions(res.transformed_cdf, n, grid, res.strategy, eps / (2 * m))
+                cert = fq.check_conditions(res.transformed_cdf, n, res.strategy, eps / (2 * m))
                 assert cert.passed
                 # (c) top-value equilibrium utility is 1/n up to eps
-                j = res.strategy.as_bid_function(grid).piece_index(F(1))
+                j = res.strategy.piece_index(F(1))
                 top = (1 - grid.bids[j]) * res.strategy.win_probs(uniform, n)[j]
                 assert abs(top - F(1, n)) <= eps
         assert time.monotonic() - start < 60.0
@@ -156,8 +156,8 @@ def test_criterion_7_brute_force_equivalence(uniform, square):
             best = None
             for j in range(513, 1025):  # s1 in [1/2, 1] on a 2^-10 grid
                 s1 = F(j, 1024)
-                cand = fq.JumpPointStrategy((F(0), s1, F(1)), (F(0),) * 3)
-                reg = fq.epsilon_bne_check_cdfpa(dist, 2, grid, cand).max_regret
+                cand = fq.JumpPointStrategy(grid, (F(0), s1, F(1)), (F(0),) * 3)
+                reg = fq.epsilon_bne_check_cdfpa(dist, 2, cand).max_regret
                 if best is None or reg < best[0]:
                     best = (reg, s1)
             return best
@@ -165,15 +165,15 @@ def test_criterion_7_brute_force_equivalence(uniform, square):
         for dist in (uniform, square):
             best_reg, best_s1 = brute_force_best(dist)
             res = fq.solve(dist, 2, grid, eps)
-            solver_reg = fq.epsilon_bne_check_cdfpa(dist, 2, grid, res.strategy).max_regret
+            solver_reg = fq.epsilon_bne_check_cdfpa(dist, 2, res.strategy).max_regret
             assert solver_reg <= best_reg + eps
             # the solver's jump point, snapped to the search grid, is itself a
             # near-optimal candidate (the argmin is not unique: several grid
             # points measure zero regret, so proximity to one of them is not
             # the right notion of equivalence)
             snapped = F(round(res.strategy.s[1] * 1024), 1024)
-            cand = fq.JumpPointStrategy((F(0), snapped, F(1)), (F(0),) * 3)
-            snapped_reg = fq.epsilon_bne_check_cdfpa(dist, 2, grid, cand).max_regret
+            cand = fq.JumpPointStrategy(grid, (F(0), snapped, F(1)), (F(0),) * 3)
+            snapped_reg = fq.epsilon_bne_check_cdfpa(dist, 2, cand).max_regret
             assert snapped_reg <= best_reg + eps
 
 
@@ -187,11 +187,9 @@ def test_criterion_8_transform_regret_transfer(uniform):
         for dist, n, m in instances:
             grid = equidistant_grid(m)
             res = fq.solve(dist, n, grid, eps)
-            mixed_regret = fq.epsilon_bne_check_cdfpa(
-                res.transformed_cdf, n, grid, res.strategy
-            ).max_regret
+            mixed_regret = fq.epsilon_bne_check_cdfpa(res.transformed_cdf, n, res.strategy).max_regret
             assert mixed_regret <= eps / (3 * n)  # certified accuracy under F'
-            orig_regret = fq.epsilon_bne_check_cdfpa(dist, n, grid, res.strategy).max_regret
+            orig_regret = fq.epsilon_bne_check_cdfpa(dist, n, res.strategy).max_regret
             assert orig_regret <= eps
 
 
@@ -211,9 +209,7 @@ def test_criterion_9_property_suite(uniform, square, two_piece):
             ).passed
             grid = equidistant_grid(4)
             res = fq.solve(dist, 2, grid, F(1, 32))
-            assert fq.monotone_no_overbid_check(
-                res.strategy.as_bid_function(grid), samples=2000
-            ).passed
+            assert fq.monotone_no_overbid_check(res.strategy, samples=2000).passed
 
         # degenerate diagonal: Delta(x, x) = F(x)^(n-1)
         for _ in range(200):

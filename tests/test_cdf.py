@@ -47,6 +47,19 @@ def piecewise_inputs(request) -> list:
     return out
 
 
+# jump points with pooled points, off the floats (1/10, 5/7) or with s_0 > 0, and the bids of each
+JUMP_POINT_CASES = [
+    (("0", "1/10", "1/10", "5/7", "1"), ("0", "1/5", "5/16", "1/2")),
+    (("1/3", "1/3", "2/3", "1"), ("0", "1/4", "1/2")),
+    (("1/5", "1/2", "1", "1"), ("0", "1/8", "3/8")),
+]
+
+
+def step_by_hand(s, bids, x):
+    """b_j on (s_{j-1}, s_j], and b_1 at and below s_0."""
+    return bids[0] if x <= s[0] else next(b for lo, hi, b in zip(s, s[1:], bids) if lo < x <= hi)
+
+
 class TestEvalCdf:
     def test_uniform_identity(self, uniform):
         assert uniform(F(1, 3)) == F(1, 3)
@@ -76,6 +89,18 @@ class TestEvalCdf:
             for x in points(pp):
                 assert pp.piece_index(x) == left_piece(pp, x)
                 assert evaluate(x) == by_hand(x)
+        # a jump-point strategy, exactly and in both float views, at i/128, every jump point and its
+        # 2**-80 neighbours; a float takes the bid of its own exact value
+        for s, bids in JUMP_POINT_CASES:
+            s, bids = tuple(map(F, s)), tuple(map(F, bids))
+            strategy, delta = fq.JumpPointStrategy(fq.BidGrid(bids), s, ()), F(1, 2**80)
+            xs = points(strategy) + [x for b in s for x in (b - delta, b + delta) if 0 <= x <= 1]
+            fv = float_view(strategy)
+            vector = fv(np.array([float(x) for x in xs]))
+            for x, y in zip(xs, vector):
+                assert strategy(x) == step_by_hand(s, bids, x)
+                want = float(step_by_hand(s, bids, F(float(x))))
+                assert fv(float(x)) == want and y == want, x
 
     def test_breakpoint_takes_left_piece_of_a_jump(self):
         step = PiecewisePoly((F(0), F(1, 2), F(1)), ((F(0),), (F(1),)))

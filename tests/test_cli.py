@@ -139,6 +139,8 @@ class TestSolveCdfpa:
         (["--bids", "[\"0\", \"1/2\"]"], "error: --eps is required for the cdfpa model"),
         (["--bids", "[0, 1/2]", "--eps", "1/16"], "error: bids: malformed JSON array"),
         (["--bids", "[\"0\", \"1/2\"]", "--eps", "1/0"], "error: not a rational: '1/0'"),
+        (["--bids", "[false, \"1/2\"]", "--eps", "1/16"],
+         "error: bids: not a rational: False (booleans are not accepted)"),
     ])
     def test_bad_arguments(self, capout, uniform_json, argv, message):
         code, out, err = capout("solve", "--model", "cdfpa", "--cdf", uniform_json, "--n", "2", *argv)
@@ -469,6 +471,38 @@ class TestInputContract:
                   "--samples", "0"])
         assert exc.value.code == 2
         assert "must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--at", "1/2", "--cdf"],
+        ["validate-cdf", "--cdf"],
+        ["solve", "--model", "ccfpa-explicit", "--n", "2", "--cdf"],
+        ["verify", "--cdf", "{uniform}", "--n", "2", "--bids", "[\"0\"]", "--mode", "exact", "--strategy"],
+        ["eval", "--at", "1/2", "--bids", "[\"0\"]", "--strategy"],
+    ])
+    def test_path_that_is_a_directory(self, capout, tmp_path, uniform_json, argv):
+        argv = [uniform_json if a == "{uniform}" else a for a in argv]
+        code, out, err = capout(*argv, str(tmp_path))
+        assert code == 2 and out == ""
+        assert f"cannot read {tmp_path}" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("what,argv,doc", [
+        # without the check, the first two load as the uniform cdf and print 1/3, and the third passes validate-cdf
+        ("cdf", ["eval", "--at", "1/3"],
+         {"kind": "piecewise_poly", "breakpoints": [False, True], "coeffs": [["0", "1"]]}),
+        ("cdf", ["eval", "--at", "1/3"],
+         {"kind": "piecewise_poly", "breakpoints": ["0", "1"], "coeffs": [[False, True]]}),
+        ("cdf", ["validate-cdf"], {"kind": "power", "exponent": True}),
+        ("strategy", ["eval", "--at", "1/3", "--bids", "[\"0\", \"1/4\"]"],
+         {"kind": "jump_points", "s": [False, "1/2", True]}),
+        ("strategy", ["eval", "--at", "1/3"],
+         {**fq.rbf_to_json(fq.canonical_bid_function(fq.uniform_cdf(), 2)), "n": True}),
+    ], ids=["breakpoints", "coefficients", "exponent", "jump-points", "bid-function-n"])
+    def test_booleans_are_not_rationals(self, capout, tmp_path, what, argv, doc):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = capout(*argv, f"--{what}", str(path))
+        assert code == 2 and out == ""
+        assert "booleans are not accepted" in err
 
 
 @pytest.fixture(scope="module")

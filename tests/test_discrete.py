@@ -51,8 +51,7 @@ class TestBidGrid:
 class TestJumpPointStrategy:
     # the bid index of value v is 1 + the piece of v in the step bid function, b_j on piece j - 1
     def test_bid_index_intervals(self):
-        s = JumpPointStrategy((F(0), F(1, 3), F(2, 3), F(1)), (F(0),) * 4)
-        piece = s.as_bid_function(grid_of("0", "1/4", "1/2")).piece_index
+        piece = JumpPointStrategy(grid_of("0", "1/4", "1/2"), (F(0), F(1, 3), F(2, 3), F(1)), (F(0),) * 4).piece_index
         assert piece(F(0)) == 0
         assert piece(F(1, 4)) == 0
         assert piece(F(1, 3)) == 0
@@ -60,8 +59,7 @@ class TestJumpPointStrategy:
         assert piece(F(1)) == 2
 
     def test_merged_interval_skipped(self):
-        s = JumpPointStrategy((F(0), F(1, 2), F(1, 2), F(1)), (F(0),) * 4)
-        piece = s.as_bid_function(grid_of("0", "1/4", "1/2")).piece_index
+        piece = JumpPointStrategy(grid_of("0", "1/4", "1/2"), (F(0), F(1, 2), F(1, 2), F(1)), (F(0),) * 4).piece_index
         assert piece(F(1, 2)) == 0
         assert piece(F(3, 4)) == 2
 
@@ -72,7 +70,7 @@ class TestJumpPointStrategy:
             m = rng.randint(1, 6)
             s0 = rng.randint(0, 4)
             s = tuple(F(k, 8) for k in [s0] + sorted(rng.randint(s0, 8) for _ in range(m - 1))) + (F(1),)
-            bid_fn = JumpPointStrategy(s, ()).as_bid_function(grid_of(*(F(i, 8) for i in range(m))))
+            bid_fn = JumpPointStrategy(grid_of(*(F(i, 8) for i in range(m))), s, ())
             for v in set(s) | {F(i, 16) for i in range(17)}:
                 j = bid_fn.piece_index(v) + 1
                 if v <= s[0]:
@@ -89,18 +87,24 @@ class TestJumpPointStrategy:
         (F(0), F(1, 2), F(3, 4)),
     ])
     def test_invalid_jump_points_rejected(self, s):
+        # one bid per jump point after s_0, and one bid where s has fewer than two points
         with pytest.raises(DomainError, match="jump point"):
-            JumpPointStrategy(s, ())
+            JumpPointStrategy(grid_of(*(F(i, 8) for i in range(max(len(s) - 1, 1)))), s, ())
+
+    @pytest.mark.parametrize("s,m", [((F(0), F(1)), 3), ((F(0), F(1, 5), F(2, 5), F(3, 5), F(1)), 2)])
+    def test_jump_point_count_must_match_the_bids(self, s, m):
+        with pytest.raises(DomainError, match=f"strategy has {len(s)} jump points; {m} bids need {m + 1}"):
+            JumpPointStrategy(grid_of(*(F(i, 8) for i in range(m))), s, ())
 
     def test_win_probs(self, uniform):
-        s = JumpPointStrategy((F(0), F(1, 4), F(1, 4), F(1)), ())
+        s = JumpPointStrategy(grid_of("0", "1/8", "1/4"), (F(0), F(1, 4), F(1, 4), F(1)), ())
         # n = 2: Delta(x, y) = (x + y)/2
         assert s.win_probs(uniform, 2) == (F(1, 8), F(1, 4), F(5, 8))
 
     def test_as_bid_function(self):
-        g = grid_of("0", "1/4")
-        s = JumpPointStrategy((F(0), F(1, 2), F(1)), (F(0),) * 3)
-        f = s.as_bid_function(g)
+        # the strategy is its own step bid function, and it carries its bids
+        f = JumpPointStrategy(grid_of("0", "1/4"), (F(0), F(1, 2), F(1)), (F(0),) * 3)
+        assert isinstance(f, fq.PiecewisePoly) and f.bids == (0, F(1, 4))
         assert f(F(1, 4)) == 0
         assert f(F(3, 4)) == F(1, 4)
 
@@ -189,15 +193,15 @@ class TestCheckConditions:
     def test_hand_equilibrium_passes(self, uniform):
         # uniform, n = 2, bids {0, 1/2}: full pooling at 0 is an exact equilibrium
         g = grid_of("0", "1/2")
-        s = JumpPointStrategy((F(0), F(1), F(1)), (F(0), F(1, 2), F(1, 2)))
-        cert = fq.check_conditions(uniform, 2, g, s, F(1, 2**10))
+        s = JumpPointStrategy(g, (F(0), F(1), F(1)), (F(0), F(1, 2), F(1, 2)))
+        cert = fq.check_conditions(uniform, 2, s, F(1, 2**10))
         assert cert.passed
         assert cert.max_residual == 0
 
     def test_perturbed_utilities_fail(self, uniform):
         g = grid_of("0", "1/2")
-        s = JumpPointStrategy((F(0), F(1), F(1)), (F(0), F(1, 2), F(1, 4)))
-        cert = fq.check_conditions(uniform, 2, g, s, F(1, 2**10))
+        s = JumpPointStrategy(g, (F(0), F(1), F(1)), (F(0), F(1, 2), F(1, 4)))
+        cert = fq.check_conditions(uniform, 2, s, F(1, 2**10))
         assert not cert.passed
 
     def test_pooled_utilities_must_be_equal(self, uniform):
@@ -207,14 +211,21 @@ class TestCheckConditions:
         s, u = res.strategy.s, list(res.strategy.utilities)
         assert res.certificate.passed and s[2] == s[3] == 1
         u[3] += F(1, 2**41)
-        cert = fq.check_conditions(res.transformed_cdf, 2, g, JumpPointStrategy(s, tuple(u)), res.certificate.gamma)
+        cert = fq.check_conditions(res.transformed_cdf, 2, JumpPointStrategy(g, s, tuple(u)), res.certificate.gamma)
         assert (2, 3, F(1, 2**41), 0) in [(r.condition, r.index, r.residual, r.bound) for r in cert.residuals]
         assert not cert.passed
 
+    @pytest.mark.parametrize("u", [(), (F(0), F(1, 2))])
+    def test_a_utility_per_jump_point(self, uniform, u):
+        # a strategy read without its "U", or with one utility short, has no certificate
+        s = JumpPointStrategy(grid_of("0", "1/2"), (F(0), F(1), F(1)), u)
+        with pytest.raises(DomainError, match=f"strategy has {len(u)} utilities; 2 bids need 3"):
+            fq.check_conditions(uniform, 2, s, F(1, 2**10))
+
     def test_jump_below_bid_fails(self, uniform):
         g = grid_of("0", "1/2")
-        s = JumpPointStrategy((F(0), F(1, 4), F(1)), (F(0), F(1, 8), F(7, 16)))
-        cert = fq.check_conditions(uniform, 2, g, s, F(1, 2))
+        s = JumpPointStrategy(g, (F(0), F(1, 4), F(1)), (F(0), F(1, 8), F(7, 16)))
+        cert = fq.check_conditions(uniform, 2, s, F(1, 2))
         assert any(r.condition == 3 and r.residual > 0 for r in cert.residuals)
         assert not cert.passed
 
@@ -226,7 +237,7 @@ class TestSolve:
         g = grid_of(*bids)
         res = fq.solve(uniform, n, g, eps)
         assert res.certificate.passed
-        report = fq.epsilon_bne_check_cdfpa(uniform, n, g, res.strategy)
+        report = fq.epsilon_bne_check_cdfpa(uniform, n, res.strategy)
         assert report.max_regret <= eps
 
     def test_nonuniform_cdf(self, square):
@@ -234,7 +245,7 @@ class TestSolve:
         g = grid_of("0", "1/4", "1/2")
         res = fq.solve(square, 2, g, eps)
         assert res.certificate.passed
-        assert fq.epsilon_bne_check_cdfpa(square, 2, g, res.strategy).max_regret <= eps
+        assert fq.epsilon_bne_check_cdfpa(square, 2, res.strategy).max_regret <= eps
 
     def test_strategy_shape(self, uniform):
         g = grid_of("0", "1/4", "1/2")
@@ -304,7 +315,7 @@ class TestSolve:
         monkeypatch.setattr(discrete, "check_conditions", lambda *args: passed)  # stop after the float attempt
         res = fq.solve(uniform, 2, g, F(1, 2**1100))
         assert deltas == [2.0**-52]
-        assert fq.check_conditions(uniform, 2, g, res.strategy, F(1, 2**20)).passed
+        assert fq.check_conditions(uniform, 2, res.strategy, F(1, 2**20)).passed
 
     def test_float_search_below_2_to_minus_40(self, square, monkeypatch):
         # gamma / 4 = 2**-41 / 3 here; a float tolerance floored at 2**-40 left residuals above
@@ -343,7 +354,7 @@ class TestSolve:
         assert exact_searches == []
         gamma, mixed = res.certificate.gamma, res.transformed_cdf
         strategy = discrete._search(mixed, dist.lipschitz, 2, g, gamma / 4)
-        assert fq.check_conditions(mixed, 2, g, strategy, gamma).passed
+        assert fq.check_conditions(mixed, 2, strategy, gamma).passed
 
     def test_exact_attempt_takes_the_walk_as_it_is(self, monkeypatch):
         # the conversion that takes a float walk back to rationals changes an exact walk only at s_0 and U_0:
@@ -358,7 +369,7 @@ class TestSolve:
         strategy = discrete._search(mixed, dist.lipschitz, 2, g, gamma / 4)
         ((s, uvec),) = walks
         assert all(type(x) is F for x in s + uvec)
-        assert strategy == JumpPointStrategy((F(0),) + tuple(s[1:]), (F(0),) + tuple(uvec[1:]))
+        assert strategy == JumpPointStrategy(g, (F(0),) + tuple(s[1:]), (F(0),) + tuple(uvec[1:]))
 
     def test_float_result_taken_back_exactly(self, uniform, monkeypatch):
         g = grid_of("0", "1/5", "1/3", "1/2")
@@ -386,14 +397,14 @@ class TestSolve:
         g = grid_of("0", "1/4", "1/2")
         eps = F(1, 32)
         # s_1 = 1/8 lies below the bid 1/4 it starts, so condition 3 fails whatever the cdf
-        bad = JumpPointStrategy((F(0), F(1, 8), F(1, 8), F(1)), (F(0),) * 4)
-        assert not fq.check_conditions(uniform, 2, g, bad, eps).passed
+        bad = JumpPointStrategy(g, (F(0), F(1, 8), F(1, 8), F(1)), (F(0),) * 4)
+        assert not fq.check_conditions(uniform, 2, bad, eps).passed
         force_exact_attempt(monkeypatch, bad)
         res = fq.solve(uniform, 2, g, eps)
         assert exact_searches == [res.certificate.gamma / 4]  # one exact search, at gamma/4
         assert res.strategy != bad
         assert res.certificate.passed
-        assert fq.epsilon_bne_check_cdfpa(uniform, 2, g, res.strategy).max_regret <= eps
+        assert fq.epsilon_bne_check_cdfpa(uniform, 2, res.strategy).max_regret <= eps
 
     def test_no_certified_attempt_raises(self, uniform, monkeypatch, exact_searches):
         failed = fq.Certificate(F(1), False, F(1), ())
@@ -418,7 +429,7 @@ class TestSolve:
         assert all(r.residual == 0 for r in res.certificate.residuals if (r.condition, r.bound) == (2, 0))
         assert res.certificate.max_residual <= res.certificate.gamma
         assert exact_searches == []  # the float search alone was certified
-        assert fq.epsilon_bne_check_cdfpa(dist, n, grid, res.strategy).max_regret <= eps
+        assert fq.epsilon_bne_check_cdfpa(dist, n, res.strategy).max_regret <= eps
 
     @pytest.mark.parametrize("seed,forced_exact", [(seed, seed % 3 == 0) for seed in range(6)])
     def test_query_count_within_algorithm_bound(self, seed, forced_exact, uniform, square, two_piece,
@@ -430,7 +441,7 @@ class TestSolve:
         eps = F(1, 2 ** rng.choice([6, 20]))
         if forced_exact:
             # every value pools at the top bid with utility 0: bid 1's top residual is 1/n
-            bad = JumpPointStrategy((F(0),) + (F(1),) * m, (F(0),) * (m + 1))
+            bad = JumpPointStrategy(grid, (F(0),) + (F(1),) * m, (F(0),) * (m + 1))
             force_exact_attempt(monkeypatch, bad)
         tols = []  # the tolerance of each walk the solve runs
         walk = discrete.compute_strategy

@@ -247,7 +247,7 @@ class TestPieceRule:
 
     def test_jump_point_that_floats_round_up(self):
         # jump points (0, 1/10, 1) with bids (0, 1/2): float 0.1 lies above 1/10, where the bid is 1/2
-        bid_fn = fq.JumpPointStrategy((F(0), F(1, 10), F(1)), ()).as_bid_function(fq.BidGrid((F(0), F(1, 2))))
+        bid_fn = fq.JumpPointStrategy(fq.BidGrid((F(0), F(1, 2))), (F(0), F(1, 10), F(1)), ())
         assert bid_fn(F(0.1)) == F(1, 2) and bid_fn(F(1, 10)) == 0
         ev = bid_fn.float_evaluator()
         assert ev(0.1) == 0.5

@@ -20,15 +20,15 @@ class TestExactRegretCdfpa:
     def test_exact_equilibrium_has_zero_regret(self, uniform):
         # full pooling at 0 is exact for uniform, n = 2, bids {0, 1/2}
         g = grid_of("0", "1/2")
-        s = JumpPointStrategy((F(0), F(1), F(1)), (F(0), F(1, 2), F(1, 2)))
-        report = fq.epsilon_bne_check_cdfpa(uniform, 2, g, s)
+        s = JumpPointStrategy(g, (F(0), F(1), F(1)), (F(0), F(1, 2), F(1, 2)))
+        report = fq.epsilon_bne_check_cdfpa(uniform, 2, s)
         assert report.max_regret == 0
 
     def test_bad_strategy_regret_by_hand(self, uniform):
         # everyone bids 1/2 regardless of value; v = 1/2 prefers bidding 0
         g = grid_of("0", "1/2")
-        s = JumpPointStrategy((F(0), F(0), F(1)), (F(0), F(0), F(1, 4)))
-        report = fq.epsilon_bne_check_cdfpa(uniform, 2, g, s)
+        s = JumpPointStrategy(g, (F(0), F(0), F(1)), (F(0), F(0), F(1, 4)))
+        report = fq.epsilon_bne_check_cdfpa(uniform, 2, s)
         # smallest positive grid value is 1/64: own utility there is
         # (1/64 - 1/2) * Delta(0, 1) = -31/128, deviating to 0 gives 0
         assert report.max_regret == F(31, 128)
@@ -38,15 +38,15 @@ class TestExactRegretCdfpa:
         g = grid_of("0", "1/4", "1/2")
         eps = F(1, 64)
         res = fq.solve(square, 2, g, eps)
-        report = fq.epsilon_bne_check_cdfpa(square, 2, g, res.strategy)
+        report = fq.epsilon_bne_check_cdfpa(square, 2, res.strategy)
         assert 0 <= report.max_regret <= eps
 
     def test_argmax_at_a_jump_midpoint(self, uniform):
         # bid 39/64 on (63/64, 1]: regret falls with v there, and no i/64 or bid lies inside,
         # so the largest value-set regret sits at the midpoint 127/128
         g = grid_of("0", "39/64")
-        s = JumpPointStrategy((F(0), F(63, 64), F(1)), ())
-        report = fq.epsilon_bne_check_cdfpa(uniform, 2, g, s)
+        s = JumpPointStrategy(g, (F(0), F(63, 64), F(1)), ())
+        report = fq.epsilon_bne_check_cdfpa(uniform, 2, s)
         # (127/128) * Delta(0, 63/64) - (127/128 - 39/64) * Delta(63/64, 1)
         assert report.max_regret == F(889, 8192)
         assert report.argmax == (F(127, 128), F(0))
@@ -54,12 +54,12 @@ class TestExactRegretCdfpa:
     def test_wrong_length_strategy_rejected(self, uniform):
         g = grid_of("0", "1/4", "1/2")
         with pytest.raises(fq.DomainError):
-            fq.epsilon_bne_check_cdfpa(uniform, 2, g, JumpPointStrategy((F(0), F(1)), (F(0),) * 2))
+            fq.epsilon_bne_check_cdfpa(uniform, 2, JumpPointStrategy(g, (F(0), F(1)), (F(0),) * 2))
 
     def test_invalid_strategy_rejected(self, uniform):
         g = grid_of("0", "1/2")
         with pytest.raises(fq.DomainError):
-            fq.epsilon_bne_check_cdfpa(uniform, 2, g, JumpPointStrategy((F(0), F(1, 2), F(1, 4)), (F(0),) * 3))
+            fq.epsilon_bne_check_cdfpa(uniform, 2, JumpPointStrategy(g, (F(0), F(1, 2), F(1, 4)), (F(0),) * 3))
 
 
 def brute_force_exact_regret(dist, n, grid, s):
@@ -100,7 +100,7 @@ class TestExactRegretReference:
         dist = request.getfixturevalue(name)
         if s is None:
             s = fq.solve(dist, n, grid, F(1, 16)).strategy.s
-        report = fq.epsilon_bne_check_cdfpa(dist, n, grid, JumpPointStrategy(s, ()))
+        report = fq.epsilon_bne_check_cdfpa(dist, n, JumpPointStrategy(grid, s, ()))
         assert (report.max_regret, report.argmax) == brute_force_exact_regret(dist, n, grid, s)
 
     @pytest.mark.parametrize("name,bids,s,regret,argmax,tied", [
@@ -111,10 +111,11 @@ class TestExactRegretReference:
     ], ids=["uniform", "square"])
     def test_tie_between_values_keeps_the_smaller(self, name, bids, s, regret, argmax, tied, request):
         dist, grid, s = request.getfixturevalue(name), grid_of(*bids), tuple(F(x) for x in s)
-        report = fq.epsilon_bne_check_cdfpa(dist, 2, grid, JumpPointStrategy(s, ()))
+        report = fq.epsilon_bne_check_cdfpa(dist, 2, JumpPointStrategy(grid, s, ()))
         assert (report.max_regret, report.argmax) == (regret, argmax) == brute_force_exact_regret(dist, 2, grid, s)
         # the larger value does tie: its best deviation less its own bid's utility is the same regret
-        win, j = JumpPointStrategy(s, ()).win_probs(dist, 2), next(j for j in range(grid.m) if s[j] < tied <= s[j + 1])
+        win = JumpPointStrategy(grid, s, ()).win_probs(dist, 2)
+        j = next(j for j in range(grid.m) if s[j] < tied <= s[j + 1])
         assert max((tied - b) * w for b, w in zip(grid.bids, win)) - (tied - grid.bids[j]) * win[j] == regret
 
     @pytest.mark.parametrize("bids,s", [
@@ -124,7 +125,7 @@ class TestExactRegretReference:
     def test_no_positive_regret(self, uniform, bids, s):
         # every regret is 0, so the first maximum is value 0 deviating to bid 0
         grid, s = grid_of(*bids), tuple(F(x) for x in s)
-        report = fq.epsilon_bne_check_cdfpa(uniform, 2, grid, JumpPointStrategy(s, ()))
+        report = fq.epsilon_bne_check_cdfpa(uniform, 2, JumpPointStrategy(grid, s, ()))
         assert (report.max_regret, report.argmax) == (0, (0, 0)) == brute_force_exact_regret(uniform, 2, grid, s)
 
     @pytest.mark.parametrize("seed", range(12))
@@ -137,7 +138,7 @@ class TestExactRegretReference:
         grid = BidGrid((F(0),) + tuple(sorted(rng.sample(pool, rng.randint(8, 31)))))
         s = tuple(sorted(F(rng.randint(1, q), q) for q in rng.choices((24, 60), k=grid.m))) + (F(1),)
         n = rng.choice((2, 3, 4))
-        report = fq.epsilon_bne_check_cdfpa(dist, n, grid, JumpPointStrategy(s, ()))
+        report = fq.epsilon_bne_check_cdfpa(dist, n, JumpPointStrategy(grid, s, ()))
         assert (report.max_regret, report.argmax) == brute_force_exact_regret(dist, n, grid, s)
 
 
@@ -187,7 +188,7 @@ class TestContinuousRegret:
         # everyone bids 0: at value 1 the tie wins 1/2, while bidding 1/8 always wins, a regret
         # of 7/8 - 1/2 = 0.375 (Monte Carlo's, with sigma 0); the values and deviations here
         # include every i/8, so the grid verifier must report at least that.  It reports 0.25
-        bid_fn = JumpPointStrategy((F(0), F(1)), ()).as_bid_function(grid_of("0"))
+        bid_fn = JumpPointStrategy(grid_of("0"), (F(0), F(1)), ())
         assert fq.epsilon_bne_check_ccfpa(uniform, 2, bid_fn).max_regret >= 0.375
 
 
@@ -239,13 +240,12 @@ def grid_case(kind, n, request):
         return dist, fq.canonical_bid_function(dist, n)
     if kind == "solved-steps":
         dist, g = request.getfixturevalue("square"), grid_of(*(F(i, 24) for i in range(12)))
-        return dist, fq.solve(dist, n, g, F(1, 64)).strategy.as_bid_function(g)
+        return dist, fq.solve(dist, n, g, F(1, 64)).strategy
     if kind == "pooled-steps":
         # jump points off the dyadics, with bid 1/5 pooled away on the empty (1/3, 1/3]; the largest
         # regret deviates to the step value 5/16 = 80/256, which wins up to 5/7, from value 92/128
         g = grid_of("0", "1/5", "5/16", "1/2")
-        return request.getfixturevalue("uniform"), JumpPointStrategy(
-            (F(0), F(1, 3), F(1, 3), F(5, 7), F(1)), ()).as_bid_function(g)
+        return request.getfixturevalue("uniform"), JumpPointStrategy(g, (F(0), F(1, 3), F(1, 3), F(5, 7), F(1)), ())
     dist = request.getfixturevalue("adversarial")
     oracle = fq.oracle_from_piecewise(dist)
     plan = fq.precompute(oracle, n, F(1, 64))
@@ -268,7 +268,7 @@ def endpoint_sup_regret(dist, n, grid, s):
     own bid.  On [0, s_0] and on each step interval (s_(j-1), s_j] the own bid is fixed, so the
     regret is a maximum of lines minus a line: convex, with its supremum at an endpoint (at the
     left end of (s_(j-1), s_j], the limit from the right, under bid j)."""
-    win = JumpPointStrategy(s, ()).win_probs(dist, n)
+    win = JumpPointStrategy(grid, s, ()).win_probs(dist, n)
     steps = [(F(0), s[0], 0)] + [(s[j - 1], s[j], j - 1) for j in range(1, grid.m + 1) if s[j - 1] < s[j]]
     best = F(0)
     for lo, hi, own in steps:
@@ -295,7 +295,7 @@ class TestGuaranteeAgainstSupremum:
             s = res.strategy.s
             sup = endpoint_sup_regret(dist, n, grid, s)
             # the exact verifier's value set lies in [0, 1]: its maximum bounds the supremum from below
-            assert fq.epsilon_bne_check_cdfpa(dist, n, grid, res.strategy).max_regret <= sup <= eps
+            assert fq.epsilon_bne_check_cdfpa(dist, n, res.strategy).max_regret <= sup <= eps
             assert endpoint_sup_regret(res.transformed_cdf, n, grid, s) <= 2 * res.certificate.gamma * grid.m
 
 
@@ -311,8 +311,8 @@ class TestMonteCarlo:
         # all three opponents pool at 0, so bidding 0 shares the tie 1/4; every trial sees the
         # same opposing bids, so sigma is 0 and the estimate must equal the expectation
         g = grid_of("0", "1/2")
-        s = JumpPointStrategy((F(0), F(1), F(1)), (F(0), F(1, 2), F(1, 2)))
-        report = fq.monte_carlo_regret(uniform, 4, s.as_bid_function(g), 20_000, seed=3)
+        s = JumpPointStrategy(g, (F(0), F(1), F(1)), (F(0), F(1, 2), F(1, 2)))
+        report = fq.monte_carlo_regret(uniform, 4, s, 20_000, seed=3)
         assert abs(report.max_regret - float(mc_grid_regret(uniform, 4, g, s.s))) <= 3 * report.sigma + 1e-12
 
     def test_regret_of_equilibrium_near_zero(self, square):
@@ -353,7 +353,7 @@ class TestCommonRandomNumbers:
 
     def test_own_bid_pair_is_exactly_zero(self, uniform):
         s = fq.solve(uniform, 3, EIGHTHS, F(1, 64)).strategy
-        points, means, std_errs = fq.verify._paired_regrets(uniform, 3, s.as_bid_function(EIGHTHS), 500, 4)
+        points, means, std_errs = fq.verify._paired_regrets(uniform, 3, s, 500, 4)
         checked = 0
         for i, v in enumerate(points):
             own = float(EIGHTHS.bids[own_bid(s.s, F(v))])
@@ -365,7 +365,7 @@ class TestCommonRandomNumbers:
     @pytest.mark.parametrize("kind", ["jump", "rbf"])
     def test_same_seed_same_report(self, square, kind):
         if kind == "jump":
-            bid_fn = fq.solve(square, 2, EIGHTHS, F(1, 64)).strategy.as_bid_function(EIGHTHS)
+            bid_fn = fq.solve(square, 2, EIGHTHS, F(1, 64)).strategy
         else:
             bid_fn = fq.canonical_bid_function(square, 2)
         a = fq.monte_carlo_regret(square, 2, bid_fn, 300, 17)
@@ -377,13 +377,13 @@ class TestCommonRandomNumbers:
         invert = fq.verify._invert
         monkeypatch.setattr(fq.verify, "_invert", lambda f, y, steps: calls.append(y.shape) or invert(f, y, steps))
         s = fq.solve(uniform, 3, EIGHTHS, F(1, 64)).strategy
-        fq.monte_carlo_regret(uniform, 3, s.as_bid_function(EIGHTHS), 250, 1)
+        fq.monte_carlo_regret(uniform, 3, s, 250, 1)
         assert calls == [(250, 2)]
 
     def test_regret_needs_two_trials(self, uniform):
-        s = JumpPointStrategy((F(0), F(1, 2), F(1)), ())
+        s = JumpPointStrategy(grid_of("0", "1/4"), (F(0), F(1, 2), F(1)), ())
         with pytest.raises(fq.DomainError):
-            fq.monte_carlo_regret(uniform, 2, s.as_bid_function(grid_of("0", "1/4")), 1, 0)
+            fq.monte_carlo_regret(uniform, 2, s, 1, 0)
 
     @pytest.mark.parametrize("name", ["uniform", "square"])
     @pytest.mark.parametrize("n_solved", [2, 3])
@@ -396,10 +396,23 @@ class TestCommonRandomNumbers:
         exact = mc_grid_regret(dist, 2, EIGHTHS, s.s)
         assert (exact > eps) == (n_solved == 3)
         for seed in range(20):
-            report = fq.monte_carlo_regret(dist, 2, s.as_bid_function(EIGHTHS), 500, seed)
+            report = fq.monte_carlo_regret(dist, 2, s, 500, seed)
             assert report.max_regret >= float(exact) - 3 * report.sigma, seed
             if n_solved == 2:
                 assert report.max_regret <= float(eps) + 3 * report.sigma, seed
+
+
+class TestStrategyIsItsBidFunction:
+    """The grid and Monte Carlo verifiers read a jump-point strategy as the step function of its points and bids."""
+
+    @pytest.mark.parametrize("name", ["uniform", "square"])
+    @pytest.mark.parametrize("n,bids", [(2, ("0", "1/4", "1/2")), (3, tuple(F(i, 8) for i in range(8)))])
+    def test_same_reports_as_the_step_function(self, name, n, bids, request):
+        dist, grid = request.getfixturevalue(name), grid_of(*bids)
+        strategy = fq.solve(dist, n, grid, F(1, 64)).strategy
+        step = fq.PiecewisePoly(strategy.s, [(b,) for b in grid.bids])
+        assert fq.epsilon_bne_check_ccfpa(dist, n, strategy) == fq.epsilon_bne_check_ccfpa(dist, n, step)
+        assert fq.monte_carlo_regret(dist, n, strategy, 2000, 11) == fq.monte_carlo_regret(dist, n, step, 2000, 11)
 
 
 class TestMonotoneNoOverbid:

@@ -19,7 +19,7 @@ exact = fq.canonical_bid_function(dist, 2)
 
 for k in (4, 6, 8, 10):
     eps = Fraction(1, 2**k)
-    oracle = fq.oracle_from_piecewise(dist)
+    oracle = fq.CdfOracle(dist)
     plan = fq.precompute(oracle, 2, eps)
     pre = plan.oracle.query_count
     worst = Fraction(0)
@@ -37,7 +37,7 @@ for k in (4, 6, 8, 10):
     )
 
 # a closer look at one evaluation inside the flat region
-plan = fq.precompute(fq.oracle_from_piecewise(dist), 2, Fraction(1, 64))
+plan = fq.precompute(fq.CdfOracle(dist), 2, Fraction(1, 64))
 x = Fraction(13, 16)
 ev = fq.bid(plan, x)
 print(f"\nat x = {x}: L = {ev.lower}, U = {ev.upper}, exact = {exact(x)}")

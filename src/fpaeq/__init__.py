@@ -11,7 +11,6 @@ from .cdf import (
     ValidationReport,
     cdf_from_json,
     make_adversarial_cdf,
-    oracle_from_piecewise,
     power_cdf,
     strongly_increasing_transform,
     uniform_cdf,

@@ -7,8 +7,7 @@ Two representations are provided:
   in exact rationals.  :meth:`PiecewisePolyCdf.validate` decides exactly
   whether it is a cdf: no point is sampled.
 * :class:`CdfOracle` -- a query-counted wrapper around an arbitrary cdf
-  evaluator, for the black-box model.  The Lipschitz constant is asserted by
-  the caller, not estimated.
+  evaluator, for the black-box model.
 """
 
 from __future__ import annotations
@@ -102,11 +101,6 @@ class PiecewisePolyCdf(PiecewisePoly):
                 bad.append(f"piece {j}: decreasing somewhere in [{lo}, {hi}]")
         return ValidationReport(tuple(bad))
 
-    @property
-    def lipschitz(self) -> Fraction:
-        """A valid (not necessarily tight) Lipschitz constant on [0, 1], read as :attr:`CdfOracle.lipschitz` is."""
-        return max(Fraction(sum(l * abs(c) for l, c in enumerate(nums)), scale) for nums, scale in self.int_rows)
-
 
 def uniform_cdf() -> PiecewisePolyCdf:
     return PiecewisePolyCdf((ZERO, ONE), ((ZERO, ONE),))
@@ -150,18 +144,15 @@ def make_adversarial_cdf(v1, gap, kink) -> PiecewisePolyCdf:
 
 
 class CdfOracle:
-    """Query-counted cdf evaluator with a caller-asserted Lipschitz constant.
+    """Query-counted cdf evaluator for the black-box model.
 
     Each call is one query, and so is each point its float view
     (:meth:`float_evaluator`) evaluates.  The batch query :meth:`grid_values`
     tabulates the grid j/K and counts as its K - 1 interior points.
     """
 
-    def __init__(self, evaluator: Callable, lipschitz):
-        if lipschitz <= 0:
-            raise DomainError("Lipschitz constant must be positive")
+    def __init__(self, evaluator: Callable):
         self._evaluator = evaluator
-        self.lipschitz = lipschitz
         self.query_count = 0
 
     def __call__(self, x):
@@ -217,11 +208,6 @@ class _AffineMix:
         return lambda x: delta * x + (1 - delta) * inner(x)
 
 
-def oracle_from_piecewise(dist: PiecewisePolyCdf) -> CdfOracle:
-    """Oracle backed by an explicit cdf: exact on a rational, and its float view is the cdf's."""
-    return CdfOracle(dist, dist.lipschitz)
-
-
 def float_view(f) -> Callable:
     """Float evaluator of a cdf or a bid function on [0, 1], taking a float or a numpy array of floats.
 
@@ -270,8 +256,7 @@ def strongly_increasing_transform(cdf, delta):
             rows.append((new, q * scale))
         return PiecewisePolyCdf.from_int_rows(cdf.breakpoints, rows)
     if isinstance(cdf, CdfOracle):
-        lip = max(1, cdf.lipschitz)  # delta*1 + (1-delta)*L <= max(1, L)
-        return CdfOracle(_AffineMix(cdf, delta), lip)
+        return CdfOracle(_AffineMix(cdf, delta))
     raise DomainError(f"unsupported cdf type: {type(cdf).__name__}")
 
 

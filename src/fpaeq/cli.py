@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 validation/solve failure, 2 usage or input error.  Every
 command validates the cdf it loads, and an invalid one exits 1.  The limits on
-n, the black-box grid size and --samples are checked first.
+n, the black-box grid size and --samples, and solve's --eps and --bids, are
+checked first.
 Exact rationals are serialized as "p/q" strings; float output is tagged with
 an explicit precision field.
 """
@@ -15,7 +16,7 @@ import sys
 from fractions import Fraction
 
 from . import blackbox, discrete, explicit, verify
-from .cdf import cdf_from_json, oracle_from_piecewise
+from .cdf import CdfOracle, cdf_from_json
 from .discrete import BidGrid, JumpPointStrategy
 from .errors import DomainError, PrecisionError, check_bidders
 from .rationals import format_rational, parse_rational, parse_rational_list
@@ -44,7 +45,7 @@ def _read_cdf(path: str):
     obj = _load_json(path, "cdf")
     try:
         return cdf_from_json(obj)
-    except DomainError as exc:
+    except ValueError as exc:  # a DomainError, or parse_rational's ValueError
         raise DomainError(f"cdf: {exc}")
 
 
@@ -119,8 +120,16 @@ def _cmd_solve(args) -> int:
     # a sample is one bid; an exact one on a dense degree-64 cdf at n = 64 takes 0.18-0.26 s on 2 vCPUs: 1 h at MAX_K
     if args.samples is not None and args.samples > blackbox.MAX_K:
         raise DomainError(f"--samples {args.samples} exceeds the limit of {blackbox.MAX_K}")
-    if args.model == "ccfpa-blackbox" and args.eps is not None:
-        blackbox.grid_size(parse_rational(args.eps))
+    if args.model == "cdfpa":
+        if args.bids is None:
+            raise DomainError("--bids is required for the cdfpa model")
+        grid = _parse_bids(args.bids)
+    if args.model != "ccfpa-explicit":
+        if args.eps is None:
+            raise DomainError(f"--eps is required for the {args.model} model")
+        eps = parse_rational(args.eps)
+        if args.model == "ccfpa-blackbox":
+            blackbox.grid_size(eps)
     dist = _load_cdf(args.cdf)
     if args.model == "ccfpa-explicit":
         rbf = explicit.canonical_bid_function(dist, args.n)
@@ -135,10 +144,8 @@ def _cmd_solve(args) -> int:
             print(json.dumps(explicit.rbf_to_json(rbf), indent=2))
         return 0
     if args.model == "ccfpa-blackbox":
-        if args.eps is None:
-            raise DomainError("--eps is required for ccfpa-blackbox")
-        oracle = oracle_from_piecewise(dist)
-        plan = blackbox.precompute(oracle, args.n, parse_rational(args.eps))
+        oracle = CdfOracle(dist)
+        plan = blackbox.precompute(oracle, args.n, eps)
         samples = args.samples or 100
         print("x,bid,L,U,queries")
         for i in range(samples + 1):
@@ -146,13 +153,7 @@ def _cmd_solve(args) -> int:
             ev = blackbox.bid(plan, x)
             print(f"{float(x)},{float(ev.upper)},{float(ev.lower)},{float(ev.upper)},{oracle.query_count}")
         return 0
-    # cdfpa
-    if args.bids is None:
-        raise DomainError("--bids is required for the cdfpa model")
-    if args.eps is None:
-        raise DomainError("--eps is required for the cdfpa model")
-    grid = _parse_bids(args.bids)
-    result = discrete.solve(dist, args.n, grid, parse_rational(args.eps))
+    result = discrete.solve(dist, args.n, grid, eps)  # cdfpa
     out = _strategy_to_json(result.strategy, result.certificate)
     if args.certify:
         report = verify.epsilon_bne_check_cdfpa(dist, args.n, result.strategy)

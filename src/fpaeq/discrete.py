@@ -28,12 +28,12 @@ and U_0 become 0, each jump point is taken back at or above its bid, so
 condition 3 holds exactly, and at or below the one above, as the walk keeps
 them, and each utility is taken as the exact value of its float.  On an exact
 walk the conversion changes nothing.  Both attempts search at delta = gamma/4,
-for the certificate's residual bound gamma: each bisection brackets its jump
-point within delta / (n L), with L the cdf's Lipschitz constant, and the outer
-search on U stops once bid 1's condition-1 residual under s_0 = 0 is at most
-2 delta = gamma/2, or once its bracket on U is 2**-52 wide (delta * 2**-52 in
-Fractions).  The float search bisects to max(delta, 2**-52), the resolution
-of floats on [0, 1].
+for the certificate's residual bound gamma: each bisection stops once the
+utilities at the ends of its bracket differ by at most delta, and the outer
+search on U once bid 1's condition-1 residual under s_0 = 0 is at most
+2 delta = gamma/2.  Either search also stops at its floor, a bracket
+2**-52 wide in floats and delta * 2**-52 wide in Fractions.  The float search
+bisects to max(delta, 2**-52), the resolution of floats on [0, 1].
 """
 
 from __future__ import annotations
@@ -139,26 +139,29 @@ def delta_win_prob(fx, fy, n: int):
     return total / n
 
 
-def _ceil_log2(r: Fraction) -> int:
-    """Smallest k >= 1 with 2**k >= r, exact from the bit lengths of r's terms."""
-    p, q = r.numerator, r.denominator
-    k = max(1, p.bit_length() - q.bit_length())
-    return k if q << k >= p else k + 1
+def _floor(delta, exact: bool):
+    """The narrowest bracket a search bisects: 2**-52 in floats, as halving [0, 1] stays exact down to it
+    and a wider bracket of floats in [0, 1] holds a float strictly inside, and delta * 2**-52 in
+    Fractions, which resolve past a float where bid 1's residual needs it."""
+    return delta / 2**52 if exact else sys.float_info.epsilon
 
 
-def compute_strategy(F, L, n: int, grid: BidGrid, U, delta):
+def compute_strategy(F, n: int, grid: BidGrid, U, delta):
     """Reconstruct jump points from a candidate top-value utility U.
 
     Walks bids from the highest down.  At each bid either the whole remaining
     interval pools (utility already below U), the bid is skipped down to its
     own level (utility exceeds U even at the bottom), or the jump point is
     located by bisection so that bidding here at the jump yields about utility
-    U.  The bisection ends with one linear-interpolation step inside its final
-    bracket, its ratio taken as a float in either arithmetic, so the jump
-    point moves continuously with U; a point it puts at the one above pools
-    with it, utility and all.  How close it comes is left to the
-    certificate's condition-1 residual.  A Fraction U runs the walk exactly;
-    any other U runs it in floats, for which F must take and return floats.
+    U.  The bisection keeps f_lo < U_i <= f_hi, the utilities
+    (s_i - b_i) Delta(F(x), F(s_i)) at its bracket's ends x, and stops once
+    f_hi - f_lo <= delta, or at the bracket floor of :func:`_floor`.  They are
+    nondecreasing in x, so every point of such a bracket is within delta of U_i.  It ends with one
+    linear-interpolation step inside its final bracket, its ratio taken as a
+    float in either arithmetic, so the jump point moves continuously with U; a
+    point it puts at the one above pools with it, utility and all.  A Fraction
+    U runs the walk exactly; any other U runs it in floats, for which F must
+    take and return floats.
     """
     if delta <= 0:
         raise DomainError("delta must be positive")
@@ -169,7 +172,7 @@ def compute_strategy(F, L, n: int, grid: BidGrid, U, delta):
     uvec = [None] * (m + 1)
     s[m] = ONE if exact else 1.0
     uvec[m] = U
-    steps = _ceil_log2(Fraction(n * L) / Fraction(delta))
+    floor = _floor(delta, exact)
     fs = F(s[m])  # F at the jump point above the current bid
     for i in range(m, 0, -1):
         b = bids[i - 1]
@@ -188,7 +191,7 @@ def compute_strategy(F, L, n: int, grid: BidGrid, U, delta):
             fs = fb
             continue
         lo, hi = b, si
-        for _ in range(steps):
+        while f_hi - f_lo > delta and hi - lo > floor:
             mid = (lo + hi) / 2
             f_mid = margin * delta_win_prob(F(mid), fs, n)
             if f_mid < ui:
@@ -232,25 +235,23 @@ def check_conditions(F, n: int, strategy: JumpPointStrategy, gamma) -> Certifica
     return Certificate(gamma, ok, max_res, tuple(residuals))
 
 
-def _binary_search_top_utility(F, L, n, grid, delta):
+def _binary_search_top_utility(F, n, grid, delta):
     """Outer binary search on the top-value utility U (the solver's core loop).
 
     Runs in the arithmetic of delta: exact for a Fraction, float for a float.
     Returns the walk at the lowest U tried whose s_0 is positive, once bid 1's
     condition-1 residual there, |s_1 Delta(0, s_1) - U_1| with s_0 set to 0,
-    is at most 2 delta, or once the bracket on U is at its floor: 2**-52 in
-    floats, which halve [0, 1] exactly down to it, and delta * 2**-52 in
-    Fractions, which resolve U past a float where bid 1's residual needs it.
+    is at most 2 delta, or once the bracket on U is at the floor of :func:`_floor`.
     """
     zero = 0 * delta
     u_lo, u_hi = zero, zero + 1
-    floor = delta / 2**52 if isinstance(delta, Fraction) else sys.float_info.epsilon
-    s_r, uvec_r = compute_strategy(F, L, n, grid, u_hi, delta)
+    floor = _floor(delta, isinstance(delta, Fraction))
+    s_r, uvec_r = compute_strategy(F, n, grid, u_hi, delta)
     if s_r[0] == 0:
         raise RuntimeError("internal invariant breach: s_0 = 0 at U = 1")
     while u_hi - u_lo > floor:
         u_mid = (u_lo + u_hi) / 2
-        s, uvec = compute_strategy(F, L, n, grid, u_mid, delta)
+        s, uvec = compute_strategy(F, n, grid, u_mid, delta)
         if s[0] == 0:
             u_lo = u_mid
             continue
@@ -261,7 +262,7 @@ def _binary_search_top_utility(F, L, n, grid, delta):
     return s_r, uvec_r
 
 
-def _search(F, L, n: int, grid: BidGrid, delta) -> JumpPointStrategy:
+def _search(F, n: int, grid: BidGrid, delta) -> JumpPointStrategy:
     """Run the outer search in the arithmetic of delta and return its result in exact rationals.
 
     s_0 and U_0 become 0 (b_1 = 0).  A jump point pooled with the one above
@@ -272,7 +273,7 @@ def _search(F, L, n: int, grid: BidGrid, delta) -> JumpPointStrategy:
     strategy.  Utilities are the exact values of their floats.  An exact walk
     passes unchanged: each of its points is pooled or at or above its bid.
     """
-    s, uvec = _binary_search_top_utility(F, L, n, grid, delta)
+    s, uvec = _binary_search_top_utility(F, n, grid, delta)
     exact = [ONE] * (grid.m + 1)
     for i in range(grid.m, 1, -1):
         x = s[i - 1]
@@ -286,8 +287,7 @@ def solve(F, n: int, grid: BidGrid, eps) -> SolveResult:
     The cdf is first mixed with the identity (weight eps/3n) so that it is
     strongly increasing; a certificate under the mixed cdf at accuracy eps/3n
     transfers back to an eps-approximate equilibrium of the original cdf.
-    F is a PiecewisePolyCdf or a CdfOracle, whose Lipschitz constant
-    ``F.lipschitz`` the search uses; any other cdf raises DomainError.
+    F is a PiecewisePolyCdf or a CdfOracle; any other cdf raises DomainError.
     Both attempts, the float search and then the exact one, search at
     delta = gamma/4, where gamma is the certificate's residual bound, and
     their results pass through the one conversion of :func:`_search`.  Raises
@@ -299,11 +299,10 @@ def solve(F, n: int, grid: BidGrid, eps) -> SolveResult:
     check_bidders(n)
     mix = eps / (3 * n)
     F_mixed = strongly_increasing_transform(F, mix)  # DomainError for any other kind of cdf
-    L_mixed = max(ONE, Fraction(F.lipschitz))
     gamma = mix / (2 * grid.m)  # mix is the accuracy target under the mixed cdf
     tol = max(float(gamma / 4), sys.float_info.epsilon)  # 2**-52: halving [0, 1] stays exact down to it
     for F_search, delta in ((float_view(F_mixed), tol), (F_mixed, gamma / 4)):
-        strategy = _search(F_search, L_mixed, n, grid, delta)
+        strategy = _search(F_search, n, grid, delta)
         cert = check_conditions(F_mixed, n, strategy, gamma)
         if cert.passed:
             return SolveResult(strategy, cert, F_mixed)

@@ -27,7 +27,9 @@ def parse_rational(value) -> Fraction:
             return Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"not a rational: {value!r}") from exc
-    raise ValueError(f"not a rational: {value!r} (floats are not accepted)")
+    if isinstance(value, float):
+        raise ValueError(f"not a rational: {value!r} (floats are not accepted)")
+    raise ValueError(f"not a rational: {value!r} (expected a \"p/q\" or integer string, or an integer)")
 
 
 def parse_rational_list(value, what: str) -> tuple:

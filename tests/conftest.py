@@ -51,3 +51,15 @@ def piecewise_json(dist) -> dict:
     """The piecewise_poly JSON description of a cdf, as cdf_from_json reads it."""
     return {"kind": "piecewise_poly", "breakpoints": [format_rational(b) for b in dist.breakpoints],
             "coeffs": [[format_rational(c) for c in row] for row in dist.rows]}
+
+
+def ceil_log2(r: F) -> int:
+    """Smallest k >= 1 with 2**k >= r, exact from the bit lengths of r's terms."""
+    p, q = r.numerator, r.denominator
+    k = max(1, p.bit_length() - q.bit_length())
+    return k if q << k >= p else k + 1
+
+
+def lipschitz_bound(dist) -> F:
+    """A Lipschitz constant of a piecewise-polynomial cdf on [0, 1]: the largest sum of l * |a_l| over its rows."""
+    return max(F(sum(l * abs(c) for l, c in enumerate(nums)), scale) for nums, scale in dist.int_rows)

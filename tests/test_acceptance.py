@@ -16,6 +16,8 @@ import pytest
 import fpaeq as fq
 from fpaeq import BidGrid
 
+from conftest import lipschitz_bound
+
 
 @contextlib.contextmanager
 def criterion(label):
@@ -64,7 +66,7 @@ def test_criterion_3_blackbox_approximation(uniform, square, two_piece):
             exact = {x: rbf(x) for x in points}
             for k in range(3, 11):
                 eps = F(1, 2**k)
-                oracle = fq.oracle_from_piecewise(dist)
+                oracle = fq.CdfOracle(dist)
                 plan = fq.precompute(oracle, 2, eps)
                 for x in points:
                     ev = fq.bid(plan, x)
@@ -78,7 +80,7 @@ def test_criterion_4_query_budget(adversarial):
         # exact counter accounting: K-1 precompute queries amortized over >= K
         # bid evaluations, plus one query per evaluation, stays within ceil(1/eps)+1
         for eps in (F(1, 8), F(1, 32), F(1, 128)):
-            oracle = fq.oracle_from_piecewise(adversarial)
+            oracle = fq.CdfOracle(adversarial)
             plan = fq.precompute(oracle, 2, eps)
             assert oracle.query_count == plan.K - 1
             calls = plan.K
@@ -94,7 +96,7 @@ def test_criterion_4_query_budget(adversarial):
         points = [F(i, 250) for i in range(251)]
         for k in (3, 6, 10):
             eps = F(1, 2**k)
-            oracle = fq.oracle_from_piecewise(adversarial)
+            oracle = fq.CdfOracle(adversarial)
             plan = fq.precompute(oracle, 2, eps)
             for x in points:
                 ev = fq.bid(plan, x)
@@ -119,9 +121,8 @@ def test_criterion_5_endpoint_lemma(uniform, square, two_piece, adversarial, shi
             m = rng.randrange(2, 6)
             raw = sorted({F(rng.randrange(1, 64), 64) for _ in range(m - 1)})
             grid = BidGrid((F(0),) + tuple(raw))
-            L = dist.lipschitz
-            s0_zero, _ = fq.compute_strategy(dist, L, n, grid, F(0), F(1, 2**30))
-            s0_one, _ = fq.compute_strategy(dist, L, n, grid, F(1), F(1, 2**30))
+            s0_zero, _ = fq.compute_strategy(dist, n, grid, F(0), F(1, 2**30))
+            s0_one, _ = fq.compute_strategy(dist, n, grid, F(1), F(1, 2**30))
             assert s0_zero[0] == 0
             assert s0_one[0] == 1
 
@@ -201,7 +202,7 @@ def test_criterion_9_property_suite(uniform, square, two_piece):
         for dist in (uniform, square, two_piece):
             rbf = fq.canonical_bid_function(dist, 3)
             assert fq.monotone_no_overbid_check(rbf, samples=2000).passed
-            oracle = fq.oracle_from_piecewise(dist)
+            oracle = fq.CdfOracle(dist)
             plan = fq.precompute(oracle, 3, F(1, 32))
             assert fq.monotone_no_overbid_check(
                 lambda v: fq.bid(plan, F(v).limit_denominator(10**6)).upper,
@@ -228,7 +229,7 @@ def test_criterion_9_property_suite(uniform, square, two_piece):
             assert abs(d1 - d2) <= n * (abs(x1 - x2) + abs(y1 - y2))
 
         # Delta is n*L-Lipschitz through an L-Lipschitz cdf
-        L = square.lipschitz
+        L = lipschitz_bound(square)
         for _ in range(500):
             n = rng.randrange(2, 6)
             x1, y1 = sorted(F(rng.randrange(10**4 + 1), 10**4) for _ in range(2))

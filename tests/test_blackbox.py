@@ -72,7 +72,7 @@ def fraction_plan_bid(dist, n: int, K: int, x: F) -> tuple[F, F]:
 
 class TestWorkedExamples:
     def test_uniform_quarter_grid(self, uniform):
-        oracle = fq.oracle_from_piecewise(uniform)
+        oracle = fq.CdfOracle(uniform)
         plan = fq.precompute(oracle, 2, F(1, 4))
         assert plan.K == 4
         assert oracle.query_count == 3
@@ -81,23 +81,23 @@ class TestWorkedExamples:
         assert oracle.query_count == 4
 
     def test_uniform_half_value(self, uniform):
-        oracle = fq.oracle_from_piecewise(uniform)
+        oracle = fq.CdfOracle(uniform)
         plan = fq.precompute(oracle, 2, F(1, 4))
         assert fq.bid(plan, F(1, 2)).upper == F(3, 8)
 
     def test_below_support_is_identity(self, shifted_support):
-        oracle = fq.oracle_from_piecewise(shifted_support)
+        oracle = fq.CdfOracle(shifted_support)
         plan = fq.precompute(oracle, 3, F(1, 8))
         ev = fq.bid(plan, F(1, 8))
         assert ev.lower == ev.upper == F(1, 8)
 
     def test_epsilon_above_one_clamps(self, uniform):
-        oracle = fq.oracle_from_piecewise(uniform)
+        oracle = fq.CdfOracle(uniform)
         plan = fq.precompute(oracle, 2, 2)
         assert plan.K == 1
 
     def test_bad_inputs(self, uniform):
-        oracle = fq.oracle_from_piecewise(uniform)
+        oracle = fq.CdfOracle(uniform)
         with pytest.raises(fq.DomainError):
             fq.precompute(oracle, 1, F(1, 4))
         with pytest.raises(fq.DomainError):
@@ -122,7 +122,7 @@ class TestAgainstSymbolicReference:
         if expr is None:
             expr = sympy.Piecewise((T**2, T <= sympy.Rational(1, 2)), (3 * T / 2 - sympy.Rational(1, 2), True))
         eps = F(1, 32)
-        oracle = fq.oracle_from_piecewise(dist)
+        oracle = fq.CdfOracle(dist)
         plan = fq.precompute(oracle, n, eps)
         for x in (F(1, 7), F(1, 3), F(5, 8), F(9, 10), F(1)):
             exact = reference_bid(expr, n, x)
@@ -136,13 +136,13 @@ class TestAgainstSymbolicReference:
 class TestQueryAccounting:
     @pytest.mark.parametrize("eps,expected_K", [(F(1, 4), 4), (F(1, 10), 10), (F(3, 10), 4), (F(1, 64), 64)])
     def test_precompute_cost(self, uniform, eps, expected_K):
-        oracle = fq.oracle_from_piecewise(uniform)
+        oracle = fq.CdfOracle(uniform)
         plan = fq.precompute(oracle, 2, eps)
         assert plan.K == expected_K
         assert oracle.query_count == expected_K - 1
 
     def test_one_query_per_bid(self, square):
-        oracle = fq.oracle_from_piecewise(square)
+        oracle = fq.CdfOracle(square)
         plan = fq.precompute(oracle, 3, F(1, 16))
         base = oracle.query_count
         f = lambda x: fq.bid(plan, x).upper
@@ -152,7 +152,7 @@ class TestQueryAccounting:
 
     def test_total_budget(self, adversarial):
         eps = F(1, 32)
-        oracle = fq.oracle_from_piecewise(adversarial)
+        oracle = fq.CdfOracle(adversarial)
         plan = fq.precompute(oracle, 2, eps)
         fq.bid(plan, F(13, 16))
         assert oracle.query_count <= math.ceil(1 / eps) + 1
@@ -166,21 +166,21 @@ class TestProperties:
     )
     def test_no_overbid_and_bounds_order(self, x, n):
         dist = fq.power_cdf(2)
-        oracle = fq.oracle_from_piecewise(dist)
+        oracle = fq.CdfOracle(dist)
         plan = fq.precompute(oracle, n, F(1, 16))
         ev = fq.bid(plan, x)
         assert ev.lower <= ev.upper <= x
         assert ev.upper - ev.lower <= F(1, 16)
 
     def test_bid_monotone_in_value(self, two_piece):
-        oracle = fq.oracle_from_piecewise(two_piece)
+        oracle = fq.CdfOracle(two_piece)
         plan = fq.precompute(oracle, 2, F(1, 64))
         f = lambda x: fq.bid(plan, x).upper
         bids = [f(F(i, 200)) for i in range(201)]
         assert all(b >= a for a, b in zip(bids, bids[1:]))
 
     def test_float_oracle_follows_type(self):
-        oracle = fq.CdfOracle(lambda x: float(x), 1.0)
+        oracle = fq.CdfOracle(lambda x: float(x))
         plan = fq.precompute(oracle, 2, 0.25)
         ev = fq.bid(plan, 1.0)
         assert isinstance(ev.upper, float)
@@ -199,13 +199,13 @@ class TestIntegerPlan:
     )
     def test_matches_fraction_sums(self, seed, K, n, xs):
         dist = seeded_cdf(seed, K)
-        oracle = fq.oracle_from_piecewise(dist)
+        oracle = fq.CdfOracle(dist)
         plan = fq.precompute(oracle, n, F(1, K))
         assert all(type(v) is int for v in plan.prefix) and type(plan.scale) is int
         for j in range(K + 1):
             assert F(plan.prefix[j + 1] - plan.prefix[j], plan.scale) == dist(F(j, K)) ** (n - 1)
         # the per-point route of an opaque exact callable gives the same bids
-        opaque = fq.CdfOracle(lambda x: dist(x), dist.lipschitz)
+        opaque = fq.CdfOracle(lambda x: dist(x))
         opaque_plan = fq.precompute(opaque, n, F(1, K))
         for x in (F(0), F(1), *dist.breakpoints, *xs):
             ev = fq.bid(plan, x)
@@ -215,7 +215,7 @@ class TestIntegerPlan:
 
     def test_shifted_support_leading_zero_piece(self, shifted_support):
         # the zero piece ends on the grid point 2/8; F(2/8) = 0 belongs to it
-        oracle = fq.oracle_from_piecewise(shifted_support)
+        oracle = fq.CdfOracle(shifted_support)
         plan = fq.precompute(oracle, 3, F(1, 8))
         powers = [b - a for a, b in zip(plan.prefix, plan.prefix[1:])]
         assert powers[:3] == [0, 0, 0] and powers[3] > 0
@@ -231,11 +231,11 @@ class TestBatchQueryCount:
     @pytest.mark.parametrize("route", ["piecewise", "float", "transformed"])
     def test_precompute_then_bid(self, square, route, K):
         if route == "piecewise":
-            counted = oracle = fq.oracle_from_piecewise(square)
+            counted = oracle = fq.CdfOracle(square)
         elif route == "float":
-            counted = oracle = fq.CdfOracle(lambda x: float(x), 1.0)
+            counted = oracle = fq.CdfOracle(lambda x: float(x))
         else:
-            counted = fq.oracle_from_piecewise(square)
+            counted = fq.CdfOracle(square)
             oracle = fq.strongly_increasing_transform(counted, F(1, 4))
         plan = fq.precompute(oracle, 3, F(1, K))
         assert plan.oracle is oracle and oracle.query_count == counted.query_count == K - 1
@@ -245,7 +245,7 @@ class TestBatchQueryCount:
             assert oracle.query_count == counted.query_count == K - 1 + i
 
     def test_grid_values_endpoints(self, two_piece):
-        for oracle in (fq.oracle_from_piecewise(two_piece), fq.CdfOracle(lambda x: float(x), 1.0)):
+        for oracle in (fq.CdfOracle(two_piece), fq.CdfOracle(lambda x: float(x))):
             nums, den = oracle.grid_values(5)
             assert (len(nums), nums[0], nums[5]) == (6, 0, den)
             assert oracle.query_count == 4

@@ -12,7 +12,7 @@ from fpaeq import DomainError, PiecewisePoly, PiecewisePolyCdf
 from fpaeq.cdf import MAX_DEGREE, float_view
 from fpaeq.poly import nonnegative_on, poly_derivative
 
-from conftest import piecewise_json, poly_eval
+from conftest import lipschitz_bound, piecewise_json, poly_eval
 
 FIXTURES = "uniform square two_piece shifted_support adversarial".split()
 
@@ -138,7 +138,7 @@ class TestFloatView:
                     fv(x)
 
     def test_oracle_evaluated_at_exact_value(self, square):
-        oracle = fq.CdfOracle(lambda x: square(x), 2)  # an evaluator with no float view of its own
+        oracle = fq.CdfOracle(lambda x: square(x))  # an evaluator with no float view of its own
         fv = float_view(oracle)
         y = fv(0.5)
         assert y == 0.25 and isinstance(y, float)
@@ -147,7 +147,7 @@ class TestFloatView:
         assert oracle.query_count == 3
 
     def test_oracle_float_path_counts_each_point(self, two_piece):
-        oracle = fq.oracle_from_piecewise(two_piece)
+        oracle = fq.CdfOracle(two_piece)
         fv, direct = float_view(oracle), two_piece.float_evaluator()
         xs = np.array([[0.0, 0.3], [0.5, 0.9]])
         assert fv(0.3) == direct(0.3)
@@ -242,7 +242,7 @@ class TestStronglyIncreasingTransform:
         assert all(math.gcd(scale, *nums) == 1 for nums, scale in t.int_rows)
 
     def test_oracle_transform_counts_queries(self, square):
-        oracle = fq.oracle_from_piecewise(square)
+        oracle = fq.CdfOracle(square)
         t = fq.strongly_increasing_transform(oracle, F(1, 4))
         t(F(1, 2))
         t(F(3, 4))
@@ -252,7 +252,7 @@ class TestStronglyIncreasingTransform:
     @pytest.mark.parametrize("float_path", [True, False])
     def test_oracle_transform_float_view(self, square, float_path):
         # the mix runs in floats over the given oracle's float view, or over its exact values
-        oracle = fq.oracle_from_piecewise(square) if float_path else fq.CdfOracle(lambda x: square(x), 2)
+        oracle = fq.CdfOracle(square) if float_path else fq.CdfOracle(lambda x: square(x))
         delta = F(1, 3)
         t = fq.strongly_increasing_transform(oracle, delta)
         xs = np.array([0.0, 0.25, 0.7, 1.0])
@@ -290,26 +290,26 @@ class TestAdversarialCdf:
 
 class TestCdfOracle:
     def test_fresh_count_zero(self, uniform):
-        oracle = fq.oracle_from_piecewise(uniform)
+        oracle = fq.CdfOracle(uniform)
         assert oracle.query_count == 0
 
     def test_count_increments(self, uniform):
-        oracle = fq.oracle_from_piecewise(uniform)
+        oracle = fq.CdfOracle(uniform)
         for i in range(5):
             oracle(F(i, 5))
         assert oracle.query_count == 5
-        fresh = fq.oracle_from_piecewise(uniform)  # counts are per oracle: a new one starts at 0
+        fresh = fq.CdfOracle(uniform)  # counts are per oracle: a new one starts at 0
         fresh(F(1, 2))
         assert (fresh.query_count, oracle.query_count) == (1, 5)
 
     def test_wrap_callable(self):
-        oracle = fq.CdfOracle(lambda x: float(x) ** 2, 2.0)
+        oracle = fq.CdfOracle(lambda x: float(x) ** 2)
         assert oracle(0.5) == 0.25
         assert oracle.query_count == 1
 
     def test_builtin_endpoints(self, uniform, square, two_piece, adversarial):
         for dist in (uniform, square, two_piece, adversarial):
-            oracle = fq.oracle_from_piecewise(dist)
+            oracle = fq.CdfOracle(dist)
             assert oracle(F(0)) >= 0
             assert abs(oracle(F(1)) - 1) <= F(1, 2**40)
 
@@ -329,7 +329,7 @@ class TestSampledProperties:
     @pytest.mark.parametrize("name", DISTS)
     def test_lipschitz_audit(self, name, request):
         dist = request.getfixturevalue(name)
-        L = dist.lipschitz
+        L = lipschitz_bound(dist)
         rng = random.Random(13)
         for _ in range(500):
             x = F(rng.randrange(10**6), 10**6)

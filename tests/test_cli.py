@@ -504,6 +504,33 @@ class TestInputContract:
         assert code == 2 and out == ""
         assert "booleans are not accepted" in err
 
+    @pytest.mark.parametrize("value,reason", [
+        (["2"], "expected a \"p/q\" or integer string, or an integer"),
+        (None, "expected a \"p/q\" or integer string, or an integer"),
+        ({"p": "2"}, "expected a \"p/q\" or integer string, or an integer"),
+        (2.0, "floats are not accepted"),
+    ], ids=["list", "null", "object", "float"])
+    def test_other_json_types_are_not_rationals(self, capout, tmp_path, value, reason):
+        # only a float is told that floats are not accepted; any other type is told what is
+        path = tmp_path / "cdf.json"
+        path.write_text(json.dumps({"kind": "power", "exponent": value}))
+        code, out, err = capout("validate-cdf", "--cdf", str(path))
+        assert code == 2 and out == ""
+        assert err == f"error: cdf: not a rational: {value!r} ({reason})\n"
+
+    @pytest.mark.parametrize("doc", [
+        {"kind": "power", "exponent": 1.5},
+        {"kind": "power", "exponent": "x"},
+        {"kind": "adversarial", "v1": ["1"], "gap": "1/8", "kink": "1/32"},
+        {"kind": "piecewise_poly", "breakpoints": ["0", "1"], "coeffs": [["0", "1/0"]]},
+    ], ids=["float-exponent", "text-exponent", "list-v1", "zero-denominator"])
+    def test_malformed_cdf_rational_names_the_cdf(self, capout, tmp_path, doc):
+        path = tmp_path / "cdf.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = capout("validate-cdf", "--cdf", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: cdf: not a rational: ")
+
 
 @pytest.fixture(scope="module")
 def contract_files(tmp_path_factory):
@@ -813,6 +840,19 @@ class TestValidationGate:
         run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
         assert run.returncode == 1 and run.stdout == ""
         assert run.stderr.startswith("invalid cdf: piece 0: decreasing")
+
+    @pytest.mark.parametrize("argv,message", [
+        (["--model", "cdfpa", "--eps", "1/64"], "error: --bids is required for the cdfpa model"),
+        (["--model", "cdfpa", "--bids", "[\"0\", \"1/4\"]"], "error: --eps is required for the cdfpa model"),
+        (["--model", "ccfpa-blackbox"], "error: --eps is required for the ccfpa-blackbox model"),
+        (["--model", "cdfpa", "--bids", "[0, 1/4]", "--eps", "1/64"], "error: bids: malformed JSON array"),
+        (["--model", "cdfpa", "--bids", "[\"1/4\"]", "--eps", "1/64"], "error: bids: lowest bid must be 0"),
+        (["--model", "cdfpa", "--bids", "[\"0\", \"1/4\"]", "--eps", "1/0"], "error: not a rational: '1/0'"),
+    ], ids=["no-bids", "no-eps", "blackbox-no-eps", "bids-not-json", "bids-not-a-grid", "eps-not-a-rational"])
+    def test_solve_checks_its_arguments_before_the_cdf(self, capout, dip_json, argv, message):
+        code, out, err = capout("solve", "--cdf", dip_json, "--n", "2", *argv)
+        assert code == 2 and out == ""
+        assert err.startswith(message)
 
     def test_report_still_printed(self, capout, unordered_json):
         code, out, _ = capout("validate-cdf", "--cdf", unordered_json)

@@ -3,15 +3,27 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import fpaeq as fq
 from fpaeq import BidGrid, DomainError, JumpPointStrategy, discrete
 from fpaeq.cdf import float_view
 
+from conftest import ceil_log2, lipschitz_bound
+from test_explicit import seeded_cubic
+
+WALK_CDFS = ["uniform", "square", "two_piece", "adversarial", "cubic"]
+
 
 def grid_of(*bids):
     return BidGrid(tuple(F(b) for b in bids))
+
+
+@pytest.fixture
+def walk_cdfs(uniform, square, two_piece, adversarial):
+    """The cdfs of WALK_CDFS by name; "cubic" is a seeded 4-piece cubic."""
+    return {"uniform": uniform, "square": square, "two_piece": two_piece, "adversarial": adversarial,
+            "cubic": seeded_cubic(0, 4)}
 
 
 @pytest.fixture
@@ -20,10 +32,10 @@ def exact_searches(monkeypatch):
     seen = []
     search = discrete._binary_search_top_utility
 
-    def spy(dist, L, n, grid, delta):
+    def spy(dist, n, grid, delta):
         if isinstance(delta, F):
             seen.append(delta)
-        return search(dist, L, n, grid, delta)
+        return search(dist, n, grid, delta)
 
     monkeypatch.setattr(discrete, "_binary_search_top_utility", spy)
     return seen
@@ -140,45 +152,89 @@ class TestDeltaWinProb:
 class TestComputeStrategy:
     def test_top_utility_one_pools_everything(self, uniform):
         g = grid_of("0", "1/4", "1/2")
-        s, uvec = fq.compute_strategy(uniform, 1, 2, g, F(1), F(1, 2**20))
+        s, uvec = fq.compute_strategy(uniform, 2, g, F(1), F(1, 2**20))
         assert s[0] == 1  # utility 1 is unattainable: all jumps collapse at the top
 
     def test_top_utility_zero_gives_zero_jump(self, uniform):
         g = grid_of("0", "1/4", "1/2")
-        s, uvec = fq.compute_strategy(uniform, 1, 2, g, F(0), F(1, 2**20))
+        s, uvec = fq.compute_strategy(uniform, 2, g, F(0), F(1, 2**20))
         assert s[0] == 0
         assert s[1] == F(1, 4) and s[2] == F(1, 2)
 
-    def test_achieved_utilities_within_delta(self, square):
-        delta = F(1, 2**24)
-        g = grid_of("0", "1/8", "1/4", "3/8")
-        s, uvec = fq.compute_strategy(square, 2, 2, g, F(1, 3), delta)
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_achieved_utilities_within_delta(self, data, walk_cdfs):
+        # the top utility of bid b_i over (s_{i-1}, s_i], (s_i - b_i) * Delta(F(s_{i-1}), F(s_i)), is within
+        # delta of U_i at every jump point the walk bisects for: the bisection stops on that residual
+        dist = walk_cdfs[data.draw(st.sampled_from(WALK_CDFS), label="cdf")]
+        n = data.draw(st.integers(min_value=2, max_value=8), label="n")
+        den = data.draw(st.sampled_from([256, 100, 21]), label="den")
+        raw = data.draw(st.lists(st.integers(min_value=1, max_value=den - 1), unique=True, max_size=5), label="bids")
+        g = BidGrid((F(0),) + tuple(sorted(F(k, den) for k in raw)))
+        U = data.draw(st.fractions(min_value=0, max_value=1, max_denominator=2**20), label="U")
+        delta = F(1, 2 ** data.draw(st.sampled_from([10, 24, 40]), label="log2(1/delta)"))
+        s, uvec = fq.compute_strategy(dist, n, g, U, delta)
         for i in range(1, g.m + 1):
-            if s[i - 1] > g.bids[i - 1] and s[i - 1] < s[i]:
-                achieved = (s[i - 1] - g.bids[i - 1]) * fq.delta_win_prob(square(s[i - 1]), square(s[i]), 2)
-                assert abs(achieved - uvec[i - 1]) <= delta
+            b, si, ui = g.bids[i - 1], s[i], uvec[i]
+
+            def top(x):
+                return (si - b) * fq.delta_win_prob(dist(x), dist(si), n)
+
+            if top(si) <= ui or top(b) >= ui:
+                continue  # pooled with the point above, or down at its bid: no bisection
+            assert abs(top(s[i - 1]) - ui) <= delta
+
+    @pytest.mark.parametrize("exact", [True, False], ids=["fraction", "float"])
+    @pytest.mark.parametrize("name", WALK_CDFS)
+    def test_bisection_steps_within_log2_bound(self, name, exact, walk_cdfs):
+        # for an L-Lipschitz cdf the utility bracket is within delta after ceil(log2(n L / delta)) halvings
+        dist = walk_cdfs[name]
+        L = lipschitz_bound(dist)
+        evaluate = dist if exact else float_view(dist)
+        rng = random.Random(name)
+        bisections = 0
+        for _ in range(8):
+            n = rng.randint(2, 8)
+            g = BidGrid((F(0),) + tuple(sorted(F(k, 256) for k in rng.sample(range(1, 256), rng.randint(0, 5)))))
+            U, delta = F(rng.randint(1, 2**16), 2**16), F(1, 2 ** rng.choice([10, 24, 40]))
+            points = []
+            fq.compute_strategy(lambda x: points.append(x) or evaluate(x), n, g,
+                                U if exact else float(U), delta if exact else float(delta))
+            # F(1), then per bid that does not pool at once F(b_i), the midpoints and F at the jump point;
+            # every point after F(b_i) lies above b_i, so a smaller bid starts the next bid's points
+            bids, current, counts = g.bids if exact else [float(b) for b in g.bids], None, []
+            for x in points[1:]:
+                if x in bids and (current is None or x < current):
+                    current = x
+                    counts.append(0)
+                else:
+                    counts[-1] += 1
+            steps = [c - 1 for c in counts if c > 0]
+            assert all(k <= ceil_log2(n * L / delta) for k in steps)
+            bisections += len(steps)
+        assert bisections > 0
 
     def test_jump_points_monotone_and_above_bids(self, uniform):
         g = grid_of("0", "1/8", "1/4", "1/2")
-        s, _ = fq.compute_strategy(uniform, 1, 3, g, F(1, 4), F(1, 2**24))
+        s, _ = fq.compute_strategy(uniform, 3, g, F(1, 4), F(1, 2**24))
         assert all(a <= b for a, b in zip(s, s[1:]))
         assert all(s[i - 1] >= g.bids[i - 1] or s[i - 1] == s[i] for i in range(1, g.m + 1))
 
     def test_bad_delta(self, uniform):
         with pytest.raises(DomainError):
-            fq.compute_strategy(uniform, 1, 2, grid_of("0"), F(1, 2), F(0))
+            fq.compute_strategy(uniform, 2, grid_of("0"), F(1, 2), F(0))
 
     def test_interpolation_reaching_the_point_above_pools(self, uniform):
         # U sits 3/2**62 below bid 2's utility at s_1 = 1; the float ratio of the interpolation
         # rounds to 1, so s_1 lands on s_2 and pools with it, taking U_2 rather than 3/4
-        s, uvec = fq.compute_strategy(uniform, 1, 2, grid_of("0", "1/4"), F(3, 4) * (1 - F(1, 2**60)), F(1, 4))
+        s, uvec = fq.compute_strategy(uniform, 2, grid_of("0", "1/4"), F(3, 4) * (1 - F(1, 2**60)), F(1, 4))
         assert s[1] == s[2] == 1
         assert uvec[1] == uvec[2]
 
     def test_float_walk_matches_exact(self, square):
         g = grid_of("0", "1/8", "1/4", "3/8")
-        s, uvec = fq.compute_strategy(square, 2, 3, g, F(1, 3), F(1, 2**30))
-        fs, fu = fq.compute_strategy(float_view(square), 2, 3, g, 1 / 3, 2.0**-30)
+        s, uvec = fq.compute_strategy(square, 3, g, F(1, 3), F(1, 2**30))
+        fs, fu = fq.compute_strategy(float_view(square), 3, g, 1 / 3, 2.0**-30)
         assert all(isinstance(x, float) for x in fs + fu)
         assert max(abs(a - b) for a, b in zip(s, fs)) < 1e-8
         assert max(abs(a - b) for a, b in zip(uvec, fu)) < 1e-8
@@ -186,7 +242,7 @@ class TestComputeStrategy:
     @pytest.mark.parametrize("r,k", [(F(0), 1), (F(2), 1), (F(3), 2), (F(4), 2), (F(5), 3),
                                      (F(2**1100), 1100), (F(2**1100 + 1), 1101), (F(7, 3), 2)])
     def test_step_count_exact_log2(self, r, k):
-        assert discrete._ceil_log2(r) == k
+        assert ceil_log2(r) == k
 
 
 class TestCheckConditions:
@@ -259,15 +315,15 @@ class TestSolve:
         assert res.transformed_cdf is not None
         assert res.transformed_cdf(F(1, 2)) == F(1, 2)  # mixing fixes the identity cdf
 
-    def test_oracle_uses_its_own_lipschitz(self, uniform):
-        oracle = fq.oracle_from_piecewise(uniform)
+    def test_oracle_solves_as_its_cdf(self, uniform):
+        oracle = fq.CdfOracle(uniform)
         g = grid_of("0", "1/2")
         res = fq.solve(oracle, 2, g, F(1, 16))
         assert res.certificate.passed
-        assert res.strategy == fq.solve(uniform, 2, g, F(1, 16)).strategy  # the same L = 1
+        assert res.strategy == fq.solve(uniform, 2, g, F(1, 16)).strategy  # the same walks on the same values
 
     def test_oracle_counts_the_queries_of_a_solve(self, square):
-        oracle = fq.oracle_from_piecewise(square)
+        oracle = fq.CdfOracle(square)
         res = fq.solve(oracle, 2, grid_of("0", "1/4", "1/2"), F(1, 64))
         assert oracle.query_count == res.transformed_cdf.query_count > 0
 
@@ -292,11 +348,12 @@ class TestSolve:
                 return ev
 
         counted = Counted()
-        oracle = fq.CdfOracle(counted, two_piece.lipschitz)
+        oracle = fq.CdfOracle(counted)
         res = fq.solve(oracle, 3, grid_of("0", "1/8", "3/8", "1/2"), F(1, 2**20))
         assert res.certificate.passed
         assert counted.floats > 0  # the float search ran in floats, not on exact rationals
         assert oracle.query_count == res.transformed_cdf.query_count == counted.exact + counted.floats
+        assert oracle.query_count <= 1955  # a regression bound: the count this solve takes today
 
     def test_bare_callable_rejected(self):
         with pytest.raises(DomainError):
@@ -322,10 +379,10 @@ class TestSolve:
         # gamma and one exact search (0.6 s), while 2**-52 certifies the float result
         search = discrete._search
 
-        def no_exact_search(F_search, L, n, grid, delta):
+        def no_exact_search(F_search, n, grid, delta):
             if isinstance(delta, F):
                 raise AssertionError("the float search was not certified")
-            return search(F_search, L, n, grid, delta)
+            return search(F_search, n, grid, delta)
 
         monkeypatch.setattr(discrete, "_search", no_exact_search)
         g = grid_of(*(F(i, 8) for i in range(4)))
@@ -353,7 +410,7 @@ class TestSolve:
         assert res.certificate.passed
         assert exact_searches == []
         gamma, mixed = res.certificate.gamma, res.transformed_cdf
-        strategy = discrete._search(mixed, dist.lipschitz, 2, g, gamma / 4)
+        strategy = discrete._search(mixed, 2, g, gamma / 4)
         assert fq.check_conditions(mixed, 2, strategy, gamma).passed
 
     def test_exact_attempt_takes_the_walk_as_it_is(self, monkeypatch):
@@ -366,7 +423,7 @@ class TestSolve:
         walks, walk = [], discrete._binary_search_top_utility
         monkeypatch.setattr(discrete, "_binary_search_top_utility",
                             lambda *args: walks.append(walk(*args)) or walks[-1])
-        strategy = discrete._search(mixed, dist.lipschitz, 2, g, gamma / 4)
+        strategy = discrete._search(mixed, 2, g, gamma / 4)
         ((s, uvec),) = walks
         assert all(type(x) is F for x in s + uvec)
         assert strategy == JumpPointStrategy(g, (F(0),) + tuple(s[1:]), (F(0),) + tuple(uvec[1:]))
@@ -377,7 +434,7 @@ class TestSolve:
         uvec = [0.0, 0.01, 0.01, 0.1, 0.3]
         monkeypatch.setattr(discrete, "_binary_search_top_utility",
                             lambda *args: ([0.1, third, third, 0.7, 1.0], uvec))
-        strategy = discrete._search(float_view(uniform), 1, 2, g, 2.0**-30)
+        strategy = discrete._search(float_view(uniform), 2, g, 2.0**-30)
         # s_0 = 0; s_2 snaps onto its bid 1/3 and s_1, pooled with it, follows
         assert strategy.s == (0, F(1, 3), F(1, 3), F(0.7), 1)
         assert strategy.utilities == tuple(F(u) for u in uvec)
@@ -389,7 +446,7 @@ class TestSolve:
     def test_float_result_is_a_valid_strategy(self, walk, expected, uniform, monkeypatch):
         g = grid_of("0", "1/5", "1/2")
         monkeypatch.setattr(discrete, "_binary_search_top_utility", lambda *args: (walk, [0.0] * 4))
-        strategy = discrete._search(float_view(uniform), 1, 2, g, 2.0**-30)
+        strategy = discrete._search(float_view(uniform), 2, g, 2.0**-30)
         assert isinstance(strategy, JumpPointStrategy)
         assert strategy.s == expected
 
@@ -446,14 +503,14 @@ class TestSolve:
         tols = []  # the tolerance of each walk the solve runs
         walk = discrete.compute_strategy
         monkeypatch.setattr(discrete, "compute_strategy", lambda *args: tols.append(args[-1]) or walk(*args))
-        oracle = fq.oracle_from_piecewise(dist)
+        oracle = fq.CdfOracle(dist)
         res = fq.solve(oracle, n, grid, eps)
         assert res.certificate.passed
-        delta, L = res.certificate.gamma / 4, max(1, dist.lipschitz)
+        delta, L = res.certificate.gamma / 4, max(1, lipschitz_bound(dist))  # the mix keeps slopes <= max(1, L)
         exact_walks = sum(isinstance(tol, F) for tol in tols)
         assert len(tols) - exact_walks <= 1 + 52  # U = 1, then halvings down to a bracket of 2**-52
-        assert exact_walks <= 1 + 52 + discrete._ceil_log2(1 / delta)  # down to delta * 2**-52
+        assert exact_walks <= 1 + 52 + ceil_log2(1 / delta)  # down to delta * 2**-52
         # per walk: F(1); per bid F(b), one F per bisection step and F at the jump; then F(0) and
         # F(s_1) for bid 1's residual.  Each certificate evaluates m + 1 points, and solve checks two
-        points = sum(m * (discrete._ceil_log2(n * L / F(tol)) + 2) + 3 for tol in tols) + 2 * (m + 1)
+        points = sum(m * (ceil_log2(n * L / F(tol)) + 2) + 3 for tol in tols) + 2 * (m + 1)
         assert 0 < oracle.query_count <= points  # one query per evaluated point

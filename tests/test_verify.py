@@ -165,14 +165,14 @@ class TestContinuousRegret:
 
     def test_blackbox_bid_within_epsilon(self, adversarial):
         eps = F(1, 64)
-        oracle = fq.oracle_from_piecewise(adversarial)
+        oracle = fq.CdfOracle(adversarial)
         plan = fq.precompute(oracle, 2, eps)
         report = fq.epsilon_bne_check_ccfpa(adversarial, 2, lambda x: fq.bid(plan, x).upper)
         assert report.max_regret < float(eps) + 0.02
 
     def test_other_cdf_rejected(self, uniform):
         with pytest.raises(fq.DomainError):
-            fq.epsilon_bne_check_ccfpa(fq.oracle_from_piecewise(uniform), 2, lambda v: v / 2)
+            fq.epsilon_bne_check_ccfpa(fq.CdfOracle(uniform), 2, lambda v: v / 2)
 
     @pytest.mark.parametrize("n", [8, 16])
     def test_ill_conditioned_canonical_bid(self, n):
@@ -247,7 +247,7 @@ def grid_case(kind, n, request):
         g = grid_of("0", "1/5", "5/16", "1/2")
         return request.getfixturevalue("uniform"), JumpPointStrategy(g, (F(0), F(1, 3), F(1, 3), F(5, 7), F(1)), ())
     dist = request.getfixturevalue("adversarial")
-    oracle = fq.oracle_from_piecewise(dist)
+    oracle = fq.CdfOracle(dist)
     plan = fq.precompute(oracle, n, F(1, 64))
     return dist, lambda x: fq.bid(plan, x).upper
 

@@ -22,14 +22,20 @@ which counts as the K-1 interior queries.  It runs on one of two routes:
 * any other oracle is queried point by point over den = 1 and its arithmetic
   carries through: an exact-rational oracle yields exact rational plans and
   bids, a float oracle yields float ones.
+
+A bid keeps its two sums as numerators over one shared denominator
+(:class:`BidEvaluation`), with x read as its exact rational.  On an exact
+oracle they are ints and no gcd is taken; a Fraction is made only when a sum
+is read, and the CLI prints the quotients int / int, which CPython rounds
+correctly.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, repeat
+from numbers import Rational
 
 from .cdf import CdfOracle
 from .errors import DomainError, check_bidders
@@ -38,9 +44,9 @@ from .errors import DomainError, check_bidders
 # F(j/K)**(n-1) summed exactly.  Measured with CPython 3.11 on 2 vCPUs at K = MAX_K, through
 # the CLI (ccfpa-blackbox, 101 bids): a seeded 8-piece cubic takes 0.27 s at n = 2 and 0.38 s
 # at n = 64, most of it interpreter start-up; a dense degree-64 piece whose coefficients share
-# a 64-bit denominator takes 16 s at n = 64: 12 s in the integer powers of about 60 000 bits,
-# 2 s in the bids and 0.07 s in the grid query.  At K = 2**16 the cubic's plan and 101 bids
-# take 0.02 s at n = 2, in process.
+# a 64-bit denominator takes 10-11 s at n = 64: 8-9 s in the integer powers of about 60 000
+# bits, 0.2 s in the bids and 0.07 s in the grid query.  At K = 2**16 the cubic's plan and 101
+# bids take 0.02 s at n = 2, in process.
 MAX_K = 2**14
 
 
@@ -55,8 +61,28 @@ class BlackBoxPlan:
 
 @dataclass(frozen=True)
 class BidEvaluation:
-    lower: object
-    upper: object  # the bid
+    """The lower and upper Riemann sums, lower_num / den and upper_num / den; the upper sum is the bid.
+
+    On an exact oracle the three are ints (Fractions for an exact oracle queried point by
+    point) and :attr:`lower` and :attr:`upper` are Fractions made at each read; on a float
+    oracle den is a float and they are the float quotients.
+    """
+
+    lower_num: object
+    upper_num: object
+    den: object
+
+    @property
+    def lower(self):
+        return _quotient(self.lower_num, self.den)
+
+    @property
+    def upper(self):
+        return _quotient(self.upper_num, self.den)
+
+
+def _quotient(num, den):
+    return Fraction(num, den) if isinstance(den, int) else num / den
 
 
 def grid_size(epsilon) -> int:
@@ -86,22 +112,32 @@ def precompute(oracle: CdfOracle, n: int, epsilon) -> BlackBoxPlan:
 def bid(plan: BlackBoxPlan, x) -> BidEvaluation:
     """Lower and upper Riemann sums at x from one query of the plan's oracle; the upper sum is the bid.
 
-    The two sandwich the exact equilibrium bid.
+    The two sandwich the exact equilibrium bid.  With x = p/q read exactly, F(x) = a/c,
+    k = min(floor(pK/q), K), A = a**(n-1) * scale and C = c**(n-1), they are
+
+        upper = (pK A - (q P_k + (pK - kq) (P_(k+1) - P_k)) C) / (qKA),
+        lower = q (k A - P_(k+1) C) / (qKA),
+
+    P the plan's prefix sums, so on an exact oracle a bid is three ints and no gcd.  A
+    float answer F(x) runs the same formula in floats, with (a, c) = (F(x), 1.0) and x's
+    float over q = 1.
     """
     if not 0 <= x <= 1:
         raise DomainError(f"x={x} outside [0, 1]")
     fx = plan.oracle(x)
-    if fx == 0:
+    K, P = plan.K, plan.prefix
+    p, q = x.as_integer_ratio()
+    k = min(p * K // q, K)
+    if isinstance(fx, Rational):
+        a, c = fx.numerator, fx.denominator
+    else:
+        a, c, p, q = fx, 1.0, p / q, 1
+    if a == 0:
         # x is weakly below the support: bidding the value is exact
-        return BidEvaluation(x, x)
-    width = Fraction(1, plan.K)
-    k_x = min(math.floor(x * plan.K), plan.K)
-    fn = fx ** (plan.n - 1) * plan.scale  # on the scale of the table
-    partial = x - k_x * width
-    inner = width * plan.prefix[k_x] + partial * (plan.prefix[k_x + 1] - plan.prefix[k_x])
-    upper = x - inner / fn
-    # lower Riemann sum: right endpoints, j = 1..k_x, which prefix[k_x + 1] sums since F(0) = 0;
-    # the [k_x/K, x] term vanishes (g_x(x) = 0)
-    lower = width * k_x - width * plan.prefix[k_x + 1] / fn
-    return BidEvaluation(lower, upper)
-
+        return BidEvaluation(p, p, q * c)
+    A, C = a ** (plan.n - 1) * plan.scale, c ** (plan.n - 1)
+    upper = p * K * A - (q * P[k] + (p * K - k * q) * (P[k + 1] - P[k])) * C
+    # lower Riemann sum: right endpoints, j = 1..k, which P_(k+1) sums since F(0) = 0;
+    # the [k/K, x] term vanishes (g_x(x) = 0)
+    lower = q * (k * A - P[k + 1] * C)
+    return BidEvaluation(lower, upper, q * K * A)

@@ -116,8 +116,18 @@ def _load_strategy(path: str, bids):
 
 
 def _cmd_solve(args) -> int:
+    # each model's own options besides --eps; one that its model does not read exits 2
+    reads = {"cdfpa": ("--bids", "--certify"), "ccfpa-blackbox": ("--samples",),
+             "ccfpa-explicit": ("--at", "--samples")}[args.model]
+    given = {"--at": args.at is not None, "--samples": args.samples is not None, "--bids": args.bids is not None,
+             "--certify": args.certify}
+    for option in given:
+        if given[option] and option not in reads:
+            raise DomainError(f"{option} is not read by the {args.model} model")
+    if given["--at"] and given["--samples"]:
+        raise DomainError("--at and --samples exclude each other")
     check_bidders(args.n)
-    # a sample is one bid; an exact one on a dense degree-64 cdf at n = 64 takes 0.18-0.26 s on 2 vCPUs: 1 h at MAX_K
+    # a sample is one bid; an exact one on a dense degree-64 cdf at n = 64 takes 0.13-0.16 s on 2 vCPUs: 40 min at MAX_K
     if args.samples is not None and args.samples > blackbox.MAX_K:
         raise DomainError(f"--samples {args.samples} exceeds the limit of {blackbox.MAX_K}")
     if args.model == "cdfpa":
@@ -138,8 +148,8 @@ def _cmd_solve(args) -> int:
         elif args.samples:
             print("x,bid")
             for i in range(args.samples + 1):
-                x = Fraction(i, args.samples)
-                print(f"{float(x)},{float(explicit.eval_canonical(rbf, x))}")
+                num, den = explicit.canonical_ratio(rbf, Fraction(i, args.samples))
+                print(f"{i / args.samples},{num / den}")
         else:
             print(json.dumps(explicit.rbf_to_json(rbf), indent=2))
         return 0
@@ -149,9 +159,9 @@ def _cmd_solve(args) -> int:
         samples = args.samples or 100
         print("x,bid,L,U,queries")
         for i in range(samples + 1):
-            x = Fraction(i, samples)
-            ev = blackbox.bid(plan, x)
-            print(f"{float(x)},{float(ev.upper)},{float(ev.lower)},{float(ev.upper)},{oracle.query_count}")
+            ev = blackbox.bid(plan, Fraction(i, samples))
+            upper = ev.upper_num / ev.den
+            print(f"{i / samples},{upper},{ev.lower_num / ev.den},{upper},{oracle.query_count}")
         return 0
     result = discrete.solve(dist, args.n, grid, eps)  # cdfpa
     out = _strategy_to_json(result.strategy, result.certificate)

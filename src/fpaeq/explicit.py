@@ -214,12 +214,17 @@ def rbf_from_json(obj: dict) -> RationalBidFunction:
 
 
 def eval_canonical(rbf: RationalBidFunction, x) -> Fraction:
-    """Exact bid at x, and x itself wherever the denominator row is 0 at x.
+    """Exact bid at x, and x itself wherever the denominator row is 0 at x: :func:`canonical_ratio` as one Fraction."""
+    return Fraction(*canonical_ratio(rbf, x if isinstance(x, Fraction) else Fraction(x)))
 
-    At x = p/q both rows run Horner on integers (:func:`poly.horner_int`), and
-    the bid is built as one Fraction from the two integer results.
+
+def canonical_ratio(rbf: RationalBidFunction, x) -> tuple[int, int]:
+    """(num, den) on ints with num / den the exact bid at a rational x, den > 0 where the cdf is valid.
+
+    At x = p/q both rows run Horner on integers (:func:`poly.horner_int`); x
+    itself, (p, q), wherever the denominator row is 0 at x.  No gcd is taken,
+    so ``num / den`` is the correctly rounded float of the bid.
     """
-    x = x if isinstance(x, Fraction) else Fraction(x)
     j = rbf.denominator.piece_index(x)
     (num_row, num_scale), (den_row, den_scale) = rbf.numerator.int_rows[j], rbf.denominator.int_rows[j]
     p, q = x.numerator, x.denominator
@@ -227,11 +232,11 @@ def eval_canonical(rbf: RationalBidFunction, x) -> Fraction:
     if den == 0:
         # an identity piece, or the removable singularity at the support
         # infimum, where continuity gives bid = x
-        return x
+        return p, q
     # numerator(x) / denominator(x) = (N / (num_scale q^a)) / (D / (den_scale q^b))
     num = horner_int(num_row, p, q) * den_scale
     den *= num_scale
     shift = len(den_row) - len(num_row)  # b - a
     if shift >= 0:
-        return Fraction(num * q**shift, den)
-    return Fraction(num, den * q**-shift)
+        return num * q**shift, den
+    return num, den * q**-shift

@@ -1,12 +1,20 @@
+import contextlib
+import io
+import json
 import math
 import random
+import tempfile
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
 import fpaeq as fq
+from fpaeq.cli import main
+
+from conftest import piecewise_json
 
 
 def reference_bid(cdf_expr, n, x):
@@ -249,3 +257,52 @@ class TestBatchQueryCount:
             nums, den = oracle.grid_values(5)
             assert (len(nums), nums[0], nums[5]) == (6, 0, den)
             assert oracle.query_count == 4
+
+
+def csv_rows(argv) -> list[list[str]]:
+    """The data rows of a solve CSV, each as its list of fields."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    return [line.split(",") for line in out.getvalue().splitlines()[1:]]
+
+
+class TestIntegerQuotients:
+    """A bid is two integer numerators over one denominator; its Fractions and the CSV's floats come from them."""
+
+    @pytest.mark.parametrize("n,eps", [(3, F(1, 64)), (64, F(1, 1024))])
+    def test_float_value_on_an_exact_oracle(self, square, n, eps):
+        # x is read as its exact rational, so both sums are exact, and equal to those at Fraction(x)
+        plan = fq.precompute(fq.CdfOracle(square), n, eps)
+        ev, exact = fq.bid(plan, 0.5), fq.bid(plan, F(1, 2))
+        assert type(ev.lower) is type(ev.upper) is F
+        assert (ev.lower, ev.upper) == (exact.lower, exact.upper)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        cdf=st.one_of(st.integers(0, 2**32), st.sampled_from(["adversarial", "square"])),
+        n=st.sampled_from([2, 3, 8, 64]),
+        K=st.integers(1, 64),
+        N=st.integers(1, 12),
+    )
+    def test_sums_and_csv_fields_are_exact(self, cdf, n, K, N):
+        if cdf == "adversarial":
+            dist = fq.make_adversarial_cdf(F(3, 4), F(1, 8), F(1, 32))
+        else:
+            dist = fq.power_cdf(2) if cdf == "square" else seeded_cdf(cdf, K)
+        xs = [F(i, N) for i in range(N + 1)]
+        plan = fq.precompute(fq.CdfOracle(dist), n, F(1, K))
+        sums = [fraction_plan_bid(dist, n, K, x) for x in xs]
+        for x, (lower, upper) in zip(xs, sums):
+            ev = fq.bid(plan, x)
+            assert (ev.lower, ev.upper) == (lower, upper)
+        rbf = fq.canonical_bid_function(dist, n)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "cdf.json"
+            path.write_text(json.dumps(piecewise_json(dist)))
+            solve = ["solve", "--cdf", str(path), "--n", str(n), "--samples", str(N)]
+            blackbox = csv_rows([*solve, "--model", "ccfpa-blackbox", "--eps", f"1/{K}"])
+            explicit = csv_rows([*solve, "--model", "ccfpa-explicit"])
+        for i, (x, (lower, upper)) in enumerate(zip(xs, sums)):
+            assert blackbox[i] == [repr(float(v)) for v in (x, upper, lower, upper)] + [str(K + i)]
+            assert explicit[i] == [repr(float(v)) for v in (x, rbf(x))]

@@ -103,6 +103,22 @@ class TestSolveBlackbox:
         assert "--eps" in err
 
 
+class TestSampleQuotients:
+    def test_csv_paths_build_no_fraction(self, capout, square_json, monkeypatch):
+        # each CSV bid is printed as int / int, with no Fraction and no gcd per sample
+        solve = ["solve", "--cdf", square_json, "--n", "5", "--samples", "16"]
+        argvs = [[*solve, "--model", "ccfpa-blackbox", "--eps", "1/32"], [*solve, "--model", "ccfpa-explicit"]]
+        before = [capout(*argv) for argv in argvs]
+
+        def refuse(*args):
+            raise AssertionError("a Fraction was built")
+
+        monkeypatch.setattr(fq.blackbox, "Fraction", refuse)
+        monkeypatch.setattr(fq.explicit, "Fraction", refuse)
+        assert [capout(*argv) for argv in argvs] == before
+        assert all(code == 0 and len(out.splitlines()) == 18 for code, out, _ in before)
+
+
 class TestSolveCdfpa:
     def test_solve_and_verify_roundtrip(self, capout, tmp_path, uniform_json):
         code, out, _ = capout("solve", "--model", "cdfpa", "--cdf", uniform_json, "--n", "2",
@@ -390,6 +406,23 @@ class TestInputContract:
         code, out, err = capout(*sized_argv(base, 2))
         assert code == 2 and out == ""
         assert f"above the limit of {fq.blackbox.MAX_K}" in err
+
+    # an option that the model does not read exits 2, naming it, before the (invalid) cdf is loaded
+    @pytest.mark.parametrize("argv,option", [
+        (["--model", "ccfpa-blackbox", "--eps", "1/4", "--at", "1/2"], "--at"),
+        (["--model", "ccfpa-explicit", "--at", "1/2", "--samples", "2"], "--samples"),
+        (["--model", "ccfpa-explicit", "--certify"], "--certify"),
+        (["--model", "ccfpa-blackbox", "--eps", "1/4", "--certify"], "--certify"),
+        (["--model", "cdfpa", "--eps", "1/4", "--bids", "[\"0\"]", "--samples", "2"], "--samples"),
+        (["--model", "cdfpa", "--eps", "1/4", "--bids", "[\"0\"]", "--at", "1/2"], "--at"),
+        (["--model", "ccfpa-blackbox", "--eps", "1/4", "--bids", "[\"0\"]"], "--bids"),
+    ])
+    def test_unread_solve_option(self, capout, sized_argv, argv, option):
+        code, out, err = capout(*sized_argv(["solve", *argv], 2))
+        assert code == 2 and out == "" and option in err
+        # without the option the cdf is loaded, and it is invalid
+        i = argv.index(option)
+        assert capout(*sized_argv(["solve", *argv[:i], *argv[i + 1 + (option != "--certify"):]], 2))[0] == 1
 
     def test_exponent_notation_rejected(self, capout, uniform_json):
         # Fraction would build 10**10000000 first

@@ -127,7 +127,8 @@ def _cmd_solve(args) -> int:
     if given["--at"] and given["--samples"]:
         raise DomainError("--at and --samples exclude each other")
     check_bidders(args.n)
-    # a sample is one bid; an exact one on a dense degree-64 cdf at n = 64 takes 0.13-0.16 s on 2 vCPUs: 40 min at MAX_K
+    # a sample is one bid; an exact one on a dense degree-64 cdf at n = 64 takes, on 2 vCPUs, 0.04 s at
+    # i / 2**e (11 min at MAX_K) and 1.9 s where the sample count is odd (9 h at MAX_K - 1)
     if args.samples is not None and args.samples > blackbox.MAX_K:
         raise DomainError(f"--samples {args.samples} exceeds the limit of {blackbox.MAX_K}")
     if args.model == "cdfpa":

@@ -9,7 +9,8 @@ is a piecewise rational function whose numerator/denominator coefficients are
 computed exactly on integer rows (nums, scale), coefficient l being
 nums[l] / scale, the form of :attr:`PiecewisePoly.int_rows`:
 
-* each piece's F_j**(n-1) is one packed big-int power (:func:`poly.power_int`);
+* each piece's F_j**(n-1) comes from Miller's recurrence (:func:`poly.power_int`),
+  one coefficient at a time from small-times-big products;
 * the integral is antidifferentiated on ints over scale * lcm(1, ..., len(row)),
   and its constant matches the previous piece at the breakpoint, by Horner's
   rule on ints;

@@ -13,9 +13,10 @@ within one float below x's nearest float.
 A row is held once, as integer numerators over one denominator in lowest terms
 and at its true degree, with no zero leading coefficient (Knuth, TAOCP vol. 2,
 4.6.1); the zero polynomial is ``(0,)``.  Horner's rule at x = p/q
-(:func:`horner_int`) and the power of a row (:func:`power_int`, one big-int
-power by Kronecker substitution) run on Python ints, and each result is normalised once, where
-Fraction arithmetic would take a gcd per operation.  A row's Fractions are made
+(:func:`horner_int`, whose powers of q cost shifts at dyadic points) and the
+power of a row (:func:`power_int`, by J. C. P. Miller's recurrence) run on
+Python ints, and each result is normalised once, where Fraction arithmetic
+would take a gcd per operation.  A row's Fractions are made
 only to be read (:attr:`PiecewisePoly.rows`), as when they are printed; float
 coefficients are the correctly rounded quotients of the integers.  The batch
 query on the grid j/K (:meth:`PiecewisePoly.grid_values`) tabulates each piece
@@ -67,44 +68,40 @@ def float_below(x) -> float:
 
 
 def horner_int(nums: Sequence[int], p: int, q: int) -> int:
-    """sum(nums[l] * p**l * q**(d - l)) with d = len(nums) - 1: q**d times the polynomial at p/q."""
-    d = len(nums) - 1
-    acc, qk = nums[d], 1
+    """sum(nums[l] * p**l * q**(d - l)) with d = len(nums) - 1: q**d times the polynomial at p/q.
+
+    With q = r * 2**e, r odd, q**j is r**j shifted by e * j bits: at a dyadic point, a float or i / 2**e, a shift.
+    """
+    e = (q & -q).bit_length() - 1
+    r, d = q >> e, len(nums) - 1
+    acc, rk, shift = nums[d], 1, 0
     for l in range(d - 1, -1, -1):
-        qk *= q
+        rk *= r
+        shift += e
         c = nums[l]
-        acc = acc * p + c * qk if c else acc * p
+        acc = acc * p + ((c * rk) << shift) if c else acc * p
     return acc
 
 
 def power_int(nums: Sequence[int], k: int) -> list[int]:
     """The k * (len(nums) - 1) + 1 coefficients of the k-th power (k >= 1) of the integer polynomial nums.
 
-    Kronecker substitution (Schoenhage 1982; Harvey, "Faster polynomial
-    multiplication via multipoint Kronecker substitution", J. Symb. Comp.
-    2009): the row is packed into one int, sum(nums[l] * R**l) with R = 2**(8B),
-    and raised to the k-th power in one big-int operation.  No coefficient of
-    the power exceeds (sum |nums[l]|)**k in absolute value, and the B-byte slots
-    hold that bound with two bits to spare, so slot l of the power holds
-    coefficient l less a borrow of 1 where the coefficients below it sum to a
-    negative number.  One signed ``to_bytes``, byte slices and a carry recover
-    the coefficients.
+    J. C. P. Miller's recurrence (Knuth, TAOCP vol. 2, 4.7): with the row
+    written x**s * g, g_0 != 0, and P = g**k, P_0 = g_0**k and
+    m * g_0 * P_m = sum(((k + 1) * i - m) * g_i * P_(m-i) for i = 1..min(m, deg g)),
+    whose division is exact on ints.  Each term is a small-times-big product,
+    where the power by repeated products multiplies big by big.
     """
-    size = k * (len(nums) - 1) + 1
-    width = ((sum(map(abs, nums)) ** k).bit_length() + 2 + 7) // 8  # B, in bytes
-    shift = 8 * width
-    packed = 0
-    for c in reversed(nums):
-        packed = (packed << shift) + c
-    raw = (packed**k).to_bytes(size * width, "little", signed=True)
-    full, half = 1 << shift, 1 << (shift - 1)
-    out, carry = [], 0
-    for i in range(0, size * width, width):
-        v = int.from_bytes(raw[i : i + width], "little") + carry
-        # v is the coefficient modulo R; it lies in [0, R], and |coefficient| < R/4
-        carry = v >= half
-        out.append(v - full if carry else v)
-    return out
+    size, g = k * (len(nums) - 1) + 1, _trim(list(nums))
+    if not g:
+        return [0] * size
+    s = next(i for i, c in enumerate(g) if c)
+    g = g[s:]
+    g0, d, P = g[0], len(g) - 1, [g[0] ** k]
+    for m in range(1, k * d + 1):
+        acc = sum(((k + 1) * i - m) * g[i] * P[m - i] for i in range(1, min(m, d) + 1))
+        P.append(acc // (m * g0))
+    return [0] * (s * k) + P + [0] * (size - s * k - len(P))
 
 
 def poly_derivative(coeffs: Sequence) -> list:

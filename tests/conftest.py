@@ -63,3 +63,32 @@ def ceil_log2(r: F) -> int:
 def lipschitz_bound(dist) -> F:
     """A Lipschitz constant of a piecewise-polynomial cdf on [0, 1]: the largest sum of l * |a_l| over its rows."""
     return max(F(sum(l * abs(c) for l, c in enumerate(nums)), scale) for nums, scale in dist.int_rows)
+
+
+def kronecker_power(nums, k) -> list:
+    """The k * (len(nums) - 1) + 1 coefficients of the k-th power (k >= 1) of an integer row, by Kronecker substitution.
+
+    The row is packed into one int, sum(nums[l] * R**l) with R = 2**(8B), and
+    raised to the k-th power in one big-int operation.  No coefficient of the
+    power exceeds (sum |nums[l]|)**k in absolute value, and the B-byte slots
+    hold that bound with two bits to spare, so slot l of the power holds
+    coefficient l less a borrow of 1 where the coefficients below it sum to a
+    negative number.  One signed ``to_bytes``, byte slices and a carry recover
+    the coefficients.  A reference for ``power_int`` at sizes where repeated
+    multiplication is too slow.
+    """
+    size = k * (len(nums) - 1) + 1
+    width = ((sum(map(abs, nums)) ** k).bit_length() + 2 + 7) // 8  # B, in bytes
+    shift = 8 * width
+    packed = 0
+    for c in reversed(nums):
+        packed = (packed << shift) + c
+    raw = (packed**k).to_bytes(size * width, "little", signed=True)
+    full, half = 1 << shift, 1 << (shift - 1)
+    out, carry = [], 0
+    for i in range(0, size * width, width):
+        v = int.from_bytes(raw[i : i + width], "little") + carry
+        # v is the coefficient modulo R; it lies in [0, R], and |coefficient| < R/4
+        carry = v >= half
+        out.append(v - full if carry else v)
+    return out

@@ -2,8 +2,9 @@
 
 The references are the Fraction code the integer path replaced (Horner's rule
 with a test-local `poly_eval`, the exact `bisect_left` piece rule, a naive
-convolution, repeated for powers) and, for the sign decision behind `validate`,
-sympy's square-free factorisation and real-root counts.
+convolution, repeated for powers), the Kronecker-packed power `kronecker_power`
+for powers at sizes repeated products cannot reach, and, for the sign decision
+behind `validate`, sympy's square-free factorisation and real-root counts.
 """
 
 import bisect
@@ -22,7 +23,7 @@ from fpaeq.cdf import ValidationReport
 from fpaeq.explicit import eval_canonical, power_coefficients
 from fpaeq.poly import horner_int, int_row, nonnegative_on, poly_derivative, power_int
 
-from conftest import poly_eval, row_fractions
+from conftest import kronecker_power, poly_eval, row_fractions
 
 BIG = 2**64
 FIXTURES = "uniform square two_piece shifted_support adversarial".split()
@@ -37,6 +38,15 @@ unit = st.fractions(min_value=0, max_value=1, max_denominator=BIG)
 # rows of ints with zeros, negatives, a single coefficient, trailing (high) zeros and every coefficient 0
 int_rows = st.lists(st.one_of(st.just(0), st.integers(-3, 3), st.integers(-(2**70), 2**70)), min_size=1, max_size=8)
 factors = st.one_of(st.just(1), st.integers(2, 12), st.integers(1, BIG))  # k >= 1
+odd = st.integers(0, 10**6).map(lambda r: 2 * r + 1)
+denominators = st.one_of(
+    st.just(1),
+    st.integers(1, 80).map(lambda e: 1 << e),  # 2**e
+    odd,  # r, odd
+    st.tuples(odd.filter(lambda r: r > 1), st.integers(1, 80)).map(lambda t: t[0] << t[1]),  # r * 2**e, r > 1
+    # those of floats in (0, 1]: 2**e with e from 52 to 1074
+    st.floats(min_value=0, max_value=1, exclude_min=True).map(lambda f: f.as_integer_ratio()[1]).filter(lambda q: q >= 2**52),
+)
 
 
 @st.composite
@@ -367,25 +377,55 @@ def naive_power(row, k) -> list:
     return out
 
 
+class TestHornerInt:
+    @settings(max_examples=300, deadline=None)
+    @given(int_rows, denominators, st.data())
+    def test_matches_fraction_sum(self, nums, q, data):
+        p = data.draw(st.one_of(st.just(0), st.just(q), st.integers(0, q)))
+        d = len(nums) - 1
+        assert horner_int(nums, p, q) == q**d * sum(c * F(p, q) ** l for l, c in enumerate(nums))
 
 
 class TestProducts:
     @settings(max_examples=150, deadline=None)
     @given(int_rows, st.sampled_from([1, 2, 3, 63]))
-    def test_packed_power_matches_repeated_multiplication(self, row, k):
+    def test_power_matches_repeated_multiplication(self, row, k):
         assert power_int(row, k) == naive_power(row, k)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 63])
     @pytest.mark.parametrize("row", [
         [-1, -1], [1, 1], [0, 0, 0], [0], [-5], [7, 0, 0], [0, -1, 0, 2],
-        # one coefficient, whose power is +-(sum |a_l|)**k; at k = 1, 63 and 2**62 - 1 fill their
-        # slots up to the two spare bits
+        # one coefficient, whose power is +-(sum |a_l|)**k; at k = 1, 63 and 2**62 - 1 fill the
+        # reference's slots up to the two spare bits
         [-63], [63], [0, -255], [-(2**62 - 1)], [2**62 - 1, 0],
-        # a negative coefficient below zeros: its borrow turns the zero slots above it to all ones
+        # a negative coefficient below zeros: in the reference its borrow turns the zero slots above it to all ones
         [-1, 0, 0, 1], [1, 0, -1], [-(2**64 - 1), 2**64 - 1],
     ])
     def test_packed_power_edges(self, row, k):
-        assert power_int(row, k) == naive_power(row, k)
+        # the packed power of the reference, kronecker_power, is checked at its slot edges too
+        assert power_int(row, k) == naive_power(row, k) == kronecker_power(row, k)
+
+    @pytest.mark.parametrize("k", [1, 2, 31, 63])
+    def test_power_matches_kronecker_at_ci_sizes(self, k):
+        """Dense rows of degree 1-64 with coefficients of up to 64 bits, as CI's dense row at n = 64 is."""
+        rng = random.Random(29 + k)
+
+        def dense(degree):
+            bits = 64 if degree == 64 else rng.randint(1, 64)
+            return [rng.choice((-1, 1)) * rng.randint(1, 2**bits) for _ in range(degree + 1)]
+
+        # at k = 63 the reference takes seconds per dense row of degree 64, so only one is that large
+        rows = [dense(d) for d in ((1, 2, 5, 9, 17, 64) if k == 63 else (1, 2, 5, 9, 17, 33, 48, 64))]
+        small = dense(rng.randint(2, 8))
+        rows += [
+            [0] * rng.randint(1, 4) + small,  # leading zeros: the row is x**s * g, s > 0
+            [-abs(small[0])] + small[1:],  # a negative g_0
+            small + [0] * rng.randint(1, 4),  # trailing zeros
+            [0] * rng.randint(1, 8),  # the zero row
+            [0, 0, -abs(small[0])] + small[1:] + [0, 0],  # all three at once
+        ]
+        for row in rows:
+            assert power_int(row, k) == kronecker_power(row, k)
 
     @pytest.mark.parametrize("n", [2, 3, 8, 17, 64])
     @pytest.mark.parametrize("name", ["two_piece", "adversarial", "seeded"])

@@ -80,19 +80,17 @@ def _int_at_least(low: int):
     return integer
 
 
-def _strategy_to_json(strategy: JumpPointStrategy, cert=None) -> dict:
-    out = {
+def _strategy_to_json(strategy: JumpPointStrategy, cert) -> dict:
+    return {
         "kind": "jump_points",
         "s": [format_rational(x) for x in strategy.s],
         "U": [format_rational(u) for u in strategy.utilities],
-    }
-    if cert is not None:
-        out["certificate"] = {
+        "certificate": {
             "gamma": format_rational(cert.gamma),
             "pass": cert.passed,
             "max_residual": format_rational(cert.max_residual),
-        }
-    return out
+        },
+    }
 
 
 def _load_strategy(path: str, bids):

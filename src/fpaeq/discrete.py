@@ -246,9 +246,7 @@ def _binary_search_top_utility(F, n, grid, delta):
     zero = 0 * delta
     u_lo, u_hi = zero, zero + 1
     floor = _floor(delta, isinstance(delta, Fraction))
-    s_r, uvec_r = compute_strategy(F, n, grid, u_hi, delta)
-    if s_r[0] == 0:
-        raise RuntimeError("internal invariant breach: s_0 = 0 at U = 1")
+    s_r = uvec_r = [u_hi] * (grid.m + 1)  # the walk at U = 1: every bid pools at the top value
     while u_hi - u_lo > floor:
         u_mid = (u_lo + u_hi) / 2
         s, uvec = compute_strategy(F, n, grid, u_mid, delta)
@@ -257,7 +255,7 @@ def _binary_search_top_utility(F, n, grid, delta):
             continue
         u_hi = u_mid
         s_r, uvec_r = s, uvec
-        if abs(s[1] * delta_win_prob(F(zero), F(s[1]), n) - uvec[1]) <= 2 * delta:
+        if abs(s[1] * delta_win_prob(zero, F(s[1]), n) - uvec[1]) <= 2 * delta:  # every cdf has F(0) = 0
             break
     return s_r, uvec_r
 

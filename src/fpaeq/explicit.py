@@ -92,10 +92,14 @@ class RationalBidFunction:
         the float of the exact bid.  A scalar runs as a one-element array and comes back as
         a float.
         """
+        def exact(v) -> float:  # the correctly rounded float of the exact bid, with no Fraction and no gcd
+            num, den = canonical_ratio(self, Fraction(v))
+            return num / den
+
         try:
             tables = [float_table(poly.int_rows) for poly in (self.numerator, self.denominator)]
         except OverflowError:  # a coefficient beyond the float range: every point is exact
-            return float_view(lambda x: eval_canonical(self, x))
+            return float_view(exact)
         rows = []  # (table, absolute table, gamma_k, underflow floor) of the numerator, then the denominator
         for table in tables:
             k = 2 * len(table)  # 2d + 2: a table holds d + 1 coefficients per row
@@ -119,7 +123,7 @@ class RationalBidFunction:
                     del err, size  # the next row's Horner loops run without them
                 out = values[0] / values[1]  # kept only where ok holds
             del piece, value, values  # the exact points below need only x, ok and out
-            out[~ok] = [float(eval_canonical(self, Fraction(v))) for v in x[~ok].tolist()]
+            out[~ok] = [exact(v) for v in x[~ok].tolist()]
             return out
 
         return ev

@@ -353,7 +353,7 @@ class TestSolve:
         assert res.certificate.passed
         assert counted.floats > 0  # the float search ran in floats, not on exact rationals
         assert oracle.query_count == res.transformed_cdf.query_count == counted.exact + counted.floats
-        assert oracle.query_count <= 1955  # a regression bound: the count this solve takes today
+        assert oracle.query_count <= 1935  # a regression bound: the count this solve takes today
 
     def test_bare_callable_rejected(self):
         with pytest.raises(DomainError):
@@ -508,9 +508,9 @@ class TestSolve:
         assert res.certificate.passed
         delta, L = res.certificate.gamma / 4, max(1, lipschitz_bound(dist))  # the mix keeps slopes <= max(1, L)
         exact_walks = sum(isinstance(tol, F) for tol in tols)
-        assert len(tols) - exact_walks <= 1 + 52  # U = 1, then halvings down to a bracket of 2**-52
-        assert exact_walks <= 1 + 52 + ceil_log2(1 / delta)  # down to delta * 2**-52
-        # per walk: F(1); per bid F(b), one F per bisection step and F at the jump; then F(0) and
-        # F(s_1) for bid 1's residual.  Each certificate evaluates m + 1 points, and solve checks two
-        points = sum(m * (ceil_log2(n * L / F(tol)) + 2) + 3 for tol in tols) + 2 * (m + 1)
+        assert len(tols) - exact_walks <= 52  # halvings of U's bracket [0, 1] down to 2**-52
+        assert exact_walks <= 52 + ceil_log2(1 / delta)  # down to delta * 2**-52
+        # per walk: F(1); per bid F(b), one F per bisection step and F at the jump; then F(s_1) for
+        # bid 1's residual.  Each certificate evaluates m + 1 points, and solve checks two
+        points = sum(m * (ceil_log2(n * L / F(tol)) + 2) + 2 for tol in tols) + 2 * (m + 1)
         assert 0 < oracle.query_count <= points  # one query per evaluated point

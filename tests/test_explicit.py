@@ -343,6 +343,22 @@ class TestFloatEvaluator:
         assert ev(0.5) == ev(np.array([0.0, 0.5, 1.0]))[1]
         assert built == []
 
+    def test_exact_points_take_canonical_ratio(self, monkeypatch):
+        # the 8-piece cubic at n = 4 sends most points to the exact path; each takes canonical_ratio's
+        # int / int, the correctly rounded float that float(eval_canonical(...)) gives, with no Fraction
+        rbf = fq.canonical_bid_function(seeded_cubic(0, 8), 4)
+        xs, exact_points, evaluated = np.array([i / 1024 for i in range(1025)]), [], []
+        canonical_ratio = fq.explicit.canonical_ratio
+        monkeypatch.setattr(fq.explicit, "canonical_ratio",
+                            lambda bid, x: exact_points.append(x) or canonical_ratio(bid, x))
+        monkeypatch.setattr(fq.explicit, "eval_canonical", lambda *args: evaluated.append(args))
+        got = dict(zip(xs.tolist(), float_view(rbf)(xs).tolist()))
+        monkeypatch.undo()
+        assert evaluated == []
+        assert len(exact_points) > 100
+        for x in exact_points:
+            assert got[float(x)] == float(eval_canonical(rbf, x))
+
     def test_breakpoint_that_floats_round_up(self):
         # float(1/10) > 1/10, so float 0.1 lies on the right piece, where the bid is x/4, not x/2
         rows = ((F(0), F(0), F(1, 2)), (F(0), F(0), F(1, 4)))

@@ -43,6 +43,12 @@ CASES = [  # argv, stdout file, bound in s; optionally a peak RSS bound in MB, a
      dict(mb=200, sha256="0259fb2cdba82fff718f9b5245633ea7366344fa52635c43813efe4043b1cf6a")),
     (["solve", "--model", "ccfpa-explicit", *DENSE, "--samples", "32"], "explicit.csv", 4,
      dict(mb=200, sha256="e2536c179617116cddbbc98bab051275a415471ac079ab63868441305377a149")),
+    # at n = 8 every float bid of the dense rows falls back to the exact one, so the verify's time is
+    # the number of bids its inversion takes: 5.2-6.3 s alone and 9.2 s in a full run of this script,
+    # where 60 bisection steps per deviation took 14-16 s
+    (["solve", "--model", "ccfpa-explicit", "--cdf", "dense.json", "--n", "8"], "dense-n8.json", 8, {}),
+    (["verify", "--mode", "grid", "--strategy", "dense-n8.json", "--cdf", "dense.json", "--n", "8"],
+     "dense-n8-grid.json", 15, {}),
     # rationals of about 134 000 characters, past Python's int-to-str limit: 10-13 s and 10-12 s, 31 MB
     (["solve", "--model", "cdfpa", *DENSE_GRID, "--eps", "1/64"], "dense-grid.json", 60, dict(mb=200)),
     (["verify", "--mode", "exact", "--strategy", "dense-grid.json", *DENSE_GRID], "dense-grid-verify.json", 60,
@@ -53,7 +59,7 @@ CASES = [  # argv, stdout file, bound in s; optionally a peak RSS bound in MB, a
     # U_1 moves about 3e4 times faster than U, so only the exact search reaches gamma: 7-9 s
     (["solve", "--model", "cdfpa", "--cdf", "power8.json", "--n", "3", "--bids", BIDS_X8, "--eps", "1/17179869184"],
      "power8-grid.json", 60, dict(certified=True)),
-    # 4 000 000 trials, the MAX_MC_DRAWS limit: 10-13 s and 654 MB; an array more per draw fails at 800 MB
+    # 4 000 000 trials, the MAX_MC_DRAWS limit: 5.8-7.4 s and 657 MB; an array more per draw fails at 800 MB
     (["solve", "--model", "ccfpa-explicit", "--cdf", "square.json", "--n", "2"], "square-bid.json", 120, {}),
     (["verify", "--strategy", "square-bid.json", "--cdf", "square.json", "--n", "2", "--mode", "mc",
       "--trials", "4000000"], "square-mc.json", 120, dict(mb=800)),

@@ -4,7 +4,8 @@ Three routes, deliberately independent of the solvers they audit:
 
 * exact deviation regret over a finite bid grid (rational arithmetic),
 * grid-based deviation regret for continuous monotone bid functions, with the
-  deviation's winning threshold recovered by bisection of the bid function,
+  deviation's winning threshold recovered by inverting the bid function
+  (:func:`_invert`: a table of dyadics, then ITP, then bisection's last steps),
 * Monte Carlo ex-post play with uniform tie-breaking.  A run draws the
   opponents once, from the counter-based Philox stream its seed names, so it
   is bit-reproducible, and compares every (value, deviation) pair on that one
@@ -32,18 +33,23 @@ from .cdf import PiecewisePolyCdf, float_view
 from .discrete import JumpPointStrategy
 from .errors import DomainError, check_bidders
 
-INVERSION_STEPS = 60  # bisection steps when inverting a monotone bid function
-SAMPLING_STEPS = 50  # bisection steps for inverse-cdf sampling
+INVERSION_STEPS = 60  # a threshold's final bracket is at most 2**-60 wide, or two adjacent floats
+SAMPLING_STEPS = 50  # an inverse-cdf draw is the midpoint of a final bracket at most 2**-50 wide
+TABLE_STEPS = 8  # _invert evaluates f once at the dyadics j/2**8 and replays bisection's first steps there
+FINAL_STEPS = 4  # _invert ends with bisection's own last 4 steps
+TRUNCATION = 0.02  # ITP's kappa_1 in _invert, in units of the lattice points of a table cell
+INVERSION_BLOCK = 1 << 13  # _invert's elements per block
 EXACT_VALUE_GRID = 64  # the exact verifier's uniform values are i/64
 GRID_VALUES = 128  # the grid verifier's values split [v_low, 1] into 128 steps
 GRID_DEVIATIONS = 256  # the grid verifier's deviations are j/256
 MC_GRID = 8  # the Monte Carlo verifier's values and deviations are i/8
 # Most opponent values, trials * (n - 1), one Monte Carlo run may draw.  Measured with
-# tracemalloc (numpy 2.4) at 2 * 10**5 and 8 * 10**5 draws, a run holds at most about 57
-# bytes of arrays per draw for a jump-point strategy and 88 for a rational bid function
-# (x**2 and an 8-piece cubic); at n = 2 comparing the pairs takes more, up to 120 and 176
-# bytes per trial.  So the limit caps a run near 700 MB (a bid function at n = 2), and at
-# 230-360 MB from n = 3 on.  The CLI's default, min(100 000, MAX_MC_DRAWS // (n - 1)) trials, keeps within it.
+# tracemalloc (numpy 2.4) at 2 * 10**5 and 8 * 10**5 draws and n = 2, 3, 5, a run holds at
+# most about 56 bytes of arrays per draw for a jump-point strategy and 88 for a rational
+# bid function (x**2 and an 8-piece cubic); at n = 2 comparing the pairs takes more, up to
+# 115 and 176 bytes per trial.  The inversion's blocks hold no array the size of the draw
+# but its brackets.  So the limit caps a run near 700 MB (a bid function at n = 2), and at
+# 220-350 MB from n = 3 on.  The CLI's default, min(100 000, MAX_MC_DRAWS // (n - 1)) trials, keeps within it.
 MAX_MC_DRAWS = 4_000_000
 
 
@@ -104,7 +110,8 @@ def epsilon_bne_check_ccfpa(F, n: int, bid_fn: Callable) -> RegretReport:
     """Deviation regret for a continuous monotone bid function.
 
     A deviation to bid b wins against all opponent values below
-    z = sup {v' : bid_fn(v') <= b}, found by bisection; utility is then
+    z = sup {v' : bid_fn(v') <= b}, the lower end of its bracket from
+    :func:`_invert` (at most 2**-60 wide, or two adjacent floats); utility is then
     F(z)**(n-1) * (v - b).  The sup over continuous deviations is approximated
     on a grid, so the reported regret carries the grid resolution.  Ties are
     not split: a bid function that pools values on one bid is under-reported.
@@ -135,18 +142,96 @@ def epsilon_bne_check_ccfpa(F, n: int, bid_fn: Callable) -> RegretReport:
 
 
 def _invert(f: Callable, y: np.ndarray, steps: int) -> tuple[np.ndarray, np.ndarray]:
-    """Brackets [lo, hi] on sup {x in [0, 1] : f(x) <= y}, elementwise over y, for a nondecreasing f.
+    """Brackets [lo, hi] on sup {x in [0, 1] : f(x) <= y}, elementwise over y, for a nondecreasing f; 8 <= steps <= 60.
 
-    f takes an array (:func:`cdf.float_view`).  Each of the steps halves
-    every bracket, from [0, 1], with one call of f on all the midpoints.
+    f takes an array (:func:`cdf.float_view`).  Whatever f is, each bracket has
+    lo = 0 or f(lo) <= y, hi = 1 or f(hi) > y, and hi - lo <= 2**-steps or no
+    float strictly between lo and hi.  y below f(0) gives [0, 0], and y at or
+    above f(1) gives [1, 1].
+
+    Each cell [j/2**8, (j+1)/2**8] holds a lattice of floats spaced by u,
+    2**-steps or the float spacing at j/2**8 where that is wider: the points
+    that steps of bisection can reach in it.  One call of f on the dyadics
+    j/2**8 replays bisection's first 8 steps on their indices.  ITP (Oliveira
+    and Takahashi, ACM TOMS 47(1), 2020) then narrows each cell to one of
+    width 2**FINAL_STEPS u, on the points that far apart, with one call of f
+    per step on the elements still open, and bisection's own last FINAL_STEPS
+    steps finish it.  So where f is nondecreasing on those coarser points and
+    f(0) <= y < f(1), the bracket is the one that steps of bisection from
+    [0, 1] end on, as it is wherever f's floats are nondecreasing.  No end is
+    moved without a call of f there.
+
+    ITP keeps bisection's worst case, one step more, and takes a few steps on
+    smooth f.  So f is called once for the table and at most steps - 7 times
+    per block of INVERSION_BLOCK elements, on at most steps - 7 points per
+    element of y; the blocks share the table, and the temporary arrays do not
+    grow with y.
     """
-    lo, hi = np.zeros_like(y), np.ones_like(y)
-    for _ in range(steps):
-        mid = (lo + hi) / 2
-        below = f(mid) <= y
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
+    top = 1 << TABLE_STEPS
+    table = f(np.arange(top + 1) / top)
+    lo, hi = np.empty(y.shape), np.empty(y.shape)
+    flat_y, flat_lo, flat_hi = y.reshape(-1), lo.reshape(-1), hi.reshape(-1)
+    for start in range(0, flat_y.size, INVERSION_BLOCK):
+        block = slice(start, start + INVERSION_BLOCK)
+        flat_lo[block], flat_hi[block] = _invert_block(f, table, flat_y[block], steps)
     return lo, hi
+
+
+def _invert_block(f: Callable, table: np.ndarray, y: np.ndarray, steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_invert` on a 1-d block of y, given f on the dyadics j/2**TABLE_STEPS."""
+    top = table.size - 1
+    j = np.zeros(y.shape, dtype=np.int64)
+    for half in (top >> k for k in range(1, TABLE_STEPS + 1)):  # bisection's first steps, on the table's indices
+        j += (table[j + half] <= y) * half
+    lo = np.where(y < table[0], 0.0, 1.0)  # [0, 0] below f(0), [1, 1] at or above f(1)
+    hi = lo.copy()
+    inside = np.flatnonzero((table[0] <= y) & (y < table[top]))  # there table[j] <= y < table[j + 1]
+    y, j = y[inside], j[inside]
+    last = min(FINAL_STEPS, steps - TABLE_STEPS)
+    a0 = j / top
+    coarse = np.maximum(np.spacing(a0), 2.0**-steps) * 2**last  # 2**last of the lattice's points apart
+    left = _itp(f, y, a0, coarse, table[j] - y, table[j + 1] - y)
+    right = left + coarse
+    for _ in range(last):  # bisection's own last steps
+        mid = (left + right) / 2
+        below = f(mid) <= y
+        left, right = np.where(below, mid, left), np.where(below, right, mid)
+    lo[inside], hi[inside] = left, right
+    return lo, hi
+
+
+def _itp(f: Callable, y: np.ndarray, a0: np.ndarray, unit: np.ndarray, fa: np.ndarray, fb: np.ndarray) -> np.ndarray:
+    """The left end of a cell [a0 + i * unit, a0 + (i + 1) * unit] with f(left) <= y < f(right), by ITP on
+    the points a0 + i * unit, i = 0..K, of the table cell [a0, a0 + 2**-TABLE_STEPS]; fa <= 0 < fb are f - y at its ends.
+
+    K = 2**-TABLE_STEPS / unit is a power of 2 below 2**53, so the arithmetic on i
+    is exact, and each element takes at most log2(K) + 1 steps.
+    """
+    left = np.empty_like(a0)
+    reach = 2.0**-TABLE_STEPS / unit  # K
+    kappa = TRUNCATION / reach
+    open_, a, b = np.arange(a0.size), np.zeros_like(a0), reach.copy()
+    while True:
+        closed = np.flatnonzero(b - a <= 1)
+        left[open_[closed]] = a0[closed] + a[closed] * unit[closed]
+        if closed.size == a.size:
+            return left
+        if closed.size:
+            keep = np.flatnonzero(b - a > 1)
+            open_, y, a0, unit, kappa, reach, a, b, fa, fb = (
+                v[keep] for v in (open_, y, a0, unit, kappa, reach, a, b, fa, fb))
+        # ITP, kappa_2 = 2, n_0 = 1: the regula falsi point moves toward the midpoint by
+        # max(kappa (b - a)**2, 1), so that a bracket closes from both sides, and then to within
+        # reach of both ends; reach halves each step, and b - a <= 2 reach holds throughout
+        w = b - a
+        d = w * (fa / (fa - fb) - 0.5)  # the regula falsi point less the midpoint, NaN if f was
+        shift = np.minimum(np.fmax(np.abs(d) - np.maximum(kappa * w * w, 1.0), 0.0), reach - w / 2)  # 0 for a NaN d
+        x = np.rint(a + (w / 2 + np.copysign(shift, d)))
+        fx = f(a0 + x * unit) - y
+        below = fx <= 0
+        a, b = a + below * (x - a), x + below * (b - x)  # exact: integers below 2**53
+        fa, fb = np.where(below, fx, fa), np.where(below, fb, fx)
+        reach /= 2
 
 
 def _top_opposing_bids(F, n: int, fbid, trials: int, seed: int) -> tuple[np.ndarray, np.ndarray]:

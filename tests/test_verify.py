@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import fpaeq as fq
 from fpaeq import BidGrid, JumpPointStrategy
@@ -297,6 +298,145 @@ class TestGuaranteeAgainstSupremum:
             # the exact verifier's value set lies in [0, 1]: its maximum bounds the supremum from below
             assert fq.epsilon_bne_check_cdfpa(dist, n, res.strategy).max_regret <= sup <= eps
             assert endpoint_sup_regret(res.transformed_cdf, n, grid, s) <= 2 * res.certificate.gamma * grid.m
+
+
+def reference_bisection(f, y, steps):
+    """steps of bisection from [0, 1] on every element of y at once, one call of f per step."""
+    lo, hi = np.zeros_like(y), np.ones_like(y)
+    for _ in range(steps):
+        mid = (lo + hi) / 2
+        below = f(mid) <= y
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    return lo, hi
+
+
+class CountingView:
+    """A float view that counts its calls and the points it evaluates."""
+
+    def __init__(self, f):
+        self.f, self.calls, self.points = f, 0, 0
+
+    def __call__(self, x):
+        self.calls += 1
+        self.points += x.size
+        return self.f(x)
+
+
+def inversion_function(kind, seed):
+    """A float view for _invert: a seeded cubic cdf, its rational bid function, a seeded step
+    function of jump points, the float of an exact cdf at each point (cdf._exact_view), or the
+    identity through the same view.  The last three are nondecreasing in floats."""
+    rng = random.Random(seed)
+    if kind == "cdf":
+        return float_view(seeded_cubic(seed, rng.choice((1, 2, 4, 8))))
+    if kind == "bid":
+        return float_view(fq.canonical_bid_function(seeded_cubic(seed, rng.choice((1, 2, 4))), rng.randint(2, 5)))
+    if kind == "steps":
+        m = rng.randint(1, 8)
+        grid = grid_of(0, *(F(k, 256) for k in sorted(rng.sample(range(1, 256), m - 1))))
+        den = rng.choice((3**12, 2**20, 10**9))
+        return float_view(JumpPointStrategy(grid, sorted(F(rng.randint(0, den), den) for _ in range(m)) + [F(1)], ()))
+    if kind == "exact":
+        dist = seeded_cubic(seed, rng.choice((1, 4)))
+        return float_view(lambda v: dist(v))
+    return float_view(lambda v: v)
+
+
+@st.composite
+def inversions(draw, kinds):
+    """(f, y, steps): y mixes f's own values at seeded points, which puts y on f's steps and
+    exactly on its values, with floats from [-1/4, 5/4], some below f(0) or above f(1)."""
+    f = inversion_function(draw(st.sampled_from(kinds)), draw(st.integers(0, 15)))
+    at = draw(st.lists(st.floats(0, 1), min_size=1, max_size=12))
+    ys = draw(st.lists(st.floats(-0.25, 1.25), max_size=12))
+    steps = draw(st.sampled_from([fq.verify.INVERSION_STEPS, fq.verify.SAMPLING_STEPS, 8, 9, 30]))
+    return f, np.concatenate([f(np.array(at)), ys]), steps
+
+
+def assert_brackets(f, y, lo, hi, steps):
+    assert lo.shape == hi.shape == y.shape
+    assert ((0 <= lo) & (lo <= hi) & (hi <= 1)).all()
+    assert ((lo == 0) | (f(lo) <= y)).all()
+    assert ((hi == 1) | (f(hi) > y)).all()
+    assert ((hi - lo <= 2.0**-steps) | (np.nextafter(lo, 2) >= hi)).all()
+
+
+class TestInvert:
+    """verify._invert against its bracket contract and against plain bisection."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(inversions(["cdf", "bid", "steps", "exact", "identity"]))
+    def test_brackets_meet_the_contract(self, case):
+        f, y, steps = case
+        lo, hi = fq.verify._invert(f, y, steps)
+        assert_brackets(f, y, lo, hi, steps)
+        outside = (y < f(np.array([0.0]))) | (y >= f(np.array([1.0])))
+        assert (lo[outside] == hi[outside]).all()
+
+    @settings(max_examples=60, deadline=None)
+    @given(inversions(["steps", "exact", "identity"]))
+    def test_bisections_bracket_where_monotone(self, case):
+        # these views are nondecreasing in floats, so inside [f(0), f(1)) one cell of bisection's
+        # last step has f(lo) <= y < f(hi), and _invert must end on it
+        f, y, steps = case
+        f0, f1 = f(np.array([0.0, 1.0]))
+        y = y[(f0 <= y) & (y < f1)]
+        lo, hi = fq.verify._invert(f, y, steps)
+        ref_lo, ref_hi = reference_bisection(f, y, steps)
+        assert (lo == ref_lo).all() and (hi == ref_hi).all()
+
+    @settings(max_examples=40, deadline=None)
+    @given(inversions(["cdf", "bid", "steps"]), st.integers(0, 80), st.integers(0, 80))
+    def test_call_bound_with_y_outside(self, case, below, above):
+        # y below f(0) and at or above f(1) take no call of their own: one call on the table and at
+        # most steps - 7 for ITP and bisection's last steps, on at most steps - 7 points per y inside,
+        # so no more points than bisection's steps * len(y) once the table's 257 are paid for
+        f, y, steps = case
+        f0, f1 = f(np.array([0.0, 1.0]))
+        y = np.concatenate([y, np.full(below, f0 - 0.5), np.full(above, f1), np.full(above, 2.0)])
+        counting = CountingView(f)
+        lo, hi = fq.verify._invert(counting, y, steps)
+        assert_brackets(f, y, lo, hi, steps)
+        inside = int(((f0 <= y) & (y < f1)).sum())
+        assert counting.calls <= 1 + (steps - 8) + 1
+        assert counting.points <= 257 + (steps - 7) * inside
+        if y.size >= 37:
+            assert counting.points <= steps * y.size
+
+    @pytest.mark.parametrize("name", ["uniform", "square", "two_piece"])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_grid_thresholds_are_bisections(self, name, n, request):
+        # a rational bid's floats can fall by a few ulps, so a deviation's threshold can have
+        # several float crossings a few ulps apart; bisection's own last steps pick its one
+        fbid = float_view(fq.canonical_bid_function(request.getfixturevalue(name), n))
+        f0, f1 = fbid(np.array([0.0, 1.0]))
+        y = np.arange(257) / 256
+        y = y[(f0 <= y) & (y < f1)]
+        steps = fq.verify.INVERSION_STEPS
+        lo, hi = fq.verify._invert(fbid, y, steps)
+        ref_lo, ref_hi = reference_bisection(fbid, y, steps)
+        assert (lo == ref_lo).all() and (hi == ref_hi).all()
+
+    def test_ulp_scale_decrease(self):
+        # the seeded 4-piece cubic's floats fall across 0.884782184673133 and
+        # 0.8847821846731332, two floats apart: its bracket there must still meet the contract
+        f = float_view(seeded_cubic(0, 4))
+        x = np.array([0.884782184673133, 0.8847821846731332])
+        y = f(x)
+        assert y[0] > y[1]
+        for steps in (fq.verify.INVERSION_STEPS, fq.verify.SAMPLING_STEPS):
+            assert_brackets(f, y, *fq.verify._invert(f, y, steps), steps)
+
+    def test_blocks_share_one_table(self, monkeypatch):
+        # a (trials, n - 1) draw in blocks of 7 gives the one-block brackets, with one table call
+        f = float_view(fq.power_cdf(2))
+        y = np.random.default_rng(3).random((40, 3))
+        whole = fq.verify._invert(f, y, fq.verify.SAMPLING_STEPS)
+        monkeypatch.setattr(fq.verify, "INVERSION_BLOCK", 7)
+        sizes = []
+        blocked = fq.verify._invert(lambda x: sizes.append(x.size) or f(x), y, fq.verify.SAMPLING_STEPS)
+        assert all((a == b).all() for a, b in zip(whole, blocked))
+        assert sizes.count(257) == 1 and max(sizes[1:]) <= 7
 
 
 class TestMonteCarlo:

@@ -59,10 +59,11 @@ CASES = [  # argv, stdout file, bound in s; optionally a peak RSS bound in MB, a
     # U_1 moves about 3e4 times faster than U, so only the exact search reaches gamma: 7-9 s
     (["solve", "--model", "cdfpa", "--cdf", "power8.json", "--n", "3", "--bids", BIDS_X8, "--eps", "1/17179869184"],
      "power8-grid.json", 60, dict(certified=True)),
-    # 4 000 000 trials, the MAX_MC_DRAWS limit: 5.8-7.4 s and 657 MB; an array more per draw fails at 800 MB
+    # 4 000 000 trials, the MAX_MC_DRAWS limit: 3.3-4.4 s and 325 MB; pairs taken from one trials-long share
+    # array per bid, not from class counts, took 7.1-7.6 s and 657 MB and fail at 450 MB
     (["solve", "--model", "ccfpa-explicit", "--cdf", "square.json", "--n", "2"], "square-bid.json", 120, {}),
     (["verify", "--strategy", "square-bid.json", "--cdf", "square.json", "--n", "2", "--mode", "mc",
-      "--trials", "4000000"], "square-mc.json", 120, dict(mb=800)),
+      "--trials", "4000000"], "square-mc.json", 120, dict(mb=450)),
 ]
 
 

@@ -10,6 +10,10 @@ Three routes, deliberately independent of the solvers they audit:
   opponents once, from the counter-based Philox stream its seed names, so it
   is bit-reproducible, and compares every (value, deviation) pair on that one
   draw (common random numbers): its sigma comes from paired differences.
+  Every share a trial gives depends only on where its top opposing bid falls
+  among the bids compared, so the pairs are taken from the counts of those
+  classes of trials (:func:`_paired_regrets`), in memory that does not grow
+  with the trials.
 
 The exact route takes a :class:`JumpPointStrategy`, which carries its bids.
 The other two take a bid function: a :class:`PiecewisePoly`, such as a
@@ -45,11 +49,12 @@ GRID_DEVIATIONS = 256  # the grid verifier's deviations are j/256
 MC_GRID = 8  # the Monte Carlo verifier's values and deviations are i/8
 # Most opponent values, trials * (n - 1), one Monte Carlo run may draw.  Measured with
 # tracemalloc (numpy 2.4) at 2 * 10**5 and 8 * 10**5 draws and n = 2, 3, 5, a run holds at
-# most about 56 bytes of arrays per draw for a jump-point strategy and 88 for a rational
-# bid function (x**2 and an 8-piece cubic); at n = 2 comparing the pairs takes more, up to
-# 115 and 176 bytes per trial.  The inversion's blocks hold no array the size of the draw
-# but its brackets.  So the limit caps a run near 700 MB (a bid function at n = 2), and at
-# 220-350 MB from n = 3 on.  The CLI's default, min(100 000, MAX_MC_DRAWS // (n - 1)) trials, keeps within it.
+# most about 48 bytes of arrays per draw for a jump-point strategy and 75 for a rational
+# bid function (x**2, and an 8-piece cubic up to n = 3; 88 for the cubic at n = 5), at every
+# n: the draw, its inversion and the bid function on it set the peak, and the pairs hold a
+# few arrays of one element per trial.  The inversion's blocks hold no array the size of
+# the draw but its brackets.  So the limit caps a run near 350 MB, and near 300 MB at n = 2.
+# The CLI's default, min(100 000, MAX_MC_DRAWS // (n - 1)) trials, keeps within it.
 MAX_MC_DRAWS = 4_000_000
 
 
@@ -247,17 +252,23 @@ def _top_opposing_bids(F, n: int, fbid, trials: int, seed: int) -> tuple[np.ndar
     return top, (opp_bids == top[:, None]).sum(axis=1)
 
 
-def _win_share(top: np.ndarray, ties: np.ndarray, b: float) -> np.ndarray:
-    """Share of the item that bid b wins in each trial, ties split uniformly."""
-    return np.where(top < b, 1.0, np.where(top == b, 1.0 / (1.0 + ties), 0.0))
-
-
 def _paired_regrets(F, n: int, bid_fn, trials: int, seed: int):
     """The values and deviations i/8, and the mean and standard error of each pair's regret.
 
     ``means[i, j]`` estimates the utility of value points[i] bidding points[j]
     minus that of its own bid, from the paired differences of the two on the
     same trials.
+
+    A trial's share of bid b is 1 if its top opposing bid is below b, 1/(1 + t)
+    if t opponents bid exactly b, and 0 otherwise.  So every share depends only
+    on where the top bid falls among the sorted distinct bids (the points and
+    the own bids): strictly between bids[k - 1] and bids[k], or on bids[k]
+    with t ties.  One search and one bincount give these classes, at most
+    n per bid, and their counts; each pair's difference, the same float per
+    trial as on the trials themselves, is taken once per class and weighted
+    by the counts.  The variance is centred on the first class's difference
+    before the mean, so a pair whose difference is the same in every trial
+    has a standard error of exactly 0.
     """
     check_bidders(n)
     if trials < 2:
@@ -266,18 +277,26 @@ def _paired_regrets(F, n: int, bid_fn, trials: int, seed: int):
         raise DomainError(f"trials * (n - 1) = {trials * (n - 1)} exceeds the limit of {MAX_MC_DRAWS} draws")
     fbid = float_view(bid_fn)
     top, ties = _top_opposing_bids(F, n, fbid, trials, seed)
-    points = [i / MC_GRID for i in range(MC_GRID + 1)]
-    own_bids = fbid(np.array(points)).tolist()
-    shares = {b: _win_share(top, ties, b) for b in dict.fromkeys(points + own_bids)}
-    means = np.empty((len(points), len(points)))
-    std_errs = np.empty_like(means)
-    for i, (v, own_bid) in enumerate(zip(points, own_bids)):
-        own = (v - own_bid) * shares[own_bid]
-        for j, b in enumerate(points):
-            diff = (v - b) * shares[b] - own
-            means[i, j] = diff.mean()
-            std_errs[i, j] = diff.std(ddof=1) / np.sqrt(trials)
-    return points, means, std_errs
+    points = np.arange(MC_GRID + 1) / MC_GRID
+    own_bids = fbid(points)
+    bids = np.array(sorted({*points.tolist(), *own_bids.tolist()}))
+    key = np.searchsorted(bids, top)  # bids[key - 1] < top <= bids[key]
+    ties *= np.append(bids, np.inf)[key] == top  # the tie count where top is bids[key], else 0
+    key *= n
+    key += ties  # ties < n
+    counts = np.bincount(key)
+    classes = np.flatnonzero(counts)
+    k, t = np.divmod(classes, n)
+    rows = np.arange(bids.size)[:, None]
+    share = np.where(rows > k, 1.0, (rows == k) / (1.0 + t))  # (bid, class): 1/(1 + 0) for a top below bids[k]
+    own = (points - own_bids)[:, None] * share[np.searchsorted(bids, own_bids)]
+    diff = (points[:, None] - points)[..., None] * share[np.searchsorted(bids, points)] - own[:, None]
+    weights = counts[classes]
+    means = (diff * weights).sum(axis=-1) / trials
+    diff -= diff[..., :1]  # centred on the first class, then on the mean: 0 where a pair's difference is constant
+    diff -= (diff * weights).sum(axis=-1, keepdims=True) / trials
+    std_errs = np.sqrt((diff * diff * weights).sum(axis=-1) / (trials - 1)) / np.sqrt(trials)
+    return points.tolist(), means, std_errs
 
 
 def monte_carlo_regret(F, n: int, bid_fn, trials: int, seed: int) -> RegretReport:

@@ -1,5 +1,6 @@
 import bisect
 import random
+import tracemalloc
 from fractions import Fraction as F
 
 import numpy as np
@@ -540,6 +541,93 @@ class TestCommonRandomNumbers:
             assert report.max_regret >= float(exact) - 3 * report.sigma, seed
             if n_solved == 2:
                 assert report.max_regret <= float(eps) + 3 * report.sigma, seed
+
+
+def per_trial_paired_regrets(dist, n, bid_fn, trials, seed):
+    """_paired_regrets on the trials themselves: one share array per distinct bid, then each pair's mean and
+    standard error over its per-trial differences."""
+    fbid = float_view(bid_fn)
+    top, ties = fq.verify._top_opposing_bids(dist, n, fbid, trials, seed)
+    points = [i / 8 for i in range(9)]
+    own_bids = fbid(np.array(points)).tolist()
+    shares = {b: np.where(top < b, 1.0, np.where(top == b, 1.0 / (1.0 + ties), 0.0))
+              for b in dict.fromkeys(points + own_bids)}
+    means, std_errs = np.empty((9, 9)), np.empty((9, 9))
+    for i, (v, own_bid) in enumerate(zip(points, own_bids)):
+        own = (v - own_bid) * shares[own_bid]
+        for j, b in enumerate(points):
+            diff = (v - b) * shares[b] - own
+            means[i, j] = diff.mean()
+            std_errs[i, j] = diff.std(ddof=1) / np.sqrt(trials)
+    return points, means, std_errs
+
+
+def pooled_at_top():
+    """Jump points on the bids i/8 that pool every value above 1/2 at the top bid 7/8."""
+    return JumpPointStrategy(EIGHTHS, (F(0), F(1, 8), F(1, 4), F(3, 8)) + (F(1, 2),) * 4 + (F(1),), ())
+
+
+class TestPairsFromClassCounts:
+    """_paired_regrets takes every pair's mean and standard error from the counts of the trials' classes."""
+
+    @staticmethod
+    def assert_matches_per_trial(dist, n, bid_fn, trials, seed):
+        points, means, std_errs = fq.verify._paired_regrets(dist, n, bid_fn, trials, seed)
+        ref_points, ref_means, ref_std_errs = per_trial_paired_regrets(dist, n, bid_fn, trials, seed)
+        assert points == ref_points
+        assert np.abs(means - ref_means).max() <= 1e-15
+        big = ref_std_errs > 1e-15
+        assert np.all(np.abs(std_errs[big] - ref_std_errs[big]) <= 1e-12 * ref_std_errs[big])
+        assert np.all(std_errs[~big] <= 1e-15)
+        i, j = np.unravel_index(np.argmax(ref_means), ref_means.shape)
+        assert fq.monte_carlo_regret(dist, n, bid_fn, trials, seed).argmax == (points[i], points[j])
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("trials", [2, 3, 500])
+    @pytest.mark.parametrize("name,n", [("uniform", 3), ("square", 2), ("pooled", 4)])
+    def test_jump_points_match_per_trial(self, name, n, trials, seed, request):
+        if name == "pooled":
+            dist, s = request.getfixturevalue("uniform"), pooled_at_top()
+        else:
+            dist = request.getfixturevalue(name)
+            s = fq.solve(dist, n, EIGHTHS, F(1, 64)).strategy
+        self.assert_matches_per_trial(dist, n, s, trials, seed)
+
+    def test_pooling_gives_ties_above_one(self, uniform):
+        fbid = float_view(pooled_at_top())
+        top, ties = fq.verify._top_opposing_bids(uniform, 4, fbid, 500, 0)
+        assert set(ties[top == 7 / 8].tolist()) == {1, 2, 3}
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("trials", [2, 3, 500])
+    @pytest.mark.parametrize("n", [2, 3, 4, 8])
+    @pytest.mark.parametrize("name", ["uniform", "square"])
+    def test_canonical_bids_match_per_trial(self, name, n, trials, seed, request):
+        dist = request.getfixturevalue(name)
+        self.assert_matches_per_trial(dist, n, fq.canonical_bid_function(dist, n), trials, seed)
+
+    def test_constant_pair_has_zero_sigma(self, uniform):
+        # beta(1) = 3/4 beats every opponent, so value 1 earns 1/4 in every trial, and bids 0 and 1 earn 0
+        points, means, std_errs = fq.verify._paired_regrets(uniform, 4, fq.canonical_bid_function(uniform, 4), 500, 0)
+        for j in (0, 8):
+            assert means[8, j] == -0.25 and std_errs[8, j] == 0.0
+
+    @pytest.mark.parametrize("kind,limit", [("rbf", 100), ("jump", 64)])
+    def test_memory_per_trial(self, square, kind, limit):
+        # bytes of arrays held at the peak of a run at n = 2, per trial: one share array per bid took
+        # 160 (rbf) and 112 (jump), the draw and its inversion take about 75 and 48
+        trials = 200_000
+        if kind == "rbf":
+            bid_fn = fq.canonical_bid_function(square, 2)
+        else:
+            bid_fn = fq.solve(square, 2, EIGHTHS, F(1, 64)).strategy
+        tracemalloc.start()
+        try:
+            fq.monte_carlo_regret(square, 2, bid_fn, trials, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= limit * trials
 
 
 class TestStrategyIsItsBidFunction:

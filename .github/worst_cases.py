@@ -59,11 +59,16 @@ CASES = [  # argv, stdout file, bound in s; optionally a peak RSS bound in MB, a
     # U_1 moves about 3e4 times faster than U, so only the exact search reaches gamma: 7-9 s
     (["solve", "--model", "cdfpa", "--cdf", "power8.json", "--n", "3", "--bids", BIDS_X8, "--eps", "1/17179869184"],
      "power8-grid.json", 60, dict(certified=True)),
-    # 4 000 000 trials, the MAX_MC_DRAWS limit: 3.3-4.4 s and 325 MB; pairs taken from one trials-long share
-    # array per bid, not from class counts, took 7.1-7.6 s and 657 MB and fail at 450 MB
+    # 4 000 000 trials, the MAX_MC_TRIALS limit, 8192 at a time: 3.3-4.4 s and 39-40 MB, where the whole draw
+    # at once took 3.3-4.4 s and 325 MB; at n = 2 a trial draws the same Philox number as then, so the same bytes
     (["solve", "--model", "ccfpa-explicit", "--cdf", "square.json", "--n", "2"], "square-bid.json", 120, {}),
     (["verify", "--strategy", "square-bid.json", "--cdf", "square.json", "--n", "2", "--mode", "mc",
-      "--trials", "4000000"], "square-mc.json", 120, dict(mb=450)),
+      "--trials", "4000000"], "square-mc.json", 120,
+     dict(mb=100, sha256="cc16e5c75405de206fc19903ae0ff794e117d7f2a9eb4bad69976f5eda9fc389")),
+    # one draw per trial at any n: 9-10 s and 39 MB, where a (trials, n - 1) draw was refused past 63 492 trials
+    (["solve", "--model", "ccfpa-explicit", "--cdf", "square.json", "--n", "64"], "square-bid-n64.json", 120, {}),
+    (["verify", "--strategy", "square-bid-n64.json", "--cdf", "square.json", "--n", "64", "--mode", "mc",
+      "--trials", "4000000"], "square-mc-n64.json", 30, dict(mb=100)),
 ]
 
 

@@ -191,9 +191,8 @@ def _cmd_verify(args) -> int:
         if args.mode == "grid":
             report, fields = verify.epsilon_bne_check_ccfpa(dist, args.n, strategy), {"method": "grid"}
         else:
-            trials = args.trials if args.trials is not None else min(100_000, verify.MAX_MC_DRAWS // (args.n - 1))
-            report = verify.monte_carlo_regret(dist, args.n, strategy, trials, args.seed)
-            fields = {"method": "monte-carlo", "trials": trials, "seed": args.seed, "sigma": report.sigma}
+            report = verify.monte_carlo_regret(dist, args.n, strategy, args.trials, args.seed)
+            fields = {"method": "monte-carlo", "trials": args.trials, "seed": args.seed, "sigma": report.sigma}
         out = {
             "max_regret": report.max_regret,
             "argmax": {"value": report.argmax[0], "bid": report.argmax[1]},
@@ -246,7 +245,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", required=True, type=int)
     p.add_argument("--bids", help="JSON array of rational bids")
     p.add_argument("--mode", required=True, choices=["exact", "grid", "mc"])
-    p.add_argument("--trials", type=int, help="Monte Carlo trials (default: 100 000, fewer where n needs it)")
+    p.add_argument("--trials", type=int, default=100_000,
+                   help=f"Monte Carlo trials, at most {verify.MAX_MC_TRIALS} at any n (default: 100 000)")
     p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.set_defaults(func=_cmd_verify)
 

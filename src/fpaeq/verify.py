@@ -6,14 +6,14 @@ Three routes, deliberately independent of the solvers they audit:
 * grid-based deviation regret for continuous monotone bid functions, with the
   deviation's winning threshold recovered by inverting the bid function
   (:func:`_invert`: a table of dyadics, then ITP, then bisection's last steps),
-* Monte Carlo ex-post play with uniform tie-breaking.  A run draws the
-  opponents once, from the counter-based Philox stream its seed names, so it
-  is bit-reproducible, and compares every (value, deviation) pair on that one
-  draw (common random numbers): its sigma comes from paired differences.
-  Every share a trial gives depends only on where its top opposing bid falls
-  among the bids compared, so the pairs are taken from the counts of those
-  classes of trials (:func:`_paired_regrets`), in memory that does not grow
-  with the trials.
+* Monte Carlo ex-post play with uniform tie-breaking.  Each trial draws its
+  top opposing value from one uniform of the Philox stream the seed names, so
+  a run is bit-reproducible, and every (value, deviation) pair is compared on
+  the same trials (common random numbers): its sigma comes from paired
+  differences.  A trial's shares depend only on where its top opposing bid
+  falls among the bids compared and on its tie count there, so the pairs are
+  taken from the counts of those classes (:func:`_paired_regrets`), drawn
+  MC_BLOCK trials at a time, in memory that does not grow with the trials.
 
 The exact route takes a :class:`JumpPointStrategy`, which carries its bids.
 The other two take a bid function: a :class:`PiecewisePoly`, such as a
@@ -42,20 +42,15 @@ SAMPLING_STEPS = 50  # an inverse-cdf draw is the midpoint of a final bracket at
 TABLE_STEPS = 8  # _invert evaluates f once at the dyadics j/2**8 and replays bisection's first steps there
 FINAL_STEPS = 4  # _invert ends with bisection's own last 4 steps
 TRUNCATION = 0.02  # ITP's kappa_1 in _invert, in units of the lattice points of a table cell
-INVERSION_BLOCK = 1 << 13  # _invert's elements per block
 EXACT_VALUE_GRID = 64  # the exact verifier's uniform values are i/64
 GRID_VALUES = 128  # the grid verifier's values split [v_low, 1] into 128 steps
 GRID_DEVIATIONS = 256  # the grid verifier's deviations are j/256
 MC_GRID = 8  # the Monte Carlo verifier's values and deviations are i/8
-# Most opponent values, trials * (n - 1), one Monte Carlo run may draw.  Measured with
-# tracemalloc (numpy 2.4) at 2 * 10**5 and 8 * 10**5 draws and n = 2, 3, 5, a run holds at
-# most about 48 bytes of arrays per draw for a jump-point strategy and 75 for a rational
-# bid function (x**2, and an 8-piece cubic up to n = 3; 88 for the cubic at n = 5), at every
-# n: the draw, its inversion and the bid function on it set the peak, and the pairs hold a
-# few arrays of one element per trial.  The inversion's blocks hold no array the size of
-# the draw but its brackets.  So the limit caps a run near 350 MB, and near 300 MB at n = 2.
-# The CLI's default, min(100 000, MAX_MC_DRAWS // (n - 1)) trials, keeps within it.
-MAX_MC_DRAWS = 4_000_000
+MC_BLOCK = 1 << 13  # a Monte Carlo run draws its trials this many at a time
+# Most trials one Monte Carlo run may take, at any n.  A run holds a few blocks of its draw, about
+# 2.6 MB of arrays (tracemalloc) whatever the trials.  At the limit `verify --mode mc` on x**2's bid
+# took 3.3-4.4 s and 40 MB of peak RSS at n = 2, and 9-10 s and 39 MB at n = 64 (2 vCPUs).
+MAX_MC_TRIALS = 4_000_000
 
 
 @dataclass(frozen=True)
@@ -132,12 +127,8 @@ def epsilon_bne_check_ccfpa(F, n: int, bid_fn: Callable) -> RegretReport:
         if witnesses:
             raise DomainError(f"bid function {what} at v={witnesses[0][0]}")
     fcdf, fbid = float_view(F), float_view(bid_fn)
-    bid_at_0, bid_at_1 = fbid(np.array([0.0, 1.0]))
     deviations = np.arange(GRID_DEVIATIONS + 1) / GRID_DEVIATIONS
-    # a deviation at or above bid_fn(1) wins against every value, one below bid_fn(0) against none
-    z = np.where(bid_at_1 <= deviations, 1.0, 0.0)
-    inside = (bid_at_0 <= deviations) & (deviations < bid_at_1)
-    z[inside] = _invert(fbid, deviations[inside], INVERSION_STEPS)[0]
+    z = _invert(fbid, deviations, INVERSION_STEPS)[0]  # 0 below bid_fn(0), 1 at or above bid_fn(1)
     v_low = float(F.support_infimum())
     values = v_low + (1 - v_low) * np.arange(GRID_VALUES + 1) / GRID_VALUES
     own = fcdf(values) ** (n - 1) * (values - fbid(values))
@@ -147,7 +138,7 @@ def epsilon_bne_check_ccfpa(F, n: int, bid_fn: Callable) -> RegretReport:
 
 
 def _invert(f: Callable, y: np.ndarray, steps: int) -> tuple[np.ndarray, np.ndarray]:
-    """Brackets [lo, hi] on sup {x in [0, 1] : f(x) <= y}, elementwise over y, for a nondecreasing f; 8 <= steps <= 60.
+    """Brackets [lo, hi] on sup {x in [0, 1] : f(x) <= y}, elementwise over a 1-d y, for a nondecreasing f; 8 <= steps <= 60.
 
     f takes an array (:func:`cdf.float_view`).  Whatever f is, each bracket has
     lo = 0 or f(lo) <= y, hi = 1 or f(hi) > y, and hi - lo <= 2**-steps or no
@@ -168,23 +159,10 @@ def _invert(f: Callable, y: np.ndarray, steps: int) -> tuple[np.ndarray, np.ndar
 
     ITP keeps bisection's worst case, one step more, and takes a few steps on
     smooth f.  So f is called once for the table and at most steps - 7 times
-    per block of INVERSION_BLOCK elements, on at most steps - 7 points per
-    element of y; the blocks share the table, and the temporary arrays do not
-    grow with y.
+    more, on at most steps - 7 points per element of y, in one pass over y.
     """
     top = 1 << TABLE_STEPS
     table = f(np.arange(top + 1) / top)
-    lo, hi = np.empty(y.shape), np.empty(y.shape)
-    flat_y, flat_lo, flat_hi = y.reshape(-1), lo.reshape(-1), hi.reshape(-1)
-    for start in range(0, flat_y.size, INVERSION_BLOCK):
-        block = slice(start, start + INVERSION_BLOCK)
-        flat_lo[block], flat_hi[block] = _invert_block(f, table, flat_y[block], steps)
-    return lo, hi
-
-
-def _invert_block(f: Callable, table: np.ndarray, y: np.ndarray, steps: int) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_invert` on a 1-d block of y, given f on the dyadics j/2**TABLE_STEPS."""
-    top = table.size - 1
     j = np.zeros(y.shape, dtype=np.int64)
     for half in (top >> k for k in range(1, TABLE_STEPS + 1)):  # bisection's first steps, on the table's indices
         j += (table[j + half] <= y) * half
@@ -239,17 +217,36 @@ def _itp(f: Callable, y: np.ndarray, a0: np.ndarray, unit: np.ndarray, fa: np.nd
         reach /= 2
 
 
-def _top_opposing_bids(F, n: int, fbid, trials: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Each trial's highest opposing bid and the number of opponents who bid it.
+def _top_opposing_bids(F, n: int, fbid, bids: np.ndarray, trials: int, seed: int):
+    """Yields each block's top opposing bids and their tie counts, MC_BLOCK trials at a time.
 
-    The n - 1 opponent values of all trials are one (trials, n - 1) draw from
-    the Philox stream named by the seed, inverted through the cdf.
+    The highest of the n - 1 opposing values has cdf F**(n - 1) (David and
+    Nagaraja, Order Statistics, 2003): one uniform u per trial of the Philox
+    stream named by the seed draws it, as the midpoint of a bracket on the
+    cdf's inverse at the level u**(1/(n - 1)), and for a nondecreasing bid
+    function its bid is the top bid.  The tie count, the number of opponents
+    who bid it, is 0 where that bid is none of the sorted bids.  Where it is
+    bids[k], each of the other n - 2 values, iid below the top one, ties with
+    probability (level - F(z)) / level for z = sup {x : bid(x) < bids[k]}, from
+    one :func:`_invert` at the floats below the bids: the count is
+    1 + Binomial(n - 2, that), from the same stream.
     """
     rng = np.random.Generator(np.random.Philox(seed))
-    lo, hi = _invert(float_view(F), rng.random((trials, n - 1)), SAMPLING_STEPS)
-    opp_bids = fbid((lo + hi) / 2)
-    top = opp_bids.max(axis=1)
-    return top, (opp_bids == top[:, None]).sum(axis=1)
+    fcdf = float_view(F)
+    if n > 2:
+        below = fcdf(_invert(fbid, np.nextafter(bids, -np.inf), INVERSION_STEPS)[0])  # F(z) at each bid
+    padded = np.append(bids, np.inf)
+    for start in range(0, trials, MC_BLOCK):
+        level = rng.random(min(MC_BLOCK, trials - start)) ** (1 / (n - 1))
+        lo, hi = _invert(fcdf, level, SAMPLING_STEPS)
+        top = fbid((lo + hi) / 2)
+        k = np.searchsorted(bids, top)
+        ties = (padded[k] == top).astype(np.int64)
+        if n > 2:
+            on = np.flatnonzero(ties)
+            tied = 1 - np.divide(below[k[on]], level[on], out=np.zeros(on.size), where=level[on] > 0)  # 1 at level 0
+            ties[on] += rng.binomial(n - 2, np.clip(tied, 0.0, 1.0))
+        yield top, ties
 
 
 def _paired_regrets(F, n: int, bid_fn, trials: int, seed: int):
@@ -263,28 +260,30 @@ def _paired_regrets(F, n: int, bid_fn, trials: int, seed: int):
     if t opponents bid exactly b, and 0 otherwise.  So every share depends only
     on where the top bid falls among the sorted distinct bids (the points and
     the own bids): strictly between bids[k - 1] and bids[k], or on bids[k]
-    with t ties.  One search and one bincount give these classes, at most
-    n per bid, and their counts; each pair's difference, the same float per
-    trial as on the trials themselves, is taken once per class and weighted
-    by the counts.  The variance is centred on the first class's difference
-    before the mean, so a pair whose difference is the same in every trial
-    has a standard error of exactly 0.
+    with t ties.  One search and one bincount per block of the draw
+    (:func:`_top_opposing_bids`) add to the counts of these classes, at most
+    n per bid; each pair's difference, the same float per trial as on the
+    trials themselves, is taken once per class and weighted by the counts.
+    The variance is centred on the first class's difference before the mean,
+    so a pair whose difference is the same in every trial has a standard
+    error of exactly 0.  From n = 3 on, the top opposing bid is the top
+    value's bid only if the bid function is nondecreasing, so one that
+    decreases at the values i/512 raises DomainError; an overbid is allowed.
     """
     check_bidders(n)
     if trials < 2:
         raise DomainError("a standard error needs trials >= 2")
-    if trials * (n - 1) > MAX_MC_DRAWS:
-        raise DomainError(f"trials * (n - 1) = {trials * (n - 1)} exceeds the limit of {MAX_MC_DRAWS} draws")
+    if trials > MAX_MC_TRIALS:
+        raise DomainError(f"trials = {trials} exceeds the limit of {MAX_MC_TRIALS}")
+    if n > 2 and (decreases := monotone_no_overbid_check(bid_fn, samples=512).monotonicity_witnesses):
+        raise DomainError(f"bid function decreases at v={decreases[0][0]}")
     fbid = float_view(bid_fn)
-    top, ties = _top_opposing_bids(F, n, fbid, trials, seed)
     points = np.arange(MC_GRID + 1) / MC_GRID
     own_bids = fbid(points)
     bids = np.array(sorted({*points.tolist(), *own_bids.tolist()}))
-    key = np.searchsorted(bids, top)  # bids[key - 1] < top <= bids[key]
-    ties *= np.append(bids, np.inf)[key] == top  # the tie count where top is bids[key], else 0
-    key *= n
-    key += ties  # ties < n
-    counts = np.bincount(key)
+    counts = np.zeros((bids.size + 1) * n, dtype=np.int64)
+    for top, ties in _top_opposing_bids(F, n, fbid, bids, trials, seed):
+        counts += np.bincount(np.searchsorted(bids, top) * n + ties, minlength=counts.size)  # ties < n
     classes = np.flatnonzero(counts)
     k, t = np.divmod(classes, n)
     rows = np.arange(bids.size)[:, None]
@@ -302,11 +301,11 @@ def _paired_regrets(F, n: int, bid_fn, trials: int, seed: int):
 def monte_carlo_regret(F, n: int, bid_fn, trials: int, seed: int) -> RegretReport:
     """Monte Carlo regret estimate over values and deviations i/8, on common random numbers.
 
-    The opponents are drawn once, from the Philox stream named by the seed,
-    and every (value, deviation) pair is compared on those same trials: a
-    pair's regret is the mean of the per-trial difference between the
-    deviation's payoff and the own bid's.  The reported sigma is the largest
-    standard error of those paired differences, so the regret is
+    Each trial's top opposing value is drawn once, from the Philox stream
+    named by the seed, and every (value, deviation) pair is compared on those
+    same trials: a pair's regret is the mean of the per-trial difference
+    between the deviation's payoff and the own bid's.  The reported sigma is
+    the largest standard error of those paired differences, so the regret is
     max_regret +- 3*sigma.
     """
     points, means, std_errs = _paired_regrets(F, n, bid_fn, trials, seed)

@@ -330,32 +330,23 @@ class TestInputContract:
         code, out, err = capout(*verify, "--n", "2", "--trials", "10000000000000")
         assert code == 2 and out == ""
         assert "exceeds the limit" in err and "Traceback" not in err
-        # the CLI default of 100 000 trials is admitted for every n up to 41
-        assert 100_000 * (41 - 1) <= fq.verify.MAX_MC_DRAWS
-        # the limit is on trials * (n - 1): 100 trials at n = 3 are 200 draws
-        monkeypatch.setattr(fq.verify, "MAX_MC_DRAWS", 200)
-        assert capout(*verify, "--n", "3", "--trials", "100")[0] == 0
-        code, _, err = capout(*verify, "--n", "3", "--trials", "101")
-        assert code == 2 and "202 exceeds the limit of 200" in err
+        # a trial is one draw at any n, so the limit is on the trials alone
+        monkeypatch.setattr(fq.verify, "MAX_MC_TRIALS", 200)
+        for n in ("3", str(fq.errors.MAX_BIDDERS)):
+            assert capout(*verify, "--n", n, "--trials", "200")[0] == 0
+            code, _, err = capout(*verify, "--n", n, "--trials", "201")
+            assert code == 2 and "201 exceeds the limit of 200" in err
 
-    def test_monte_carlo_default_trials_from_the_draw_limit(self, capout, tmp_path, uniform_json, monkeypatch):
-        # with no --trials a run takes min(100 000, MAX_MC_DRAWS // (n - 1)), so every admitted n runs;
-        # an explicit --trials is still checked against the limit
+    def test_monte_carlo_default_trials_at_every_n(self, capout, tmp_path, uniform_json):
+        # with no --trials a run takes 100 000 trials, within the limit, at every admitted n
         strat = tmp_path / "s.json"
         strat.write_text(json.dumps({"kind": "jump_points", "s": ["0", "1/2", "1"], "U": ["0", "1/4"]}))
         verify = ["verify", "--strategy", str(strat), "--cdf", uniform_json, "--bids", "[\"0\", \"1/4\"]",
                   "--mode", "mc"]
-        n = fq.errors.MAX_BIDDERS
-        monkeypatch.setattr(fq.verify, "MAX_MC_DRAWS", 50 * (n - 1))
-        code, out, _ = capout(*verify, "--n", str(n))
-        assert code == 0 and json.loads(out)["trials"] == 50
-        code, out, _ = capout(*verify, "--n", "2")
-        assert code == 0 and json.loads(out)["trials"] == 50 * (n - 1)
-        code, _, err = capout(*verify, "--n", str(n), "--trials", "51")
-        assert code == 2 and "exceeds the limit" in err
-        monkeypatch.setattr(fq.verify, "MAX_MC_DRAWS", 10**6)
-        code, out, _ = capout(*verify, "--n", "3")
-        assert code == 0 and json.loads(out)["trials"] == 100_000
+        assert 100_000 <= fq.verify.MAX_MC_TRIALS
+        for n in (2, fq.errors.MAX_BIDDERS):
+            code, out, _ = capout(*verify, "--n", str(n))
+            assert code == 0 and json.loads(out)["trials"] == 100_000
 
     @pytest.mark.parametrize("model", ["ccfpa-explicit", "ccfpa-blackbox"])
     def test_samples_bounded(self, capout, uniform_json, monkeypatch, model):

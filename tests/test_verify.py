@@ -1,6 +1,7 @@
 import bisect
 import random
 import tracemalloc
+import warnings
 from fractions import Fraction as F
 
 import numpy as np
@@ -428,17 +429,6 @@ class TestInvert:
         for steps in (fq.verify.INVERSION_STEPS, fq.verify.SAMPLING_STEPS):
             assert_brackets(f, y, *fq.verify._invert(f, y, steps), steps)
 
-    def test_blocks_share_one_table(self, monkeypatch):
-        # a (trials, n - 1) draw in blocks of 7 gives the one-block brackets, with one table call
-        f = float_view(fq.power_cdf(2))
-        y = np.random.default_rng(3).random((40, 3))
-        whole = fq.verify._invert(f, y, fq.verify.SAMPLING_STEPS)
-        monkeypatch.setattr(fq.verify, "INVERSION_BLOCK", 7)
-        sizes = []
-        blocked = fq.verify._invert(lambda x: sizes.append(x.size) or f(x), y, fq.verify.SAMPLING_STEPS)
-        assert all((a == b).all() for a, b in zip(whole, blocked))
-        assert sizes.count(257) == 1 and max(sizes[1:]) <= 7
-
 
 class TestMonteCarlo:
     def test_matches_analytic_utility(self, uniform):
@@ -514,12 +504,18 @@ class TestCommonRandomNumbers:
         assert a != fq.monte_carlo_regret(square, 2, bid_fn, 300, 18)
 
     def test_one_draw_per_run(self, uniform, monkeypatch):
+        # one inversion at the floats below the compared bids, then one uniform per trial, inverted
+        # through the cdf a block of MC_BLOCK trials at a time; at n = 2 no inversion of the bids
         calls = []
         invert = fq.verify._invert
-        monkeypatch.setattr(fq.verify, "_invert", lambda f, y, steps: calls.append(y.shape) or invert(f, y, steps))
+        monkeypatch.setattr(fq.verify, "_invert", lambda f, y, steps: calls.append((y.shape, steps)) or invert(f, y, steps))
         s = fq.solve(uniform, 3, EIGHTHS, F(1, 64)).strategy
+        block, draw = fq.verify.MC_BLOCK, fq.verify.SAMPLING_STEPS
         fq.monte_carlo_regret(uniform, 3, s, 250, 1)
-        assert calls == [(250, 2)]
+        assert calls == [((9,), fq.verify.INVERSION_STEPS), ((250,), draw)]  # the bids are the points i/8
+        calls.clear()
+        fq.monte_carlo_regret(uniform, 2, s, 2 * block + 1, 1)
+        assert calls == [((block,), draw), ((block,), draw), ((1,), draw)]
 
     def test_regret_needs_two_trials(self, uniform):
         s = JumpPointStrategy(grid_of("0", "1/4"), (F(0), F(1, 2), F(1)), ())
@@ -544,12 +540,14 @@ class TestCommonRandomNumbers:
 
 
 def per_trial_paired_regrets(dist, n, bid_fn, trials, seed):
-    """_paired_regrets on the trials themselves: one share array per distinct bid, then each pair's mean and
-    standard error over its per-trial differences."""
+    """_paired_regrets on the trials themselves: the draw's blocks concatenated, one share array per distinct
+    bid, then each pair's mean and standard error over its per-trial differences."""
     fbid = float_view(bid_fn)
-    top, ties = fq.verify._top_opposing_bids(dist, n, fbid, trials, seed)
     points = [i / 8 for i in range(9)]
     own_bids = fbid(np.array(points)).tolist()
+    bids = np.array(sorted({*points, *own_bids}))
+    top, ties = map(np.concatenate, zip(*fq.verify._top_opposing_bids(dist, n, fbid, bids, trials, seed)))
+    assert top.shape == ties.shape == (trials,)
     shares = {b: np.where(top < b, 1.0, np.where(top == b, 1.0 / (1.0 + ties), 0.0))
               for b in dict.fromkeys(points + own_bids)}
     means, std_errs = np.empty((9, 9)), np.empty((9, 9))
@@ -583,7 +581,7 @@ class TestPairsFromClassCounts:
         assert fq.monte_carlo_regret(dist, n, bid_fn, trials, seed).argmax == (points[i], points[j])
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    @pytest.mark.parametrize("trials", [2, 3, 500])
+    @pytest.mark.parametrize("trials", [2, 3, 500, 3 * fq.verify.MC_BLOCK + 5])
     @pytest.mark.parametrize("name,n", [("uniform", 3), ("square", 2), ("pooled", 4)])
     def test_jump_points_match_per_trial(self, name, n, trials, seed, request):
         if name == "pooled":
@@ -594,12 +592,17 @@ class TestPairsFromClassCounts:
         self.assert_matches_per_trial(dist, n, s, trials, seed)
 
     def test_pooling_gives_ties_above_one(self, uniform):
+        # every value above 1/2 bids 7/8, so a top bid of 7/8 ties with each of the other two
+        # opponents with probability (F(v) - 1/2) / F(v); the tie count is 0 off the compared bids
         fbid = float_view(pooled_at_top())
-        top, ties = fq.verify._top_opposing_bids(uniform, 4, fbid, 500, 0)
+        bids = np.arange(9) / 8
+        (top, ties), = fq.verify._top_opposing_bids(uniform, 4, fbid, bids, 500, 0)
+        assert top.shape == ties.shape == (500,)
         assert set(ties[top == 7 / 8].tolist()) == {1, 2, 3}
+        assert (ties[~np.isin(top, bids)] == 0).all()
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    @pytest.mark.parametrize("trials", [2, 3, 500])
+    @pytest.mark.parametrize("trials", [2, 3, 500, 3 * fq.verify.MC_BLOCK + 5])
     @pytest.mark.parametrize("n", [2, 3, 4, 8])
     @pytest.mark.parametrize("name", ["uniform", "square"])
     def test_canonical_bids_match_per_trial(self, name, n, trials, seed, request):
@@ -615,7 +618,7 @@ class TestPairsFromClassCounts:
     @pytest.mark.parametrize("kind,limit", [("rbf", 100), ("jump", 64)])
     def test_memory_per_trial(self, square, kind, limit):
         # bytes of arrays held at the peak of a run at n = 2, per trial: one share array per bid took
-        # 160 (rbf) and 112 (jump), the draw and its inversion take about 75 and 48
+        # 160 (rbf) and 112 (jump), the whole draw and its inversion about 75 and 48, a few blocks of it 14
         trials = 200_000
         if kind == "rbf":
             bid_fn = fq.canonical_bid_function(square, 2)
@@ -628,6 +631,74 @@ class TestPairsFromClassCounts:
         finally:
             tracemalloc.stop()
         assert peak <= limit * trials
+
+
+class TestTopOpposingValue:
+    """A trial draws its top opposing value alone, with the tie count of its bid."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("n", [3, 8])
+    def test_pooling_at_the_top_within_three_sigma(self, uniform, n, seed):
+        # the values above 1/2 pool at 7/8, so the expected regret turns on the tie counts: with a
+        # tie count of 1 the estimate sat 7 (n = 3) and over 200 (n = 8) sigma above it
+        exact = float(mc_grid_regret(uniform, n, EIGHTHS, pooled_at_top().s))
+        report = fq.monte_carlo_regret(uniform, n, pooled_at_top(), 20_000, seed)
+        assert abs(report.max_regret - exact) <= 3 * report.sigma
+
+    def test_decreasing_bid_refused_from_three_bidders(self, uniform):
+        # the top opposing bid is the top value's bid only where the bid function is nondecreasing;
+        # with one opponent it is that opponent's bid, and an overbid is allowed at every n
+        def falling(v):
+            return max(0.0, 0.4 - v) * 0.5
+        with pytest.raises(fq.DomainError, match="decreases at v="):
+            fq.monte_carlo_regret(uniform, 3, falling, 100, 0)
+        report = fq.monte_carlo_regret(uniform, 2, falling, 40_000, 5)
+        # value 1 bids 0 and ties with the opponent's values from 0.4 on, so it earns 0.6 / 2; the
+        # deviation 1/4 beats every opposing bid, which is at most 0.2, and earns 0.75
+        assert report.argmax == (1.0, 0.25) and abs(report.max_regret - 0.45) <= 3 * report.sigma
+        fq.monte_carlo_regret(uniform, 3, lambda v: min(2 * v, 1), 100, 0)
+
+    def test_level_zero_raises_no_warning(self, uniform, monkeypatch):
+        # a uniform of exactly 0.0 puts the top value at the level 0, where the tie probability
+        # (level - F(z)) / level would be 0/0: every opponent then ties at the bottom bid
+        generator = np.random.Generator
+
+        class ZeroUniforms:
+            def __init__(self, bit_generator):
+                self.rng = generator(bit_generator)
+
+            def random(self, size):
+                return np.zeros(size)
+
+            def binomial(self, n, p):
+                return self.rng.binomial(n, p)
+
+        monkeypatch.setattr(np.random, "Generator", ZeroUniforms)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            (top, ties), = fq.verify._top_opposing_bids(uniform, 5, float_view(pooled_at_top()), np.arange(9) / 8, 10, 0)
+            report = fq.monte_carlo_regret(uniform, 5, pooled_at_top(), 10, 0)
+        assert (top == 0).all() and (ties == 4).all()
+        assert report.sigma == 0.0
+
+    @pytest.mark.parametrize("kind,n", [("rbf", 2), ("rbf", 8), ("jump", 3)])
+    def test_memory_does_not_grow_with_trials(self, square, kind, n):
+        # a run holds a few blocks of its draw at once, whatever the trials; the last block of
+        # 2 * 10**4 trials is partial.  Holding the whole draw took 48 to 88 bytes per draw more
+        if kind == "rbf":
+            bid_fn = fq.canonical_bid_function(square, n)
+        else:
+            bid_fn = fq.solve(square, n, EIGHTHS, F(1, 64)).strategy
+        fq.monte_carlo_regret(square, n, bid_fn, 100, 1)  # first-call allocations, outside the peaks
+        peaks = []
+        for trials in (20_000, 200_000):
+            tracemalloc.start()
+            try:
+                fq.monte_carlo_regret(square, n, bid_fn, trials, 1)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0] + 48 * fq.verify.MC_BLOCK
 
 
 class TestStrategyIsItsBidFunction:

@@ -335,6 +335,13 @@ class PiecewisePoly:
             raise DomainError("x outside [0, 1]")
         return np.searchsorted(self._inner, x)
 
+    def float_thresholds(self, y: np.ndarray) -> np.ndarray | None:
+        """sup {x : float view at x <= y} over floats x in [0, 1], elementwise, if the rows are nondecreasing constants (a
+        jump-point strategy's), else None: 0 below every row, 1 at or above the last, else the end of the last row <= y."""
+        if self.degree or (np.diff(levels := float_table(self.int_rows)[0]) < 0).any():
+            return None
+        return np.array([0.0, *self._inner, 1.0])[np.searchsorted(levels, y, side="right")]
+
 
 def float_table(int_rows: Sequence[tuple[Sequence[int], int]]) -> np.ndarray:
     """Float coefficients of integer rows (nums, scale) for :func:`horner_floats`: column j is row j, highest degree first.

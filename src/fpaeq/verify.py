@@ -4,16 +4,15 @@ Three routes, deliberately independent of the solvers they audit:
 
 * exact deviation regret over a finite bid grid (rational arithmetic),
 * grid-based deviation regret for continuous monotone bid functions, with the
-  deviation's winning threshold recovered by inverting the bid function
-  (:func:`_invert`: a table of dyadics, then ITP, then bisection's last steps),
-* Monte Carlo ex-post play with uniform tie-breaking.  Each trial draws its
-  top opposing value from one uniform of the Philox stream the seed names, so
-  a run is bit-reproducible, and every (value, deviation) pair is compared on
-  the same trials (common random numbers): its sigma comes from paired
-  differences.  A trial's shares depend only on where its top opposing bid
-  falls among the bids compared and on its tie count there, so the pairs are
-  taken from the counts of those classes (:func:`_paired_regrets`), drawn
-  MC_BLOCK trials at a time, in memory that does not grow with the trials.
+  deviation's winning threshold read off the bid function (:func:`_thresholds`),
+* Monte Carlo ex-post play with uniform tie-breaking.  Each trial draws the cdf
+  value of its top opposing value from one uniform of the Philox stream the
+  seed names, so a run is bit-reproducible, and every (value, deviation) pair
+  is compared on the same trials (common random numbers): its sigma comes from
+  paired differences.  A trial's shares depend only on the class of that
+  level among the cdf at the compared bids' thresholds, so the pairs are taken
+  from the counts of those classes (:func:`_paired_regrets`), drawn MC_BLOCK
+  trials at a time, in memory that does not grow with the trials.
 
 The exact route takes a :class:`JumpPointStrategy`, which carries its bids.
 The other two take a bid function: a :class:`PiecewisePoly`, such as a
@@ -38,7 +37,6 @@ from .discrete import JumpPointStrategy
 from .errors import DomainError, check_bidders
 
 INVERSION_STEPS = 60  # a threshold's final bracket is at most 2**-60 wide, or two adjacent floats
-SAMPLING_STEPS = 50  # an inverse-cdf draw is the midpoint of a final bracket at most 2**-50 wide
 TABLE_STEPS = 8  # _invert evaluates f once at the dyadics j/2**8 and replays bisection's first steps there
 FINAL_STEPS = 4  # _invert ends with bisection's own last 4 steps
 TRUNCATION = 0.02  # ITP's kappa_1 in _invert, in units of the lattice points of a table cell
@@ -47,9 +45,8 @@ GRID_VALUES = 128  # the grid verifier's values split [v_low, 1] into 128 steps
 GRID_DEVIATIONS = 256  # the grid verifier's deviations are j/256
 MC_GRID = 8  # the Monte Carlo verifier's values and deviations are i/8
 MC_BLOCK = 1 << 13  # a Monte Carlo run draws its trials this many at a time
-# Most trials one Monte Carlo run may take, at any n.  A run holds a few blocks of its draw, about
-# 2.6 MB of arrays (tracemalloc) whatever the trials.  At the limit `verify --mode mc` on x**2's bid
-# took 3.3-4.4 s and 40 MB of peak RSS at n = 2, and 9-10 s and 39 MB at n = 64 (2 vCPUs).
+# Most trials one Monte Carlo run may take, at any n: a run holds about 0.4 MB of arrays (tracemalloc) whatever the trials.
+# At the limit `verify --mode mc` on x**2's bid took 0.5-0.6 s and 36 MB of peak RSS at n = 2 and 64 (2 vCPUs).
 MAX_MC_TRIALS = 4_000_000
 
 
@@ -110,14 +107,12 @@ def epsilon_bne_check_ccfpa(F, n: int, bid_fn: Callable) -> RegretReport:
     """Deviation regret for a continuous monotone bid function.
 
     A deviation to bid b wins against all opponent values below
-    z = sup {v' : bid_fn(v') <= b}, the lower end of its bracket from
-    :func:`_invert` (at most 2**-60 wide, or two adjacent floats); utility is then
+    z = sup {v' : bid_fn(v') <= b}, from :func:`_thresholds`; utility is then
     F(z)**(n-1) * (v - b).  The sup over continuous deviations is approximated
     on a grid, so the reported regret carries the grid resolution.  Ties are
     not split: a bid function that pools values on one bid is under-reported.
-    F is a PiecewisePolyCdf; the bid function must pass
-    monotone_no_overbid_check at the values i/512, else DomainError names a
-    witness.
+    F is a PiecewisePolyCdf; the bid function must pass monotone_no_overbid_check
+    at the values i/512, else DomainError names a witness.
     """
     check_bidders(n)
     if not isinstance(F, PiecewisePolyCdf):
@@ -128,7 +123,7 @@ def epsilon_bne_check_ccfpa(F, n: int, bid_fn: Callable) -> RegretReport:
             raise DomainError(f"bid function {what} at v={witnesses[0][0]}")
     fcdf, fbid = float_view(F), float_view(bid_fn)
     deviations = np.arange(GRID_DEVIATIONS + 1) / GRID_DEVIATIONS
-    z = _invert(fbid, deviations, INVERSION_STEPS)[0]  # 0 below bid_fn(0), 1 at or above bid_fn(1)
+    z = _thresholds(bid_fn, fbid, deviations)  # 0 below bid_fn(0), 1 at or above bid_fn(1)
     v_low = float(F.support_infimum())
     values = v_low + (1 - v_low) * np.arange(GRID_VALUES + 1) / GRID_VALUES
     own = fcdf(values) ** (n - 1) * (values - fbid(values))
@@ -137,29 +132,35 @@ def epsilon_bne_check_ccfpa(F, n: int, bid_fn: Callable) -> RegretReport:
     return RegretReport(max(float(regret[i, j]), 0.0), (float(values[i]), float(deviations[j])))
 
 
-def _invert(f: Callable, y: np.ndarray, steps: int) -> tuple[np.ndarray, np.ndarray]:
-    """Brackets [lo, hi] on sup {x in [0, 1] : f(x) <= y}, elementwise over a 1-d y, for a nondecreasing f; 8 <= steps <= 60.
+def _thresholds(bid_fn, fbid: Callable, y: np.ndarray) -> np.ndarray:
+    """sup {x : bid_fn(x) <= y}, bid_fn nondecreasing: :meth:`PiecewisePoly.float_thresholds` or :func:`_invert`'s lo."""
+    z = bid_fn.float_thresholds(y) if hasattr(bid_fn, "float_thresholds") else None
+    return _invert(fbid, y)[0] if z is None else z
+
+
+def _invert(f: Callable, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Brackets [lo, hi] on sup {x in [0, 1] : f(x) <= y}, elementwise over a 1-d y, for a nondecreasing f.
 
     f takes an array (:func:`cdf.float_view`).  Whatever f is, each bracket has
-    lo = 0 or f(lo) <= y, hi = 1 or f(hi) > y, and hi - lo <= 2**-steps or no
+    lo = 0 or f(lo) <= y, hi = 1 or f(hi) > y, and hi - lo <= 2**-60 or no
     float strictly between lo and hi.  y below f(0) gives [0, 0], and y at or
     above f(1) gives [1, 1].
 
     Each cell [j/2**8, (j+1)/2**8] holds a lattice of floats spaced by u,
-    2**-steps or the float spacing at j/2**8 where that is wider: the points
-    that steps of bisection can reach in it.  One call of f on the dyadics
+    2**-60 or the float spacing at j/2**8 where that is wider: the points that
+    60 steps of bisection can reach in it.  One call of f on the dyadics
     j/2**8 replays bisection's first 8 steps on their indices.  ITP (Oliveira
     and Takahashi, ACM TOMS 47(1), 2020) then narrows each cell to one of
     width 2**FINAL_STEPS u, on the points that far apart, with one call of f
     per step on the elements still open, and bisection's own last FINAL_STEPS
     steps finish it.  So where f is nondecreasing on those coarser points and
-    f(0) <= y < f(1), the bracket is the one that steps of bisection from
+    f(0) <= y < f(1), the bracket is the one that 60 steps of bisection from
     [0, 1] end on, as it is wherever f's floats are nondecreasing.  No end is
     moved without a call of f there.
 
     ITP keeps bisection's worst case, one step more, and takes a few steps on
-    smooth f.  So f is called once for the table and at most steps - 7 times
-    more, on at most steps - 7 points per element of y, in one pass over y.
+    smooth f: f is called once for the table and then at most 53 times, on at
+    most 53 points per element of y, in one pass over y.
     """
     top = 1 << TABLE_STEPS
     table = f(np.arange(top + 1) / top)
@@ -170,12 +171,11 @@ def _invert(f: Callable, y: np.ndarray, steps: int) -> tuple[np.ndarray, np.ndar
     hi = lo.copy()
     inside = np.flatnonzero((table[0] <= y) & (y < table[top]))  # there table[j] <= y < table[j + 1]
     y, j = y[inside], j[inside]
-    last = min(FINAL_STEPS, steps - TABLE_STEPS)
     a0 = j / top
-    coarse = np.maximum(np.spacing(a0), 2.0**-steps) * 2**last  # 2**last of the lattice's points apart
+    coarse = np.maximum(np.spacing(a0), 2.0**-INVERSION_STEPS) * 2**FINAL_STEPS  # 2**FINAL_STEPS lattice points apart
     left = _itp(f, y, a0, coarse, table[j] - y, table[j + 1] - y)
     right = left + coarse
-    for _ in range(last):  # bisection's own last steps
+    for _ in range(FINAL_STEPS):  # bisection's own last steps
         mid = (left + right) / 2
         below = f(mid) <= y
         left, right = np.where(below, mid, left), np.where(below, right, mid)
@@ -217,36 +217,30 @@ def _itp(f: Callable, y: np.ndarray, a0: np.ndarray, unit: np.ndarray, fa: np.nd
         reach /= 2
 
 
-def _top_opposing_bids(F, n: int, fbid, bids: np.ndarray, trials: int, seed: int):
-    """Yields each block's top opposing bids and their tie counts, MC_BLOCK trials at a time.
+def _top_opposing_bids(F, n: int, bid_fn, fbid, bids: np.ndarray, trials: int, seed: int):
+    """Yields each block's classes (k, t) of the top opposing bid among the sorted bids, MC_BLOCK trials at a time.
 
     The highest of the n - 1 opposing values has cdf F**(n - 1) (David and
     Nagaraja, Order Statistics, 2003): one uniform u per trial of the Philox
-    stream named by the seed draws it, as the midpoint of a bracket on the
-    cdf's inverse at the level u**(1/(n - 1)), and for a nondecreasing bid
-    function its bid is the top bid.  The tie count, the number of opponents
-    who bid it, is 0 where that bid is none of the sorted bids.  Where it is
-    bids[k], each of the other n - 2 values, iid below the top one, ties with
-    probability (level - F(z)) / level for z = sup {x : bid(x) < bids[k]}, from
-    one :func:`_invert` at the floats below the bids: the count is
-    1 + Binomial(n - 2, that), from the same stream.
+    stream named by the seed draws its cdf value, the level u**(1/(n - 1)).
+    For a nondecreasing bid function the top bid is below b at a level up to
+    F(z-) and is b at a level in (F(z-), F(z+)], for z- = sup {x : bid(x) < b}
+    and z+ = sup {x : bid(x) <= b} from one :func:`_thresholds` call; a level
+    on an edge is in the class below.  t = 0 for a top bid strictly between
+    bids[k - 1] and bids[k], and a top bid of bids[k] ties with each of the
+    other n - 2 values, iid below the top one, with probability (level -
+    F(z-)) / level > 0: t = 1 + Binomial(n - 2, that), from the same stream.
     """
     rng = np.random.Generator(np.random.Philox(seed))
-    fcdf = float_view(F)
-    if n > 2:
-        below = fcdf(_invert(fbid, np.nextafter(bids, -np.inf), INVERSION_STEPS)[0])  # F(z) at each bid
-    padded = np.append(bids, np.inf)
+    y = np.column_stack([np.nextafter(bids, -np.inf), bids]).ravel()
+    edges = np.maximum.accumulate(float_view(F)(_thresholds(bid_fn, fbid, y)))  # flat over an ulp-scale dip of F
     for start in range(0, trials, MC_BLOCK):
         level = rng.random(min(MC_BLOCK, trials - start)) ** (1 / (n - 1))
-        lo, hi = _invert(fcdf, level, SAMPLING_STEPS)
-        top = fbid((lo + hi) / 2)
-        k = np.searchsorted(bids, top)
-        ties = (padded[k] == top).astype(np.int64)
+        k, ties = np.divmod(np.searchsorted(edges, level), 2)
         if n > 2:
             on = np.flatnonzero(ties)
-            tied = 1 - np.divide(below[k[on]], level[on], out=np.zeros(on.size), where=level[on] > 0)  # 1 at level 0
-            ties[on] += rng.binomial(n - 2, np.clip(tied, 0.0, 1.0))
-        yield top, ties
+            ties[on] += rng.binomial(n - 2, 1 - edges[2 * k[on]] / level[on])
+        yield k, ties
 
 
 def _paired_regrets(F, n: int, bid_fn, trials: int, seed: int):
@@ -258,32 +252,31 @@ def _paired_regrets(F, n: int, bid_fn, trials: int, seed: int):
 
     A trial's share of bid b is 1 if its top opposing bid is below b, 1/(1 + t)
     if t opponents bid exactly b, and 0 otherwise.  So every share depends only
-    on where the top bid falls among the sorted distinct bids (the points and
+    on the class of the top bid among the sorted distinct bids (the points and
     the own bids): strictly between bids[k - 1] and bids[k], or on bids[k]
-    with t ties.  One search and one bincount per block of the draw
-    (:func:`_top_opposing_bids`) add to the counts of these classes, at most
-    n per bid; each pair's difference, the same float per trial as on the
-    trials themselves, is taken once per class and weighted by the counts.
-    The variance is centred on the first class's difference before the mean,
-    so a pair whose difference is the same in every trial has a standard
-    error of exactly 0.  From n = 3 on, the top opposing bid is the top
-    value's bid only if the bid function is nondecreasing, so one that
-    decreases at the values i/512 raises DomainError; an overbid is allowed.
+    with t ties.  One bincount per block of :func:`_top_opposing_bids` adds to
+    the counts of these classes, at most n per bid; each pair's difference,
+    the same float per trial as on the trials themselves, is taken once per
+    class and weighted by the counts.  The variance is centred on the first
+    class's difference before the mean, so a pair whose difference is the same
+    in every trial has a standard error of exactly 0.  The classes hold only
+    for a nondecreasing bid function, so one that decreases at the values
+    i/512 raises DomainError at every n; an overbid is allowed.
     """
     check_bidders(n)
     if trials < 2:
         raise DomainError("a standard error needs trials >= 2")
     if trials > MAX_MC_TRIALS:
         raise DomainError(f"trials = {trials} exceeds the limit of {MAX_MC_TRIALS}")
-    if n > 2 and (decreases := monotone_no_overbid_check(bid_fn, samples=512).monotonicity_witnesses):
+    if decreases := monotone_no_overbid_check(bid_fn, samples=512).monotonicity_witnesses:
         raise DomainError(f"bid function decreases at v={decreases[0][0]}")
     fbid = float_view(bid_fn)
     points = np.arange(MC_GRID + 1) / MC_GRID
     own_bids = fbid(points)
     bids = np.array(sorted({*points.tolist(), *own_bids.tolist()}))
     counts = np.zeros((bids.size + 1) * n, dtype=np.int64)
-    for top, ties in _top_opposing_bids(F, n, fbid, bids, trials, seed):
-        counts += np.bincount(np.searchsorted(bids, top) * n + ties, minlength=counts.size)  # ties < n
+    for k, ties in _top_opposing_bids(F, n, bid_fn, fbid, bids, trials, seed):
+        counts += np.bincount(k * n + ties, minlength=counts.size)  # ties < n
     classes = np.flatnonzero(counts)
     k, t = np.divmod(classes, n)
     rows = np.arange(bids.size)[:, None]
@@ -301,12 +294,12 @@ def _paired_regrets(F, n: int, bid_fn, trials: int, seed: int):
 def monte_carlo_regret(F, n: int, bid_fn, trials: int, seed: int) -> RegretReport:
     """Monte Carlo regret estimate over values and deviations i/8, on common random numbers.
 
-    Each trial's top opposing value is drawn once, from the Philox stream
-    named by the seed, and every (value, deviation) pair is compared on those
-    same trials: a pair's regret is the mean of the per-trial difference
-    between the deviation's payoff and the own bid's.  The reported sigma is
-    the largest standard error of those paired differences, so the regret is
-    max_regret +- 3*sigma.
+    Each trial's top opposing value is drawn once, as its cdf value, from the
+    Philox stream named by the seed, and every (value, deviation) pair is
+    compared on those same trials: a pair's regret is the mean of the per-trial
+    difference between the deviation's payoff and the own bid's.  The reported
+    sigma is the largest standard error of those paired differences, so the
+    regret is max_regret +- 3*sigma.
     """
     points, means, std_errs = _paired_regrets(F, n, bid_fn, trials, seed)
     i, j = np.unravel_index(np.argmax(means), means.shape)

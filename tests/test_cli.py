@@ -729,6 +729,19 @@ class TestVerifyModes:
         assert report["max_regret"] <= 3 * report["sigma"] + 0.05
         assert (report["method"], report["trials"], report["seed"]) == ("monte-carlo", 2000, 7)
 
+    @pytest.mark.parametrize("n", ["2", "3"])
+    def test_mc_mode_refuses_a_decreasing_bid(self, capout, tmp_path, uniform_json, n):
+        # (1 - v) / 2: mc mode takes its classes from the thresholds of a nondecreasing bid function,
+        # so it refuses a decreasing one at every n, as grid mode does
+        strat = tmp_path / "falling.json"
+        strat.write_text(json.dumps({"kind": "rational_bid_function", "n": 2, "support_infimum": "0",
+                                     "breakpoints": ["0", "1"],
+                                     "pieces": [{"numerator": ["1/2", "-1/2"], "denominator": ["1"]}]}))
+        code, out, err = capout("verify", "--strategy", str(strat), "--cdf", uniform_json, "--n", n,
+                                "--mode", "mc", "--trials", "100")
+        assert code == 2 and out == ""
+        assert "bid function decreases at v=" in err
+
     @pytest.mark.parametrize("mode", ["grid", "mc"])
     def test_bids_ignored_for_bid_functions(self, capout, tmp_path, uniform_json, mode):
         strat = tmp_path / "rbf.json"

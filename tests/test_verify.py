@@ -324,6 +324,16 @@ class CountingView:
         return self.f(x)
 
 
+class CountedBid:
+    """A bid function whose float view counts its calls and the points it evaluates."""
+
+    def __init__(self, bid_fn):
+        self.view = CountingView(float_view(bid_fn))
+
+    def float_evaluator(self):
+        return self.view
+
+
 def inversion_function(kind, seed):
     """A float view for _invert: a seeded cubic cdf, its rational bid function, a seeded step
     function of jump points, the float of an exact cdf at each point (cdf._exact_view), or the
@@ -346,21 +356,23 @@ def inversion_function(kind, seed):
 
 @st.composite
 def inversions(draw, kinds):
-    """(f, y, steps): y mixes f's own values at seeded points, which puts y on f's steps and
-    exactly on its values, with floats from [-1/4, 5/4], some below f(0) or above f(1)."""
+    """(f, y): y mixes f's own values at seeded points, which puts y on f's steps and exactly on
+    its values, with floats from [-1/4, 5/4], some below f(0) or above f(1)."""
     f = inversion_function(draw(st.sampled_from(kinds)), draw(st.integers(0, 15)))
     at = draw(st.lists(st.floats(0, 1), min_size=1, max_size=12))
     ys = draw(st.lists(st.floats(-0.25, 1.25), max_size=12))
-    steps = draw(st.sampled_from([fq.verify.INVERSION_STEPS, fq.verify.SAMPLING_STEPS, 8, 9, 30]))
-    return f, np.concatenate([f(np.array(at)), ys]), steps
+    return f, np.concatenate([f(np.array(at)), ys])
 
 
-def assert_brackets(f, y, lo, hi, steps):
+STEPS = fq.verify.INVERSION_STEPS
+
+
+def assert_brackets(f, y, lo, hi):
     assert lo.shape == hi.shape == y.shape
     assert ((0 <= lo) & (lo <= hi) & (hi <= 1)).all()
     assert ((lo == 0) | (f(lo) <= y)).all()
     assert ((hi == 1) | (f(hi) > y)).all()
-    assert ((hi - lo <= 2.0**-steps) | (np.nextafter(lo, 2) >= hi)).all()
+    assert ((hi - lo <= 2.0**-STEPS) | (np.nextafter(lo, 2) >= hi)).all()
 
 
 class TestInvert:
@@ -369,9 +381,9 @@ class TestInvert:
     @settings(max_examples=80, deadline=None)
     @given(inversions(["cdf", "bid", "steps", "exact", "identity"]))
     def test_brackets_meet_the_contract(self, case):
-        f, y, steps = case
-        lo, hi = fq.verify._invert(f, y, steps)
-        assert_brackets(f, y, lo, hi, steps)
+        f, y = case
+        lo, hi = fq.verify._invert(f, y)
+        assert_brackets(f, y, lo, hi)
         outside = (y < f(np.array([0.0]))) | (y >= f(np.array([1.0])))
         assert (lo[outside] == hi[outside]).all()
 
@@ -380,30 +392,30 @@ class TestInvert:
     def test_bisections_bracket_where_monotone(self, case):
         # these views are nondecreasing in floats, so inside [f(0), f(1)) one cell of bisection's
         # last step has f(lo) <= y < f(hi), and _invert must end on it
-        f, y, steps = case
+        f, y = case
         f0, f1 = f(np.array([0.0, 1.0]))
         y = y[(f0 <= y) & (y < f1)]
-        lo, hi = fq.verify._invert(f, y, steps)
-        ref_lo, ref_hi = reference_bisection(f, y, steps)
+        lo, hi = fq.verify._invert(f, y)
+        ref_lo, ref_hi = reference_bisection(f, y, STEPS)
         assert (lo == ref_lo).all() and (hi == ref_hi).all()
 
     @settings(max_examples=40, deadline=None)
     @given(inversions(["cdf", "bid", "steps"]), st.integers(0, 80), st.integers(0, 80))
     def test_call_bound_with_y_outside(self, case, below, above):
         # y below f(0) and at or above f(1) take no call of their own: one call on the table and at
-        # most steps - 7 for ITP and bisection's last steps, on at most steps - 7 points per y inside,
-        # so no more points than bisection's steps * len(y) once the table's 257 are paid for
-        f, y, steps = case
+        # most 53 for ITP and bisection's last steps, on at most 53 points per y inside, so no more
+        # points than bisection's 60 * len(y) once the table's 257 are paid for
+        f, y = case
         f0, f1 = f(np.array([0.0, 1.0]))
         y = np.concatenate([y, np.full(below, f0 - 0.5), np.full(above, f1), np.full(above, 2.0)])
         counting = CountingView(f)
-        lo, hi = fq.verify._invert(counting, y, steps)
-        assert_brackets(f, y, lo, hi, steps)
+        lo, hi = fq.verify._invert(counting, y)
+        assert_brackets(f, y, lo, hi)
         inside = int(((f0 <= y) & (y < f1)).sum())
-        assert counting.calls <= 1 + (steps - 8) + 1
-        assert counting.points <= 257 + (steps - 7) * inside
+        assert counting.calls <= 1 + (STEPS - 8) + 1
+        assert counting.points <= 257 + (STEPS - 7) * inside
         if y.size >= 37:
-            assert counting.points <= steps * y.size
+            assert counting.points <= STEPS * y.size
 
     @pytest.mark.parametrize("name", ["uniform", "square", "two_piece"])
     @pytest.mark.parametrize("n", [2, 3, 4])
@@ -414,9 +426,8 @@ class TestInvert:
         f0, f1 = fbid(np.array([0.0, 1.0]))
         y = np.arange(257) / 256
         y = y[(f0 <= y) & (y < f1)]
-        steps = fq.verify.INVERSION_STEPS
-        lo, hi = fq.verify._invert(fbid, y, steps)
-        ref_lo, ref_hi = reference_bisection(fbid, y, steps)
+        lo, hi = fq.verify._invert(fbid, y)
+        ref_lo, ref_hi = reference_bisection(fbid, y, STEPS)
         assert (lo == ref_lo).all() and (hi == ref_hi).all()
 
     def test_ulp_scale_decrease(self):
@@ -426,8 +437,38 @@ class TestInvert:
         x = np.array([0.884782184673133, 0.8847821846731332])
         y = f(x)
         assert y[0] > y[1]
-        for steps in (fq.verify.INVERSION_STEPS, fq.verify.SAMPLING_STEPS):
-            assert_brackets(f, y, *fq.verify._invert(f, y, steps), steps)
+        assert_brackets(f, y, *fq.verify._invert(f, y))
+
+
+@st.composite
+def step_thresholds(draw):
+    """(step function, y): a nondecreasing step function of jump points, some pooled and some below
+    2**-7, and floats y at its bids, just below them and at random."""
+    m = draw(st.integers(1, 8))
+    grid = grid_of(0, *(F(k, 256) for k in sorted(draw(st.sets(st.integers(1, 255), min_size=m - 1, max_size=m - 1)))))
+    point = st.one_of(st.integers(0, 12).map(lambda k: F(k, 12)),  # pooled: few distinct points
+                      st.integers(0, 2**13).map(lambda k: F(k, 2**20)),  # at most 2**-7
+                      st.fractions(0, 1, max_denominator=10**12))
+    s = sorted(draw(st.lists(point, min_size=m, max_size=m))) + [F(1)]
+    bids = np.array([float(b) for b in grid.bids])
+    y = np.concatenate([bids, np.nextafter(bids, -np.inf), draw(st.lists(st.floats(-0.25, 1.25), max_size=8))])
+    return JumpPointStrategy(grid, s, ()), y
+
+
+class TestStepThresholds:
+    """A step function with nondecreasing constant rows reads its thresholds off its breakpoints."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(step_thresholds())
+    def test_within_the_inversion_bracket(self, case):
+        strategy, y = case
+        z = strategy.float_thresholds(y)
+        lo, hi = fq.verify._invert(float_view(strategy), y)
+        assert ((lo <= z) & (z <= hi)).all()
+
+    @pytest.mark.parametrize("rows", [[(F(1, 2),), (F(1, 4),)], [(F(0),), (F(0), F(1, 2))]], ids=["falling", "linear"])
+    def test_other_rows_have_none(self, rows):
+        assert fq.PiecewisePoly((0, F(1, 2), 1), rows).float_thresholds(np.array([0.3])) is None
 
 
 class TestMonteCarlo:
@@ -504,18 +545,29 @@ class TestCommonRandomNumbers:
         assert a != fq.monte_carlo_regret(square, 2, bid_fn, 300, 18)
 
     def test_one_draw_per_run(self, uniform, monkeypatch):
-        # one inversion at the floats below the compared bids, then one uniform per trial, inverted
-        # through the cdf a block of MC_BLOCK trials at a time; at n = 2 no inversion of the bids
+        # one inversion per run, at the compared bids and the floats below them, and none per block;
+        # a jump-point strategy reads its thresholds off its jump points, with no inversion at all
         calls = []
         invert = fq.verify._invert
-        monkeypatch.setattr(fq.verify, "_invert", lambda f, y, steps: calls.append((y.shape, steps)) or invert(f, y, steps))
-        s = fq.solve(uniform, 3, EIGHTHS, F(1, 64)).strategy
-        block, draw = fq.verify.MC_BLOCK, fq.verify.SAMPLING_STEPS
-        fq.monte_carlo_regret(uniform, 3, s, 250, 1)
-        assert calls == [((9,), fq.verify.INVERSION_STEPS), ((250,), draw)]  # the bids are the points i/8
-        calls.clear()
-        fq.monte_carlo_regret(uniform, 2, s, 2 * block + 1, 1)
-        assert calls == [((block,), draw), ((block,), draw), ((1,), draw)]
+        monkeypatch.setattr(fq.verify, "_invert", lambda f, y: calls.append(y.shape) or invert(f, y))
+        trials, points = 2 * fq.verify.MC_BLOCK + 1, np.arange(9) / 8
+        for n in (2, 3):
+            rbf = fq.canonical_bid_function(uniform, n)
+            fq.monte_carlo_regret(uniform, n, rbf, trials, 1)
+            assert calls == [(2 * np.union1d(points, float_view(rbf)(points)).size,)]
+            calls.clear()
+            fq.monte_carlo_regret(uniform, n, fq.solve(uniform, n, EIGHTHS, F(1, 64)).strategy, trials, 1)
+            assert calls == []
+
+    def test_bid_evaluations_do_not_grow_with_trials(self, square):
+        # the bid function is read by the monotonicity check, at the values i/8 and in one threshold
+        # call per run, whatever the trials; a bid per trial would add as many points as trials
+        points = []
+        for trials in (2, 3 * fq.verify.MC_BLOCK + 5):
+            bid_fn = CountedBid(fq.canonical_bid_function(square, 3))
+            fq.monte_carlo_regret(square, 3, bid_fn, trials, 0)
+            points.append(bid_fn.view.points)
+        assert points[0] == points[1]
 
     def test_regret_needs_two_trials(self, uniform):
         s = JumpPointStrategy(grid_of("0", "1/4"), (F(0), F(1, 2), F(1)), ())
@@ -539,15 +591,37 @@ class TestCommonRandomNumbers:
                 assert report.max_regret <= float(eps) + 3 * report.sigma, seed
 
 
+def sampled_top_bids(dist, n, bid_fn, bids, trials, seed):
+    """Each trial's top opposing bid and its tie count, sampled from the same Philox stream in the same
+    order as monte_carlo_regret draws it, with no thresholds: per block of MC_BLOCK trials, the levels
+    u**(1/(n - 1)), a 50-step bisection on the cdf's inverse at each and the bid at its midpoint, a tie
+    where that bid is one of the bids, and from n = 3 on 1 + Binomial(n - 2, (level - F(z)) / level)
+    ties more, z from a 60-step bisection of the bid at the float below the tied bid."""
+    fcdf, fbid = float_view(dist), float_view(bid_fn)
+    rng = np.random.Generator(np.random.Philox(seed))
+    below = fcdf(reference_bisection(fbid, np.nextafter(bids, -np.inf), 60)[0])
+    tops, ties = [], []
+    for start in range(0, trials, fq.verify.MC_BLOCK):
+        level = rng.random(min(fq.verify.MC_BLOCK, trials - start)) ** (1 / (n - 1))
+        lo, hi = reference_bisection(fcdf, level, 50)
+        top = fbid((lo + hi) / 2)
+        k = np.minimum(np.searchsorted(bids, top), bids.size - 1)
+        tie = (bids[k] == top).astype(np.int64)
+        if n > 2:
+            on = np.flatnonzero(tie)
+            tie[on] += rng.binomial(n - 2, 1 - below[k[on]] / level[on])
+        tops.append(top)
+        ties.append(tie)
+    return np.concatenate(tops), np.concatenate(ties)
+
+
 def per_trial_paired_regrets(dist, n, bid_fn, trials, seed):
-    """_paired_regrets on the trials themselves: the draw's blocks concatenated, one share array per distinct
-    bid, then each pair's mean and standard error over its per-trial differences."""
+    """_paired_regrets on the trials themselves: the sampled top bids, one share array per distinct bid,
+    then each pair's mean and standard error over its per-trial differences."""
     fbid = float_view(bid_fn)
     points = [i / 8 for i in range(9)]
     own_bids = fbid(np.array(points)).tolist()
-    bids = np.array(sorted({*points, *own_bids}))
-    top, ties = map(np.concatenate, zip(*fq.verify._top_opposing_bids(dist, n, fbid, bids, trials, seed)))
-    assert top.shape == ties.shape == (trials,)
+    top, ties = sampled_top_bids(dist, n, bid_fn, np.array(sorted({*points, *own_bids})), trials, seed)
     shares = {b: np.where(top < b, 1.0, np.where(top == b, 1.0 / (1.0 + ties), 0.0))
               for b in dict.fromkeys(points + own_bids)}
     means, std_errs = np.empty((9, 9)), np.empty((9, 9))
@@ -593,13 +667,12 @@ class TestPairsFromClassCounts:
 
     def test_pooling_gives_ties_above_one(self, uniform):
         # every value above 1/2 bids 7/8, so a top bid of 7/8 ties with each of the other two
-        # opponents with probability (F(v) - 1/2) / F(v); the tie count is 0 off the compared bids
-        fbid = float_view(pooled_at_top())
-        bids = np.arange(9) / 8
-        (top, ties), = fq.verify._top_opposing_bids(uniform, 4, fbid, bids, 500, 0)
-        assert top.shape == ties.shape == (500,)
-        assert set(ties[top == 7 / 8].tolist()) == {1, 2, 3}
-        assert (ties[~np.isin(top, bids)] == 0).all()
+        # opponents with probability (F(v) - 1/2) / F(v); every opposing bid is one of the bids i/8
+        s = pooled_at_top()
+        (k, ties), = fq.verify._top_opposing_bids(uniform, 4, s, float_view(s), np.arange(9) / 8, 500, 0)
+        assert k.shape == ties.shape == (500,)
+        assert set(ties[k == 7].tolist()) == {1, 2, 3}
+        assert (ties >= 1).all()
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("trials", [2, 3, 500, 3 * fq.verify.MC_BLOCK + 5])
@@ -645,22 +718,20 @@ class TestTopOpposingValue:
         report = fq.monte_carlo_regret(uniform, n, pooled_at_top(), 20_000, seed)
         assert abs(report.max_regret - exact) <= 3 * report.sigma
 
-    def test_decreasing_bid_refused_from_three_bidders(self, uniform):
-        # the top opposing bid is the top value's bid only where the bid function is nondecreasing;
-        # with one opponent it is that opponent's bid, and an overbid is allowed at every n
+    def test_decreasing_bid_refused_at_every_n(self, uniform):
+        # the classes of the top opposing bid come from the thresholds of a nondecreasing bid
+        # function, so one that decreases is refused even with one opponent; an overbid is allowed
         def falling(v):
             return max(0.0, 0.4 - v) * 0.5
-        with pytest.raises(fq.DomainError, match="decreases at v="):
-            fq.monte_carlo_regret(uniform, 3, falling, 100, 0)
-        report = fq.monte_carlo_regret(uniform, 2, falling, 40_000, 5)
-        # value 1 bids 0 and ties with the opponent's values from 0.4 on, so it earns 0.6 / 2; the
-        # deviation 1/4 beats every opposing bid, which is at most 0.2, and earns 0.75
-        assert report.argmax == (1.0, 0.25) and abs(report.max_regret - 0.45) <= 3 * report.sigma
-        fq.monte_carlo_regret(uniform, 3, lambda v: min(2 * v, 1), 100, 0)
+        for n in (2, 3, 8):
+            with pytest.raises(fq.DomainError, match="decreases at v="):
+                fq.monte_carlo_regret(uniform, n, falling, 100, 0)
+            fq.monte_carlo_regret(uniform, n, lambda v: min(2 * v, 1), 100, 0)
 
     def test_level_zero_raises_no_warning(self, uniform, monkeypatch):
-        # a uniform of exactly 0.0 puts the top value at the level 0, where the tie probability
-        # (level - F(z)) / level would be 0/0: every opponent then ties at the bottom bid
+        # a uniform of exactly 0.0 puts the top value at the level 0, the lowest edge F(z-) of bid 0
+        # here: a level on an edge is in the class below, under bid 0, so no tie probability
+        # (level - F(z-)) / level = 0/0 is taken
         generator = np.random.Generator
 
         class ZeroUniforms:
@@ -676,10 +747,28 @@ class TestTopOpposingValue:
         monkeypatch.setattr(np.random, "Generator", ZeroUniforms)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            (top, ties), = fq.verify._top_opposing_bids(uniform, 5, float_view(pooled_at_top()), np.arange(9) / 8, 10, 0)
-            report = fq.monte_carlo_regret(uniform, 5, pooled_at_top(), 10, 0)
-        assert (top == 0).all() and (ties == 4).all()
+            s = pooled_at_top()
+            (k, ties), = fq.verify._top_opposing_bids(uniform, 5, s, float_view(s), np.arange(9) / 8, 10, 0)
+            report = fq.monte_carlo_regret(uniform, 5, s, 10, 0)
+        assert (k == 0).all() and (ties == 0).all()
         assert report.sigma == 0.0
+
+    @pytest.mark.parametrize("kind,n", [("step", 2), ("step", 5), ("rbf", 2), ("rbf", 3), ("rbf", 5)])
+    def test_searches_see_nondecreasing_edges(self, kind, n, monkeypatch):
+        # seeded_cubic(0, 4)'s floats fall by an ulp from x1 to x2, two floats apart.  A step function
+        # that bids 1/2 on (x1, x2] has the edges F(z-) = F(x1) and F(z+) = F(x2) there, in that
+        # order, and every search of a run, the classes' among them, needs a nondecreasing array
+        dist, x1, x2 = seeded_cubic(0, 4), 0.884782184673133, 0.8847821846731332
+        fx1, fx2 = float_view(dist)(np.array([x1, x2]))
+        assert fx1 > fx2
+        if kind == "step":
+            bid_fn = fq.PiecewisePoly((0, F(x1), F(x2), 1), [(F(1, 4),), (F(1, 2),), (F(3, 4),)])
+        else:
+            bid_fn = fq.canonical_bid_function(dist, n)
+        searched, searchsorted = [], np.searchsorted
+        monkeypatch.setattr(np, "searchsorted", lambda a, v, **kw: searched.append(np.asarray(a)) or searchsorted(a, v, **kw))
+        fq.monte_carlo_regret(dist, n, bid_fn, 1000, 0)
+        assert searched and all((np.diff(a) >= 0).all() for a in searched)
 
     @pytest.mark.parametrize("kind,n", [("rbf", 2), ("rbf", 8), ("jump", 3)])
     def test_memory_does_not_grow_with_trials(self, square, kind, n):

@@ -59,18 +59,19 @@ CASES = [  # argv, stdout file, bound in s; optionally a peak RSS bound in MB, a
     # U_1 moves about 3e4 times faster than U, so only the exact search reaches gamma: 7-9 s
     (["solve", "--model", "cdfpa", "--cdf", "power8.json", "--n", "3", "--bids", BIDS_X8, "--eps", "1/17179869184"],
      "power8-grid.json", 60, dict(certified=True)),
-    # 4 000 000 trials, the MAX_MC_TRIALS limit, 8192 at a time, each placed by its level among the cdf at the
-    # bids' thresholds: 0.5-0.6 s and 36 MB, where a cdf inversion and a bid per trial took 3.3-4.4 s and 40 MB;
-    # at n = 2 a trial draws the same Philox number as then, and its class is that of the old draw, so the same bytes
+    # 4 000 000 trials, the MAX_MC_TRIALS limit, counted per class of the top opposing bid by one multinomial
+    # draw: 0.15-0.25 s and 36 MB, as a run of 2 trials takes, where drawing a level per trial, 8192 at a time,
+    # took 0.3-0.6 s, and a cdf inversion and a bid per trial 3.3-4.4 s.  The digest pins the seed's draw
     (["solve", "--model", "ccfpa-explicit", "--cdf", "square.json", "--n", "2"], "square-bid.json", 120, {}),
     (["verify", "--strategy", "square-bid.json", "--cdf", "square.json", "--n", "2", "--mode", "mc",
-      "--trials", "4000000"], "square-mc.json", 3,
-     dict(mb=100, sha256="cc16e5c75405de206fc19903ae0ff794e117d7f2a9eb4bad69976f5eda9fc389")),
-    # one draw per trial at any n: 0.5-0.6 s and 36 MB, where a cdf inversion and a bid per trial took 7.5-10 s
+      "--trials", "4000000"], "square-mc.json", 1.5,
+     dict(mb=100, sha256="d46acbd4b57123343563fa21a4ac8233fec4c1ea6f6e3153a062785ba2cf8d83")),
+    # the same at n = 64, n classes per compared bid: 0.15-0.25 s and 36 MB, where a level per trial took
+    # 0.3-0.6 s, and a cdf inversion and a bid per trial 7.5-10 s
     (["solve", "--model", "ccfpa-explicit", "--cdf", "square.json", "--n", "64"], "square-bid-n64.json", 120, {}),
     (["verify", "--strategy", "square-bid-n64.json", "--cdf", "square.json", "--n", "64", "--mode", "mc",
-      "--trials", "4000000"], "square-mc-n64.json", 3,
-     dict(mb=100, sha256="90a987a2e69684a24455534b6672ec50f2fbab2f6a9b14f1be263b4564096176")),
+      "--trials", "4000000"], "square-mc-n64.json", 1.5,
+     dict(mb=100, sha256="8deb7741927724cb20bbfeafa3ae04fc095195dcf9aaca562f303f0dcdf44791")),
 ]
 
 

@@ -14,7 +14,7 @@ class PrecisionError(RuntimeError):
 # 2 vCPUs at n = 64, through the CLI: on an 8-piece cubic, ccfpa-explicit and cdfpa
 # (three bids) take 0.3 s; on a dense degree-64 piece whose coefficients share a 64-bit
 # denominator, near the largest cdf a JSON file may give, ccfpa-explicit takes 2.8-3.4 s, and
-# cdfpa (three bids, eps 1/64) 14 s and the exact verify of its strategy 15.6 s, each printing
+# cdfpa (three bids, eps 1/64) 10.4 s and the exact verify of its strategy 10.7 s, each printing
 # rationals of about 134,000 characters.  At n = 256 (limit lifted) ccfpa-explicit on the cubic: 0.65 s in process.
 MAX_BIDDERS = 64
 

@@ -120,9 +120,7 @@ class RationalBidFunction:
                     # an overflow leaves an infinite or NaN value or bound, which fails these tests
                     ok &= (tiny <= size) & (size < np.inf) & (err / limit <= size)
                     values.append(value)
-                    del err, size  # the next row's Horner loops run without them
                 out = values[0] / values[1]  # kept only where ok holds
-            del piece, value, values  # the exact points below need only x, ok and out
             out[~ok] = [exact(v) for v in x[~ok].tolist()]
             return out
 

@@ -5,14 +5,11 @@ Three routes, deliberately independent of the solvers they audit:
 * exact deviation regret over a finite bid grid (rational arithmetic),
 * grid-based deviation regret for continuous monotone bid functions, with the
   deviation's winning threshold read off the bid function (:func:`_thresholds`),
-* Monte Carlo ex-post play with uniform tie-breaking.  Each trial draws the cdf
-  value of its top opposing value from one uniform of the Philox stream the
-  seed names, so a run is bit-reproducible, and every (value, deviation) pair
-  is compared on the same trials (common random numbers): its sigma comes from
-  paired differences.  A trial's shares depend only on the class of that
-  level among the cdf at the compared bids' thresholds, so the pairs are taken
-  from the counts of those classes (:func:`_paired_regrets`), drawn MC_BLOCK
-  trials at a time, in memory that does not grow with the trials.
+* Monte Carlo ex-post play with uniform tie-breaking.  A trial's shares depend
+  only on the class of its top opposing bid, so one multinomial draw of the
+  Philox stream the seed names counts the trials of each class
+  (:func:`_class_counts`), in time and memory that do not grow with the trials,
+  and every (value, deviation) pair is compared on the same trials.
 
 The exact route takes a :class:`JumpPointStrategy`, which carries its bids.
 The other two take a bid function: a :class:`PiecewisePoly`, such as a
@@ -44,9 +41,7 @@ EXACT_VALUE_GRID = 64  # the exact verifier's uniform values are i/64
 GRID_VALUES = 128  # the grid verifier's values split [v_low, 1] into 128 steps
 GRID_DEVIATIONS = 256  # the grid verifier's deviations are j/256
 MC_GRID = 8  # the Monte Carlo verifier's values and deviations are i/8
-MC_BLOCK = 1 << 13  # a Monte Carlo run draws its trials this many at a time
-# Most trials one Monte Carlo run may take, at any n: a run holds about 0.4 MB of arrays (tracemalloc) whatever the trials.
-# At the limit `verify --mode mc` on x**2's bid took 0.5-0.6 s and 36 MB of peak RSS at n = 2 and 64 (2 vCPUs).
+# Most trials one Monte Carlo run may take: a bound on the count its one draw takes, not on work or memory.
 MAX_MC_TRIALS = 4_000_000
 
 
@@ -126,8 +121,8 @@ def epsilon_bne_check_ccfpa(F, n: int, bid_fn: Callable) -> RegretReport:
     z = _thresholds(bid_fn, fbid, deviations)  # 0 below bid_fn(0), 1 at or above bid_fn(1)
     v_low = float(F.support_infimum())
     values = v_low + (1 - v_low) * np.arange(GRID_VALUES + 1) / GRID_VALUES
-    own = fcdf(values) ** (n - 1) * (values - fbid(values))
-    regret = fcdf(z) ** (n - 1) * (values[:, None] - deviations) - own[:, None]
+    own = _cdf_at(fcdf, values) ** (n - 1) * (values - fbid(values))
+    regret = _cdf_at(fcdf, z) ** (n - 1) * (values[:, None] - deviations) - own[:, None]
     i, j = np.unravel_index(np.argmax(regret), regret.shape)
     return RegretReport(max(float(regret[i, j]), 0.0), (float(values[i]), float(deviations[j])))
 
@@ -217,30 +212,38 @@ def _itp(f: Callable, y: np.ndarray, a0: np.ndarray, unit: np.ndarray, fa: np.nd
         reach /= 2
 
 
-def _top_opposing_bids(F, n: int, bid_fn, fbid, bids: np.ndarray, trials: int, seed: int):
-    """Yields each block's classes (k, t) of the top opposing bid among the sorted bids, MC_BLOCK trials at a time.
+def _cdf_at(fcdf: Callable, x: np.ndarray) -> np.ndarray:
+    """fcdf at nondecreasing x, made nondecreasing and clipped to [0, 1]: a cdf's floats may dip by an ulp or pass 1."""
+    return np.clip(np.maximum.accumulate(fcdf(x)), 0.0, 1.0)
 
-    The highest of the n - 1 opposing values has cdf F**(n - 1) (David and
-    Nagaraja, Order Statistics, 2003): one uniform u per trial of the Philox
-    stream named by the seed draws its cdf value, the level u**(1/(n - 1)).
-    For a nondecreasing bid function the top bid is below b at a level up to
-    F(z-) and is b at a level in (F(z-), F(z+)], for z- = sup {x : bid(x) < b}
-    and z+ = sup {x : bid(x) <= b} from one :func:`_thresholds` call; a level
-    on an edge is in the class below.  t = 0 for a top bid strictly between
-    bids[k - 1] and bids[k], and a top bid of bids[k] ties with each of the
-    other n - 2 values, iid below the top one, with probability (level -
-    F(z-)) / level > 0: t = 1 + Binomial(n - 2, that), from the same stream.
+
+def _class_counts(F, n: int, bid_fn, fbid, bids: np.ndarray, trials: int, seed: int) -> np.ndarray:
+    """Counts of the trials' classes (k, t) of the top opposing bid among the sorted bids, at index k * n + t.
+
+    Class (k, 0) is a top bid strictly between bids[k - 1] and bids[k], and
+    (k, t >= 1) one of bids[k] that t opponents bid.  For a nondecreasing bid
+    function an opponent bids below bids[k] with probability a_k = F(z-) and
+    at most bids[k] with c_k = F(z+), for z- = sup {x : bid(x) < b} and z+ =
+    sup {x : bid(x) <= b} (:func:`_thresholds`).  The n - 1 opponents are iid,
+    so with c_(-1) = 0, and a = c = 1 for the class k = len(bids) above every bid,
+
+        P(k, 0) = a_k**(n - 1) - c_(k-1)**(n - 1),
+        P(k, t) = C(n - 1, t) a_k**(n - 1 - t) (c_k - a_k)**t,
+
+    which is also 1 + Binomial(n - 2, (L - a_k) / L) ties at the top value's
+    cdf value L, of density (n - 1) L**(n - 2) (David and Nagaraja, Order
+    Statistics, 2003), integrated over L in (a_k, c_k].  One multinomial draw
+    of the Philox stream the seed names takes the counts.  numpy takes the
+    last probability as the remainder: that of the impossible class
+    (len(bids), n - 1), whose shares, 0 at every bid, are those of (len(bids), 0).
     """
-    rng = np.random.Generator(np.random.Philox(seed))
     y = np.column_stack([np.nextafter(bids, -np.inf), bids]).ravel()
-    edges = np.maximum.accumulate(float_view(F)(_thresholds(bid_fn, fbid, y)))  # flat over an ulp-scale dip of F
-    for start in range(0, trials, MC_BLOCK):
-        level = rng.random(min(MC_BLOCK, trials - start)) ** (1 / (n - 1))
-        k, ties = np.divmod(np.searchsorted(edges, level), 2)
-        if n > 2:
-            on = np.flatnonzero(ties)
-            ties[on] += rng.binomial(n - 2, 1 - edges[2 * k[on]] / level[on])
-        yield k, ties
+    edges = np.append(_cdf_at(float_view(F), _thresholds(bid_fn, fbid, y)), (1.0, 1.0))
+    a, c = edges[0::2, None], edges[1::2, None]
+    t = np.arange(n)
+    p = np.array([math.comb(n - 1, i) for i in t], dtype=float) * a ** (n - 1 - t) * (c - a) ** t
+    p[:, 0] = np.diff(edges ** (n - 1), prepend=0.0)[0::2]  # a_k**(n - 1) - c_(k-1)**(n - 1), both by one rule: >= 0
+    return np.random.Generator(np.random.Philox(seed)).multinomial(trials, p.ravel())
 
 
 def _paired_regrets(F, n: int, bid_fn, trials: int, seed: int):
@@ -254,12 +257,11 @@ def _paired_regrets(F, n: int, bid_fn, trials: int, seed: int):
     if t opponents bid exactly b, and 0 otherwise.  So every share depends only
     on the class of the top bid among the sorted distinct bids (the points and
     the own bids): strictly between bids[k - 1] and bids[k], or on bids[k]
-    with t ties.  One bincount per block of :func:`_top_opposing_bids` adds to
-    the counts of these classes, at most n per bid; each pair's difference,
-    the same float per trial as on the trials themselves, is taken once per
-    class and weighted by the counts.  The variance is centred on the first
-    class's difference before the mean, so a pair whose difference is the same
-    in every trial has a standard error of exactly 0.  The classes hold only
+    with t ties (:func:`_class_counts`).  Each pair's difference, the same
+    float per trial as on the trials themselves, is taken once per class and
+    weighted by the counts.  The variance is centred on the first class's
+    difference before the mean, so a pair whose difference is the same in
+    every trial has a standard error of exactly 0.  The classes hold only
     for a nondecreasing bid function, so one that decreases at the values
     i/512 raises DomainError at every n; an overbid is allowed.
     """
@@ -274,9 +276,7 @@ def _paired_regrets(F, n: int, bid_fn, trials: int, seed: int):
     points = np.arange(MC_GRID + 1) / MC_GRID
     own_bids = fbid(points)
     bids = np.array(sorted({*points.tolist(), *own_bids.tolist()}))
-    counts = np.zeros((bids.size + 1) * n, dtype=np.int64)
-    for k, ties in _top_opposing_bids(F, n, bid_fn, fbid, bids, trials, seed):
-        counts += np.bincount(k * n + ties, minlength=counts.size)  # ties < n
+    counts = _class_counts(F, n, bid_fn, fbid, bids, trials, seed)
     classes = np.flatnonzero(counts)
     k, t = np.divmod(classes, n)
     rows = np.arange(bids.size)[:, None]
@@ -294,12 +294,10 @@ def _paired_regrets(F, n: int, bid_fn, trials: int, seed: int):
 def monte_carlo_regret(F, n: int, bid_fn, trials: int, seed: int) -> RegretReport:
     """Monte Carlo regret estimate over values and deviations i/8, on common random numbers.
 
-    Each trial's top opposing value is drawn once, as its cdf value, from the
-    Philox stream named by the seed, and every (value, deviation) pair is
-    compared on those same trials: a pair's regret is the mean of the per-trial
-    difference between the deviation's payoff and the own bid's.  The reported
-    sigma is the largest standard error of those paired differences, so the
-    regret is max_regret +- 3*sigma.
+    Every (value, deviation) pair is compared on the same trials, drawn from
+    the Philox stream the seed names: its regret is the mean of the per-trial
+    difference between the deviation's payoff and the own bid's.  sigma is the
+    largest standard error of those paired differences: max_regret +- 3*sigma.
     """
     points, means, std_errs = _paired_regrets(F, n, bid_fn, trials, seed)
     i, j = np.unravel_index(np.argmax(means), means.shape)

@@ -1,5 +1,8 @@
 import bisect
+import contextlib
+import functools
 import random
+import timeit
 import tracemalloc
 import warnings
 from fractions import Fraction as F
@@ -185,6 +188,16 @@ class TestContinuousRegret:
         dist = seeded_cubic(0, 8)
         report = fq.epsilon_bne_check_ccfpa(dist, n, fq.canonical_bid_function(dist, n))
         assert report.max_regret <= 1e-9
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_win_probability_at_most_one(self, n):
+        # seeded_cubic(0, 4) reads 1 + 1.3e-15 at the float below 1, up to which this step function bids 0:
+        # there every deviation below 1/2 wins with probability 1, and value 1, which bids 1/2 and wins
+        # half its value, gains at most 1/2 by deviating to 0.  Read unguarded, the cdf put it higher
+        dist, x = seeded_cubic(0, 4), np.nextafter(1.0, 0.0)
+        assert float_view(dist)(np.array([x]))[0] > 1
+        step = fq.PiecewisePoly((0, F(x), 1), [(F(0),), (F(1, 2),)])
+        assert fq.epsilon_bne_check_ccfpa(dist, n, step) == fq.RegretReport(0.5, (1.0, 0.0))
 
     @pytest.mark.xfail(strict=True, reason="the grid verifier does not split ties, so it under-reports pooling")
     def test_pooling_at_zero_reported(self, uniform):
@@ -545,12 +558,12 @@ class TestCommonRandomNumbers:
         assert a != fq.monte_carlo_regret(square, 2, bid_fn, 300, 18)
 
     def test_one_draw_per_run(self, uniform, monkeypatch):
-        # one inversion per run, at the compared bids and the floats below them, and none per block;
+        # one inversion per run, at the compared bids and the floats below them, whatever the trials;
         # a jump-point strategy reads its thresholds off its jump points, with no inversion at all
         calls = []
         invert = fq.verify._invert
         monkeypatch.setattr(fq.verify, "_invert", lambda f, y: calls.append(y.shape) or invert(f, y))
-        trials, points = 2 * fq.verify.MC_BLOCK + 1, np.arange(9) / 8
+        trials, points = 16_385, np.arange(9) / 8
         for n in (2, 3):
             rbf = fq.canonical_bid_function(uniform, n)
             fq.monte_carlo_regret(uniform, n, rbf, trials, 1)
@@ -563,7 +576,7 @@ class TestCommonRandomNumbers:
         # the bid function is read by the monotonicity check, at the values i/8 and in one threshold
         # call per run, whatever the trials; a bid per trial would add as many points as trials
         points = []
-        for trials in (2, 3 * fq.verify.MC_BLOCK + 5):
+        for trials in (2, fq.verify.MAX_MC_TRIALS):
             bid_fn = CountedBid(fq.canonical_bid_function(square, 3))
             fq.monte_carlo_regret(square, 3, bid_fn, trials, 0)
             points.append(bid_fn.view.points)
@@ -592,36 +605,47 @@ class TestCommonRandomNumbers:
 
 
 def sampled_top_bids(dist, n, bid_fn, bids, trials, seed):
-    """Each trial's top opposing bid and its tie count, sampled from the same Philox stream in the same
-    order as monte_carlo_regret draws it, with no thresholds: per block of MC_BLOCK trials, the levels
-    u**(1/(n - 1)), a 50-step bisection on the cdf's inverse at each and the bid at its midpoint, a tie
-    where that bid is one of the bids, and from n = 3 on 1 + Binomial(n - 2, (level - F(z)) / level)
-    ties more, z from a 60-step bisection of the bid at the float below the tied bid."""
+    """Each trial's top opposing bid and its tie count, sampled trial by trial with no thresholds and no
+    class law: the levels u**(1/(n - 1)) of a Philox stream, a 50-step bisection on the cdf's inverse at
+    each and the bid at its midpoint, a tie where that bid is one of the bids, and from n = 3 on
+    1 + Binomial(n - 2, (level - F(z)) / level) ties, z from a 60-step bisection of the bid at the
+    float below the tied bid."""
     fcdf, fbid = float_view(dist), float_view(bid_fn)
     rng = np.random.Generator(np.random.Philox(seed))
     below = fcdf(reference_bisection(fbid, np.nextafter(bids, -np.inf), 60)[0])
-    tops, ties = [], []
-    for start in range(0, trials, fq.verify.MC_BLOCK):
-        level = rng.random(min(fq.verify.MC_BLOCK, trials - start)) ** (1 / (n - 1))
-        lo, hi = reference_bisection(fcdf, level, 50)
-        top = fbid((lo + hi) / 2)
-        k = np.minimum(np.searchsorted(bids, top), bids.size - 1)
-        tie = (bids[k] == top).astype(np.int64)
-        if n > 2:
-            on = np.flatnonzero(tie)
-            tie[on] += rng.binomial(n - 2, 1 - below[k[on]] / level[on])
-        tops.append(top)
-        ties.append(tie)
-    return np.concatenate(tops), np.concatenate(ties)
+    level = rng.random(trials) ** (1 / (n - 1))
+    lo, hi = reference_bisection(fcdf, level, 50)
+    top = fbid((lo + hi) / 2)
+    k = np.minimum(np.searchsorted(bids, top), bids.size - 1)
+    ties = (bids[k] == top).astype(np.int64)
+    if n > 2:
+        on = np.flatnonzero(ties)
+        ties[on] += rng.binomial(n - 2, 1 - below[k[on]] / level[on])
+    return top, ties
 
 
-def per_trial_paired_regrets(dist, n, bid_fn, trials, seed):
-    """_paired_regrets on the trials themselves: the sampled top bids, one share array per distinct bid,
-    then each pair's mean and standard error over its per-trial differences."""
-    fbid = float_view(bid_fn)
+def compared_bids(bid_fn):
+    """The sorted distinct bids that _paired_regrets compares: the points i/8 and their own bids."""
+    points = np.arange(9) / 8
+    return np.array(sorted({*points.tolist(), *float_view(bid_fn)(points).tolist()}))
+
+
+def trials_of_counts(counts, bids, n):
+    """Trials with the given class counts, in class order: a trial of class (k, t >= 1) has the top
+    opposing bid bids[k] and t ties, one of class (k, 0) a top bid strictly between bids[k - 1] and
+    bids[k], below the lowest bid for k = 0 and above the highest for k = len(bids)."""
+    k, ties = np.divmod(np.repeat(np.arange(counts.size), counts), n)
+    ends = np.concatenate([[bids[0] - 1], bids, [bids[-1] + 1]])
+    between = (ends[k] + ends[k + 1]) / 2
+    assert ((ends[k] < between) & (between < ends[k + 1])).all()
+    return np.where(ties > 0, bids[np.minimum(k, bids.size - 1)], between), ties
+
+
+def per_trial_paired_regrets(bid_fn, top, ties):
+    """_paired_regrets on the trials themselves: one share array per distinct bid from each trial's
+    top opposing bid and tie count, then each pair's mean and standard error over its per-trial differences."""
     points = [i / 8 for i in range(9)]
-    own_bids = fbid(np.array(points)).tolist()
-    top, ties = sampled_top_bids(dist, n, bid_fn, np.array(sorted({*points, *own_bids})), trials, seed)
+    own_bids = float_view(bid_fn)(np.array(points)).tolist()
     shares = {b: np.where(top < b, 1.0, np.where(top == b, 1.0 / (1.0 + ties), 0.0))
               for b in dict.fromkeys(points + own_bids)}
     means, std_errs = np.empty((9, 9)), np.empty((9, 9))
@@ -630,7 +654,7 @@ def per_trial_paired_regrets(dist, n, bid_fn, trials, seed):
         for j, b in enumerate(points):
             diff = (v - b) * shares[b] - own
             means[i, j] = diff.mean()
-            std_errs[i, j] = diff.std(ddof=1) / np.sqrt(trials)
+            std_errs[i, j] = diff.std(ddof=1) / np.sqrt(top.size)
     return points, means, std_errs
 
 
@@ -639,13 +663,59 @@ def pooled_at_top():
     return JumpPointStrategy(EIGHTHS, (F(0), F(1, 8), F(1, 4), F(3, 8)) + (F(1, 2),) * 4 + (F(1),), ())
 
 
+@contextlib.contextmanager
+def expected_draws(monkeypatch):
+    """Puts the expectation in place of the draw: the multinomial of every Philox generator made inside
+    records its class probabilities p in the list yielded and returns the counts trials * p, so
+    _paired_regrets returns the expected means."""
+    laws = []
+
+    class Expectation:
+        def __init__(self, bit_generator):
+            pass
+
+        def multinomial(self, trials, p):
+            laws.append(p)
+            return trials * p
+
+    with monkeypatch.context() as m:
+        m.setattr(np.random, "Generator", Expectation)
+        yield laws
+
+
+def law_of(dist, n, bid_fn, monkeypatch):
+    """The compared bids of bid_fn and the class probabilities of _class_counts, one row (k, t) per bid."""
+    bids = compared_bids(bid_fn)
+    with expected_draws(monkeypatch) as laws:
+        fq.verify._class_counts(dist, n, bid_fn, float_view(bid_fn), bids, 2, 0)
+    p = laws[0].reshape(-1, n)
+    assert (p >= 0).all() and abs(p.sum() - 1) <= 1e-12
+    return bids, p
+
+
+def law_case(name, n, request):
+    """(cdf, bid function) of a law case: a canonical bid function, a solved strategy on the bids i/8,
+    or the strategy that pools at the top."""
+    if name == "pooled":
+        return request.getfixturevalue("uniform"), pooled_at_top()
+    dist_name, kind = name.split("-")
+    dist = request.getfixturevalue(dist_name)
+    if kind == "bid":
+        return dist, fq.canonical_bid_function(dist, n)
+    return dist, fq.solve(dist, n, EIGHTHS, F(1, 64)).strategy
+
+
 class TestPairsFromClassCounts:
     """_paired_regrets takes every pair's mean and standard error from the counts of the trials' classes."""
 
     @staticmethod
-    def assert_matches_per_trial(dist, n, bid_fn, trials, seed):
+    def assert_matches_per_trial(dist, n, bid_fn, trials, seed, monkeypatch):
+        drawn, class_counts = [], fq.verify._class_counts
+        monkeypatch.setattr(fq.verify, "_class_counts", lambda *args: drawn.append(class_counts(*args)) or drawn[-1])
         points, means, std_errs = fq.verify._paired_regrets(dist, n, bid_fn, trials, seed)
-        ref_points, ref_means, ref_std_errs = per_trial_paired_regrets(dist, n, bid_fn, trials, seed)
+        assert drawn[0].sum() == trials
+        top, ties = trials_of_counts(drawn[0], compared_bids(bid_fn), n)
+        ref_points, ref_means, ref_std_errs = per_trial_paired_regrets(bid_fn, top, ties)
         assert points == ref_points
         assert np.abs(means - ref_means).max() <= 1e-15
         big = ref_std_errs > 1e-15
@@ -655,32 +725,31 @@ class TestPairsFromClassCounts:
         assert fq.monte_carlo_regret(dist, n, bid_fn, trials, seed).argmax == (points[i], points[j])
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    @pytest.mark.parametrize("trials", [2, 3, 500, 3 * fq.verify.MC_BLOCK + 5])
+    @pytest.mark.parametrize("trials", [2, 3, 500, 24_581])
     @pytest.mark.parametrize("name,n", [("uniform", 3), ("square", 2), ("pooled", 4)])
-    def test_jump_points_match_per_trial(self, name, n, trials, seed, request):
+    def test_jump_points_match_per_trial(self, name, n, trials, seed, request, monkeypatch):
         if name == "pooled":
             dist, s = request.getfixturevalue("uniform"), pooled_at_top()
         else:
             dist = request.getfixturevalue(name)
             s = fq.solve(dist, n, EIGHTHS, F(1, 64)).strategy
-        self.assert_matches_per_trial(dist, n, s, trials, seed)
+        self.assert_matches_per_trial(dist, n, s, trials, seed, monkeypatch)
 
-    def test_pooling_gives_ties_above_one(self, uniform):
+    def test_pooling_gives_ties_above_one(self, uniform, monkeypatch):
         # every value above 1/2 bids 7/8, so a top bid of 7/8 ties with each of the other two
         # opponents with probability (F(v) - 1/2) / F(v); every opposing bid is one of the bids i/8
-        s = pooled_at_top()
-        (k, ties), = fq.verify._top_opposing_bids(uniform, 4, s, float_view(s), np.arange(9) / 8, 500, 0)
-        assert k.shape == ties.shape == (500,)
-        assert set(ties[k == 7].tolist()) == {1, 2, 3}
-        assert (ties >= 1).all()
+        bids, p = law_of(uniform, 4, pooled_at_top(), monkeypatch)
+        assert bids.tolist() == [i / 8 for i in range(9)]
+        assert (p[7, 1:] > 0).all()
+        assert (p[:, 0] == 0).all()
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    @pytest.mark.parametrize("trials", [2, 3, 500, 3 * fq.verify.MC_BLOCK + 5])
+    @pytest.mark.parametrize("trials", [2, 3, 500, 24_581])
     @pytest.mark.parametrize("n", [2, 3, 4, 8])
     @pytest.mark.parametrize("name", ["uniform", "square"])
-    def test_canonical_bids_match_per_trial(self, name, n, trials, seed, request):
+    def test_canonical_bids_match_per_trial(self, name, n, trials, seed, request, monkeypatch):
         dist = request.getfixturevalue(name)
-        self.assert_matches_per_trial(dist, n, fq.canonical_bid_function(dist, n), trials, seed)
+        self.assert_matches_per_trial(dist, n, fq.canonical_bid_function(dist, n), trials, seed, monkeypatch)
 
     def test_constant_pair_has_zero_sigma(self, uniform):
         # beta(1) = 3/4 beats every opponent, so value 1 earns 1/4 in every trial, and bids 0 and 1 earn 0
@@ -688,26 +757,45 @@ class TestPairsFromClassCounts:
         for j in (0, 8):
             assert means[8, j] == -0.25 and std_errs[8, j] == 0.0
 
-    @pytest.mark.parametrize("kind,limit", [("rbf", 100), ("jump", 64)])
-    def test_memory_per_trial(self, square, kind, limit):
-        # bytes of arrays held at the peak of a run at n = 2, per trial: one share array per bid took
-        # 160 (rbf) and 112 (jump), the whole draw and its inversion about 75 and 48, a few blocks of it 14
-        trials = 200_000
-        if kind == "rbf":
-            bid_fn = fq.canonical_bid_function(square, 2)
-        else:
-            bid_fn = fq.solve(square, 2, EIGHTHS, F(1, 64)).strategy
-        tracemalloc.start()
-        try:
-            fq.monte_carlo_regret(square, 2, bid_fn, trials, 1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= limit * trials
+
+class TestClassLaw:
+    """The law of a trial's class: each compared bid's expected share is its tie-split win probability."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 8, 64])
+    @pytest.mark.parametrize("name", ["uniform-bid", "square-bid", "square-solved", "pooled"])
+    def test_expected_share_is_delta_win_prob(self, name, n, request, monkeypatch):
+        # a share of 1 below bids[k] and 1/(1 + t) on it: in expectation Delta(F(z-), F(z+)), exactly,
+        # with the edges F(z-) and F(z+) the verifier reads at the float below bids[k] and at bids[k]
+        dist, bid_fn = law_case(name, n, request)
+        bids, p = law_of(dist, n, bid_fn, monkeypatch)
+        fbid = float_view(bid_fn)
+        y = np.column_stack([np.nextafter(bids, -np.inf), bids]).ravel()
+        edges = fq.verify._cdf_at(float_view(dist), fq.verify._thresholds(bid_fn, fbid, y)).reshape(-1, 2).T
+        below = np.concatenate(([0.0], np.cumsum(p[:-2].sum(axis=1))))
+        share = below + (p[:-1] / (1 + np.arange(n))).sum(axis=1)
+        for k, (a, c) in enumerate(zip(*edges)):
+            assert abs(share[k] - float(fq.delta_win_prob(F(a), F(c), n))) <= 1e-15, k
+
+    @pytest.mark.parametrize("name,n", [("uniform-solved", 3), ("square-solved", 2), ("pooled", 4), ("pooled", 8)])
+    def test_expected_means_are_the_grid_regret(self, name, n, request, monkeypatch):
+        dist, s = law_case(name, n, request)
+        with expected_draws(monkeypatch):
+            means = fq.verify._paired_regrets(dist, n, s, 2, 0)[1]
+        assert abs(max(means.max(), 0.0) - float(mc_grid_regret(dist, n, EIGHTHS, s.s))) <= 1e-15
+
+    @pytest.mark.parametrize("name,n", [("pooled", 4), ("square-bid", 3), ("square-solved", 2), ("uniform-bid", 8)])
+    def test_sampled_classes_within_five_sigma(self, name, n, request, monkeypatch):
+        # trials sampled one by one, with no thresholds, fall in each class (k, t) about trials * p times
+        dist, bid_fn = law_case(name, n, request)
+        bids, p = law_of(dist, n, bid_fn, monkeypatch)
+        trials, p = 200_000, p.ravel()
+        top, ties = sampled_top_bids(dist, n, bid_fn, bids, trials, 7)
+        counts = np.bincount(np.searchsorted(bids, top) * n + ties, minlength=p.size)
+        assert np.all(np.abs(counts - trials * p) <= 5 * np.sqrt(trials * p * (1 - p)))
 
 
 class TestTopOpposingValue:
-    """A trial draws its top opposing value alone, with the tie count of its bid."""
+    """A trial's class is that of its top opposing value alone, with the tie count of its bid."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("n", [3, 8])
@@ -728,36 +816,25 @@ class TestTopOpposingValue:
                 fq.monte_carlo_regret(uniform, n, falling, 100, 0)
             fq.monte_carlo_regret(uniform, n, lambda v: min(2 * v, 1), 100, 0)
 
-    def test_level_zero_raises_no_warning(self, uniform, monkeypatch):
-        # a uniform of exactly 0.0 puts the top value at the level 0, the lowest edge F(z-) of bid 0
-        # here: a level on an edge is in the class below, under bid 0, so no tie probability
-        # (level - F(z-)) / level = 0/0 is taken
-        generator = np.random.Generator
-
-        class ZeroUniforms:
-            def __init__(self, bit_generator):
-                self.rng = generator(bit_generator)
-
-            def random(self, size):
-                return np.zeros(size)
-
-            def binomial(self, n, p):
-                return self.rng.binomial(n, p)
-
-        monkeypatch.setattr(np.random, "Generator", ZeroUniforms)
+    def test_level_zero_raises_no_warning(self):
+        # seeded_cubic(0, 4) reads 1 + 1.3e-15 at the float below 1, where this step function rises from
+        # bid 0 to 1/2: bid 0's edges are F(0) = 0 and that float, and a class probability built on an
+        # edge above 1 would be negative, which the multinomial refuses.  Every opponent bids 0, so
+        # every trial ties with all n - 1 of them and sigma is 0
+        dist, x = seeded_cubic(0, 4), np.nextafter(1.0, 0.0)
+        assert float_view(dist)(np.array([x]))[0] > 1
+        step = fq.PiecewisePoly((0, F(x), 1), [(F(0),), (F(1, 2),)])
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            s = pooled_at_top()
-            (k, ties), = fq.verify._top_opposing_bids(uniform, 5, s, float_view(s), np.arange(9) / 8, 10, 0)
-            report = fq.monte_carlo_regret(uniform, 5, s, 10, 0)
-        assert (k == 0).all() and (ties == 0).all()
-        assert report.sigma == 0.0
+            for n in (2, 5):
+                assert fq.monte_carlo_regret(dist, n, step, 10, 0).sigma == 0.0
 
     @pytest.mark.parametrize("kind,n", [("step", 2), ("step", 5), ("rbf", 2), ("rbf", 3), ("rbf", 5)])
     def test_searches_see_nondecreasing_edges(self, kind, n, monkeypatch):
         # seeded_cubic(0, 4)'s floats fall by an ulp from x1 to x2, two floats apart.  A step function
         # that bids 1/2 on (x1, x2] has the edges F(z-) = F(x1) and F(z+) = F(x2) there, in that
-        # order, and every search of a run, the classes' among them, needs a nondecreasing array
+        # order: every search of a run needs a nondecreasing array, and the multinomial nonnegative
+        # class probabilities, which differences of decreasing edges would not give
         dist, x1, x2 = seeded_cubic(0, 4), 0.884782184673133, 0.8847821846731332
         fx1, fx2 = float_view(dist)(np.array([x1, x2]))
         assert fx1 > fx2
@@ -770,24 +847,38 @@ class TestTopOpposingValue:
         fq.monte_carlo_regret(dist, n, bid_fn, 1000, 0)
         assert searched and all((np.diff(a) >= 0).all() for a in searched)
 
+    def test_shared_edge_gives_no_negative_probability(self, uniform):
+        # a step function from 1/4 to 1/2 at x: F(z+) of bid 1/4 and F(z-) of bid 1/2 are both x, so the
+        # top bid lies strictly between them with probability x**2 - x**2 = 0.  numpy's power of an array
+        # by integer exponents and its square of x differed by an ulp here (numpy 2.4, AVX-512), so the two
+        # terms must take their powers alike, or the difference can fall below 0 and the draw refuses it
+        x = 0.8132702392002724
+        step = fq.PiecewisePoly((0, F(x), 1), [(F(1, 4),), (F(1, 2),)])
+        assert fq.monte_carlo_regret(uniform, 3, step, 1000, 0).sigma > 0
+
     @pytest.mark.parametrize("kind,n", [("rbf", 2), ("rbf", 8), ("jump", 3)])
     def test_memory_does_not_grow_with_trials(self, square, kind, n):
-        # a run holds a few blocks of its draw at once, whatever the trials; the last block of
-        # 2 * 10**4 trials is partial.  Holding the whole draw took 48 to 88 bytes per draw more
+        # one draw counts the trials of each class, so a run at the trial limit holds the arrays of a
+        # run of 2 trials, but for the columns of the classes that occur, and takes about its time:
+        # 3-24 KB more, where one byte per trial would be 4 MB.  Drawn in blocks of 8192 trials, a run at
+        # the limit peaked 0.37-0.64 MB higher than a 2-trial run and took over 70 times as long
         if kind == "rbf":
             bid_fn = fq.canonical_bid_function(square, n)
         else:
             bid_fn = fq.solve(square, n, EIGHTHS, F(1, 64)).strategy
         fq.monte_carlo_regret(square, n, bid_fn, 100, 1)  # first-call allocations, outside the peaks
-        peaks = []
-        for trials in (20_000, 200_000):
+        peaks, seconds = [], []
+        for trials in (2, fq.verify.MAX_MC_TRIALS):
             tracemalloc.start()
             try:
                 fq.monte_carlo_regret(square, n, bid_fn, trials, 1)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        assert peaks[1] <= peaks[0] + 48 * fq.verify.MC_BLOCK
+            run = functools.partial(fq.monte_carlo_regret, square, n, bid_fn, trials, 1)
+            seconds.append(min(timeit.repeat(run, number=1, repeat=5)))
+        assert peaks[1] <= peaks[0] + 32 * 1024
+        assert seconds[1] <= 2 * seconds[0]
 
 
 class TestStrategyIsItsBidFunction:

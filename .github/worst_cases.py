@@ -44,11 +44,11 @@ CASES = [  # argv, stdout file, bound in s; optionally a peak RSS bound in MB, a
     (["solve", "--model", "ccfpa-explicit", *DENSE, "--samples", "32"], "explicit.csv", 4,
      dict(mb=200, sha256="e2536c179617116cddbbc98bab051275a415471ac079ab63868441305377a149")),
     # at n = 8 every float bid of the dense rows falls back to the exact one, so the verify's time is
-    # the number of bids its inversion takes: 5.2-6.3 s alone and 9.2 s in a full run of this script,
-    # where 60 bisection steps per deviation took 14-16 s
+    # the number of bids it reads: one read at the 513 values i/512, 0.8-1.0 s alone and in a full run
+    # of this script, where an inversion per deviation j/256 took 6.4-8.7 s and 60 bisection steps 14-16 s
     (["solve", "--model", "ccfpa-explicit", "--cdf", "dense.json", "--n", "8"], "dense-n8.json", 8, {}),
     (["verify", "--mode", "grid", "--strategy", "dense-n8.json", "--cdf", "dense.json", "--n", "8"],
-     "dense-n8-grid.json", 15, {}),
+     "dense-n8-grid.json", 4, {}),
     # rationals of about 134 000 characters, past Python's int-to-str limit: 10-13 s and 10-12 s, 31 MB
     (["solve", "--model", "cdfpa", *DENSE_GRID, "--eps", "1/64"], "dense-grid.json", 60, dict(mb=200)),
     (["verify", "--mode", "exact", "--strategy", "dense-grid.json", *DENSE_GRID], "dense-grid-verify.json", 60,
@@ -62,16 +62,17 @@ CASES = [  # argv, stdout file, bound in s; optionally a peak RSS bound in MB, a
     # 4 000 000 trials, the MAX_MC_TRIALS limit, counted per class of the top opposing bid by one multinomial
     # draw: 0.15-0.25 s and 36 MB, as a run of 2 trials takes, where drawing a level per trial, 8192 at a time,
     # took 0.3-0.6 s, and a cdf inversion and a bid per trial 3.3-4.4 s.  The digest pins the seed's draw
+    # and the deviations, the bids beta(i/8) and the float above each
     (["solve", "--model", "ccfpa-explicit", "--cdf", "square.json", "--n", "2"], "square-bid.json", 120, {}),
     (["verify", "--strategy", "square-bid.json", "--cdf", "square.json", "--n", "2", "--mode", "mc",
       "--trials", "4000000"], "square-mc.json", 1.5,
-     dict(mb=100, sha256="d46acbd4b57123343563fa21a4ac8233fec4c1ea6f6e3153a062785ba2cf8d83")),
+     dict(mb=100, sha256="3bd32d448158bc2156e290f6b3fb92dcd6b62c23303e39f0e89aa43f54b403e2")),
     # the same at n = 64, n classes per compared bid: 0.15-0.25 s and 36 MB, where a level per trial took
     # 0.3-0.6 s, and a cdf inversion and a bid per trial 7.5-10 s
     (["solve", "--model", "ccfpa-explicit", "--cdf", "square.json", "--n", "64"], "square-bid-n64.json", 120, {}),
     (["verify", "--strategy", "square-bid-n64.json", "--cdf", "square.json", "--n", "64", "--mode", "mc",
       "--trials", "4000000"], "square-mc-n64.json", 1.5,
-     dict(mb=100, sha256="8deb7741927724cb20bbfeafa3ae04fc095195dcf9aaca562f303f0dcdf44791")),
+     dict(mb=100, sha256="79f703faa9cbd21f56cd5aa40e62edea7d538f41b10cdee1627bdfa83957bb13")),
 ]
 
 

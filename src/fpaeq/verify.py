@@ -3,8 +3,10 @@
 Three routes, deliberately independent of the solvers they audit:
 
 * exact deviation regret over a finite bid grid (rational arithmetic),
-* grid-based deviation regret for continuous monotone bid functions, with the
-  deviation's winning threshold read off the bid function (:func:`_thresholds`),
+* grid-based deviation regret for continuous monotone bid functions, in
+  threshold coordinates: the deviations are the bids beta(z) of a grid of
+  values z, and a deviation wins against the opponent values up to the last z
+  of its run of equal bids (:func:`_edges`),
 * Monte Carlo ex-post play with uniform tie-breaking.  A trial's shares depend
   only on the class of its top opposing bid, so one multinomial draw of the
   Philox stream the seed names counts the trials of each class
@@ -14,10 +16,14 @@ Three routes, deliberately independent of the solvers they audit:
 The exact route takes a :class:`JumpPointStrategy`, which carries its bids.
 The other two take a bid function: a :class:`PiecewisePoly`, such as a
 jump-point strategy, a :class:`RationalBidFunction` or any callable on [0, 1].
-They read it in floats through :func:`cdf.float_view`: the first two by their
-own float evaluators (a rational bid function falls back to its exact bid
-wherever the float error bound is too wide), any other callable on the exact
-rational of each point.
+Each reads it once, in floats through :func:`cdf.float_view`, at the values
+i/512 (grid mode adds its own values): a piecewise polynomial or a rational bid
+function by its own float evaluator (a rational bid function falls back to its
+exact bid wherever the float error bound is too wide), any other callable on
+the exact rational of each point.  Where a nondecreasing bid function is
+strictly increasing, bidding beta(z) wins against exactly the opponent values
+below z (the change of variables of first-price analysis; Krishna, Auction
+Theory, 2nd ed., 2010, ch. 2), so no threshold needs an inversion.
 """
 
 from __future__ import annotations
@@ -33,14 +39,10 @@ from .cdf import PiecewisePolyCdf, float_view
 from .discrete import JumpPointStrategy
 from .errors import DomainError, check_bidders
 
-INVERSION_STEPS = 60  # a threshold's final bracket is at most 2**-60 wide, or two adjacent floats
-TABLE_STEPS = 8  # _invert evaluates f once at the dyadics j/2**8 and replays bisection's first steps there
-FINAL_STEPS = 4  # _invert ends with bisection's own last 4 steps
-TRUNCATION = 0.02  # ITP's kappa_1 in _invert, in units of the lattice points of a table cell
 EXACT_VALUE_GRID = 64  # the exact verifier's uniform values are i/64
 GRID_VALUES = 128  # the grid verifier's values split [v_low, 1] into 128 steps
-GRID_DEVIATIONS = 256  # the grid verifier's deviations are j/256
-MC_GRID = 8  # the Monte Carlo verifier's values and deviations are i/8
+BID_GRID = 512  # both float verifiers read the bid function at the values i/512
+MC_GRID = 8  # the Monte Carlo verifier's values are i/8, and so are its deviations on a step function
 # Most trials one Monte Carlo run may take: a bound on the count its one draw takes, not on work or memory.
 MAX_MC_TRIALS = 4_000_000
 
@@ -99,117 +101,75 @@ def epsilon_bne_check_cdfpa(F, n: int, strategy: JumpPointStrategy) -> RegretRep
 
 
 def epsilon_bne_check_ccfpa(F, n: int, bid_fn: Callable) -> RegretReport:
-    """Deviation regret for a continuous monotone bid function.
+    """Deviation regret for a continuous monotone bid function, in threshold coordinates.
 
-    A deviation to bid b wins against all opponent values below
-    z = sup {v' : bid_fn(v') <= b}, from :func:`_thresholds`; utility is then
-    F(z)**(n-1) * (v - b).  The sup over continuous deviations is approximated
-    on a grid, so the reported regret carries the grid resolution.  Ties are
-    not split: a bid function that pools values on one bid is under-reported.
-    F is a PiecewisePolyCdf; the bid function must pass monotone_no_overbid_check
-    at the values i/512, else DomainError names a witness.
+    The bid function is read once, at z = i/512 and the 129 values
+    v_low + (1 - v_low) i/128, and its bids made nondecreasing.  The deviations
+    are those bids: beta(z_k) wins against all opponent values up to z+, the
+    last z of its run of equal bids or a step function's exact threshold (as
+    :func:`_edges` gives it), so its utility at value v is
+    F(z+)**(n-1) * (v - beta(z_k)), and the reported argmax bid is one of them.
+    The sup over continuous deviations is approximated on the grid, so the
+    reported regret carries the grid resolution; a step function's bid held
+    only between two read values is not a deviation.  Ties are not split: a bid
+    function that pools values on one bid is under-reported.  F is a
+    PiecewisePolyCdf; the bid function must not overbid or decrease at the
+    read values (as :func:`monotone_no_overbid_check` finds them), else
+    DomainError names a witness.
     """
     check_bidders(n)
     if not isinstance(F, PiecewisePolyCdf):
         raise DomainError(f"unsupported cdf type: {type(F).__name__}")
-    probe = monotone_no_overbid_check(bid_fn, samples=512)
-    for what, witnesses in (("overbids", probe.overbid_witnesses), ("decreases", probe.monotonicity_witnesses)):
-        if witnesses:
-            raise DomainError(f"bid function {what} at v={witnesses[0][0]}")
-    fcdf, fbid = float_view(F), float_view(bid_fn)
-    deviations = np.arange(GRID_DEVIATIONS + 1) / GRID_DEVIATIONS
-    z = _thresholds(bid_fn, fbid, deviations)  # 0 below bid_fn(0), 1 at or above bid_fn(1)
     v_low = float(F.support_infimum())
     values = v_low + (1 - v_low) * np.arange(GRID_VALUES + 1) / GRID_VALUES
-    own = _cdf_at(fcdf, values) ** (n - 1) * (values - fbid(values))
-    regret = _cdf_at(fcdf, z) ** (n - 1) * (values[:, None] - deviations) - own[:, None]
+    z = np.array(sorted({*(np.arange(BID_GRID + 1) / BID_GRID).tolist(), *values.tolist()}))
+    bids = _bids_at(bid_fn, z, refuse=("overbids", "decreases"))
+    fcdf = float_view(F)
+    exact = _exact_thresholds(bid_fn)
+    win = _cdf_at(fcdf, exact(bids) if exact else z[np.searchsorted(bids, bids, side="right") - 1]) ** (n - 1)
+    own = _cdf_at(fcdf, values) ** (n - 1) * (values - bids[np.searchsorted(z, values)])
+    regret = values[:, None] - bids  # then in place: one array of values x deviations at a time
+    regret *= win
+    regret -= own[:, None]
     i, j = np.unravel_index(np.argmax(regret), regret.shape)
-    return RegretReport(max(float(regret[i, j]), 0.0), (float(values[i]), float(deviations[j])))
+    return RegretReport(max(float(regret[i, j]), 0.0), (float(values[i]), float(bids[j])))
 
 
-def _thresholds(bid_fn, fbid: Callable, y: np.ndarray) -> np.ndarray:
-    """sup {x : bid_fn(x) <= y}, bid_fn nondecreasing: :meth:`PiecewisePoly.float_thresholds` or :func:`_invert`'s lo."""
-    z = bid_fn.float_thresholds(y) if hasattr(bid_fn, "float_thresholds") else None
-    return _invert(fbid, y)[0] if z is None else z
+def _bids_at(bid_fn, z: np.ndarray, refuse: tuple) -> np.ndarray:
+    """The bid function at sorted z, in one call of its float view, made nondecreasing.
 
-
-def _invert(f: Callable, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Brackets [lo, hi] on sup {x in [0, 1] : f(x) <= y}, elementwise over a 1-d y, for a nondecreasing f.
-
-    f takes an array (:func:`cdf.float_view`).  Whatever f is, each bracket has
-    lo = 0 or f(lo) <= y, hi = 1 or f(hi) > y, and hi - lo <= 2**-60 or no
-    float strictly between lo and hi.  y below f(0) gives [0, 0], and y at or
-    above f(1) gives [1, 1].
-
-    Each cell [j/2**8, (j+1)/2**8] holds a lattice of floats spaced by u,
-    2**-60 or the float spacing at j/2**8 where that is wider: the points that
-    60 steps of bisection can reach in it.  One call of f on the dyadics
-    j/2**8 replays bisection's first 8 steps on their indices.  ITP (Oliveira
-    and Takahashi, ACM TOMS 47(1), 2020) then narrows each cell to one of
-    width 2**FINAL_STEPS u, on the points that far apart, with one call of f
-    per step on the elements still open, and bisection's own last FINAL_STEPS
-    steps finish it.  So where f is nondecreasing on those coarser points and
-    f(0) <= y < f(1), the bracket is the one that 60 steps of bisection from
-    [0, 1] end on, as it is wherever f's floats are nondecreasing.  No end is
-    moved without a call of f there.
-
-    ITP keeps bisection's worst case, one step more, and takes a few steps on
-    smooth f: f is called once for the table and then at most 53 times, on at
-    most 53 points per element of y, in one pass over y.
+    DomainError names the first witness of each kind refused, "overbids" and
+    "decreases", as :func:`monotone_no_overbid_check` finds them.
     """
-    top = 1 << TABLE_STEPS
-    table = f(np.arange(top + 1) / top)
-    j = np.zeros(y.shape, dtype=np.int64)
-    for half in (top >> k for k in range(1, TABLE_STEPS + 1)):  # bisection's first steps, on the table's indices
-        j += (table[j + half] <= y) * half
-    lo = np.where(y < table[0], 0.0, 1.0)  # [0, 0] below f(0), [1, 1] at or above f(1)
-    hi = lo.copy()
-    inside = np.flatnonzero((table[0] <= y) & (y < table[top]))  # there table[j] <= y < table[j + 1]
-    y, j = y[inside], j[inside]
-    a0 = j / top
-    coarse = np.maximum(np.spacing(a0), 2.0**-INVERSION_STEPS) * 2**FINAL_STEPS  # 2**FINAL_STEPS lattice points apart
-    left = _itp(f, y, a0, coarse, table[j] - y, table[j + 1] - y)
-    right = left + coarse
-    for _ in range(FINAL_STEPS):  # bisection's own last steps
-        mid = (left + right) / 2
-        below = f(mid) <= y
-        left, right = np.where(below, mid, left), np.where(below, right, mid)
-    lo[inside], hi[inside] = left, right
-    return lo, hi
+    bids = float_view(bid_fn)(z)
+    check = _witnesses(z, bids)
+    for what, witnesses in (("overbids", check.overbid_witnesses), ("decreases", check.monotonicity_witnesses)):
+        if what in refuse and witnesses:
+            raise DomainError(f"bid function {what} at v={witnesses[0][0]}")
+    return np.maximum.accumulate(bids)
 
 
-def _itp(f: Callable, y: np.ndarray, a0: np.ndarray, unit: np.ndarray, fa: np.ndarray, fb: np.ndarray) -> np.ndarray:
-    """The left end of a cell [a0 + i * unit, a0 + (i + 1) * unit] with f(left) <= y < f(right), by ITP on
-    the points a0 + i * unit, i = 0..K, of the table cell [a0, a0 + 2**-TABLE_STEPS]; fa <= 0 < fb are f - y at its ends.
+def _exact_thresholds(bid_fn) -> Callable | None:
+    """z+ = sup {x : bid(x) <= y} at any y, exactly, for a step function with nondecreasing rows, such as a
+    jump-point strategy (:meth:`PiecewisePoly.float_thresholds`, None whatever y for any other
+    PiecewisePoly); None for any other bid function."""
+    thresholds = getattr(bid_fn, "float_thresholds", None)
+    return thresholds if thresholds is not None and thresholds(np.zeros(0)) is not None else None
 
-    K = 2**-TABLE_STEPS / unit is a power of 2 below 2**53, so the arithmetic on i
-    is exact, and each element takes at most log2(K) + 1 steps.
+
+def _edges(exact, z: np.ndarray, bids: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """z- = sup {x : bid(x) < y} and z+ = sup {x : bid(x) <= y} for each of the sorted y >= bids[0].
+
+    The exact thresholds of :func:`_exact_thresholds` give both, at the float
+    below y and at y.  Otherwise they come from bids = bid(z), nondecreasing:
+    z+ is the last z whose bid is at most y, and z- the first z of y's run of
+    equal bids, or z+ if y is not one of the bids.  That is exact wherever
+    the bid function is strictly increasing, or pools only where F is flat.
     """
-    left = np.empty_like(a0)
-    reach = 2.0**-TABLE_STEPS / unit  # K
-    kappa = TRUNCATION / reach
-    open_, a, b = np.arange(a0.size), np.zeros_like(a0), reach.copy()
-    while True:
-        closed = np.flatnonzero(b - a <= 1)
-        left[open_[closed]] = a0[closed] + a[closed] * unit[closed]
-        if closed.size == a.size:
-            return left
-        if closed.size:
-            keep = np.flatnonzero(b - a > 1)
-            open_, y, a0, unit, kappa, reach, a, b, fa, fb = (
-                v[keep] for v in (open_, y, a0, unit, kappa, reach, a, b, fa, fb))
-        # ITP, kappa_2 = 2, n_0 = 1: the regula falsi point moves toward the midpoint by
-        # max(kappa (b - a)**2, 1), so that a bracket closes from both sides, and then to within
-        # reach of both ends; reach halves each step, and b - a <= 2 reach holds throughout
-        w = b - a
-        d = w * (fa / (fa - fb) - 0.5)  # the regula falsi point less the midpoint, NaN if f was
-        shift = np.minimum(np.fmax(np.abs(d) - np.maximum(kappa * w * w, 1.0), 0.0), reach - w / 2)  # 0 for a NaN d
-        x = np.rint(a + (w / 2 + np.copysign(shift, d)))
-        fx = f(a0 + x * unit) - y
-        below = fx <= 0
-        a, b = a + below * (x - a), x + below * (b - x)  # exact: integers below 2**53
-        fa, fb = np.where(below, fx, fa), np.where(below, fb, fx)
-        reach /= 2
+    if exact:
+        return exact(np.nextafter(y, -np.inf)), exact(y)
+    last = np.searchsorted(bids, y, side="right") - 1
+    return z[np.minimum(np.searchsorted(bids, y), last)], z[last]
 
 
 def _cdf_at(fcdf: Callable, x: np.ndarray) -> np.ndarray:
@@ -217,15 +177,16 @@ def _cdf_at(fcdf: Callable, x: np.ndarray) -> np.ndarray:
     return np.clip(np.maximum.accumulate(fcdf(x)), 0.0, 1.0)
 
 
-def _class_counts(F, n: int, bid_fn, fbid, bids: np.ndarray, trials: int, seed: int) -> np.ndarray:
+def _class_counts(n: int, edges: np.ndarray, trials: int, seed: int) -> np.ndarray:
     """Counts of the trials' classes (k, t) of the top opposing bid among the sorted bids, at index k * n + t.
 
     Class (k, 0) is a top bid strictly between bids[k - 1] and bids[k], and
     (k, t >= 1) one of bids[k] that t opponents bid.  For a nondecreasing bid
     function an opponent bids below bids[k] with probability a_k = F(z-) and
     at most bids[k] with c_k = F(z+), for z- = sup {x : bid(x) < b} and z+ =
-    sup {x : bid(x) <= b} (:func:`_thresholds`).  The n - 1 opponents are iid,
-    so with c_(-1) = 0, and a = c = 1 for the class k = len(bids) above every bid,
+    sup {x : bid(x) <= b} (:func:`_edges`); edges holds a_0, c_0, a_1, c_1, ...,
+    nondecreasing.  The n - 1 opponents are iid, so with c_(-1) = 0, and
+    a = c = 1 for the class k = len(bids) above every bid,
 
         P(k, 0) = a_k**(n - 1) - c_(k-1)**(n - 1),
         P(k, t) = C(n - 1, t) a_k**(n - 1 - t) (c_k - a_k)**t,
@@ -237,8 +198,7 @@ def _class_counts(F, n: int, bid_fn, fbid, bids: np.ndarray, trials: int, seed: 
     last probability as the remainder: that of the impossible class
     (len(bids), n - 1), whose shares, 0 at every bid, are those of (len(bids), 0).
     """
-    y = np.column_stack([np.nextafter(bids, -np.inf), bids]).ravel()
-    edges = np.append(_cdf_at(float_view(F), _thresholds(bid_fn, fbid, y)), (1.0, 1.0))
+    edges = np.append(edges, (1.0, 1.0))
     a, c = edges[0::2, None], edges[1::2, None]
     t = np.arange(n)
     p = np.array([math.comb(n - 1, i) for i in t], dtype=float) * a ** (n - 1 - t) * (c - a) ** t
@@ -247,16 +207,20 @@ def _class_counts(F, n: int, bid_fn, fbid, bids: np.ndarray, trials: int, seed: 
 
 
 def _paired_regrets(F, n: int, bid_fn, trials: int, seed: int):
-    """The values and deviations i/8, and the mean and standard error of each pair's regret.
+    """The values i/8, the deviations, and the mean and standard error of each pair's regret.
 
-    ``means[i, j]`` estimates the utility of value points[i] bidding points[j]
+    The deviations are the values i/8 for a step function with exact
+    thresholds (:func:`_exact_thresholds`), such as a jump-point strategy; for
+    any other bid function they are its own bids beta(i/8) and the float above
+    each, which beats a run of equal bids without paying more.
+    ``means[i, j]`` estimates the utility of value i/8 bidding deviations[j]
     minus that of its own bid, from the paired differences of the two on the
     same trials.
 
     A trial's share of bid b is 1 if its top opposing bid is below b, 1/(1 + t)
     if t opponents bid exactly b, and 0 otherwise.  So every share depends only
-    on the class of the top bid among the sorted distinct bids (the points and
-    the own bids): strictly between bids[k - 1] and bids[k], or on bids[k]
+    on the class of the top bid among the sorted distinct bids (the deviations
+    and the own bids): strictly between bids[k - 1] and bids[k], or on bids[k]
     with t ties (:func:`_class_counts`).  Each pair's difference, the same
     float per trial as on the trials themselves, is taken once per class and
     weighted by the counts.  The variance is centred on the first class's
@@ -270,38 +234,40 @@ def _paired_regrets(F, n: int, bid_fn, trials: int, seed: int):
         raise DomainError("a standard error needs trials >= 2")
     if trials > MAX_MC_TRIALS:
         raise DomainError(f"trials = {trials} exceeds the limit of {MAX_MC_TRIALS}")
-    if decreases := monotone_no_overbid_check(bid_fn, samples=512).monotonicity_witnesses:
-        raise DomainError(f"bid function decreases at v={decreases[0][0]}")
-    fbid = float_view(bid_fn)
-    points = np.arange(MC_GRID + 1) / MC_GRID
-    own_bids = fbid(points)
-    bids = np.array(sorted({*points.tolist(), *own_bids.tolist()}))
-    counts = _class_counts(F, n, bid_fn, fbid, bids, trials, seed)
+    z = np.arange(BID_GRID + 1) / BID_GRID
+    read = _bids_at(bid_fn, z, refuse=("decreases",))
+    values, own_bids = z[:: BID_GRID // MC_GRID], read[:: BID_GRID // MC_GRID]
+    exact = _exact_thresholds(bid_fn)
+    deviations = values if exact else np.append(own_bids, np.nextafter(own_bids, np.inf))
+    bids = np.array(sorted({*deviations.tolist(), *own_bids.tolist()}))
+    edges = _cdf_at(float_view(F), np.column_stack(_edges(exact, z, read, bids)).ravel())  # a_0, c_0, a_1, ...
+    counts = _class_counts(n, edges, trials, seed)
     classes = np.flatnonzero(counts)
     k, t = np.divmod(classes, n)
     rows = np.arange(bids.size)[:, None]
     share = np.where(rows > k, 1.0, (rows == k) / (1.0 + t))  # (bid, class): 1/(1 + 0) for a top below bids[k]
-    own = (points - own_bids)[:, None] * share[np.searchsorted(bids, own_bids)]
-    diff = (points[:, None] - points)[..., None] * share[np.searchsorted(bids, points)] - own[:, None]
+    own = (values - own_bids)[:, None] * share[np.searchsorted(bids, own_bids)]
+    diff = (values[:, None] - deviations)[..., None] * share[np.searchsorted(bids, deviations)] - own[:, None]
     weights = counts[classes]
     means = (diff * weights).sum(axis=-1) / trials
     diff -= diff[..., :1]  # centred on the first class, then on the mean: 0 where a pair's difference is constant
     diff -= (diff * weights).sum(axis=-1, keepdims=True) / trials
     std_errs = np.sqrt((diff * diff * weights).sum(axis=-1) / (trials - 1)) / np.sqrt(trials)
-    return points.tolist(), means, std_errs
+    return values.tolist(), deviations.tolist(), means, std_errs
 
 
 def monte_carlo_regret(F, n: int, bid_fn, trials: int, seed: int) -> RegretReport:
-    """Monte Carlo regret estimate over values and deviations i/8, on common random numbers.
+    """Monte Carlo regret estimate over the values i/8 and the deviations of :func:`_paired_regrets`.
 
-    Every (value, deviation) pair is compared on the same trials, drawn from
-    the Philox stream the seed names: its regret is the mean of the per-trial
-    difference between the deviation's payoff and the own bid's.  sigma is the
-    largest standard error of those paired differences: max_regret +- 3*sigma.
+    Every (value, deviation) pair is compared on the same trials (common random
+    numbers), drawn from the Philox stream the seed names: its regret is the
+    mean of the per-trial difference between the deviation's payoff and the own
+    bid's.  sigma is the largest standard error of those paired differences:
+    max_regret +- 3*sigma.
     """
-    points, means, std_errs = _paired_regrets(F, n, bid_fn, trials, seed)
+    values, deviations, means, std_errs = _paired_regrets(F, n, bid_fn, trials, seed)
     i, j = np.unravel_index(np.argmax(means), means.shape)
-    return RegretReport(max(float(means[i, j]), 0.0), (points[i], points[j]), float(std_errs.max()))
+    return RegretReport(max(float(means[i, j]), 0.0), (values[i], deviations[j]), float(std_errs.max()))
 
 
 def monotone_no_overbid_check(strategy: Callable, samples: int = 10_000) -> PropertyCheck:
@@ -313,7 +279,11 @@ def monotone_no_overbid_check(strategy: Callable, samples: int = 10_000) -> Prop
     if samples < 1:
         raise DomainError(f"samples must be >= 1, got {samples}")
     v = np.arange(samples + 1) / samples
-    b = float_view(strategy)(v)
+    return _witnesses(v, float_view(strategy)(v))
+
+
+def _witnesses(v: np.ndarray, b: np.ndarray) -> PropertyCheck:
+    """The first five overbids b > v and decreases of b along the sorted v, each beyond 1e-12."""
     overbids = tuple((float(v[k]), float(b[k])) for k in np.flatnonzero(b > v + 1e-12)[:5])
     decreases = tuple((float(v[k]), float(b[k])) for k in np.flatnonzero(b[1:] < b[:-1] - 1e-12)[:5] + 1)
     return PropertyCheck(not overbids and not decreases, overbids, decreases)

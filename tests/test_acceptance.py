@@ -7,6 +7,7 @@ never from the code under test.
 """
 
 import contextlib
+import math
 import random
 import time
 from fractions import Fraction as F
@@ -236,18 +237,21 @@ def test_criterion_9_property_suite(uniform, square, two_piece):
             assert abs(d1 - d2) <= n * L * (abs(x1 - x2) + abs(y1 - y2))
 
         # Monte Carlo regret against hand-computed utilities, 3 sigma at 1e5 trials: over the
-        # values and deviations i/8, bid b at value v earns (v - b) * win(b), two bidders
+        # values i/8 and the deviations beta(i/8) and the float above each, bid b at value v
+        # earns (v - b) * win(b), two bidders
         cases = [
             # uniform, opponents bid v/2: bid b wins iff opp < 2b; no deviation gains
             (uniform, fq.canonical_bid_function(uniform, 2), lambda b: min(2 * b, 1)),
             # square cdf, opponents bid 2v/3: bid b wins iff opp < 3b/2; no deviation gains
             (square, fq.canonical_bid_function(square, 2), lambda b: min(3 * b / 2, 1) ** 2),
             # uniform, truthful bidding earns 0, and bidding 1/2 at value 1 earns 1/4
-            (uniform, lambda v: v, lambda b: b),
+            (uniform, lambda v: v, lambda b: min(b, 1)),
         ]
         points = [F(i, 8) for i in range(9)]
         for dist, strategy, win in cases:
-            want = max(max((v - b) * win(b) for b in points) - (v - strategy(v)) * win(strategy(v))
-                       for v in points)
+            bids = [strategy(v) for v in points]
+            deviations = bids + [F(math.nextafter(float(b), 2)) for b in bids]
+            want = max(max((v - b) * win(b) for b in deviations) - (v - own) * win(own)
+                       for v, own in zip(points, bids))
             report = fq.monte_carlo_regret(dist, 2, strategy, 100_000, seed=17)
             assert abs(report.max_regret - float(max(want, 0))) <= 3 * report.sigma

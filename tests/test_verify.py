@@ -1,7 +1,12 @@
 import bisect
 import contextlib
 import functools
+import itertools
+import os
+import pathlib
 import random
+import subprocess
+import sys
 import timeit
 import tracemalloc
 import warnings
@@ -208,41 +213,46 @@ class TestContinuousRegret:
         assert fq.epsilon_bne_check_ccfpa(uniform, 2, bid_fn).max_regret >= 0.375
 
 
-def scalar_grid_regret(dist, n, bid_fn):
-    """The grid verifier's algorithm one point at a time: a 60-step scalar bisection of the bid
-    function per deviation j/256 for its threshold, clamped to 1 at or above bid_fn(1) and to 0
-    below bid_fn(0), then a double loop over the values v_low + (1 - v_low) i/128 and the
-    deviations, keeping the first largest regret, floored at 0.  It reads the bids and the cdf in
-    the verifier's arithmetic, float_view and numpy's ** on arrays: on an exact equilibrium every
-    regret is rounding noise, so another arithmetic picks another argmax."""
-    fcdf, fbid = float_view(dist), float_view(bid_fn)
-    bid_at_0, bid_at_1 = fbid(0.0), fbid(1.0)
+def step_threshold(strategy, y):
+    """sup {x : strategy(x) <= y} over floats x, from the strategy's exact jump points: 0 below every
+    bid, else the largest float at or below s_(k+1), where bid k, the last whose float is at most y,
+    ends (1 after the top bid).  The bids are compared as the float view reads them."""
+    k = sum(1 for b in strategy.bids if float(b) <= y) - 1
+    if k < 0:
+        return 0.0
+    x = float(strategy.s[k + 1])
+    return float(np.nextafter(x, -np.inf)) if F(x) > strategy.s[k + 1] else x
 
-    def threshold(b):
-        if bid_at_1 <= b:
-            return 1.0
-        if bid_at_0 > b:
-            return 0.0
-        lo, hi = 0.0, 1.0
-        for _ in range(60):
-            mid = (lo + hi) / 2
-            if fbid(mid) <= b:
-                lo = mid
-            else:
-                hi = mid
-        return lo
+
+def scalar_grid_regret(dist, n, bid_fn):
+    """The grid verifier's algorithm one point at a time, in threshold coordinates: one scalar float
+    bid per z, z the values i/512 and v_low + (1 - v_low) i/128, made nondecreasing; each of those
+    bids is a deviation that wins against the opponents up to z+, the last z of its run of equal bids
+    (for a jump-point strategy its exact threshold, step_threshold); then a double loop over the
+    values and the deviations, keeping the first largest regret, floored at 0.  It reads the bids
+    and the cdf in the verifier's arithmetic, float_view and numpy's ** on arrays: on an exact
+    equilibrium every regret is rounding noise, so another arithmetic picks another argmax."""
+    fcdf, fbid = float_view(dist), float_view(bid_fn)
+    v_low = float(dist.support_infimum())
+    values = [v_low + (1 - v_low) * i / 128 for i in range(129)]
+    z = sorted({*(i / 512 for i in range(513)), *values})
+    bids = list(itertools.accumulate((float(fbid(x)) for x in z), max))
+
+    def z_plus(k):
+        if isinstance(bid_fn, JumpPointStrategy):
+            return step_threshold(bid_fn, bids[k])
+        while k + 1 < len(z) and bids[k + 1] == bids[k]:
+            k += 1
+        return z[k]
 
     def power(x):
         return (fcdf(np.array([x])) ** (n - 1))[0]
 
-    v_low = float(dist.support_infimum())
-    deviations = [j / 256 for j in range(257)]
-    powers = [power(threshold(b)) for b in deviations]
+    powers = [power(z_plus(k)) for k in range(len(z))]
     best = (float("-inf"), None)
-    for i in range(129):
-        v = v_low + (1 - v_low) * i / 128
-        own = power(v) * (v - fbid(v))
-        for b, p in zip(deviations, powers):
+    for v in values:
+        own = power(v) * (v - bids[z.index(v)])
+        for b, p in zip(bids, powers):
             regret = p * (v - b) - own
             if regret > best[0]:
                 best = (regret, (v, b))
@@ -277,6 +287,34 @@ class TestGridMatchesScalarReference:
         max_regret, argmax = scalar_grid_regret(dist, n, bid_fn)
         assert report.argmax == argmax
         assert abs(report.max_regret - max_regret) <= 1e-12
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_increasing_lines_as_a_callable(self, data):
+        # a strictly increasing bid function with no thresholds of its own: each deviation beta(z) wins
+        # against exactly the values below z, the one-point run of its bid
+        dist = data.draw(st.sampled_from([fq.uniform_cdf(), fq.power_cdf(2)]))
+        n = data.draw(st.integers(2, 5))
+        bid_fn = data.draw(increasing_lines())
+        report = fq.epsilon_bne_check_ccfpa(dist, n, bid_fn)
+        assert (report.max_regret, report.argmax) == scalar_grid_regret(dist, n, bid_fn)
+
+
+@st.composite
+def increasing_lines(draw):
+    """A strictly increasing piecewise-linear bid function that never overbids, as a plain callable on
+    exact rationals: knots 0 = x_0 < ... < x_k = 1 on the 64ths, with y_0 = 0 and each y_i a fraction of
+    the way from y_(i-1) up to x_i."""
+    xs = [F(0), *sorted(F(j, 64) for j in draw(st.sets(st.integers(1, 63), max_size=4))), F(1)]
+    ys = [F(0)]
+    for x in xs[1:]:
+        ys.append(ys[-1] + (x - ys[-1]) * F(draw(st.integers(1, 16)), 16))
+
+    def bid(v):
+        i = min(bisect.bisect_right(xs, v), len(xs) - 1)
+        return ys[i - 1] + (ys[i] - ys[i - 1]) * (v - xs[i - 1]) / (xs[i] - xs[i - 1])
+
+    return bid
 
 
 def endpoint_sup_regret(dist, n, grid, s):
@@ -315,16 +353,6 @@ class TestGuaranteeAgainstSupremum:
             assert endpoint_sup_regret(res.transformed_cdf, n, grid, s) <= 2 * res.certificate.gamma * grid.m
 
 
-def reference_bisection(f, y, steps):
-    """steps of bisection from [0, 1] on every element of y at once, one call of f per step."""
-    lo, hi = np.zeros_like(y), np.ones_like(y)
-    for _ in range(steps):
-        mid = (lo + hi) / 2
-        below = f(mid) <= y
-        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
-    return lo, hi
-
-
 class CountingView:
     """A float view that counts its calls and the points it evaluates."""
 
@@ -338,119 +366,17 @@ class CountingView:
 
 
 class CountedBid:
-    """A bid function whose float view counts its calls and the points it evaluates."""
+    """A bid function whose float view counts its calls and the points it evaluates; any other
+    attribute, such as a step function's float_thresholds, is the bid function's own."""
 
     def __init__(self, bid_fn):
-        self.view = CountingView(float_view(bid_fn))
+        self.bid_fn, self.view = bid_fn, CountingView(float_view(bid_fn))
 
     def float_evaluator(self):
         return self.view
 
-
-def inversion_function(kind, seed):
-    """A float view for _invert: a seeded cubic cdf, its rational bid function, a seeded step
-    function of jump points, the float of an exact cdf at each point (cdf._exact_view), or the
-    identity through the same view.  The last three are nondecreasing in floats."""
-    rng = random.Random(seed)
-    if kind == "cdf":
-        return float_view(seeded_cubic(seed, rng.choice((1, 2, 4, 8))))
-    if kind == "bid":
-        return float_view(fq.canonical_bid_function(seeded_cubic(seed, rng.choice((1, 2, 4))), rng.randint(2, 5)))
-    if kind == "steps":
-        m = rng.randint(1, 8)
-        grid = grid_of(0, *(F(k, 256) for k in sorted(rng.sample(range(1, 256), m - 1))))
-        den = rng.choice((3**12, 2**20, 10**9))
-        return float_view(JumpPointStrategy(grid, sorted(F(rng.randint(0, den), den) for _ in range(m)) + [F(1)], ()))
-    if kind == "exact":
-        dist = seeded_cubic(seed, rng.choice((1, 4)))
-        return float_view(lambda v: dist(v))
-    return float_view(lambda v: v)
-
-
-@st.composite
-def inversions(draw, kinds):
-    """(f, y): y mixes f's own values at seeded points, which puts y on f's steps and exactly on
-    its values, with floats from [-1/4, 5/4], some below f(0) or above f(1)."""
-    f = inversion_function(draw(st.sampled_from(kinds)), draw(st.integers(0, 15)))
-    at = draw(st.lists(st.floats(0, 1), min_size=1, max_size=12))
-    ys = draw(st.lists(st.floats(-0.25, 1.25), max_size=12))
-    return f, np.concatenate([f(np.array(at)), ys])
-
-
-STEPS = fq.verify.INVERSION_STEPS
-
-
-def assert_brackets(f, y, lo, hi):
-    assert lo.shape == hi.shape == y.shape
-    assert ((0 <= lo) & (lo <= hi) & (hi <= 1)).all()
-    assert ((lo == 0) | (f(lo) <= y)).all()
-    assert ((hi == 1) | (f(hi) > y)).all()
-    assert ((hi - lo <= 2.0**-STEPS) | (np.nextafter(lo, 2) >= hi)).all()
-
-
-class TestInvert:
-    """verify._invert against its bracket contract and against plain bisection."""
-
-    @settings(max_examples=80, deadline=None)
-    @given(inversions(["cdf", "bid", "steps", "exact", "identity"]))
-    def test_brackets_meet_the_contract(self, case):
-        f, y = case
-        lo, hi = fq.verify._invert(f, y)
-        assert_brackets(f, y, lo, hi)
-        outside = (y < f(np.array([0.0]))) | (y >= f(np.array([1.0])))
-        assert (lo[outside] == hi[outside]).all()
-
-    @settings(max_examples=60, deadline=None)
-    @given(inversions(["steps", "exact", "identity"]))
-    def test_bisections_bracket_where_monotone(self, case):
-        # these views are nondecreasing in floats, so inside [f(0), f(1)) one cell of bisection's
-        # last step has f(lo) <= y < f(hi), and _invert must end on it
-        f, y = case
-        f0, f1 = f(np.array([0.0, 1.0]))
-        y = y[(f0 <= y) & (y < f1)]
-        lo, hi = fq.verify._invert(f, y)
-        ref_lo, ref_hi = reference_bisection(f, y, STEPS)
-        assert (lo == ref_lo).all() and (hi == ref_hi).all()
-
-    @settings(max_examples=40, deadline=None)
-    @given(inversions(["cdf", "bid", "steps"]), st.integers(0, 80), st.integers(0, 80))
-    def test_call_bound_with_y_outside(self, case, below, above):
-        # y below f(0) and at or above f(1) take no call of their own: one call on the table and at
-        # most 53 for ITP and bisection's last steps, on at most 53 points per y inside, so no more
-        # points than bisection's 60 * len(y) once the table's 257 are paid for
-        f, y = case
-        f0, f1 = f(np.array([0.0, 1.0]))
-        y = np.concatenate([y, np.full(below, f0 - 0.5), np.full(above, f1), np.full(above, 2.0)])
-        counting = CountingView(f)
-        lo, hi = fq.verify._invert(counting, y)
-        assert_brackets(f, y, lo, hi)
-        inside = int(((f0 <= y) & (y < f1)).sum())
-        assert counting.calls <= 1 + (STEPS - 8) + 1
-        assert counting.points <= 257 + (STEPS - 7) * inside
-        if y.size >= 37:
-            assert counting.points <= STEPS * y.size
-
-    @pytest.mark.parametrize("name", ["uniform", "square", "two_piece"])
-    @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_grid_thresholds_are_bisections(self, name, n, request):
-        # a rational bid's floats can fall by a few ulps, so a deviation's threshold can have
-        # several float crossings a few ulps apart; bisection's own last steps pick its one
-        fbid = float_view(fq.canonical_bid_function(request.getfixturevalue(name), n))
-        f0, f1 = fbid(np.array([0.0, 1.0]))
-        y = np.arange(257) / 256
-        y = y[(f0 <= y) & (y < f1)]
-        lo, hi = fq.verify._invert(fbid, y)
-        ref_lo, ref_hi = reference_bisection(fbid, y, STEPS)
-        assert (lo == ref_lo).all() and (hi == ref_hi).all()
-
-    def test_ulp_scale_decrease(self):
-        # the seeded 4-piece cubic's floats fall across 0.884782184673133 and
-        # 0.8847821846731332, two floats apart: its bracket there must still meet the contract
-        f = float_view(seeded_cubic(0, 4))
-        x = np.array([0.884782184673133, 0.8847821846731332])
-        y = f(x)
-        assert y[0] > y[1]
-        assert_brackets(f, y, *fq.verify._invert(f, y))
+    def __getattr__(self, name):
+        return getattr(self.bid_fn, name)
 
 
 @st.composite
@@ -474,10 +400,9 @@ class TestStepThresholds:
     @settings(max_examples=200, deadline=None)
     @given(step_thresholds())
     def test_within_the_inversion_bracket(self, case):
+        # each threshold is the largest float at or below the exact jump point where the last bid at most y ends
         strategy, y = case
-        z = strategy.float_thresholds(y)
-        lo, hi = fq.verify._invert(float_view(strategy), y)
-        assert ((lo <= z) & (z <= hi)).all()
+        assert strategy.float_thresholds(y).tolist() == [step_threshold(strategy, x) for x in y.tolist()]
 
     @pytest.mark.parametrize("rows", [[(F(1, 2),), (F(1, 4),)], [(F(0),), (F(0), F(1, 2))]], ids=["falling", "linear"])
     def test_other_rows_have_none(self, rows):
@@ -538,11 +463,11 @@ class TestCommonRandomNumbers:
 
     def test_own_bid_pair_is_exactly_zero(self, uniform):
         s = fq.solve(uniform, 3, EIGHTHS, F(1, 64)).strategy
-        points, means, std_errs = fq.verify._paired_regrets(uniform, 3, s, 500, 4)
+        values, deviations, means, std_errs = fq.verify._paired_regrets(uniform, 3, s, 500, 4)
         checked = 0
-        for i, v in enumerate(points):
+        for i, v in enumerate(values):
             own = float(EIGHTHS.bids[own_bid(s.s, F(v))])
-            j = points.index(own)
+            j = deviations.index(own)
             assert means[i, j] == 0.0 and std_errs[i, j] == 0.0
             checked += 1
         assert checked == 9 and std_errs.max() > 0
@@ -557,24 +482,9 @@ class TestCommonRandomNumbers:
         assert a == fq.monte_carlo_regret(square, 2, bid_fn, 300, 17)
         assert a != fq.monte_carlo_regret(square, 2, bid_fn, 300, 18)
 
-    def test_one_draw_per_run(self, uniform, monkeypatch):
-        # one inversion per run, at the compared bids and the floats below them, whatever the trials;
-        # a jump-point strategy reads its thresholds off its jump points, with no inversion at all
-        calls = []
-        invert = fq.verify._invert
-        monkeypatch.setattr(fq.verify, "_invert", lambda f, y: calls.append(y.shape) or invert(f, y))
-        trials, points = 16_385, np.arange(9) / 8
-        for n in (2, 3):
-            rbf = fq.canonical_bid_function(uniform, n)
-            fq.monte_carlo_regret(uniform, n, rbf, trials, 1)
-            assert calls == [(2 * np.union1d(points, float_view(rbf)(points)).size,)]
-            calls.clear()
-            fq.monte_carlo_regret(uniform, n, fq.solve(uniform, n, EIGHTHS, F(1, 64)).strategy, trials, 1)
-            assert calls == []
-
     def test_bid_evaluations_do_not_grow_with_trials(self, square):
-        # the bid function is read by the monotonicity check, at the values i/8 and in one threshold
-        # call per run, whatever the trials; a bid per trial would add as many points as trials
+        # the bid function is read once per run, at the values i/512, whatever the trials; a bid per
+        # trial would add as many points as trials
         points = []
         for trials in (2, fq.verify.MAX_MC_TRIALS):
             bid_fn = CountedBid(fq.canonical_bid_function(square, 3))
@@ -604,6 +514,16 @@ class TestCommonRandomNumbers:
                 assert report.max_regret <= float(eps) + 3 * report.sigma, seed
 
 
+def reference_bisection(f, y, steps):
+    """steps of bisection from [0, 1] on every element of y at once, one call of f per step."""
+    lo, hi = np.zeros_like(y), np.ones_like(y)
+    for _ in range(steps):
+        mid = (lo + hi) / 2
+        below = f(mid) <= y
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    return lo, hi
+
+
 def sampled_top_bids(dist, n, bid_fn, bids, trials, seed):
     """Each trial's top opposing bid and its tie count, sampled trial by trial with no thresholds and no
     class law: the levels u**(1/(n - 1)) of a Philox stream, a 50-step bisection on the cdf's inverse at
@@ -624,10 +544,23 @@ def sampled_top_bids(dist, n, bid_fn, bids, trials, seed):
     return top, ties
 
 
+def mc_read(bid_fn):
+    """What the Monte Carlo verifier reads of a bid function: its float bids at i/512, made nondecreasing."""
+    return np.maximum.accumulate(float_view(bid_fn)(np.arange(513) / 512))
+
+
+def mc_deviations(bid_fn):
+    """The Monte Carlo verifier's deviations: i/8 for a jump-point strategy, else beta(i/8) and the float
+    above each."""
+    if isinstance(bid_fn, JumpPointStrategy):
+        return np.arange(9) / 8
+    own_bids = mc_read(bid_fn)[::64]
+    return np.append(own_bids, np.nextafter(own_bids, np.inf))
+
+
 def compared_bids(bid_fn):
-    """The sorted distinct bids that _paired_regrets compares: the points i/8 and their own bids."""
-    points = np.arange(9) / 8
-    return np.array(sorted({*points.tolist(), *float_view(bid_fn)(points).tolist()}))
+    """The sorted distinct bids that _paired_regrets compares: the deviations and the own bids at i/8."""
+    return np.array(sorted({*mc_deviations(bid_fn).tolist(), *mc_read(bid_fn)[::64].tolist()}))
 
 
 def trials_of_counts(counts, bids, n):
@@ -644,18 +577,18 @@ def trials_of_counts(counts, bids, n):
 def per_trial_paired_regrets(bid_fn, top, ties):
     """_paired_regrets on the trials themselves: one share array per distinct bid from each trial's
     top opposing bid and tie count, then each pair's mean and standard error over its per-trial differences."""
-    points = [i / 8 for i in range(9)]
-    own_bids = float_view(bid_fn)(np.array(points)).tolist()
+    values, own_bids = [i / 8 for i in range(9)], mc_read(bid_fn)[::64].tolist()
+    deviations = mc_deviations(bid_fn).tolist()
     shares = {b: np.where(top < b, 1.0, np.where(top == b, 1.0 / (1.0 + ties), 0.0))
-              for b in dict.fromkeys(points + own_bids)}
-    means, std_errs = np.empty((9, 9)), np.empty((9, 9))
-    for i, (v, own_bid) in enumerate(zip(points, own_bids)):
+              for b in dict.fromkeys(deviations + own_bids)}
+    means, std_errs = np.empty((9, len(deviations))), np.empty((9, len(deviations)))
+    for i, (v, own_bid) in enumerate(zip(values, own_bids)):
         own = (v - own_bid) * shares[own_bid]
-        for j, b in enumerate(points):
+        for j, b in enumerate(deviations):
             diff = (v - b) * shares[b] - own
             means[i, j] = diff.mean()
             std_errs[i, j] = diff.std(ddof=1) / np.sqrt(top.size)
-    return points, means, std_errs
+    return values, deviations, means, std_errs
 
 
 def pooled_at_top():
@@ -684,13 +617,17 @@ def expected_draws(monkeypatch):
 
 
 def law_of(dist, n, bid_fn, monkeypatch):
-    """The compared bids of bid_fn and the class probabilities of _class_counts, one row (k, t) per bid."""
+    """The compared bids of bid_fn, the edges F(z-), F(z+) that _paired_regrets hands _class_counts, one row
+    per bid, and the class probabilities of _class_counts, one row (k, t) per bid."""
+    handed, class_counts = [], fq.verify._class_counts
+    with expected_draws(monkeypatch) as laws, monkeypatch.context() as m:
+        m.setattr(fq.verify, "_class_counts", lambda n, e, *rest: handed.append(e) or class_counts(n, e, *rest))
+        fq.verify._paired_regrets(dist, n, bid_fn, 2, 0)
     bids = compared_bids(bid_fn)
-    with expected_draws(monkeypatch) as laws:
-        fq.verify._class_counts(dist, n, bid_fn, float_view(bid_fn), bids, 2, 0)
     p = laws[0].reshape(-1, n)
+    assert handed[0].shape == (2 * bids.size,)
     assert (p >= 0).all() and abs(p.sum() - 1) <= 1e-12
-    return bids, p
+    return bids, handed[0].reshape(-1, 2), p
 
 
 def law_case(name, n, request):
@@ -712,17 +649,17 @@ class TestPairsFromClassCounts:
     def assert_matches_per_trial(dist, n, bid_fn, trials, seed, monkeypatch):
         drawn, class_counts = [], fq.verify._class_counts
         monkeypatch.setattr(fq.verify, "_class_counts", lambda *args: drawn.append(class_counts(*args)) or drawn[-1])
-        points, means, std_errs = fq.verify._paired_regrets(dist, n, bid_fn, trials, seed)
+        values, deviations, means, std_errs = fq.verify._paired_regrets(dist, n, bid_fn, trials, seed)
         assert drawn[0].sum() == trials
         top, ties = trials_of_counts(drawn[0], compared_bids(bid_fn), n)
-        ref_points, ref_means, ref_std_errs = per_trial_paired_regrets(bid_fn, top, ties)
-        assert points == ref_points
+        ref_values, ref_deviations, ref_means, ref_std_errs = per_trial_paired_regrets(bid_fn, top, ties)
+        assert (values, deviations) == (ref_values, ref_deviations)
         assert np.abs(means - ref_means).max() <= 1e-15
         big = ref_std_errs > 1e-15
         assert np.all(np.abs(std_errs[big] - ref_std_errs[big]) <= 1e-12 * ref_std_errs[big])
         assert np.all(std_errs[~big] <= 1e-15)
         i, j = np.unravel_index(np.argmax(ref_means), ref_means.shape)
-        assert fq.monte_carlo_regret(dist, n, bid_fn, trials, seed).argmax == (points[i], points[j])
+        assert fq.monte_carlo_regret(dist, n, bid_fn, trials, seed).argmax == (values[i], deviations[j])
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("trials", [2, 3, 500, 24_581])
@@ -738,7 +675,7 @@ class TestPairsFromClassCounts:
     def test_pooling_gives_ties_above_one(self, uniform, monkeypatch):
         # every value above 1/2 bids 7/8, so a top bid of 7/8 ties with each of the other two
         # opponents with probability (F(v) - 1/2) / F(v); every opposing bid is one of the bids i/8
-        bids, p = law_of(uniform, 4, pooled_at_top(), monkeypatch)
+        bids, _, p = law_of(uniform, 4, pooled_at_top(), monkeypatch)
         assert bids.tolist() == [i / 8 for i in range(9)]
         assert (p[7, 1:] > 0).all()
         assert (p[:, 0] == 0).all()
@@ -752,10 +689,13 @@ class TestPairsFromClassCounts:
         self.assert_matches_per_trial(dist, n, fq.canonical_bid_function(dist, n), trials, seed, monkeypatch)
 
     def test_constant_pair_has_zero_sigma(self, uniform):
-        # beta(1) = 3/4 beats every opponent, so value 1 earns 1/4 in every trial, and bids 0 and 1 earn 0
-        points, means, std_errs = fq.verify._paired_regrets(uniform, 4, fq.canonical_bid_function(uniform, 4), 500, 0)
-        for j in (0, 8):
-            assert means[8, j] == -0.25 and std_errs[8, j] == 0.0
+        # beta(1) = 3/4 beats every opponent, so value 1 earns 1/4 in every trial, the deviation to
+        # beta(0) = 0 earns 0 and the one to the float above 3/4 earns 1/4 less that float's excess
+        rbf = fq.canonical_bid_function(uniform, 4)
+        _, deviations, means, std_errs = fq.verify._paired_regrets(uniform, 4, rbf, 500, 0)
+        assert deviations[0] == 0 and deviations[-1] == np.nextafter(0.75, 1)
+        assert means[8, 0] == -0.25 and means[8, -1] == (1 - deviations[-1]) - 0.25
+        assert std_errs[8, 0] == std_errs[8, -1] == 0.0
 
 
 class TestClassLaw:
@@ -764,30 +704,33 @@ class TestClassLaw:
     @pytest.mark.parametrize("n", [2, 3, 4, 8, 64])
     @pytest.mark.parametrize("name", ["uniform-bid", "square-bid", "square-solved", "pooled"])
     def test_expected_share_is_delta_win_prob(self, name, n, request, monkeypatch):
-        # a share of 1 below bids[k] and 1/(1 + t) on it: in expectation Delta(F(z-), F(z+)), exactly,
-        # with the edges F(z-) and F(z+) the verifier reads at the float below bids[k] and at bids[k]
+        # a share of 1 below bids[k] and 1/(1 + t) on it: in expectation Delta(F(z-), F(z+)), exactly.  A canonical
+        # bid rises strictly, so its own bid beta(i/8) and the float above it both have z- = z+ = i/8;
+        # a jump-point strategy's z- and z+ are its exact thresholds at the float below bids[k] and at bids[k]
         dist, bid_fn = law_case(name, n, request)
-        bids, p = law_of(dist, n, bid_fn, monkeypatch)
-        fbid = float_view(bid_fn)
-        y = np.column_stack([np.nextafter(bids, -np.inf), bids]).ravel()
-        edges = fq.verify._cdf_at(float_view(dist), fq.verify._thresholds(bid_fn, fbid, y)).reshape(-1, 2).T
+        bids, edges, p = law_of(dist, n, bid_fn, monkeypatch)
+        if isinstance(bid_fn, JumpPointStrategy):
+            z = [[step_threshold(bid_fn, y) for y in (np.nextafter(b, -np.inf), b)] for b in bids]
+        else:
+            z = [[i / 8, i / 8] for i in range(9) for _ in range(2)]
+        assert (edges == float_view(dist)(np.array(z))).all()
         below = np.concatenate(([0.0], np.cumsum(p[:-2].sum(axis=1))))
         share = below + (p[:-1] / (1 + np.arange(n))).sum(axis=1)
-        for k, (a, c) in enumerate(zip(*edges)):
+        for k, (a, c) in enumerate(edges):
             assert abs(share[k] - float(fq.delta_win_prob(F(a), F(c), n))) <= 1e-15, k
 
     @pytest.mark.parametrize("name,n", [("uniform-solved", 3), ("square-solved", 2), ("pooled", 4), ("pooled", 8)])
     def test_expected_means_are_the_grid_regret(self, name, n, request, monkeypatch):
         dist, s = law_case(name, n, request)
         with expected_draws(monkeypatch):
-            means = fq.verify._paired_regrets(dist, n, s, 2, 0)[1]
+            means = fq.verify._paired_regrets(dist, n, s, 2, 0)[2]
         assert abs(max(means.max(), 0.0) - float(mc_grid_regret(dist, n, EIGHTHS, s.s))) <= 1e-15
 
     @pytest.mark.parametrize("name,n", [("pooled", 4), ("square-bid", 3), ("square-solved", 2), ("uniform-bid", 8)])
     def test_sampled_classes_within_five_sigma(self, name, n, request, monkeypatch):
         # trials sampled one by one, with no thresholds, fall in each class (k, t) about trials * p times
         dist, bid_fn = law_case(name, n, request)
-        bids, p = law_of(dist, n, bid_fn, monkeypatch)
+        bids, _, p = law_of(dist, n, bid_fn, monkeypatch)
         trials, p = 200_000, p.ravel()
         top, ties = sampled_top_bids(dist, n, bid_fn, bids, trials, 7)
         counts = np.bincount(np.searchsorted(bids, top) * n + ties, minlength=p.size)
@@ -805,6 +748,16 @@ class TestTopOpposingValue:
         exact = float(mc_grid_regret(uniform, n, EIGHTHS, pooled_at_top().s))
         report = fq.monte_carlo_regret(uniform, n, pooled_at_top(), 20_000, seed)
         assert abs(report.max_regret - exact) <= 3 * report.sigma
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_pool_then_rise_within_three_sigma(self, uniform, seed):
+        # bid 0 on [0, 7/8], then 4v - 7/2: value 7/8 bids 0 and wins half the pool, 7/16, where the float
+        # above 0 beats the whole pool, 7/8, a regret of 7/8 * 7/16 = 49/128, the supremum.  The deviations
+        # i/8 found 3/4 * 29/32 - 49/128, about 0.30, at bid 1/8
+        bid_fn = fq.PiecewisePoly((0, F(7, 8), 1), [(F(0),), (F(-7, 2), F(4))])
+        report = fq.monte_carlo_regret(uniform, 2, bid_fn, 100_000, seed)
+        assert report.argmax == (0.875, 5e-324)
+        assert abs(report.max_regret - 49 / 128) <= 3 * report.sigma
 
     def test_decreasing_bid_refused_at_every_n(self, uniform):
         # the classes of the top opposing bid come from the thresholds of a nondecreasing bid
@@ -829,17 +782,25 @@ class TestTopOpposingValue:
             for n in (2, 5):
                 assert fq.monte_carlo_regret(dist, n, step, 10, 0).sigma == 0.0
 
-    @pytest.mark.parametrize("kind,n", [("step", 2), ("step", 5), ("rbf", 2), ("rbf", 3), ("rbf", 5)])
+    @pytest.mark.parametrize("kind,n", [("step", 2), ("step", 5), ("rbf", 2), ("rbf", 3), ("rbf", 5),
+                                        ("spike", 2), ("spike", 3)])
     def test_searches_see_nondecreasing_edges(self, kind, n, monkeypatch):
         # seeded_cubic(0, 4)'s floats fall by an ulp from x1 to x2, two floats apart.  A step function
         # that bids 1/2 on (x1, x2] has the edges F(z-) = F(x1) and F(z+) = F(x2) there, in that
         # order: every search of a run needs a nondecreasing array, and the multinomial nonnegative
-        # class probabilities, which differences of decreasing edges would not give
+        # class probabilities, which differences of decreasing edges would not give.  The spike pools
+        # at 1/8 on [1/4, 3/4] but bids 1e-13 more at 1/2: its bids there fall by less than the 1e-12 a
+        # decrease needs, so the runs are read off bids made nondecreasing
         dist, x1, x2 = seeded_cubic(0, 4), 0.884782184673133, 0.8847821846731332
         fx1, fx2 = float_view(dist)(np.array([x1, x2]))
         assert fx1 > fx2
         if kind == "step":
             bid_fn = fq.PiecewisePoly((0, F(x1), F(x2), 1), [(F(1, 4),), (F(1, 2),), (F(3, 4),)])
+        elif kind == "spike":
+            def bid_fn(v):
+                if v < F(1, 4) or v > F(3, 4):
+                    return v / 2 - F(1, 4) * (v > F(3, 4))
+                return F(1, 8) + F(1, 10**13) * (v == F(1, 2))
         else:
             bid_fn = fq.canonical_bid_function(dist, n)
         searched, searchsorted = [], np.searchsorted
@@ -892,6 +853,41 @@ class TestStrategyIsItsBidFunction:
         step = fq.PiecewisePoly(strategy.s, [(b,) for b in grid.bids])
         assert fq.epsilon_bne_check_ccfpa(dist, n, strategy) == fq.epsilon_bne_check_ccfpa(dist, n, step)
         assert fq.monte_carlo_regret(dist, n, strategy, 2000, 11) == fq.monte_carlo_regret(dist, n, step, 2000, 11)
+
+
+class TestOneRead:
+    """Each float verifier reads the bid function once per run, and no further."""
+
+    def test_one_float_view_call_per_run(self, square):
+        # at the values i/512, where grid mode's values i/128 lie, whatever the trials; a jump-point
+        # strategy takes its thresholds off its jump points, beside the same one read
+        for bid_fn in (fq.canonical_bid_function(square, 3), fq.solve(square, 3, EIGHTHS, F(1, 64)).strategy):
+            counted = CountedBid(bid_fn)
+            assert fq.epsilon_bne_check_ccfpa(square, 3, counted) == fq.epsilon_bne_check_ccfpa(square, 3, bid_fn)
+            assert (counted.view.calls, counted.view.points) == (1, 513)
+            for trials in (2, fq.verify.MAX_MC_TRIALS):
+                counted = CountedBid(bid_fn)
+                report = fq.monte_carlo_regret(square, 3, counted, trials, 1)
+                assert report == fq.monte_carlo_regret(square, 3, bid_fn, trials, 1)
+                assert (counted.view.calls, counted.view.points) == (1, 513)
+
+    def test_no_masked_arrays(self):
+        # np.unique and np.union1d import numpy.ma (numpy 2.4), which adds about 1 MB to a run's peak RSS;
+        # a fresh interpreter that runs both float verifiers on both kinds of bid function must not hold it
+        code = """if True:
+            import sys
+            from fractions import Fraction
+            import fpaeq as fq
+            dist, grid = fq.power_cdf(2), fq.BidGrid(tuple(Fraction(i, 8) for i in range(8)))
+            for bid_fn in (fq.canonical_bid_function(dist, 3), fq.solve(dist, 3, grid, Fraction(1, 64)).strategy):
+                fq.epsilon_bne_check_ccfpa(dist, 3, bid_fn)
+                fq.monte_carlo_regret(dist, 3, bid_fn, 100, 0)
+            print("numpy.ma" in sys.modules)
+        """
+        src = str(pathlib.Path(fq.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+        assert run.stdout == "False\n"
 
 
 class TestMonotoneNoOverbid:

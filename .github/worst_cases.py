@@ -49,14 +49,17 @@ CASES = [  # argv, stdout file, bound in s; optionally a peak RSS bound in MB, a
     (["solve", "--model", "ccfpa-explicit", "--cdf", "dense.json", "--n", "8"], "dense-n8.json", 8, {}),
     (["verify", "--mode", "grid", "--strategy", "dense-n8.json", "--cdf", "dense.json", "--n", "8"],
      "dense-n8-grid.json", 4, {}),
-    # rationals of about 134 000 characters, past Python's int-to-str limit: 10-13 s and 10-12 s, 31 MB
-    (["solve", "--model", "cdfpa", *DENSE_GRID, "--eps", "1/64"], "dense-grid.json", 60, dict(mb=200)),
-    (["verify", "--mode", "exact", "--strategy", "dense-grid.json", *DENSE_GRID], "dense-grid-verify.json", 60,
+    # rationals of about 134 000 characters, past Python's int-to-str limit, 31 MB.  The solve takes 0.8-1.0 s,
+    # its certificate decided in floats and one residual exact, where an exact sum of Fractions for each Delta
+    # took 10-13 s; the exact verify takes 3.8-4.2 s with Delta's recurrence, 13 s with its sum of powers
+    (["solve", "--model", "cdfpa", *DENSE_GRID, "--eps", "1/64"], "dense-grid.json", 5, dict(mb=200)),
+    (["verify", "--mode", "exact", "--strategy", "dense-grid.json", *DENSE_GRID], "dense-grid-verify.json", 15,
      dict(mb=200)),
     # m = 1024: the verify compares payoffs on ints, 1.0-1.3 s against 24-30 s with a Fraction per payoff
     (["solve", "--model", "cdfpa", *GRID_1024, "--eps", "1/64"], "grid-1024.json", 120, {}),
     (["verify", "--mode", "exact", "--strategy", "grid-1024.json", *GRID_1024], "grid-1024-verify.json", 15, {}),
-    # U_1 moves about 3e4 times faster than U, so only the exact search reaches gamma: 7-9 s
+    # U_1 moves about 3e4 times faster than U, so whether a float walk reaches gamma is luck in U's last bits:
+    # the float search's 48th walk does, 0.3 s, where bisection on U did not and the exact search took 7-9 s
     (["solve", "--model", "cdfpa", "--cdf", "power8.json", "--n", "3", "--bids", BIDS_X8, "--eps", "1/17179869184"],
      "power8-grid.json", 60, dict(certified=True)),
     # 4 000 000 trials, the MAX_MC_TRIALS limit, counted per class of the top opposing bid by one multinomial

@@ -12,7 +12,7 @@ is Delta(s_{j-1}, s_j) with
 Delta is symmetric in x and y.  `delta_win_prob` takes the two cdf values, and
 the code that owns the jump points evaluates F once per point.
 
-The solver binary-searches the equilibrium utility at the top value v = 1 and
+The solver searches the equilibrium utility at the top value v = 1 and
 reconstructs the jump points from it (descending over bids, inverting Delta by
 bisection where needed, and ending each bisection with one linear
 interpolation inside its final bracket, so the jump points move continuously
@@ -32,12 +32,25 @@ for the certificate's residual bound gamma: each bisection stops once the
 utilities at the ends of its bracket differ by at most delta, and the outer
 search on U once bid 1's condition-1 residual under s_0 = 0 is at most
 2 delta = gamma/2.  Either search also stops at its floor, a bracket
-2**-52 wide in floats and delta * 2**-52 wide in Fractions.  The float search
-bisects to max(delta, 2**-52), the resolution of floats on [0, 1].
+2**-52 wide in floats and delta * 2**-52 wide in Fractions.  The exact search
+bisects U.  The float search takes ITP's projection of a secant through its
+last two walks above the root (:func:`_itp_point`), so it never leaves a
+wider bracket than bisection's after one walk more; it searches to
+max(delta, 2**-52), the resolution of floats on [0, 1], and stops after
+MAX_FLOAT_WALKS = 52 walks, bisection's count to 2**-52, with a bracket of
+2**-51 at worst.
+
+The certificate decides in floats what floats can decide and is exact
+everywhere else: F at each jump point is enclosed between two floats by
+Horner's a-priori error bound, and Delta and each residual by boxes rounded
+outward, so only the residuals whose boxes reach the largest lower end are
+computed in exact rationals.  A pass remains a proof, and max_residual is
+the exact maximum.
 """
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -45,11 +58,12 @@ from typing import Sequence
 
 from .cdf import float_view, strongly_increasing_transform
 from .errors import DomainError, PrecisionError, check_bidders
-from .poly import PiecewisePoly
+from .poly import PiecewisePoly, float_bounds
 from .rationals import parse_rational
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+MAX_FLOAT_WALKS = 52  # the float search's walks at most: bisection's count from [0, 1] down to 2**-52
 
 
 @dataclass(frozen=True)
@@ -112,7 +126,7 @@ class JumpPointStrategy(PiecewisePoly):
 class ConditionResidual:
     condition: int  # 1, 2, or 3
     index: int  # bid index i in [m]
-    residual: object
+    residual: object  # exact, or a rational at or above it where a float box shows it is not the largest
     bound: object
 
 
@@ -131,12 +145,23 @@ class SolveResult:
     transformed_cdf: object  # the mixed cdf the certificate was checked under
 
 
+def _power_sum(a, b, n: int):
+    """sum(a**(n-1-i) * b**i for i < n), by s_k = a * s_(k-1) + b**k from s_0 = 1.
+
+    Exact on ints and Fractions.  On floats in [0, 1] every term is nonnegative, so the float is within
+    a relative gamma_(2n-2) of the exact sum of the same floats (Higham, Accuracy and Stability of
+    Numerical Algorithms, 3.1), plus at most (n - 1) * 2**-1074 where products underflow.
+    """
+    acc = power = 1
+    for _ in range(n - 1):
+        power *= b
+        acc = acc * a + power
+    return acc
+
+
 def delta_win_prob(fx, fy, n: int):
-    """Win probability of a bid whose opponents' jump interval around it has cdf values fx and fy."""
-    total = 0 * fy
-    for i in range(n):
-        total += fx ** (n - 1 - i) * fy**i
-    return total / n
+    """Win probability of a bid whose opponents' jump interval around it has cdf values fx and fy (n >= 2)."""
+    return _power_sum(fx, fy, n) / n
 
 
 def _floor(delta, exact: bool):
@@ -207,56 +232,165 @@ def compute_strategy(F, n: int, grid: BidGrid, U, delta):
     return s, uvec
 
 
+def _exact_delta(fx, fy, n: int) -> Fraction:
+    """Delta on exact cdf values: with fx = p/q and fy = r/t, the integer sum of (pt)**(n-1-i) (rq)**i over
+    n (qt)**(n-1), made into one Fraction, where a sum of Fractions takes a gcd per term."""
+    p, q = fx.as_integer_ratio()
+    r, t = fy.as_integer_ratio()
+    return Fraction(_power_sum(p * t, r * q, n), n * (q * t) ** (n - 1))
+
+
+def _delta_box(fx, fy, n: int) -> tuple[float, float]:
+    """Floats around Delta(x, y) for F(x) in the float box fx and F(y) in fy, both inside [0, 1].
+
+    Delta is nondecreasing in both arguments, so the ends are Delta at the boxes' ends, each computed by
+    :func:`delta_win_prob`, :func:`_power_sum` and a division by n: a relative gamma_(2n), so the exact
+    end is within gamma_(2n) / (1 - gamma_(2n)) <= gamma_(4n) of its float, plus 2n * 2**-1074 for
+    underflow.  The slack between the two gammas covers the rounding of the bound itself, and each
+    end is taken one float further out, past the rounding of its own sum.
+    """
+    lo, hi = delta_win_prob(fx[0], fy[0], n), delta_win_prob(fx[1], fy[1], n)
+    k = 4 * n
+    rel, tiny = k * 2.0**-53 / (1 - k * 2.0**-53), 2 * n * 2.0**-1074
+    return max(math.nextafter(lo - (lo * rel + tiny), -math.inf), 0.0), math.nextafter(hi + hi * rel + tiny, math.inf)
+
+
+def _residual_box(s, b, u, win, signed: bool):
+    """Floats around |(s - b) Delta - u|, or max(0, (s - b) Delta - u) where signed, for s, b and u in their float
+    boxes and Delta in the box win; None unless the box of s - b is positive.  Each difference and product is
+    taken one float further out, past its rounding."""
+    down, up = -math.inf, math.inf
+    cl, ch = math.nextafter(s[0] - b[1], down), math.nextafter(s[1] - b[0], up)
+    if cl < 0:
+        return None
+    lo = math.nextafter(math.nextafter(cl * win[0], down) - u[1], down)
+    hi = math.nextafter(math.nextafter(ch * win[1], up) - u[0], up)
+    if signed:
+        return max(lo, 0.0), max(hi, 0.0)
+    if lo >= 0:
+        return lo, hi
+    return (-hi, -lo) if hi <= 0 else (0.0, max(-lo, hi))
+
+
 def check_conditions(F, n: int, strategy: JumpPointStrategy, gamma) -> Certificate:
     """Approximate-equilibrium certificate; passing implies a 2*gamma*m equilibrium.
 
     It passes when every residual is within its bound: gamma, or 0 for condition 3's
     s_{i-1} >= b_i and condition 2's U_{i-1} = U_i, so a pass has max_residual <= gamma.
     DomainError unless the strategy has a utility per jump point.
+
+    Conditions 3 and 2's U_{i-1} = U_i are exact comparisons.  The residuals of Delta_i, condition 1's
+    |(s - b_i) Delta_i - U| at both ends of bid i's interval and condition 2's
+    max(0, (s_i - b_i) Delta_i - U_i), are decided in floats where F is a piecewise polynomial.  F is
+    then a cdf, nondecreasing, so F at a jump point lies in the rigorous float enclosure
+    (:meth:`PiecewisePoly.float_enclosure`) over the floats around the point, and Delta_i and each
+    residual lie in the float boxes built from those (:func:`_delta_box`, :func:`_residual_box`).  A
+    residual is computed exactly, on F's exact values and :func:`_exact_delta`, only where its box
+    reaches the largest lower end of all boxes.  Every other one lies below the residual of that
+    lower end, so it can decide neither the verdict nor the maximum: it holds its box's upper end, a
+    rational at or above it, and max_residual is the exact maximum.  Any other F, such as a
+    CdfOracle, gives no error bound: it answers at every jump point, m + 1 queries, and every
+    residual is exact.
     """
     s, u, bids = strategy.s, strategy.utilities, strategy.bids
     if len(u) != len(s):
         raise DomainError(f"strategy has {len(u)} utilities; {len(bids)} bids need {len(s)}")
-    win = strategy.win_probs(F, n)
-    residuals = []
+    boxed = isinstance(F, PiecewisePoly)
+    fs = [None] * len(s) if boxed else [F(x) for x in s]  # F's exact values, read where needed
+    residuals, pending = [], []  # pending: (slot in residuals, bid i, jump point j, signed) of each Delta residual
     for i, b in enumerate(bids, 1):
-        lo, hi, u_lo, u_hi = s[i - 1], s[i], u[i - 1], u[i]
-        gap = b - lo  # condition (3): s_{i-1} >= b_i
-        residuals.append(ConditionResidual(3, i, max(0 * gap, gap), 0))
+        lo, hi = s[i - 1], s[i]
+        residuals.append(ConditionResidual(3, i, ZERO if lo >= b else b - lo, 0))
         if lo < hi:
-            residuals.append(ConditionResidual(1, i, abs((hi - b) * win[i - 1] - u_hi), gamma))
-            residuals.append(ConditionResidual(1, i, abs((lo - b) * win[i - 1] - u_lo), gamma))
+            pending += [(len(residuals), i, i, False), (len(residuals) + 1, i, i - 1, False)]
+            residuals += [None, None]
         else:
-            r_dev = (hi - b) * win[i - 1] - u_hi
-            residuals.append(ConditionResidual(2, i, abs(u_hi - u_lo), 0))
-            residuals.append(ConditionResidual(2, i, max(0 * r_dev, r_dev), gamma))
+            residuals.append(ConditionResidual(2, i, abs(u[i] - u[i - 1]), 0))
+            pending.append((len(residuals), i, i, True))
+            residuals.append(None)
+    boxes = [None] * len(pending)  # None: no box, the residual is computed exactly
+    if boxed:
+        sbox, bbox, ubox = ([float_bounds(x) for x in xs] for xs in (s, bids, u))
+        enclose = F.float_enclosure()
+        fbox = [(max(a, 0.0), min(b, 1.0)) for a, b in (enclose(*x) for x in sbox)]  # a cdf lies in [0, 1]
+        wins = [_delta_box(fx, fy, n) for fx, fy in zip(fbox, fbox[1:])]
+        boxes = [_residual_box(sbox[j], bbox[i - 1], ubox[j], wins[i - 1], signed) for _, i, j, signed in pending]
+    top = max((box[0] for box in boxes if box), default=0.0)  # the largest lower end
+    exact_wins = {}
+    for (slot, i, j, signed), box in zip(pending, boxes):
+        if box and box[1] < top:  # below the residual of that lower end: it moves neither verdict nor maximum
+            value = Fraction(box[1])
+        else:
+            c = s[j] - bids[i - 1]
+            if c and i not in exact_wins:
+                for k in (i - 1, i):
+                    if fs[k] is None:
+                        fs[k] = F(s[k])
+                exact_wins[i] = _exact_delta(fs[i - 1], fs[i], n)
+            r = c * exact_wins[i] - u[j] if c else -u[j]
+            value = max(ZERO, r) if signed else abs(r)
+        residuals[slot] = ConditionResidual(2 if signed else 1, i, value, gamma)
     ok = all(r.residual <= r.bound for r in residuals)
     max_res = max(r.residual for r in residuals)
     return Certificate(gamma, ok, max_res, tuple(residuals))
 
 
-def _binary_search_top_utility(F, n, grid, delta):
-    """Outer binary search on the top-value utility U (the solver's core loop).
+def _itp_point(u_lo, u_hi, above, walks: int, target: float) -> float:
+    """The float search's next U in (u_lo, u_hi): ITP's projection of a secant estimate (Oliveira and
+    Takahashi, "An Enhancement of the Bisection Method Average Performance Preserving Minmax
+    Optimality", ACM TOMS 47(1), 2020).
 
-    Runs in the arithmetic of delta: exact for a Fraction, float for a float.
-    Returns the walk at the lowest U tried whose s_0 is positive, once bid 1's
-    condition-1 residual there, |s_1 Delta(0, s_1) - U_1| with s_0 set to 0,
-    is at most 2 delta, or once the bracket on U is at the floor of :func:`_floor`.
+    The estimate is the secant through the last two walks of above, (U, r) with s_0 > 0, aimed at
+    bid 1's residual r = target.  Below the root r is a small positive constant that says nothing of
+    the distance to it, so no estimate uses the lower end; a secant through two walks above the root
+    needs no truncation against a stalled end, so ITP's is left out (kappa_1 = 0).  An estimate at or
+    below u_lo, as the secant gives once it has overshot the root, becomes the point a quarter of the
+    way up the bracket, and one at or above u_hi the midpoint.  The projection keeps the point within
+    2**-walks - (u_hi - u_lo) / 2 of the midpoint, ITP's radius for the tolerance 2**-52 on [0, 1]
+    and n_0 = 1: walk j then leaves a bracket at most 2**-j wide, and 52 walks one of 2**-51.
+    Fewer than two walks above the root, or two with equal residuals, give the midpoint.
+    """
+    half = (u_lo + u_hi) / 2
+    if len(above) < 2 or above[-1][1] == above[-2][1]:
+        return half
+    (u0, r0), (u1, r1) = above[-2:]
+    estimate = u1 + (target - r1) * (u1 - u0) / (r1 - r0)
+    if not u_lo < estimate < u_hi:
+        estimate = u_lo + (u_hi - u_lo) / 4 if estimate <= u_lo else half
+    radius = max(2.0**-walks - (u_hi - u_lo) / 2, 0.0)
+    point = min(max(estimate, half - radius), half + radius)
+    return point if u_lo < point < u_hi else half
+
+
+def _binary_search_top_utility(F, n, grid, delta):
+    """Outer search on the top-value utility U (the solver's core loop).
+
+    Runs in the arithmetic of delta: exact for a Fraction, float for a float.  The exact search
+    bisects; the float search takes the points of :func:`_itp_point`, aimed at bid 1's residual
+    -delta, and stops after MAX_FLOAT_WALKS walks at the latest.  Returns the walk at the lowest U
+    tried whose s_0 is positive, once bid 1's condition-1 residual there,
+    |s_1 Delta(0, s_1) - U_1| with s_0 set to 0, is at most 2 delta, or once the bracket on U is at
+    the floor of :func:`_floor`.
     """
     zero = 0 * delta
+    exact = isinstance(delta, Fraction)
     u_lo, u_hi = zero, zero + 1
-    floor = _floor(delta, isinstance(delta, Fraction))
+    floor = _floor(delta, exact)
     s_r = uvec_r = [u_hi] * (grid.m + 1)  # the walk at U = 1: every bid pools at the top value
-    while u_hi - u_lo > floor:
-        u_mid = (u_lo + u_hi) / 2
+    above, walks = [], 0  # (U, bid 1's residual) of each float walk with s_0 > 0, and the walks so far
+    while u_hi - u_lo > floor and (exact or walks < MAX_FLOAT_WALKS):
+        u_mid = (u_lo + u_hi) / 2 if exact else _itp_point(u_lo, u_hi, above, walks, -delta)
         s, uvec = compute_strategy(F, n, grid, u_mid, delta)
+        walks += 1
         if s[0] == 0:
             u_lo = u_mid
             continue
         u_hi = u_mid
         s_r, uvec_r = s, uvec
-        if abs(s[1] * delta_win_prob(zero, F(s[1]), n) - uvec[1]) <= 2 * delta:  # every cdf has F(0) = 0
+        r = s[1] * delta_win_prob(zero, F(s[1]), n) - uvec[1]  # every cdf has F(0) = 0
+        if abs(r) <= 2 * delta:
             break
+        above.append((u_mid, r))
     return s_r, uvec_r
 
 
@@ -288,8 +422,10 @@ def solve(F, n: int, grid: BidGrid, eps) -> SolveResult:
     F is a PiecewisePolyCdf or a CdfOracle; any other cdf raises DomainError.
     Both attempts, the float search and then the exact one, search at
     delta = gamma/4, where gamma is the certificate's residual bound, and
-    their results pass through the one conversion of :func:`_search`.  Raises
-    PrecisionError when neither passes the certificate.
+    their results pass through the one conversion of :func:`_search`.  The
+    float search resolves U to max(delta, 2**-52) in at most 52 walks
+    (:func:`_binary_search_top_utility`); the exact search to delta * 2**-52.
+    Raises PrecisionError when neither passes the certificate.
     """
     eps = Fraction(eps)
     if not 0 < eps < 1:

@@ -5,10 +5,12 @@ Coefficient vectors are low-to-high degree: ``coeffs[l]`` multiplies ``x**l``.
 in and how a piece is evaluated, exactly or in floats; its array float path
 (:meth:`PiecewisePoly.float_pieces`, :func:`horner_floats`) also serves
 rational bid functions.  The piece search runs on one float table: each inner
-breakpoint is held as the largest float at or below it (:func:`float_below`),
+breakpoint is held as the largest float at or below it (:func:`float_bounds`),
 so a bisection on any float x counts exactly the breakpoints below x, and a
 rational x needs an exact comparison only where a breakpoint's table float is
-within one float below x's nearest float.
+within one float below x's nearest float.  The same float rows, with Horner's
+a-priori error bound, enclose the exact value of a nondecreasing piecewise
+polynomial between two floats (:meth:`PiecewisePoly.float_enclosure`).
 
 A row is held once, as integer numerators over one denominator in lowest terms
 and at its true degree, with no zero leading coefficient (Knuth, TAOCP vol. 2,
@@ -59,12 +61,15 @@ def int_row(row: Sequence) -> tuple[tuple[int, ...], int]:
     return tuple(_trim([c.numerator * (scale // c.denominator) for c in row])) or (0,), scale
 
 
-def float_below(x) -> float:
-    """The largest float at or below the rational x: its correctly rounded float, less one ulp if that is above x."""
-    p, q = x.numerator, x.denominator
+def float_bounds(x) -> tuple[float, float]:
+    """The largest float at or below the rational x and the smallest at or above it, x twice where x is a float:
+    its correctly rounded float and the float one ulp beyond it on x's side.  x is a Fraction, an int or a float."""
+    p, q = x.as_integer_ratio()
     f = p / q
     a, c = f.as_integer_ratio()
-    return math.nextafter(f, -math.inf) if a * q > p * c else f
+    if a * q > p * c:
+        return math.nextafter(f, -math.inf), f
+    return f, (f if a * q == p * c else math.nextafter(f, math.inf))
 
 
 def horner_int(nums: Sequence[int], p: int, q: int) -> int:
@@ -187,7 +192,7 @@ class PiecewisePoly:
 
     breakpoints: tuple[Fraction, ...]
     int_rows: tuple[tuple[tuple[int, ...], int], ...]
-    _inner: tuple[float, ...] = field(repr=False, compare=False)  # float_below of each inner breakpoint
+    _inner: tuple[float, ...] = field(repr=False, compare=False)  # the float at or below each inner breakpoint
 
     def __init__(self, breakpoints: Sequence, rows: Sequence[Sequence]):
         """From rows of Fractions or ints, low-to-high degree."""
@@ -216,7 +221,7 @@ class PiecewisePoly:
             raise DomainError("need one or more pieces, with exactly one coefficient row per piece")
         object.__setattr__(self, "breakpoints", breakpoints)
         object.__setattr__(self, "int_rows", tuple(int_rows))
-        object.__setattr__(self, "_inner", tuple(map(float_below, breakpoints[1:-1])))
+        object.__setattr__(self, "_inner", tuple(float_bounds(b)[0] for b in breakpoints[1:-1]))
 
     @property
     def rows(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -235,11 +240,12 @@ class PiecewisePoly:
         """Index j of the piece that evaluates a rational x: bisect_left - 1, clipped to the pieces.
 
         That is the number of inner breakpoints below x.  The bisection runs
-        on the float table the float paths search, each breakpoint's
-        :func:`float_below`.  With fx the float nearest x, a breakpoint whose
-        table float is below the float before fx is below x, and one whose
-        table float is above fx is above x; only the table floats equal to
-        fx or to the float before it are settled by an exact comparison.
+        on the float table the float paths search, the largest float at or
+        below each breakpoint (:func:`float_bounds`).  With fx the float
+        nearest x, a breakpoint whose table float is below the float before
+        fx is below x, and one whose table float is above fx is above x; only
+        the table floats equal to fx or to the float before it are settled by
+        an exact comparison.
         """
         p, q = x.numerator, x.denominator
         if p < 0 or p > q:
@@ -326,6 +332,35 @@ class PiecewisePoly:
             for c in rows[bisect_left(inner, x)]:
                 acc = acc * x + c
             return acc
+
+        return ev
+
+    def float_enclosure(self) -> Callable:
+        """(a, b) -> (lo, hi), floats with lo <= self(a) and self(b) <= hi, for floats a <= b in [0, 1]; where the
+        rows are nondecreasing, as a cdf's, lo <= self(x) <= hi for every x in [a, b], a rational x among them.
+
+        Each end runs Horner's rule on the float rows, by the piece rule of :meth:`float_evaluator`, and on
+        the absolute rows.  The float is off by at most gamma_k times the absolute row's (Higham, Accuracy
+        and Stability of Numerical Algorithms, 5.1), with gamma_k = k u / (1 - k u), u = 2**-53 and
+        k = 2d + 2 for degree d: Horner's 2d roundings, each coefficient's and the absolute row's own, as in
+        :meth:`RationalBidFunction.float_evaluator`; k * 2**-1074 covers underflow.  Each end is then
+        taken one float further out, past the rounding of its own sum.
+        """
+        inner, table = self._inner, float_table(self.int_rows)
+        rows, bisect_left, inf, nextafter = table.T.tolist(), bisect.bisect_left, math.inf, math.nextafter
+        k = 2 * len(table)
+        gamma, tiny = k * 2.0**-53 / (1 - k * 2.0**-53), k * 2.0**-1074
+
+        def bound(x):  # the float of the row at x and the bound on its error
+            acc = size = 0.0
+            for c in rows[bisect_left(inner, x)]:
+                acc = acc * x + c
+                size = size * x + abs(c)
+            return acc, gamma * size + tiny
+
+        def ev(a, b):
+            (fa, ea), (fb, eb) = bound(a), bound(b)
+            return nextafter(fa - ea, -inf), nextafter(fb + eb, inf)
 
         return ev
 

@@ -8,6 +8,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import fpaeq as fq
 from fpaeq import BidGrid, DomainError, JumpPointStrategy, discrete
 from fpaeq.cdf import float_view
+from fpaeq.poly import float_bounds
 
 from conftest import ceil_log2, lipschitz_bound
 from test_explicit import seeded_cubic
@@ -45,6 +46,35 @@ def force_exact_attempt(monkeypatch, bad: JumpPointStrategy) -> None:
     """Make solve's float attempt return bad, an uncertified strategy, so that the exact attempt runs."""
     search = discrete._search
     monkeypatch.setattr(discrete, "_search", lambda *args: search(*args) if isinstance(args[-1], F) else bad)
+
+
+def exact_certificate(dist, n: int, strategy: JumpPointStrategy, gamma) -> tuple[bool, F]:
+    """(passed, max_residual) of the certificate's residuals on Fractions throughout, each Delta a sum of powers."""
+    s, u, bids = strategy.s, strategy.utilities, strategy.bids
+    fs = [dist(x) for x in s]
+    residuals = []  # (residual, bound)
+    for i, b in enumerate(bids, 1):
+        lo, hi = s[i - 1], s[i]
+        win = sum(fs[i - 1] ** (n - 1 - k) * fs[i] ** k for k in range(n)) / n
+        residuals.append((max(F(0), b - lo), 0))
+        if lo < hi:
+            residuals += [(abs((hi - b) * win - u[i]), gamma), (abs((lo - b) * win - u[i - 1]), gamma)]
+        else:
+            residuals += [(abs(u[i] - u[i - 1]), 0), (max(F(0), (hi - b) * win - u[i]), gamma)]
+    return all(r <= bound for r, bound in residuals), max(r for r, _ in residuals)
+
+
+def float_walks(monkeypatch) -> list:
+    """The tolerance of each float walk that solve runs from here on."""
+    walks, walk = [], discrete.compute_strategy
+
+    def spy(*args):
+        if not isinstance(args[-1], F):
+            walks.append(args[-1])
+        return walk(*args)
+
+    monkeypatch.setattr(discrete, "compute_strategy", spy)
+    return walks
 
 
 class TestBidGrid:
@@ -285,6 +315,74 @@ class TestCheckConditions:
         assert any(r.condition == 3 and r.residual > 0 for r in cert.residuals)
         assert not cert.passed
 
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_boxes_contain_the_exact_values(self, data, walk_cdfs):
+        # every float box of the certificate holds its exact value: F at each jump point, Delta of each bid and
+        # each residual, at jump points that are floats and at ones that are not, with utilities near the exact
+        # top utilities
+        name = data.draw(st.sampled_from(WALK_CDFS), label="cdf")
+        dist = fq.strongly_increasing_transform(walk_cdfs[name], F(1, 2 ** data.draw(st.integers(4, 40))))
+        n = data.draw(st.integers(2, 64), label="n")
+        m = data.draw(st.integers(1, 16), label="m")
+        den = data.draw(st.sampled_from([100, 21, 2**60]), label="den")
+        bids = sorted(F(k, den) for k in data.draw(st.lists(st.integers(1, den - 1), unique=True, min_size=m - 1,
+                                                             max_size=m - 1), label="bids"))
+        g = BidGrid((F(0),) + tuple(bids))
+        inner = sorted(data.draw(st.one_of(st.just(b), st.fractions(b, 1, max_denominator=den),
+                                           st.floats(float(b), 1).map(F).filter(lambda x: x >= b))) for b in g.bids[1:])
+        s = [max(x, b) for x, b in zip([F(0)] + inner, g.bids)] + [F(1)]  # nondecreasing, s_(i-1) >= b_i
+        win = JumpPointStrategy(g, s, [F(0)] * (m + 1)).win_probs(dist, n)
+        noise = st.fractions(-1, 1, max_denominator=2**70).map(lambda x: x * F(1, 2**30))
+        u = [(s[j] - g.bids[max(j, 1) - 1]) * win[max(j, 1) - 1] + data.draw(noise) for j in range(m + 1)]
+        enclose, fbox, boxes = dist.float_enclosure(), [], 0
+        for x in s:
+            lo, hi = enclose(*float_bounds(x))
+            assert lo <= dist(x) <= hi
+            fbox.append((max(lo, 0.0), min(hi, 1.0)))
+        for i in range(1, m + 1):
+            dl, dh = discrete._delta_box(fbox[i - 1], fbox[i], n)
+            assert 0 <= dl <= win[i - 1] <= dh
+            for j in (i - 1, i):
+                r = (s[j] - g.bids[i - 1]) * win[i - 1] - u[j]
+                args = float_bounds(s[j]), float_bounds(g.bids[i - 1]), float_bounds(u[j]), (dl, dh)
+                for signed in (False, True):
+                    box = discrete._residual_box(*args, signed)  # None where s_j - b_i may be 0 or below
+                    assert box is None or box[0] <= (max(F(0), r) if signed else abs(r)) <= box[1]
+                    boxes += box is not None
+        assert boxes > 0
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_same_verdict_as_the_exact_certificate(self, seed, walk_cdfs):
+        # passed and max_residual equal those of the certificate on Fractions throughout, on strategies of the
+        # float and the exact search, with utilities perturbed by about gamma and residuals put on gamma exactly
+        rng, exact_search = random.Random(seed), seed % 3 == 0  # the exact search's jump points are not floats
+        dist = walk_cdfs[rng.choice(WALK_CDFS)]
+        n, m = rng.choice([2, 3, 4] if exact_search else [2, 3, 4, 8, 16, 64]), rng.randrange(1, 9)
+        den = rng.choice([256, 100, 21])
+        g = BidGrid((F(0),) + tuple(sorted(F(k, den) for k in rng.sample(range(1, den), m - 1))))
+        eps = F(1, 2 ** rng.choice([6, 10] if exact_search else [6, 10, 20, 34]))
+        mixed = fq.strongly_increasing_transform(dist, eps / (3 * n))
+        gamma = eps / (3 * n) / (2 * m)
+        strategy = discrete._search(mixed if exact_search else float_view(mixed), n, g,
+                                    gamma / 4 if exact_search else float(gamma / 4))
+        s, u = strategy.s, list(strategy.utilities)
+        win = strategy.win_probs(mixed, n)
+        candidates = [u]
+        for _ in range(4):
+            v, j = list(u), rng.randrange(1, m + 1)
+            i = j if s[j - 1] < s[j] or rng.random() < 0.5 else j + 1
+            if i <= m and s[i - 1] < s[i]:
+                exact_top = (s[j] - g.bids[i - 1]) * win[i - 1]
+                v[j] = exact_top + rng.choice([gamma, -gamma, gamma + F(1, 2**80), gamma * F(rng.random())])
+            else:
+                v[j] += gamma * F(rng.randrange(-4, 5), 4)
+            candidates.append(v)
+        for v in candidates:
+            probe = JumpPointStrategy(g, s, v)
+            cert = fq.check_conditions(mixed, n, probe, gamma)
+            assert (cert.passed, cert.max_residual) == exact_certificate(mixed, n, probe, gamma)
+
 
 class TestSolve:
     @pytest.mark.parametrize("n,bids", [(2, ("0", "1/2")), (2, ("0", "1/4", "1/2", "3/4")), (3, ("0", "1/3", "2/3"))])
@@ -353,7 +451,7 @@ class TestSolve:
         assert res.certificate.passed
         assert counted.floats > 0  # the float search ran in floats, not on exact rationals
         assert oracle.query_count == res.transformed_cdf.query_count == counted.exact + counted.floats
-        assert oracle.query_count <= 1935  # a regression bound: the count this solve takes today
+        assert oracle.query_count <= 1040  # a regression bound: the count this solve takes today
 
     def test_bare_callable_rejected(self):
         with pytest.raises(DomainError):
@@ -487,6 +585,36 @@ class TestSolve:
         assert res.certificate.max_residual <= res.certificate.gamma
         assert exact_searches == []  # the float search alone was certified
         assert fq.epsilon_bne_check_cdfpa(dist, n, res.strategy).max_regret <= eps
+
+    @pytest.mark.parametrize("cdf,n,bids", [
+        ("adversarial", 2, (0, 31, 39, 63, 75, 102, 104, 122, 136, 157, 159, 184, 249)),
+        ("adversarial", 4, (0, 145, 209)),
+        ("uniform", 4, (0, 30, 201)),
+    ])
+    def test_float_search_stops_early(self, cdf, n, bids, uniform, adversarial, monkeypatch):
+        # U* is a dyadic here, and the walk there has s_0 = 0: bisection met bid 1's 2 delta stop only near
+        # its 2**-52 floor, after 39, 38 and 38 walks; the secant through the walks above U* lands within it
+        walks = float_walks(monkeypatch)
+        res = fq.solve({"uniform": uniform, "adversarial": adversarial}[cdf], n, grid_of(*(F(k, 256) for k in bids)),
+                       F(1, 2**30))
+        assert res.certificate.passed
+        assert len(walks) <= 8
+
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_float_search_within_52_walks(self, data, walk_cdfs):
+        # the projection keeps each point within bisection's minmax interval, and the walks stop at 52
+        dist = walk_cdfs[data.draw(st.sampled_from(WALK_CDFS), label="cdf")]
+        n = data.draw(st.sampled_from([2, 3, 4, 8, 64]), label="n")
+        den = data.draw(st.sampled_from([256, 100, 21]), label="den")
+        raw = data.draw(st.lists(st.integers(1, den - 1), unique=True, max_size=12), label="bids")
+        g = BidGrid((F(0),) + tuple(sorted(F(k, den) for k in raw)))
+        eps = F(1, 2 ** data.draw(st.integers(4, 40), label="log2(1/eps)"))
+        mixed = fq.strongly_increasing_transform(dist, eps / (3 * n))
+        with pytest.MonkeyPatch.context() as mp:
+            walks = float_walks(mp)
+            discrete._search(float_view(mixed), n, g, max(float(eps / (3 * n) / (2 * g.m) / 4), 2.0**-52))
+        assert 0 < len(walks) <= discrete.MAX_FLOAT_WALKS == 52
 
     @pytest.mark.parametrize("seed,forced_exact", [(seed, seed % 3 == 0) for seed in range(6)])
     def test_query_count_within_algorithm_bound(self, seed, forced_exact, uniform, square, two_piece,

@@ -21,9 +21,10 @@ import fpaeq as fq
 from fpaeq import DomainError, PiecewisePoly, PiecewisePolyCdf, RationalBidFunction
 from fpaeq.cdf import ValidationReport
 from fpaeq.explicit import eval_canonical, power_coefficients
-from fpaeq.poly import horner_int, int_row, nonnegative_on, poly_derivative, power_int
+from fpaeq.poly import float_bounds, horner_int, int_row, nonnegative_on, poly_derivative, power_int
 
 from conftest import kronecker_power, poly_eval, row_fractions
+from test_explicit import seeded_cubic
 
 BIG = 2**64
 FIXTURES = "uniform square two_piece shifted_support adversarial".split()
@@ -277,6 +278,40 @@ class TestPiecewiseEval:
             assert normalised(value)
         for x in floats:
             assert pp(x) == pp(F(x))  # a float argument is its exact rational value
+
+    @settings(max_examples=100, deadline=None)
+    @given(unit, st.floats(0, 1))
+    def test_float_bounds(self, x, f):
+        lo, hi = float_bounds(x)
+        assert F(lo) <= x <= F(hi)
+        assert lo == hi if F(lo) == x else hi == math.nextafter(lo, 2.0)
+        assert float_bounds(F(f)) == (f, f)
+
+    @settings(max_examples=100, deadline=None)
+    @given(piecewise(), st.lists(st.floats(0, 1), min_size=1, max_size=6))
+    def test_float_enclosure_holds_the_value_at_floats(self, pp, floats):
+        # any rows, monotone or not, near 0 and 1 and at the breakpoints' floats too
+        enclose = pp.float_enclosure()
+        for x in [0.0, 1.0, *(float(b) for b in pp.breakpoints), *floats]:
+            lo, hi = enclose(x, x)
+            assert lo <= pp(F(x)) <= hi
+
+    @pytest.mark.parametrize("name", FIXTURES + ["cubic", "dense"])
+    def test_float_enclosure_holds_a_cdf_between_floats(self, name, request):
+        # a nondecreasing row at a rational takes its lower end at the float below and its upper end above
+        if name == "cubic":
+            dist = seeded_cubic(3, 8)
+        elif name == "dense":
+            rng = random.Random(1)
+            w = [rng.getrandbits(58) for _ in range(64)]
+            dist = PiecewisePolyCdf((F(0), F(1)), [[F(0)] + [F(x, sum(w)) for x in w]])
+        else:
+            dist = request.getfixturevalue(name)
+        enclose = dist.float_enclosure()
+        for x in [F(k, 100) for k in range(101)] + [F(k, 21) for k in range(22)] + [F(1, 3) + F(1, 2**80)]:
+            lo, hi = enclose(*float_bounds(x))
+            assert lo <= dist(x) <= hi
+            assert hi - lo < 1e-12
 
     @settings(max_examples=30)
     @given(piecewise(), st.sampled_from([F(-1, BIG), F(-1), 1 + F(1, BIG), F(2)]))

@@ -4,6 +4,7 @@ Exit codes: 0 success, 1 validation/solve failure, 2 usage or input error.  Ever
 command validates the cdf it loads, and an invalid one exits 1.  The limits on
 n, the black-box grid size and --samples, and solve's --eps and --bids, are
 checked first.
+A command builds only its own parser; `fpaeq --help` lists the commands.
 Exact rationals are serialized as "p/q" strings; float output is tagged with
 an explicit precision field.
 """
@@ -221,14 +222,7 @@ def _cmd_validate_cdf(args) -> int:
     return 0 if report.ok else FAILURE
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="fpaeq",
-        description="First-price auction equilibrium solvers and verifiers",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("solve", help="compute an equilibrium strategy")
+def _solve_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--model", required=True, choices=["ccfpa-blackbox", "ccfpa-explicit", "cdfpa"])
     p.add_argument("--cdf", required=True, help="path to a cdf JSON file")
     p.add_argument("--n", required=True, type=int, help="number of bidders (>= 2)")
@@ -237,9 +231,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=_int_at_least(1), help="emit a CSV sample of the bid function")
     p.add_argument("--bids", help="JSON array of rational bids (cdfpa)")
     p.add_argument("--certify", action="store_true", help="also measure regret (cdfpa)")
-    p.set_defaults(func=_cmd_solve)
 
-    p = sub.add_parser("verify", help="certify a strategy's regret")
+
+def _verify_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--strategy", required=True, help="path to a strategy JSON file")
     p.add_argument("--cdf", required=True)
     p.add_argument("--n", required=True, type=int)
@@ -248,25 +242,63 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=100_000,
                    help=f"Monte Carlo trials, at most {verify.MAX_MC_TRIALS} at any n (default: 100 000)")
     p.add_argument("--seed", type=_int_at_least(0), default=0)
-    p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("eval", help="evaluate a cdf or strategy at a point")
+
+def _eval_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--cdf")
     p.add_argument("--strategy")
     p.add_argument("--bids")
     p.add_argument("--at", required=True)
-    p.set_defaults(func=_cmd_eval)
 
-    p = sub.add_parser("validate-cdf", help="check a cdf JSON file's invariants")
+
+def _validate_cdf_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--cdf", required=True)
-    p.set_defaults(func=_cmd_validate_cdf)
 
+
+# command name -> (help text, the function that adds its options, handler)
+COMMANDS = {
+    "solve": ("compute an equilibrium strategy", _solve_options, _cmd_solve),
+    "verify": ("certify a strategy's regret", _verify_options, _cmd_verify),
+    "eval": ("evaluate a cdf or strategy at a point", _eval_options, _cmd_eval),
+    "validate-cdf": ("check a cdf JSON file's invariants", _validate_cdf_options, _cmd_validate_cdf),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, as `fpaeq --help` shows it."""
+    parser = argparse.ArgumentParser(
+        prog="fpaeq",
+        description="First-price auction equilibrium solvers and verifiers",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_options, handler) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        add_options(p)
+        p.set_defaults(func=handler)
     return parser
 
 
+def _parse_args(argv) -> argparse.Namespace:
+    """argv parsed by its command's parser alone, with the same texts and exit codes as build_parser().
+
+    A command's parser is the subparser build_parser() would hand argv[1:] to. Anything else (no
+    command, -h, an unknown command, an option before the command) and a leftover argument, which
+    the full parser reports under its own usage, go to the full parser.
+    """
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv and argv[0] in COMMANDS:
+        _, add_options, handler = COMMANDS[argv[0]]
+        parser = argparse.ArgumentParser(prog=f"fpaeq {argv[0]}")
+        add_options(parser)
+        args, extra = parser.parse_known_args(argv[1:])
+        if not extra:
+            args.func = handler
+            return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parse_args(argv)
     try:
         return args.func(args)
     except ValueError as exc:

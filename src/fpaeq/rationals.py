@@ -9,10 +9,15 @@ from .errors import DomainError
 
 
 def parse_rational(value) -> Fraction:
-    """Accept "p/q" / integer strings, ints, and Fractions.
+    """Accept strings in Fraction's grammar without exponent notation, ints, and Fractions.
 
-    Floats are deliberately rejected to keep JSON inputs lossless, and so is
-    exponent notation, for which Fraction would first build the power of ten.
+    A string is an optional sign, then an integer with an optional "/" and an
+    unsigned nonzero integer denominator ("3/4", "+1/2", "-7") or a decimal
+    ("0.25", ".5"), with "_" allowed between digits and whitespace around it
+    ("1_000", " 3/4 "); each is read exactly.  "1/-2", "1/0", "nan" and "inf"
+    are not rationals.  Floats are deliberately rejected to keep JSON inputs
+    lossless, and so is exponent notation ("1e-3"), for which Fraction would
+    first build the power of ten.
     """
     if isinstance(value, Fraction):
         return value

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import fpaeq as fq
+from fpaeq import cli
 from fpaeq.cli import main
 from fpaeq.rationals import format_rational, parse_rational
 
@@ -423,6 +424,18 @@ class TestInputContract:
                                 "--eps", "1e-10000000")
         assert code == 2 and out == ""
         assert "exponent notation is not accepted" in err
+
+    @pytest.mark.parametrize("text,value", [
+        ("0.25", F(1, 4)), (".5", F(1, 2)), ("+1/2", F(1, 2)), ("1_000", F(1000)), (" 3/4 ", F(3, 4)),
+    ])
+    def test_rational_grammar_accepts(self, text, value):
+        # Fraction's grammar, each read exactly
+        assert parse_rational(text) == value
+
+    @pytest.mark.parametrize("text", ["1e-3", "1/0", "nan", "inf", "1/-2"])
+    def test_rational_grammar_rejects(self, text):
+        with pytest.raises(ValueError, match="not a rational"):
+            parse_rational(text)
 
     def test_outputs_past_the_int_to_str_limit(self, capout, tmp_path):
         # F = (x + x**2)/2 at n = 64: the bid at 1/(10**100 + 1) has about 12,800 digits
@@ -911,3 +924,72 @@ class TestValidationGate:
         code, out, err = capout(*argv, "--cdf", unordered_json)
         assert code == 1 and out == ""
         assert err.startswith("invalid cdf: breakpoints not strictly increasing at index 1")
+
+
+CDF, STRATEGY = "<cdf>", "<strategy>"
+SOLVE = ["solve", "--model", "cdfpa", "--cdf", CDF, "--n", "2", "--bids", '["0", "1/4", "1/2"]', "--eps", "1/64"]
+VERIFY = ["verify", "--strategy", STRATEGY, "--cdf", CDF, "--n", "2", "--bids", '["0", "1/4", "1/2"]']
+
+
+class TestDispatch:
+    """A command's own parser: the texts and exit codes of the parser with every command."""
+
+    @pytest.fixture
+    def files(self, tmp_path, uniform_json):
+        strategy = tmp_path / "strategy.json"
+        strategy.write_text(json.dumps({"kind": "jump_points", "s": ["0", "1/4", "1/2", "1"]}))
+        return {CDF: uniform_json, STRATEGY: str(strategy)}
+
+    @staticmethod
+    def run(capsys, argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    @pytest.mark.parametrize("argv", [
+        ["-h"], ["--help"], [], ["bogus"], ["--version"],
+        ["solve", "--help"], ["verify", "--help"], ["eval", "--help"], ["validate-cdf", "--help"],
+        ["solve"],
+        ["solve", "--model", "cdfpa-x", "--cdf", CDF, "--n", "2"],
+        ["solve", "--model", "cdfpa", "--cdf", CDF, "--n", "two"],
+        ["solve", "--model", "ccfpa-explicit", "--cdf", CDF, "--n", "2", "--samples", "0"],
+        [*VERIFY, "--mode", "mc", "--seed", "-1"],
+        ["verify", "--cdf", CDF, "--n", "2", "--mode", "exact"],
+        ["solve", "--model", "cdfpa", "--cdf", CDF, "--n"],
+        [*SOLVE, "--bogus", "1"],
+        [*SOLVE, "extra"],
+        SOLVE,
+        ["verify", "--model", "cdfpa"],
+        ["solve", "--mod", "cdfpa", *SOLVE[3:]],
+        ["--n", "2", *SOLVE],
+        [*VERIFY, "--mode", "exact"],
+        ["eval", "--cdf", CDF, "--at", "1/3"],
+        ["validate-cdf", "--cdf", CDF],
+    ], ids=[
+        "-h", "--help", "no-arguments", "unknown-command", "--version",
+        "solve-help", "verify-help", "eval-help", "validate-cdf-help",
+        "solve-no-options", "bad-choice", "bad-int", "samples-0", "seed-negative", "missing-required",
+        "option-without-value", "unknown-option", "stray-positional", "solve", "option-of-another-command",
+        "abbreviation", "option-before-command", "verify", "eval", "validate-cdf",
+    ])
+    def test_same_as_the_full_parser(self, capsys, monkeypatch, files, argv):
+        argv = [files.get(a, a) for a in argv]
+        got = self.run(capsys, argv)
+        monkeypatch.setattr(cli, "_parse_args", lambda argv: cli.build_parser().parse_args(argv))
+        assert got == self.run(capsys, argv)
+
+    @pytest.mark.parametrize("argv", [
+        SOLVE, [*VERIFY, "--mode", "grid"], ["eval", "--cdf", CDF, "--at", "1/3"], ["validate-cdf", "--cdf", CDF],
+    ], ids=lambda argv: argv[0])
+    def test_only_the_invoked_command_is_built(self, capout, monkeypatch, files, argv):
+        def unbuilt(parser):
+            raise AssertionError("the options of a command not invoked were built")
+
+        for name, (help_text, _, handler) in list(cli.COMMANDS.items()):
+            if name != argv[0]:
+                monkeypatch.setitem(cli.COMMANDS, name, (help_text, unbuilt, handler))
+        code, out, err = capout(*[files.get(a, a) for a in argv])
+        assert code == 0 and out and err == ""

@@ -106,7 +106,8 @@ def precompute(oracle: CdfOracle, n: int, epsilon) -> BlackBoxPlan:
     check_bidders(n)
     K = grid_size(epsilon)
     nums, den = oracle.grid_values(K)
-    return BlackBoxPlan(oracle, n, K, tuple(accumulate(map(pow, nums, repeat(n - 1)), initial=0)), den ** (n - 1))
+    powers = nums if n == 2 else map(pow, nums, repeat(n - 1))  # at n = 2 the numerators as they are
+    return BlackBoxPlan(oracle, n, K, tuple(accumulate(powers, initial=0)), den ** (n - 1))
 
 
 def bid(plan: BlackBoxPlan, x) -> BidEvaluation:

@@ -26,11 +26,14 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 # Highest polynomial degree an explicit cdf may have.  It bounds the work of
-# validate(), whose exact monotonicity decision runs remainder sequences of degree up to
-# 63.  Measured with CPython 3.11 on one Xeon core: 0.06 s for a dense degree-64 piece
-# whose coefficients share a 20-bit denominator, 0.7 s at 157 bits and 10 s at 961 bits
-# (the work grows with the coefficient size, not only the degree), 0.01 s for a piece
-# with derivative 1 + T_63(2x - 1).  Bid functions built from a cdf are not bounded by
+# validate(), whose exact monotonicity decision counts the sign variations of a
+# Taylor-shifted row of degree up to 63 and, where the count is 2 or more, runs remainder
+# sequences of that degree.  Measured with CPython 3.11 on 2 vCPUs, on dense degree-64
+# pieces of positive weights: the count took 0.2 ms whether their coefficients share a
+# 19-bit, a 157-bit or a 961-bit denominator, where the remainder sequences took 0.06 s,
+# 1.4 s and 44 s (their work grows with the coefficient size, not only the degree); a
+# piece with derivative 1 + T_63(2x - 1), whose double roots send it to the remainder
+# sequences, took 2 ms.  Bid functions built from a cdf are not bounded by
 # it: their denominators have degree (n - 1) times the cdf's.  The largest admitted
 # explicit solve, `solve --model ccfpa-explicit --n 64` on one dense degree-64 row with
 # 58-bit weights over their sum (a 64-bit denominator), takes 2.8-3.4 s and 92 MB peak RSS
@@ -39,10 +42,11 @@ ONE = Fraction(1)
 MAX_DEGREE = 64
 # Most bits of an integer in a piecewise_poly row read by cdf_from_json: each numerator and
 # the common denominator of the row's integer form (PiecewisePoly.int_rows).  validate()'s
-# remainder sequences grow with these sizes; with CPython 3.11 on one Xeon core, a dense
-# degree-64 piece with 64-bit numerators took 0.45 s, at 128 bits 1.3 s.  Cdfs the
-# library builds, such as bid-function rows or strongly_increasing_transform's mix, are
-# not bounded by it.
+# remainder sequences grow with these sizes; with CPython 3.11 on 2 vCPUs they took 0.29 s
+# on a dense degree-64 piece with 63-bit integers and 1.4 s at 157 bits, where the count of
+# sign variations that decides such a piece first took 0.2 ms.  A piece the count leaves
+# undecided still runs them.  Cdfs the library builds, such as bid-function rows or
+# strongly_increasing_transform's mix, are not bounded by it.
 MAX_ROW_BITS = 64
 
 
@@ -74,7 +78,9 @@ class PiecewisePolyCdf(PiecewisePoly):
         The breakpoints run from 0 to 1 in increasing order, F_1(0) = 0,
         F_k(1) = 1, the pieces meet at the breakpoints and each piece is
         nondecreasing, which :func:`poly.nonnegative_on` decides for its
-        derivative.  Together these imply 0 <= F <= 1.
+        derivative.  Together these imply 0 <= F <= 1.  The values are
+        compared as integer ratios, cross-multiplied; a Fraction is made only
+        for the text of a violation.
         """
         bad: list[str] = []
         bps = self.breakpoints
@@ -85,15 +91,16 @@ class PiecewisePolyCdf(PiecewisePoly):
         for j in range(len(bps) - 1):
             if not bps[j] < bps[j + 1]:
                 bad.append(f"breakpoints not strictly increasing at index {j}")
-        if self.row_value(0, ZERO) != 0:
+        rows = self.int_rows
+        if rows[0][0][0]:  # F_1(0) is the constant term over the scale
             bad.append("F_1(0) != 0")
-        if self.row_value(self.pieces - 1, ONE) != 1:
+        if sum(rows[-1][0]) != rows[-1][1]:
             bad.append("F_k(1) != 1")
         for j in range(self.pieces - 1):
-            v = bps[j + 1]
-            left, right = self.row_value(j, v), self.row_value(j + 1, v)
-            if left != right:
-                bad.append(f"discontinuity at breakpoint {j + 1}: {left} != {right}")
+            p, q = bps[j + 1].numerator, bps[j + 1].denominator
+            (a, c), (b, d) = self.row_ratio(j, p, q), self.row_ratio(j + 1, p, q)
+            if a * d != b * c:
+                bad.append(f"discontinuity at breakpoint {j + 1}: {Fraction(a, c)} != {Fraction(b, d)}")
         for j, (nums, _) in enumerate(self.int_rows):
             lo, hi = bps[j], bps[j + 1]
             # a piece with lo >= hi is reported with the breakpoints above

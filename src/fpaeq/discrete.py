@@ -52,7 +52,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -93,6 +93,7 @@ class JumpPointStrategy(PiecewisePoly):
     utilities U_0..U_m solved with them: b_j on (s_{j-1}, s_j], and b_1 at and below s_0, held as constant rows."""
 
     utilities: tuple
+    bids: tuple[Fraction, ...] = field(repr=False, compare=False)  # b_1..b_m, the grid's: the constant rows
 
     def __init__(self, grid: BidGrid, s: Sequence, utilities: Sequence):
         if len(s) != grid.m + 1:
@@ -105,16 +106,12 @@ class JumpPointStrategy(PiecewisePoly):
             raise DomainError("last jump point must be 1")
         super().__init__(s, [(b,) for b in grid.bids])
         object.__setattr__(self, "utilities", tuple(utilities))
+        object.__setattr__(self, "bids", grid.bids)
 
     @property
     def s(self) -> tuple[Fraction, ...]:
         """The jump points s_0..s_m: the breakpoints."""
         return self.breakpoints
-
-    @property
-    def bids(self) -> tuple[Fraction, ...]:
-        """The bids b_1..b_m: the constant rows."""
-        return tuple(row[0] for row in self.rows)
 
     def win_probs(self, F, n: int) -> tuple:
         """Delta_1..Delta_m: bid b_j wins with Delta(s_{j-1}, s_j), whatever the value."""
@@ -232,12 +229,14 @@ def compute_strategy(F, n: int, grid: BidGrid, U, delta):
     return s, uvec
 
 
-def _exact_delta(fx, fy, n: int) -> Fraction:
-    """Delta on exact cdf values: with fx = p/q and fy = r/t, the integer sum of (pt)**(n-1-i) (rq)**i over
-    n (qt)**(n-1), made into one Fraction, where a sum of Fractions takes a gcd per term."""
+def _delta_ratio(fx, fy, n: int) -> tuple[int, int]:
+    """Delta on exact cdf values fx = p/q and fy = r/t as (num, den), with no gcd taken: over l = lcm(q, t),
+    the integer sum of (p l/q)**(n-1-i) (r l/t)**i over n l**(n-1), where a sum of Fractions takes a gcd
+    per term."""
     p, q = fx.as_integer_ratio()
     r, t = fy.as_integer_ratio()
-    return Fraction(_power_sum(p * t, r * q, n), n * (q * t) ** (n - 1))
+    g = math.gcd(q, t)
+    return _power_sum(p * (t // g), r * (q // g), n), n * (q // g * t) ** (n - 1)
 
 
 def _delta_box(fx, fy, n: int) -> tuple[float, float]:
@@ -285,7 +284,7 @@ def check_conditions(F, n: int, strategy: JumpPointStrategy, gamma) -> Certifica
     then a cdf, nondecreasing, so F at a jump point lies in the rigorous float enclosure
     (:meth:`PiecewisePoly.float_enclosure`) over the floats around the point, and Delta_i and each
     residual lie in the float boxes built from those (:func:`_delta_box`, :func:`_residual_box`).  A
-    residual is computed exactly, on F's exact values and :func:`_exact_delta`, only where its box
+    residual is computed exactly, on F's exact values and :func:`_delta_ratio`, only where its box
     reaches the largest lower end of all boxes.  Every other one lies below the residual of that
     lower end, so it can decide neither the verdict nor the maximum: it holds its box's upper end, a
     rational at or above it, and max_residual is the exact maximum.  Any other F, such as a
@@ -326,7 +325,7 @@ def check_conditions(F, n: int, strategy: JumpPointStrategy, gamma) -> Certifica
                 for k in (i - 1, i):
                     if fs[k] is None:
                         fs[k] = F(s[k])
-                exact_wins[i] = _exact_delta(fs[i - 1], fs[i], n)
+                exact_wins[i] = Fraction(*_delta_ratio(fs[i - 1], fs[i], n))
             r = c * exact_wins[i] - u[j] if c else -u[j]
             value = max(ZERO, r) if signed else abs(r)
         residuals[slot] = ConditionResidual(2 if signed else 1, i, value, gamma)

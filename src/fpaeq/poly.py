@@ -28,7 +28,10 @@ on ints where in floats their errors would grow along the piece.
 
 :func:`nonnegative_on` decides on the same integers, exactly and without
 sampling, whether a polynomial is >= 0 on an interval; a cdf piece is
-nondecreasing iff its derivative is.
+nondecreasing iff its derivative is.  One count of sign variations by
+Descartes' rule, after the interval is mapped onto (0, oo), decides a piece
+with no root inside or one simple root; any other piece falls back to Sturm
+sequences.
 """
 
 from __future__ import annotations
@@ -147,11 +150,36 @@ def _sign_beside(f: Sequence[int], x: Fraction, side: int) -> int:
         f, flip = poly_derivative(f), flip * side
 
 
-def nonnegative_on(f: Sequence[int], lo: Fraction, hi: Fraction) -> bool:
-    """Whether the polynomial with integer coefficients f is >= 0 on all of [lo, hi], for rationals lo < hi.
+def _taylor_shift(a: list[int], c: int) -> list[int]:
+    """The row of f(x + c) from the row a of f, in place: Horner's synthetic division repeated (Knuth, TAOCP
+    vol. 2, 4.6.4), d (d + 1) / 2 steps for degree d."""
+    d = len(a) - 1
+    for i in range(d):
+        for j in range(d - 1, i - 1, -1):
+            a[j] += c * a[j + 1]
+    return a
 
-    A nonzero f is >= 0 there iff it is positive just right of lo and changes
-    sign nowhere in (lo, hi), that is, has no root of odd multiplicity there.
+
+def _descartes_image(f: list[int], lo: Fraction, hi: Fraction) -> list[int]:
+    """A positive multiple of g(t) = (1 + t)**d f((hi + lo t) / (1 + t)), d = deg f, for rationals lo < hi.
+
+    t in (0, oo) maps onto x in (lo, hi), so g's roots there are f's roots in
+    (lo, hi), with their multiplicities.  With lo = A/D, hi = C/D and
+    y = 1 / (1 + t), x = (A + (C - A) y) / D: the row is scaled to z = D x,
+    shifted by A, scaled by C - A, reversed (y to 1 / y) and shifted by 1,
+    all on ints, which gives D**d g.
+    """
+    D = math.lcm(lo.denominator, hi.denominator)
+    A, C, d = lo.numerator * (D // lo.denominator), hi.numerator * (D // hi.denominator), len(f) - 1
+    a = [c * D ** (d - l) for l, c in enumerate(f)]
+    if A:
+        _taylor_shift(a, A)
+    return _taylor_shift([c * (C - A) ** l for l, c in enumerate(a)][::-1], 1)
+
+
+def _sturm_changes(f: list[int], lo: Fraction, hi: Fraction) -> int:
+    """The number of sign changes of the nonzero trimmed f in (lo, hi), by Sturm sequences of the chain g_k.
+
     A root of multiplicity m is a root of g_k for k < m, where g_0 = f and
     g_(k+1) = gcd(g_k, g_k'), so the number of sign changes is the alternating
     sum over k of the number of distinct roots of g_k in (lo, hi): the Tarski
@@ -160,11 +188,6 @@ def nonnegative_on(f: Sequence[int], lo: Fraction, hi: Fraction) -> bool:
     Roy, Algorithms in Real Algebraic Geometry, ch. 2).  Signs are taken just
     inside [lo, hi], so a root on an endpoint counts for nothing.
     """
-    f = _trim(list(f))
-    if not f:
-        return True
-    if _sign_beside(f, lo, 1) < 0:
-        return False
     changes, weight = 0, 1
     while len(f) > 1:
         seq, r = [f], _trim(poly_derivative(f))
@@ -175,7 +198,34 @@ def nonnegative_on(f: Sequence[int], lo: Fraction, hi: Fraction) -> bool:
             signs = [_sign_beside(g, x, side) for g in seq]
             changes += w * sum(s != t for s, t in zip(signs, signs[1:]))
         f, weight = seq[-1], -weight
-    return changes == 0
+    return changes
+
+
+def nonnegative_on(f: Sequence[int], lo: Fraction, hi: Fraction) -> bool:
+    """Whether the polynomial with integer coefficients f is >= 0 on all of [lo, hi], for rationals lo < hi.
+
+    A nonzero f is >= 0 there iff it has no root in (lo, hi) and is positive
+    inside, or is positive just right of lo and changes sign nowhere in
+    (lo, hi), that is, has no root of odd multiplicity there.
+
+    One count of sign variations decides most pieces.  By Descartes' rule of
+    signs the variations V of the coefficients of :func:`_descartes_image`
+    exceed the number of roots of f in (lo, hi), counted with multiplicity, by
+    an even number (Collins and Akritas, "Polynomial real root isolation using
+    Descartes' rule of signs", SYMSAC 1976).  V = 0: there is no root inside,
+    and f has the sign of those coefficients there.  V = 1: there is one
+    simple root inside, where f changes sign.  From V = 2 on, the Sturm count
+    of :func:`_sturm_changes` decides.  A root on an end counts for nothing
+    in either.
+    """
+    f = _trim(list(f))
+    if not f:
+        return True
+    signs = [c > 0 for c in _descartes_image(f, lo, hi) if c]
+    variations = sum(s != t for s, t in zip(signs, signs[1:]))
+    if variations < 2:
+        return variations == 0 and signs[0]
+    return _sign_beside(f, lo, 1) > 0 and _sturm_changes(f, lo, hi) == 0
 
 
 @dataclass(frozen=True, init=False)
@@ -247,12 +297,15 @@ class PiecewisePoly:
         the table floats equal to fx or to the float before it are settled by
         an exact comparison.
         """
-        p, q = x.numerator, x.denominator
+        return self.piece_of(x.numerator, x.denominator)
+
+    def piece_of(self, p: int, q: int) -> int:
+        """:meth:`piece_index` of x = p/q, q > 0, with the exact comparisons cross-multiplied on ints."""
         if p < 0 or p > q:
-            raise DomainError(f"x={x} outside [0, 1]")
-        fx, inner = p / q, self._inner
+            raise DomainError(f"x={Fraction(p, q)} outside [0, 1]")
+        fx, inner, bps = p / q, self._inner, self.breakpoints
         j = bisect.bisect_left(inner, math.nextafter(fx, -math.inf))
-        while j < len(inner) and inner[j] <= fx and x > self.breakpoints[j + 1]:
+        while j < len(inner) and inner[j] <= fx and p * bps[j + 1].denominator > bps[j + 1].numerator * q:
             j += 1
         return j
 
@@ -264,11 +317,14 @@ class PiecewisePoly:
                 return b
         raise DomainError("every row is zero: there is no support infimum")
 
+    def row_ratio(self, j: int, p: int, q: int) -> tuple[int, int]:
+        """Row j at x = p/q, q > 0, as (num, den), den > 0, with no gcd taken: Horner's rule on ints."""
+        nums, scale = self.int_rows[j]
+        return horner_int(nums, p, q), scale * q ** (len(nums) - 1)
+
     def row_value(self, j: int, x: Fraction) -> Fraction:
         """Exact value of row j at x."""
-        nums, scale = self.int_rows[j]
-        q = x.denominator
-        return Fraction(horner_int(nums, x.numerator, q), scale * q ** (len(nums) - 1))
+        return Fraction(*self.row_ratio(j, x.numerator, x.denominator))
 
     def __call__(self, x) -> Fraction:
         """Exact value at x (converted to a Fraction)."""

@@ -7,6 +7,10 @@ from fractions import Fraction
 
 from .errors import DomainError
 
+# Longest string the fast path of parse_rational reads: CPython's smallest int-to-str limit, so int() takes every
+# part of it whatever the limit is set to, as Fraction's own parse does.
+SHORT = 640
+
 
 def parse_rational(value) -> Fraction:
     """Accept strings in Fraction's grammar without exponent notation, ints, and Fractions.
@@ -17,8 +21,16 @@ def parse_rational(value) -> Fraction:
     ("1_000", " 3/4 "); each is read exactly.  "1/-2", "1/0", "nan" and "inf"
     are not rationals.  Floats are deliberately rejected to keep JSON inputs
     lossless, and so is exponent notation ("1e-3"), for which Fraction would
-    first build the power of ten.
+    first build the power of ten.  The common form "-?digits(/digits)?", in
+    ASCII digits, is read by int; every other string by Fraction.
     """
+    if value.__class__ is str and len(value) <= SHORT and value.isascii():  # "-?digits(/digits)?", read by int
+        num, slash, den = value.partition("/")
+        if (num[1:] if num[:1] == "-" else num).isdigit():
+            if not slash:
+                return Fraction(int(num))
+            if den.isdigit() and int(den):
+                return Fraction(int(num), int(den))
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):  # an int subclass: JSON true and false are not 1 and 0

@@ -36,7 +36,7 @@ from typing import Callable
 import numpy as np
 
 from .cdf import PiecewisePolyCdf, float_view
-from .discrete import JumpPointStrategy
+from .discrete import JumpPointStrategy, _delta_ratio
 from .errors import DomainError, check_bidders
 
 EXACT_VALUE_GRID = 64  # the exact verifier's uniform values are i/64
@@ -61,30 +61,43 @@ class PropertyCheck:
     monotonicity_witnesses: tuple = ()
 
 
+def _reduced(p: int, q: int) -> tuple[int, int]:
+    g = math.gcd(p, q)
+    return p // g, q // g
+
+
+_GRID_VALUES = frozenset(_reduced(i, EXACT_VALUE_GRID) for i in range(EXACT_VALUE_GRID + 1))  # i/64 as (p, q)
+
+
 def epsilon_bne_check_cdfpa(F, n: int, strategy: JumpPointStrategy) -> RegretReport:
     """Deviation regret over all the strategy's bids, exact for rational inputs.
 
     The result is the exact maximum over a finite value set: every jump
     point, every bid, i/64 and the midpoints of consecutive distinct jump
-    points.  Bid b_k wins with Delta_k = N_k / D_k whatever the value, so with
-    the bids over their lcm B as integers c_k it pays (p*B - c_k*q) * N_k /
-    (q*B*D_k) at v = p/q; the regret at v is the best payoff less the own
-    bid's.  All comparisons are cross-multiplications of Python ints, and the
-    one Fraction built is the result.  The argmax is the first maximum in
+    points.  The verifier works on integer pairs.  Bid b_k wins with
+    Delta_k = N_k / D_k whatever the value, an integer sum over the lcm of
+    F's denominators at its two jump points (:func:`discrete._delta_ratio`),
+    so with the bids over their lcm B as integers c_k it pays
+    (p*B - c_k*q) * N_k / (q*B*D_k) at a value v = p/q, held gcd-reduced,
+    whose piece is found on ints (:meth:`PiecewisePoly.piece_of`); the
+    regret at v is the best payoff less the own bid's.  All comparisons are
+    cross-multiplications of Python ints, and the only Fractions built are
+    F at the jump points and the result.  The argmax is the first maximum in
     increasing value, then bid.  The supremum over all values can lie above.
     """
     check_bidders(n)
-    s, bids, win = strategy.s, strategy.bids, strategy.win_probs(F, n)
-    values = set(s) | set(bids)
-    values |= {Fraction(i, EXACT_VALUE_GRID) for i in range(EXACT_VALUE_GRID + 1)}
-    values |= {(a + b) / 2 for a, b in zip(s, s[1:]) if a < b}
+    s, bids = strategy.s, strategy.bids
+    fs = [F(x) for x in s]
+    values = {(x.numerator, x.denominator) for x in (*s, *bids)} | _GRID_VALUES
+    values |= {_reduced(a.numerator * b.denominator + b.numerator * a.denominator, 2 * a.denominator * b.denominator)
+               for a, b in zip(s, s[1:]) if a < b}  # the midpoints
     B = math.lcm(*(b.denominator for b in bids))
-    lines = [(b.numerator * (B // b.denominator), w.numerator, w.denominator, b) for b, w in zip(bids, win)]
+    lines = [(b.numerator * (B // b.denominator), *_delta_ratio(x, y, n), b) for b, x, y in zip(bids, fs, fs[1:])]
     (_, N0, D0, b0), rest = lines[0], lines[1:]  # the lowest bid is 0
-    best = (-1, 0, None, None)  # regret X / Y at value v deviating to bid b, as (X, Y, v, b); -1/0 is below all
-    for v in values:  # in the set's order: an exact tie keeps the smaller value
-        pB, q = v.numerator * B, v.denominator
-        c, N, own_den, _ = lines[strategy.piece_index(v)]
+    best = (-1, 0, 0, 1, None)  # regret X / Y at value p/q deviating to bid b, as (X, Y, p, q, b); -1/0 is below all
+    for p, q in values:  # in the set's order: an exact tie keeps the smaller value
+        pB = p * B
+        c, N, own_den, _ = lines[strategy.piece_of(p, q)]
         own = (pB - c * q) * N
         top, top_den, top_bid = pB * N0, D0, b0
         for c, N, D, b in rest:
@@ -95,9 +108,10 @@ def epsilon_bne_check_cdfpa(F, n: int, strategy: JumpPointStrategy) -> RegretRep
                 top, top_den, top_bid = A, D, b
         X, Y = top * own_den - own * top_den, q * B * top_den * own_den
         d = X * best[1] - best[0] * Y
-        if d > 0 or d == 0 and v < best[2]:
-            best = (X, Y, v, top_bid)
-    return RegretReport(Fraction(max(best[0], 0), best[1]), best[2:])
+        if d > 0 or d == 0 and p * best[3] < best[2] * q:
+            best = (X, Y, p, q, top_bid)
+    X, Y, p, q, b = best
+    return RegretReport(Fraction(max(X, 0), Y), (Fraction(p, q), b))
 
 
 def epsilon_bne_check_ccfpa(F, n: int, bid_fn: Callable) -> RegretReport:

@@ -19,6 +19,37 @@ from fpaeq.rationals import format_rational, parse_rational
 from conftest import piecewise_json
 
 
+def reference_parse_rational(value) -> F:
+    """parse_rational as it was before its int fast path: every string read by Fraction."""
+    if isinstance(value, F):
+        return value
+    if isinstance(value, bool):
+        raise ValueError(f"not a rational: {value!r} (booleans are not accepted)")
+    if isinstance(value, int):
+        return F(value)
+    if isinstance(value, str):
+        if "e" in value or "E" in value:
+            raise ValueError(f"not a rational: {value!r} (exponent notation is not accepted)")
+        try:
+            return F(value.strip())
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValueError(f"not a rational: {value!r}") from exc
+    if isinstance(value, float):
+        raise ValueError(f"not a rational: {value!r} (floats are not accepted)")
+    raise ValueError(f"not a rational: {value!r} (expected a \"p/q\" or integer string, or an integer)")
+
+
+@st.composite
+def rational_texts(draw):
+    """Short strings near "-?digits(/digits)?": signs, ASCII and Unicode decimal digits with leading zeros, at
+    most one "/", spaces, "_", "." and "e"."""
+    pieces = st.sampled_from(["-", "+", "0", "00", "1", "7", "10", "٣", "５", "߁", " ", "_", ".", "e", "E"])
+    head = "".join(draw(st.lists(pieces, max_size=6)))
+    if draw(st.booleans()):
+        head += "/" + "".join(draw(st.lists(pieces, max_size=6)))
+    return head
+
+
 @pytest.fixture
 def capout(capsys):
     def run(*argv):
@@ -436,6 +467,22 @@ class TestInputContract:
     def test_rational_grammar_rejects(self, text):
         with pytest.raises(ValueError, match="not a rational"):
             parse_rational(text)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(rational_texts(), st.builds(
+        lambda head, k, tail: head + "7" * k + tail, rational_texts(),
+        st.sampled_from([600, 639, 640, 641, 4290, 4299, 4300, 4301, 4310]), rational_texts())))
+    def test_fast_path_keeps_the_grammar(self, text):
+        # the same Fraction, or the same error, as the parse that read every string with Fraction
+        try:
+            expected = reference_parse_rational(text)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as raised:
+                parse_rational(text)
+            assert str(raised.value) == str(exc)
+        else:
+            got = parse_rational(text)
+            assert type(got) is F and got == expected
 
     def test_outputs_past_the_int_to_str_limit(self, capout, tmp_path):
         # F = (x + x**2)/2 at n = 64: the bid at 1/(10**100 + 1) has about 12,800 digits

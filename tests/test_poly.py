@@ -10,6 +10,7 @@ behind `validate`, sympy's square-free factorisation and real-root counts.
 import bisect
 import math
 import random
+import time
 from fractions import Fraction as F
 
 import numpy as np
@@ -169,9 +170,25 @@ def shifted_chebyshev(k: int) -> list:
 
 @st.composite
 def pieces_with_roots(draw):
-    """(f, lo, hi): an integer polynomial with repeated roots at, inside and just beside the ends of [lo, hi]."""
+    """(f, lo, hi): an integer polynomial with repeated roots at, inside and just beside the ends of [lo, hi].
+
+    Half the cases start from a dense factor instead of a constant: up to degree 12 with coefficients of up
+    to 64 bits, or the square of one of up to degree 6, which is >= 0 everywhere.  It takes double roots at
+    dyadic and other rationals inside, and roots on the ends.
+    """
     lo = draw(st.fractions(min_value=0, max_value=F(15, 16), max_denominator=16))
     hi = lo + draw(st.fractions(min_value=F(1, 16), max_value=1, max_denominator=16))
+    if draw(st.booleans()):
+        def dense(size):
+            return st.lists(st.integers(1 - 2**64, 2**64 - 1), min_size=1, max_size=size).filter(any)
+
+        f = draw(dense(13)) if draw(st.booleans()) else naive_mul(g := draw(dense(7)), g)
+        inside = st.one_of(st.integers(1, 63).map(lambda k: F(k, 64)), st.sampled_from([F(1, 3), F(2, 5), F(5, 7)]))
+        for _ in range(draw(st.integers(0, 2))):
+            f = times_root(f, lo + (hi - lo) * draw(inside), 2)
+        for end in draw(st.lists(st.sampled_from([lo, hi]), max_size=2)):
+            f = times_root(f, end, draw(st.integers(1, 2)))
+        return f, lo, hi
     tiny = F(1, 2 ** draw(st.sampled_from([4, 20, 60])))
     places = [lo, hi, lo - tiny, lo + tiny, hi - tiny, hi + tiny, (lo + hi) / 2, (2 * lo + hi) / 3]
     f = [draw(st.sampled_from([-3, -1, 1, 2]))]
@@ -531,6 +548,29 @@ class TestNonnegativeOn:
         assert not nonnegative_on([0, 1], F(-1, 2), F(1))
         assert nonnegative_on([0, 0, 1], F(-1), F(1))
         assert not nonnegative_on([1, -2], F(0), F(1))
+
+    def test_one_count_decides_at_scale(self):
+        # sum c_l (2x - 1)**l with 256-bit c_l > 0 is positive on [1/2, 1] and has degree 63: Sturm sequences
+        # took seconds on it, and one count of sign variations, 0 here, decides it
+        rng = random.Random(16)
+        f = [0] * 64
+        for l in range(64):
+            c = rng.getrandbits(256) | 2**255
+            for i in range(l + 1):
+                f[i] += c * math.comb(l, i) * 2**i * (-1) ** (l - i)
+        t0 = time.perf_counter()
+        assert nonnegative_on(f, F(1, 2), F(1))
+        assert not nonnegative_on([-c for c in f], F(1, 2), F(1))
+        assert time.perf_counter() - t0 < 0.5
+
+    def test_dense_cdf_validates_in_milliseconds(self):
+        # CI's dense degree-64 cdf: seeded 58-bit weights over their sum
+        rng = random.Random(1)
+        w = [rng.getrandbits(58) for _ in range(64)]
+        dist = PiecewisePolyCdf((F(0), F(1)), [[F(0)] + [F(x, sum(w)) for x in w]])
+        t0 = time.perf_counter()
+        assert dist.validate().ok
+        assert time.perf_counter() - t0 < 0.05
 
     @pytest.mark.parametrize("k", range(1, 64))
     def test_chebyshev(self, k):

@@ -129,6 +129,36 @@ class TestExactRegretReference:
         j = next(j for j in range(grid.m) if s[j] < tied <= s[j + 1])
         assert max((tied - b) * w for b, w in zip(grid.bids, win)) - (tied - grid.bids[j]) * win[j] == regret
 
+    def test_values_from_several_sources(self, square):
+        # 5/8 is a jump point, a bid and 40/64, and the argmax; 3/8 is the midpoint of 1/8 and 5/8, a bid and
+        # 24/64; each is one value of the set
+        grid, s = grid_of("0", "1/8", "3/8", "5/8"), tuple(F(x) for x in ("1/8", "1/8", "5/8", "1", "1"))
+        report = fq.epsilon_bne_check_cdfpa(square, 2, JumpPointStrategy(grid, s, ()))
+        expected = (F(37, 512), (F(5, 8), F(3, 8)))
+        assert (report.max_regret, report.argmax) == expected == brute_force_exact_regret(square, 2, grid, s)
+
+    @pytest.mark.parametrize("name,n,bids,s,regret,tied", [
+        # 1/4 (a jump point, a bid and 16/64) and 1/2 (a jump point and 32/64), on bids over 12
+        ("uniform", 2, ("0", "1/12", "1/4", "5/12"), ("1/12", "1/4", "1/2", "11/12", "1"), F(1, 48),
+         (F(1, 4), F(1, 2))),
+        # 11/64 (only i/64) and 3/4 (a pooled jump point and 48/64)
+        ("uniform", 3, ("0", "5/12", "1/2", "7/12"), ("1/12", "1/6", "3/4", "3/4", "1"), F(317, 5184),
+         (F(11, 64), F(3, 4))),
+        # 1/2 (a jump point and 32/64) and 2/3 (only a jump point)
+        ("square", 2, ("0", "1/12", "1/4", "5/12"), ("5/12", "1/2", "7/12", "2/3", "1"), F(59, 3456),
+         (F(1, 2), F(2, 3))),
+    ], ids=["bid-and-jump", "grid-and-pooled", "non-dyadic-jump"])
+    def test_tie_across_value_sources(self, name, n, bids, s, regret, tied, request):
+        dist, grid, s = request.getfixturevalue(name), grid_of(*bids), tuple(F(x) for x in s)
+        strategy = JumpPointStrategy(grid, s, ())
+        report = fq.epsilon_bne_check_cdfpa(dist, n, strategy)
+        assert report.max_regret == regret and report.argmax[0] == tied[0]
+        assert (report.max_regret, report.argmax) == brute_force_exact_regret(dist, n, grid, s)
+        # the larger value does tie
+        win, v = strategy.win_probs(dist, n), tied[1]
+        j = next(j for j in range(grid.m) if s[j] < v <= s[j + 1])
+        assert max((v - b) * w for b, w in zip(grid.bids, win)) - (v - grid.bids[j]) * win[j] == regret
+
     @pytest.mark.parametrize("bids,s", [
         (("0",), ("1/3", "1")),  # one bid: every value's own bid is its only deviation
         (("0", "1/2"), ("0", "1", "1")),  # everyone pools at 0, an exact equilibrium for n = 2

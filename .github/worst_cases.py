@@ -33,46 +33,55 @@ DENSE_GRID = [*DENSE, "--bids", '["0", "1/8", "1/4"]']
 GRID_1024 = ["--cdf", "power2.json", "--n", "4", "--bids", BIDS_1024]
 
 CASES = [  # argv, stdout file, bound in s; optionally a peak RSS bound in MB, a sha256, certificate.pass
-    # K = 2**14, 9.5-9.9 s and 158 MB: a plan that keeps more than its prefix sums fails at 200 MB,
-    # and a change to the tabulation or to bid that moves one printed bit fails the digest
+    # Each time bound is a stated multiple of the row's time on 2 vCPUs, which includes about 0.2 s of
+    # interpreter and numpy start-up, and each comment says what it catches.
+    # K = 2**14, 9.5-14 s and 158 MB: a plan that keeps more than its prefix sums fails at 200 MB,
+    # and a change to the tabulation or to bid that moves one printed bit fails the digest.  The 60 s
+    # stays until the plan's exact sums give way to bounded precision, which will set this row's time anew
     (["solve", "--model", "ccfpa-blackbox", *DENSE, "--eps", "1/16384"], "blackbox.csv", 60,
      dict(mb=200, sha256="26e7157c1962ca3b92d839cf8baf2369b0fd1cc23ae891ebb6eaed88a8eb0150")),
-    # Miller's recurrence and Horner by shifts at i/32: 2.6-3.1 s and 92 MB, and 1.7-2.4 s and 47 MB
-    # for the CSV; with the packed power or the q**k products back the CSV took 5.6-7.3 s
+    # Miller's recurrence and Horner by shifts at i/32: the JSON takes 2.6-3.3 s and 85-87 MB.  The CSV reads
+    # F(x) and the integral row at each i/32, 0.9-1.5 s and 36 MB: 3 s and 42 MB fail it where it builds the
+    # bid rows again (1.2-1.5 s and 46 MB) or brings back the packed power or the q**k products (5.6-7.3 s)
     (["solve", "--model", "ccfpa-explicit", *DENSE], "explicit.json", 8,
      dict(mb=200, sha256="0259fb2cdba82fff718f9b5245633ea7366344fa52635c43813efe4043b1cf6a")),
-    (["solve", "--model", "ccfpa-explicit", *DENSE, "--samples", "32"], "explicit.csv", 4,
-     dict(mb=200, sha256="e2536c179617116cddbbc98bab051275a415471ac079ab63868441305377a149")),
+    (["solve", "--model", "ccfpa-explicit", *DENSE, "--samples", "32"], "explicit.csv", 3,
+     dict(mb=42, sha256="e2536c179617116cddbbc98bab051275a415471ac079ab63868441305377a149")),
     # at n = 8 every float bid of the dense rows falls back to the exact one, so the verify's time is
     # the number of bids it reads: one read at the 513 values i/512, 0.8-1.0 s alone and in a full run
     # of this script, where an inversion per deviation j/256 took 6.4-8.7 s and 60 bisection steps 14-16 s
     (["solve", "--model", "ccfpa-explicit", "--cdf", "dense.json", "--n", "8"], "dense-n8.json", 8, {}),
     (["verify", "--mode", "grid", "--strategy", "dense-n8.json", "--cdf", "dense.json", "--n", "8"],
      "dense-n8-grid.json", 4, {}),
-    # rationals of about 134 000 characters, past Python's int-to-str limit, 31 MB.  The solve takes 0.8-1.0 s,
-    # its certificate decided in floats and one residual exact, where an exact sum of Fractions for each Delta
-    # took 10-13 s; the exact verify takes 3.8-4.2 s with Delta's recurrence, 13 s with its sum of powers
-    (["solve", "--model", "cdfpa", *DENSE_GRID, "--eps", "1/64"], "dense-grid.json", 5, dict(mb=200)),
-    (["verify", "--mode", "exact", "--strategy", "dense-grid.json", *DENSE_GRID], "dense-grid-verify.json", 15,
+    # rationals of about 134 000 characters, past Python's int-to-str limit, 31 MB.  The solve takes 0.5-0.6 s,
+    # its certificate decided in floats and one residual exact; 2.5 s, about 4 times that, fails an exact sum
+    # of Fractions for each Delta (10-13 s).  The exact verify takes 1.6-2.4 s with each Delta_k an integer
+    # pair; 5 s, about 3 times its usual 1.6-1.9 s, fails a tenfold slowdown and Delta's sum of powers (13 s)
+    (["solve", "--model", "cdfpa", *DENSE_GRID, "--eps", "1/64"], "dense-grid.json", 2.5, dict(mb=200)),
+    (["verify", "--mode", "exact", "--strategy", "dense-grid.json", *DENSE_GRID], "dense-grid-verify.json", 5,
      dict(mb=200)),
-    # m = 1024: the verify compares payoffs on ints, 1.0-1.3 s against 24-30 s with a Fraction per payoff
-    (["solve", "--model", "cdfpa", *GRID_1024, "--eps", "1/64"], "grid-1024.json", 120, {}),
-    (["verify", "--mode", "exact", "--strategy", "grid-1024.json", *GRID_1024], "grid-1024-verify.json", 15, {}),
+    # m = 1024: the solve takes 0.3-0.5 s, and 2 s, 4 to 6 times that, fails a fourfold slowdown of the
+    # finite-grid search.  The verify compares payoffs on ints, 1.0-1.5 s; 4 s, about 3 times that, fails a
+    # tenfold slowdown and a Fraction per payoff (24-30 s)
+    (["solve", "--model", "cdfpa", *GRID_1024, "--eps", "1/64"], "grid-1024.json", 2, {}),
+    (["verify", "--mode", "exact", "--strategy", "grid-1024.json", *GRID_1024], "grid-1024-verify.json", 4, {}),
     # U_1 moves about 3e4 times faster than U, so whether a float walk reaches gamma is luck in U's last bits:
-    # the float search's 48th walk does, 0.3 s, where bisection on U did not and the exact search took 7-9 s
+    # the float search's 48th walk does, 0.3 s, where bisection on U did not and the exact search took 7-9 s.
+    # The 60 s stays while a solve may still fall back to that exact search, until the exact walk runs on ints
     (["solve", "--model", "cdfpa", "--cdf", "power8.json", "--n", "3", "--bids", BIDS_X8, "--eps", "1/17179869184"],
      "power8-grid.json", 60, dict(certified=True)),
     # 4 000 000 trials, the MAX_MC_TRIALS limit, counted per class of the top opposing bid by one multinomial
     # draw: 0.15-0.25 s and 36 MB, as a run of 2 trials takes, where drawing a level per trial, 8192 at a time,
     # took 0.3-0.6 s, and a cdf inversion and a bid per trial 3.3-4.4 s.  The digest pins the seed's draw
-    # and the deviations, the bids beta(i/8) and the float above each
-    (["solve", "--model", "ccfpa-explicit", "--cdf", "square.json", "--n", "2"], "square-bid.json", 120, {}),
+    # and the deviations, the bids beta(i/8) and the float above each.  The solve of the strategy takes
+    # 0.2-0.4 s, mostly start-up; 1.5 s, as for the verify, fails a bid function that takes a second to build
+    (["solve", "--model", "ccfpa-explicit", "--cdf", "square.json", "--n", "2"], "square-bid.json", 1.5, {}),
     (["verify", "--strategy", "square-bid.json", "--cdf", "square.json", "--n", "2", "--mode", "mc",
       "--trials", "4000000"], "square-mc.json", 1.5,
      dict(mb=100, sha256="3bd32d448158bc2156e290f6b3fb92dcd6b62c23303e39f0e89aa43f54b403e2")),
     # the same at n = 64, n classes per compared bid: 0.15-0.25 s and 36 MB, where a level per trial took
-    # 0.3-0.6 s, and a cdf inversion and a bid per trial 7.5-10 s
-    (["solve", "--model", "ccfpa-explicit", "--cdf", "square.json", "--n", "64"], "square-bid-n64.json", 120, {}),
+    # 0.3-0.6 s, and a cdf inversion and a bid per trial 7.5-10 s.  The solve, 0.2-0.4 s, is bounded as above
+    (["solve", "--model", "ccfpa-explicit", "--cdf", "square.json", "--n", "64"], "square-bid-n64.json", 1.5, {}),
     (["verify", "--strategy", "square-bid-n64.json", "--cdf", "square.json", "--n", "64", "--mode", "mc",
       "--trials", "4000000"], "square-mc-n64.json", 1.5,
      dict(mb=100, sha256="79f703faa9cbd21f56cd5aa40e62edea7d538f41b10cdee1627bdfa83957bb13")),

@@ -126,8 +126,8 @@ def _cmd_solve(args) -> int:
     if given["--at"] and given["--samples"]:
         raise DomainError("--at and --samples exclude each other")
     check_bidders(args.n)
-    # a sample is one bid; an exact one on a dense degree-64 cdf at n = 64 takes, on 2 vCPUs, 0.04 s at
-    # i / 2**e (11 min at MAX_K) and 1.9 s where the sample count is odd (9 h at MAX_K - 1)
+    # a sample is one bid; an exact one on a dense degree-64 cdf at n = 64 takes, on 2 vCPUs, 0.013-0.04 s at
+    # i / 2**e (4-11 min at MAX_K) and 0.6-1.3 s where the sample count is odd (3-6 h at MAX_K - 1)
     if args.samples is not None and args.samples > blackbox.MAX_K:
         raise DomainError(f"--samples {args.samples} exceeds the limit of {blackbox.MAX_K}")
     if args.model == "cdfpa":
@@ -142,16 +142,17 @@ def _cmd_solve(args) -> int:
             blackbox.grid_size(eps)
     dist = _load_cdf(args.cdf)
     if args.model == "ccfpa-explicit":
-        rbf = explicit.canonical_bid_function(dist, args.n)
+        if args.at is None and args.samples is None:
+            print(json.dumps(explicit.rbf_to_json(explicit.canonical_bid_function(dist, args.n)), indent=2))
+            return 0
+        bid = explicit.bid_ratio_evaluator(dist, args.n)  # no bid rows: they are built only to be printed
         if args.at is not None:
-            print(format_rational(explicit.eval_canonical(rbf, parse_rational(args.at))))
-        elif args.samples:
-            print("x,bid")
-            for i in range(args.samples + 1):
-                num, den = explicit.canonical_ratio(rbf, Fraction(i, args.samples))
-                print(f"{i / args.samples},{num / den}")
-        else:
-            print(json.dumps(explicit.rbf_to_json(rbf), indent=2))
+            print(format_rational(Fraction(*bid(parse_rational(args.at)))))
+            return 0
+        print("x,bid")
+        for i in range(args.samples + 1):
+            num, den = bid(Fraction(i, args.samples))
+            print(f"{i / args.samples},{num / den}")
         return 0
     if args.model == "ccfpa-blackbox":
         oracle = CdfOracle(dist)

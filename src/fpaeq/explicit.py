@@ -22,6 +22,11 @@ becomes a Fraction only when it is printed.  A row is as long as its piece's
 degree needs, whatever the other pieces' degrees, and a piece left of the
 support gets zero rows, the identity piece, from the same formula.  Rational values therefore map to exact rational bids.
 
+``solve`` builds these rows only to print them as JSON.  Its ``--at`` and
+``--samples`` bids come from :func:`bid_ratio_evaluator`: one Horner pass on
+the cdf row gives F(x), one on the integral row gives the integral, and the
+bid x - I(x) / F(x)**(n-1) is one integer pair; no bid row is formed.
+
 The float view of a bid function (:meth:`RationalBidFunction.float_evaluator`)
 makes one pass per call: one domain check, one piece search, and both rows and
 their error bounds through the one array Horner loop (:func:`poly.horner_floats`).
@@ -160,6 +165,30 @@ def integral_coefficients(power_rows: tuple, dist: PiecewisePolyCdf) -> tuple:
     return tuple(rows)
 
 
+def bid_ratio_evaluator(dist: PiecewisePolyCdf, n: int) -> Callable[[Fraction], tuple[int, int]]:
+    """The bid at a rational x as :func:`canonical_ratio` gives it, (num, den), from F(x) and one integral row.
+
+    At x = p/q in piece j, Horner on the cdf row (nums, s) of degree d gives A with F(x) = A / (s q**d),
+    and on the integral row (c, scale), of degree (n-1) d + 1, I(x) = horner_int(c) / (scale q**((n-1) d + 1)),
+    so x - I(x) / F(x)**(n-1) = (p scale A**(n-1) - horner_int(c) s**(n-1)) / (scale q A**(n-1)), with no
+    gcd taken.  Where A = 0 the bid is x, (p, q).  No numerator or denominator row is formed.
+    """
+    k = n - 1
+    pieces = [(nums, c_row, scale, s**k) for (nums, s), (c_row, scale)
+              in zip(dist.int_rows, integral_coefficients(power_coefficients(dist, n), dist))]
+
+    def ratio(x: Fraction) -> tuple[int, int]:
+        p, q = x.numerator, x.denominator
+        nums, c_row, scale, s_k = pieces[dist.piece_of(p, q)]
+        a = horner_int(nums, p, q)
+        if a == 0:  # left of the support or at its infimum, where continuity gives bid = x
+            return p, q
+        a_k = a**k
+        return p * scale * a_k - horner_int(c_row, p, q) * s_k, scale * q * a_k
+
+    return ratio
+
+
 def canonical_bid_function(dist: PiecewisePolyCdf, n: int) -> RationalBidFunction:
     """Exact per-piece rational representation of the equilibrium bid."""
     power_rows = power_coefficients(dist, n)
@@ -226,7 +255,9 @@ def canonical_ratio(rbf: RationalBidFunction, x) -> tuple[int, int]:
 
     At x = p/q both rows run Horner on integers (:func:`poly.horner_int`); x
     itself, (p, q), wherever the denominator row is 0 at x.  No gcd is taken,
-    so ``num / den`` is the correctly rounded float of the bid.
+    so ``num / den`` is the correctly rounded float of the bid.  It serves a
+    stored bid function: ``eval`` and ``verify`` of a strategy file and the
+    float view's exact points; ``solve`` takes :func:`bid_ratio_evaluator`.
     """
     j = rbf.denominator.piece_index(x)
     (num_row, num_scale), (den_row, den_scale) = rbf.numerator.int_rows[j], rbf.denominator.int_rows[j]

@@ -10,11 +10,12 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import fpaeq as fq
 from fpaeq.cdf import float_view
-from fpaeq.explicit import FLOAT_BID_REL_ERROR, eval_canonical
+from fpaeq.cli import main
+from fpaeq.explicit import FLOAT_BID_REL_ERROR, bid_ratio_evaluator, canonical_ratio, eval_canonical
 from fpaeq.poly import int_row
 from fpaeq.rationals import format_rational
 
-from conftest import poly_eval, row_fractions
+from conftest import piecewise_json, poly_eval, row_fractions
 from test_blackbox import T, reference_bid
 
 
@@ -232,6 +233,94 @@ class TestCanonicalBid:
     def test_no_overbid(self, x, n):
         rbf = fq.canonical_bid_function(fq.power_cdf(3), n)
         assert 0 <= rbf(x) <= x
+
+
+def ratio_case(kind: str, seed: int) -> fq.PiecewisePolyCdf:
+    """A cdf of one of the kinds the bid evaluator must handle, shaped by the seed."""
+    if kind == "cubic":
+        return seeded_cubic(seed, 1 + seed % 8)
+    if kind == "power":
+        return fq.power_cdf(1 + seed % 8)
+    if kind == "adversarial":  # v1 = odd/64 in [2/3, 31/32], gap 1/32, kink = odd/512 below the gap
+        return fq.make_adversarial_cdf(F(43 + 2 * (seed % 10), 64), F(1, 32), F(1 + 2 * (seed % 8), 512))
+    if kind == "zero_first":  # zero on [0, 1/4]: the support infimum is a breakpoint above 0
+        return fq.PiecewisePolyCdf((F(0), F(1, 4), F(1)), ((F(0),), (F(-1, 3), F(4, 3))))
+    # flat at F = 1/2 on [1/4, 1/2]
+    return fq.PiecewisePolyCdf((F(0), F(1, 4), F(1, 2), F(1)), ((F(0), F(2)), (F(1, 2),), (F(0), F(1))))
+
+
+RATIO_KINDS = ["cubic", "power", "adversarial", "zero_first", "flat"]
+
+
+def reference_csv(dist, n, samples) -> str:
+    """The --samples CSV as the stored bid function gives it, through canonical_ratio."""
+    rbf, lines = fq.canonical_bid_function(dist, n), ["x,bid"]
+    for i in range(samples + 1):
+        num, den = canonical_ratio(rbf, F(i, samples))
+        lines.append(f"{i / samples},{num / den}")
+    return "\n".join(lines) + "\n"
+
+
+def solve_output(capsys, dist, n, tmp_path, *options) -> str:
+    """stdout of ``fpaeq solve --model ccfpa-explicit`` on dist, which must exit 0."""
+    path = tmp_path / "cdf.json"
+    path.write_text(json.dumps(piecewise_json(dist)))
+    assert main(["solve", "--model", "ccfpa-explicit", "--cdf", str(path), "--n", str(n), *options]) == 0
+    return capsys.readouterr().out
+
+
+class TestBidRatioEvaluator:
+    """solve's --samples and --at evaluate the bid from F(x) and one integral row, as canonical_ratio does."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(RATIO_KINDS), seed=st.integers(0, 2**16), n=st.integers(2, 64),
+           extra=st.lists(st.fractions(min_value=0, max_value=1, max_denominator=2**40), max_size=8))
+    def test_equals_canonical_ratio(self, kind, seed, n, extra):
+        dist = ratio_case(kind, seed)
+        rbf, ratio = fq.canonical_bid_function(dist, n), bid_ratio_evaluator(dist, n)
+        points = [F(0), F(1), *dist.breakpoints, *(F(i, 32) for i in range(33)), *(F(i, 33) for i in range(34)), *extra]
+        for x in points:
+            num, den = ratio(x)
+            want_num, want_den = canonical_ratio(rbf, x)
+            assert den > 0
+            assert num * want_den == want_num * den
+            assert num / den == want_num / want_den
+        for x in (F(-1, 3), F(4, 3), F(-1), F(2)):
+            with pytest.raises(fq.DomainError) as want:
+                canonical_ratio(rbf, x)
+            with pytest.raises(fq.DomainError) as got:
+                ratio(x)
+            assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("kind,seed,n", [("cubic", 7, 16), ("cubic", 3, 64), ("power", 2, 64),
+                                             ("adversarial", 5, 8), ("zero_first", 0, 3), ("flat", 0, 5)])
+    def test_cli_prints_the_canonical_bid(self, capsys, tmp_path, kind, seed, n):
+        dist = ratio_case(kind, seed)
+        for samples in (32, 33):
+            assert solve_output(capsys, dist, n, tmp_path, "--samples", str(samples)) == reference_csv(dist, n, samples)
+        rbf = fq.canonical_bid_function(dist, n)
+        for x in (F(0), F(1), *dist.breakpoints, dist.support_infimum(), F(5, 7), F(123456789, 2**40)):
+            want = format_rational(F(*canonical_ratio(rbf, x)))
+            assert solve_output(capsys, dist, n, tmp_path, "--at", format_rational(x)) == want + "\n"
+
+    def test_csv_builds_no_bid_rows(self, capsys, tmp_path, monkeypatch):
+        # 8 pieces at n = 16: one horner_int on the integral row per sample, and two per inner breakpoint
+        # to join the integral's pieces; no numerator or denominator row is formed
+        dist, samples, built, long_rows = seeded_cubic(0, 8), 32, [], []
+        cdf_width = max(len(nums) for nums, _ in dist.int_rows)
+        horner_int, from_int_rows = fq.explicit.horner_int, fq.PiecewisePoly.from_int_rows.__func__
+        canonical_bid_function = fq.explicit.canonical_bid_function
+        monkeypatch.setattr(fq.explicit, "canonical_bid_function",
+                            lambda *args: built.append(args) or canonical_bid_function(*args))
+        monkeypatch.setattr(fq.PiecewisePoly, "from_int_rows",
+                            classmethod(lambda cls, *args: built.append(args) or from_int_rows(cls, *args)))
+        monkeypatch.setattr(fq.explicit, "horner_int",
+                            lambda nums, p, q: (len(nums) > cdf_width and long_rows.append(q)) or horner_int(nums, p, q))
+        out = solve_output(capsys, dist, 16, tmp_path, "--samples", str(samples))
+        monkeypatch.undo()
+        assert built == []
+        assert len(long_rows) <= samples + 1 + 2 * dist.pieces
+        assert out == reference_csv(dist, 16, samples)
 
 
 class TestSupportFromRows:

@@ -36,7 +36,7 @@ ONE = Fraction(1)
 # sequences, took 2 ms.  Bid functions built from a cdf are not bounded by
 # it: their denominators have degree (n - 1) times the cdf's.  The largest admitted
 # explicit solve, `solve --model ccfpa-explicit --n 64` on one dense degree-64 row with
-# 58-bit weights over their sum (a 64-bit denominator), takes 2.8-3.4 s and 92 MB peak RSS
+# 58-bit weights over their sum (a 64-bit denominator), takes 2.6-3.3 s and 85-87 MB peak RSS
 # with CPython 3.11 on 2 vCPUs, 1.2 s at n = 32; a rule that admits inputs by their
 # estimated bit-work should keep this case in bounds.
 MAX_DEGREE = 64

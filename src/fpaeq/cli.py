@@ -4,7 +4,9 @@ Exit codes: 0 success, 1 validation/solve failure, 2 usage or input error.  Ever
 command validates the cdf it loads, and an invalid one exits 1.  The limits on
 n, the black-box grid size and --samples, and solve's --eps and --bids, are
 checked first.
-A command builds only its own parser; `fpaeq --help` lists the commands.
+A well-formed command line is read against its command's option table, and anything
+else goes to argparse, which keeps every help, usage and error text; `fpaeq --help`
+lists the commands.
 Exact rationals are serialized as "p/q" strings; float output is tagged with
 an explicit precision field.
 """
@@ -36,6 +38,8 @@ def _load_json(path: str, what: str) -> dict:
         raise DomainError(f"{what}: cannot read {path}: {exc.strerror}")
     except json.JSONDecodeError as exc:
         raise DomainError(f"{what}: malformed JSON in {path}: {exc}")
+    except RecursionError:
+        raise DomainError(f"{what}: malformed JSON in {path}: nested too deeply")
 
 
 class InvalidCdf(Exception):
@@ -64,6 +68,8 @@ def _parse_bids(text: str) -> BidGrid:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DomainError(f"bids: malformed JSON array: {exc}")
+    except RecursionError:
+        raise DomainError("bids: malformed JSON array: nested too deeply")
     try:
         return BidGrid(parse_rational_list(raw, "bids"))
     except ValueError as exc:
@@ -223,45 +229,32 @@ def _cmd_validate_cdf(args) -> int:
     return 0 if report.ok else FAILURE
 
 
-def _solve_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--model", required=True, choices=["ccfpa-blackbox", "ccfpa-explicit", "cdfpa"])
-    p.add_argument("--cdf", required=True, help="path to a cdf JSON file")
-    p.add_argument("--n", required=True, type=int, help="number of bidders (>= 2)")
-    p.add_argument("--eps", help="approximation accuracy (rational)")
-    p.add_argument("--at", help="evaluate the bid at one rational value (ccfpa-explicit)")
-    p.add_argument("--samples", type=_int_at_least(1), help="emit a CSV sample of the bid function")
-    p.add_argument("--bids", help="JSON array of rational bids (cdfpa)")
-    p.add_argument("--certify", action="store_true", help="also measure regret (cdfpa)")
-
-
-def _verify_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--strategy", required=True, help="path to a strategy JSON file")
-    p.add_argument("--cdf", required=True)
-    p.add_argument("--n", required=True, type=int)
-    p.add_argument("--bids", help="JSON array of rational bids")
-    p.add_argument("--mode", required=True, choices=["exact", "grid", "mc"])
-    p.add_argument("--trials", type=int, default=100_000,
-                   help=f"Monte Carlo trials, at most {verify.MAX_MC_TRIALS} at any n (default: 100 000)")
-    p.add_argument("--seed", type=_int_at_least(0), default=0)
-
-
-def _eval_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--cdf")
-    p.add_argument("--strategy")
-    p.add_argument("--bids")
-    p.add_argument("--at", required=True)
-
-
-def _validate_cdf_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--cdf", required=True)
-
-
-# command name -> (help text, the function that adds its options, handler)
+# command name -> (help text, its options as (flag, add_argument keywords) pairs, handler)
 COMMANDS = {
-    "solve": ("compute an equilibrium strategy", _solve_options, _cmd_solve),
-    "verify": ("certify a strategy's regret", _verify_options, _cmd_verify),
-    "eval": ("evaluate a cdf or strategy at a point", _eval_options, _cmd_eval),
-    "validate-cdf": ("check a cdf JSON file's invariants", _validate_cdf_options, _cmd_validate_cdf),
+    "solve": ("compute an equilibrium strategy", (
+        ("--model", {"required": True, "choices": ["ccfpa-blackbox", "ccfpa-explicit", "cdfpa"]}),
+        ("--cdf", {"required": True, "help": "path to a cdf JSON file"}),
+        ("--n", {"required": True, "type": int, "help": "number of bidders (>= 2)"}),
+        ("--eps", {"help": "approximation accuracy (rational)"}),
+        ("--at", {"help": "evaluate the bid at one rational value (ccfpa-explicit)"}),
+        ("--samples", {"type": _int_at_least(1), "help": "emit a CSV sample of the bid function"}),
+        ("--bids", {"help": "JSON array of rational bids (cdfpa)"}),
+        ("--certify", {"action": "store_true", "default": False, "help": "also measure regret (cdfpa)"}),
+    ), _cmd_solve),
+    "verify": ("certify a strategy's regret", (
+        ("--strategy", {"required": True, "help": "path to a strategy JSON file"}),
+        ("--cdf", {"required": True}),
+        ("--n", {"required": True, "type": int}),
+        ("--bids", {"help": "JSON array of rational bids"}),
+        ("--mode", {"required": True, "choices": ["exact", "grid", "mc"]}),
+        ("--trials", {"type": int, "default": 100_000,
+                      "help": f"Monte Carlo trials, at most {verify.MAX_MC_TRIALS} at any n (default: 100 000)"}),
+        ("--seed", {"type": _int_at_least(0), "default": 0}),
+    ), _cmd_verify),
+    "eval": ("evaluate a cdf or strategy at a point", (
+        ("--cdf", {}), ("--strategy", {}), ("--bids", {}), ("--at", {"required": True}),
+    ), _cmd_eval),
+    "validate-cdf": ("check a cdf JSON file's invariants", (("--cdf", {"required": True}),), _cmd_validate_cdf),
 }
 
 
@@ -272,29 +265,63 @@ def build_parser() -> argparse.ArgumentParser:
         description="First-price auction equilibrium solvers and verifiers",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, add_options, handler) in COMMANDS.items():
+    for name, (help_text, options, handler) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        add_options(p)
+        for flag, keywords in options:
+            p.add_argument(flag, **keywords)
         p.set_defaults(func=handler)
     return parser
 
 
-def _parse_args(argv) -> argparse.Namespace:
-    """argv parsed by its command's parser alone, with the same texts and exit codes as build_parser().
+def _read_options(options, tokens) -> dict | None:
+    """The values of tokens read against an option table, or None where only argparse can read them.
 
-    A command's parser is the subparser build_parser() would hand argv[1:] to. Anything else (no
-    command, -h, an unknown command, an option before the command) and a leftover argument, which
-    the full parser reports under its own usage, go to the full parser.
+    Each token must be exactly a flag of the table; a store_true flag takes no value, any other the next
+    token, which must exist, must not start with "-" and must pass the option's type and choices; every
+    required flag must be given.  A repeated flag keeps its last value, as argparse's does.
+    """
+    table = dict(options)
+    given = {}
+    i = 0
+    while i < len(tokens):
+        keywords = table.get(tokens[i])
+        if keywords is None:
+            return None
+        if keywords.get("action") == "store_true":
+            given[tokens[i]] = True
+            i += 1
+            continue
+        if i + 1 == len(tokens) or tokens[i + 1].startswith("-"):
+            return None
+        try:
+            value = keywords.get("type", str)(tokens[i + 1])
+        except (ValueError, TypeError, argparse.ArgumentTypeError):
+            return None
+        if "choices" in keywords and value not in keywords["choices"]:
+            return None
+        given[tokens[i]] = value
+        i += 2
+    values = {}
+    for flag, keywords in options:
+        if flag not in given and keywords.get("required"):
+            return None
+        values[flag[2:]] = given.get(flag, keywords.get("default"))
+    return values
+
+
+def _parse_args(argv) -> argparse.Namespace:
+    """argv read against its command's option table, with build_parser()'s values, texts and exit codes.
+
+    A well-formed command line builds no parser.  Anything else (no command, -h, an abbreviation,
+    --flag=value, a value starting with "-", an unknown or missing option, a bad type or choice) goes to
+    build_parser(), which reads it or prints its help, usage or error text.
     """
     argv = sys.argv[1:] if argv is None else list(argv)
     if argv and argv[0] in COMMANDS:
-        _, add_options, handler = COMMANDS[argv[0]]
-        parser = argparse.ArgumentParser(prog=f"fpaeq {argv[0]}")
-        add_options(parser)
-        args, extra = parser.parse_known_args(argv[1:])
-        if not extra:
-            args.func = handler
-            return args
+        _, options, handler = COMMANDS[argv[0]]
+        values = _read_options(options, argv[1:])
+        if values is not None:
+            return argparse.Namespace(**values, func=handler)
     return build_parser().parse_args(argv)
 
 

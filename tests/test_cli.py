@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -615,6 +616,20 @@ class TestInputContract:
         assert code == 2 and out == ""
         assert err.startswith("error: cdf: not a rational: ")
 
+    @pytest.mark.parametrize("what", ["cdf", "strategy", "bids"])
+    def test_deeply_nested_json(self, capout, tmp_path, uniform_json, what):
+        # the JSON decoder recurses once per "[": 100 000 of them pass the recursion limit
+        deep = "[" * 100_000
+        path = tmp_path / "deep.json"
+        path.write_text(deep)
+        argv = {"cdf": ["validate-cdf", "--cdf", str(path)],
+                "strategy": ["eval", "--strategy", str(path), "--at", "1/2"],
+                "bids": ["solve", "--model", "cdfpa", "--cdf", uniform_json, "--n", "2", "--eps", "1/8", "--bids", deep]}
+        code, out, err = capout(*argv[what])
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith(f"error: {what}: malformed JSON") and "Traceback" not in err
+        assert err.endswith(": nested too deeply\n")
+
 
 @pytest.fixture(scope="module")
 def contract_files(tmp_path_factory):
@@ -978,8 +993,31 @@ SOLVE = ["solve", "--model", "cdfpa", "--cdf", CDF, "--n", "2", "--bids", '["0",
 VERIFY = ["verify", "--strategy", STRATEGY, "--cdf", CDF, "--n", "2", "--bids", '["0", "1/4", "1/2"]']
 
 
+@st.composite
+def command_lines(draw):
+    """argv of one command: its options with good or bad values, abbreviations, --n=2, -h, --, repeats and stray
+    values, in any order, and in half the draws every required option with a good value."""
+    name = draw(st.sampled_from(sorted(cli.COMMANDS)))
+    options = cli.COMMANDS[name][1]
+    flags = [flag for flag, _ in options]
+    values = st.sampled_from(["", "-1", "-1/2", "two", "0", "1/64", "2", "cdfpa-x",
+                              *(choice for _, keywords in options for choice in keywords.get("choices", ()))])
+    loose = st.sampled_from([*flags, *(flag[:-1] for flag in flags), "--n=2", "-h", "--"]) | values
+
+    def good(flag):
+        keywords = dict(options)[flag]
+        return st.sampled_from(keywords.get("choices") or (["2"] if "type" in keywords else ["1/64", "2"]))
+
+    chunks = draw(st.lists(st.sampled_from(flags).flatmap(lambda flag: st.tuples(st.just(flag), good(flag) | values)),
+                           max_size=3))
+    chunks += draw(st.lists(loose.map(lambda token: (token,)), max_size=2))
+    if draw(st.booleans()):
+        chunks += [(flag, draw(good(flag))) for flag, keywords in options if keywords.get("required")]
+    return [name, *(token for chunk in draw(st.permutations(chunks)) for token in chunk)]
+
+
 class TestDispatch:
-    """A command's own parser: the texts and exit codes of the parser with every command."""
+    """The option tables: build_parser()'s values, texts and exit codes, and no parser for a well-formed argv."""
 
     @pytest.fixture
     def files(self, tmp_path, uniform_json):
@@ -1015,12 +1053,17 @@ class TestDispatch:
         [*VERIFY, "--mode", "exact"],
         ["eval", "--cdf", CDF, "--at", "1/3"],
         ["validate-cdf", "--cdf", CDF],
+        ["solve", "--n=2", *SOLVE[1:5], *SOLVE[7:]],
+        ["solve", "--model", "ccfpa-explicit", "--cdf", CDF, "--n", "2", "--at", "-1/2"],
+        [*SOLVE[:7], "--bids", "", "--eps", "1/64"],
+        [*SOLVE, "--n", "3"],
     ], ids=[
         "-h", "--help", "no-arguments", "unknown-command", "--version",
         "solve-help", "verify-help", "eval-help", "validate-cdf-help",
         "solve-no-options", "bad-choice", "bad-int", "samples-0", "seed-negative", "missing-required",
         "option-without-value", "unknown-option", "stray-positional", "solve", "option-of-another-command",
         "abbreviation", "option-before-command", "verify", "eval", "validate-cdf",
+        "flag=value", "negative-value", "empty-value", "repeated-option",
     ])
     def test_same_as_the_full_parser(self, capsys, monkeypatch, files, argv):
         argv = [files.get(a, a) for a in argv]
@@ -1028,15 +1071,40 @@ class TestDispatch:
         monkeypatch.setattr(cli, "_parse_args", lambda argv: cli.build_parser().parse_args(argv))
         assert got == self.run(capsys, argv)
 
+    @settings(max_examples=400, deadline=None)
+    @given(argv=command_lines())
+    def test_table_read_same_as_the_full_parser(self, argv):
+        def outcome(parse):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    result = vars(parse(argv))
+                    result.pop("command", None)
+                except SystemExit as exc:
+                    result = exc.code
+            return result, out.getvalue(), err.getvalue()
+
+        assert outcome(cli._parse_args) == outcome(lambda argv: cli.build_parser().parse_args(argv))
+
     @pytest.mark.parametrize("argv", [
         SOLVE, [*VERIFY, "--mode", "grid"], ["eval", "--cdf", CDF, "--at", "1/3"], ["validate-cdf", "--cdf", CDF],
     ], ids=lambda argv: argv[0])
-    def test_only_the_invoked_command_is_built(self, capout, monkeypatch, files, argv):
-        def unbuilt(parser):
-            raise AssertionError("the options of a command not invoked were built")
+    def test_well_formed_argv_builds_no_parser(self, capout, monkeypatch, files, argv):
+        def unbuilt(parser, *args, **kwargs):
+            raise AssertionError("a well-formed command line built an ArgumentParser")
 
-        for name, (help_text, _, handler) in list(cli.COMMANDS.items()):
-            if name != argv[0]:
-                monkeypatch.setitem(cli.COMMANDS, name, (help_text, unbuilt, handler))
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", unbuilt)
         code, out, err = capout(*[files.get(a, a) for a in argv])
         assert code == 0 and out and err == ""
+
+    def test_other_argv_builds_the_full_parser(self, capout, monkeypatch, files):
+        built, init = [], argparse.ArgumentParser.__init__
+
+        def record(parser, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", record)
+        code, out, err = capout(*[files.get(a, a) for a in ["solve", "--n=2", *SOLVE[1:5], *SOLVE[7:]]])
+        assert code == 0 and out and err == ""
+        assert built == ["fpaeq", *(f"fpaeq {name}" for name in cli.COMMANDS)]

@@ -44,9 +44,9 @@ from .errors import DomainError, check_bidders
 # F(j/K)**(n-1) summed exactly.  Measured with CPython 3.11 on 2 vCPUs at K = MAX_K, through
 # the CLI (ccfpa-blackbox, 101 bids): a seeded 8-piece cubic takes 0.27 s at n = 2 and 0.38 s
 # at n = 64, most of it interpreter start-up; a dense degree-64 piece whose coefficients share
-# a 64-bit denominator takes 10-11 s at n = 64: 8-9 s in the integer powers of about 60 000
-# bits, 0.2 s in the bids and 0.07 s in the grid query.  At K = 2**16 the cubic's plan and 101
-# bids take 0.02 s at n = 2, in process.
+# a 64-bit denominator takes 8.1 s at n = 64 (.github/worst_cases.py): in process, 7.5 s in the
+# plan, nearly all of it the integer powers of about 60 000 bits, and 0.14 s in the bids.  At
+# K = 2**16 the cubic's plan and 101 bids take 0.02 s at n = 2, in process.
 MAX_K = 2**14
 
 

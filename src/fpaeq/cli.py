@@ -212,6 +212,11 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    # a strategy reads --bids and no cdf; a cdf reads no --bids.  An option that is not read exits 2
+    if args.strategy and args.cdf is not None:
+        raise DomainError("--cdf is not read with --strategy")
+    if not args.strategy and args.bids is not None:
+        raise DomainError("--bids is read only with --strategy")
     x = parse_rational(args.at)
     if args.strategy:
         print(format_rational(_load_strategy(args.strategy, args.bids)(x)))

@@ -56,14 +56,17 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
+import numpy as np
+
 from .cdf import float_view, strongly_increasing_transform
 from .errors import DomainError, PrecisionError, check_bidders
-from .poly import PiecewisePoly, float_bounds
+from .poly import PiecewisePoly, float_bounds, gamma_k
 from .rationals import parse_rational
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
 MAX_FLOAT_WALKS = 52  # the float search's walks at most: bisection's count from [0, 1] down to 2**-52
+SIDES = np.array([-1.0, 1.0])  # the lower and the upper end of a float box
 
 
 @dataclass(frozen=True)
@@ -239,6 +242,17 @@ def _delta_ratio(fx, fy, n: int) -> tuple[int, int]:
     return _power_sum(p * (t // g), r * (q // g), n), n * (q // g * t) ** (n - 1)
 
 
+def _cdf_boxes(F: PiecewisePoly, points) -> list[tuple[float, float]]:
+    """Floats around a nondecreasing F at each rational x whose :func:`float_bounds` are in points: F's float less
+    Horner's error bound (:meth:`PiecewisePoly.float_bounded`) at the float at or below x, and F's float plus the
+    bound at the float at or above x.  Each end is one float further out, past the rounding of its own sum, and
+    clipped to [0, 1], where a cdf lies.  Both ends of every point go through one array call."""
+    x = np.array(points)  # row j: the floats at or below and at or above point j
+    value, bound = F.float_bounded()(x, F.float_pieces(x))
+    ends = np.nextafter(value + SIDES * bound, SIDES * np.inf)  # value - bound below, value + bound above
+    return list(map(tuple, np.minimum(np.maximum(ends, 0.0), 1.0).tolist()))
+
+
 def _delta_box(fx, fy, n: int) -> tuple[float, float]:
     """Floats around Delta(x, y) for F(x) in the float box fx and F(y) in fy, both inside [0, 1].
 
@@ -249,8 +263,7 @@ def _delta_box(fx, fy, n: int) -> tuple[float, float]:
     end is taken one float further out, past the rounding of its own sum.
     """
     lo, hi = delta_win_prob(fx[0], fy[0], n), delta_win_prob(fx[1], fy[1], n)
-    k = 4 * n
-    rel, tiny = k * 2.0**-53 / (1 - k * 2.0**-53), 2 * n * 2.0**-1074
+    rel, tiny = gamma_k(4 * n), 2 * n * 2.0**-1074
     return max(math.nextafter(lo - (lo * rel + tiny), -math.inf), 0.0), math.nextafter(hi + hi * rel + tiny, math.inf)
 
 
@@ -281,15 +294,14 @@ def check_conditions(F, n: int, strategy: JumpPointStrategy, gamma) -> Certifica
     Conditions 3 and 2's U_{i-1} = U_i are exact comparisons.  The residuals of Delta_i, condition 1's
     |(s - b_i) Delta_i - U| at both ends of bid i's interval and condition 2's
     max(0, (s_i - b_i) Delta_i - U_i), are decided in floats where F is a piecewise polynomial.  F is
-    then a cdf, nondecreasing, so F at a jump point lies in the rigorous float enclosure
-    (:meth:`PiecewisePoly.float_enclosure`) over the floats around the point, and Delta_i and each
-    residual lie in the float boxes built from those (:func:`_delta_box`, :func:`_residual_box`).  A
-    residual is computed exactly, on F's exact values and :func:`_delta_ratio`, only where its box
-    reaches the largest lower end of all boxes.  Every other one lies below the residual of that
-    lower end, so it can decide neither the verdict nor the maximum: it holds its box's upper end, a
-    rational at or above it, and max_residual is the exact maximum.  Any other F, such as a
-    CdfOracle, gives no error bound: it answers at every jump point, m + 1 queries, and every
-    residual is exact.
+    then a cdf, nondecreasing, so F at a jump point lies in a float box (:func:`_cdf_boxes`), and
+    Delta_i and each residual lie in the float boxes built from those (:func:`_delta_box`,
+    :func:`_residual_box`).  A residual is computed exactly, on F's exact values and
+    :func:`_delta_ratio`, only where its box reaches the largest lower end of all boxes.  Every
+    other one lies below the residual of that lower end, so it can decide neither the verdict nor
+    the maximum: it holds its box's upper end, a rational at or above it, and max_residual is the
+    exact maximum.  Any other F, such as a CdfOracle, gives no error bound: it answers at every
+    jump point, m + 1 queries, and every residual is exact.
     """
     s, u, bids = strategy.s, strategy.utilities, strategy.bids
     if len(u) != len(s):
@@ -310,8 +322,7 @@ def check_conditions(F, n: int, strategy: JumpPointStrategy, gamma) -> Certifica
     boxes = [None] * len(pending)  # None: no box, the residual is computed exactly
     if boxed:
         sbox, bbox, ubox = ([float_bounds(x) for x in xs] for xs in (s, bids, u))
-        enclose = F.float_enclosure()
-        fbox = [(max(a, 0.0), min(b, 1.0)) for a, b in (enclose(*x) for x in sbox)]  # a cdf lies in [0, 1]
+        fbox = _cdf_boxes(F, sbox)
         wins = [_delta_box(fx, fy, n) for fx, fy in zip(fbox, fbox[1:])]
         boxes = [_residual_box(sbox[j], bbox[i - 1], ubox[j], wins[i - 1], signed) for _, i, j, signed in pending]
     top = max((box[0] for box in boxes if box), default=0.0)  # the largest lower end

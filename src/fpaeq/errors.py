@@ -13,9 +13,9 @@ class PrecisionError(RuntimeError):
 # n - 1 times the cdf's degree, with coefficients to match.  Measured with CPython 3.11 on
 # 2 vCPUs at n = 64, through the CLI: on an 8-piece cubic, ccfpa-explicit and cdfpa
 # (three bids) take 0.3 s; on a dense degree-64 piece whose coefficients share a 64-bit
-# denominator, near the largest cdf a JSON file may give, ccfpa-explicit takes 2.8-3.4 s, and
-# cdfpa (three bids, eps 1/64) 10.4 s and the exact verify of its strategy 10.7 s, each printing
-# rationals of about 134,000 characters.  At n = 256 (limit lifted) ccfpa-explicit on the cubic: 0.65 s in process.
+# denominator, near the largest cdf a JSON file may give, ccfpa-explicit takes 2.4 s, and
+# cdfpa (three bids, eps 1/64) 0.5 s and the exact verify of its strategy 1.4 s, each printing
+# rationals of about 134,000 characters (one run of .github/worst_cases.py).  At n = 256 (limit lifted) ccfpa-explicit on the cubic: 0.65 s in process.
 MAX_BIDDERS = 64
 
 

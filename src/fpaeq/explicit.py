@@ -28,8 +28,8 @@ the cdf row gives F(x), one on the integral row gives the integral, and the
 bid x - I(x) / F(x)**(n-1) is one integer pair; no bid row is formed.
 
 The float view of a bid function (:meth:`RationalBidFunction.float_evaluator`)
-makes one pass per call: one domain check, one piece search, and both rows and
-their error bounds through the one array Horner loop (:func:`poly.horner_floats`).
+makes one pass per call: one domain check, one piece search, and both rows with
+their error bounds from :meth:`PiecewisePoly.float_bounded`.
 It divides the rows wherever Horner's error bound shows the quotient within a
 relative :data:`FLOAT_BID_REL_ERROR` of the exact bid, and takes the float of
 the exact bid everywhere else; a scalar runs as an array of one element.
@@ -46,7 +46,7 @@ import numpy as np
 
 from .cdf import PiecewisePolyCdf, float_view
 from .errors import DomainError, check_bidders
-from .poly import PiecewisePoly, float_table, horner_floats, horner_int, power_int
+from .poly import PiecewisePoly, horner_int, power_int
 from .rationals import format_rational, parse_rational, parse_rational_list
 
 # A float bid is within this relative error of the exact one.  monotone_no_overbid_check
@@ -85,31 +85,22 @@ class RationalBidFunction:
         """Float bid, within a relative FLOAT_BID_REL_ERROR of the exact one, for a float or a numpy array.
 
         Each call makes one domain check and one piece search, the denominator's
-        (:meth:`PiecewisePoly.float_pieces`), and runs the numerator, the denominator and the
-        absolute row of each, one after another, through :func:`poly.horner_floats`.  A row's
-        float is off by at most gamma_k times its absolute row's (Higham, Accuracy and
-        Stability of Numerical Algorithms, 5.1): gamma_k = k u / (1 - k u), u = 2**-53, and
-        k = 2d + 2 for degree d counts Horner's 2d roundings, each coefficient's and the
-        absolute row's own; k * 2**-1074 covers underflow.  A point takes the quotient of the
-        rows where each row is a normal float whose bound is at most FLOAT_BID_REL_ERROR / 4
-        of it, so the rounded quotient is within FLOAT_BID_REL_ERROR.  Every other point (a
-        zero denominator, whose exact bid is x, an underflow, an ill-conditioned row) takes
-        the float of the exact bid.  A scalar runs as a one-element array and comes back as
-        a float.
+        (:meth:`PiecewisePoly.float_pieces`), and reads the numerator and then the denominator
+        with Horner's error bound on each (:meth:`PiecewisePoly.float_bounded`).  A point takes
+        the quotient of the rows where each row is a normal float whose bound is at most
+        FLOAT_BID_REL_ERROR / 4 of it, so the rounded quotient is within FLOAT_BID_REL_ERROR.
+        Every other point (a zero denominator, whose exact bid is x, an underflow, an
+        ill-conditioned row) takes the float of the exact bid.  A scalar runs as a one-element
+        array and comes back as a float.
         """
         def exact(v) -> float:  # the correctly rounded float of the exact bid, with no Fraction and no gcd
             num, den = canonical_ratio(self, Fraction(v))
             return num / den
 
         try:
-            tables = [float_table(poly.int_rows) for poly in (self.numerator, self.denominator)]
+            rows = [poly.float_bounded() for poly in (self.numerator, self.denominator)]
         except OverflowError:  # a coefficient beyond the float range: every point is exact
             return float_view(exact)
-        rows = []  # (table, absolute table, gamma_k, underflow floor) of the numerator, then the denominator
-        for table in tables:
-            k = 2 * len(table)  # 2d + 2: a table holds d + 1 coefficients per row
-            # rounding to nearest is symmetric, so |float(c)| is the float of |c|
-            rows.append((table, np.abs(table), k * 2.0**-53 / (1 - k * 2.0**-53), k * 2.0**-1074))
         tiny, limit = np.finfo(float).tiny, FLOAT_BID_REL_ERROR / 4
 
         def ev(x):
@@ -118,9 +109,8 @@ class RationalBidFunction:
             x = np.asarray(x, dtype=float)
             piece, values, ok = self.denominator.float_pieces(x), [], np.ones(x.shape, dtype=bool)
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                for table, abs_table, gamma, floor in rows:
-                    value = horner_floats(table, piece, x)
-                    err = gamma * horner_floats(abs_table, piece, x) + floor
+                for bounded in rows:
+                    value, err = bounded(x, piece)
                     size = abs(value)
                     # an overflow leaves an infinite or NaN value or bound, which fails these tests
                     ok &= (tiny <= size) & (size < np.inf) & (err / limit <= size)

@@ -2,15 +2,14 @@
 
 Coefficient vectors are low-to-high degree: ``coeffs[l]`` multiplies ``x**l``.
 :class:`PiecewisePoly` is the one place that decides which piece a point falls
-in and how a piece is evaluated, exactly or in floats; its array float path
-(:meth:`PiecewisePoly.float_pieces`, :func:`horner_floats`) also serves
-rational bid functions.  The piece search runs on one float table: each inner
-breakpoint is held as the largest float at or below it (:func:`float_bounds`),
-so a bisection on any float x counts exactly the breakpoints below x, and a
-rational x needs an exact comparison only where a breakpoint's table float is
-within one float below x's nearest float.  The same float rows, with Horner's
-a-priori error bound, enclose the exact value of a nondecreasing piecewise
-polynomial between two floats (:meth:`PiecewisePoly.float_enclosure`).
+in and how a piece is evaluated, exactly or in floats.  The piece search runs
+on one float table: each inner breakpoint is held as the largest float at or
+below it (:func:`float_bounds`), so a bisection on any float x counts exactly
+the breakpoints below x, and a rational x needs an exact comparison only where
+a breakpoint's table float is within one float below x's nearest float.  The float rows come with Horner's
+a-priori error bound in one method, :meth:`PiecewisePoly.float_bounded`, which
+the finite-grid certificate and the float view of a rational bid function
+read; no other module builds or runs float rows.
 
 A row is held once, as integer numerators over one denominator in lowest terms
 and at its true degree, with no zero leading coefficient (Knuth, TAOCP vol. 2,
@@ -322,14 +321,10 @@ class PiecewisePoly:
         nums, scale = self.int_rows[j]
         return horner_int(nums, p, q), scale * q ** (len(nums) - 1)
 
-    def row_value(self, j: int, x: Fraction) -> Fraction:
-        """Exact value of row j at x."""
-        return Fraction(*self.row_ratio(j, x.numerator, x.denominator))
-
     def __call__(self, x) -> Fraction:
         """Exact value at x (converted to a Fraction)."""
         x = x if isinstance(x, Fraction) else Fraction(x)
-        return self.row_value(self.piece_index(x), x)
+        return Fraction(*self.row_ratio(self.piece_index(x), x.numerator, x.denominator))
 
     def grid_values(self, K: int) -> tuple[list[int], int]:
         """(nums, den) with self(j/K) == Fraction(nums[j], den) for j = 0..K, on ints.
@@ -391,32 +386,20 @@ class PiecewisePoly:
 
         return ev
 
-    def float_enclosure(self) -> Callable:
-        """(a, b) -> (lo, hi), floats with lo <= self(a) and self(b) <= hi, for floats a <= b in [0, 1]; where the
-        rows are nondecreasing, as a cdf's, lo <= self(x) <= hi for every x in [a, b], a rational x among them.
-
-        Each end runs Horner's rule on the float rows, by the piece rule of :meth:`float_evaluator`, and on
-        the absolute rows.  The float is off by at most gamma_k times the absolute row's (Higham, Accuracy
-        and Stability of Numerical Algorithms, 5.1), with gamma_k = k u / (1 - k u), u = 2**-53 and
-        k = 2d + 2 for degree d: Horner's 2d roundings, each coefficient's and the absolute row's own, as in
-        :meth:`RationalBidFunction.float_evaluator`; k * 2**-1074 covers underflow.  Each end is then
-        taken one float further out, past the rounding of its own sum.
+    def float_bounded(self) -> Callable:
+        """(x, piece) -> (value, bound) on numpy arrays, piece the :meth:`float_pieces` of x on these breakpoints:
+        row piece[i] at the float x[i] by :func:`horner_floats`, and a bound on |value - exact value|.  The bound is
+        gamma_k times the absolute row sum |c_l| x**l (Higham, Accuracy and Stability of Numerical Algorithms, 5.1),
+        k = 2d + 2 for degree d: Horner's 2d roundings, each coefficient's and the absolute row's own (:func:`gamma_k`),
+        plus k * 2**-1074 for underflow.  A coefficient beyond the float range raises OverflowError from this call.
         """
-        inner, table = self._inner, float_table(self.int_rows)
-        rows, bisect_left, inf, nextafter = table.T.tolist(), bisect.bisect_left, math.inf, math.nextafter
-        k = 2 * len(table)
-        gamma, tiny = k * 2.0**-53 / (1 - k * 2.0**-53), k * 2.0**-1074
+        table = float_table(self.int_rows)
+        # rounding to nearest is symmetric, so |float(c)| is the float of |c|
+        size_table, k = np.abs(table), 2 * len(table)
+        gamma, tiny = gamma_k(k), k * 2.0**-1074
 
-        def bound(x):  # the float of the row at x and the bound on its error
-            acc = size = 0.0
-            for c in rows[bisect_left(inner, x)]:
-                acc = acc * x + c
-                size = size * x + abs(c)
-            return acc, gamma * size + tiny
-
-        def ev(a, b):
-            (fa, ea), (fb, eb) = bound(a), bound(b)
-            return nextafter(fa - ea, -inf), nextafter(fb + eb, inf)
+        def ev(x: np.ndarray, piece: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            return horner_floats(table, piece, x), gamma * horner_floats(size_table, piece, x) + tiny
 
         return ev
 
@@ -442,6 +425,12 @@ def float_table(int_rows: Sequence[tuple[Sequence[int], int]]) -> np.ndarray:
     """
     width = max(len(nums) for nums, _ in int_rows)
     return np.array([[0.0] * (width - len(nums)) + [c / scale for c in reversed(nums)] for nums, scale in int_rows]).T
+
+
+def gamma_k(k: int) -> float:
+    """Higham's gamma_k = k u / (1 - k u), u = 2**-53: k roundings to nearest, k u < 1, move a float by a
+    relative gamma_k at most (Accuracy and Stability of Numerical Algorithms, 3.1)."""
+    return k * 2.0**-53 / (1 - k * 2.0**-53)
 
 
 def horner_floats(table: np.ndarray, piece: np.ndarray, x: np.ndarray) -> np.ndarray:

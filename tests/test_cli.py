@@ -304,7 +304,8 @@ class TestInputContract:
         code, out, _ = capout("solve", "--model", "ccfpa-explicit", "--cdf", shifted_json, "--n", "2")
         strat = tmp_path / "s.json"
         strat.write_text(json.dumps({**json.loads(out), "support_infimum": "1/2"}))
-        code, out, err = capout(*argv, "--strategy", str(strat), "--cdf", shifted_json)
+        cdf = ["--cdf", shifted_json] if argv[0] == "verify" else []  # eval reads no cdf beside a strategy
+        code, out, err = capout(*argv, "--strategy", str(strat), *cdf)
         assert code == 2 and out == ""
         assert "support_infimum '1/2' is not the left end of the first piece" in err
 
@@ -314,7 +315,8 @@ class TestInputContract:
                "breakpoints": ["0", "3/4", "1/4", "1"], "pieces": ["identity"] * 3}
         strat = tmp_path / "s.json"
         strat.write_text(json.dumps(obj))
-        code, out, err = capout(*argv, "--strategy", str(strat), "--cdf", uniform_json)
+        cdf = ["--cdf", uniform_json] if argv[0] == "verify" else []  # eval reads no cdf beside a strategy
+        code, out, err = capout(*argv, "--strategy", str(strat), *cdf)
         assert code == 2 and out == ""
         assert "strategy: bad rational_bid_function object (breakpoints must increase strictly from 0 to 1" in err
 
@@ -880,6 +882,23 @@ class TestEval:
     def test_needs_input(self, capout):
         code, _, err = capout("eval", "--at", "1/2")
         assert code == 2
+
+    @pytest.mark.parametrize("cdf", [{"kind": "bogus"}, {"kind": "uniform"}])
+    def test_cdf_with_a_strategy_is_not_read(self, capout, tmp_path, cdf):
+        # a strategy reads no cdf: --cdf beside it exits 2 with one line, whether the cdf is valid or not
+        strat, path = tmp_path / "rbf.json", tmp_path / "cdf.json"
+        strat.write_text(json.dumps(fq.rbf_to_json(fq.canonical_bid_function(fq.uniform_cdf(), 2))))
+        path.write_text(json.dumps(cdf))
+        code, out, err = capout("eval", "--cdf", str(path), "--strategy", str(strat), "--at", "1/2")
+        assert (code, out, err) == (2, "", "error: --cdf is not read with --strategy\n")
+        assert capout("eval", "--strategy", str(strat), "--at", "1/2")[0] == 0
+
+    def test_bids_without_a_strategy_are_not_read(self, capout, square_json):
+        code, out, err = capout("eval", "--cdf", square_json, "--bids", "[\"0\", \"1/3\"]", "--at", "1/2")
+        assert (code, out, err) == (2, "", "error: --bids is read only with --strategy\n")
+        code, out, err = capout("eval", "--bids", "[\"0\", \"1/3\"]", "--at", "1/2")
+        assert (code, out, err) == (2, "", "error: --bids is read only with --strategy\n")
+        assert capout("eval", "--cdf", square_json, "--at", "1/2") == (0, "1/4\n", "")
 
 
 class TestValidateCdf:

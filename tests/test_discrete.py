@@ -335,11 +335,9 @@ class TestCheckConditions:
         win = JumpPointStrategy(g, s, [F(0)] * (m + 1)).win_probs(dist, n)
         noise = st.fractions(-1, 1, max_denominator=2**70).map(lambda x: x * F(1, 2**30))
         u = [(s[j] - g.bids[max(j, 1) - 1]) * win[max(j, 1) - 1] + data.draw(noise) for j in range(m + 1)]
-        enclose, fbox, boxes = dist.float_enclosure(), [], 0
-        for x in s:
-            lo, hi = enclose(*float_bounds(x))
-            assert lo <= dist(x) <= hi
-            fbox.append((max(lo, 0.0), min(hi, 1.0)))
+        fbox, boxes = discrete._cdf_boxes(dist, [float_bounds(x) for x in s]), 0
+        for x, (lo, hi) in zip(s, fbox):
+            assert 0 <= lo <= dist(x) <= hi <= 1
         for i in range(1, m + 1):
             dl, dh = discrete._delta_box(fbox[i - 1], fbox[i], n)
             assert 0 <= dl <= win[i - 1] <= dh

@@ -19,7 +19,7 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 import fpaeq as fq
-from fpaeq import DomainError, PiecewisePoly, PiecewisePolyCdf, RationalBidFunction
+from fpaeq import DomainError, PiecewisePoly, PiecewisePolyCdf, RationalBidFunction, discrete
 from fpaeq.cdf import ValidationReport
 from fpaeq.explicit import eval_canonical, power_coefficients
 from fpaeq.poly import float_bounds, horner_int, int_row, nonnegative_on, poly_derivative, power_int
@@ -28,6 +28,7 @@ from conftest import kronecker_power, poly_eval, row_fractions
 from test_explicit import seeded_cubic
 
 BIG = 2**64
+ADVERSARIAL = fq.make_adversarial_cdf(F(3, 4), F(1, 8), F(1, 32))  # conftest's adversarial fixture
 FIXTURES = "uniform square two_piece shifted_support adversarial".split()
 
 coefficients = st.one_of(
@@ -78,9 +79,33 @@ def piecewise(draw):
     return draw(built(draw(sorted_breakpoints(pieces)), [draw(rows) for _ in range(pieces)]))
 
 
+def dense_cdf() -> PiecewisePolyCdf:
+    """CI's dense degree-64 row: 58-bit weights over their sum, a 64-bit denominator."""
+    rng = random.Random(1)
+    w = [rng.getrandbits(58) for _ in range(64)]
+    return PiecewisePolyCdf((F(0), F(1)), [[F(0)] + [F(x, sum(w)) for x in w]])
+
+
 def reference_piece(pp: PiecewisePoly, x) -> int:
     """The piece rule on exact Fractions: bisect_left - 1, clipped to the pieces."""
     return min(max(bisect.bisect_left(pp.breakpoints, x) - 1, 0), pp.pieces - 1)
+
+
+def reference_cdf_boxes(pp: PiecewisePoly, points) -> list[tuple[float, float]]:
+    """discrete._cdf_boxes by the scalar loop it replaced: point by point, Horner's rule on the float rows and the
+    absolute rows with gamma_(2d+2) = k u / (1 - k u), each end one float outward by math.nextafter, clipped."""
+    rows = [[0.0] * (pp.degree + 1 - len(nums)) + [c / scale for c in reversed(nums)] for nums, scale in pp.int_rows]
+    k = 2 * (pp.degree + 1)
+    gamma, tiny = k * 2.0**-53 / (1 - k * 2.0**-53), k * 2.0**-1074
+
+    def end(x: float, side: float) -> float:
+        acc = size = 0.0
+        for c in rows[reference_piece(pp, F(x))]:
+            acc = acc * x + c
+            size = size * x + abs(c)
+        return math.nextafter(acc + side * (gamma * size + tiny), side * math.inf)
+
+    return [(max(end(a, -1.0), 0.0), min(end(b, 1.0), 1.0)) for a, b in points]
 
 
 def reference_bid(rbf: RationalBidFunction, x) -> F:
@@ -307,28 +332,51 @@ class TestPiecewiseEval:
     @settings(max_examples=100, deadline=None)
     @given(piecewise(), st.lists(st.floats(0, 1), min_size=1, max_size=6))
     def test_float_enclosure_holds_the_value_at_floats(self, pp, floats):
-        # any rows, monotone or not, near 0 and 1 and at the breakpoints' floats too
-        enclose = pp.float_enclosure()
-        for x in [0.0, 1.0, *(float(b) for b in pp.breakpoints), *floats]:
-            lo, hi = enclose(x, x)
-            assert lo <= pp(F(x)) <= hi
+        # any rows, monotone or not, near 0 and 1 and at the breakpoints' floats too: the array call of
+        # check_conditions, value less and plus its bound, one float outward, holds the exact value
+        xs = np.array([0.0, 1.0, *(float(b) for b in pp.breakpoints), *floats])
+        value, bound = pp.float_bounded()(xs, pp.float_pieces(xs))
+        lo, hi = np.nextafter(value - bound, -np.inf), np.nextafter(value + bound, np.inf)
+        for x, a, b in zip(xs.tolist(), lo.tolist(), hi.tolist()):
+            assert a <= pp(F(x)) <= b
 
     @pytest.mark.parametrize("name", FIXTURES + ["cubic", "dense"])
     def test_float_enclosure_holds_a_cdf_between_floats(self, name, request):
-        # a nondecreasing row at a rational takes its lower end at the float below and its upper end above
+        # a nondecreasing row at a rational takes its lower end at the float below and its upper end above,
+        # through the boxes of check_conditions, clipped to [0, 1]
         if name == "cubic":
             dist = seeded_cubic(3, 8)
         elif name == "dense":
-            rng = random.Random(1)
-            w = [rng.getrandbits(58) for _ in range(64)]
-            dist = PiecewisePolyCdf((F(0), F(1)), [[F(0)] + [F(x, sum(w)) for x in w]])
+            dist = dense_cdf()
         else:
             dist = request.getfixturevalue(name)
-        enclose = dist.float_enclosure()
-        for x in [F(k, 100) for k in range(101)] + [F(k, 21) for k in range(22)] + [F(1, 3) + F(1, 2**80)]:
-            lo, hi = enclose(*float_bounds(x))
-            assert lo <= dist(x) <= hi
+        xs = [F(k, 100) for k in range(101)] + [F(k, 21) for k in range(22)] + [F(1, 3) + F(1, 2**80)]
+        points = [float_bounds(x) for x in xs]
+        boxes = discrete._cdf_boxes(dist, points)
+        assert boxes == reference_cdf_boxes(dist, points)  # the same bits as the scalar loop
+        for x, (lo, hi) in zip(xs, boxes):
+            assert 0 <= lo <= dist(x) <= hi <= 1
             assert hi - lo < 1e-12
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_float_bounded_bounds_the_error(self, data):
+        # |value - exact| <= bound at random floats and at and beside each breakpoint's float, on cdf rows
+        # (seeded 8-piece cubics, CI's dense degree-64 row, the adversarial cdf) and on bid-function rows
+        kind = data.draw(st.sampled_from(["cubic", "dense", "adversarial", "bid"]), label="rows")
+        cubic = seeded_cubic(data.draw(st.integers(0, 10**6), label="seed"), 8)
+        pp = {"cubic": cubic, "dense": dense_cdf(), "adversarial": ADVERSARIAL}.get(kind)
+        if pp is None:
+            cdf = data.draw(st.sampled_from([cubic, ADVERSARIAL, fq.uniform_cdf()]), label="cdf")
+            rbf = fq.canonical_bid_function(cdf, data.draw(st.integers(2, 16), label="n"))
+            pp = data.draw(st.sampled_from([rbf.numerator, rbf.denominator]), label="row")
+        near = [y for b in pp.breakpoints for f in [float(b)]
+                for y in (f, math.nextafter(f, -1.0), math.nextafter(f, 2.0)) if 0 <= y <= 1]
+        xs = np.array(data.draw(st.lists(st.floats(0, 1), max_size=8), label="floats") + near)
+        piece = pp.float_pieces(xs)
+        value, bound = pp.float_bounded()(xs, piece)
+        for x, j, v, e in zip(xs.tolist(), piece.tolist(), value.tolist(), bound.tolist()):
+            assert abs(F(v) - F(*pp.row_ratio(j, *x.as_integer_ratio()))) <= F(e)
 
     @settings(max_examples=30)
     @given(piecewise(), st.sampled_from([F(-1, BIG), F(-1), 1 + F(1, BIG), F(2)]))

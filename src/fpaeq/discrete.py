@@ -10,7 +10,9 @@ is Delta(s_{j-1}, s_j) with
     Delta(x, y) = (1/n) * sum_{i<n} F(x)**(n-1-i) * F(y)**i.
 
 Delta is symmetric in x and y.  `delta_win_prob` takes the two cdf values, and
-the code that owns the jump points evaluates F once per point.
+the code that owns the jump points evaluates F once per point.  The walk
+computes the powers of F(s_i) once per bid and runs the recurrence of
+`delta_win_prob` on them for every Delta of that bid, to the same bits.
 
 The solver searches the equilibrium utility at the top value v = 1 and
 reconstructs the jump points from it (descending over bids, inverting Delta by
@@ -44,8 +46,8 @@ The certificate decides in floats what floats can decide and is exact
 everywhere else: F at each jump point is enclosed between two floats by
 Horner's a-priori error bound, and Delta and each residual by boxes rounded
 outward, so only the residuals whose boxes reach the largest lower end are
-computed in exact rationals.  A pass remains a proof, and max_residual is
-the exact maximum.
+computed in exact rationals, on integer pairs with one Fraction each.  A pass
+remains a proof, and max_residual is the exact maximum.
 """
 
 from __future__ import annotations
@@ -54,9 +56,8 @@ import math
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
-
-import numpy as np
 
 from .cdf import float_view, strongly_increasing_transform
 from .errors import DomainError, PrecisionError, check_bidders
@@ -66,7 +67,6 @@ from .rationals import parse_rational
 ZERO = Fraction(0)
 ONE = Fraction(1)
 MAX_FLOAT_WALKS = 52  # the float search's walks at most: bisection's count from [0, 1] down to 2**-52
-SIDES = np.array([-1.0, 1.0])  # the lower and the upper end of a float box
 
 
 @dataclass(frozen=True)
@@ -88,6 +88,11 @@ class BidGrid:
     @property
     def m(self) -> int:
         return len(self.bids)
+
+    @cached_property
+    def float_bids(self) -> tuple[float, ...]:
+        """The bids' floats, which every float walk reads: converted once per grid."""
+        return tuple(float(b) for b in self.bids)
 
 
 @dataclass(frozen=True, init=False)
@@ -145,16 +150,24 @@ class SolveResult:
     transformed_cdf: object  # the mixed cdf the certificate was checked under
 
 
+def _powers(b, n: int) -> list:
+    """b**1 .. b**(n-1), each the one before times b."""
+    out, power = [], 1
+    for _ in range(n - 1):
+        power *= b
+        out.append(power)
+    return out
+
+
 def _power_sum(a, b, n: int):
-    """sum(a**(n-1-i) * b**i for i < n), by s_k = a * s_(k-1) + b**k from s_0 = 1.
+    """sum(a**(n-1-i) * b**i for i < n), by s_k = a * s_(k-1) + b**k from s_0 = 1 on the :func:`_powers` of b.
 
     Exact on ints and Fractions.  On floats in [0, 1] every term is nonnegative, so the float is within
     a relative gamma_(2n-2) of the exact sum of the same floats (Higham, Accuracy and Stability of
     Numerical Algorithms, 3.1), plus at most (n - 1) * 2**-1074 where products underflow.
     """
-    acc = power = 1
-    for _ in range(n - 1):
-        power *= b
+    acc = 1
+    for power in _powers(b, n):
         acc = acc * a + power
     return acc
 
@@ -186,58 +199,70 @@ def compute_strategy(F, n: int, grid: BidGrid, U, delta):
     float in either arithmetic, so the jump point moves continuously with U; a
     point it puts at the one above pools with it, utility and all.  A Fraction
     U runs the walk exactly; any other U runs it in floats, for which F must
-    take and return floats.
+    take and return floats.  Every Delta(F(x), F(s_i)) runs :func:`_power_sum`'s
+    recurrence inline on the :func:`_powers` of F(s_i), taken once per bid.
     """
     if delta <= 0:
         raise DomainError("delta must be positive")
     m = grid.m
     exact = isinstance(U, Fraction)
-    bids = grid.bids if exact else tuple(float(b) for b in grid.bids)
+    bids = grid.bids if exact else grid.float_bids
     s = [None] * (m + 1)
     uvec = [None] * (m + 1)
     s[m] = ONE if exact else 1.0
     uvec[m] = U
     floor = _floor(delta, exact)
-    fs = F(s[m])  # F at the jump point above the current bid
+    fs, pows = F(s[m]), None  # F at the jump point above the current bid, and its powers once it is read
     for i in range(m, 0, -1):
         b = bids[i - 1]
         si, ui = s[i], uvec[i]
         margin = si - b
-        f_hi = margin * delta_win_prob(fs, fs, n)
+        if pows is None:
+            pows = _powers(fs, n)
+        acc = 1  # n * Delta(a, fs) by _power_sum's recurrence on the powers of fs, as for every a below
+        for p in pows:
+            acc = acc * fs + p
+        f_hi = margin * (acc / n)
         if f_hi <= ui:
             s[i - 1] = si
             uvec[i - 1] = ui
             continue
-        fb = F(b)
-        f_lo = margin * delta_win_prob(fb, fs, n)
+        fb, acc = F(b), 1
+        for p in pows:
+            acc = acc * fb + p
+        f_lo = margin * (acc / n)
         if f_lo >= ui:
             s[i - 1] = b
             uvec[i - 1] = 0 * ui
-            fs = fb
+            fs, pows = fb, None
             continue
         lo, hi = b, si
         while f_hi - f_lo > delta and hi - lo > floor:
             mid = (lo + hi) / 2
-            f_mid = margin * delta_win_prob(F(mid), fs, n)
+            fm, acc = F(mid), 1
+            for p in pows:
+                acc = acc * fm + p
+            f_mid = margin * (acc / n)
             if f_mid < ui:
                 lo, f_lo = mid, f_mid
             else:
                 hi, f_hi = mid, f_mid
         t = float((ui - f_lo) / (f_hi - f_lo))  # in (0, 1]: f_lo < ui <= f_hi
         x = min(lo + (hi - lo) * (Fraction(t) if exact else t), si)
-        fx = F(x)
+        fx, acc = F(x), 1
+        for p in pows:
+            acc = acc * fx + p
         s[i - 1] = x
-        uvec[i - 1] = (x - b) * delta_win_prob(fx, fs, n) if x < si else ui
-        fs = fx
+        uvec[i - 1] = (x - b) * (acc / n) if x < si else ui
+        fs, pows = fx, None
     return s, uvec
 
 
-def _delta_ratio(fx, fy, n: int) -> tuple[int, int]:
-    """Delta on exact cdf values fx = p/q and fy = r/t as (num, den), with no gcd taken: over l = lcm(q, t),
-    the integer sum of (p l/q)**(n-1-i) (r l/t)**i over n l**(n-1), where a sum of Fractions takes a gcd
-    per term."""
-    p, q = fx.as_integer_ratio()
-    r, t = fy.as_integer_ratio()
+def _delta_ratio(fx: tuple[int, int], fy: tuple[int, int], n: int) -> tuple[int, int]:
+    """Delta on exact cdf values fx = p/q and fy = r/t, given as integer pairs (p, q) and (r, t) with q, t > 0, as
+    (num, den), with no gcd taken: over l = lcm(q, t), the integer sum of (p l/q)**(n-1-i) (r l/t)**i over
+    n l**(n-1), where a sum of Fractions takes a gcd per term."""
+    (p, q), (r, t) = fx, fy
     g = math.gcd(q, t)
     return _power_sum(p * (t // g), r * (q // g), n), n * (q // g * t) ** (n - 1)
 
@@ -246,11 +271,14 @@ def _cdf_boxes(F: PiecewisePoly, points) -> list[tuple[float, float]]:
     """Floats around a nondecreasing F at each rational x whose :func:`float_bounds` are in points: F's float less
     Horner's error bound (:meth:`PiecewisePoly.float_bounded`) at the float at or below x, and F's float plus the
     bound at the float at or above x.  Each end is one float further out, past the rounding of its own sum, and
-    clipped to [0, 1], where a cdf lies.  Both ends of every point go through one array call."""
-    x = np.array(points)  # row j: the floats at or below and at or above point j
-    value, bound = F.float_bounded()(x, F.float_pieces(x))
-    ends = np.nextafter(value + SIDES * bound, SIDES * np.inf)  # value - bound below, value + bound above
-    return list(map(tuple, np.minimum(np.maximum(ends, 0.0), 1.0).tolist()))
+    clipped to [0, 1], where a cdf lies."""
+    bounded, boxes = F.float_bounded(), []
+    for a, b in points:
+        value, bound = bounded(a)
+        lo = max(math.nextafter(value - bound, -math.inf), 0.0)
+        value, bound = bounded(b)
+        boxes.append((lo, min(math.nextafter(value + bound, math.inf), 1.0)))
+    return boxes
 
 
 def _delta_box(fx, fy, n: int) -> tuple[float, float]:
@@ -296,18 +324,20 @@ def check_conditions(F, n: int, strategy: JumpPointStrategy, gamma) -> Certifica
     max(0, (s_i - b_i) Delta_i - U_i), are decided in floats where F is a piecewise polynomial.  F is
     then a cdf, nondecreasing, so F at a jump point lies in a float box (:func:`_cdf_boxes`), and
     Delta_i and each residual lie in the float boxes built from those (:func:`_delta_box`,
-    :func:`_residual_box`).  A residual is computed exactly, on F's exact values and
-    :func:`_delta_ratio`, only where its box reaches the largest lower end of all boxes.  Every
-    other one lies below the residual of that lower end, so it can decide neither the verdict nor
-    the maximum: it holds its box's upper end, a rational at or above it, and max_residual is the
-    exact maximum.  Any other F, such as a CdfOracle, gives no error bound: it answers at every
-    jump point, m + 1 queries, and every residual is exact.
+    :func:`_residual_box`).  A residual is computed exactly, on integer pairs (F by
+    :meth:`PiecewisePoly.row_ratio`, Delta_i by :func:`_delta_ratio`) and one Fraction at the
+    end, only where its box reaches the largest lower end of all boxes.  Every other one lies
+    below the residual of that lower end, so it can decide neither the verdict nor the maximum:
+    it holds its box's upper end, a rational at or above it, and passed and max_residual are
+    taken from the zero-bound residuals and the exact ones alone.  Any other F, such as a
+    CdfOracle, gives no error bound: it answers at every jump point, m + 1 queries, and every
+    residual is exact.
     """
     s, u, bids = strategy.s, strategy.utilities, strategy.bids
     if len(u) != len(s):
         raise DomainError(f"strategy has {len(u)} utilities; {len(bids)} bids need {len(s)}")
     boxed = isinstance(F, PiecewisePoly)
-    fs = [None] * len(s) if boxed else [F(x) for x in s]  # F's exact values, read where needed
+    fs = [None] * len(s) if boxed else [F(x).as_integer_ratio() for x in s]  # F's exact values as integer pairs
     residuals, pending = [], []  # pending: (slot in residuals, bid i, jump point j, signed) of each Delta residual
     for i, b in enumerate(bids, 1):
         lo, hi = s[i - 1], s[i]
@@ -319,6 +349,7 @@ def check_conditions(F, n: int, strategy: JumpPointStrategy, gamma) -> Certifica
             residuals.append(ConditionResidual(2, i, abs(u[i] - u[i - 1]), 0))
             pending.append((len(residuals), i, i, True))
             residuals.append(None)
+    deciding = list(filter(None, residuals))  # the zero-bound residuals, then every one computed exactly
     boxes = [None] * len(pending)  # None: no box, the residual is computed exactly
     if boxed:
         sbox, bbox, ubox = ([float_bounds(x) for x in xs] for xs in (s, bids, u))
@@ -329,19 +360,23 @@ def check_conditions(F, n: int, strategy: JumpPointStrategy, gamma) -> Certifica
     exact_wins = {}
     for (slot, i, j, signed), box in zip(pending, boxes):
         if box and box[1] < top:  # below the residual of that lower end: it moves neither verdict nor maximum
-            value = Fraction(box[1])
-        else:
-            c = s[j] - bids[i - 1]
-            if c and i not in exact_wins:
-                for k in (i - 1, i):
-                    if fs[k] is None:
-                        fs[k] = F(s[k])
-                exact_wins[i] = Fraction(*_delta_ratio(fs[i - 1], fs[i], n))
-            r = c * exact_wins[i] - u[j] if c else -u[j]
-            value = max(ZERO, r) if signed else abs(r)
+            residuals[slot] = ConditionResidual(2 if signed else 1, i, Fraction(box[1]), gamma)
+            continue
+        (sp, sq), (bp, bq), (up, uq) = s[j].as_integer_ratio(), bids[i - 1].as_integer_ratio(), u[j].as_integer_ratio()
+        c = sp * bq - bp * sq  # (s_j - b_i) sq bq
+        if c and i not in exact_wins:
+            for k in (i - 1, i):
+                if fs[k] is None:
+                    p, q = s[k].as_integer_ratio()
+                    fs[k] = F.row_ratio(F.piece_of(p, q), p, q)
+            exact_wins[i] = _delta_ratio(fs[i - 1], fs[i], n)
+        N, D = exact_wins[i] if c else (0, 1)
+        r = c * N * uq - up * sq * bq * D  # (s_j - b_i) Delta_i - U_j over sq bq D uq
+        value = Fraction(max(r, 0) if signed else abs(r), sq * bq * D * uq)
         residuals[slot] = ConditionResidual(2 if signed else 1, i, value, gamma)
-    ok = all(r.residual <= r.bound for r in residuals)
-    max_res = max(r.residual for r in residuals)
+        deciding.append(residuals[slot])
+    ok = all(r.residual <= r.bound for r in deciding)
+    max_res = max(r.residual for r in deciding)
     return Certificate(gamma, ok, max_res, tuple(residuals))
 
 

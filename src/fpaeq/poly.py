@@ -7,9 +7,11 @@ on one float table: each inner breakpoint is held as the largest float at or
 below it (:func:`float_bounds`), so a bisection on any float x counts exactly
 the breakpoints below x, and a rational x needs an exact comparison only where
 a breakpoint's table float is within one float below x's nearest float.  The float rows come with Horner's
-a-priori error bound in one method, :meth:`PiecewisePoly.float_bounded`, which
-the finite-grid certificate and the float view of a rational bid function
-read; no other module builds or runs float rows.
+a-priori error bound in one method, :meth:`PiecewisePoly.float_bounded`: one
+bound, in scalar form for the finite-grid certificate and in array form for the
+float view of a rational bid function, the same bits in both.  Each scalar form
+runs on Python lists (:func:`float_rows`) and calls no numpy.  No other module
+builds or runs float rows.
 
 A row is held once, as integer numerators over one denominator in lowest terms
 and at its true degree, with no zero leading coefficient (Knuth, TAOCP vol. 2,
@@ -366,16 +368,17 @@ class PiecewisePoly:
         """Float evaluator with the same piece rule, for a float or a numpy array of floats.
 
         An array runs :func:`horner_floats`.  A scalar runs the same operations,
-        in the same order, in pure Python, so both give the same bits: numpy's
-        per-call overhead would dominate the scalar searches.
+        in the same order, in pure Python on :func:`float_rows`, so both give the
+        same bits: numpy's per-call overhead would dominate the scalar searches.
         """
-        inner, table = self._inner, float_table(self.int_rows)  # bisect_left over inner is the piece
-        rows, bisect_left = table.T.tolist(), bisect.bisect_left
+        inner, rows, bisect_left = self._inner, float_rows(self.int_rows), bisect.bisect_left
+        table = None  # float_table(rows), built at the first array
 
         def ev(x):
+            nonlocal table
             # the exact-class test keeps a Python float off the slower isinstance check
             if x.__class__ is not float and isinstance(x, np.ndarray):
-                x = np.asarray(x, dtype=float)
+                x, table = np.asarray(x, dtype=float), table if table is not None else float_table(rows)
                 return horner_floats(table, self.float_pieces(x), x)
             if not 0.0 <= x <= 1.0:
                 raise DomainError(f"x={x} outside [0, 1]")
@@ -387,19 +390,30 @@ class PiecewisePoly:
         return ev
 
     def float_bounded(self) -> Callable:
-        """(x, piece) -> (value, bound) on numpy arrays, piece the :meth:`float_pieces` of x on these breakpoints:
-        row piece[i] at the float x[i] by :func:`horner_floats`, and a bound on |value - exact value|.  The bound is
-        gamma_k times the absolute row sum |c_l| x**l (Higham, Accuracy and Stability of Numerical Algorithms, 5.1),
-        k = 2d + 2 for degree d: Horner's 2d roundings, each coefficient's and the absolute row's own (:func:`gamma_k`),
-        plus k * 2**-1074 for underflow.  A coefficient beyond the float range raises OverflowError from this call.
+        """Horner's rule on the float rows and its one a-priori error bound, in scalar and in array form: (value, bound)
+        at a float x in [0, 1], or at a numpy array x with piece, its :meth:`float_pieces`.  The bound on
+        |value - exact value| is gamma_k times the absolute row sum |c_l| x**l (Higham, Accuracy and Stability of
+        Numerical Algorithms, 5.1), k = 2d + 2 for degree d: Horner's 2d roundings, each coefficient's and the absolute
+        row's own (:func:`gamma_k`), plus k * 2**-1074 for underflow.  An array runs :func:`horner_floats`; a float the
+        same operations, in the same order, on :func:`float_rows`, to the same bits.  A coefficient beyond the float
+        range raises OverflowError from this call.
         """
-        table = float_table(self.int_rows)
+        inner, rows, bisect_left = self._inner, float_rows(self.int_rows), bisect.bisect_left
         # rounding to nearest is symmetric, so |float(c)| is the float of |c|
-        size_table, k = np.abs(table), 2 * len(table)
-        gamma, tiny = gamma_k(k), k * 2.0**-1074
+        sizes, k = [[abs(c) for c in row] for row in rows], 2 * max(map(len, rows))
+        gamma, tiny, tables = gamma_k(k), k * 2.0**-1074, None
 
-        def ev(x: np.ndarray, piece: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            return horner_floats(table, piece, x), gamma * horner_floats(size_table, piece, x) + tiny
+        def ev(x, piece=None):
+            nonlocal tables
+            if piece is None:
+                j = bisect_left(inner, x)
+                acc = size = 0.0
+                for c, a in zip(rows[j], sizes[j]):
+                    acc = acc * x + c
+                    size = size * x + a
+                return acc, gamma * size + tiny
+            tables = tables or (float_table(rows), float_table(sizes))
+            return horner_floats(tables[0], piece, x), gamma * horner_floats(tables[1], piece, x) + tiny
 
         return ev
 
@@ -412,19 +426,23 @@ class PiecewisePoly:
     def float_thresholds(self, y: np.ndarray) -> np.ndarray | None:
         """sup {x : float view at x <= y} over floats x in [0, 1], elementwise, if the rows are nondecreasing constants (a
         jump-point strategy's), else None: 0 below every row, 1 at or above the last, else the end of the last row <= y."""
-        if self.degree or (np.diff(levels := float_table(self.int_rows)[0]) < 0).any():
+        levels = None if self.degree else float_table(float_rows(self.int_rows))[0]
+        if levels is None or (np.diff(levels) < 0).any():
             return None
         return np.array([0.0, *self._inner, 1.0])[np.searchsorted(levels, y, side="right")]
 
 
-def float_table(int_rows: Sequence[tuple[Sequence[int], int]]) -> np.ndarray:
-    """Float coefficients of integer rows (nums, scale) for :func:`horner_floats`: column j is row j, highest degree first.
+def float_rows(int_rows: Sequence[tuple[Sequence[int], int]]) -> list[list[float]]:
+    """Float coefficients of integer rows (nums, scale), highest degree first, one list per row: each the correctly
+    rounded quotient of its integers (OverflowError beyond the float range)."""
+    return [[c / scale for c in reversed(nums)] for nums, scale in int_rows]
 
-    Each is the correctly rounded quotient of its integers (OverflowError beyond the float range).  Leading
-    zeros pad the shorter rows; they leave Horner's accumulator at +0.0, so padding changes no bit.
-    """
-    width = max(len(nums) for nums, _ in int_rows)
-    return np.array([[0.0] * (width - len(nums)) + [c / scale for c in reversed(nums)] for nums, scale in int_rows]).T
+
+def float_table(rows: Sequence[Sequence[float]]) -> np.ndarray:
+    """:func:`float_rows` for :func:`horner_floats`: column j is row j.  Leading zeros pad the shorter rows; they
+    leave Horner's accumulator at +0.0, so padding changes no bit."""
+    width = max(map(len, rows))
+    return np.array([[0.0] * (width - len(row)) + row for row in rows]).T
 
 
 def gamma_k(k: int) -> float:

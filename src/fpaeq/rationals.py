@@ -10,6 +10,7 @@ from .errors import DomainError
 # Longest string the fast path of parse_rational reads: CPython's smallest int-to-str limit, so int() takes every
 # part of it whatever the limit is set to, as Fraction's own parse does.
 SHORT = 640
+SHORT_BITS = 2126  # 2**2126 < 10**SHORT: an int of at most this many bits has at most SHORT digits
 
 
 def parse_rational(value) -> Fraction:
@@ -57,6 +58,9 @@ def parse_rational_list(value, what: str) -> tuple:
 
 
 def format_rational(q: Fraction) -> str:
-    """q as "p/q", or "p" for an integer, with every digit: Decimal has no int-to-str limit."""
-    p, d = Fraction(q).as_integer_ratio()
-    return str(Decimal(p)) if d == 1 else str(Decimal(p)) + "/" + str(Decimal(d))
+    """q as "p/q", or "p" for an integer, with every digit: by str up to SHORT digits, which every int-to-str limit
+    allows, and by Decimal, which has no limit, beyond.  q is a Fraction or an int."""
+    p, d = q.as_integer_ratio()
+    if p.bit_length() > SHORT_BITS or d.bit_length() > SHORT_BITS:
+        p, d = Decimal(p), Decimal(d)
+    return str(p) if d == 1 else str(p) + "/" + str(d)

@@ -87,7 +87,7 @@ def epsilon_bne_check_cdfpa(F, n: int, strategy: JumpPointStrategy) -> RegretRep
     """
     check_bidders(n)
     s, bids = strategy.s, strategy.bids
-    fs = [F(x) for x in s]
+    fs = [F(x).as_integer_ratio() for x in s]
     values = {(x.numerator, x.denominator) for x in (*s, *bids)} | _GRID_VALUES
     values |= {_reduced(a.numerator * b.denominator + b.numerator * a.denominator, 2 * a.denominator * b.denominator)
                for a, b in zip(s, s[1:]) if a < b}  # the midpoints
@@ -136,7 +136,14 @@ def epsilon_bne_check_ccfpa(F, n: int, bid_fn: Callable) -> RegretReport:
         raise DomainError(f"unsupported cdf type: {type(F).__name__}")
     v_low = float(F.support_infimum())
     values = v_low + (1 - v_low) * np.arange(GRID_VALUES + 1) / GRID_VALUES
-    z = np.array(sorted({*(np.arange(BID_GRID + 1) / BID_GRID).tolist(), *values.tolist()}))
+    # z is the sorted union of the grid and the values, merged by rank with no sort (whose code adds 0.3 MB of peak
+    # RSS): an element's place is its index plus the count of the other array's elements before it, the grid's first
+    # on a tie; then equal neighbours are dropped
+    grid = np.arange(BID_GRID + 1) / BID_GRID
+    z = np.empty(grid.size + values.size)
+    z[np.arange(grid.size) + np.searchsorted(values, grid)] = grid
+    z[np.arange(values.size) + np.searchsorted(grid, values, side="right")] = values
+    z = z[np.append(True, z[1:] != z[:-1])]
     bids = _bids_at(bid_fn, z, refuse=("overbids", "decreases"))
     fcdf = float_view(F)
     exact = _exact_thresholds(bid_fn)

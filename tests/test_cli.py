@@ -19,6 +19,10 @@ from fpaeq.rationals import format_rational, parse_rational
 
 from conftest import piecewise_json
 
+# ints of about SHORT_BITS = 2126 bits, the longest format_rational prints by str, on either side of it
+NEAR_SHORT_BITS = st.builds(lambda k, d, sign: sign * (2**k + d), st.integers(2120, 2135), st.integers(-2, 2),
+                            st.sampled_from([1, -1]))
+
 
 def reference_parse_rational(value) -> F:
     """parse_rational as it was before its int fast path: every string read by Fraction."""
@@ -513,6 +517,30 @@ class TestInputContract:
         p_text, q_text = format_rational(q).split("/")
         assert F(int(Decimal(p_text)), int(Decimal(q_text))) == q
         assert format_rational(F(-(10**5000))) == "-1" + "0" * 5000
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(st.integers(-(2**2200), 2**2200), NEAR_SHORT_BITS),
+           st.one_of(st.integers(1, 2**2200), NEAR_SHORT_BITS.map(abs)))
+    def test_format_rational_same_as_decimal(self, p, q):
+        # str up to SHORT_BITS and Decimal beyond give the same text, parts drawn at and across the bound
+        x = F(p, q)
+        want = str(Decimal(x.numerator)) + ("" if x.denominator == 1 else "/" + str(Decimal(x.denominator)))
+        assert format_rational(x) == want
+
+    def test_format_rational_at_the_smallest_int_to_str_limit(self):
+        # 2**2126 - 1 has 640 digits, which str may print under the smallest limit, 640; 2**2127 - 1, of 2127 bits,
+        # has 641
+        src = str(Path(fq.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        script = ("import sys; sys.set_int_max_str_digits(640); from fractions import Fraction as F; "
+                  "from fpaeq.rationals import format_rational as f; "
+                  "print(f(F(10**10000 + 1, 3))); print(f(F(2**2126 - 1, 2**2127))); print(f(F(1 - 2**2127)))")
+        run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+        assert run.returncode == 0, run.stderr
+        big, edge, past = run.stdout.splitlines()
+        assert big == "1" + "0" * 9999 + "1/3"
+        assert edge == f"{2**2126 - 1}/{2**2127}" and past == f"{1 - 2**2127}"
+        assert len(edge.split("/")[0]) == 640 and len(past) == 642
 
     def test_limits_admit_the_largest_sizes(self, capout, uniform_json):
         # the benchmark's largest sizes: n = 64 and eps = 1/16384

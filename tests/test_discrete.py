@@ -2,11 +2,12 @@ import math
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 import fpaeq as fq
-from fpaeq import BidGrid, DomainError, JumpPointStrategy, discrete
+from fpaeq import BidGrid, DomainError, JumpPointStrategy, PiecewisePoly, discrete
 from fpaeq.cdf import float_view
 from fpaeq.poly import float_bounds
 
@@ -75,6 +76,90 @@ def float_walks(monkeypatch) -> list:
 
     monkeypatch.setattr(discrete, "compute_strategy", spy)
     return walks
+
+
+def reference_compute_strategy(F_, n: int, grid: BidGrid, U, delta):
+    """discrete.compute_strategy as it was before the walk took the powers of F(s_i) once per bid: one
+    delta_win_prob call, and its powers, per Delta."""
+    m, exact = grid.m, isinstance(U, F)
+    bids = grid.bids if exact else tuple(float(b) for b in grid.bids)
+    s, uvec = [None] * (m + 1), [None] * (m + 1)
+    s[m], uvec[m] = F(1) if exact else 1.0, U
+    floor, fs, win = discrete._floor(delta, exact), F_(s[m]), discrete.delta_win_prob
+    for i in range(m, 0, -1):
+        b, si, ui = bids[i - 1], s[i], uvec[i]
+        margin = si - b
+        f_hi = margin * win(fs, fs, n)
+        if f_hi <= ui:
+            s[i - 1], uvec[i - 1] = si, ui
+            continue
+        fb = F_(b)
+        f_lo = margin * win(fb, fs, n)
+        if f_lo >= ui:
+            s[i - 1], uvec[i - 1], fs = b, 0 * ui, fb
+            continue
+        lo, hi = b, si
+        while f_hi - f_lo > delta and hi - lo > floor:
+            mid = (lo + hi) / 2
+            f_mid = margin * win(F_(mid), fs, n)
+            if f_mid < ui:
+                lo, f_lo = mid, f_mid
+            else:
+                hi, f_hi = mid, f_mid
+        t = float((ui - f_lo) / (f_hi - f_lo))
+        x = min(lo + (hi - lo) * (F(t) if exact else t), si)
+        fx = F_(x)
+        s[i - 1] = x
+        uvec[i - 1] = (x - b) * win(fx, fs, n) if x < si else ui
+        fs = fx
+    return s, uvec
+
+
+def reference_check_conditions(F_, n: int, strategy: JumpPointStrategy, gamma) -> fq.Certificate:
+    """discrete.check_conditions as it was before it decided on scalar floats and integer pairs: F's boxes from
+    one array call of float_bounded, exact residuals in Fractions (Delta by delta_win_prob, the value of the
+    integer sum it took), and passed and max_residual over every residual, the boxed ones included."""
+    s, u, bids = strategy.s, strategy.utilities, strategy.bids
+    boxed = isinstance(F_, PiecewisePoly)
+    fs = [None] * len(s) if boxed else [F_(x) for x in s]
+    residuals, pending = [], []
+    for i, b in enumerate(bids, 1):
+        lo, hi = s[i - 1], s[i]
+        residuals.append(discrete.ConditionResidual(3, i, F(0) if lo >= b else b - lo, 0))
+        if lo < hi:
+            pending += [(len(residuals), i, i, False), (len(residuals) + 1, i, i - 1, False)]
+            residuals += [None, None]
+        else:
+            residuals.append(discrete.ConditionResidual(2, i, abs(u[i] - u[i - 1]), 0))
+            pending.append((len(residuals), i, i, True))
+            residuals.append(None)
+    boxes = [None] * len(pending)
+    if boxed:
+        sbox, bbox, ubox = ([float_bounds(x) for x in xs] for xs in (s, bids, u))
+        x, sides = np.array(sbox), np.array([-1.0, 1.0])
+        value, bound = F_.float_bounded()(x, F_.float_pieces(x))
+        ends = np.nextafter(value + sides * bound, sides * np.inf)
+        fbox = list(map(tuple, np.minimum(np.maximum(ends, 0.0), 1.0).tolist()))
+        wins = [discrete._delta_box(fx, fy, n) for fx, fy in zip(fbox, fbox[1:])]
+        boxes = [discrete._residual_box(sbox[j], bbox[i - 1], ubox[j], wins[i - 1], signed)
+                 for _, i, j, signed in pending]
+    top = max((box[0] for box in boxes if box), default=0.0)
+    exact_wins = {}
+    for (slot, i, j, signed), box in zip(pending, boxes):
+        if box and box[1] < top:
+            value = F(box[1])
+        else:
+            c = s[j] - bids[i - 1]
+            if c and i not in exact_wins:
+                for k in (i - 1, i):
+                    if fs[k] is None:
+                        fs[k] = F_(s[k])
+                exact_wins[i] = discrete.delta_win_prob(fs[i - 1], fs[i], n)
+            r = c * exact_wins[i] - u[j] if c else -u[j]
+            value = max(F(0), r) if signed else abs(r)
+        residuals[slot] = discrete.ConditionResidual(2 if signed else 1, i, value, gamma)
+    ok = all(r.residual <= r.bound for r in residuals)
+    return fq.Certificate(gamma, ok, max(r.residual for r in residuals), tuple(residuals))
 
 
 class TestBidGrid:
@@ -640,3 +725,114 @@ class TestSolve:
         # bid 1's residual.  Each certificate evaluates m + 1 points, and solve checks two
         points = sum(m * (ceil_log2(n * L / F(tol)) + 2) + 2 for tol in tols) + 2 * (m + 1)
         assert 0 < oracle.query_count <= points  # one query per evaluated point
+
+
+def draw_grid(data, m: int) -> BidGrid:
+    den = data.draw(st.sampled_from([d for d in (256, 100, 21, 2**60) if d > m]), label="den")
+    inner = data.draw(st.lists(st.integers(1, den - 1), unique=True, min_size=m - 1, max_size=m - 1), label="bids")
+    return BidGrid((F(0),) + tuple(sorted(F(k, den) for k in inner)))
+
+
+def draw_cdf(data, walk_cdfs):
+    """One of WALK_CDFS or a power cdf x**k, mixed with the identity as solve mixes it."""
+    name = data.draw(st.sampled_from(WALK_CDFS + ["power"]), label="cdf")
+    dist = fq.power_cdf(data.draw(st.integers(3, 8), label="k")) if name == "power" else walk_cdfs[name]
+    return fq.strongly_increasing_transform(dist, F(1, 2 ** data.draw(st.integers(4, 40), label="mix")))
+
+
+def certificate_boxes(dist, n: int, strategy: JumpPointStrategy) -> dict:
+    """(box, P) of each condition-1 residual (bid i, jump point j) of an unpooled bid that check_conditions boxes:
+    the box, and P, the float below (s_j - b_i) Delta_i from which _residual_box takes U_j."""
+    s, u, bids = strategy.s, strategy.utilities, strategy.bids
+    sbox, bbox, ubox = ([float_bounds(x) for x in xs] for xs in (s, bids, u))
+    fbox, out = discrete._cdf_boxes(dist, sbox), {}
+    for i in range(1, len(bids) + 1):
+        win = discrete._delta_box(fbox[i - 1], fbox[i], n)
+        for j in (i - 1, i) if s[i - 1] < s[i] else ():
+            box = discrete._residual_box(sbox[j], bbox[i - 1], ubox[j], win, False)
+            if box:
+                margin = math.nextafter(sbox[j][0] - bbox[i - 1][1], -math.inf)
+                out[i, j] = box, math.nextafter(margin * win[0], -math.inf)
+    return out
+
+
+def share_the_top(dist, n: int, strategy: JumpPointStrategy) -> JumpPointStrategy | None:
+    """The strategy with U_m and one other utility U_j set so that bid m's residual at s_m and a residual at s_j
+    are each P - (P - T) = T, a float T above every residual before: their boxes share the largest lower end,
+    the float below T.  None where no U_j does so."""
+    m, boxes = len(strategy.bids), certificate_boxes(dist, n, strategy)
+    if (m, m) not in boxes:
+        return None
+    top, p_m = max(box[0] for box, _ in boxes.values()), boxes[m, m][1]
+    for (_, j), (_, p_j) in boxes.items():
+        step = max(math.ulp(p_m), math.ulp(p_j))  # T on this step: each P - T is a float, and P - (P - T) is T
+        T = math.ceil(4 * top / step + 1) * step
+        if j == m or not T <= min(p_m, p_j) / 2:
+            continue
+        u = list(strategy.utilities)
+        u[m], u[j] = F(p_m - T), F(p_j - T)
+        probe = JumpPointStrategy(BidGrid(strategy.bids), strategy.s, u)
+        lows = sorted((box[0] for box, _ in certificate_boxes(dist, n, probe).values()), reverse=True)
+        if lows[0] == lows[1]:
+            return probe
+    return None
+
+
+class TestSameAsTheReference:
+    """compute_strategy and check_conditions give exactly what the reference copies above give."""
+
+    @settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_walk(self, data, walk_cdfs):
+        # the same jump points and utilities, bit for bit, in floats and in Fractions
+        dist = draw_cdf(data, walk_cdfs)
+        exact = data.draw(st.booleans(), label="exact")
+        n = data.draw(st.integers(2, 6 if exact else 64), label="n")
+        g = draw_grid(data, data.draw(st.integers(1, 6 if exact else 32), label="m"))
+        delta = F(1, 2 ** data.draw(st.integers(4, 16 if exact else 50), label="delta"))
+        if exact:
+            U, ev = data.draw(st.fractions(0, 1, max_denominator=2**20), label="U"), dist
+        else:
+            U, ev, delta = data.draw(st.floats(0, 1), label="U"), float_view(dist), float(delta)
+        got = discrete.compute_strategy(ev, n, g, U, delta)
+        assert repr(got) == repr(reference_compute_strategy(ev, n, g, U, delta))
+
+    @settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_certificate(self, data, walk_cdfs):
+        # the same Certificate, every residual included, on solved strategies, on failing ones (a jump point below
+        # its bid, unequal pooled utilities, a residual above gamma) and through a CdfOracle, which has no boxes
+        dist = draw_cdf(data, walk_cdfs)
+        n, m = data.draw(st.integers(2, 64), label="n"), data.draw(st.integers(1, 32), label="m")
+        g = draw_grid(data, m)
+        gamma = F(1, 2 ** data.draw(st.integers(6, 40), label="eps")) / (3 * n) / (2 * m)
+        strategy = discrete._search(float_view(dist), n, g, max(float(gamma / 4), 2.0**-52))
+        s, u = list(strategy.s), list(strategy.utilities)
+        kind = data.draw(st.sampled_from(["solved", "below bid", "pooled", "above gamma", "oracle"]), label="kind")
+        i = data.draw(st.integers(1, m), label="i")
+        if kind == "below bid" and i > 1 and s[i - 2] < g.bids[i - 1]:
+            s[i - 1] = (s[i - 2] + g.bids[i - 1]) / 2
+        elif kind == "pooled" and i > 1:
+            s[i - 1], u[i - 1] = s[i], u[i] + gamma * data.draw(st.sampled_from([F(1, 2**40), -1, 3]), label="by")
+        elif kind == "above gamma":  # bid i's residual at s_i, (s_i - b_i) Delta_i - U_i, put above gamma
+            by = data.draw(st.sampled_from([1 + F(1, 2**60), 2, 3]), label="by")
+            u[i] = (s[i] - g.bids[i - 1]) * strategy.win_probs(dist, n)[i - 1] - gamma * by
+        else:
+            kind = "solved" if kind != "oracle" else kind
+        probe = JumpPointStrategy(g, s, u)
+        F_ = fq.CdfOracle(dist) if kind == "oracle" else dist
+        cert = fq.check_conditions(F_, n, probe, gamma)
+        assert cert == reference_check_conditions(F_, n, probe, gamma)
+        assert kind in ("solved", "oracle") or not cert.passed
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_certificate_with_two_boxes_at_the_top(self, data, walk_cdfs):
+        # a utility nudged so that two residual boxes share the largest lower end: both are computed exactly
+        dist = draw_cdf(data, walk_cdfs)
+        n, m = data.draw(st.integers(2, 16), label="n"), data.draw(st.integers(2, 12), label="m")
+        g = draw_grid(data, m)
+        gamma = F(1, 2 ** data.draw(st.integers(6, 30), label="eps")) / (3 * n) / (2 * m)
+        probe = share_the_top(dist, n, discrete._search(float_view(dist), n, g, max(float(gamma / 4), 2.0**-52)))
+        assume(probe is not None)
+        assert fq.check_conditions(dist, n, probe, gamma) == reference_check_conditions(dist, n, probe, gamma)

@@ -378,6 +378,25 @@ class TestPiecewiseEval:
         for x, j, v, e in zip(xs.tolist(), piece.tolist(), value.tolist(), bound.tolist()):
             assert abs(F(v) - F(*pp.row_ratio(j, *x.as_integer_ratio()))) <= F(e)
 
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_float_bounded_scalar_is_the_array_bits(self, data):
+        # a float at a time gives the value and the bound of the array call, bit for bit, at and beside every
+        # breakpoint's float and at random floats, on the rows of test_float_bounded_bounds_the_error
+        kind = data.draw(st.sampled_from(["cubic", "dense", "adversarial", "bid", "mixed"]), label="rows")
+        cubic = seeded_cubic(data.draw(st.integers(0, 10**6), label="seed"), 8)
+        pp = {"cubic": cubic, "dense": dense_cdf(), "adversarial": ADVERSARIAL,
+              "mixed": fq.strongly_increasing_transform(cubic, F(1, 3 * 64 * 7))}.get(kind)
+        if pp is None:
+            rbf = fq.canonical_bid_function(cubic, data.draw(st.integers(2, 16), label="n"))
+            pp = data.draw(st.sampled_from([rbf.numerator, rbf.denominator]), label="row")
+        near = [y for b in pp.breakpoints for f in [float(b)]
+                for y in (f, math.nextafter(f, -1.0), math.nextafter(f, 2.0)) if 0 <= y <= 1]
+        xs = data.draw(st.lists(st.floats(0, 1), max_size=8), label="floats") + near
+        bounded, array = pp.float_bounded(), np.array(xs)
+        value, bound = bounded(array, pp.float_pieces(array))
+        assert [bounded(x) for x in xs] == list(zip(value.tolist(), bound.tolist()))
+
     @settings(max_examples=30)
     @given(piecewise(), st.sampled_from([F(-1, BIG), F(-1), 1 + F(1, BIG), F(2)]))
     def test_domain_error(self, pp, x):

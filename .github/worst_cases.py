@@ -40,9 +40,9 @@ CASES = [  # argv, stdout file, bound in s; optionally a peak RSS bound in MB, a
     # stays until the plan's exact sums give way to bounded precision, which will set this row's time anew
     (["solve", "--model", "ccfpa-blackbox", *DENSE, "--eps", "1/16384"], "blackbox.csv", 60,
      dict(mb=200, sha256="26e7157c1962ca3b92d839cf8baf2369b0fd1cc23ae891ebb6eaed88a8eb0150")),
-    # Miller's recurrence and Horner by shifts at i/32: the JSON takes 2.6-3.3 s and 85-87 MB.  The CSV reads
-    # F(x) and the integral row at each i/32, 0.9-1.5 s and 36 MB: 3 s and 42 MB fail it where it builds the
-    # bid rows again (1.2-1.5 s and 46 MB) or brings back the packed power or the q**k products (5.6-7.3 s)
+    # Miller's recurrence and Horner by shifts at i/32: the JSON takes 2.2-2.4 s and 85 MB.  The CSV reads
+    # F(x) and the integral row at each i/32 in lowest terms, 0.7-0.9 s and 36 MB: 3 s and 42 MB fail it where
+    # it builds the bid rows again (1.4-1.5 s and 51 MB) or brings back the packed power or the q**k products
     (["solve", "--model", "ccfpa-explicit", *DENSE], "explicit.json", 8,
      dict(mb=200, sha256="0259fb2cdba82fff718f9b5245633ea7366344fa52635c43813efe4043b1cf6a")),
     (["solve", "--model", "ccfpa-explicit", *DENSE, "--samples", "32"], "explicit.csv", 3,

@@ -24,10 +24,14 @@ which counts as the K-1 interior queries.  It runs on one of two routes:
   bids, a float oracle yields float ones.
 
 A bid keeps its two sums as numerators over one shared denominator
-(:class:`BidEvaluation`), with x read as its exact rational.  On an exact
-oracle they are ints and no gcd is taken; a Fraction is made only when a sum
-is read, and the CLI prints the quotients int / int, which CPython rounds
-correctly.
+(:class:`BidEvaluation`), with x read as its exact rational p/q or given as
+that integer pair.  Its one query (:meth:`CdfOracle.ratio`) reads F(x) as an
+integer pair too: from a piecewise-polynomial oracle by Horner's rule on x's
+piece, with no Fraction and no gcd, and from any other oracle at
+Fraction(p, q).  On an exact oracle the sums are ints and no gcd is taken; a
+Fraction is made only when a sum is read, and the CLI, which passes each
+sample i/S as a pair in lowest terms, prints the quotients int / int, which
+CPython rounds correctly.
 """
 
 from __future__ import annotations
@@ -35,18 +39,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, repeat
-from numbers import Rational
 
 from .cdf import CdfOracle
 from .errors import DomainError, check_bidders
 
 # Largest grid a plan may tabulate, K = ceil(1/eps): K - 1 oracle queries and K + 1 powers
 # F(j/K)**(n-1) summed exactly.  Measured with CPython 3.11 on 2 vCPUs at K = MAX_K, through
-# the CLI (ccfpa-blackbox, 101 bids): a seeded 8-piece cubic takes 0.27 s at n = 2 and 0.38 s
+# the CLI (ccfpa-blackbox, 101 bids): a seeded 8-piece cubic takes 0.24 s at n = 2 and 0.28 s
 # at n = 64, most of it interpreter start-up; a dense degree-64 piece whose coefficients share
-# a 64-bit denominator takes 8.1 s at n = 64 (.github/worst_cases.py): in process, 7.5 s in the
-# plan, nearly all of it the integer powers of about 60 000 bits, and 0.14 s in the bids.  At
-# K = 2**16 the cubic's plan and 101 bids take 0.02 s at n = 2, in process.
+# a 64-bit denominator takes 7.9-8.3 s at n = 64 (.github/worst_cases.py): in process, 7.5-7.9 s
+# in the plan, nearly all of it the integer powers of about 60 000 bits, and 0.16 s in the bids.
+# At K = 2**16 the cubic's plan and 101 bids take 0.013 s at n = 2, in process.
 MAX_K = 2**14
 
 
@@ -113,29 +116,35 @@ def precompute(oracle: CdfOracle, n: int, epsilon) -> BlackBoxPlan:
 def bid(plan: BlackBoxPlan, x) -> BidEvaluation:
     """Lower and upper Riemann sums at x from one query of the plan's oracle; the upper sum is the bid.
 
-    The two sandwich the exact equilibrium bid.  With x = p/q read exactly, F(x) = a/c,
-    k = min(floor(pK/q), K), A = a**(n-1) * scale and C = c**(n-1), they are
+    x is a rational or a float in [0, 1], read as its exact rational p/q, or that pair (p, q)
+    of ints itself, q > 0, best in lowest terms: the CLI's samples i/S come so, with no
+    Fraction.  The oracle answers F(x) = a/c (:meth:`CdfOracle.ratio`).  The two sums
+    sandwich the exact equilibrium bid.  With k = min(floor(pK/q), K), A = a**(n-1) * scale
+    and C = c**(n-1), they are
 
         upper = (pK A - (q P_k + (pK - kq) (P_(k+1) - P_k)) C) / (qKA),
         lower = q (k A - P_(k+1) C) / (qKA),
 
     P the plan's prefix sums, so on an exact oracle a bid is three ints and no gcd.  A
     float answer F(x) runs the same formula in floats, with (a, c) = (F(x), 1.0) and x's
-    float over q = 1.
+    float over q = 1.0.
     """
-    if not 0 <= x <= 1:
+    if x.__class__ is tuple:
+        p, q = x
+        if not 0 <= p <= q:
+            raise DomainError(f"x={Fraction(p, q)} outside [0, 1]")
+    elif not 0 <= x <= 1:
         raise DomainError(f"x={x} outside [0, 1]")
-    fx = plan.oracle(x)
-    K, P = plan.K, plan.prefix
-    p, q = x.as_integer_ratio()
-    k = min(p * K // q, K)
-    if isinstance(fx, Rational):
-        a, c = fx.numerator, fx.denominator
     else:
-        a, c, p, q = fx, 1.0, p / q, 1
+        p, q = x.as_integer_ratio()
+    a, c = plan.oracle.ratio(p, q)
+    K, P = plan.K, plan.prefix
+    k = min(p * K // q, K)
+    if c.__class__ is float:
+        p, q = p / q, 1.0
     if a == 0:
         # x is weakly below the support: bidding the value is exact
-        return BidEvaluation(p, p, q * c)
+        return BidEvaluation(p, p, q)
     A, C = a ** (plan.n - 1) * plan.scale, c ** (plan.n - 1)
     upper = p * K * A - (q * P[k] + (p * K - k * q) * (P[k + 1] - P[k])) * C
     # lower Riemann sum: right endpoints, j = 1..k, which P_(k+1) sums since F(0) = 0;

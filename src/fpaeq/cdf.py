@@ -12,15 +12,17 @@ Two representations are provided:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Rational
 from typing import Callable
 
 import numpy as np
 
 from .errors import DomainError
 from .poly import PiecewisePoly, nonnegative_on, poly_derivative
-from .rationals import parse_rational, parse_rational_list
+from .rationals import parse_rational, parse_rational_list, rational_pair
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -36,8 +38,8 @@ ONE = Fraction(1)
 # sequences, took 2 ms.  Bid functions built from a cdf are not bounded by
 # it: their denominators have degree (n - 1) times the cdf's.  The largest admitted
 # explicit solve, `solve --model ccfpa-explicit --n 64` on one dense degree-64 row with
-# 58-bit weights over their sum (a 64-bit denominator), takes 2.4 s and 87 MB peak RSS
-# with CPython 3.11 on 2 vCPUs (.github/worst_cases.py), 1.2 s at n = 32; a rule that admits inputs by their
+# 58-bit weights over their sum (a 64-bit denominator), takes 2.2-2.4 s and 85 MB peak RSS
+# with CPython 3.11 on 2 vCPUs (.github/worst_cases.py), 0.5 s at n = 32; a rule that admits inputs by their
 # estimated bit-work should keep this case in bounds.
 MAX_DEGREE = 64
 # Most bits of an integer in a piecewise_poly row read by cdf_from_json: each numerator and
@@ -67,7 +69,8 @@ class PiecewisePolyCdf(PiecewisePoly):
     :class:`PiecewisePoly` row is, with no padding to a common length.
     """
 
-    def _check_widths(self, widths) -> None:
+    @classmethod
+    def _check_widths(cls, widths) -> None:
         width = max(widths, default=0)
         if width > MAX_DEGREE + 1:
             raise DomainError(f"cdf degree {width - 1} exceeds the limit of {MAX_DEGREE}")
@@ -153,8 +156,8 @@ def make_adversarial_cdf(v1, gap, kink) -> PiecewisePolyCdf:
 class CdfOracle:
     """Query-counted cdf evaluator for the black-box model.
 
-    Each call is one query, and so is each point its float view
-    (:meth:`float_evaluator`) evaluates.  The batch query :meth:`grid_values`
+    Each call is one query, and so is each :meth:`ratio` and each point its
+    float view (:meth:`float_evaluator`) evaluates.  The batch query :meth:`grid_values`
     tabulates the grid j/K and counts as its K - 1 interior points.
     """
 
@@ -165,6 +168,22 @@ class CdfOracle:
     def __call__(self, x):
         self.query_count += 1
         return self._evaluator(x)
+
+    def ratio(self, p: int, q: int) -> tuple:
+        """F(p/q), q > 0, as one query: (a, c) with F(p/q) = a / c.
+
+        A piecewise-polynomial evaluator answers on ints by Horner's rule on
+        its piece (:meth:`PiecewisePoly.row_ratio`), with no Fraction and no
+        gcd.  Any other is called on Fraction(p, q): a rational answer gives
+        its numerator and denominator, and any other answer a comes back as
+        (a, 1.0).
+        """
+        self.query_count += 1
+        ev = self._evaluator
+        if isinstance(ev, PiecewisePoly):
+            return ev.row_ratio(ev.piece_of(p, q), p, q)
+        fx = ev(Fraction(p, q))
+        return (fx.numerator, fx.denominator) if isinstance(fx, Rational) else (fx, 1.0)
 
     def grid_values(self, K: int) -> tuple[list, object]:
         """(nums, den) with F(j/K) == nums[j] / den for j = 0..K; costs K - 1 queries.
@@ -296,7 +315,13 @@ def cdf_from_json(obj: dict) -> PiecewisePolyCdf:
             raise DomainError(f"piecewise_poly cdf is missing field {exc}")
         if not isinstance(coeffs, list):
             raise DomainError(f"coeffs must be a JSON array of coefficient rows, got {coeffs!r}")
-        dist = PiecewisePolyCdf(bps, tuple(parse_rational_list(row, "a coefficient row") for row in coeffs))
+        rows = [parse_rational_list(row, "a coefficient row", rational_pair) for row in coeffs]
+        PiecewisePolyCdf._check_widths(map(len, rows))  # before the lcm of a row that is too long
+        int_rows = []
+        for row in rows:  # over the lcm of its denominators; from_int_rows puts it in lowest terms by one gcd
+            scale = math.lcm(*(den for _, den in row))
+            int_rows.append(([num * (scale // den) for num, den in row], scale))
+        dist = PiecewisePolyCdf.from_int_rows(bps, int_rows)
         for j, (nums, scale) in enumerate(dist.int_rows):
             bits = max(scale.bit_length(), *(abs(c).bit_length() for c in nums))
             if bits > MAX_ROW_BITS:

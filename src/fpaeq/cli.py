@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -132,8 +133,8 @@ def _cmd_solve(args) -> int:
     if given["--at"] and given["--samples"]:
         raise DomainError("--at and --samples exclude each other")
     check_bidders(args.n)
-    # a sample is one bid; an exact one on a dense degree-64 cdf at n = 64 takes, on 2 vCPUs, 0.013-0.04 s at
-    # i / 2**e (4-11 min at MAX_K) and 0.6-1.3 s where the sample count is odd (3-6 h at MAX_K - 1)
+    # a sample is one bid; an exact one on a dense degree-64 cdf at n = 64 takes, on 2 vCPUs, 0.007-0.023 s at
+    # i / 2**e (2-6 min at MAX_K) and 0.57-0.8 s where the sample count is odd (2.6-3.6 h at MAX_K - 1)
     if args.samples is not None and args.samples > blackbox.MAX_K:
         raise DomainError(f"--samples {args.samples} exceeds the limit of {blackbox.MAX_K}")
     if args.model == "cdfpa":
@@ -153,11 +154,13 @@ def _cmd_solve(args) -> int:
             return 0
         bid = explicit.bid_ratio_evaluator(dist, args.n)  # no bid rows: they are built only to be printed
         if args.at is not None:
-            print(format_rational(Fraction(*bid(parse_rational(args.at)))))
+            x = parse_rational(args.at)
+            print(format_rational(Fraction(*bid(x.numerator, x.denominator))))
             return 0
         print("x,bid")
         for i in range(args.samples + 1):
-            num, den = bid(Fraction(i, args.samples))
+            g = math.gcd(i, args.samples)  # i / samples in lowest terms, with no Fraction
+            num, den = bid(i // g, args.samples // g)
             print(f"{i / args.samples},{num / den}")
         return 0
     if args.model == "ccfpa-blackbox":
@@ -166,7 +169,8 @@ def _cmd_solve(args) -> int:
         samples = args.samples or 100
         print("x,bid,L,U,queries")
         for i in range(samples + 1):
-            ev = blackbox.bid(plan, Fraction(i, samples))
+            g = math.gcd(i, samples)
+            ev = blackbox.bid(plan, (i // g, samples // g))
             upper = ev.upper_num / ev.den
             print(f"{i / samples},{upper},{ev.lower_num / ev.den},{upper},{oracle.query_count}")
         return 0

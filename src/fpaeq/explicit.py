@@ -12,8 +12,9 @@ nums[l] / scale, the form of :attr:`PiecewisePoly.int_rows`:
 * each piece's F_j**(n-1) comes from Miller's recurrence (:func:`poly.power_int`),
   one coefficient at a time from small-times-big products;
 * the integral is antidifferentiated on ints over scale * lcm(1, ..., len(row)),
-  and its constant matches the previous piece at the breakpoint, by Horner's
-  rule on ints;
+  that lcm and its quotients taken once per row length, and its constant
+  matches the previous piece at the breakpoint, by Horner's rule on ints and
+  one gcd;
 * the numerator row x * F_j**(n-1) - integral is formed on ints over one scale.
 
 No stage takes a gcd per term: the bid function keeps these integer rows, each
@@ -23,9 +24,11 @@ degree needs, whatever the other pieces' degrees, and a piece left of the
 support gets zero rows, the identity piece, from the same formula.  Rational values therefore map to exact rational bids.
 
 ``solve`` builds these rows only to print them as JSON.  Its ``--at`` and
-``--samples`` bids come from :func:`bid_ratio_evaluator`: one Horner pass on
-the cdf row gives F(x), one on the integral row gives the integral, and the
-bid x - I(x) / F(x)**(n-1) is one integer pair; no bid row is formed.
+``--samples`` bids come from :func:`bid_ratio_evaluator`, which reads x as an
+integer pair (p, q) in lowest terms: one Horner pass on the cdf row gives
+F(x), one on the integral row gives the integral, and the bid
+x - I(x) / F(x)**(n-1) is one integer pair; no bid row and no Fraction is
+formed.
 
 The float view of a bid function (:meth:`RationalBidFunction.float_evaluator`)
 makes one pass per call: one domain check, one piece search, and both rows with
@@ -133,42 +136,53 @@ def integral_coefficients(power_rows: tuple, dist: PiecewisePolyCdf) -> tuple:
     """Integer rows (nums, scale) of x -> integral_0^x F(t)**(n-1) dt from the power rows of dist, continuous across pieces.
 
     Row j is antidifferentiated over its power row's scale times
-    lcm(1, ..., len(row)).  Its constant is the previous row's value at
-    breakpoint j less its own there, both by :func:`horner_int`; the row's
-    scale grows to the constant's denominator where that one does not divide it.
+    m = lcm(1, ..., len(row)), coefficient l times m // (l + 1); m and its
+    quotients are computed once per row length.  The row's constant is the
+    previous row's value at breakpoint j less its own there, both by
+    :func:`horner_int`, and one gcd puts it over the row's scale, which grows
+    where the constant's denominator does not divide it.
     """
-    rows = []
+    rows, weights, lengths = [], {}, [len(b_row) for b_row, _ in power_rows]
     for j, (b_row, b_scale) in enumerate(power_rows):
-        m = math.lcm(*range(1, len(b_row) + 1))
-        c_row, scale = [0] + [c * (m // (l + 1)) for l, c in enumerate(b_row)], b_scale * m
+        if len(b_row) in weights:
+            m, quotients = weights[len(b_row)]
+        else:
+            m = math.lcm(*range(1, len(b_row) + 1))
+            quotients = map(m.__floordiv__, range(1, len(b_row) + 1))
+            if lengths.count(len(b_row)) > 1:  # kept only where reused: one dense row's would hold 3 MB
+                weights[len(b_row)] = m, (quotients := list(quotients))
+        c_row, scale = [0] + [c * w for c, w in zip(b_row, quotients)], b_scale * m
         if j > 0:
             (prev, prev_scale), v = rows[-1], dist.breakpoints[j]
             p, q = v.numerator, v.denominator
-            # a row's value at p/q is horner_int / (scale * q**degree)
-            c0 = (Fraction(horner_int(prev, p, q), prev_scale * q ** (len(prev) - 1))
-                  - Fraction(horner_int(c_row, p, q), scale * q ** (len(c_row) - 1)))
-            grow = c0.denominator // math.gcd(c0.denominator, scale)
+            # a row's value at p/q is horner_int / (scale * q**degree); the constant times scale is top / bottom
+            a, b = horner_int(prev, p, q), prev_scale * q ** (len(prev) - 1)
+            c, d = horner_int(c_row, p, q), scale * q ** (len(c_row) - 1)
+            top, bottom = (a * d - c * b) * scale, b * d
+            g = math.gcd(top, bottom)
+            grow = bottom // g
             if grow > 1:
                 c_row, scale = [c * grow for c in c_row], scale * grow
-            c_row[0] = c0.numerator * (scale // c0.denominator)
+            c_row[0] = top // g
         rows.append((c_row, scale))
     return tuple(rows)
 
 
-def bid_ratio_evaluator(dist: PiecewisePolyCdf, n: int) -> Callable[[Fraction], tuple[int, int]]:
-    """The bid at a rational x as :func:`canonical_ratio` gives it, (num, den), from F(x) and one integral row.
+def bid_ratio_evaluator(dist: PiecewisePolyCdf, n: int) -> Callable[[int, int], tuple[int, int]]:
+    """The bid at x = p/q, q > 0, as :func:`canonical_ratio` gives it, (num, den), from F(x) and one integral row.
 
-    At x = p/q in piece j, Horner on the cdf row (nums, s) of degree d gives A with F(x) = A / (s q**d),
-    and on the integral row (c, scale), of degree (n-1) d + 1, I(x) = horner_int(c) / (scale q**((n-1) d + 1)),
-    so x - I(x) / F(x)**(n-1) = (p scale A**(n-1) - horner_int(c) s**(n-1)) / (scale q A**(n-1)), with no
-    gcd taken.  Where A = 0 the bid is x, (p, q).  No numerator or denominator row is formed.
+    In piece j, Horner on the cdf row (nums, s) of degree d gives A with F(x) = A / (s q**d), and on the
+    integral row (c, scale), of degree (n-1) d + 1, I(x) = horner_int(c) / (scale q**((n-1) d + 1)), so
+    x - I(x) / F(x)**(n-1) = (p scale A**(n-1) - horner_int(c) s**(n-1)) / (scale q A**(n-1)), with no gcd
+    taken.  Where A = 0 the bid is x, (p, q).  No numerator or denominator row is formed.  An unreduced
+    pair gives the same rational, with num and den g**((n-1) d + 1) times larger, so callers pass p/q in
+    lowest terms.
     """
     k = n - 1
     pieces = [(nums, c_row, scale, s**k) for (nums, s), (c_row, scale)
               in zip(dist.int_rows, integral_coefficients(power_coefficients(dist, n), dist))]
 
-    def ratio(x: Fraction) -> tuple[int, int]:
-        p, q = x.numerator, x.denominator
+    def ratio(p: int, q: int) -> tuple[int, int]:
         nums, c_row, scale, s_k = pieces[dist.piece_of(p, q)]
         a = horner_int(nums, p, q)
         if a == 0:  # left of the support or at its infimum, where continuity gives bid = x

@@ -16,10 +16,12 @@ builds or runs float rows.
 A row is held once, as integer numerators over one denominator in lowest terms
 and at its true degree, with no zero leading coefficient (Knuth, TAOCP vol. 2,
 4.6.1); the zero polynomial is ``(0,)``.  Horner's rule at x = p/q
-(:func:`horner_int`, whose powers of q cost shifts at dyadic points) and the
-power of a row (:func:`power_int`, by J. C. P. Miller's recurrence) run on
-Python ints, and each result is normalised once, where Fraction arithmetic
-would take a gcd per operation.  A row's Fractions are made
+(:func:`horner_int`) and the power of a row (:func:`power_int`, by J. C. P.
+Miller's recurrence) run on Python ints, and each result is normalised once,
+where Fraction arithmetic would take a gcd per operation.  At a dyadic point,
+q = 2**e, Horner adds each coefficient shifted, with no product by a power of
+q; Miller's recurrence runs each coefficient's sum as a plain loop over the
+row's nonzero terms, with their weights computed once per power.  A row's Fractions are made
 only to be read (:attr:`PiecewisePoly.rows`), as when they are printed; float
 coefficients are the correctly rounded quotients of the integers.  The batch
 query on the grid j/K (:meth:`PiecewisePoly.grid_values`) tabulates each piece
@@ -79,15 +81,20 @@ def float_bounds(x) -> tuple[float, float]:
 def horner_int(nums: Sequence[int], p: int, q: int) -> int:
     """sum(nums[l] * p**l * q**(d - l)) with d = len(nums) - 1: q**d times the polynomial at p/q.
 
-    With q = r * 2**e, r odd, q**j is r**j shifted by e * j bits: at a dyadic point, a float or i / 2**e, a shift.
+    With q = r * 2**e, r odd, q**j is r**j shifted by e * j bits: at a dyadic point, a float or i / 2**e, where
+    r = 1, each coefficient is shifted and multiplied by nothing.
     """
     e = (q & -q).bit_length() - 1
-    r, d = q >> e, len(nums) - 1
-    acc, rk, shift = nums[d], 1, 0
-    for l in range(d - 1, -1, -1):
+    r, acc, shift = q >> e, nums[-1], 0
+    if r == 1:
+        for c in nums[-2::-1]:
+            shift += e
+            acc = acc * p + (c << shift) if c else acc * p
+        return acc
+    rk = 1
+    for c in nums[-2::-1]:
         rk *= r
         shift += e
-        c = nums[l]
         acc = acc * p + ((c * rk) << shift) if c else acc * p
     return acc
 
@@ -107,8 +114,13 @@ def power_int(nums: Sequence[int], k: int) -> list[int]:
     s = next(i for i, c in enumerate(g) if c)
     g = g[s:]
     g0, d, P = g[0], len(g) - 1, [g[0] ** k]
+    terms = [(i, (k + 1) * i, c) for i, c in enumerate(g) if i and c]  # the nonzero g_i, i >= 1, in order
     for m in range(1, k * d + 1):
-        acc = sum(((k + 1) * i - m) * g[i] * P[m - i] for i in range(1, min(m, d) + 1))
+        acc = 0
+        for i, w, c in terms:
+            if i > m:
+                break
+            acc += (w - m) * c * P[m - i]
         P.append(acc // (m * g0))
     return [0] * (s * k) + P + [0] * (size - s * k - len(P))
 
@@ -262,7 +274,8 @@ class PiecewisePoly:
         self._set(breakpoints, rows)
         return self
 
-    def _check_widths(self, widths) -> None:
+    @classmethod
+    def _check_widths(cls, widths) -> None:
         """Hook on the row lengths, which both constructors call before they convert anything."""
 
     def _set(self, breakpoints: Sequence, int_rows: list) -> None:

@@ -25,13 +25,9 @@ def parse_rational(value) -> Fraction:
     first build the power of ten.  The common form "-?digits(/digits)?", in
     ASCII digits, is read by int; every other string by Fraction.
     """
-    if value.__class__ is str and len(value) <= SHORT and value.isascii():  # "-?digits(/digits)?", read by int
-        num, slash, den = value.partition("/")
-        if (num[1:] if num[:1] == "-" else num).isdigit():
-            if not slash:
-                return Fraction(int(num))
-            if den.isdigit() and int(den):
-                return Fraction(int(num), int(den))
+    pair = _short_pair(value)
+    if pair is not None:
+        return Fraction(*pair)
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):  # an int subclass: JSON true and false are not 1 and 0
@@ -50,11 +46,31 @@ def parse_rational(value) -> Fraction:
     raise ValueError(f"not a rational: {value!r} (expected a \"p/q\" or integer string, or an integer)")
 
 
-def parse_rational_list(value, what: str) -> tuple:
-    """A JSON array of rationals as a tuple of Fractions; DomainError for any other shape."""
+def _short_pair(value) -> tuple[int, int] | None:
+    """The two ints of a string of at most SHORT ASCII characters in the form "-?digits(/digits)?" with a
+    nonzero denominator, as written ("14/32" gives (14, 32)); None for any other value."""
+    if value.__class__ is str and len(value) <= SHORT and value.isascii():
+        num, slash, den = value.partition("/")
+        if (num[1:] if num[:1] == "-" else num).isdigit():
+            if not slash:
+                return int(num), 1
+            if den.isdigit() and (q := int(den)):
+                return int(num), q
+    return None
+
+
+def rational_pair(value) -> tuple[int, int]:
+    """parse_rational(value) as (numerator, denominator), denominator > 0, with no Fraction for the common form
+    "-?digits(/digits)?", whose ints come as written and need not be in lowest terms; every other value goes
+    through parse_rational, with its errors."""
+    return _short_pair(value) or parse_rational(value).as_integer_ratio()
+
+
+def parse_rational_list(value, what: str, parse=parse_rational) -> tuple:
+    """A JSON array of rationals as a tuple of Fractions, or of what parse makes of each; DomainError for any other shape."""
     if not isinstance(value, list):
         raise DomainError(f"{what} must be a JSON array of rationals, got {value!r}")
-    return tuple(parse_rational(x) for x in value)
+    return tuple(parse(x) for x in value)
 
 
 def format_rational(q: Fraction) -> str:

@@ -306,3 +306,47 @@ class TestIntegerQuotients:
         for i, (x, (lower, upper)) in enumerate(zip(xs, sums)):
             assert blackbox[i] == [repr(float(v)) for v in (x, upper, lower, upper)] + [str(K + i)]
             assert explicit[i] == [repr(float(v)) for v in (x, rbf(x))]
+
+
+class TestOneQueryPerBid:
+    """A bid reads F(x) in one counted query: as an integer pair from a piecewise-polynomial oracle, through
+    CdfOracle.ratio, and at Fraction(p, q) from any other oracle; both give the same sums."""
+
+    @pytest.mark.parametrize("samples", [1, 7, 32, 33, 100])
+    @pytest.mark.parametrize("seed,K,n", [(0, 16, 2), (3, 64, 5), (11, 7, 3), (29, 33, 64)])
+    def test_both_routes(self, seed, K, n, samples):
+        dist = seeded_cdf(seed, K)
+        plans = [fq.precompute(fq.CdfOracle(f), n, F(1, K)) for f in (dist, lambda x: dist(x))]
+        for i in range(samples + 1):
+            x = F(i, samples)
+            piecewise, opaque = (fq.bid(plan, x) for plan in plans)
+            assert (piecewise.lower, piecewise.upper) == (opaque.lower, opaque.upper) == fraction_plan_bid(dist, n, K, x)
+            # the pair form of x, in lowest terms and not, is the same bid
+            for pair in ((x.numerator, x.denominator), (3 * x.numerator, 3 * x.denominator)):
+                ev = fq.bid(plans[0], pair)
+                assert (ev.lower, ev.upper) == (piecewise.lower, piecewise.upper)
+            assert plans[0].oracle.query_count == K - 1 + 3 * (i + 1)
+            assert plans[1].oracle.query_count == K - 1 + i + 1
+
+    def test_pair_outside_the_unit_interval(self, square):
+        plan = fq.precompute(fq.CdfOracle(square), 2, F(1, 4))
+        for pair in ((-1, 3), (4, 3)):
+            with pytest.raises(fq.DomainError, match=f"x={F(*pair)} outside"):
+                fq.bid(plan, pair)
+        assert plan.oracle.query_count == 3
+
+    @pytest.mark.parametrize("samples", [1, 7, 32, 33, 100])
+    def test_csv_rows_are_fraction_bids(self, samples):
+        dist, n, K = seeded_cdf(3, 64), 5, 64
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "cdf.json"
+            path.write_text(json.dumps(piecewise_json(dist)))
+            rows = csv_rows(["solve", "--model", "ccfpa-blackbox", "--cdf", str(path), "--n", str(n),
+                             "--eps", f"1/{K}", "--samples", str(samples)])
+        oracle = fq.CdfOracle(dist)
+        plan, want = fq.precompute(oracle, n, F(1, K)), []
+        for i in range(samples + 1):
+            ev = fq.bid(plan, F(i, samples))
+            want.append([str(i / samples), str(float(ev.upper)), str(float(ev.lower)), str(float(ev.upper)),
+                         str(oracle.query_count)])
+        assert rows == want

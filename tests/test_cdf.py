@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import fpaeq as fq
 from fpaeq import DomainError, PiecewisePoly, PiecewisePolyCdf
@@ -445,4 +445,115 @@ class TestConstructors:
                                   "coeffs": [[f"1/{d}" for d in dens]]})
             else:
                 PiecewisePolyCdf.from_int_rows((0, 1), ((tuple(dens), math.prod(dens)),))
+        assert not calls
+
+
+def reference_parse_rational(value) -> F:
+    """parse_rational as it read every coefficient before the integer row reader, kept as the reference."""
+    if value.__class__ is str and len(value) <= 640 and value.isascii():
+        num, slash, den = value.partition("/")
+        if (num[1:] if num[:1] == "-" else num).isdigit():
+            if not slash:
+                return F(int(num))
+            if den.isdigit() and int(den):
+                return F(int(num), int(den))
+    if isinstance(value, F):
+        return value
+    if isinstance(value, bool):
+        raise ValueError(f"not a rational: {value!r} (booleans are not accepted)")
+    if isinstance(value, int):
+        return F(value)
+    if isinstance(value, str):
+        if "e" in value or "E" in value:
+            raise ValueError(f"not a rational: {value!r} (exponent notation is not accepted)")
+        try:
+            return F(value.strip())
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValueError(f"not a rational: {value!r}") from exc
+    if isinstance(value, float):
+        raise ValueError(f"not a rational: {value!r} (floats are not accepted)")
+    raise ValueError(f"not a rational: {value!r} (expected a \"p/q\" or integer string, or an integer)")
+
+
+def reference_list(value, what: str) -> tuple:
+    if not isinstance(value, list):
+        raise DomainError(f"{what} must be a JSON array of rationals, got {value!r}")
+    return tuple(reference_parse_rational(x) for x in value)
+
+
+def reference_piecewise_poly(obj: dict) -> PiecewisePolyCdf:
+    """cdf_from_json's piecewise_poly branch as it was, a Fraction per coefficient and int_row per row."""
+    bps = reference_list(obj["breakpoints"], "breakpoints")
+    coeffs = obj["coeffs"]
+    if not isinstance(coeffs, list):
+        raise DomainError(f"coeffs must be a JSON array of coefficient rows, got {coeffs!r}")
+    dist = PiecewisePolyCdf(bps, tuple(reference_list(row, "a coefficient row") for row in coeffs))
+    for j, (nums, scale) in enumerate(dist.int_rows):
+        bits = max(scale.bit_length(), *(abs(c).bit_length() for c in nums))
+        if bits > fq.cdf.MAX_ROW_BITS:
+            raise DomainError(f"coefficient row {j} needs {bits}-bit integers over one denominator, "
+                              f"above the limit of {fq.cdf.MAX_ROW_BITS} bits")
+    return dist
+
+
+def outcome(read, obj):
+    """The breakpoints and integer rows read, or the type and text of the exception raised."""
+    try:
+        dist = read(obj)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return type(dist), dist.breakpoints, dist.int_rows
+
+
+SMALL = st.fractions(min_value=-4, max_value=4, max_denominator=2**20)
+READABLE = st.one_of(  # every value here is a rational
+    SMALL.map(lambda q: f"{q.numerator}/{q.denominator}"),
+    st.tuples(SMALL, st.integers(2, 2**40)).map(lambda t: f"{t[0].numerator * t[1]}/{t[0].denominator * t[1]}"),
+    st.integers(-2**70, 2**70),
+    st.integers(-2**70, 2**70).map(str),
+    st.sampled_from(["14/32", "-0/5", "0/5", " 3/4 ", "1_000", "0.25", ".5", "-7", "+1/2", "١/٢", "5" * 640,
+                     "-" + "7" * 640, "9" * 700 + "/7", "1/2" + " " * 640]),
+)
+UNREADABLE = st.one_of(
+    st.sampled_from(["1e-3", "1E3", "1/0", "0/0", "1/-2", "-1/-2", "--1", "nan", "inf", "", "/", "3/", "1" * 641 + "/0",
+                     "1/" + "3" * 5000]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.booleans(),
+    st.none(),
+    st.text(alphabet="0123456789/-+_. e", max_size=8),
+)
+ROWS = st.one_of(
+    st.lists(READABLE, max_size=5),
+    st.lists(READABLE, max_size=5),
+    st.lists(st.one_of(READABLE, READABLE, UNREADABLE), max_size=5),
+    st.sampled_from(["0", 3, None, {"0": 1}, ["0"] * (MAX_DEGREE + 2), [f"1/{3 ** i}" for i in range(MAX_DEGREE + 2)],
+                     [f"1/{2 ** 64}", "1"], [str(2 ** 64), "1"]]),
+)
+
+
+class TestIntegerRowReader:
+    """cdf_from_json reads each piecewise_poly row straight into integers, with the rows and errors of the
+    Fraction reader it replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(rows=st.lists(ROWS, min_size=1, max_size=4), extra=st.sampled_from([0, 0, 0, 1, -1]))
+    def test_same_as_the_fraction_reader(self, rows, extra):
+        bps = [str(F(j, len(rows))) for j in range(len(rows) + 1 + extra)]
+        obj = {"kind": "piecewise_poly", "breakpoints": bps, "coeffs": rows}
+        assert outcome(fq.cdf_from_json, obj) == outcome(reference_piecewise_poly, obj)
+
+    @pytest.mark.parametrize("row", [["14/32", "18/32"], ["-0/5", "1"], [" 3/4 ", "1/4"], ["1_000", "-999"],
+                                     ["0.25", "3/4"], ["0", "1e-3"], ["1/0"], [0.5, 0.5], [True], [0, 1],
+                                     ["1" * 641], ["0", "1/" + "3" * 700], "0, 1"])
+    def test_named_values(self, row):
+        obj = {"kind": "piecewise_poly", "breakpoints": ["0", "1"], "coeffs": [row]}
+        assert outcome(fq.cdf_from_json, obj) == outcome(reference_piecewise_poly, obj)
+
+    def test_row_too_long_takes_no_lcm(self, monkeypatch):
+        # the degree limit is checked on the rows as read, before any row's lcm
+        calls = []
+        monkeypatch.setattr(fq.cdf, "math", SimpleNamespace(lcm=lambda *args: calls.append(args)))
+        row = [f"1/{2**60 + 2 * i + 1}" for i in range(MAX_DEGREE + 2)]
+        with pytest.raises(DomainError, match=f"degree {MAX_DEGREE + 1} exceeds"):
+            fq.cdf_from_json({"kind": "piecewise_poly", "breakpoints": ["0", "1/2", "1"], "coeffs": [["0", "1"], row]})
         assert not calls

@@ -280,16 +280,18 @@ class TestBidRatioEvaluator:
         rbf, ratio = fq.canonical_bid_function(dist, n), bid_ratio_evaluator(dist, n)
         points = [F(0), F(1), *dist.breakpoints, *(F(i, 32) for i in range(33)), *(F(i, 33) for i in range(34)), *extra]
         for x in points:
-            num, den = ratio(x)
             want_num, want_den = canonical_ratio(rbf, x)
-            assert den > 0
-            assert num * want_den == want_num * den
-            assert num / den == want_num / want_den
+            # the pair in lowest terms, as the CLI passes it, and unreduced: the same rational and the same float
+            for g in (1, 2, 3, 2**40 + 1):
+                num, den = ratio(g * x.numerator, g * x.denominator)
+                assert den > 0
+                assert num * want_den == want_num * den
+                assert num / den == want_num / want_den
         for x in (F(-1, 3), F(4, 3), F(-1), F(2)):
             with pytest.raises(fq.DomainError) as want:
                 canonical_ratio(rbf, x)
             with pytest.raises(fq.DomainError) as got:
-                ratio(x)
+                ratio(x.numerator, x.denominator)
             assert str(got.value) == str(want.value)
 
     @pytest.mark.parametrize("kind,seed,n", [("cubic", 7, 16), ("cubic", 3, 64), ("power", 2, 64),
@@ -309,17 +311,26 @@ class TestBidRatioEvaluator:
         dist, samples, built, long_rows = seeded_cubic(0, 8), 32, [], []
         cdf_width = max(len(nums) for nums, _ in dist.int_rows)
         horner_int, from_int_rows = fq.explicit.horner_int, fq.PiecewisePoly.from_int_rows.__func__
-        canonical_bid_function = fq.explicit.canonical_bid_function
+        canonical_bid_function, load_cdf = fq.explicit.canonical_bid_function, fq.cli._load_cdf
         monkeypatch.setattr(fq.explicit, "canonical_bid_function",
                             lambda *args: built.append(args) or canonical_bid_function(*args))
-        monkeypatch.setattr(fq.PiecewisePoly, "from_int_rows",
-                            classmethod(lambda cls, *args: built.append(args) or from_int_rows(cls, *args)))
+
+        def load_then_spy(path):  # the cdf reader builds its own rows by from_int_rows: the spy starts after it
+            loaded = load_cdf(path)
+            monkeypatch.setattr(fq.PiecewisePoly, "from_int_rows",
+                                classmethod(lambda cls, *args: built.append(args) or from_int_rows(cls, *args)))
+            return loaded
+
+        monkeypatch.setattr(fq.cli, "_load_cdf", load_then_spy)
         monkeypatch.setattr(fq.explicit, "horner_int",
-                            lambda nums, p, q: (len(nums) > cdf_width and long_rows.append(q)) or horner_int(nums, p, q))
+                            lambda nums, p, q: (len(nums) > cdf_width and long_rows.append((p, q))) or horner_int(nums, p, q))
         out = solve_output(capsys, dist, 16, tmp_path, "--samples", str(samples))
         monkeypatch.undo()
         assert built == []
         assert len(long_rows) <= samples + 1 + 2 * dist.pieces
+        # every point of the integral row, breakpoint j/8 or sample i/32, comes in lowest terms
+        assert all(math.gcd(p, q) == 1 and samples % q == 0 for p, q in long_rows)
+        assert {F(i, samples) for i in range(1, samples + 1)} <= {F(p, q) for p, q in long_rows}
         assert out == reference_csv(dist, 16, samples)
 
 

@@ -40,16 +40,23 @@ CASES = [  # argv, stdout file, bound in s; optionally a peak RSS bound in MB, a
     # stays until the plan's exact sums give way to bounded precision, which will set this row's time anew
     (["solve", "--model", "ccfpa-blackbox", *DENSE, "--eps", "1/16384"], "blackbox.csv", 60,
      dict(mb=200, sha256="26e7157c1962ca3b92d839cf8baf2369b0fd1cc23ae891ebb6eaed88a8eb0150")),
-    # Miller's recurrence and Horner by shifts at i/32: the JSON takes 2.2-2.4 s and 85 MB.  The CSV reads
-    # F(x) and the integral row at each i/32 in lowest terms, 0.7-0.9 s and 36 MB: 3 s and 42 MB fail it where
-    # it builds the bid rows again (1.4-1.5 s and 51 MB) or brings back the packed power or the q**k products
-    (["solve", "--model", "ccfpa-explicit", *DENSE], "explicit.json", 8,
-     dict(mb=200, sha256="0259fb2cdba82fff718f9b5245633ea7366344fa52635c43813efe4043b1cf6a")),
+    # Miller's recurrence and Horner by shifts at i/32.  The JSON holds the cdf row and the integral row, with
+    # no gcd per coefficient: 1.0-1.2 s, 68 MB and 11.7 MB of output.  3 s is about 3 times its time, and 80 MB,
+    # 1.2 times its peak, fails the numerator and denominator rows it printed before (2.1-2.4 s, 85 MB).  The CSV
+    # reads F(x) and the integral row at each i/32 in lowest terms, 0.6-0.9 s and 36 MB: 3 s and 42 MB fail it
+    # where it builds the bid rows again (1.4-1.5 s and 51 MB) or brings back the packed power or the q**k products
+    (["solve", "--model", "ccfpa-explicit", *DENSE], "explicit.json", 3,
+     dict(mb=80, sha256="128c63426b00a3ca0292a1eeca7b82bbbd959107cd0d1d71008ddd878cee00a5")),
     (["solve", "--model", "ccfpa-explicit", *DENSE, "--samples", "32"], "explicit.csv", 3,
      dict(mb=42, sha256="e2536c179617116cddbbc98bab051275a415471ac079ab63868441305377a149")),
-    # at n = 8 every float bid of the dense rows falls back to the exact one, so the verify's time is
-    # the number of bids it reads: one read at the 513 values i/512, 0.8-1.0 s alone and in a full run
-    # of this script, where an inversion per deviation j/256 took 6.4-8.7 s and 60 bisection steps 14-16 s
+    # the float view bounds x - I / F**(n-1), whose error shrinks by I / F**(n-1) over the bid: it takes 512 of
+    # the 513 values i/512 in floats at n = 64, and only x = 0, where F = 0, exact.  The read of the 11.7 MB
+    # bid and the verify take 0.6 s and 52 MB; 2 s, about 3 times that, fails the division of the two long
+    # rows, which took every bid exact (9.9-11.4 s)
+    (["verify", "--mode", "grid", "--strategy", "explicit.json", "--cdf", "dense.json", "--n", "64"],
+     "explicit-grid-verify.json", 2, dict(mb=80)),
+    # the same at n = 8: 0.2 s for the solve and 0.2 s for the verify, each mostly start-up, where dividing
+    # the two long rows took every float bid exact (0.4 s) and an inversion per deviation j/256 6.4-8.7 s
     (["solve", "--model", "ccfpa-explicit", "--cdf", "dense.json", "--n", "8"], "dense-n8.json", 8, {}),
     (["verify", "--mode", "grid", "--strategy", "dense-n8.json", "--cdf", "dense.json", "--n", "8"],
      "dense-n8-grid.json", 4, {}),
@@ -73,18 +80,19 @@ CASES = [  # argv, stdout file, bound in s; optionally a peak RSS bound in MB, a
     # 4 000 000 trials, the MAX_MC_TRIALS limit, counted per class of the top opposing bid by one multinomial
     # draw: 0.15-0.25 s and 36 MB, as a run of 2 trials takes, where drawing a level per trial, 8192 at a time,
     # took 0.3-0.6 s, and a cdf inversion and a bid per trial 3.3-4.4 s.  The digest pins the seed's draw
-    # and the deviations, the bids beta(i/8) and the float above each.  The solve of the strategy takes
+    # and the deviations, the bids beta(i/8) and the float above each, as the float view x - I / F**(n-1)
+    # rounds them (sigma's last bits moved from the quotient of two rows).  The solve of the strategy takes
     # 0.2-0.4 s, mostly start-up; 1.5 s, as for the verify, fails a bid function that takes a second to build
     (["solve", "--model", "ccfpa-explicit", "--cdf", "square.json", "--n", "2"], "square-bid.json", 1.5, {}),
     (["verify", "--strategy", "square-bid.json", "--cdf", "square.json", "--n", "2", "--mode", "mc",
       "--trials", "4000000"], "square-mc.json", 1.5,
-     dict(mb=100, sha256="3bd32d448158bc2156e290f6b3fb92dcd6b62c23303e39f0e89aa43f54b403e2")),
+     dict(mb=100, sha256="3ad1dddfcf768ad3979c57974564dea78a43e59e299f391bad03a5cb2eb9d527")),
     # the same at n = 64, n classes per compared bid: 0.15-0.25 s and 36 MB, where a level per trial took
     # 0.3-0.6 s, and a cdf inversion and a bid per trial 7.5-10 s.  The solve, 0.2-0.4 s, is bounded as above
     (["solve", "--model", "ccfpa-explicit", "--cdf", "square.json", "--n", "64"], "square-bid-n64.json", 1.5, {}),
     (["verify", "--strategy", "square-bid-n64.json", "--cdf", "square.json", "--n", "64", "--mode", "mc",
       "--trials", "4000000"], "square-mc-n64.json", 1.5,
-     dict(mb=100, sha256="79f703faa9cbd21f56cd5aa40e62edea7d538f41b10cdee1627bdfa83957bb13")),
+     dict(mb=100, sha256="1bcfcc3e553e77bdd97961a866facd139b6d2f7d6683f52ddac8bbf7a6157de0")),
 ]
 
 

@@ -3,7 +3,8 @@
 For the uniform distribution with n bidders the equilibrium bid is
 ((n-1)/n) * x, and for F(x) = x^d with two bidders it is (d/(d+1)) * x.
 This script builds the exact rational bid functions and checks both families,
-then prints the per-piece representation for a cdf without a closed form.
+then prints the stored rows, the cdf's and the integral's, for a cdf without a
+textbook closed form.
 """
 
 from fractions import Fraction
@@ -31,17 +32,13 @@ two_piece = fq.PiecewisePolyCdf(
 rbf = fq.canonical_bid_function(two_piece, 2)
 
 
-def row(coeffs):
-    """A coefficient row, constant term first, as rationals p/q."""
-    return "(" + ", ".join(map(format_rational, coeffs)) + ")"
+def row(nums, scale):
+    """An integer row over its scale, constant term first, as rationals p/q."""
+    return "(" + ", ".join(format_rational(Fraction(c, scale)) for c in nums) + ")"
 
 
-print("\ntwo-piece cdf, n = 2, per-piece rational bid function (coefficients from the constant term up):")
-bps = rbf.denominator.breakpoints
-for j, (numer, denom) in enumerate(zip(rbf.numerator.rows, rbf.denominator.rows)):
-    lo, hi = bps[j], bps[j + 1]
-    if not any(denom):
-        print(f"  [{lo}, {hi}]: identity (below the support)")
-    else:
-        print(f"  [{lo}, {hi}]: numerator {row(numer)} / denominator {row(denom)}")
+print("\ntwo-piece cdf, n = 2: bid(x) = x - I(x) / F(x), I the integral of F (coefficients from the constant term up):")
+bps = rbf.cdf.breakpoints
+for j, (cdf_row, integral_row) in enumerate(zip(rbf.cdf.int_rows, rbf.integral_rows)):
+    print(f"  [{bps[j]}, {bps[j + 1]}]: F = {row(*cdf_row)}, I = {row(*integral_row)}")
 print("  e.g. bid(3/4) =", rbf(Fraction(3, 4)))

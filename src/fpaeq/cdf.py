@@ -35,20 +35,20 @@ ONE = Fraction(1)
 # 19-bit, a 157-bit or a 961-bit denominator, where the remainder sequences took 0.06 s,
 # 1.4 s and 44 s (their work grows with the coefficient size, not only the degree); a
 # piece with derivative 1 + T_63(2x - 1), whose double roots send it to the remainder
-# sequences, took 2 ms.  Bid functions built from a cdf are not bounded by
-# it: their denominators have degree (n - 1) times the cdf's.  The largest admitted
-# explicit solve, `solve --model ccfpa-explicit --n 64` on one dense degree-64 row with
-# 58-bit weights over their sum (a 64-bit denominator), takes 2.2-2.4 s and 85 MB peak RSS
-# with CPython 3.11 on 2 vCPUs (.github/worst_cases.py), 0.5 s at n = 32; a rule that admits inputs by their
-# estimated bit-work should keep this case in bounds.
+# sequences, took 2 ms.  A bid function's integral rows, of degree (n - 1) times their cdf
+# row's plus 1, are not bounded by it.  The largest admitted explicit solve, `solve --model
+# ccfpa-explicit --n 64` on one dense degree-64 row with 58-bit weights over their sum (a 64-bit
+# denominator), takes 1.0 s and 68 MB peak RSS and prints 11.7 MB, and the grid verify of that
+# bid 0.6 s and 52 MB, with CPython 3.11 on 2 vCPUs (.github/worst_cases.py); a rule that admits
+# inputs by their estimated bit-work should keep this case in bounds.
 MAX_DEGREE = 64
-# Most bits of an integer in a piecewise_poly row read by cdf_from_json: each numerator and
-# the common denominator of the row's integer form (PiecewisePoly.int_rows).  validate()'s
+# Most bits of an integer in a piecewise_poly row, or a canonical_bid's cdf row, read from JSON:
+# each numerator and the common denominator of the row's integer form (PiecewisePoly.int_rows).  validate()'s
 # remainder sequences grow with these sizes; with CPython 3.11 on 2 vCPUs they took 0.29 s
 # on a dense degree-64 piece with 63-bit integers and 1.4 s at 157 bits, where the count of
 # sign variations that decides such a piece first took 0.2 ms.  A piece the count leaves
-# undecided still runs them.  Cdfs the library builds, such as bid-function rows or
-# strongly_increasing_transform's mix, are not bounded by it.
+# undecided still runs them.  Rows the library builds, such as a bid function's integral rows
+# or strongly_increasing_transform's mix, are not bounded by it.
 MAX_ROW_BITS = 64
 
 
@@ -240,8 +240,8 @@ def float_view(f) -> Callable:
     Anything with a ``float_evaluator`` gives its own: a piecewise polynomial,
     such as a cdf or the step bid function of jump points, evaluates its float
     coefficients (:meth:`PiecewisePoly.float_evaluator`), a
-    :class:`RationalBidFunction` divides float rows where their error bound
-    allows and is exact elsewhere (:meth:`RationalBidFunction.float_evaluator`),
+    :class:`RationalBidFunction` forms x - I / F**(n-1) in floats where its error
+    bound allows and is exact elsewhere (:meth:`RationalBidFunction.float_evaluator`),
     and a :class:`CdfOracle` counts a query per point
     (:meth:`CdfOracle.float_evaluator`).  Any other function is called on the
     exact rational value of x, elementwise for an array, and its result is
@@ -322,10 +322,15 @@ def cdf_from_json(obj: dict) -> PiecewisePolyCdf:
             scale = math.lcm(*(den for _, den in row))
             int_rows.append(([num * (scale // den) for num, den in row], scale))
         dist = PiecewisePolyCdf.from_int_rows(bps, int_rows)
-        for j, (nums, scale) in enumerate(dist.int_rows):
-            bits = max(scale.bit_length(), *(abs(c).bit_length() for c in nums))
-            if bits > MAX_ROW_BITS:
-                raise DomainError(f"coefficient row {j} needs {bits}-bit integers over one denominator, "
-                                  f"above the limit of {MAX_ROW_BITS} bits")
+        check_row_bits(dist)
         return dist
     raise DomainError(f"unknown cdf kind: {kind!r}")
+
+
+def check_row_bits(dist: PiecewisePolyCdf) -> None:
+    """DomainError unless every integer of each row of dist, in lowest terms, has at most MAX_ROW_BITS bits."""
+    for j, (nums, scale) in enumerate(dist.int_rows):
+        bits = max(scale.bit_length(), *(abs(c).bit_length() for c in nums))
+        if bits > MAX_ROW_BITS:
+            raise DomainError(f"coefficient row {j} needs {bits}-bit integers over one denominator, "
+                              f"above the limit of {MAX_ROW_BITS} bits")

@@ -1,9 +1,9 @@
 """Command-line front-end: parse auction specs, dispatch solvers, emit results.
 
-Exit codes: 0 success, 1 validation/solve failure, 2 usage or input error.  Every
-command validates the cdf it loads, and an invalid one exits 1.  The limits on
-n, the black-box grid size and --samples, and solve's --eps and --bids, are
-checked first.
+Exit codes: 0 success, 1 validation/solve failure or unwritable output (quietly for a
+closed pipe), 2 usage or input error, 130 interrupted.  Every command validates the cdf
+it loads, and an invalid one exits 1.  The limits on n, the black-box grid size and
+--samples, and solve's --eps and --bids, are checked first.
 A well-formed command line is read against its command's option table, and anything
 else goes to argparse, which keeps every help, usage and error text; `fpaeq --help`
 lists the commands.
@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 
@@ -23,24 +24,37 @@ from . import blackbox, discrete, explicit, verify
 from .cdf import CdfOracle, cdf_from_json
 from .discrete import BidGrid, JumpPointStrategy
 from .errors import DomainError, PrecisionError, check_bidders
-from .rationals import format_rational, parse_rational, parse_rational_list
+from .rationals import format_rational, parse_rational, parse_rational_list, shown
 
 USAGE_ERROR = 2
 FAILURE = 1
+INTERRUPTED = 130  # 128 + SIGINT: the code a shell gives a command that Ctrl-C ends
+# Most characters of a rational on the command line (--at, --eps and each of --bids), as a solve's work grows with
+# them: CPython's default int-to-str limit, which bounded them while every string went through Fraction.
+MAX_ARG_CHARS = 4300
 
 
 def _load_json(path: str, what: str) -> dict:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except FileNotFoundError:
         raise DomainError(f"{what}: file not found: {path}")
     except OSError as exc:  # a directory, or a file without read permission
         raise DomainError(f"{what}: cannot read {path}: {exc.strerror}")
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"{what}: cannot read {path}: not UTF-8 text ({exc.reason} at byte {exc.start})")
     except json.JSONDecodeError as exc:
         raise DomainError(f"{what}: malformed JSON in {path}: {exc}")
     except RecursionError:
         raise DomainError(f"{what}: malformed JSON in {path}: nested too deeply")
+
+
+def _arg_rational(text) -> Fraction:
+    """parse_rational of a command-line value, which may have at most MAX_ARG_CHARS characters."""
+    if isinstance(text, str) and len(text) > MAX_ARG_CHARS:
+        raise DomainError(f"not a rational: {shown(text)} (more than {MAX_ARG_CHARS} characters on the command line)")
+    return parse_rational(text)
 
 
 class InvalidCdf(Exception):
@@ -72,7 +86,7 @@ def _parse_bids(text: str) -> BidGrid:
     except RecursionError:
         raise DomainError("bids: malformed JSON array: nested too deeply")
     try:
-        return BidGrid(parse_rational_list(raw, "bids"))
+        return BidGrid(parse_rational_list(raw, "bids", _arg_rational))
     except ValueError as exc:
         raise DomainError(f"bids: {exc}")
 
@@ -102,14 +116,14 @@ def _strategy_to_json(strategy: JumpPointStrategy, cert) -> dict:
 
 
 def _load_strategy(path: str, bids):
-    """A strategy file: a rational bid function, or jump points on the grid of the --bids text."""
+    """A strategy file: a canonical bid function, or jump points on the grid of the --bids text."""
     obj = _load_json(path, "strategy")
     kind = obj.get("kind") if isinstance(obj, dict) else None
-    if kind == "rational_bid_function":
+    if kind == "canonical_bid":
         try:
             return explicit.rbf_from_json(obj)
-        except (KeyError, ValueError) as exc:
-            raise DomainError(f"strategy: bad rational_bid_function object ({exc})")
+        except ValueError as exc:
+            raise DomainError(f"strategy: bad canonical_bid object ({exc})")
     if kind != "jump_points":
         raise DomainError(f"strategy: unknown kind field {kind!r}")
     if bids is None:
@@ -144,17 +158,18 @@ def _cmd_solve(args) -> int:
     if args.model != "ccfpa-explicit":
         if args.eps is None:
             raise DomainError(f"--eps is required for the {args.model} model")
-        eps = parse_rational(args.eps)
+        eps = _arg_rational(args.eps)
         if args.model == "ccfpa-blackbox":
             blackbox.grid_size(eps)
     dist = _load_cdf(args.cdf)
     if args.model == "ccfpa-explicit":
+        rbf = explicit.canonical_bid_function(dist, args.n)
         if args.at is None and args.samples is None:
-            print(json.dumps(explicit.rbf_to_json(explicit.canonical_bid_function(dist, args.n)), indent=2))
+            print(json.dumps(explicit.rbf_to_json(rbf), indent=2))
             return 0
-        bid = explicit.bid_ratio_evaluator(dist, args.n)  # no bid rows: they are built only to be printed
+        bid = rbf.ratio
         if args.at is not None:
-            x = parse_rational(args.at)
+            x = _arg_rational(args.at)
             print(format_rational(Fraction(*bid(x.numerator, x.denominator))))
             return 0
         print("x,bid")
@@ -221,7 +236,7 @@ def _cmd_eval(args) -> int:
         raise DomainError("--cdf is not read with --strategy")
     if not args.strategy and args.bids is not None:
         raise DomainError("--bids is read only with --strategy")
-    x = parse_rational(args.at)
+    x = _arg_rational(args.at)
     if args.strategy:
         print(format_rational(_load_strategy(args.strategy, args.bids)(x)))
         return 0
@@ -335,9 +350,16 @@ def _parse_args(argv) -> argparse.Namespace:
 
 
 def main(argv=None) -> int:
-    args = _parse_args(argv)
+    """Run one command and return its exit code, with one line on stderr for each failure and no traceback.
+
+    stdout is flushed here, so that a write that fails does so inside this call; it then goes to os.devnull, so
+    the flush at exit cannot fail again, and a closed pipe ends quietly (the Python documentation's note on SIGPIPE).
+    """
     try:
-        return args.func(args)
+        args = _parse_args(argv)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
@@ -347,6 +369,14 @@ def main(argv=None) -> int:
     except PrecisionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return FAILURE
+    except OSError as exc:  # every file is read in _load_json, so this is a write to stdout
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if not isinstance(exc, BrokenPipeError):  # such as a full disk
+            print(f"error: cannot write output: {exc.strerror}", file=sys.stderr)
+        return FAILURE
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return INTERRUPTED
 
 
 if __name__ == "__main__":

@@ -325,7 +325,7 @@ class PiecewisePoly:
 
     def support_infimum(self) -> Fraction:
         """Left end of the first piece whose row is not zero: for a cdf, whose pieces are nondecreasing, the
-        largest x with F(x) = 0, and the same point for the denominator rows F_j**(n-1) of its bid function."""
+        largest x with F(x) = 0."""
         for b, (nums, _) in zip(self.breakpoints, self.int_rows):
             if any(nums):
                 return b

@@ -3,6 +3,8 @@ import contextlib
 import io
 import json
 import os
+import random
+import signal
 import subprocess
 import sys
 from decimal import Decimal
@@ -15,7 +17,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import fpaeq as fq
 from fpaeq import cli
 from fpaeq.cli import main
-from fpaeq.rationals import format_rational, parse_rational
+from fpaeq.rationals import format_rational, parse_rational, rational_pair, shown
 
 from conftest import piecewise_json
 
@@ -25,23 +27,29 @@ NEAR_SHORT_BITS = st.builds(lambda k, d, sign: sign * (2**k + d), st.integers(21
 
 
 def reference_parse_rational(value) -> F:
-    """parse_rational as it was before its int fast path: every string read by Fraction."""
+    """parse_rational as it was before its int fast path: every string read by Fraction, except the form
+    "-?digits(/digits)?" past the int-to-str limit, which format_rational writes, read by int(Decimal(...)); each
+    error echoes the value as rationals.shown does."""
     if isinstance(value, F):
         return value
     if isinstance(value, bool):
-        raise ValueError(f"not a rational: {value!r} (booleans are not accepted)")
+        raise ValueError(f"not a rational: {shown(value)} (booleans are not accepted)")
     if isinstance(value, int):
         return F(value)
     if isinstance(value, str):
         if "e" in value or "E" in value:
-            raise ValueError(f"not a rational: {value!r} (exponent notation is not accepted)")
+            raise ValueError(f"not a rational: {shown(value)} (exponent notation is not accepted)")
+        num, slash, den = value.partition("/")
+        if len(value) > 4300 and value.isascii() and (num[1:] if num[:1] == "-" else num).isdigit() and (
+                not slash or den.isdigit() and int(Decimal(den))):
+            return F(int(Decimal(num)), int(Decimal(den)) if slash else 1)
         try:
             return F(value.strip())
         except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"not a rational: {value!r}") from exc
+            raise ValueError(f"not a rational: {shown(value)}") from exc
     if isinstance(value, float):
-        raise ValueError(f"not a rational: {value!r} (floats are not accepted)")
-    raise ValueError(f"not a rational: {value!r} (expected a \"p/q\" or integer string, or an integer)")
+        raise ValueError(f"not a rational: {shown(value)} (floats are not accepted)")
+    raise ValueError(f"not a rational: {shown(value)} (expected a \"p/q\" or integer string, or an integer)")
 
 
 @st.composite
@@ -53,6 +61,10 @@ def rational_texts(draw):
     if draw(st.booleans()):
         head += "/" + "".join(draw(st.lists(pieces, max_size=6)))
     return head
+
+
+# F = x and I = x**2 / 2, of n = 2: the bid x / 2
+HALF_PIECE = {"cdf": ["0", "1"], "cdf_scale": "1", "integral": ["0", "0", "1"], "integral_scale": "2"}
 
 
 @pytest.fixture
@@ -279,50 +291,93 @@ class TestInputContract:
     @pytest.mark.parametrize("strategy", [
         {"pieces": ["foo"]},
         {"pieces": "identity"},
-        {"pieces": [{"numerator": "1/2", "denominator": ["1"]}]},
-        {"pieces": [{"numerator": ["0", "1"], "denominator": 1}]},
-        {"pieces": ["identity"], "breakpoints": "0 1"},
-        {"pieces": ["identity"], "n": [2]},
-        {"pieces": ["identity"], "n": "5/2"},
+        {"pieces": [{**HALF_PIECE, "cdf": "0 1"}]},
+        {"pieces": [{**HALF_PIECE, "integral_scale": 1.5}]},
+        {"breakpoints": "0 1"},
+        {"n": [2]},
+        {"n": "5/2"},
     ])
     def test_malformed_rational_bid_function(self, capout, tmp_path, strategy):
-        obj = {"kind": "rational_bid_function", "n": 2, "support_infimum": "0",
-               "breakpoints": ["0", "1"], **strategy}
+        obj = {"kind": "canonical_bid", "n": 2, "breakpoints": ["0", "1"], "pieces": [HALF_PIECE], **strategy}
         strat = tmp_path / "s.json"
         strat.write_text(json.dumps(obj))
         code, out, err = capout("eval", "--strategy", str(strat), "--at", "1/2")
         assert code == 2 and out == ""
-        assert "rational_bid_function" in err
+        assert err.startswith("error: strategy: bad canonical_bid object (") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("change,message", [
+        ({"n": None}, "missing field 'n'"),
+        ({"pieces": None}, "missing field 'pieces'"),
+        ({"pieces": [{"cdf": ["0", "1"], "cdf_scale": "1", "integral": ["0", "0", "1"]}]},
+         "each piece must be an object with the fields cdf, cdf_scale, integral and integral_scale"),
+        ({"pieces": [{**HALF_PIECE, "integral": ["0", "1"]}]},
+         "an integral row must hold 3 integers, (n - 1) times its cdf row's degree 1 plus 2"),
+        ({"pieces": [{**HALF_PIECE, "integral": ["0", "0", "1", "0"]}]}, "an integral row must hold 3 integers"),
+        ({"n": 3}, "an integral row must hold 4 integers"),
+        ({"pieces": [{**HALF_PIECE, "cdf": ["0", "1/2"]}]}, "cdf must be a JSON array of integers, got ['0', '1/2']"),
+        ({"pieces": [{**HALF_PIECE, "integral": ["0", "0", "x"]}]}, "not a rational: 'x'"),
+        ({"pieces": [{**HALF_PIECE, "cdf_scale": "0"}]}, "a scale must be a positive integer, got '0'"),
+        ({"pieces": [{**HALF_PIECE, "integral_scale": "-2"}]}, "a scale must be a positive integer, got '-2'"),
+        ({"n": 1}, "need n >= 2 bidders, got 1"),
+        ({"n": 65}, "n = 65 exceeds the limit of 64 bidders"),
+        ({"breakpoints": ["0", "1/2"]}, "breakpoints must increase strictly from 0 to 1, got ['0', '1/2']"),
+        ({"breakpoints": ["0", "1/2", "1"]}, "pieces must be a JSON array of 2 piece objects, one per interval"),
+        ({"pieces": [{**HALF_PIECE, "cdf": ["0"] * 66}]}, "cdf degree 65 exceeds the limit of 64"),
+        ({"pieces": [{**HALF_PIECE, "cdf": ["0", str(2**64)]}]}, "needs 65-bit integers over one denominator"),
+    ])
+    @pytest.mark.parametrize("argv", [["eval", "--at", "1/2"], ["verify", "--mode", "grid", "--n", "2"]])
+    def test_malformed_canonical_bid(self, capout, tmp_path, uniform_json, argv, change, message):
+        # each field is checked, with one line and exit 2: a missing field, a wrong row length, a non-integer
+        # string, n out of range, bad breakpoints, and the cdf file's limits on a cdf row
+        obj = {"kind": "canonical_bid", "n": 2, "breakpoints": ["0", "1"], "pieces": [HALF_PIECE]}
+        obj = {key: value for key, value in {**obj, **change}.items() if value is not None}
+        strat = tmp_path / "s.json"
+        strat.write_text(json.dumps(obj))
+        cdf = ["--cdf", uniform_json] if argv[0] == "verify" else []  # eval reads no cdf beside a strategy
+        code, out, err = capout(*argv, "--strategy", str(strat), *cdf)
+        assert code == 2 and out == "" and err.count("\n") == 1
+        assert err.startswith("error: strategy: bad canonical_bid object (") and message in err
 
     def test_solver_bid_function_loads(self, capout, tmp_path, shifted_json):
-        # zero on [0, 1/4], then (4x - 1)/3: the identity piece ends at the support infimum 1/4
+        # zero on [0, 1/4], then (4x - 1)/3: the zero piece's rows bid the identity up to the support infimum 1/4
         code, out, _ = capout("solve", "--model", "ccfpa-explicit", "--cdf", shifted_json, "--n", "2")
-        assert code == 0 and json.loads(out)["support_infimum"] == "1/4"
+        assert code == 0 and json.loads(out)["pieces"][0]["cdf"] == ["0"]
         strat = tmp_path / "s.json"
         strat.write_text(out)
         assert capout("eval", "--strategy", str(strat), "--at", "3/8")[:2] == (0, "5/16\n")
+        assert capout("eval", "--strategy", str(strat), "--at", "1/5")[:2] == (0, "1/5\n")
 
     @pytest.mark.parametrize("argv", [["eval", "--at", "3/8"], ["verify", "--mode", "grid", "--n", "2"]])
-    def test_support_infimum_off_the_rows(self, capout, tmp_path, shifted_json, argv):
-        # the same bid function claiming support infimum 1/2 would bid 3/8, the identity, at 3/8
+    def test_integral_row_off_the_cdf_row(self, capout, tmp_path, shifted_json, argv):
+        # the zero piece's integral row, of degree 1, given the length of the next piece's: refused, as the bid
+        # would read its rows at the wrong degree
         code, out, _ = capout("solve", "--model", "ccfpa-explicit", "--cdf", shifted_json, "--n", "2")
+        obj = json.loads(out)
+        obj["pieces"][0]["integral"] = obj["pieces"][1]["integral"]
         strat = tmp_path / "s.json"
-        strat.write_text(json.dumps({**json.loads(out), "support_infimum": "1/2"}))
+        strat.write_text(json.dumps(obj))
         cdf = ["--cdf", shifted_json] if argv[0] == "verify" else []  # eval reads no cdf beside a strategy
         code, out, err = capout(*argv, "--strategy", str(strat), *cdf)
         assert code == 2 and out == ""
-        assert "support_infimum '1/2' is not the left end of the first piece" in err
+        assert "an integral row must hold 2 integers, (n - 1) times its cdf row's degree 0 plus 2" in err
 
     @pytest.mark.parametrize("argv", [["eval", "--at", "1/2"], ["verify", "--mode", "grid", "--n", "2"]])
     def test_rational_bid_function_breakpoints_out_of_order(self, capout, tmp_path, uniform_json, argv):
-        obj = {"kind": "rational_bid_function", "n": 2, "support_infimum": "0",
-               "breakpoints": ["0", "3/4", "1/4", "1"], "pieces": ["identity"] * 3}
+        obj = {"kind": "canonical_bid", "n": 2, "breakpoints": ["0", "3/4", "1/4", "1"], "pieces": [HALF_PIECE] * 3}
         strat = tmp_path / "s.json"
         strat.write_text(json.dumps(obj))
         cdf = ["--cdf", uniform_json] if argv[0] == "verify" else []  # eval reads no cdf beside a strategy
         code, out, err = capout(*argv, "--strategy", str(strat), *cdf)
         assert code == 2 and out == ""
-        assert "strategy: bad rational_bid_function object (breakpoints must increase strictly from 0 to 1" in err
+        assert "strategy: bad canonical_bid object (breakpoints must increase strictly from 0 to 1" in err
+
+    def test_rational_bid_function_files_are_not_read(self, capout, tmp_path):
+        # the two-row form is no longer a strategy kind: its files exit 2, and solve writes them anew
+        strat = tmp_path / "s.json"
+        strat.write_text(json.dumps({"kind": "rational_bid_function", "n": 2, "breakpoints": ["0", "1"],
+                                     "pieces": [{"numerator": ["0", "0", "1/2"], "denominator": ["0", "1"]}]}))
+        code, out, err = capout("eval", "--strategy", str(strat), "--at", "1/2")
+        assert (code, out, err) == (2, "", "error: strategy: unknown kind field 'rational_bid_function'\n")
 
     def test_strategy_not_an_object(self, capout, tmp_path):
         strat = tmp_path / "s.json"
@@ -732,16 +787,16 @@ VALID_CDFS = [
 ]
 VALID_STRATEGIES = [
     {"kind": "jump_points", "s": ["0", "1/2", "1"], "U": ["0", "1/8", "1/4"]},
-    {"kind": "rational_bid_function", "n": 2, "support_infimum": "0", "breakpoints": ["0", "1"],
-     "pieces": [{"numerator": ["0", "0", "0", "2"], "denominator": ["0", "0", "3"]}]},
+    {"kind": "canonical_bid", "n": 3, "breakpoints": ["0", "1"],
+     "pieces": [{"cdf": ["0", "1"], "cdf_scale": "1", "integral": ["0", "0", "0", "1"], "integral_scale": "3"}]},
 ]
 FIELDS = ["kind", "exponent", "v1", "gap", "kink", "breakpoints", "coeffs", "s", "U", "n",
-          "support_infimum", "pieces", "numerator", "denominator"]
+          "pieces", "cdf", "cdf_scale", "integral", "integral_scale"]
 RATIONAL_TEXTS = st.fractions(min_value=-2, max_value=2, max_denominator=64).map(str)
 JSON_LEAVES = st.one_of(
     RATIONAL_TEXTS, RATIONAL_TEXTS, st.none(), st.booleans(), st.integers(-2**70, 2**70), st.floats(allow_nan=True, allow_infinity=True),
     st.sampled_from(["", "0", "1", "1/2", "-1/3", "3/2", "65", "1/0", "abc", "1e400", "identity", "uniform",
-                     "power", "adversarial", "piecewise_poly", "jump_points", "rational_bid_function"]),
+                     "power", "adversarial", "piecewise_poly", "jump_points", "canonical_bid"]),
     st.text(max_size=4),
 )
 JSON_VALUES = st.recursive(
@@ -836,12 +891,12 @@ class TestVerifyModes:
 
     @pytest.mark.parametrize("n", ["2", "3"])
     def test_mc_mode_refuses_a_decreasing_bid(self, capout, tmp_path, uniform_json, n):
-        # (1 - v) / 2: mc mode takes its classes from the thresholds of a nondecreasing bid function,
-        # so it refuses a decreasing one at every n, as grid mode does
+        # F = 1 and I = (3v - 1) / 2 give the bid (1 - v) / 2: mc mode takes its classes from the thresholds of
+        # a nondecreasing bid function, so it refuses a decreasing one at every n, as grid mode does
         strat = tmp_path / "falling.json"
-        strat.write_text(json.dumps({"kind": "rational_bid_function", "n": 2, "support_infimum": "0",
-                                     "breakpoints": ["0", "1"],
-                                     "pieces": [{"numerator": ["1/2", "-1/2"], "denominator": ["1"]}]}))
+        strat.write_text(json.dumps({"kind": "canonical_bid", "n": 2, "breakpoints": ["0", "1"],
+                                     "pieces": [{"cdf": ["1"], "cdf_scale": "1", "integral": ["-1", "3"],
+                                                 "integral_scale": "2"}]}))
         code, out, err = capout("verify", "--strategy", str(strat), "--cdf", uniform_json, "--n", n,
                                 "--mode", "mc", "--trials", "100")
         assert code == 2 and out == ""
@@ -1155,3 +1210,102 @@ class TestDispatch:
         code, out, err = capout(*[files.get(a, a) for a in ["solve", "--n=2", *SOLVE[1:5], *SOLVE[7:]]])
         assert code == 0 and out and err == ""
         assert built == ["fpaeq", *(f"fpaeq {name}" for name in cli.COMMANDS)]
+
+
+def long_integer_cdf() -> dict:
+    """x on [0, b], then x + (x - b)(1 - x) x**2 / 4, with b = 1/(2**61 - 1): a valid cdf whose bid at n = 64 has
+    integral rows of integers longer than the int-to-str limit of 4300 digits."""
+    b = F(1, 2**61 - 1)
+    row = [F(0), F(1), -b / 4, (1 + b) / 4, F(-1, 4)]
+    return {"kind": "piecewise_poly", "breakpoints": ["0", str(b), "1"],
+            "coeffs": [["0", "1"], [format_rational(c) for c in row]]}
+
+
+class TestLongIntegers:
+    """parse_rational and rational_pair read every string format_rational writes, past the int-to-str limit too."""
+
+    def test_bid_file_reads_back(self, capout, tmp_path):
+        path, strat = tmp_path / "cdf.json", tmp_path / "bid.json"
+        path.write_text(json.dumps(long_integer_cdf()))
+        code, out, err = capout("solve", "--model", "ccfpa-explicit", "--cdf", str(path), "--n", "64")
+        assert (code, err) == (0, "")
+        assert max(len(c) for piece in json.loads(out)["pieces"] for c in piece["integral"]) > 4300
+        strat.write_text(out)
+        for at in ("1/3", "1/2305843009213693951", "7/8"):
+            want = capout("solve", "--model", "ccfpa-explicit", "--cdf", str(path), "--n", "64", "--at", at)
+            assert capout("eval", "--strategy", str(strat), "--at", at) == want
+        for mode in ("grid", "mc"):
+            code, out, err = capout("verify", "--strategy", str(strat), "--cdf", str(path), "--n", "64",
+                                    "--mode", mode, "--trials", "1000")
+            assert (code, err) == (0, "") and json.loads(out)["max_regret"] <= 1e-3
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 20_000), st.integers(1, 20_000), st.integers(0, 2**32), st.sampled_from([1, -1]))
+    def test_parse_reads_what_format_writes(self, p_digits, q_digits, seed, sign):
+        # rationals of up to 20,000 digits a part, read under the default int-to-str limit
+        assert sys.get_int_max_str_digits() == 4300
+        rng = random.Random(seed)
+        q = sign * F(*(rng.randrange(10 ** (digits - 1), 10**digits) for digits in (p_digits, q_digits)))
+        text = format_rational(q)
+        assert parse_rational(text) == q
+        assert F(*rational_pair(text)) == q
+
+    def test_error_echoes_a_long_value_short(self, capout, tmp_path):
+        path = tmp_path / "cdf.json"
+        path.write_text(json.dumps({"kind": "power", "exponent": "1/" + "7" * 8000 + "x"}))
+        code, out, err = capout("validate-cdf", "--cdf", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: cdf: not a rational: '1/{'7' * 57}...{'7' * 18}x' (8005 characters)\n"
+
+
+def cli_process(*argv, **kwargs) -> subprocess.Popen:
+    """`python -m fpaeq.cli` on this source tree, in a new process, with its stderr as text on a pipe."""
+    src = str(Path(fq.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.Popen([sys.executable, "-m", "fpaeq.cli", *argv], stderr=subprocess.PIPE, text=True, env=env,
+                            **kwargs)
+
+
+class TestOutputContract:
+    """A closed pipe, an output that cannot be written and Ctrl-C each end with the exit code README states and
+    no traceback."""
+
+    @pytest.mark.parametrize("argv,lines", [
+        (["solve", "--model", "ccfpa-explicit", "--n", "2", "--samples", "16384"], 1),  # 16,386 lines, past a pipe's buffer
+        (["validate-cdf"], 0),  # closed before the command writes
+    ], ids=["csv", "validate-cdf"])
+    def test_closed_pipe_exits_quietly(self, uniform_json, argv, lines):
+        proc = cli_process(*argv, "--cdf", uniform_json, stdout=subprocess.PIPE)
+        read = [proc.stdout.readline() for _ in range(lines)]
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.wait(timeout=60)
+        assert read == ["x,bid\n"] * lines
+        assert (proc.returncode, err) == (1, "")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_output_that_cannot_be_written(self, uniform_json):
+        with open("/dev/full", "w") as full:
+            proc = cli_process("validate-cdf", "--cdf", uniform_json, stdout=full)
+            err = proc.communicate(timeout=60)[1]
+        assert (proc.returncode, err) == (1, "error: cannot write output: No space left on device\n")
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_interrupt(self, tmp_path):
+        # the cdf is a named pipe: opening it for writing returns once the command has opened it, inside main
+        fifo = tmp_path / "cdf.json"
+        os.mkfifo(fifo)
+        proc = cli_process("validate-cdf", "--cdf", str(fifo), stdout=subprocess.PIPE)
+        with open(fifo, "w"):
+            proc.send_signal(signal.SIGINT)
+            out, err = proc.communicate(timeout=60)
+        assert (proc.returncode, out, err) == (130, "", "interrupted\n")
+
+    @pytest.mark.parametrize("what", ["cdf", "strategy"])
+    def test_file_that_is_not_utf8(self, capout, tmp_path, what):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b'\xff{"kind": "uniform"}')
+        argv = {"cdf": ["validate-cdf", "--cdf", str(path)],
+                "strategy": ["eval", "--strategy", str(path), "--at", "1/2"]}[what]
+        assert capout(*argv) == (2, "", f"error: {what}: cannot read {path}: not UTF-8 text "
+                                        "(invalid start byte at byte 0)\n")

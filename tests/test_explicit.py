@@ -11,8 +11,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import fpaeq as fq
 from fpaeq.cdf import float_view
 from fpaeq.cli import main
-from fpaeq.explicit import FLOAT_BID_REL_ERROR, bid_ratio_evaluator, canonical_ratio, eval_canonical
-from fpaeq.poly import int_row
+from fpaeq.explicit import FLOAT_BID_REL_ERROR, eval_canonical
+from fpaeq.poly import horner_int, int_row
 from fpaeq.rationals import format_rational
 
 from conftest import piecewise_json, poly_eval, row_fractions
@@ -88,14 +88,14 @@ class TestIntegralCoefficients:
 
 
 def fraction_pipeline(dist, n) -> tuple:
-    """canonical_bid_function's rows in Fraction arithmetic: (numerator rows, denominator rows).
+    """The bid's rows in Fraction arithmetic: (numerator rows, denominator rows, integral rows).
 
     Each power is a repeated product of Fraction rows, each integral a termwise
     antiderivative whose constant matches the previous piece's value at the
     breakpoint, and each numerator x * power - integral; a piece whose power is
     zero is the identity row (0,).
     """
-    numer, denom, prev = [], [], None
+    numer, denom, integrals, prev = [], [], [], None
     for j, row in enumerate(dist.rows):
         power = [F(1)]
         for _ in range(n - 1):
@@ -109,13 +109,40 @@ def fraction_pipeline(dist, n) -> tuple:
             v = dist.breakpoints[j]
             integral[0] = poly_eval(prev, v) - poly_eval(integral, v)
         prev = integral
+        integrals.append(tuple(integral))
         if all(c == 0 for c in power):
             numer.append((F(0),))
             denom.append((F(0),))
         else:
             numer.append((-integral[0],) + tuple(power[l - 1] - integral[l] for l in range(1, len(integral))))
             denom.append(tuple(power))
-    return tuple(numer), tuple(denom)
+    return tuple(numer), tuple(denom), tuple(integrals)
+
+
+def two_row_bid(dist, n) -> tuple:
+    """The two-row form a stored bid had before it kept the integral row: (numerator, denominator), each a
+    PiecewisePoly, the numerator x * F**(n-1) - I over the integral's scale and the denominator F**(n-1)."""
+    power_rows = fq.power_coefficients(dist, n)
+    numer, denom = [], []
+    for (b_row, b_scale), (c_row, scale) in zip(power_rows, fq.integral_coefficients(power_rows, dist)):
+        up = scale // b_scale
+        numer.append(([-c_row[0]] + [b * up - c for b, c in zip(b_row, c_row[1:])], scale))
+        denom.append((b_row, b_scale))
+    return tuple(fq.PiecewisePoly.from_int_rows(dist.breakpoints, rows) for rows in (numer, denom))
+
+
+def canonical_ratio(two_rows, x) -> tuple[int, int]:
+    """The two-row form's bid at a rational x as (num, den) on ints, x itself where the denominator row is 0."""
+    numer, denom = two_rows
+    j = denom.piece_index(x)
+    (num_row, num_scale), (den_row, den_scale) = numer.int_rows[j], denom.int_rows[j]
+    p, q = x.numerator, x.denominator
+    den = horner_int(den_row, p, q)
+    if den == 0:
+        return p, q
+    num, den = horner_int(num_row, p, q) * den_scale, den * num_scale
+    shift = len(den_row) - len(num_row)
+    return (num * q**shift, den) if shift >= 0 else (num, den * q**-shift)
 
 
 class TestCanonicalBid:
@@ -127,10 +154,13 @@ class TestCanonicalBid:
         dist = {"cubic": lambda: seeded_cubic(0, 8), "power3": lambda: fq.power_cdf(3)}.get(
             name, lambda: request.getfixturevalue(name))()
         rbf = fq.canonical_bid_function(dist, n)
-        numer, denom = fraction_pipeline(dist, n)
-        assert rbf.numerator.rows == numer
-        assert rbf.denominator.rows == denom
-        assert all(type(c) is F for rows in (rbf.numerator.rows, rbf.denominator.rows) for row in rows for c in row)
+        numer, denom, integrals = fraction_pipeline(dist, n)
+        assert rbf.cdf is dist and rbf.n == n
+        assert tuple(tuple(row_fractions(row)) for row in rbf.integral_rows) == integrals
+        # the two-row reference the bid is checked against elsewhere holds the pipeline's rows
+        reference = two_row_bid(dist, n)
+        assert reference[0].rows == numer and reference[1].rows == denom
+        assert all(type(c) is F for rows in (reference[0].rows, reference[1].rows) for row in rows for c in row)
 
     @pytest.mark.parametrize("n", [2, 64])
     def test_rows_stay_integer(self, monkeypatch, n):
@@ -139,8 +169,8 @@ class TestCanonicalBid:
         monkeypatch.setattr(fq.poly, "int_row", lambda row: calls.append(row) or int_row(row))
         rbf = fq.canonical_bid_function(dist, n)
         assert calls == []
-        assert all(type(c) is int for poly in (rbf.numerator, rbf.denominator) for nums, _ in poly.int_rows
-                   for c in nums)
+        assert all(type(c) is int for rows in (rbf.cdf.int_rows, rbf.integral_rows) for nums, scale in rows
+                   for c in (*nums, scale))
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_uniform_closed_form(self, uniform, n):
@@ -164,8 +194,7 @@ class TestCanonicalBid:
 
     def test_identity_below_support(self, shifted_support):
         rbf = fq.canonical_bid_function(shifted_support, 2)
-        assert rbf.support_infimum == F(1, 4)
-        assert rbf.denominator.rows[0] == (0,)  # the identity piece
+        assert rbf.cdf.int_rows[0] == ((0,), 1)  # the identity piece, F = 0 up to the support infimum 1/4
         assert rbf(F(1, 8)) == F(1, 8)
         assert rbf(F(1, 4)) == F(1, 4)
         # continuous at the support infimum from the right
@@ -173,36 +202,38 @@ class TestCanonicalBid:
         assert 0 <= gap < F(1, 10**5)
 
     def test_zero_piece_rows(self, shifted_support):
-        # the zero cdf row is (0,), however long its input row, and x * D - I gives the identity piece's rows
-        # with no branch of its own
+        # the zero cdf row is (0,), however long its input row, and its integral row is zero at degree 1, from
+        # the same formula as every other row, with no branch of its own
         padded = fq.PiecewisePolyCdf.from_int_rows(shifted_support.breakpoints, [((0, 0, 0), 5), ((-1, 4), 3)])
         assert padded == shifted_support and shifted_support.int_rows[0] == ((0,), 1)
         rbf = fq.canonical_bid_function(shifted_support, 8)
-        assert rbf.numerator.int_rows[0] == rbf.denominator.int_rows[0] == ((0,), 1)
-        assert fq.rbf_to_json(rbf)["pieces"][0] == "identity"
+        assert rbf.integral_rows[0] == ([0, 0], 1)
+        assert fq.rbf_to_json(rbf)["pieces"][0] == {"cdf": ["0"], "cdf_scale": "1", "integral": ["0", "0"],
+                                                    "integral_scale": "1"}
         for x in (F(0), F(1, 8), F(1, 5), F(1, 4)):
             assert rbf(x) == x
 
     def test_rows_at_true_degree(self, two_piece):
-        # at n = 64 the linear piece's bid rows have 63 + 1 and 63 + 2 coefficients, the quadratic piece's
-        # 126 + 1 and 126 + 2: no row is padded to the widest
+        # at n = 64 the quadratic piece's integral row has 126 + 2 coefficients and the linear piece's 63 + 2,
+        # and the cdf rows keep 3 and 2: no row is padded to the widest
         rbf = fq.canonical_bid_function(two_piece, 64)
-        assert [len(nums) for nums, _ in rbf.denominator.int_rows] == [127, 64]
-        assert [len(nums) for nums, _ in rbf.numerator.int_rows] == [128, 65]
-        numer, denom = fraction_pipeline(two_piece, 64)
-        assert rbf.numerator.rows == numer and rbf.denominator.rows == denom
+        assert [len(nums) for nums, _ in rbf.cdf.int_rows] == [3, 2]
+        assert [len(nums) for nums, _ in rbf.integral_rows] == [128, 65]
+        _, _, integrals = fraction_pipeline(two_piece, 64)
+        assert tuple(tuple(row_fractions(row)) for row in rbf.integral_rows) == integrals
 
     def test_flat_piece_rows(self):
-        # 2x on [0, 1/4], 1/2 on [1/4, 1/2], x on [1/2, 1]: on the flat piece x * D - I is a constant,
-        # its x term cancelled
+        # 2x on [0, 1/4], 1/2 on [1/4, 1/2], x on [1/2, 1]: on the flat piece the integral is linear, and the
+        # two-row form's numerator x * D - I a constant, its x term cancelled
         dist = fq.PiecewisePolyCdf((F(0), F(1, 4), F(1, 2), F(1)), ((F(0), F(2)), (F(1, 2),), (F(0), F(1))))
         rbf = fq.canonical_bid_function(dist, 3)
-        assert [len(nums) for nums, _ in rbf.numerator.int_rows] == [4, 1, 4]
-        assert [len(nums) for nums, _ in rbf.denominator.int_rows] == [3, 1, 3]
-        numer, denom = fraction_pipeline(dist, 3)
+        assert [len(nums) for nums, _ in rbf.integral_rows] == [4, 2, 4]
+        assert [len(nums) for nums, _ in two_row_bid(dist, 3)[0].int_rows] == [4, 1, 4]
+        numer, denom, integrals = fraction_pipeline(dist, 3)
         for x in (F(1, 8), F(1, 4), F(3, 8), F(1, 2), F(3, 4), F(1)):
-            j = rbf.denominator.piece_index(x)
+            j = rbf.cdf.piece_index(x)
             assert rbf(x) == poly_eval(numer[j], x) / poly_eval(denom[j], x)
+            assert rbf(x) == x - poly_eval(integrals[j], x) / dist(x) ** 2
 
     def test_domain_error(self, uniform):
         rbf = fq.canonical_bid_function(uniform, 2)
@@ -253,10 +284,10 @@ RATIO_KINDS = ["cubic", "power", "adversarial", "zero_first", "flat"]
 
 
 def reference_csv(dist, n, samples) -> str:
-    """The --samples CSV as the stored bid function gives it, through canonical_ratio."""
-    rbf, lines = fq.canonical_bid_function(dist, n), ["x,bid"]
+    """The --samples CSV as the two-row form gives it, through canonical_ratio."""
+    two_rows, lines = two_row_bid(dist, n), ["x,bid"]
     for i in range(samples + 1):
-        num, den = canonical_ratio(rbf, F(i, samples))
+        num, den = canonical_ratio(two_rows, F(i, samples))
         lines.append(f"{i / samples},{num / den}")
     return "\n".join(lines) + "\n"
 
@@ -270,17 +301,20 @@ def solve_output(capsys, dist, n, tmp_path, *options) -> str:
 
 
 class TestBidRatioEvaluator:
-    """solve's --samples and --at evaluate the bid from F(x) and one integral row, as canonical_ratio does."""
+    """The stored bid's one exact evaluator, ratio, from F(x) and one integral row, gives what the two-row form's
+    canonical_ratio gave; solve's --samples and --at print it."""
 
     @settings(max_examples=60, deadline=None)
     @given(kind=st.sampled_from(RATIO_KINDS), seed=st.integers(0, 2**16), n=st.integers(2, 64),
            extra=st.lists(st.fractions(min_value=0, max_value=1, max_denominator=2**40), max_size=8))
     def test_equals_canonical_ratio(self, kind, seed, n, extra):
         dist = ratio_case(kind, seed)
-        rbf, ratio = fq.canonical_bid_function(dist, n), bid_ratio_evaluator(dist, n)
+        two_rows, rbf = two_row_bid(dist, n), fq.canonical_bid_function(dist, n)
+        ratio = rbf.ratio
         points = [F(0), F(1), *dist.breakpoints, *(F(i, 32) for i in range(33)), *(F(i, 33) for i in range(34)), *extra]
         for x in points:
-            want_num, want_den = canonical_ratio(rbf, x)
+            want_num, want_den = canonical_ratio(two_rows, x)
+            assert eval_canonical(rbf, x) == F(want_num, want_den)
             # the pair in lowest terms, as the CLI passes it, and unreduced: the same rational and the same float
             for g in (1, 2, 3, 2**40 + 1):
                 num, den = ratio(g * x.numerator, g * x.denominator)
@@ -289,7 +323,7 @@ class TestBidRatioEvaluator:
                 assert num / den == want_num / want_den
         for x in (F(-1, 3), F(4, 3), F(-1), F(2)):
             with pytest.raises(fq.DomainError) as want:
-                canonical_ratio(rbf, x)
+                canonical_ratio(two_rows, x)
             with pytest.raises(fq.DomainError) as got:
                 ratio(x.numerator, x.denominator)
             assert str(got.value) == str(want.value)
@@ -300,20 +334,18 @@ class TestBidRatioEvaluator:
         dist = ratio_case(kind, seed)
         for samples in (32, 33):
             assert solve_output(capsys, dist, n, tmp_path, "--samples", str(samples)) == reference_csv(dist, n, samples)
-        rbf = fq.canonical_bid_function(dist, n)
+        two_rows = two_row_bid(dist, n)
         for x in (F(0), F(1), *dist.breakpoints, dist.support_infimum(), F(5, 7), F(123456789, 2**40)):
-            want = format_rational(F(*canonical_ratio(rbf, x)))
+            want = format_rational(F(*canonical_ratio(two_rows, x)))
             assert solve_output(capsys, dist, n, tmp_path, "--at", format_rational(x)) == want + "\n"
 
     def test_csv_builds_no_bid_rows(self, capsys, tmp_path, monkeypatch):
         # 8 pieces at n = 16: one horner_int on the integral row per sample, and two per inner breakpoint
-        # to join the integral's pieces; no numerator or denominator row is formed
+        # to join the integral's pieces; no row goes through from_int_rows, and no numerator row is formed
         dist, samples, built, long_rows = seeded_cubic(0, 8), 32, [], []
         cdf_width = max(len(nums) for nums, _ in dist.int_rows)
         horner_int, from_int_rows = fq.explicit.horner_int, fq.PiecewisePoly.from_int_rows.__func__
-        canonical_bid_function, load_cdf = fq.explicit.canonical_bid_function, fq.cli._load_cdf
-        monkeypatch.setattr(fq.explicit, "canonical_bid_function",
-                            lambda *args: built.append(args) or canonical_bid_function(*args))
+        load_cdf = fq.cli._load_cdf
 
         def load_then_spy(path):  # the cdf reader builds its own rows by from_int_rows: the spy starts after it
             loaded = load_cdf(path)
@@ -335,7 +367,7 @@ class TestBidRatioEvaluator:
 
 
 class TestSupportFromRows:
-    """A bid function reads its support infimum from its denominator rows, and bids x at and below it."""
+    """A bid function bids x at and below the cdf's support infimum, where F = 0, and less above it."""
 
     # the fixtures are immutable cdfs, so sharing them across examples is safe
     @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -345,18 +377,18 @@ class TestSupportFromRows:
         for dist in (seeded_cubic(seed, 1 + seed % 8), shifted_support, adversarial):
             rbf = fq.canonical_bid_function(dist, n)
             low = dist.support_infimum()
-            assert rbf.support_infimum == low
             for x in (low, low * u):
                 assert eval_canonical(rbf, x) == x
             above = low + (1 - low) * max(u, F(1, 2**20))
             assert eval_canonical(rbf, above) < above
 
     def test_all_identity_rows_have_no_support(self):
-        rbf = fq.RationalBidFunction(fq.PiecewisePoly((F(0), F(1)), ((F(0),),)),
-                                     fq.PiecewisePoly((F(0), F(1)), ((F(0),),)), 2)
-        assert rbf(F(1, 3)) == F(1, 3)
-        with pytest.raises(fq.DomainError, match="no support infimum"):
-            rbf.support_infimum
+        # F = 0 everywhere: the bid is x at every point, exactly and in floats
+        rbf = fq.RationalBidFunction(fq.PiecewisePoly((F(0), F(1)), ((F(0),),)), 2, (([0, 0], 1),))
+        for x in (F(0), F(1, 3), F(1)):
+            assert rbf(x) == x and rbf.ratio(x.numerator, x.denominator) == (x.numerator, x.denominator)
+        xs = np.array([0.0, 0.25, 1.0])
+        assert float_view(rbf)(xs).tolist() == xs.tolist()
 
 
 class TestJsonRoundTrip:
@@ -365,18 +397,19 @@ class TestJsonRoundTrip:
         dist = request.getfixturevalue(name)
         rbf = fq.canonical_bid_function(dist, n)
         obj = fq.rbf_to_json(rbf)
-        again = fq.rbf_from_json(obj)
-        assert again.numerator == rbf.numerator
-        assert again.denominator == rbf.denominator
-        # the support infimum is written from the rows and read back against them, byte for byte
-        assert obj["support_infimum"] == format_rational(dist.support_infimum())
+        again = fq.rbf_from_json(json.loads(json.dumps(obj)))
+        assert again.cdf == rbf.cdf and again.n == n
+        assert [(list(nums), scale) for nums, scale in again.integral_rows] == list(rbf.integral_rows)
+        # integer strings over one scale per row, with no gcd taken, written back byte for byte
+        assert obj["pieces"][-1]["integral_scale"] == str(rbf.integral_rows[-1][1])
         assert json.dumps(fq.rbf_to_json(again)) == json.dumps(obj)
         for x in (F(1, 5), F(1, 2), F(9, 10)):
             assert again(x) == rbf(x)
 
-    def test_identity_piece_serialized_symbolically(self, shifted_support):
+    def test_zero_piece_serialized_as_zero_rows(self, shifted_support):
         obj = fq.rbf_to_json(fq.canonical_bid_function(shifted_support, 2))
-        assert obj["pieces"][0] == "identity"
+        assert obj["pieces"][0] == {"cdf": ["0"], "cdf_scale": "1", "integral": ["0", "0"], "integral_scale": "1"}
+        assert fq.rbf_from_json(obj)(F(1, 5)) == F(1, 5)
 
     def test_wrong_kind_rejected(self):
         with pytest.raises(fq.DomainError):
@@ -390,12 +423,21 @@ class TestJsonRoundTrip:
         ["-1/4", "1/2", "1"],  # first below 0
     ])
     def test_breakpoints_must_increase_from_0_to_1(self, bps):
-        obj = {"kind": "rational_bid_function", "n": 2, "support_infimum": "0", "breakpoints": bps,
-               "pieces": [{"numerator": ["0", "0", "1/2"], "denominator": ["0", "1"]}] * (len(bps) - 1)}
+        # F = x and I = x**2 / 2 on every piece: the bid x / 2
+        obj = {"kind": "canonical_bid", "n": 2, "breakpoints": bps,
+               "pieces": [{"cdf": ["0", "1"], "cdf_scale": "1", "integral": ["0", "0", "1"], "integral_scale": "2"}]
+               * (len(bps) - 1)}
         with pytest.raises(fq.DomainError, match="breakpoints must increase strictly from 0 to 1"):
             fq.rbf_from_json(obj)
         obj["breakpoints"] = ["0"] + [f"{k}/{len(bps) - 1}" for k in range(1, len(bps))]
         assert fq.rbf_from_json(obj)(F(1, 2)) == F(1, 4)
+
+
+def dense_row() -> fq.PiecewisePolyCdf:
+    """CI's dense degree-64 cdf: one row of seeded 58-bit weights over their sum."""
+    rng = random.Random(1)
+    w = [rng.getrandbits(58) for _ in range(64)]
+    return fq.PiecewisePolyCdf((F(0), F(1)), ([F(0)] + [F(x, sum(w)) for x in w],))
 
 
 def float_case(name, request):
@@ -433,7 +475,8 @@ class TestFloatEvaluator:
         assert np.array_equal(ev(xs[:1023].reshape(341, 3)[:, :1]), got[:1023:3, None])
 
     def test_builds_no_piecewise_poly(self, square, monkeypatch):
-        # the float tables come straight from the integer rows, with no second PiecewisePoly for the absolute rows
+        # the float tables come straight from the integer rows, with no PiecewisePoly for the absolute rows: the
+        # one built is the integral rows' own, on the cdf's breakpoints
         rbf, built = fq.canonical_bid_function(square, 3), []
         init, from_int_rows = fq.PiecewisePoly.__init__, fq.PiecewisePoly.from_int_rows.__func__
         monkeypatch.setattr(fq.PiecewisePoly, "__init__", lambda self, *args: built.append(args) or init(self, *args))
@@ -441,51 +484,81 @@ class TestFloatEvaluator:
                             classmethod(lambda cls, *args: built.append(args) or from_int_rows(cls, *args)))
         ev = float_view(rbf)
         assert ev(0.5) == ev(np.array([0.0, 0.5, 1.0]))[1]
-        assert built == []
+        assert built == [(square.breakpoints, rbf.integral_rows)]
 
-    def test_exact_points_take_canonical_ratio(self, monkeypatch):
-        # the 8-piece cubic at n = 4 sends most points to the exact path; each takes canonical_ratio's
-        # int / int, the correctly rounded float that float(eval_canonical(...)) gives, with no Fraction
-        rbf = fq.canonical_bid_function(seeded_cubic(0, 8), 4)
+    def test_exact_points_take_canonical_ratio(self, shifted_support, monkeypatch):
+        # F = 0 on [0, 1/4] sends those 257 points of i/1024 to the exact path; each takes ratio's int / int, the
+        # correctly rounded float that float(eval_canonical(...)) gives, with no Fraction
+        rbf = fq.canonical_bid_function(shifted_support, 4)
         xs, exact_points, evaluated = np.array([i / 1024 for i in range(1025)]), [], []
-        canonical_ratio = fq.explicit.canonical_ratio
-        monkeypatch.setattr(fq.explicit, "canonical_ratio",
-                            lambda bid, x: exact_points.append(x) or canonical_ratio(bid, x))
+        ratio = fq.RationalBidFunction.ratio
+        monkeypatch.setattr(fq.RationalBidFunction, "ratio",
+                            lambda bid, p, q: exact_points.append(F(p, q)) or ratio(bid, p, q))
         monkeypatch.setattr(fq.explicit, "eval_canonical", lambda *args: evaluated.append(args))
         got = dict(zip(xs.tolist(), float_view(rbf)(xs).tolist()))
         monkeypatch.undo()
         assert evaluated == []
-        assert len(exact_points) > 100
+        assert {F(i, 1024) for i in range(257)} <= set(exact_points)
         for x in exact_points:
             assert got[float(x)] == float(eval_canonical(rbf, x))
 
     def test_breakpoint_that_floats_round_up(self):
-        # float(1/10) > 1/10, so float 0.1 lies on the right piece, where the bid is x/4, not x/2
-        rows = ((F(0), F(0), F(1, 2)), (F(0), F(0), F(1, 4)))
-        rbf = fq.RationalBidFunction(fq.PiecewisePoly((F(0), F(1, 10), F(1)), rows),
-                                     fq.PiecewisePoly((F(0), F(1, 10), F(1)), ((F(0), F(1)),) * 2), 2)
+        # float(1/10) > 1/10, so float 0.1 lies on the right piece, where the bid is x/4, not x/2: F = x on both
+        # pieces, and I = x**2 / 2 on the left and 3 x**2 / 4 on the right
+        rbf = fq.RationalBidFunction(fq.PiecewisePoly((F(0), F(1, 10), F(1)), ((F(0), F(1)),) * 2), 2,
+                                     (([0, 0, 1], 2), ([0, 0, 3], 4)))
         assert F(0.1) > F(1, 10)
         # the float quotient: within FLOAT_BID_REL_ERROR of 0.1/4, where the left piece would give 0.1/2
         for got in (float_view(rbf)(0.1), float_view(rbf)(np.array([0.05, 0.1]))[1]):
             assert abs(got - 0.1 / 4) <= FLOAT_BID_REL_ERROR * 0.1 / 4
 
+    def test_ill_conditioned_cdf_row_is_exact(self, monkeypatch):
+        # F = 1 + 10**6 (x - 1/2)**2 in the monomial basis loses about 20 bits near 1/2, where I = x**3 / 3 is
+        # well conditioned: the float of I / F would be off by far more than FLOAT_BID_REL_ERROR, so F's own
+        # error bound must send those points to the exact bid
+        rbf = fq.RationalBidFunction(fq.PiecewisePoly((F(0), F(1)), ((250001, -10**6, 10**6),)), 2,
+                                     (([0, 0, 0, 1], 3),))
+        xs, exact_points = np.linspace(0.4, 0.6, 201), []
+        ratio = fq.RationalBidFunction.ratio
+        monkeypatch.setattr(fq.RationalBidFunction, "ratio",
+                            lambda bid, p, q: exact_points.append(F(p, q)) or ratio(bid, p, q))
+        got = float_view(rbf)(xs)
+        monkeypatch.undo()
+        want = exact_floats(rbf, xs)
+        assert (np.abs(got - want) <= FLOAT_BID_REL_ERROR * np.abs(want)).all()
+        assert F(1, 2) in exact_points
+
     def test_row_that_overflows_is_exact(self):
-        # (c x^2 + c x^3) / (2 c x + 2 c x^2) = x/2 with c = 2**1022: the denominator overflows to
+        # F = 2 c x + 2 c x^2 and I = c x^2 + c x^3 give x - I / F = x/2 with c = 2**1022: F overflows to
         # inf near x = 1, so those points take the exact bid, with no warning
-        c = F(2**1022)
-        bps = (F(0), F(1))
-        rbf = fq.RationalBidFunction(fq.PiecewisePoly(bps, ((F(0), F(0), c, c),)),
-                                     fq.PiecewisePoly(bps, ((F(0), 2 * c, 2 * c),)), 2)
+        c = 2**1022
+        rbf = fq.RationalBidFunction(fq.PiecewisePoly((F(0), F(1)), ((0, 2 * c, 2 * c),)), 2, (([0, 0, c, c], 1),))
         xs = np.array([0.25, 0.5, 1.0])
         assert float_view(rbf)(xs).tolist() == [0.125, 0.25, 0.5]
         assert float_view(rbf)(1.0) == 0.5
 
     def test_coefficient_beyond_float_range(self):
-        # (c x^2 / 2) / (c x) with c = 10**400: no row has a float, so every point is exact
-        c = F(10**400)
-        bps = (F(0), F(1))
-        rbf = fq.RationalBidFunction(fq.PiecewisePoly(bps, ((F(0), F(0), c / 2),)),
-                                     fq.PiecewisePoly(bps, ((F(0), c),)), 2)
+        # F = c x and I = c x^2 / 2 with c = 10**400: no row has a float, so every point is exact
+        c = 10**400
+        rbf = fq.RationalBidFunction(fq.PiecewisePoly((F(0), F(1)), ((0, c),)), 2, (([0, 0, c], 2),))
         xs = np.array([[0.0, 0.25], [0.5, 1.0]])
         assert float_view(rbf)(xs).tolist() == [[0.0, 0.125], [0.25, 0.5]]
         assert float_view(rbf)(0.75) == 0.375
+
+
+class TestFloatViewOnDenseRows:
+    """On the dense row the bound on x - I / F**(n-1) accepts nearly every point, where the two-row form's
+    bound on its long rows accepted none at n = 8, and every accepted float is within FLOAT_BID_REL_ERROR."""
+
+    @pytest.mark.parametrize("n,grid", [(8, 512), (16, 512), (64, 32)])
+    def test_accepted_points_within_bound(self, monkeypatch, n, grid):
+        rbf, exact_points = fq.canonical_bid_function(dense_row(), n), []
+        xs = np.arange(grid + 1) / grid
+        ratio = fq.RationalBidFunction.ratio
+        monkeypatch.setattr(fq.RationalBidFunction, "ratio",
+                            lambda bid, p, q: exact_points.append(F(p, q)) or ratio(bid, p, q))
+        got = float_view(rbf)(xs)
+        monkeypatch.undo()
+        want = exact_floats(rbf, xs)
+        assert (np.abs(got - want) <= FLOAT_BID_REL_ERROR * np.abs(want)).all()
+        assert exact_points == [F(0)]  # F(0) = 0: the bid at 0 is exact, and every other point is accepted

@@ -39,7 +39,8 @@ coefficients = st.one_of(
 rows = st.lists(coefficients, min_size=0, max_size=8).map(tuple)
 unit = st.fractions(min_value=0, max_value=1, max_denominator=BIG)
 # rows of ints with zeros, negatives, a single coefficient, trailing (high) zeros and every coefficient 0
-int_rows = st.lists(st.one_of(st.just(0), st.integers(-3, 3), st.integers(-(2**70), 2**70)), min_size=1, max_size=8)
+int_coefficients = st.one_of(st.just(0), st.integers(-3, 3), st.integers(-(2**70), 2**70))
+int_rows = st.lists(int_coefficients, min_size=1, max_size=8)
 factors = st.one_of(st.just(1), st.integers(2, 12), st.integers(1, BIG))  # k >= 1
 odd = st.integers(0, 10**6).map(lambda r: 2 * r + 1)
 denominators = st.one_of(
@@ -109,12 +110,19 @@ def reference_cdf_boxes(pp: PiecewisePoly, points) -> list[tuple[float, float]]:
 
 
 def reference_bid(rbf: RationalBidFunction, x) -> F:
-    """eval_canonical in Fraction arithmetic: x where the denominator row is 0 at x."""
-    j = reference_piece(rbf.denominator, x)
-    den = poly_eval(rbf.denominator.rows[j], x)
-    if den == 0:
+    """eval_canonical in Fraction arithmetic: x - I(x) / F(x)**(n-1) on x's piece, and x where F(x) = 0."""
+    j = reference_piece(rbf.cdf, x)
+    fx = poly_eval(rbf.cdf.rows[j], x)
+    if fx == 0:
         return x
-    return poly_eval(rbf.numerator.rows[j], x) / den
+    nums, scale = rbf.integral_rows[j]
+    return x - poly_eval([F(c, scale) for c in nums], x) / fx ** (rbf.n - 1)
+
+
+def bid_rows(cdf, n) -> list[PiecewisePoly]:
+    """The long rows of a bid function: its stored integral rows, and the power rows F**(n-1), each a PiecewisePoly."""
+    rbf = fq.canonical_bid_function(cdf, n)
+    return [PiecewisePoly.from_int_rows(cdf.breakpoints, rows) for rows in (rbf.integral_rows, fq.power_coefficients(cdf, n))]
 
 
 def naive_mul(a, b) -> list:
@@ -368,8 +376,7 @@ class TestPiecewiseEval:
         pp = {"cubic": cubic, "dense": dense_cdf(), "adversarial": ADVERSARIAL}.get(kind)
         if pp is None:
             cdf = data.draw(st.sampled_from([cubic, ADVERSARIAL, fq.uniform_cdf()]), label="cdf")
-            rbf = fq.canonical_bid_function(cdf, data.draw(st.integers(2, 16), label="n"))
-            pp = data.draw(st.sampled_from([rbf.numerator, rbf.denominator]), label="row")
+            pp = data.draw(st.sampled_from(bid_rows(cdf, data.draw(st.integers(2, 16), label="n"))), label="row")
         near = [y for b in pp.breakpoints for f in [float(b)]
                 for y in (f, math.nextafter(f, -1.0), math.nextafter(f, 2.0)) if 0 <= y <= 1]
         xs = np.array(data.draw(st.lists(st.floats(0, 1), max_size=8), label="floats") + near)
@@ -388,8 +395,7 @@ class TestPiecewiseEval:
         pp = {"cubic": cubic, "dense": dense_cdf(), "adversarial": ADVERSARIAL,
               "mixed": fq.strongly_increasing_transform(cubic, F(1, 3 * 64 * 7))}.get(kind)
         if pp is None:
-            rbf = fq.canonical_bid_function(cubic, data.draw(st.integers(2, 16), label="n"))
-            pp = data.draw(st.sampled_from([rbf.numerator, rbf.denominator]), label="row")
+            pp = data.draw(st.sampled_from(bid_rows(cubic, data.draw(st.integers(2, 16), label="n"))), label="row")
         near = [y for b in pp.breakpoints for f in [float(b)]
                 for y in (f, math.nextafter(f, -1.0), math.nextafter(f, 2.0)) if 0 <= y <= 1]
         xs = data.draw(st.lists(st.floats(0, 1), max_size=8), label="floats") + near
@@ -451,12 +457,16 @@ class TestPiecewiseEval:
 
 class TestEvalCanonical:
     @settings(max_examples=100, deadline=None)
-    @given(st.integers(1, 4).flatmap(lambda k: st.tuples(
-        sorted_breakpoints(k), *[st.lists(rows, min_size=k, max_size=k)] * 2)),
-        st.lists(unit, min_size=1, max_size=6), st.data())
-    def test_random_rows_match_fraction_division(self, parts, xs, data):
-        bps, numer, denom = parts
-        rbf = RationalBidFunction(data.draw(built(bps, numer)), data.draw(built(bps, denom)), 2)
+    @given(st.integers(1, 4).flatmap(lambda k: st.tuples(sorted_breakpoints(k), st.lists(rows, min_size=k, max_size=k))),
+           st.integers(2, 5), st.lists(unit, min_size=1, max_size=6), st.data())
+    def test_random_rows_match_fraction_division(self, parts, n, xs, data):
+        # any cdf rows, and integral rows of the length each cdf row's true degree d fixes, (n - 1) d + 2
+        bps, cdf_rows = parts
+        cdf = data.draw(built(bps, cdf_rows))
+        integral_rows = tuple((data.draw(st.lists(int_coefficients, min_size=size, max_size=size)),
+                               data.draw(factors))
+                              for size in ((n - 1) * (len(nums) - 1) + 2 for nums, _ in cdf.int_rows))
+        rbf = RationalBidFunction(cdf, n, integral_rows)
         for x in [*xs, *bps]:
             bid = eval_canonical(rbf, x)
             assert bid == reference_bid(rbf, x)
@@ -468,22 +478,22 @@ class TestEvalCanonical:
         rbf = fq.canonical_bid_function(request.getfixturevalue(name), n)
         rng = random.Random(n)
         xs = [F(i, 64) for i in range(65)] + [F(rng.randrange(BIG + 1), BIG) for _ in range(20)]
-        for x in [*xs, *rbf.denominator.breakpoints, *map(F, (0.1, 0.3, 0.7))]:
+        for x in [*xs, *rbf.cdf.breakpoints, *map(F, (0.1, 0.3, 0.7))]:
             bid = eval_canonical(rbf, x)
             assert bid == reference_bid(rbf, x)
             assert normalised(bid)
 
     def test_identity_piece_and_below_support(self, shifted_support):
         rbf = fq.canonical_bid_function(shifted_support, 3)
-        # the identity piece's zero denominator row gives the identity, up to and at the support infimum 1/4
+        # the identity piece's zero cdf row gives the identity, up to and at the support infimum 1/4
         for x in (F(0), F(1, 8), F(1, 4)):
             assert eval_canonical(rbf, x) == x
         assert eval_canonical(rbf, F(1, 2)) == reference_bid(rbf, F(1, 2)) != F(1, 2)
 
     def test_removable_singularity_at_support_infimum(self, square):
         rbf = fq.canonical_bid_function(square, 4)
-        # the support infimum 0 lies on a nonzero row, F^3, which vanishes there: the zero-denominator rule holds
-        assert rbf.support_infimum == 0 and rbf.denominator(F(0)) == 0
+        # the support infimum 0 lies on a nonzero row, F, which vanishes there: the rule for F(x) = 0 holds
+        assert square.support_infimum() == 0 and rbf.cdf.int_rows[0] != ((0,), 1) and rbf.cdf(F(0)) == 0
         assert eval_canonical(rbf, F(0)) == 0
         assert eval_canonical(rbf, F(1, 3)) == F(6, 7) * F(1, 3)
 

@@ -72,6 +72,12 @@ CASES = [  # argv, stdout file, bound in s; optionally a peak RSS bound in MB, a
     # tenfold slowdown and a Fraction per payoff (24-30 s)
     (["solve", "--model", "cdfpa", *GRID_1024, "--eps", "1/64"], "grid-1024.json", 2, {}),
     (["verify", "--mode", "exact", "--strategy", "grid-1024.json", *GRID_1024], "grid-1024-verify.json", 4, {}),
+    # the grid verify of the same 1,024 jump points: its exact thresholds make the 513 grid points deviations
+    # beside the bids, and each bid splits its ties between both edges.  0.08-0.1 s, mostly start-up, which
+    # takes about 0.2 s on 2 vCPUs; 1 s, 5 times that, fails a Fraction per (value, deviation) pair (0.9 s in
+    # process), and the digest moves with the tie rule or the step function's deviations
+    (["verify", "--mode", "grid", "--strategy", "grid-1024.json", *GRID_1024], "grid-1024-grid.json", 1,
+     dict(sha256="ed3d769ffd15c4f2a9dad51cf8b798c3518c95e9e499ec384cddd05bb5be53fb")),
     # U_1 moves about 3e4 times faster than U, so whether a float walk reaches gamma is luck in U's last bits:
     # the float search's 48th walk does, 0.3 s, where bisection on U did not and the exact search took 7-9 s.
     # The 60 s stays while a solve may still fall back to that exact search, until the exact walk runs on ints

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DomainError
 from .poly import PiecewisePoly, nonnegative_on, poly_derivative
-from .rationals import parse_rational, parse_rational_list, rational_pair
+from .rationals import parse_rational, parse_rational_list, row_pair
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -315,7 +315,7 @@ def cdf_from_json(obj: dict) -> PiecewisePolyCdf:
             raise DomainError(f"piecewise_poly cdf is missing field {exc}")
         if not isinstance(coeffs, list):
             raise DomainError(f"coeffs must be a JSON array of coefficient rows, got {coeffs!r}")
-        rows = [parse_rational_list(row, "a coefficient row", rational_pair) for row in coeffs]
+        rows = [parse_rational_list(row, "a coefficient row", row_pair) for row in coeffs]
         PiecewisePolyCdf._check_widths(map(len, rows))  # before the lcm of a row that is too long
         int_rows = []
         for row in rows:  # over the lcm of its denominators; from_int_rows puts it in lowest terms by one gcd

@@ -24,14 +24,11 @@ from . import blackbox, discrete, explicit, verify
 from .cdf import CdfOracle, cdf_from_json
 from .discrete import BidGrid, JumpPointStrategy
 from .errors import DomainError, PrecisionError, check_bidders
-from .rationals import format_rational, parse_rational, parse_rational_list, shown
+from .rationals import check_length, format_rational, parse_rational, parse_rational_list
 
 USAGE_ERROR = 2
 FAILURE = 1
 INTERRUPTED = 130  # 128 + SIGINT: the code a shell gives a command that Ctrl-C ends
-# Most characters of a rational on the command line (--at, --eps and each of --bids), as a solve's work grows with
-# them: CPython's default int-to-str limit, which bounded them while every string went through Fraction.
-MAX_ARG_CHARS = 4300
 
 
 def _load_json(path: str, what: str) -> dict:
@@ -51,9 +48,8 @@ def _load_json(path: str, what: str) -> dict:
 
 
 def _arg_rational(text) -> Fraction:
-    """parse_rational of a command-line value, which may have at most MAX_ARG_CHARS characters."""
-    if isinstance(text, str) and len(text) > MAX_ARG_CHARS:
-        raise DomainError(f"not a rational: {shown(text)} (more than {MAX_ARG_CHARS} characters on the command line)")
+    """parse_rational of a command-line value, which may have at most MAX_CHARS characters."""
+    check_length(text, "on the command line")
     return parse_rational(text)
 
 

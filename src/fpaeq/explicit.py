@@ -29,7 +29,7 @@ import numpy as np
 from .cdf import PiecewisePolyCdf, check_row_bits, float_view
 from .errors import DomainError, check_bidders
 from .poly import PiecewisePoly, gamma_k, horner_int, power_int
-from .rationals import format_rational, parse_rational_list, rational_pair, shown
+from .rationals import format_rational, parse_rational_list, rational_pair, row_pair, shown
 
 # A float bid is within this relative error of the exact one.  monotone_no_overbid_check
 # flags a gap above 1e-12 between two bids <= 1; two such floats are off by less than
@@ -173,8 +173,8 @@ def rbf_to_json(rbf: RationalBidFunction) -> dict:
 
 def rbf_from_json(obj: dict) -> RationalBidFunction:
     """Read a "canonical_bid" object, with bounded work for bounded input: n within MAX_BIDDERS, each cdf row
-    within MAX_DEGREE and MAX_ROW_BITS, as a cdf file's, and each integral row of the length its cdf row's true
-    degree d fixes, (n - 1) d + 2."""
+    within MAX_DEGREE and MAX_ROW_BITS and each of its strings within MAX_CHARS characters, as a cdf file's, and
+    each integral row of the length its cdf row's true degree d fixes, (n - 1) d + 2."""
     if not isinstance(obj, dict) or obj.get("kind") != "canonical_bid":
         raise DomainError("expected a canonical_bid object")
     if missing := [name for name in ("n", "breakpoints", "pieces") if name not in obj]:
@@ -190,9 +190,10 @@ def rbf_from_json(obj: dict) -> RationalBidFunction:
     if not all(isinstance(piece, dict) and {"cdf", "cdf_scale", "integral", "integral_scale"} <= piece.keys()
                for piece in pieces):
         raise DomainError("each piece must be an object with the fields cdf, cdf_scale, integral and integral_scale")
-    # reading the strings is linear in their size; from_int_rows checks the degree before its gcd
+    # a cdf string is refused by its length before its digits are read; from_int_rows checks the degree before its gcd
     cdf = PiecewisePolyCdf.from_int_rows(
-        bps, [(_integers(piece["cdf"], "cdf"), _positive(piece["cdf_scale"], "a scale")) for piece in pieces])
+        bps, [(_integers(piece["cdf"], "cdf", row_pair), _positive(piece["cdf_scale"], "a scale", row_pair))
+              for piece in pieces])
     check_row_bits(cdf)
     rows = tuple((_integers(p["integral"], "integral"), _positive(p["integral_scale"], "a scale")) for p in pieces)
     for (nums, _), (c_row, _) in zip(cdf.int_rows, rows):
@@ -202,17 +203,17 @@ def rbf_from_json(obj: dict) -> RationalBidFunction:
     return RationalBidFunction(cdf, n, rows)
 
 
-def _integers(value, what: str) -> list[int]:
-    """A JSON array of integer strings (or JSON integers) as ints."""
-    pairs = parse_rational_list(value, what, rational_pair)
+def _integers(value, what: str, parse=rational_pair) -> list[int]:
+    """A JSON array of integer strings (or JSON integers) as ints, each read by parse."""
+    pairs = parse_rational_list(value, what, parse)
     if any(den != 1 for _, den in pairs):
         raise DomainError(f"{what} must be a JSON array of integers, got {shown(value)}")
     return [num for num, _ in pairs]
 
 
-def _positive(value, what: str) -> int:
-    """A positive integer string (or JSON integer) as an int."""
-    num, den = rational_pair(value)
+def _positive(value, what: str, parse=rational_pair) -> int:
+    """A positive integer string (or JSON integer) as an int, read by parse."""
+    num, den = parse(value)
     if den != 1 or num < 1:
         raise DomainError(f"{what} must be a positive integer, got {shown(value)}")
     return num

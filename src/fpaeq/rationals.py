@@ -11,6 +11,10 @@ from .errors import DomainError
 # limit is set to.  A longer one is read by halves (_digits).
 SHORT = 640
 SHORT_BITS = 2126  # 2**2126 < 10**SHORT: an int of at most this many bits has at most SHORT digits
+# Most characters of a rational whose size a limit bounds: one on the command line (--at, --eps and each of --bids), as
+# a solve's work grows with it, and a cdf row's entry, whose digits would be read in O(n**1.58) before the row's bit
+# limit refuses them.  CPython's default int-to-str limit, which bounded both while every string went through Fraction.
+MAX_CHARS = 4300
 
 
 def parse_rational(value) -> Fraction:
@@ -69,6 +73,18 @@ def _digits(text: str) -> int:
         return -_digits(text[1:])
     half = len(text) // 2
     return _digits(text[:-half]) * 10**half + _digits(text[-half:])
+
+
+def check_length(value, where: str) -> None:
+    """DomainError for a string of more than MAX_CHARS characters, raised before any of its digits is read."""
+    if isinstance(value, str) and len(value) > MAX_CHARS:
+        raise DomainError(f"not a rational: {shown(value)} (more than {MAX_CHARS} characters {where})")
+
+
+def row_pair(value) -> tuple[int, int]:
+    """rational_pair of an entry of a cdf row, which may have at most MAX_CHARS characters."""
+    check_length(value, "in a cdf row")
+    return rational_pair(value)
 
 
 def rational_pair(value) -> tuple[int, int]:

@@ -5,8 +5,8 @@ Three routes, deliberately independent of the solvers they audit:
 * exact deviation regret over a finite bid grid (rational arithmetic),
 * grid-based deviation regret for continuous monotone bid functions, in
   threshold coordinates: the deviations are the bids beta(z) of a grid of
-  values z, and a deviation wins against the opponent values up to the last z
-  of its run of equal bids (:func:`_edges`),
+  values z, and a deviation ties with the opponent values of its run of equal
+  bids and beats those below (:func:`_edges`),
 * Monte Carlo ex-post play with uniform tie-breaking.  A trial's shares depend
   only on the class of its top opposing bid, so one multinomial draw of the
   Philox stream the seed names counts the trials of each class
@@ -16,14 +16,15 @@ Three routes, deliberately independent of the solvers they audit:
 The exact route takes a :class:`JumpPointStrategy`, which carries its bids.
 The other two take a bid function: a :class:`PiecewisePoly`, such as a
 jump-point strategy, a :class:`RationalBidFunction` or any callable on [0, 1].
-Each reads it once, in floats through :func:`cdf.float_view`, at the values
-i/512 (grid mode adds its own values): a piecewise polynomial or a rational bid
-function by its own float evaluator (a rational bid function falls back to its
-exact bid wherever the float error bound is too wide), any other callable on
-the exact rational of each point.  Where a nondecreasing bid function is
-strictly increasing, bidding beta(z) wins against exactly the opponent values
-below z (the change of variables of first-price analysis; Krishna, Auction
-Theory, 2nd ed., 2010, ch. 2), so no threshold needs an inversion.
+Each reads it once, in floats through :func:`cdf.float_view`, at 513 points:
+i/512 in Monte Carlo, the same grid over the cdf's support in grid mode.  A
+piecewise polynomial or a rational bid function is read by its own float
+evaluator (a rational bid function falls back to its exact bid wherever the
+float error bound is too wide), any other callable on the exact rational of
+each point.  Where a nondecreasing bid function is strictly increasing,
+bidding beta(z) wins against exactly the opponent values below z (the change
+of variables of first-price analysis; Krishna, Auction Theory, 2nd ed., 2010,
+ch. 2), so no threshold needs an inversion.
 """
 
 from __future__ import annotations
@@ -40,8 +41,8 @@ from .discrete import JumpPointStrategy, _delta_ratio
 from .errors import DomainError, check_bidders
 
 EXACT_VALUE_GRID = 64  # the exact verifier's uniform values are i/64
-GRID_VALUES = 128  # the grid verifier's values split [v_low, 1] into 128 steps
-BID_GRID = 512  # both float verifiers read the bid function at the values i/512
+GRID_VALUES = 128  # the grid verifier's values split [v_low, 1] into 128 steps: every fourth bid point
+BID_GRID = 512  # the float verifiers read the bid function at i/512, grid mode on [v_low, 1]
 MC_GRID = 8  # the Monte Carlo verifier's values are i/8, and so are its deviations on a step function
 # Most trials one Monte Carlo run may take: a bound on the count its one draw takes, not on work or memory.
 MAX_MC_TRIALS = 4_000_000
@@ -117,43 +118,47 @@ def epsilon_bne_check_cdfpa(F, n: int, strategy: JumpPointStrategy) -> RegretRep
 def epsilon_bne_check_ccfpa(F, n: int, bid_fn: Callable) -> RegretReport:
     """Deviation regret for a continuous monotone bid function, in threshold coordinates.
 
-    The bid function is read once, at z = i/512 and the 129 values
-    v_low + (1 - v_low) i/128, and its bids made nondecreasing.  The deviations
-    are those bids: beta(z_k) wins against all opponent values up to z+, the
-    last z of its run of equal bids or a step function's exact threshold (as
-    :func:`_edges` gives it), so its utility at value v is
-    F(z+)**(n-1) * (v - beta(z_k)), and the reported argmax bid is one of them.
-    The sup over continuous deviations is approximated on the grid, so the
-    reported regret carries the grid resolution; a step function's bid held
-    only between two read values is not a deviation.  Ties are not split: a bid
-    function that pools values on one bid is under-reported.  F is a
-    PiecewisePolyCdf; the bid function must not overbid or decrease at the
-    read values (as :func:`monotone_no_overbid_check` finds them), else
-    DomainError names a witness.
+    The bid function is read once, on the grid z = v_low + (1 - v_low) j/512
+    over the support [v_low, 1], and its bids made nondecreasing; the 129
+    values are every fourth point.  The deviations are those bids and those of
+    :func:`_deviations`: for a step function with exact thresholds, such as a
+    jump-point strategy, the points z, else the float above each bid.  A bid b
+    wins Delta(F(z-), F(z+)), ties split evenly
+    (:func:`_win_probs`), for z- = sup {x : beta(x) < b} and z+ = sup {x :
+    beta(x) <= b} as :func:`_edges` gives them: a step function's exact
+    thresholds, or the first and last z of b's run of equal bids from one read
+    of F at z.  The own bid wins by the same rule, as in the exact and the
+    Monte Carlo verifiers.  The sup over continuous deviations is approximated
+    on the grid, so the reported regret carries the grid resolution, and the
+    argmax bid is one of the deviations.  F is a PiecewisePolyCdf; the bid
+    function must not overbid or decrease at the points z (as
+    :func:`monotone_no_overbid_check` finds them), else DomainError names a
+    witness.
     """
     check_bidders(n)
     if not isinstance(F, PiecewisePolyCdf):
         raise DomainError(f"unsupported cdf type: {type(F).__name__}")
     v_low = float(F.support_infimum())
-    values = v_low + (1 - v_low) * np.arange(GRID_VALUES + 1) / GRID_VALUES
-    # z is the sorted union of the grid and the values, merged by rank with no sort (whose code adds 0.3 MB of peak
-    # RSS): an element's place is its index plus the count of the other array's elements before it, the grid's first
-    # on a tie; then equal neighbours are dropped
-    grid = np.arange(BID_GRID + 1) / BID_GRID
-    z = np.empty(grid.size + values.size)
-    z[np.arange(grid.size) + np.searchsorted(values, grid)] = grid
-    z[np.arange(values.size) + np.searchsorted(grid, values, side="right")] = values
-    z = z[np.append(True, z[1:] != z[:-1])]
+    z = v_low + (1 - v_low) * np.arange(BID_GRID + 1) / BID_GRID
+    values = z[:: BID_GRID // GRID_VALUES]
     bids = _bids_at(bid_fn, z, refuse=("overbids", "decreases"))
-    fcdf = float_view(F)
-    exact = _exact_thresholds(bid_fn)
-    win = _cdf_at(fcdf, exact(bids) if exact else z[np.searchsorted(bids, bids, side="right") - 1]) ** (n - 1)
-    own = _cdf_at(fcdf, values) ** (n - 1) * (values - bids[np.searchsorted(z, values)])
-    regret = values[:, None] - bids  # then in place: one array of values x deviations at a time
+    fcdf, exact = float_view(F), _exact_thresholds(bid_fn)
+    deviations = _deviations(exact, bids, z)
+    if exact:  # the own bids lead, as in the other case, so each value's own win is in the same array
+        deviations = np.append(bids, deviations)
+        a, c = np.concatenate([[_cdf_at(fcdf, x) for x in _edges(exact, z, bids, y)] for y in (bids, z)], axis=1)
+    else:  # F at the first and last z of each deviation's run, from one read of F at z
+        a, c = _edges(None, _cdf_at(fcdf, z), bids, deviations)
+        # the float above a bid whose edges read one F wins no more than the bid and pays more: drop its column
+        keep = np.append(np.full(z.size, True), a[: z.size] < c[: z.size])
+        deviations, a, c = deviations[keep], a[keep], c[keep]
+    win = _win_probs(a, c, n)
+    own = win[: z.size : BID_GRID // GRID_VALUES] * (values - bids[:: BID_GRID // GRID_VALUES])
+    regret = values[:, None] - deviations  # then in place: one array of values x deviations at a time
     regret *= win
     regret -= own[:, None]
     i, j = np.unravel_index(np.argmax(regret), regret.shape)
-    return RegretReport(max(float(regret[i, j]), 0.0), (float(values[i]), float(bids[j])))
+    return RegretReport(max(float(regret[i, j]), 0.0), (float(values[i]), float(deviations[j])))
 
 
 def _bids_at(bid_fn, z: np.ndarray, refuse: tuple) -> np.ndarray:
@@ -178,19 +183,39 @@ def _exact_thresholds(bid_fn) -> Callable | None:
     return thresholds if thresholds is not None and thresholds(np.zeros(0)) is not None else None
 
 
+def _deviations(exact, own_bids: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """The deviations of both float verifiers: the points for a step function with exact thresholds
+    (:func:`_exact_thresholds`), whose edges are exact at any bid; for any other bid function its own bids and
+    the float above each, which beats a run of equal bids without paying more."""
+    return points if exact else np.append(own_bids, np.nextafter(own_bids, np.inf))
+
+
 def _edges(exact, z: np.ndarray, bids: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """z- = sup {x : bid(x) < y} and z+ = sup {x : bid(x) <= y} for each of the sorted y >= bids[0].
+    """z- = sup {x : bid(x) < y} and z+ = sup {x : bid(x) <= y} for each y >= bids[0].
 
     The exact thresholds of :func:`_exact_thresholds` give both, at the float
     below y and at y.  Otherwise they come from bids = bid(z), nondecreasing:
     z+ is the last z whose bid is at most y, and z- the first z of y's run of
     equal bids, or z+ if y is not one of the bids.  That is exact wherever
     the bid function is strictly increasing, or pools only where F is flat.
+    Any array aligned with z, such as F read at z, in its place gives its
+    entries at those edges.
     """
     if exact:
         return exact(np.nextafter(y, -np.inf)), exact(y)
     last = np.searchsorted(bids, y, side="right") - 1
     return z[np.minimum(np.searchsorted(bids, y), last)], z[last]
+
+
+def _win_probs(a: np.ndarray, c: np.ndarray, n: int) -> np.ndarray:
+    """Delta(a, c): a bid's chance to win, ties split evenly, where each of the n - 1 opponents bids below it
+    with probability a and at most it with c.  That is (c**n - a**n) / (n (c - a)), taken as the mean of
+    a**j c**(n - 1 - j) over j < n, a sum of terms >= 0 with no cancellation; c**(n - 1) where a >= c."""
+    acc, power = np.ones_like(c), np.ones_like(a)
+    for _ in range(n - 1):
+        power *= a
+        acc = acc * c + power
+    return np.where(a < c, acc / n, c ** (n - 1))
 
 
 def _cdf_at(fcdf: Callable, x: np.ndarray) -> np.ndarray:
@@ -230,10 +255,9 @@ def _class_counts(n: int, edges: np.ndarray, trials: int, seed: int) -> np.ndarr
 def _paired_regrets(F, n: int, bid_fn, trials: int, seed: int):
     """The values i/8, the deviations, and the mean and standard error of each pair's regret.
 
-    The deviations are the values i/8 for a step function with exact
-    thresholds (:func:`_exact_thresholds`), such as a jump-point strategy; for
-    any other bid function they are its own bids beta(i/8) and the float above
-    each, which beats a run of equal bids without paying more.
+    The deviations are those of :func:`_deviations` at the values i/8: the
+    values themselves for a step function such as a jump-point strategy, else
+    the own bids beta(i/8) and the float above each.
     ``means[i, j]`` estimates the utility of value i/8 bidding deviations[j]
     minus that of its own bid, from the paired differences of the two on the
     same trials.
@@ -259,7 +283,7 @@ def _paired_regrets(F, n: int, bid_fn, trials: int, seed: int):
     read = _bids_at(bid_fn, z, refuse=("decreases",))
     values, own_bids = z[:: BID_GRID // MC_GRID], read[:: BID_GRID // MC_GRID]
     exact = _exact_thresholds(bid_fn)
-    deviations = values if exact else np.append(own_bids, np.nextafter(own_bids, np.inf))
+    deviations = _deviations(exact, own_bids, values)
     bids = np.array(sorted({*deviations.tolist(), *own_bids.tolist()}))
     edges = _cdf_at(float_view(F), np.column_stack(_edges(exact, z, read, bids)).ravel())  # a_0, c_0, a_1, ...
     counts = _class_counts(n, edges, trials, seed)

@@ -479,19 +479,28 @@ def reference_parse_rational(value) -> F:
     raise ValueError(f"not a rational: {shown(value)} (expected a \"p/q\" or integer string, or an integer)")
 
 
-def reference_list(value, what: str) -> tuple:
+def reference_list(value, what: str, parse=reference_parse_rational) -> tuple:
     if not isinstance(value, list):
         raise DomainError(f"{what} must be a JSON array of rationals, got {shown(value)}")
-    return tuple(reference_parse_rational(x) for x in value)
+    return tuple(parse(x) for x in value)
+
+
+def reference_row_entry(value) -> F:
+    """reference_parse_rational of a coefficient, which may have at most 4300 characters, as a command-line
+    rational may: a longer string is refused by its length."""
+    if isinstance(value, str) and len(value) > 4300:
+        raise DomainError(f"not a rational: {shown(value)} (more than 4300 characters in a cdf row)")
+    return reference_parse_rational(value)
 
 
 def reference_piecewise_poly(obj: dict) -> PiecewisePolyCdf:
-    """cdf_from_json's piecewise_poly branch as it was, a Fraction per coefficient and int_row per row."""
+    """cdf_from_json's piecewise_poly branch as it was, a Fraction per coefficient and int_row per row, with the
+    length rule on each coefficient."""
     bps = reference_list(obj["breakpoints"], "breakpoints")
     coeffs = obj["coeffs"]
     if not isinstance(coeffs, list):
         raise DomainError(f"coeffs must be a JSON array of coefficient rows, got {coeffs!r}")
-    dist = PiecewisePolyCdf(bps, tuple(reference_list(row, "a coefficient row") for row in coeffs))
+    dist = PiecewisePolyCdf(bps, tuple(reference_list(row, "a coefficient row", reference_row_entry) for row in coeffs))
     for j, (nums, scale) in enumerate(dist.int_rows):
         bits = max(scale.bit_length(), *(abs(c).bit_length() for c in nums))
         if bits > fq.cdf.MAX_ROW_BITS:

@@ -566,6 +566,27 @@ class TestInputContract:
         assert code == 2 and out == ""
         assert err.startswith("error: not a rational")
 
+    @pytest.mark.parametrize("where", ["piecewise_poly", "canonical_bid cdf", "canonical_bid cdf_scale"])
+    def test_long_cdf_row_string_refused_before_its_digits(self, capout, tmp_path, monkeypatch, where):
+        # a cdf row's entry is refused by its length, before any of its 10**6 digits is read: reading them took
+        # 0.4 s before the row's bit limit refused the row.  Integral rows and breakpoints keep no such bound
+        text = "1/" + "3" * 10**6
+        if where == "piecewise_poly":
+            obj = {"kind": "piecewise_poly", "breakpoints": ["0", "1"], "coeffs": [["0", text]]}
+            argv = ["validate-cdf", "--cdf"]
+        else:
+            piece = dict(HALF_PIECE, **({"cdf": ["0", text]} if where.endswith(" cdf") else {"cdf_scale": text}))
+            obj = {"kind": "canonical_bid", "n": 2, "breakpoints": ["0", "1"], "pieces": [piece]}
+            argv = ["eval", "--at", "1/2", "--strategy"]
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(obj))
+        read, digits = [], fq.rationals._digits
+        monkeypatch.setattr(fq.rationals, "_digits", lambda part: read.append(part) or digits(part))
+        code, out, err = capout(*argv, str(path))
+        assert code == 2 and out == "" and err.count("\n") == 1 and len(err) < 250
+        assert f"(more than {fq.rationals.MAX_CHARS} characters in a cdf row)" in err
+        assert max(map(len, read), default=0) < 10
+
     @pytest.mark.parametrize("sign", [1, -1])
     def test_format_rational_prints_every_digit(self, sign):
         q = sign * F(3**35631, 2**56471)  # 17,001 and 17,000 digits

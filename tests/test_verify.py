@@ -227,20 +227,40 @@ class TestContinuousRegret:
     @pytest.mark.parametrize("n", [2, 3])
     def test_win_probability_at_most_one(self, n):
         # seeded_cubic(0, 4) reads 1 + 1.3e-15 at the float below 1, up to which this step function bids 0:
-        # there every deviation below 1/2 wins with probability 1, and value 1, which bids 1/2 and wins
-        # half its value, gains at most 1/2 by deviating to 0.  Read unguarded, the cdf put it higher
+        # there the deviation to the grid point 1/512 beats every opponent, and bid 0 ties with all of them.
+        # At n = 2 value 1 bids 1/2 and wins for sure, so it gains 1/2 - 1/512 by that deviation; at n = 3
+        # value 127/128 wins a third of its value with bid 0 and gains more.  Both reports are the floats of those
+        # exact regrets; read unguarded, the cdf put each higher, by about 1.3e-15 at n = 2 and 2.6e-15 at n = 3
         dist, x = seeded_cubic(0, 4), np.nextafter(1.0, 0.0)
         assert float_view(dist)(np.array([x]))[0] > 1
         step = fq.PiecewisePoly((0, F(x), 1), [(F(0),), (F(1, 2),)])
-        assert fq.epsilon_bne_check_ccfpa(dist, n, step) == fq.RegretReport(0.5, (1.0, 0.0))
+        value, own = {2: (F(1), F(1, 2)), 3: (F(127, 128), F(127, 384))}[n]
+        report = fq.epsilon_bne_check_ccfpa(dist, n, step)
+        assert report == fq.RegretReport(float(value - F(1, 512) - own), (float(value), 1 / 512))
 
-    @pytest.mark.xfail(strict=True, reason="the grid verifier does not split ties, so it under-reports pooling")
     def test_pooling_at_zero_reported(self, uniform):
         # everyone bids 0: at value 1 the tie wins 1/2, while bidding 1/8 always wins, a regret
-        # of 7/8 - 1/2 = 0.375 (Monte Carlo's, with sigma 0); the values and deviations here
-        # include every i/8, so the grid verifier must report at least that.  It reports 0.25
+        # of 7/8 - 1/2 = 0.375 (Monte Carlo's, with sigma 0); the grid verifier's own bid splits the
+        # tie as well, and its deviations include the grid point 1/512, so it reports 1 - 1/512 - 1/2
         bid_fn = JumpPointStrategy(grid_of("0"), (F(0), F(1)), ())
-        assert fq.epsilon_bne_check_ccfpa(uniform, 2, bid_fn).max_regret >= 0.375
+        assert fq.epsilon_bne_check_ccfpa(uniform, 2, bid_fn) == fq.RegretReport(0.498046875, (1.0, 1 / 512))
+
+    def test_pooling_callable_reported(self, uniform):
+        # the same pool as a callable, which has no thresholds of its own: its deviations are its bid 0 and
+        # the float above it, which beats every opponent, so value 1 gains 1 - 1/2, at least the 0.375 of
+        # Monte Carlo on the jump points; with the tie split alone both deviations would tie and report 0
+        report = fq.epsilon_bne_check_ccfpa(uniform, 2, lambda v: 0)
+        assert report == fq.RegretReport(0.5, (1.0, 5e-324))
+        steps = JumpPointStrategy(grid_of("0"), (F(0), F(1)), ())
+        assert report.max_regret >= fq.monte_carlo_regret(uniform, 2, steps, 1000, 0).max_regret == 0.375
+
+    def test_pooling_at_the_top_reported(self, uniform):
+        # bid v up to 1/2, then 1/2: value 1 ties with the values above 1/2 and wins 3/4 of 1/2, where the
+        # float above 1/2 wins 1/2 for sure, a regret of 1/8
+        bid_fn = fq.PiecewisePoly((0, F(1, 2), 1), [(F(0), F(1)), (F(1, 2),)])
+        report = fq.epsilon_bne_check_ccfpa(uniform, 2, bid_fn)
+        assert report.argmax == (1.0, np.nextafter(0.5, 1.0))
+        assert abs(report.max_regret - 1 / 8) <= 1e-15
 
 
 def step_threshold(strategy, y):
@@ -256,34 +276,39 @@ def step_threshold(strategy, y):
 
 def scalar_grid_regret(dist, n, bid_fn):
     """The grid verifier's algorithm one point at a time, in threshold coordinates: one scalar float
-    bid per z, z the values i/512 and v_low + (1 - v_low) i/128, made nondecreasing; each of those
-    bids is a deviation that wins against the opponents up to z+, the last z of its run of equal bids
-    (for a jump-point strategy its exact threshold, step_threshold); then a double loop over the
-    values and the deviations, keeping the first largest regret, floored at 0.  It reads the bids
-    and the cdf in the verifier's arithmetic, float_view and numpy's ** on arrays: on an exact
-    equilibrium every regret is rounding noise, so another arithmetic picks another argmax."""
+    bid per z, z = v_low + (1 - v_low) j/512 over the support, made nondecreasing; the values are every
+    fourth z.  The deviations are those bids, then for a jump-point strategy the points z, else the float
+    above each bid.  Each deviation b wins Delta(F(z-), F(z+)), ties split evenly: the exact delta_win_prob
+    of the two float cdf values where they differ, else F(z+)**(n-1), with z- and z+ the first and last z of
+    b's run of equal bids, both the last z bidding below b if b is not one of the bids (for a jump-point
+    strategy its exact thresholds below b and at b, step_threshold).  The own bid
+    of each value wins by the same rule.  Then a double loop over the values and the deviations keeps the
+    first largest regret, floored at 0.  It reads the bids and the cdf in the verifier's arithmetic,
+    float_view and numpy's ** on arrays: on an exact equilibrium every regret is rounding noise, so
+    another arithmetic picks another argmax."""
     fcdf, fbid = float_view(dist), float_view(bid_fn)
     v_low = float(dist.support_infimum())
-    values = [v_low + (1 - v_low) * i / 128 for i in range(129)]
-    z = sorted({*(i / 512 for i in range(513)), *values})
+    z = [v_low + (1 - v_low) * j / 512 for j in range(513)]
     bids = list(itertools.accumulate((float(fbid(x)) for x in z), max))
+    steps = isinstance(bid_fn, JumpPointStrategy)
+    deviations = bids + (z if steps else [float(np.nextafter(b, np.inf)) for b in bids])
 
-    def z_plus(k):
-        if isinstance(bid_fn, JumpPointStrategy):
-            return step_threshold(bid_fn, bids[k])
-        while k + 1 < len(z) and bids[k + 1] == bids[k]:
-            k += 1
-        return z[k]
+    def edges(b):
+        if steps:
+            return step_threshold(bid_fn, np.nextafter(b, -np.inf)), step_threshold(bid_fn, b)
+        run, below = [x for x, y in zip(z, bids) if y == b], [x for x, y in zip(z, bids) if y <= b]
+        return run[0] if run else below[-1], below[-1]
 
-    def power(x):
-        return (fcdf(np.array([x])) ** (n - 1))[0]
+    def win(b):
+        a, c = (fcdf(np.array([x]))[0] for x in edges(b))
+        return float(fq.delta_win_prob(F(a), F(c), n)) if a < c else (np.array([c]) ** (n - 1))[0]
 
-    powers = [power(z_plus(k)) for k in range(len(z))]
+    wins = {b: win(b) for b in deviations}
     best = (float("-inf"), None)
-    for v in values:
-        own = power(v) * (v - bids[z.index(v)])
-        for b, p in zip(bids, powers):
-            regret = p * (v - b) - own
+    for v, own_bid in zip(z[::4], bids[::4]):
+        own = wins[own_bid] * (v - own_bid)
+        for b in deviations:
+            regret = wins[b] * (v - b) - own
             if regret > best[0]:
                 best = (regret, (v, b))
     return max(float(best[0]), 0.0), best[1]
@@ -291,15 +316,19 @@ def scalar_grid_regret(dist, n, bid_fn):
 
 def grid_case(kind, n, request):
     """(cdf, bid function) for the grid verifier's equivalence cases."""
-    if kind in ("uniform", "square", "two_piece"):
+    if kind in ("uniform", "square", "two_piece", "shifted_support"):
         dist = request.getfixturevalue(kind)
         return dist, fq.canonical_bid_function(dist, n)
     if kind == "solved-steps":
         dist, g = request.getfixturevalue("square"), grid_of(*(F(i, 24) for i in range(12)))
         return dist, fq.solve(dist, n, g, F(1, 64)).strategy
+    if kind == "pooled-top":
+        # bid v up to 1/2, then 1/2: a pool with no thresholds of its own, which the float above 1/2 beats
+        return request.getfixturevalue("uniform"), fq.PiecewisePoly((0, F(1, 2), 1), [(F(0), F(1)), (F(1, 2),)])
     if kind == "pooled-steps":
         # jump points off the dyadics, with bid 1/5 pooled away on the empty (1/3, 1/3]; the largest
-        # regret deviates to the step value 5/16 = 80/256, which wins up to 5/7, from value 92/128
+        # regret deviates from value 92/128 to the grid point 161/512 just above the step value 5/16, which
+        # beats every value up to 5/7 where 5/16 itself ties with those above 1/3
         g = grid_of("0", "1/5", "5/16", "1/2")
         return request.getfixturevalue("uniform"), JumpPointStrategy(g, (F(0), F(1, 3), F(1, 3), F(5, 7), F(1)), ())
     dist = request.getfixturevalue("adversarial")
@@ -310,7 +339,8 @@ def grid_case(kind, n, request):
 
 class TestGridMatchesScalarReference:
     @pytest.mark.parametrize("kind,n", [(kind, n) for kind in ("uniform", "square", "two_piece") for n in (2, 3, 4)]
-                             + [("solved-steps", 3), ("pooled-steps", 2), ("blackbox", 2)])
+                             + [("shifted_support", 2), ("shifted_support", 3), ("solved-steps", 3),
+                                ("pooled-steps", 2), ("pooled-top", 2), ("pooled-top", 3), ("blackbox", 2)])
     def test_same_argmax_and_regret(self, kind, n, request):
         dist, bid_fn = grid_case(kind, n, request)
         report = fq.epsilon_bne_check_ccfpa(dist, n, bid_fn)
@@ -728,6 +758,16 @@ class TestPairsFromClassCounts:
         assert std_errs[8, 0] == std_errs[8, -1] == 0.0
 
 
+@st.composite
+def eighths_steps(draw):
+    """A jump-point strategy that never overbids, on 0 and some of the other bids i/8: sorted jump points, some
+    pooled on the sixteenths, each at least the bid it starts."""
+    grid = grid_of(0, *(F(k, 8) for k in sorted(draw(st.sets(st.integers(1, 7))))))
+    point = st.one_of(st.integers(0, 16).map(lambda k: F(k, 16)), st.fractions(0, 1, max_denominator=1000))
+    s = sorted(draw(st.lists(point, min_size=grid.m, max_size=grid.m)))
+    return JumpPointStrategy(grid, [max(x, b) for x, b in zip(s, grid.bids)] + [F(1)], ())
+
+
 class TestClassLaw:
     """The law of a trial's class: each compared bid's expected share is its tie-split win probability."""
 
@@ -755,6 +795,20 @@ class TestClassLaw:
         with expected_draws(monkeypatch):
             means = fq.verify._paired_regrets(dist, n, s, 2, 0)[2]
         assert abs(max(means.max(), 0.0) - float(mc_grid_regret(dist, n, EIGHTHS, s.s))) <= 1e-15
+
+    @settings(max_examples=60, deadline=None)
+    @given(dist=st.sampled_from([fq.uniform_cdf(), fq.power_cdf(2)]), n=st.integers(2, 6), strategy=eighths_steps())
+    def test_grid_regret_is_the_expected_mean(self, dist, n, strategy):
+        # on the values and deviations i/8, as the grid verifier takes them from the grid z = i/8, its tie split
+        # Delta(F(z-), F(z+)) is each bid's expected share under the class law, so its regret is the largest
+        # expected paired difference of the Monte Carlo verifier
+        with pytest.MonkeyPatch.context() as m:
+            with expected_draws(m):
+                means = fq.verify._paired_regrets(dist, n, strategy, 2, 0)[2]
+            m.setattr(fq.verify, "BID_GRID", 8)
+            m.setattr(fq.verify, "GRID_VALUES", 8)
+            report = fq.epsilon_bne_check_ccfpa(dist, n, strategy)
+        assert abs(report.max_regret - max(means.max(), 0.0)) <= 1e-12
 
     @pytest.mark.parametrize("name,n", [("pooled", 4), ("square-bid", 3), ("square-solved", 2), ("uniform-bid", 8)])
     def test_sampled_classes_within_five_sigma(self, name, n, request, monkeypatch):

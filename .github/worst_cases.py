@@ -63,15 +63,20 @@ CASES = [  # argv, stdout file, bound in s; optionally a peak RSS bound in MB, a
     # rationals of about 134 000 characters, past Python's int-to-str limit, 31 MB.  The solve takes 0.5-0.6 s,
     # its certificate decided in floats and one residual exact; 2.5 s, about 4 times that, fails an exact sum
     # of Fractions for each Delta (10-13 s).  The exact verify takes 1.6-2.4 s with each Delta_k an integer
-    # pair; 5 s, about 3 times its usual 1.6-1.9 s, fails a tenfold slowdown and Delta's sum of powers (13 s)
-    (["solve", "--model", "cdfpa", *DENSE_GRID, "--eps", "1/64"], "dense-grid.json", 2.5, dict(mb=200)),
+    # pair; 5 s, about 3 times its usual 1.6-1.9 s, fails a tenfold slowdown and Delta's sum of powers (13 s).
+    # These rows and the cdfpa rows below print exact rationals, so the digests pin every byte of the jump
+    # points, the utilities, the certificate's max_residual and the exact regret
+    (["solve", "--model", "cdfpa", *DENSE_GRID, "--eps", "1/64"], "dense-grid.json", 2.5,
+     dict(mb=200, sha256="6398c41ea089a3ecbcaebee1f5657f0f16c4e7a37caa54cc11731d43a03cba32")),
     (["verify", "--mode", "exact", "--strategy", "dense-grid.json", *DENSE_GRID], "dense-grid-verify.json", 5,
-     dict(mb=200)),
+     dict(mb=200, sha256="3c4aa61bd65b124422903fbd049c5ce8ef9ba28a922bcef5080ee35215c636ee")),
     # m = 1024: the solve takes 0.3-0.5 s, and 2 s, 4 to 6 times that, fails a fourfold slowdown of the
     # finite-grid search.  The verify compares payoffs on ints, 1.0-1.5 s; 4 s, about 3 times that, fails a
     # tenfold slowdown and a Fraction per payoff (24-30 s)
-    (["solve", "--model", "cdfpa", *GRID_1024, "--eps", "1/64"], "grid-1024.json", 2, {}),
-    (["verify", "--mode", "exact", "--strategy", "grid-1024.json", *GRID_1024], "grid-1024-verify.json", 4, {}),
+    (["solve", "--model", "cdfpa", *GRID_1024, "--eps", "1/64"], "grid-1024.json", 2,
+     dict(sha256="b1f03bf76098cc44c5814a7a99f10aeca30c6ab8a5a76c9b8562309f9dcd8df9")),
+    (["verify", "--mode", "exact", "--strategy", "grid-1024.json", *GRID_1024], "grid-1024-verify.json", 4,
+     dict(sha256="131acf7bfd782d126391e03ceda89511610fb62a4f07053ef242ef0cc94ff53e")),
     # the grid verify of the same 1,024 jump points: its exact thresholds make the 513 grid points deviations
     # beside the bids, and each bid splits its ties between both edges.  0.08-0.1 s, mostly start-up, which
     # takes about 0.2 s on 2 vCPUs; 1 s, 5 times that, fails a Fraction per (value, deviation) pair (0.9 s in
@@ -82,7 +87,8 @@ CASES = [  # argv, stdout file, bound in s; optionally a peak RSS bound in MB, a
     # the float search's 48th walk does, 0.3 s, where bisection on U did not and the exact search took 7-9 s.
     # The 60 s stays while a solve may still fall back to that exact search, until the exact walk runs on ints
     (["solve", "--model", "cdfpa", "--cdf", "power8.json", "--n", "3", "--bids", BIDS_X8, "--eps", "1/17179869184"],
-     "power8-grid.json", 60, dict(certified=True)),
+     "power8-grid.json", 60,
+     dict(certified=True, sha256="768d54a436ce940f1adb602742127c578edc68e686318b76402d22cc165e4f49")),
     # 4 000 000 trials, the MAX_MC_TRIALS limit, counted per class of the top opposing bid by one multinomial
     # draw: 0.15-0.25 s and 36 MB, as a run of 2 trials takes, where drawing a level per trial, 8192 at a time,
     # took 0.3-0.6 s, and a cdf inversion and a bid per trial 3.3-4.4 s.  The digest pins the seed's draw

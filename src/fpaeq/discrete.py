@@ -46,8 +46,10 @@ The certificate decides in floats what floats can decide and is exact
 everywhere else: F at each jump point is enclosed between two floats by
 Horner's a-priori error bound, and Delta and each residual by boxes rounded
 outward, so only the residuals whose boxes reach the largest lower end are
-computed in exact rationals, on integer pairs with one Fraction each.  A pass
-remains a proof, and max_residual is the exact maximum.
+computed exactly, on integer pairs, and every other one is skipped.  Every
+exact decision is a cross-multiplication of integer pairs, and the one
+Fraction it builds is max_residual.  A pass remains a proof, and max_residual
+is the exact maximum.
 """
 
 from __future__ import annotations
@@ -128,19 +130,10 @@ class JumpPointStrategy(PiecewisePoly):
 
 
 @dataclass(frozen=True)
-class ConditionResidual:
-    condition: int  # 1, 2, or 3
-    index: int  # bid index i in [m]
-    residual: object  # exact, or a rational at or above it where a float box shows it is not the largest
-    bound: object
-
-
-@dataclass(frozen=True)
 class Certificate:
     gamma: object
     passed: bool
     max_residual: object
-    residuals: tuple[ConditionResidual, ...]
 
 
 @dataclass(frozen=True)
@@ -312,6 +305,11 @@ def _residual_box(s, b, u, win, signed: bool):
     return (-hi, -lo) if hi <= 0 else (0.0, max(-lo, hi))
 
 
+def _larger(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
+    """The larger of two nonnegative rationals given as (num, den), den > 0: a where they are equal."""
+    return a if a[0] * b[1] >= b[0] * a[1] else b
+
+
 def check_conditions(F, n: int, strategy: JumpPointStrategy, gamma) -> Certificate:
     """Approximate-equilibrium certificate; passing implies a 2*gamma*m equilibrium.
 
@@ -319,65 +317,64 @@ def check_conditions(F, n: int, strategy: JumpPointStrategy, gamma) -> Certifica
     s_{i-1} >= b_i and condition 2's U_{i-1} = U_i, so a pass has max_residual <= gamma.
     DomainError unless the strategy has a utility per jump point.
 
-    Conditions 3 and 2's U_{i-1} = U_i are exact comparisons.  The residuals of Delta_i, condition 1's
+    The jump points, bids, utilities and gamma are read as integer pairs (num, den), and every
+    decision is a cross-multiplication on them: conditions 3 and 2's U_{i-1} = U_i, each residual
+    against gamma, and the running maximum.  The residuals of Delta_i, condition 1's
     |(s - b_i) Delta_i - U| at both ends of bid i's interval and condition 2's
     max(0, (s_i - b_i) Delta_i - U_i), are decided in floats where F is a piecewise polynomial.  F is
     then a cdf, nondecreasing, so F at a jump point lies in a float box (:func:`_cdf_boxes`), and
     Delta_i and each residual lie in the float boxes built from those (:func:`_delta_box`,
     :func:`_residual_box`).  A residual is computed exactly, on integer pairs (F by
-    :meth:`PiecewisePoly.row_ratio`, Delta_i by :func:`_delta_ratio`) and one Fraction at the
-    end, only where its box reaches the largest lower end of all boxes.  Every other one lies
-    below the residual of that lower end, so it can decide neither the verdict nor the maximum:
-    it holds its box's upper end, a rational at or above it, and passed and max_residual are
-    taken from the zero-bound residuals and the exact ones alone.  Any other F, such as a
+    :meth:`PiecewisePoly.row_ratio`, Delta_i by :func:`_delta_ratio`), only where its box reaches
+    the largest lower end of all boxes.  Every other one lies below the residual of that lower end,
+    so it can decide neither the verdict nor the maximum, and it is skipped.  Any other F, such as a
     CdfOracle, gives no error bound: it answers at every jump point, m + 1 queries, and every
-    residual is exact.
+    residual is exact.  The one Fraction built is max_residual.
     """
     s, u, bids = strategy.s, strategy.utilities, strategy.bids
     if len(u) != len(s):
         raise DomainError(f"strategy has {len(u)} utilities; {len(bids)} bids need {len(s)}")
+    sr, br, ur = ([x.as_integer_ratio() for x in xs] for xs in (s, bids, u))
+    gp, gq = gamma.as_integer_ratio()
     boxed = isinstance(F, PiecewisePoly)
     fs = [None] * len(s) if boxed else [F(x).as_integer_ratio() for x in s]  # F's exact values as integer pairs
-    residuals, pending = [], []  # pending: (slot in residuals, bid i, jump point j, signed) of each Delta residual
-    for i, b in enumerate(bids, 1):
-        lo, hi = s[i - 1], s[i]
-        residuals.append(ConditionResidual(3, i, ZERO if lo >= b else b - lo, 0))
-        if lo < hi:
-            pending += [(len(residuals), i, i, False), (len(residuals) + 1, i, i - 1, False)]
-            residuals += [None, None]
-        else:
-            residuals.append(ConditionResidual(2, i, abs(u[i] - u[i - 1]), 0))
-            pending.append((len(residuals), i, i, True))
-            residuals.append(None)
-    deciding = list(filter(None, residuals))  # the zero-bound residuals, then every one computed exactly
+    passed, worst, pending = True, (0, 1), []  # pending: (bid i, jump point j, signed) of each Delta residual
+    for i, ((bp, bq), (lp, lq), (hp, hq)) in enumerate(zip(br, sr, sr[1:]), 1):
+        below = bp * lq - lp * bq  # (b_i - s_{i-1}) bq lq: condition 3's residual where positive
+        if below > 0:
+            passed, worst = False, _larger(worst, (below, bq * lq))
+        if lp * hq < hp * lq:
+            pending += [(i, i, False), (i, i - 1, False)]
+            continue
+        (ap, aq), (cp, cq) = ur[i - 1], ur[i]
+        apart = abs(cp * aq - ap * cq)  # |U_i - U_{i-1}| aq cq
+        if apart:
+            passed, worst = False, _larger(worst, (apart, aq * cq))
+        pending.append((i, i, True))
     boxes = [None] * len(pending)  # None: no box, the residual is computed exactly
     if boxed:
         sbox, bbox, ubox = ([float_bounds(x) for x in xs] for xs in (s, bids, u))
         fbox = _cdf_boxes(F, sbox)
         wins = [_delta_box(fx, fy, n) for fx, fy in zip(fbox, fbox[1:])]
-        boxes = [_residual_box(sbox[j], bbox[i - 1], ubox[j], wins[i - 1], signed) for _, i, j, signed in pending]
+        boxes = [_residual_box(sbox[j], bbox[i - 1], ubox[j], wins[i - 1], signed) for i, j, signed in pending]
     top = max((box[0] for box in boxes if box), default=0.0)  # the largest lower end
     exact_wins = {}
-    for (slot, i, j, signed), box in zip(pending, boxes):
+    for (i, j, signed), box in zip(pending, boxes):
         if box and box[1] < top:  # below the residual of that lower end: it moves neither verdict nor maximum
-            residuals[slot] = ConditionResidual(2 if signed else 1, i, Fraction(box[1]), gamma)
             continue
-        (sp, sq), (bp, bq), (up, uq) = s[j].as_integer_ratio(), bids[i - 1].as_integer_ratio(), u[j].as_integer_ratio()
+        (sp, sq), (bp, bq), (up, uq) = sr[j], br[i - 1], ur[j]
         c = sp * bq - bp * sq  # (s_j - b_i) sq bq
         if c and i not in exact_wins:
             for k in (i - 1, i):
                 if fs[k] is None:
-                    p, q = s[k].as_integer_ratio()
-                    fs[k] = F.row_ratio(F.piece_of(p, q), p, q)
+                    fs[k] = F.row_ratio(F.piece_of(*sr[k]), *sr[k])
             exact_wins[i] = _delta_ratio(fs[i - 1], fs[i], n)
         N, D = exact_wins[i] if c else (0, 1)
         r = c * N * uq - up * sq * bq * D  # (s_j - b_i) Delta_i - U_j over sq bq D uq
-        value = Fraction(max(r, 0) if signed else abs(r), sq * bq * D * uq)
-        residuals[slot] = ConditionResidual(2 if signed else 1, i, value, gamma)
-        deciding.append(residuals[slot])
-    ok = all(r.residual <= r.bound for r in deciding)
-    max_res = max(r.residual for r in deciding)
-    return Certificate(gamma, ok, max_res, tuple(residuals))
+        r, den = max(r, 0) if signed else abs(r), sq * bq * D * uq
+        passed = passed and r * gq <= gp * den
+        worst = _larger(worst, (r, den))
+    return Certificate(gamma, passed, Fraction(*worst))
 
 
 def _itp_point(u_lo, u_hi, above, walks: int, target: float) -> float:

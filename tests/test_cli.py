@@ -213,7 +213,7 @@ class TestSolveCdfpa:
         assert err.startswith(message)
 
     def test_uncertified_solve_exits_1(self, capout, uniform_json, monkeypatch):
-        monkeypatch.setattr(fq.discrete, "check_conditions", lambda *args: fq.Certificate(F(1), False, F(1), ()))
+        monkeypatch.setattr(fq.discrete, "check_conditions", lambda *args: fq.Certificate(F(1), False, F(1)))
         code, out, err = capout("solve", "--model", "cdfpa", "--cdf", uniform_json, "--n", "2",
                                 "--bids", "[\"0\", \"1/2\"]", "--eps", "1/16")
         assert code == 1 and out == ""

@@ -52,14 +52,17 @@ CASES = [  # argv, stdout file, bound in s; optionally a peak RSS bound in MB, a
     # the float view bounds x - I / F**(n-1), whose error shrinks by I / F**(n-1) over the bid: it takes 512 of
     # the 513 values i/512 in floats at n = 64, and only x = 0, where F = 0, exact.  The read of the 11.7 MB
     # bid and the verify take 0.6 s and 52 MB; 2 s, about 3 times that, fails the division of the two long
-    # rows, which took every bid exact (9.9-11.4 s)
+    # rows, which took every bid exact (9.9-11.4 s).  The digest pins the exact equilibrium's report, 0.0 at
+    # (0.0, 0.0), so a float view or a tie rule that stops reporting 0 for the exact bid fails it
     (["verify", "--mode", "grid", "--strategy", "explicit.json", "--cdf", "dense.json", "--n", "64"],
-     "explicit-grid-verify.json", 2, dict(mb=80)),
+     "explicit-grid-verify.json", 2,
+     dict(mb=80, sha256="ca88bf88443377473f561810ea65ef33983208be5d8b7da862111dd7c4c8630e")),
     # the same at n = 8: 0.2 s for the solve and 0.2 s for the verify, each mostly start-up, where dividing
     # the two long rows took every float bid exact (0.4 s) and an inversion per deviation j/256 6.4-8.7 s
     (["solve", "--model", "ccfpa-explicit", "--cdf", "dense.json", "--n", "8"], "dense-n8.json", 8, {}),
+    # The digest pins the same report of 0.0 at (0.0, 0.0) at n = 8, as above
     (["verify", "--mode", "grid", "--strategy", "dense-n8.json", "--cdf", "dense.json", "--n", "8"],
-     "dense-n8-grid.json", 4, {}),
+     "dense-n8-grid.json", 4, dict(sha256="ca88bf88443377473f561810ea65ef33983208be5d8b7da862111dd7c4c8630e")),
     # rationals of about 134 000 characters, past Python's int-to-str limit, 31 MB.  The solve takes 0.5-0.6 s,
     # its certificate decided in floats and one residual exact; 2.5 s, about 4 times that, fails an exact sum
     # of Fractions for each Delta (10-13 s).  The exact verify takes 1.6-2.4 s with each Delta_k an integer
@@ -83,6 +86,12 @@ CASES = [  # argv, stdout file, bound in s; optionally a peak RSS bound in MB, a
     # process), and the digest moves with the tie rule or the step function's deviations
     (["verify", "--mode", "grid", "--strategy", "grid-1024.json", *GRID_1024], "grid-1024-grid.json", 1,
      dict(sha256="ed3d769ffd15c4f2a9dad51cf8b798c3518c95e9e499ec384cddd05bb5be53fb")),
+    # the Monte Carlo verify of the same strategy, default trials and seed: the one row on a step function in
+    # that mode, which takes the grid points i/8 as deviations and reads the exact thresholds at every
+    # compared bid.  It takes as long as the grid row, mostly start-up, and has its 1 s bound; the digest
+    # moves with the thresholds, the class law or the seed's draw
+    (["verify", "--mode", "mc", "--strategy", "grid-1024.json", *GRID_1024], "grid-1024-mc.json", 1,
+     dict(sha256="edbc887d083bd1eeebfe6369eeaa32c0ebd23a94124e5cc6a0578211752945e5")),
     # U_1 moves about 3e4 times faster than U, so whether a float walk reaches gamma is luck in U's last bits:
     # the float search's 48th walk does, 0.3 s, where bisection on U did not and the exact search took 7-9 s.
     # The 60 s stays while a solve may still fall back to that exact search, until the exact walk runs on ints

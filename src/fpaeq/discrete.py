@@ -147,7 +147,7 @@ def _powers(b, n: int) -> list:
     """b**1 .. b**(n-1), each the one before times b."""
     out, power = [], 1
     for _ in range(n - 1):
-        power *= b
+        power = power * b  # a new object each time: *= would update one ndarray in place
         out.append(power)
     return out
 

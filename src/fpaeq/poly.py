@@ -11,7 +11,11 @@ a-priori error bound in one method, :meth:`PiecewisePoly.float_bounded`: one
 bound, in scalar form for the finite-grid certificate and in array form for the
 float view of a rational bid function, the same bits in both.  Each scalar form
 runs on Python lists (:func:`float_rows`) and calls no numpy.  No other module
-builds or runs float rows.
+builds or runs float rows.  Each float form is a closure that a caller asks for
+once and then reads: the float view (:meth:`PiecewisePoly.float_evaluator`),
+:meth:`PiecewisePoly.float_bounded`, and a step function's thresholds
+(:meth:`PiecewisePoly.float_thresholds`, None unless the rows are
+nondecreasing constants).
 
 A row is held once, as integer numerators over one denominator in lowest terms
 and at its true degree, with no zero leading coefficient (Knuth, TAOCP vol. 2,
@@ -436,13 +440,15 @@ class PiecewisePoly:
             raise DomainError("x outside [0, 1]")
         return np.searchsorted(self._inner, x)
 
-    def float_thresholds(self, y: np.ndarray) -> np.ndarray | None:
-        """sup {x : float view at x <= y} over floats x in [0, 1], elementwise, if the rows are nondecreasing constants (a
-        jump-point strategy's), else None: 0 below every row, 1 at or above the last, else the end of the last row <= y."""
-        levels = None if self.degree else float_table(float_rows(self.int_rows))[0]
+    def float_thresholds(self) -> Callable | None:
+        """None unless the rows are nondecreasing constants (a jump-point strategy's), else the closure y |-> sup {x :
+        float view at x <= y} over floats x in [0, 1], elementwise: 0 below every row, 1 at or above the last, else the
+        end of the last row <= y.  The levels, each row's float nums[0] / scale, and the ends are built once, here."""
+        levels = None if self.degree else np.array([nums[0] / scale for nums, scale in self.int_rows])
         if levels is None or (np.diff(levels) < 0).any():
             return None
-        return np.array([0.0, *self._inner, 1.0])[np.searchsorted(levels, y, side="right")]
+        ends = np.array([0.0, *self._inner, 1.0])
+        return lambda y: ends[np.searchsorted(levels, y, side="right")]
 
 
 def float_rows(int_rows: Sequence[tuple[Sequence[int], int]]) -> list[list[float]]:

@@ -1,6 +1,10 @@
 """Independent certification of candidate equilibrium strategies.
 
-Three routes, deliberately independent of the solvers they audit:
+Three routes.  They share with the solvers only Delta, the win probability of
+a bid (:mod:`discrete`): the exact route takes it as an integer pair from
+:func:`discrete._delta_ratio`, grid mode in floats from :func:`delta_win_prob`,
+both on the one sum of powers :func:`discrete._power_sum`.  The regret each
+route forms and the Monte Carlo class law are their own:
 
 * exact deviation regret over a finite bid grid (rational arithmetic),
 * grid-based deviation regret for continuous monotone bid functions, in
@@ -37,7 +41,7 @@ from typing import Callable
 import numpy as np
 
 from .cdf import PiecewisePolyCdf, float_view
-from .discrete import JumpPointStrategy, _delta_ratio
+from .discrete import JumpPointStrategy, _delta_ratio, delta_win_prob
 from .errors import DomainError, check_bidders
 
 EXACT_VALUE_GRID = 64  # the exact verifier's uniform values are i/64
@@ -123,15 +127,16 @@ def epsilon_bne_check_ccfpa(F, n: int, bid_fn: Callable) -> RegretReport:
     values are every fourth point.  The deviations are those bids and those of
     :func:`_deviations`: for a step function with exact thresholds, such as a
     jump-point strategy, the points z, else the float above each bid.  A bid b
-    wins Delta(F(z-), F(z+)), ties split evenly
-    (:func:`_win_probs`), for z- = sup {x : beta(x) < b} and z+ = sup {x :
-    beta(x) <= b} as :func:`_edges` gives them: a step function's exact
-    thresholds, or the first and last z of b's run of equal bids from one read
-    of F at z.  The own bid wins by the same rule, as in the exact and the
-    Monte Carlo verifiers.  The sup over continuous deviations is approximated
-    on the grid, so the reported regret carries the grid resolution, and the
-    argmax bid is one of the deviations.  F is a PiecewisePolyCdf; the bid
-    function must not overbid or decrease at the points z (as
+    wins Delta(F(z-), F(z+)), ties split evenly (:func:`delta_win_prob`, and
+    F(z+)**(n - 1) where F(z-) = F(z+)), for z- = sup {x : beta(x) < b} and
+    z+ = sup {x : beta(x) <= b} as :func:`_edges` gives them: a step function's
+    exact thresholds (:meth:`PiecewisePoly.float_thresholds`, asked for once),
+    or the first and last z of b's run of equal bids from one read of F at z.
+    The own bid wins by the same rule, as in the exact and the Monte Carlo
+    verifiers.  The sup over continuous deviations is approximated on the
+    grid, so the reported regret carries the grid resolution, and the argmax
+    bid is one of the deviations.  F is a PiecewisePolyCdf; the bid function
+    must not overbid or decrease at the points z (as
     :func:`monotone_no_overbid_check` finds them), else DomainError names a
     witness.
     """
@@ -142,7 +147,7 @@ def epsilon_bne_check_ccfpa(F, n: int, bid_fn: Callable) -> RegretReport:
     z = v_low + (1 - v_low) * np.arange(BID_GRID + 1) / BID_GRID
     values = z[:: BID_GRID // GRID_VALUES]
     bids = _bids_at(bid_fn, z, refuse=("overbids", "decreases"))
-    fcdf, exact = float_view(F), _exact_thresholds(bid_fn)
+    fcdf, exact = float_view(F), getattr(bid_fn, "float_thresholds", lambda: None)()
     deviations = _deviations(exact, bids, z)
     if exact:  # the own bids lead, as in the other case, so each value's own win is in the same array
         deviations = np.append(bids, deviations)
@@ -152,7 +157,7 @@ def epsilon_bne_check_ccfpa(F, n: int, bid_fn: Callable) -> RegretReport:
         # the float above a bid whose edges read one F wins no more than the bid and pays more: drop its column
         keep = np.append(np.full(z.size, True), a[: z.size] < c[: z.size])
         deviations, a, c = deviations[keep], a[keep], c[keep]
-    win = _win_probs(a, c, n)
+    win = np.where(a < c, delta_win_prob(c, a, n), c ** (n - 1))
     own = win[: z.size : BID_GRID // GRID_VALUES] * (values - bids[:: BID_GRID // GRID_VALUES])
     regret = values[:, None] - deviations  # then in place: one array of values x deviations at a time
     regret *= win
@@ -175,26 +180,19 @@ def _bids_at(bid_fn, z: np.ndarray, refuse: tuple) -> np.ndarray:
     return np.maximum.accumulate(bids)
 
 
-def _exact_thresholds(bid_fn) -> Callable | None:
-    """z+ = sup {x : bid(x) <= y} at any y, exactly, for a step function with nondecreasing rows, such as a
-    jump-point strategy (:meth:`PiecewisePoly.float_thresholds`, None whatever y for any other
-    PiecewisePoly); None for any other bid function."""
-    thresholds = getattr(bid_fn, "float_thresholds", None)
-    return thresholds if thresholds is not None and thresholds(np.zeros(0)) is not None else None
-
-
 def _deviations(exact, own_bids: np.ndarray, points: np.ndarray) -> np.ndarray:
     """The deviations of both float verifiers: the points for a step function with exact thresholds
-    (:func:`_exact_thresholds`), whose edges are exact at any bid; for any other bid function its own bids and
-    the float above each, which beats a run of equal bids without paying more."""
+    (:meth:`PiecewisePoly.float_thresholds`), whose edges are exact at any bid; for any other bid function, whose
+    exact is None, its own bids and the float above each, which beats a run of equal bids without paying more."""
     return points if exact else np.append(own_bids, np.nextafter(own_bids, np.inf))
 
 
 def _edges(exact, z: np.ndarray, bids: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """z- = sup {x : bid(x) < y} and z+ = sup {x : bid(x) <= y} for each y >= bids[0].
 
-    The exact thresholds of :func:`_exact_thresholds` give both, at the float
-    below y and at y.  Otherwise they come from bids = bid(z), nondecreasing:
+    A step function's exact thresholds, the closure of
+    :meth:`PiecewisePoly.float_thresholds` in exact, give both, at the float
+    below y and at y.  With exact None they come from bids = bid(z), nondecreasing:
     z+ is the last z whose bid is at most y, and z- the first z of y's run of
     equal bids, or z+ if y is not one of the bids.  That is exact wherever
     the bid function is strictly increasing, or pools only where F is flat.
@@ -205,17 +203,6 @@ def _edges(exact, z: np.ndarray, bids: np.ndarray, y: np.ndarray) -> tuple[np.nd
         return exact(np.nextafter(y, -np.inf)), exact(y)
     last = np.searchsorted(bids, y, side="right") - 1
     return z[np.minimum(np.searchsorted(bids, y), last)], z[last]
-
-
-def _win_probs(a: np.ndarray, c: np.ndarray, n: int) -> np.ndarray:
-    """Delta(a, c): a bid's chance to win, ties split evenly, where each of the n - 1 opponents bids below it
-    with probability a and at most it with c.  That is (c**n - a**n) / (n (c - a)), taken as the mean of
-    a**j c**(n - 1 - j) over j < n, a sum of terms >= 0 with no cancellation; c**(n - 1) where a >= c."""
-    acc, power = np.ones_like(c), np.ones_like(a)
-    for _ in range(n - 1):
-        power *= a
-        acc = acc * c + power
-    return np.where(a < c, acc / n, c ** (n - 1))
 
 
 def _cdf_at(fcdf: Callable, x: np.ndarray) -> np.ndarray:
@@ -282,7 +269,7 @@ def _paired_regrets(F, n: int, bid_fn, trials: int, seed: int):
     z = np.arange(BID_GRID + 1) / BID_GRID
     read = _bids_at(bid_fn, z, refuse=("decreases",))
     values, own_bids = z[:: BID_GRID // MC_GRID], read[:: BID_GRID // MC_GRID]
-    exact = _exact_thresholds(bid_fn)
+    exact = getattr(bid_fn, "float_thresholds", lambda: None)()
     deviations = _deviations(exact, own_bids, values)
     bids = np.array(sorted({*deviations.tolist(), *own_bids.tolist()}))
     edges = _cdf_at(float_view(F), np.column_stack(_edges(exact, z, read, bids)).ravel())  # a_0, c_0, a_1, ...

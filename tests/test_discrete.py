@@ -1,7 +1,9 @@
+import bisect
 import fractions
 import math
 import random
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -264,6 +266,13 @@ class TestDeltaWinProb:
             assert d == x ** (n - 1)
         else:
             assert n * d * (y - x) == y**n - x**n
+
+    def test_powers_of_an_array_are_distinct(self):
+        # each power is a new array: an in-place product would leave n - 1 references to b**(n - 1)
+        b = np.array([0.5, 0.25])
+        powers = discrete._powers(b, 5)
+        assert len({id(p) for p in powers}) == 4
+        assert [p.tolist() for p in powers] == [[0.5**k, 0.25**k] for k in range(1, 5)]
 
 
 class TestComputeStrategy:
@@ -882,9 +891,10 @@ class TestAgainstTheClosedForm:
     in the solver or a wrong integral row in the bid breaks the bound.  At i = m it compares U_m with I(1).
     """
 
-    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(data=st.data())
-    def test_utilities_within_the_bound(self, data, walk_cdfs):
+    @staticmethod
+    def solved(data, walk_cdfs):
+        """A certified solve: its jump points s, utilities u, bids, mixed cdf G, gamma, n and w, F's breakpoints, the
+        closed form I and the bound B[i] above at each s_i."""
         name = data.draw(st.sampled_from(WALK_CDFS + ["power8"]), label="cdf")
         dist = fq.power_cdf(8) if name == "power8" else walk_cdfs[name]
         n = data.draw(st.sampled_from([2, 3, 5, 8]), label="n")
@@ -894,11 +904,56 @@ class TestAgainstTheClosedForm:
         s, u, G, gamma = res.strategy.s, res.strategy.utilities, res.transformed_cdf, res.certificate.gamma
         assert res.certificate.passed and s[0] == 0 and u[0] == 0
         beta, w = explicit.canonical_bid_function(dist, n), eps / (3 * n)
+
+        def closed_form(x):
+            fx = dist(x)
+            return (x - beta(x)) * fx ** (n - 1) if fx else F(0)
+
         powers = [G(x) ** (n - 1) for x in s]
-        pooling = 0  # the sum over unpooled k <= i
-        for i, (x, ui) in enumerate(zip(s, u)):
+        bounds, pooling = [], 0  # the sum over unpooled k <= i
+        for i, x in enumerate(s):
             if i and s[i - 1] < x:
                 pooling += (x - s[i - 1]) * (powers[i] - powers[i - 1]) + 2 * gamma
-            fx = dist(x)
-            closed_form = (x - beta(x)) * fx ** (n - 1) if fx else F(0)
-            assert abs(ui - closed_form) <= pooling + (n - 1) * w * x
+            bounds.append(pooling + (n - 1) * w * x)
+        return SimpleNamespace(s=s, u=u, bids=g.bids, G=G, gamma=gamma, n=n, w=w, breakpoints=dist.breakpoints,
+                               closed_form=closed_form, bounds=bounds)
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_utilities_within_the_bound(self, data, walk_cdfs):
+        c = self.solved(data, walk_cdfs)
+        for x, ui, bound in zip(c.s, c.u, c.bounds):
+            assert abs(ui - c.closed_form(x)) <= bound
+
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_value_grid_within_the_bound(self, data, walk_cdfs):
+        """Between the jump points: for v in (s_(i-1), s_i] and the bound B_(i-1) at s_(i-1) above,
+
+            |(v - b_i) Delta_i - I(v)| <= B_(i-1) + gamma + (v - s_(i-1)) (G(s_i)**(n-1) - G(s_(i-1))**(n-1))
+                                          + (n - 1) w (v - s_(i-1)),
+
+        with Delta_i the win probability of bid b_i under G.  It is asserted at the values k/256 and at F's
+        breakpoints.
+
+        Proof.  Bid i is unpooled, as s_(i-1) < v <= s_i.
+        * (v - b_i) Delta_i = (s_(i-1) - b_i) Delta_i + (v - s_(i-1)) Delta_i, and
+          I(v) = I(s_(i-1)) + integral over [s_(i-1), v] of F**(n-1).
+        * Condition 1 at s_(i-1) holds within gamma, |(s_(i-1) - b_i) Delta_i - U_(i-1)| <= gamma, and
+          |U_(i-1) - I(s_(i-1))| <= B_(i-1).
+        * Delta_i and G**(n-1) on [s_(i-1), v], inside [s_(i-1), s_i], both lie in
+          [G(s_(i-1))**(n-1), G(s_i)**(n-1)], as G is nondecreasing.  So (v - s_(i-1)) Delta_i and the integral
+          of G**(n-1) over [s_(i-1), v] differ by at most (v - s_(i-1)) (G(s_i)**(n-1) - G(s_(i-1))**(n-1)).
+        * |G**(n-1) - F**(n-1)| <= (n - 1) |G - F| <= (n - 1) w, as in the bound above, so the integrals of
+          G**(n-1) and F**(n-1) over [s_(i-1), v] differ by at most (n - 1) w (v - s_(i-1)).
+        The triangle inequality over the four gives the bound.  Delta_i is formed here from its definition, the
+        mean of G(s_(i-1))**(n-1-j) G(s_i)**j over j < n, not by the solver's code.
+        """
+        c = self.solved(data, walk_cdfs)
+        n, fs = c.n, [c.G(x) for x in c.s]
+        deltas = [sum(a ** (n - 1 - j) * b**j for j in range(n)) / n for a, b in zip(fs, fs[1:])]
+        for v in sorted({F(k, 256) for k in range(1, 257)} | {b for b in c.breakpoints if b > 0}):
+            i = bisect.bisect_left(c.s, v)  # s_(i-1) < v <= s_i
+            width = v - c.s[i - 1]
+            bound = c.bounds[i - 1] + c.gamma + width * (fs[i] ** (n - 1) - fs[i - 1] ** (n - 1) + (n - 1) * c.w)
+            assert abs((v - c.bids[i - 1]) * deltas[i - 1] - c.closed_form(v)) <= bound

@@ -462,11 +462,37 @@ class TestStepThresholds:
     def test_within_the_inversion_bracket(self, case):
         # each threshold is the largest float at or below the exact jump point where the last bid at most y ends
         strategy, y = case
-        assert strategy.float_thresholds(y).tolist() == [step_threshold(strategy, x) for x in y.tolist()]
+        assert strategy.float_thresholds()(y).tolist() == [step_threshold(strategy, x) for x in y.tolist()]
 
     @pytest.mark.parametrize("rows", [[(F(1, 2),), (F(1, 4),)], [(F(0),), (F(0), F(1, 2))]], ids=["falling", "linear"])
     def test_other_rows_have_none(self, rows):
-        assert fq.PiecewisePoly((0, F(1, 2), 1), rows).float_thresholds(np.array([0.3])) is None
+        assert fq.PiecewisePoly((0, F(1, 2), 1), rows).float_thresholds() is None
+
+
+def reference_win_probs(a: np.ndarray, c: np.ndarray, n: int) -> np.ndarray:
+    """Delta(a, c) as the grid verifier once formed it on its own: the mean of a**j c**(n - 1 - j) over j < n,
+    each power of a updated in place, and c**(n - 1) where a >= c."""
+    acc, power = np.ones_like(c), np.ones_like(a)
+    for _ in range(n - 1):
+        power *= a
+        acc = acc * c + power
+    return np.where(a < c, acc / n, c ** (n - 1))
+
+
+class TestGridWinProbs:
+    """Grid mode's win probabilities, np.where(a < c, delta_win_prob(c, a, n), c**(n - 1)), are the bits of the
+    verifier's own former recurrence."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(pairs=st.lists(st.tuples(st.one_of(st.floats(0, 1), st.sampled_from([0.0, 1.0])),
+                                    st.one_of(st.floats(0, 1), st.sampled_from([0.0, 1.0])), st.booleans()),
+                          min_size=1, max_size=40),
+           n=st.integers(2, 64))
+    def test_same_bits_as_the_reference(self, pairs, n):
+        a = np.array([min(x, y) for x, y, _ in pairs])
+        c = np.array([min(x, y) if equal else max(x, y) for x, y, equal in pairs])
+        win = np.where(a < c, fq.delta_win_prob(c, a, n), c ** (n - 1))
+        assert np.array_equal(win, reference_win_probs(a, c, n))
 
 
 class TestMonteCarlo:
@@ -954,6 +980,21 @@ class TestOneRead:
                 report = fq.monte_carlo_regret(square, 3, counted, trials, 1)
                 assert report == fq.monte_carlo_regret(square, 3, bid_fn, trials, 1)
                 assert (counted.view.calls, counted.view.points) == (1, 513)
+
+    def test_thresholds_asked_for_once_per_run(self, square, monkeypatch):
+        # a step function's thresholds are one closure per run, read at every bid the run compares
+        strategy, calls, method = fq.solve(square, 3, EIGHTHS, F(1, 64)).strategy, [], fq.PiecewisePoly.float_thresholds
+
+        def counted(self, *args):
+            calls.append(args)
+            return method(self, *args)
+
+        monkeypatch.setattr(fq.PiecewisePoly, "float_thresholds", counted)
+        for run in (lambda: fq.epsilon_bne_check_ccfpa(square, 3, strategy),
+                    lambda: fq.monte_carlo_regret(square, 3, strategy, 1000, 1)):
+            calls.clear()
+            run()
+            assert calls == [()]
 
     def test_no_masked_arrays(self):
         # np.unique and np.union1d import numpy.ma (numpy 2.4), which adds about 1 MB to a run's peak RSS;

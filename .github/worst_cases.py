@@ -58,8 +58,11 @@ CASES = [  # argv, stdout file, bound in s; optionally a peak RSS bound in MB, a
      "explicit-grid-verify.json", 2,
      dict(mb=80, sha256="ca88bf88443377473f561810ea65ef33983208be5d8b7da862111dd7c4c8630e")),
     # the same at n = 8: 0.2 s for the solve and 0.2 s for the verify, each mostly start-up, where dividing
-    # the two long rows took every float bid exact (0.4 s) and an inversion per deviation j/256 6.4-8.7 s
-    (["solve", "--model", "ccfpa-explicit", "--cdf", "dense.json", "--n", "8"], "dense-n8.json", 8, {}),
+    # the two long rows took every float bid exact (0.4 s) and an inversion per deviation j/256 6.4-8.7 s.
+    # The solve's digest pins the printed cdf row and integral row at n = 8, so a change to the power, the
+    # integral or the way either is printed fails it here, before the verify reads it
+    (["solve", "--model", "ccfpa-explicit", "--cdf", "dense.json", "--n", "8"], "dense-n8.json", 8,
+     dict(sha256="4b2f7eeb423b09f278fcf5d97de1e263a0abeba0cf09c3413e4a990f731d3fde")),
     # The digest pins the same report of 0.0 at (0.0, 0.0) at n = 8, as above
     (["verify", "--mode", "grid", "--strategy", "dense-n8.json", "--cdf", "dense.json", "--n", "8"],
      "dense-n8-grid.json", 4, dict(sha256="ca88bf88443377473f561810ea65ef33983208be5d8b7da862111dd7c4c8630e")),
@@ -103,14 +106,18 @@ CASES = [  # argv, stdout file, bound in s; optionally a peak RSS bound in MB, a
     # took 0.3-0.6 s, and a cdf inversion and a bid per trial 3.3-4.4 s.  The digest pins the seed's draw
     # and the deviations, the bids beta(i/8) and the float above each, as the float view x - I / F**(n-1)
     # rounds them (sigma's last bits moved from the quotient of two rows).  The solve of the strategy takes
-    # 0.2-0.4 s, mostly start-up; 1.5 s, as for the verify, fails a bid function that takes a second to build
-    (["solve", "--model", "ccfpa-explicit", "--cdf", "square.json", "--n", "2"], "square-bid.json", 1.5, {}),
+    # 0.2-0.4 s, mostly start-up; 1.5 s, as for the verify, fails a bid function that takes a second to build.
+    # Its digest pins the bid the verify reads, so a changed bid fails at the solve, not as a moved draw
+    (["solve", "--model", "ccfpa-explicit", "--cdf", "square.json", "--n", "2"], "square-bid.json", 1.5,
+     dict(sha256="f366b8cf6045b01d9ad47fbf109559aabff029926f13c4b5eb395a167855bc92")),
     (["verify", "--strategy", "square-bid.json", "--cdf", "square.json", "--n", "2", "--mode", "mc",
       "--trials", "4000000"], "square-mc.json", 1.5,
      dict(mb=100, sha256="3ad1dddfcf768ad3979c57974564dea78a43e59e299f391bad03a5cb2eb9d527")),
     # the same at n = 64, n classes per compared bid: 0.15-0.25 s and 36 MB, where a level per trial took
-    # 0.3-0.6 s, and a cdf inversion and a bid per trial 7.5-10 s.  The solve, 0.2-0.4 s, is bounded as above
-    (["solve", "--model", "ccfpa-explicit", "--cdf", "square.json", "--n", "64"], "square-bid-n64.json", 1.5, {}),
+    # 0.3-0.6 s, and a cdf inversion and a bid per trial 7.5-10 s.  The solve, 0.2-0.4 s, is bounded and
+    # pinned as above: its digest holds the integral row of x**126, 128 coefficients where n = 2 has 4
+    (["solve", "--model", "ccfpa-explicit", "--cdf", "square.json", "--n", "64"], "square-bid-n64.json", 1.5,
+     dict(sha256="7cd47dcb8950138e981ac6f622030a3b4a22ba1918ebf2ec24fc19d18db14e7f")),
     (["verify", "--strategy", "square-bid-n64.json", "--cdf", "square.json", "--n", "64", "--mode", "mc",
       "--trials", "4000000"], "square-mc-n64.json", 1.5,
      dict(mb=100, sha256="1bcfcc3e553e77bdd97961a866facd139b6d2f7d6683f52ddac8bbf7a6157de0")),

@@ -42,12 +42,12 @@ max(delta, 2**-52), the resolution of floats on [0, 1], and stops after
 MAX_FLOAT_WALKS = 52 walks, bisection's count to 2**-52, with a bracket of
 2**-51 at worst.
 
-The certificate decides in floats what floats can decide and is exact
-everywhere else: F at each jump point is enclosed between two floats by
-Horner's a-priori error bound, and Delta and each residual by boxes rounded
-outward, so only the residuals whose boxes reach the largest lower end are
-computed exactly, on integer pairs, and every other one is skipped.  Every
-exact decision is a cross-multiplication of integer pairs, and the one
+The certificate reads F at the jump points once, exactly, as integer pairs
+(:func:`_cdf_pairs`, as do the exact verifier and win_probs).  It decides in
+floats what floats can decide and is exact everywhere else: each pair lies
+between two floats, and Delta and each residual in boxes rounded outward from
+those, so only the residuals whose boxes reach the largest lower end are
+computed exactly, on integer pairs, and every other one is skipped.  The one
 Fraction it builds is max_residual.  A pass remains a proof, and max_residual
 is the exact maximum.
 """
@@ -123,10 +123,10 @@ class JumpPointStrategy(PiecewisePoly):
         """The jump points s_0..s_m: the breakpoints."""
         return self.breakpoints
 
-    def win_probs(self, F, n: int) -> tuple:
+    def win_probs(self, F, n: int) -> tuple[Fraction, ...]:
         """Delta_1..Delta_m: bid b_j wins with Delta(s_{j-1}, s_j), whatever the value."""
-        fs = [F(x) for x in self.s]
-        return tuple(delta_win_prob(fx, fy, n) for fx, fy in zip(fs, fs[1:]))
+        fs = _cdf_pairs(F, self.s)
+        return tuple(Fraction(*_delta_ratio(fx, fy, n)) for fx, fy in zip(fs, fs[1:]))
 
 
 @dataclass(frozen=True)
@@ -260,18 +260,15 @@ def _delta_ratio(fx: tuple[int, int], fy: tuple[int, int], n: int) -> tuple[int,
     return _power_sum(p * (t // g), r * (q // g), n), n * (q // g * t) ** (n - 1)
 
 
-def _cdf_boxes(F: PiecewisePoly, points) -> list[tuple[float, float]]:
-    """Floats around a nondecreasing F at each rational x whose :func:`float_bounds` are in points: F's float less
-    Horner's error bound (:meth:`PiecewisePoly.float_bounded`) at the float at or below x, and F's float plus the
-    bound at the float at or above x.  Each end is one float further out, past the rounding of its own sum, and
-    clipped to [0, 1], where a cdf lies."""
-    bounded, boxes = F.float_bounded(), []
-    for a, b in points:
-        value, bound = bounded(a)
-        lo = max(math.nextafter(value - bound, -math.inf), 0.0)
-        value, bound = bounded(b)
-        boxes.append((lo, min(math.nextafter(value + bound, math.inf), 1.0)))
-    return boxes
+def _cdf_pairs(F, xs) -> list[tuple[int, int]]:
+    """F at each rational x of xs, exactly, as an integer pair (num, den), den > 0, with one read of F per point.
+
+    A :class:`PiecewisePoly` answers on ints, by its piece and Horner's rule (:meth:`PiecewisePoly.row_ratio`), with
+    no Fraction and no gcd.  Any other cdf, such as a CdfOracle, answers F(x), one query, and gives its ratio.
+    """
+    if isinstance(F, PiecewisePoly):
+        return [F.row_ratio(F.piece_of(p, q), p, q) for p, q in (x.as_integer_ratio() for x in xs)]
+    return [F(x).as_integer_ratio() for x in xs]
 
 
 def _delta_box(fx, fy, n: int) -> tuple[float, float]:
@@ -317,27 +314,25 @@ def check_conditions(F, n: int, strategy: JumpPointStrategy, gamma) -> Certifica
     s_{i-1} >= b_i and condition 2's U_{i-1} = U_i, so a pass has max_residual <= gamma.
     DomainError unless the strategy has a utility per jump point.
 
-    The jump points, bids, utilities and gamma are read as integer pairs (num, den), and every
+    The jump points, bids, utilities and gamma are read as integer pairs (num, den), and so is F
+    at each jump point, once and exactly (:func:`_cdf_pairs`; m + 1 queries of a CdfOracle).  Every
     decision is a cross-multiplication on them: conditions 3 and 2's U_{i-1} = U_i, each residual
     against gamma, and the running maximum.  The residuals of Delta_i, condition 1's
     |(s - b_i) Delta_i - U| at both ends of bid i's interval and condition 2's
-    max(0, (s_i - b_i) Delta_i - U_i), are decided in floats where F is a piecewise polynomial.  F is
-    then a cdf, nondecreasing, so F at a jump point lies in a float box (:func:`_cdf_boxes`), and
+    max(0, (s_i - b_i) Delta_i - U_i), are decided in floats where floats can.  Each pair lies
+    between the floats of its :func:`float_bounds`, F's values inside [0, 1] as a cdf's do, and
     Delta_i and each residual lie in the float boxes built from those (:func:`_delta_box`,
-    :func:`_residual_box`).  A residual is computed exactly, on integer pairs (F by
-    :meth:`PiecewisePoly.row_ratio`, Delta_i by :func:`_delta_ratio`), only where its box reaches
-    the largest lower end of all boxes.  Every other one lies below the residual of that lower end,
-    so it can decide neither the verdict nor the maximum, and it is skipped.  Any other F, such as a
-    CdfOracle, gives no error bound: it answers at every jump point, m + 1 queries, and every
-    residual is exact.  The one Fraction built is max_residual.
+    :func:`_residual_box`).  A residual is computed exactly, on integer pairs (Delta_i by
+    :func:`_delta_ratio`), only where its box reaches the largest lower end of all boxes.  Every
+    other one lies below the residual of that lower end, so it can decide neither the verdict nor
+    the maximum, and it is skipped.  The one Fraction built is max_residual.
     """
     s, u, bids = strategy.s, strategy.utilities, strategy.bids
     if len(u) != len(s):
         raise DomainError(f"strategy has {len(u)} utilities; {len(bids)} bids need {len(s)}")
     sr, br, ur = ([x.as_integer_ratio() for x in xs] for xs in (s, bids, u))
     gp, gq = gamma.as_integer_ratio()
-    boxed = isinstance(F, PiecewisePoly)
-    fs = [None] * len(s) if boxed else [F(x).as_integer_ratio() for x in s]  # F's exact values as integer pairs
+    fs = _cdf_pairs(F, s)
     passed, worst, pending = True, (0, 1), []  # pending: (bid i, jump point j, signed) of each Delta residual
     for i, ((bp, bq), (lp, lq), (hp, hq)) in enumerate(zip(br, sr, sr[1:]), 1):
         below = bp * lq - lp * bq  # (b_i - s_{i-1}) bq lq: condition 3's residual where positive
@@ -351,12 +346,9 @@ def check_conditions(F, n: int, strategy: JumpPointStrategy, gamma) -> Certifica
         if apart:
             passed, worst = False, _larger(worst, (apart, aq * cq))
         pending.append((i, i, True))
-    boxes = [None] * len(pending)  # None: no box, the residual is computed exactly
-    if boxed:
-        sbox, bbox, ubox = ([float_bounds(x) for x in xs] for xs in (s, bids, u))
-        fbox = _cdf_boxes(F, sbox)
-        wins = [_delta_box(fx, fy, n) for fx, fy in zip(fbox, fbox[1:])]
-        boxes = [_residual_box(sbox[j], bbox[i - 1], ubox[j], wins[i - 1], signed) for i, j, signed in pending]
+    sbox, bbox, ubox, fbox = ([float_bounds(*x) for x in xs] for xs in (sr, br, ur, fs))
+    wins = [_delta_box(fx, fy, n) for fx, fy in zip(fbox, fbox[1:])]
+    boxes = [_residual_box(sbox[j], bbox[i - 1], ubox[j], wins[i - 1], signed) for i, j, signed in pending]
     top = max((box[0] for box in boxes if box), default=0.0)  # the largest lower end
     exact_wins = {}
     for (i, j, signed), box in zip(pending, boxes):
@@ -365,9 +357,6 @@ def check_conditions(F, n: int, strategy: JumpPointStrategy, gamma) -> Certifica
         (sp, sq), (bp, bq), (up, uq) = sr[j], br[i - 1], ur[j]
         c = sp * bq - bp * sq  # (s_j - b_i) sq bq
         if c and i not in exact_wins:
-            for k in (i - 1, i):
-                if fs[k] is None:
-                    fs[k] = F.row_ratio(F.piece_of(*sr[k]), *sr[k])
             exact_wins[i] = _delta_ratio(fs[i - 1], fs[i], n)
         N, D = exact_wins[i] if c else (0, 1)
         r = c * N * uq - up * sq * bq * D  # (s_j - b_i) Delta_i - U_j over sq bq D uq

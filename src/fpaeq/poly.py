@@ -7,15 +7,14 @@ on one float table: each inner breakpoint is held as the largest float at or
 below it (:func:`float_bounds`), so a bisection on any float x counts exactly
 the breakpoints below x, and a rational x needs an exact comparison only where
 a breakpoint's table float is within one float below x's nearest float.  The float rows come with Horner's
-a-priori error bound in one method, :meth:`PiecewisePoly.float_bounded`: one
-bound, in scalar form for the finite-grid certificate and in array form for the
-float view of a rational bid function, the same bits in both.  Each scalar form
-runs on Python lists (:func:`float_rows`) and calls no numpy.  No other module
-builds or runs float rows.  Each float form is a closure that a caller asks for
-once and then reads: the float view (:meth:`PiecewisePoly.float_evaluator`),
-:meth:`PiecewisePoly.float_bounded`, and a step function's thresholds
-(:meth:`PiecewisePoly.float_thresholds`, None unless the rows are
-nondecreasing constants).
+a-priori error bound in one method, :meth:`PiecewisePoly.float_bounded`, on
+arrays: the float view of a rational bid function is its one caller.  The
+scalar float view runs on Python lists (:func:`float_rows`) and calls no numpy.
+No other module builds or runs float rows.  Each float form is a closure that a
+caller asks for once and then reads: the float view
+(:meth:`PiecewisePoly.float_evaluator`), :meth:`PiecewisePoly.float_bounded`,
+and a step function's thresholds (:meth:`PiecewisePoly.float_thresholds`, None
+unless the rows are nondecreasing constants).
 
 A row is held once, as integer numerators over one denominator in lowest terms
 and at its true degree, with no zero leading coefficient (Knuth, TAOCP vol. 2,
@@ -71,10 +70,10 @@ def int_row(row: Sequence) -> tuple[tuple[int, ...], int]:
     return tuple(_trim([c.numerator * (scale // c.denominator) for c in row])) or (0,), scale
 
 
-def float_bounds(x) -> tuple[float, float]:
-    """The largest float at or below the rational x and the smallest at or above it, x twice where x is a float:
-    its correctly rounded float and the float one ulp beyond it on x's side.  x is a Fraction, an int or a float."""
-    p, q = x.as_integer_ratio()
+def float_bounds(p: int, q: int) -> tuple[float, float]:
+    """The largest float at or below p/q, q > 0, and the smallest at or above it, p/q twice where it is a float:
+    its correctly rounded float and the float one ulp beyond it on p/q's side.  The pair need not be in lowest
+    terms, and a Fraction, an int or a float x gives it as ``x.as_integer_ratio()``."""
     f = p / q
     a, c = f.as_integer_ratio()
     if a * q > p * c:
@@ -289,7 +288,7 @@ class PiecewisePoly:
             raise DomainError("need one or more pieces, with exactly one coefficient row per piece")
         object.__setattr__(self, "breakpoints", breakpoints)
         object.__setattr__(self, "int_rows", tuple(int_rows))
-        object.__setattr__(self, "_inner", tuple(float_bounds(b)[0] for b in breakpoints[1:-1]))
+        object.__setattr__(self, "_inner", tuple(float_bounds(*b.as_integer_ratio())[0] for b in breakpoints[1:-1]))
 
     @property
     def rows(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -407,32 +406,19 @@ class PiecewisePoly:
         return ev
 
     def float_bounded(self) -> Callable:
-        """Horner's rule on the float rows and its one a-priori error bound, in scalar and in array form: (value, bound)
-        at a float x in [0, 1], or at a numpy array x with piece, its :meth:`float_pieces`.  The bound on
-        |value - exact value| is gamma_k times the absolute row sum |c_l| x**l (Higham, Accuracy and Stability of
-        Numerical Algorithms, 5.1), k = 2d + 2 for degree d: Horner's 2d roundings, each coefficient's and the absolute
-        row's own (:func:`gamma_k`), plus k * 2**-1074 for underflow.  An array runs :func:`horner_floats`; a float the
-        same operations, in the same order, on :func:`float_rows`, to the same bits.  A coefficient beyond the float
-        range raises OverflowError from this call.
+        """Horner's rule on the float rows and its one a-priori error bound: (value, bound) at a numpy array x of
+        floats in [0, 1] with piece, its :meth:`float_pieces`.  The bound on |value - exact value| is gamma_k times
+        the absolute row sum |c_l| x**l (Higham, Accuracy and Stability of Numerical Algorithms, 5.1), k = 2d + 2
+        for degree d: Horner's 2d roundings, each coefficient's and the absolute row's own (:func:`gamma_k`), plus
+        k * 2**-1074 for underflow.  Both run :func:`horner_floats`.  A coefficient beyond the float range raises
+        OverflowError from this call.
         """
-        inner, rows, bisect_left = self._inner, float_rows(self.int_rows), bisect.bisect_left
+        rows = float_rows(self.int_rows)
         # rounding to nearest is symmetric, so |float(c)| is the float of |c|
-        sizes, k = [[abs(c) for c in row] for row in rows], 2 * max(map(len, rows))
-        gamma, tiny, tables = gamma_k(k), k * 2.0**-1074, None
-
-        def ev(x, piece=None):
-            nonlocal tables
-            if piece is None:
-                j = bisect_left(inner, x)
-                acc = size = 0.0
-                for c, a in zip(rows[j], sizes[j]):
-                    acc = acc * x + c
-                    size = size * x + a
-                return acc, gamma * size + tiny
-            tables = tables or (float_table(rows), float_table(sizes))
-            return horner_floats(tables[0], piece, x), gamma * horner_floats(tables[1], piece, x) + tiny
-
-        return ev
+        values, sizes = float_table(rows), float_table([[abs(c) for c in row] for row in rows])
+        k = 2 * max(map(len, rows))
+        gamma, tiny = gamma_k(k), k * 2.0**-1074
+        return lambda x, piece: (horner_floats(values, piece, x), gamma * horner_floats(sizes, piece, x) + tiny)
 
     def float_pieces(self, x: np.ndarray) -> np.ndarray:
         """The piece of each float in x, by the same rule as :meth:`piece_index`; DomainError unless all of x is in [0, 1]."""

@@ -41,7 +41,7 @@ from typing import Callable
 import numpy as np
 
 from .cdf import PiecewisePolyCdf, float_view
-from .discrete import JumpPointStrategy, _delta_ratio, delta_win_prob
+from .discrete import JumpPointStrategy, _cdf_pairs, _delta_ratio, _powers, delta_win_prob
 from .errors import DomainError, check_bidders
 
 EXACT_VALUE_GRID = 64  # the exact verifier's uniform values are i/64
@@ -85,14 +85,15 @@ def epsilon_bne_check_cdfpa(F, n: int, strategy: JumpPointStrategy) -> RegretRep
     so with the bids over their lcm B as integers c_k it pays
     (p*B - c_k*q) * N_k / (q*B*D_k) at a value v = p/q, held gcd-reduced,
     whose piece is found on ints (:meth:`PiecewisePoly.piece_of`); the
-    regret at v is the best payoff less the own bid's.  All comparisons are
-    cross-multiplications of Python ints, and the only Fractions built are
-    F at the jump points and the result.  The argmax is the first maximum in
+    regret at v is the best payoff less the own bid's.  F at the jump points
+    comes as integer pairs (:func:`discrete._cdf_pairs`), and all comparisons
+    are cross-multiplications of Python ints, so the only Fractions built are
+    the result and its argmax value.  The argmax is the first maximum in
     increasing value, then bid.  The supremum over all values can lie above.
     """
     check_bidders(n)
     s, bids = strategy.s, strategy.bids
-    fs = [F(x).as_integer_ratio() for x in s]
+    fs = _cdf_pairs(F, s)
     values = {(x.numerator, x.denominator) for x in (*s, *bids)} | _GRID_VALUES
     values |= {_reduced(a.numerator * b.denominator + b.numerator * a.denominator, 2 * a.denominator * b.denominator)
                for a, b in zip(s, s[1:]) if a < b}  # the midpoints
@@ -157,7 +158,7 @@ def epsilon_bne_check_ccfpa(F, n: int, bid_fn: Callable) -> RegretReport:
         # the float above a bid whose edges read one F wins no more than the bid and pays more: drop its column
         keep = np.append(np.full(z.size, True), a[: z.size] < c[: z.size])
         deviations, a, c = deviations[keep], a[keep], c[keep]
-    win = np.where(a < c, delta_win_prob(c, a, n), c ** (n - 1))
+    win = np.where(a < c, delta_win_prob(c, a, n), _powers(c, n)[-1])
     own = win[: z.size : BID_GRID // GRID_VALUES] * (values - bids[:: BID_GRID // GRID_VALUES])
     regret = values[:, None] - deviations  # then in place: one array of values x deviations at a time
     regret *= win
@@ -226,17 +227,24 @@ def _class_counts(n: int, edges: np.ndarray, trials: int, seed: int) -> np.ndarr
 
     which is also 1 + Binomial(n - 2, (L - a_k) / L) ties at the top value's
     cdf value L, of density (n - 1) L**(n - 2) (David and Nagaraja, Order
-    Statistics, 2003), integrated over L in (a_k, c_k].  One multinomial draw
-    of the Philox stream the seed names takes the counts.  numpy takes the
-    last probability as the remainder: that of the impossible class
-    (len(bids), n - 1), whose shares, 0 at every bid, are those of (len(bids), 0).
+    Statistics, 2003), integrated over L in (a_k, c_k].  Each power is a
+    product (:func:`_power_table`).  One multinomial draw of the Philox
+    stream the seed names takes the counts.  numpy takes the last probability
+    as the remainder: that of the impossible class (len(bids), n - 1), whose
+    shares, 0 at every bid, are those of (len(bids), 0).
     """
     edges = np.append(edges, (1.0, 1.0))
-    a, c = edges[0::2, None], edges[1::2, None]
-    t = np.arange(n)
-    p = np.array([math.comb(n - 1, i) for i in t], dtype=float) * a ** (n - 1 - t) * (c - a) ** t
-    p[:, 0] = np.diff(edges ** (n - 1), prepend=0.0)[0::2]  # a_k**(n - 1) - c_(k-1)**(n - 1), both by one rule: >= 0
+    powers = _power_table(edges, n)
+    p = np.array([math.comb(n - 1, t) for t in range(n)], dtype=float) * powers[0::2, ::-1]
+    p *= _power_table(edges[1::2] - edges[0::2], n)
+    p[:, 0] = np.diff(powers[:, -1], prepend=0.0)[0::2]  # a_k**(n - 1) - c_(k-1)**(n - 1), both by one rule: >= 0
     return np.random.Generator(np.random.Philox(seed)).multinomial(trials, p.ravel())
+
+
+def _power_table(x: np.ndarray, n: int) -> np.ndarray:
+    """x**0 .. x**(n - 1) along a new last axis, each the one before times x (:func:`discrete._powers`): correctly
+    rounded products, whose bits depend on x alone, where numpy's float ** may run code that the CPU selects."""
+    return np.stack([np.ones_like(x), *_powers(x, n)], axis=-1)
 
 
 def _paired_regrets(F, n: int, bid_fn, trials: int, seed: int):

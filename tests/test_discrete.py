@@ -119,10 +119,11 @@ def reference_compute_strategy(F_, n: int, grid: BidGrid, U, delta):
 
 
 def reference_check_conditions(F_, n: int, strategy: JumpPointStrategy, gamma) -> fq.Certificate:
-    """discrete.check_conditions as it was before it decided on scalar floats and integer pairs: F's boxes from
-    one array call of float_bounded, exact residuals in Fractions (Delta by delta_win_prob, the value of the
-    integer sum it took), each boxed residual below the largest lower end held as its box's upper end, and
-    passed and max_residual over every (residual, bound), the boxed ones included."""
+    """discrete.check_conditions as it was before it read F exactly at the jump points and decided on scalar floats
+    and integer pairs: F's boxes from one array call of float_bounded on a PiecewisePoly, none on any other cdf,
+    exact residuals in Fractions (Delta by delta_win_prob, the value of the integer sum it took), each boxed
+    residual below the largest lower end held as its box's upper end, and passed and max_residual over every
+    (residual, bound), the boxed ones included."""
     s, u, bids = strategy.s, strategy.utilities, strategy.bids
     boxed = isinstance(F_, PiecewisePoly)
     fs = [None] * len(s) if boxed else [F_(x) for x in s]
@@ -139,7 +140,7 @@ def reference_check_conditions(F_, n: int, strategy: JumpPointStrategy, gamma) -
             residuals.append(None)
     boxes = [None] * len(pending)
     if boxed:
-        sbox, bbox, ubox = ([float_bounds(x) for x in xs] for xs in (s, bids, u))
+        sbox, bbox, ubox = ([float_bounds(*x.as_integer_ratio()) for x in xs] for xs in (s, bids, u))
         x, sides = np.array(sbox), np.array([-1.0, 1.0])
         value, bound = F_.float_bounded()(x, F_.float_pieces(x))
         ends = np.nextafter(value + sides * bound, sides * np.inf)
@@ -430,7 +431,7 @@ class TestCheckConditions:
         win = JumpPointStrategy(g, s, [F(0)] * (m + 1)).win_probs(dist, n)
         noise = st.fractions(-1, 1, max_denominator=2**70).map(lambda x: x * F(1, 2**30))
         u = [(s[j] - g.bids[max(j, 1) - 1]) * win[max(j, 1) - 1] + data.draw(noise) for j in range(m + 1)]
-        fbox, boxes = discrete._cdf_boxes(dist, [float_bounds(x) for x in s]), 0
+        fbox, boxes = [float_bounds(*f) for f in discrete._cdf_pairs(dist, s)], 0
         for x, (lo, hi) in zip(s, fbox):
             assert 0 <= lo <= dist(x) <= hi <= 1
         for i in range(1, m + 1):
@@ -438,7 +439,7 @@ class TestCheckConditions:
             assert 0 <= dl <= win[i - 1] <= dh
             for j in (i - 1, i):
                 r = (s[j] - g.bids[i - 1]) * win[i - 1] - u[j]
-                args = float_bounds(s[j]), float_bounds(g.bids[i - 1]), float_bounds(u[j]), (dl, dh)
+                args = (*(float_bounds(*x.as_integer_ratio()) for x in (s[j], g.bids[i - 1], u[j])), (dl, dh))
                 for signed in (False, True):
                     box = discrete._residual_box(*args, signed)  # None where s_j - b_i may be 0 or below
                     assert box is None or box[0] <= (max(F(0), r) if signed else abs(r)) <= box[1]
@@ -477,7 +478,7 @@ class TestCheckConditions:
             assert (cert.passed, cert.max_residual) == exact_certificate(mixed, n, probe, gamma)
 
     def test_one_fraction_per_call(self, square):
-        # every decision is a cross-multiplication on integer pairs, so on a boxed cdf the one Fraction built is
+        # every decision is a cross-multiplication on integer pairs, so on a PiecewisePoly the one Fraction built is
         # max_residual; a record per residual built 17 on this solve
         res = fq.solve(square, 3, grid_of(*(F(k, 16) for k in range(8))), F(1, 64))
         built, new = [], fractions.Fraction.__new__
@@ -491,6 +492,39 @@ class TestCheckConditions:
             cert = fq.check_conditions(res.transformed_cdf, 3, res.strategy, res.certificate.gamma)
         assert len(built) == 1
         assert cert == res.certificate and cert.passed
+
+    def test_an_oracle_decides_by_boxes(self, monkeypatch):
+        # F's exact values at the jump points give an oracle's residuals float boxes too: at m = 256 one Delta is
+        # computed exactly, where an exact residual for each bid took 256, and the oracle still answers once per
+        # jump point
+        bids = sorted(F(k, 2048) for k in random.Random(1).sample(range(1, 2048), 255))
+        res = fq.solve(fq.CdfOracle(fq.power_cdf(2)), 4, BidGrid((F(0), *bids)), F(1, 64))
+        oracle, calls, ratio = res.transformed_cdf, [], discrete._delta_ratio
+        monkeypatch.setattr(discrete, "_delta_ratio", lambda *args: calls.append(args) or ratio(*args))
+        before = oracle.query_count
+        cert = fq.check_conditions(oracle, 4, res.strategy, res.certificate.gamma)
+        assert cert == res.certificate and cert.passed
+        assert len(calls) == 1
+        assert oracle.query_count - before == 257
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_an_oracle_gives_the_certificate_of_its_cdf(self, data, walk_cdfs):
+        # field for field, on strategies of the float and of the exact search, with one utility moved by about
+        # gamma or not at all; the oracle answers once per jump point
+        dist = draw_cdf(data, walk_cdfs)
+        exact = data.draw(st.booleans(), label="exact")
+        n = data.draw(st.integers(2, 4 if exact else 64), label="n")
+        m = data.draw(st.integers(1, 6 if exact else 32), label="m")
+        g = draw_grid(data, m)
+        gamma = F(1, 2 ** data.draw(st.integers(6, 12 if exact else 40), label="eps")) / (3 * n) / (2 * m)
+        strategy = discrete._search(dist if exact else float_view(dist), n, g,
+                                    gamma / 4 if exact else max(float(gamma / 4), 2.0**-52))
+        u, j = list(strategy.utilities), data.draw(st.integers(1, m), label="j")
+        u[j] += gamma * data.draw(st.sampled_from([0, F(1, 2), -1, F(3, 2)]), label="by")
+        probe, oracle = JumpPointStrategy(g, strategy.s, u), fq.CdfOracle(dist)
+        assert fq.check_conditions(oracle, n, probe, gamma) == fq.check_conditions(dist, n, probe, gamma)
+        assert oracle.query_count == m + 1
 
 
 class TestSolve:
@@ -771,8 +805,8 @@ def certificate_boxes(dist, n: int, strategy: JumpPointStrategy) -> dict:
     """(box, P) of each condition-1 residual (bid i, jump point j) of an unpooled bid that check_conditions boxes:
     the box, and P, the float below (s_j - b_i) Delta_i from which _residual_box takes U_j."""
     s, u, bids = strategy.s, strategy.utilities, strategy.bids
-    sbox, bbox, ubox = ([float_bounds(x) for x in xs] for xs in (s, bids, u))
-    fbox, out = discrete._cdf_boxes(dist, sbox), {}
+    sbox, bbox, ubox = ([float_bounds(*x.as_integer_ratio()) for x in xs] for xs in (s, bids, u))
+    fbox, out = [float_bounds(*f) for f in discrete._cdf_pairs(dist, s)], {}
     for i in range(1, len(bids) + 1):
         win = discrete._delta_box(fbox[i - 1], fbox[i], n)
         for j in (i - 1, i) if s[i - 1] < s[i] else ():
@@ -828,7 +862,7 @@ class TestSameAsTheReference:
     @given(data=st.data())
     def test_certificate(self, data, walk_cdfs):
         # the same Certificate on solved strategies, on failing ones (a jump point below
-        # its bid, unequal pooled utilities, a residual above gamma) and through a CdfOracle, which has no boxes
+        # its bid, unequal pooled utilities, a residual above gamma) and through a CdfOracle
         dist = draw_cdf(data, walk_cdfs)
         n, m = data.draw(st.integers(2, 64), label="n"), data.draw(st.integers(1, 32), label="m")
         g = draw_grid(data, m)

@@ -92,23 +92,6 @@ def reference_piece(pp: PiecewisePoly, x) -> int:
     return min(max(bisect.bisect_left(pp.breakpoints, x) - 1, 0), pp.pieces - 1)
 
 
-def reference_cdf_boxes(pp: PiecewisePoly, points) -> list[tuple[float, float]]:
-    """discrete._cdf_boxes by the scalar loop it replaced: point by point, Horner's rule on the float rows and the
-    absolute rows with gamma_(2d+2) = k u / (1 - k u), each end one float outward by math.nextafter, clipped."""
-    rows = [[0.0] * (pp.degree + 1 - len(nums)) + [c / scale for c in reversed(nums)] for nums, scale in pp.int_rows]
-    k = 2 * (pp.degree + 1)
-    gamma, tiny = k * 2.0**-53 / (1 - k * 2.0**-53), k * 2.0**-1074
-
-    def end(x: float, side: float) -> float:
-        acc = size = 0.0
-        for c in rows[reference_piece(pp, F(x))]:
-            acc = acc * x + c
-            size = size * x + abs(c)
-        return math.nextafter(acc + side * (gamma * size + tiny), side * math.inf)
-
-    return [(max(end(a, -1.0), 0.0), min(end(b, 1.0), 1.0)) for a, b in points]
-
-
 def reference_bid(rbf: RationalBidFunction, x) -> F:
     """eval_canonical in Fraction arithmetic: x - I(x) / F(x)**(n-1) on x's piece, and x where F(x) = 0."""
     j = reference_piece(rbf.cdf, x)
@@ -329,19 +312,35 @@ class TestPiecewiseEval:
         for x in floats:
             assert pp(x) == pp(F(x))  # a float argument is its exact rational value
 
-    @settings(max_examples=100, deadline=None)
-    @given(unit, st.floats(0, 1))
-    def test_float_bounds(self, x, f):
-        lo, hi = float_bounds(x)
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_float_bounds(self, data):
+        # the floats at or below and at or above p/q, one ulp apart unless p/q is a float, from the pair in
+        # lowest terms and times k: at rationals in [0, 1], at floats, at quotients in and below the subnormal
+        # range, and on ints of about 3,400 bits, the size of F on CI's dense row at a 53-bit jump point
+        kind = data.draw(st.sampled_from(["rational", "float", "subnormal", "long"]), label="kind")
+        if kind == "rational":
+            p, q = data.draw(unit, label="x").as_integer_ratio()
+        elif kind == "float":
+            p, q = data.draw(st.floats(0, 1), label="x").as_integer_ratio()
+        elif kind == "subnormal":  # p/q below 2**-1000: normal, subnormal, or below half the least subnormal
+            p, q = data.draw(st.integers(0, 2**64), label="p"), data.draw(st.integers(2**1064, 2**1140), label="q")
+        else:
+            q = data.draw(st.integers(2**3390, 2**3410), label="q")
+            p = data.draw(st.integers(0, q), label="p")
+        x, k = F(p, q), data.draw(factors, label="k")
+        lo, hi = float_bounds(k * p, k * q)
+        assert (lo, hi) == float_bounds(p, q)
         assert F(lo) <= x <= F(hi)
-        assert lo == hi if F(lo) == x else hi == math.nextafter(lo, 2.0)
-        assert float_bounds(F(f)) == (f, f)
+        assert lo == hi if F(lo) == x else hi == math.nextafter(lo, math.inf)
+        if kind == "float":
+            assert lo == hi == p / q
 
     @settings(max_examples=100, deadline=None)
     @given(piecewise(), st.lists(st.floats(0, 1), min_size=1, max_size=6))
     def test_float_enclosure_holds_the_value_at_floats(self, pp, floats):
-        # any rows, monotone or not, near 0 and 1 and at the breakpoints' floats too: the array call of
-        # check_conditions, value less and plus its bound, one float outward, holds the exact value
+        # any rows, monotone or not, near 0 and 1 and at the breakpoints' floats too: value less and plus its
+        # bound, one float outward, holds the exact value
         xs = np.array([0.0, 1.0, *(float(b) for b in pp.breakpoints), *floats])
         value, bound = pp.float_bounded()(xs, pp.float_pieces(xs))
         lo, hi = np.nextafter(value - bound, -np.inf), np.nextafter(value + bound, np.inf)
@@ -350,8 +349,8 @@ class TestPiecewiseEval:
 
     @pytest.mark.parametrize("name", FIXTURES + ["cubic", "dense"])
     def test_float_enclosure_holds_a_cdf_between_floats(self, name, request):
-        # a nondecreasing row at a rational takes its lower end at the float below and its upper end above,
-        # through the boxes of check_conditions, clipped to [0, 1]
+        # F's box in check_conditions, the floats around its exact pair (discrete._cdf_pairs), is inside [0, 1]
+        # and at most one ulp wide
         if name == "cubic":
             dist = seeded_cubic(3, 8)
         elif name == "dense":
@@ -359,12 +358,11 @@ class TestPiecewiseEval:
         else:
             dist = request.getfixturevalue(name)
         xs = [F(k, 100) for k in range(101)] + [F(k, 21) for k in range(22)] + [F(1, 3) + F(1, 2**80)]
-        points = [float_bounds(x) for x in xs]
-        boxes = discrete._cdf_boxes(dist, points)
-        assert boxes == reference_cdf_boxes(dist, points)  # the same bits as the scalar loop
-        for x, (lo, hi) in zip(xs, boxes):
+        for x, (p, q) in zip(xs, discrete._cdf_pairs(dist, xs)):
+            lo, hi = float_bounds(p, q)
+            assert F(p, q) == dist(x)
             assert 0 <= lo <= dist(x) <= hi <= 1
-            assert hi - lo < 1e-12
+            assert hi <= math.nextafter(lo, math.inf)
 
     @settings(max_examples=80, deadline=None)
     @given(st.data())
@@ -384,24 +382,6 @@ class TestPiecewiseEval:
         value, bound = pp.float_bounded()(xs, piece)
         for x, j, v, e in zip(xs.tolist(), piece.tolist(), value.tolist(), bound.tolist()):
             assert abs(F(v) - F(*pp.row_ratio(j, *x.as_integer_ratio()))) <= F(e)
-
-    @settings(max_examples=80, deadline=None)
-    @given(st.data())
-    def test_float_bounded_scalar_is_the_array_bits(self, data):
-        # a float at a time gives the value and the bound of the array call, bit for bit, at and beside every
-        # breakpoint's float and at random floats, on the rows of test_float_bounded_bounds_the_error
-        kind = data.draw(st.sampled_from(["cubic", "dense", "adversarial", "bid", "mixed"]), label="rows")
-        cubic = seeded_cubic(data.draw(st.integers(0, 10**6), label="seed"), 8)
-        pp = {"cubic": cubic, "dense": dense_cdf(), "adversarial": ADVERSARIAL,
-              "mixed": fq.strongly_increasing_transform(cubic, F(1, 3 * 64 * 7))}.get(kind)
-        if pp is None:
-            pp = data.draw(st.sampled_from(bid_rows(cubic, data.draw(st.integers(2, 16), label="n"))), label="row")
-        near = [y for b in pp.breakpoints for f in [float(b)]
-                for y in (f, math.nextafter(f, -1.0), math.nextafter(f, 2.0)) if 0 <= y <= 1]
-        xs = data.draw(st.lists(st.floats(0, 1), max_size=8), label="floats") + near
-        bounded, array = pp.float_bounded(), np.array(xs)
-        value, bound = bounded(array, pp.float_pieces(array))
-        assert [bounded(x) for x in xs] == list(zip(value.tolist(), bound.tolist()))
 
     @settings(max_examples=30)
     @given(piecewise(), st.sampled_from([F(-1, BIG), F(-1), 1 + F(1, BIG), F(2)]))

@@ -1,5 +1,6 @@
 import bisect
 import contextlib
+import fractions
 import functools
 import itertools
 import os
@@ -61,6 +62,22 @@ class TestExactRegretCdfpa:
         # (127/128) * Delta(0, 63/64) - (127/128 - 39/64) * Delta(63/64, 1)
         assert report.max_regret == F(889, 8192)
         assert report.argmax == (F(127, 128), F(0))
+
+    def test_two_fractions_per_call(self, square):
+        # F at the jump points comes as integer pairs and every comparison is on ints, so the Fractions built are
+        # the regret and its argmax value; F's values as Fractions made m + 1 more
+        strategy = fq.solve(square, 3, grid_of(*(F(k, 16) for k in range(8))), F(1, 64)).strategy
+        expected, built, new = fq.epsilon_bne_check_cdfpa(square, 3, strategy), [], fractions.Fraction.__new__
+
+        def counted(cls, *args, **kwargs):
+            built.append(args)
+            return new(cls, *args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fractions.Fraction, "__new__", counted)
+            report = fq.epsilon_bne_check_cdfpa(square, 3, strategy)
+        assert len(built) == 2
+        assert report == expected
 
     def test_wrong_length_strategy_rejected(self, uniform):
         g = grid_of("0", "1/4", "1/2")
@@ -471,17 +488,18 @@ class TestStepThresholds:
 
 def reference_win_probs(a: np.ndarray, c: np.ndarray, n: int) -> np.ndarray:
     """Delta(a, c) as the grid verifier once formed it on its own: the mean of a**j c**(n - 1 - j) over j < n,
-    each power of a updated in place, and c**(n - 1) where a >= c."""
-    acc, power = np.ones_like(c), np.ones_like(a)
+    each power of a updated in place, and c**(n - 1) where a >= c, by products as grid mode takes it now."""
+    acc, power, top = np.ones_like(c), np.ones_like(a), np.ones_like(c)
     for _ in range(n - 1):
         power *= a
         acc = acc * c + power
-    return np.where(a < c, acc / n, c ** (n - 1))
+        top = top * c
+    return np.where(a < c, acc / n, top)
 
 
 class TestGridWinProbs:
-    """Grid mode's win probabilities, np.where(a < c, delta_win_prob(c, a, n), c**(n - 1)), are the bits of the
-    verifier's own former recurrence."""
+    """Grid mode's win probabilities, np.where(a < c, delta_win_prob(c, a, n), c**(n - 1)) with the power by
+    discrete._powers, are the bits of the verifier's own former recurrence."""
 
     @settings(max_examples=200, deadline=None)
     @given(pairs=st.lists(st.tuples(st.one_of(st.floats(0, 1), st.sampled_from([0.0, 1.0])),
@@ -491,7 +509,7 @@ class TestGridWinProbs:
     def test_same_bits_as_the_reference(self, pairs, n):
         a = np.array([min(x, y) for x, y, _ in pairs])
         c = np.array([min(x, y) if equal else max(x, y) for x, y, equal in pairs])
-        win = np.where(a < c, fq.delta_win_prob(c, a, n), c ** (n - 1))
+        win = np.where(a < c, fq.delta_win_prob(c, a, n), fq.discrete._powers(c, n)[-1])
         assert np.array_equal(win, reference_win_probs(a, c, n))
 
 
@@ -1013,6 +1031,48 @@ class TestOneRead:
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
         assert run.stdout == "False\n"
+
+
+class TestSameReportOnEveryCpu:
+    """The float verifiers take their powers by products, which are correctly rounded on every CPU."""
+
+    TARGETS = ("X86_V4", "AVX512_ICL", "AVX512_SPR")  # numpy's AVX512 code, whose float ** moves last bits
+
+    def test_without_the_avx512_targets(self):
+        # the grid report of a solve at n = 4 on a seeded cubic with 64 bids, whose power c**(n - 1) by numpy's **
+        # moved its last digits (0.023119046616997374 against ...402), and the Monte Carlo reports of that strategy
+        # and of the canonical bid at n = 16, through the class law's powers: the same with numpy's AVX512 targets
+        # and without them
+        try:
+            from numpy._core import _multiarray_umath
+        except ImportError:
+            pytest.skip("numpy before 2.0 names its CPU dispatch elsewhere")
+        if not set(self.TARGETS) <= set(getattr(_multiarray_umath, "__cpu_dispatch__", ())):
+            pytest.skip("numpy was built without the AVX512 targets")
+        dist = seeded_cubic(1, 4)
+        cdf = {"kind": "piecewise_poly", "breakpoints": [str(b) for b in dist.breakpoints],
+               "coeffs": [[str(c) for c in row] for row in dist.rows]}
+        code = f"""if True:
+            import random
+            from fractions import Fraction
+            import fpaeq as fq
+            dist = fq.cdf_from_json({cdf!r})
+            bids = sorted(random.Random(1).sample(range(1, 512), 63))
+            grid = fq.BidGrid((Fraction(0), *(Fraction(k, 512) for k in bids)))
+            strategy = fq.solve(dist, 4, grid, Fraction(1, 64)).strategy
+            print(fq.epsilon_bne_check_ccfpa(dist, 4, strategy))
+            print(fq.monte_carlo_regret(dist, 4, strategy, 10_000, 1))
+            print(fq.monte_carlo_regret(dist, 16, fq.canonical_bid_function(dist, 16), 10_000, 1))
+        """
+        src = str(pathlib.Path(fq.__file__).parents[1])
+        plain = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        plain.pop("NPY_DISABLE_CPU_FEATURES", None)
+        reports = []
+        for env in (plain, {**plain, "NPY_DISABLE_CPU_FEATURES": " ".join(self.TARGETS)}):
+            run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+            reports.append(run.stdout)
+        assert reports[0].count("RegretReport") == 3
+        assert reports[0] == reports[1]
 
 
 class TestMonotoneNoOverbid:

@@ -8,7 +8,10 @@ os.wait4, so the peak RSS it reads is that run's own.  That peak also counts thi
 script's RSS at the start of the run, so the script hashes each output in chunks and
 stays near 18 MB, below every run's own peak.  It prints one line per case and
 exits non-zero if any case failed: a non-zero exit, a bound passed, a sha256 that
-differs, or a certificate that does not pass.  Times quoted below are on 2 vCPUs.
+differs, or a certificate that does not pass.  The float verify rows then run again
+with numpy's AVX512 targets disabled and must give the same digests, since their
+float powers are taken by products; where numpy was built without those targets, the
+script prints that the rerun was skipped.  Times quoted below are on 2 vCPUs.
 """
 
 import hashlib, json, os, random, signal, subprocess, sys, tempfile, time
@@ -32,11 +35,18 @@ DENSE = ["--cdf", "dense.json", "--n", "64"]
 DENSE_GRID = [*DENSE, "--bids", '["0", "1/8", "1/4"]']
 GRID_1024 = ["--cdf", "power2.json", "--n", "4", "--bids", BIDS_1024]
 
+# numpy's AVX512 targets, whose float ** differs from glibc's pow in last bits, and the float verify rows, whose
+# digests must not move without them
+NO_AVX512 = "X86_V4 AVX512_ICL AVX512_SPR"
+FLOAT_VERIFY_ROWS = ("explicit-grid-verify.json", "dense-n8-grid.json", "grid-1024-grid.json", "grid-1024-mc.json",
+                     "square-mc.json", "square-mc-n64.json")
+
 CASES = [  # argv, stdout file, bound in s; optionally a peak RSS bound in MB, a sha256, certificate.pass
     # Each time bound is a stated multiple of the row's time on 2 vCPUs, which includes about 0.2 s of
     # interpreter and numpy start-up, and each comment says what it catches.
-    # K = 2**14, 9.5-14 s and 158 MB: a plan that keeps more than its prefix sums fails at 200 MB,
-    # and a change to the tabulation or to bid that moves one printed bit fails the digest.  The 60 s
+    # K = 2**14, 9.5-14 s and 155 MB, nearly all of it the prefix sums, as the grid query streams into them:
+    # a plan that keeps more than its prefix sums fails at 200 MB, and a change to the tabulation or to bid
+    # that moves one printed bit fails the digest.  The 60 s
     # stays until the plan's exact sums give way to bounded precision, which will set this row's time anew
     (["solve", "--model", "ccfpa-blackbox", *DENSE, "--eps", "1/16384"], "blackbox.csv", 60,
      dict(mb=200, sha256="26e7157c1962ca3b92d839cf8baf2369b0fd1cc23ae891ebb6eaed88a8eb0150")),
@@ -124,12 +134,12 @@ CASES = [  # argv, stdout file, bound in s; optionally a peak RSS bound in MB, a
 ]
 
 
-def run(tmp, argv, out, bound, mb=None, sha256=None, certified=False) -> bool:
+def run(tmp, argv, out, bound, mb=None, sha256=None, certified=False, env=ENV) -> bool:
     """Run one case in tmp, print its line, and return whether it passed."""
     path = Path(tmp, out)
     start = time.monotonic()
     with path.open("wb") as stdout:
-        proc = subprocess.Popen([sys.executable, "-m", "fpaeq.cli", *argv], stdout=stdout, cwd=tmp, env=ENV)
+        proc = subprocess.Popen([sys.executable, "-m", "fpaeq.cli", *argv], stdout=stdout, cwd=tmp, env=env)
     # only this loop reaps the child, so its pid is the child's until wait4 returns it
     while not (reaped := os.wait4(proc.pid, os.WNOHANG))[0]:
         if time.monotonic() - start > bound:
@@ -149,9 +159,22 @@ def run(tmp, argv, out, bound, mb=None, sha256=None, certified=False) -> bool:
     return not failed
 
 
+def avx512_dispatched() -> bool:
+    """Whether numpy dispatches to every target of NO_AVX512; a child asks, so this script does not load numpy."""
+    code = "from numpy._core import _multiarray_umath as m; print(*getattr(m, '__cpu_dispatch__', ()))"
+    child = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=ENV)
+    return child.returncode == 0 and set(NO_AVX512.split()) <= set(child.stdout.split())
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         for name, obj in INPUTS.items():
             Path(tmp, name).write_text(json.dumps(obj))
         results = [run(tmp, argv, out, bound, **checks) for argv, out, bound, checks in CASES]
+        if avx512_dispatched():
+            env = {**ENV, "NPY_DISABLE_CPU_FEATURES": NO_AVX512}
+            results += [run(tmp, argv, f"no-avx512-{out}", bound, env=env, **checks)
+                        for argv, out, bound, checks in CASES if out in FLOAT_VERIFY_ROWS]
+        else:
+            print(f"float verify rows without {NO_AVX512}: skipped, numpy was built without them", flush=True)
     sys.exit(not all(results))

@@ -12,7 +12,9 @@ whose integral over [0, x] is the exact equilibrium bid.  The two sums
 sandwich the exact bid and differ by at most eps; the upper sum is the bid.
 
 The plan takes its grid from one batch query, :meth:`CdfOracle.grid_values`,
-which counts as the K-1 interior queries.  It runs on one of two routes:
+which counts as the K-1 interior queries.  The query is a stream of the K+1
+numerators, which the plan powers and sums as they arrive, so it holds only
+its prefix sums.  It runs on one of two routes:
 
 * an oracle backed by a piecewise-polynomial cdf answers with integers over
   one denominator, tabulated piece by piece by integer additions of forward
@@ -103,13 +105,14 @@ def precompute(oracle: CdfOracle, n: int, epsilon) -> BlackBoxPlan:
     """Tabulate the prefix sums of F(j/K)**(n-1), j = 0..K, K = ceil(1/eps) (so K = 1 for eps >= 1).
 
     One batch query costs K-1 queries (grid interior); F(0) = 0 and F(1) = 1
-    are known for continuous cdfs on [0, 1].  The plan keeps only the prefix
-    sums of the powers of the query's numerators, over the scale den**(n-1), and the oracle.
+    are known for continuous cdfs on [0, 1].  The query's numerators stream into
+    the running sums of their powers, and the plan keeps only those prefix sums,
+    over the scale den**(n-1), and the oracle.
     """
     check_bidders(n)
     K = grid_size(epsilon)
-    nums, den = oracle.grid_values(K)
-    powers = nums if n == 2 else map(pow, nums, repeat(n - 1))  # at n = 2 the numerators as they are
+    values, den = oracle.grid_values(K)
+    powers = values if n == 2 else map(pow, values, repeat(n - 1))  # at n = 2 the numerators as they are
     return BlackBoxPlan(oracle, n, K, tuple(accumulate(powers, initial=0)), den ** (n - 1))
 
 

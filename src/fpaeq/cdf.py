@@ -15,8 +15,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, islice
 from numbers import Rational
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -158,7 +159,7 @@ class CdfOracle:
 
     Each call is one query, and so is each :meth:`ratio` and each point its
     float view (:meth:`float_evaluator`) evaluates.  The batch query :meth:`grid_values`
-    tabulates the grid j/K and counts as its K - 1 interior points.
+    streams the grid j/K and counts as its K - 1 interior points.
     """
 
     def __init__(self, evaluator: Callable):
@@ -185,22 +186,25 @@ class CdfOracle:
         fx = ev(Fraction(p, q))
         return (fx.numerator, fx.denominator) if isinstance(fx, Rational) else (fx, 1.0)
 
-    def grid_values(self, K: int) -> tuple[list, object]:
-        """(nums, den) with F(j/K) == nums[j] / den for j = 0..K; costs K - 1 queries.
+    def grid_values(self, K: int) -> tuple[Iterator, object]:
+        """(values, den), values yielding v_j with F(j/K) == v_j / den for j = 0..K; costs K - 1 queries.
 
-        F(0) = 0 and F(1) = 1 are known for a cdf on [0, 1], so nums[0] = 0
-        and nums[K] = den.  A piecewise-polynomial evaluator answers on ints
-        over one denominator (:meth:`PiecewisePoly.grid_values`); any other
-        is called at each interior point, over den = 1, and keeps its own
+        The K - 1 queries are counted at the call.  values is a stream of the
+        K + 1 numerators, each made as it is read, so a caller such as
+        :func:`blackbox.precompute` sums them as they arrive and no list of
+        them is built.  F(0) = 0 and F(1) = 1 are known for a cdf on [0, 1],
+        so v_0 = 0 and v_K = den.  A piecewise-polynomial
+        evaluator answers on ints over one denominator
+        (:meth:`PiecewisePoly.grid_values`); any other is called at each
+        interior point as it is read, over den = 1, and keeps its own
         arithmetic.
         """
         self.query_count += K - 1
         ev = self._evaluator
         if isinstance(ev, PiecewisePoly):
-            nums, den = ev.grid_values(K)
-            nums[0], nums[K] = 0, den
-            return nums, den
-        return [0] + [ev(Fraction(j, K)) for j in range(1, K)] + [1], 1
+            values, den = ev.grid_values(K)
+            return chain((0,), islice(values, 1, K), (den,)), den
+        return chain((0,), (ev(Fraction(j, K)) for j in range(1, K)), (1,)), 1
 
     def float_evaluator(self) -> Callable:
         """Float view of the oracle for a float or a numpy array; each evaluated point, array elements
@@ -221,13 +225,28 @@ class CdfOracle:
 
 
 class _AffineMix:
-    """x -> delta*x + (1 - delta)*F(x) for an oracle F: exact on a rational x, in floats through F's float view."""
+    """x -> delta*x + (1 - delta)*F(x) for an oracle F: exact on a rational x, in floats through F's float view.
+
+    With x and delta rational, the oracle is read once as an integer pair
+    (:meth:`CdfOracle.ratio`): an exact answer a/c mixes on ints into one Fraction, and
+    a float answer mixes in floats, as any other x or delta does.
+    """
 
     def __init__(self, oracle: CdfOracle, delta):
         self.oracle, self.delta = oracle, delta
 
     def __call__(self, x):
-        return self.delta * x + (1 - self.delta) * self.oracle(x)
+        delta = self.delta
+        if isinstance(x, Rational) and isinstance(delta, Rational):
+            p, q = x.numerator, x.denominator
+            a, c = self.oracle.ratio(p, q)
+            if c.__class__ is not float:  # F(x) = a/c: (r p c + (s - r) a q) / (s q c), delta = r/s
+                r, s = delta.numerator, delta.denominator
+                return Fraction(r * p * c + (s - r) * a * q, s * q * c)
+            fx = a
+        else:
+            fx = self.oracle(x)
+        return delta * x + (1 - delta) * fx
 
     def float_evaluator(self) -> Callable:
         inner, delta = self.oracle.float_evaluator(), float(self.delta)

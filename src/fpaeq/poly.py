@@ -30,7 +30,8 @@ coefficients are the correctly rounded quotients of the integers.  The batch
 query on the grid j/K (:meth:`PiecewisePoly.grid_values`) tabulates each piece
 by forward differences (TAOCP vol. 2, 4.6.4): Horner's rule at the first
 e + 1 points of a row of degree e, then e integer additions per point, exact
-on ints where in floats their errors would grow along the piece.
+on ints where in floats their errors would grow along the piece.  It is a
+stream of the K + 1 numerators, each made as it is read, with no table.
 
 :func:`nonnegative_on` decides on the same integers, exactly and without
 sampling, whether a polynomial is >= 0 on an interval; a cdf piece is
@@ -46,8 +47,8 @@ import bisect
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, repeat
-from typing import Callable, Sequence
+from itertools import accumulate, chain, repeat
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -344,8 +345,8 @@ class PiecewisePoly:
         x = x if isinstance(x, Fraction) else Fraction(x)
         return Fraction(*self.row_ratio(self.piece_index(x), x.numerator, x.denominator))
 
-    def grid_values(self, K: int) -> tuple[list[int], int]:
-        """(nums, den) with self(j/K) == Fraction(nums[j], den) for j = 0..K, on ints.
+    def grid_values(self, K: int) -> tuple[Iterator[int], int]:
+        """(values, den) with self(j/K) == Fraction(v_j, den), where values yields the ints v_0, ..., v_K.
 
         den is the lcm of the row scales times K**d, d the highest degree of
         the rows.  One walk through the pieces gives each piece the grid
@@ -359,17 +360,22 @@ class PiecewisePoly:
         additions per point.  On ints the additions are exact, so no error
         grows along the piece.  A piece of s <= e + 1 points takes s seeds and
         the same s - 1 sums, which give back the seeds.
+
+        values is a stream, the pieces' chained sums joined by
+        :func:`itertools.chain`: the seeds are computed at the call, and each
+        later numerator only when it is read, so no list of the K + 1
+        numerators is built and a caller can sum them as they arrive.
         """
         d = self.degree
         lcm = math.lcm(*(scale for _, scale in self.int_rows))
         ends = [b.numerator * K // b.denominator for b in self.breakpoints[1:-1]] + [K]
-        out: list[int] = []
+        pieces, start = [], 0  # start: the first grid point no piece has taken
         for (nums, scale), end in zip(self.int_rows, ends):
-            count = end + 1 - len(out)
+            count = end + 1 - start
             if count <= 0:
                 continue
             m = lcm // scale * K ** (d + 1 - len(nums))
-            row = [horner_int(nums, j, K) * m for j in range(len(out), len(out) + min(len(nums), count))]
+            row = [horner_int(nums, j, K) * m for j in range(start, start + min(len(nums), count))]
             edge = []  # edge[k]: the k-th forward difference of the seeds at the piece's first grid point
             while row:
                 edge.append(row[0])
@@ -377,8 +383,9 @@ class PiecewisePoly:
             vals = repeat(edge[-1], count + 1 - len(edge))
             for delta in reversed(edge[:-1]):
                 vals = accumulate(vals, initial=delta)
-            out.extend(vals)
-        return out, lcm * K**d
+            pieces.append(vals)
+            start = end + 1
+        return chain(*pieces), lcm * K**d
 
     def float_evaluator(self) -> Callable:
         """Float evaluator with the same piece rule, for a float or a numpy array of floats.

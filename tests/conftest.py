@@ -1,3 +1,5 @@
+import math
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -31,6 +33,29 @@ def shifted_support():
 @pytest.fixture
 def adversarial():
     return make_adversarial_cdf(F(3, 4), F(1, 8), F(1, 32))
+
+
+def seeded_cubic(seed: int, pieces: int) -> PiecewisePolyCdf:
+    """Continuous piecewise-cubic cdf near the identity, with a seeded shape.
+
+    Piece j spans [a, b] = [j/p, (j+1)/p] and rises from its seeded end value
+    F(a) to F(b) as F(a) + (F(b) - F(a)) * sum_k w_k t**k, t = (x - a)/(b - a),
+    with seeded weights w_k in eighths that sum to 1.  In the monomial basis
+    the rows of its bid function cancel heavily: floats alone misjudge them.
+    """
+    rng = random.Random(seed)
+    bps = [F(j, pieces) for j in range(pieces + 1)]
+    ys = [F(0)] + [F(8 * j + rng.randint(-2, 2), 8 * pieces) for j in range(1, pieces)] + [F(1)]
+    rows = []
+    for a, b, ya, yb in zip(bps, bps[1:], ys, ys[1:]):
+        cut = sorted(rng.randint(0, 8) for _ in range(2))
+        row = [ya, F(0), F(0), F(0)]
+        for k, w in enumerate((cut[0], cut[1] - cut[0], 8 - cut[1]), start=1):
+            scale = (yb - ya) * F(w, 8) / (b - a) ** k
+            for i in range(k + 1):  # scale * (x - a)**k
+                row[i] += scale * math.comb(k, i) * (-a) ** (k - i)
+        rows.append(row)
+    return PiecewisePolyCdf(bps, rows)
 
 
 def poly_eval(coeffs, x):

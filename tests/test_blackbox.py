@@ -4,6 +4,7 @@ import json
 import math
 import random
 import tempfile
+import tracemalloc
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -14,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 import fpaeq as fq
 from fpaeq.cli import main
 
-from conftest import piecewise_json
+from conftest import piecewise_json, seeded_cubic
 
 
 def reference_bid(cdf_expr, n, x):
@@ -254,9 +255,53 @@ class TestBatchQueryCount:
 
     def test_grid_values_endpoints(self, two_piece):
         for oracle in (fq.CdfOracle(two_piece), fq.CdfOracle(lambda x: float(x))):
-            nums, den = oracle.grid_values(5)
+            values, den = oracle.grid_values(5)
+            nums = list(values)
             assert (len(nums), nums[0], nums[5]) == (6, 0, den)
             assert oracle.query_count == 4
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32), K=st.one_of(st.integers(1, 12), st.sampled_from([64, 256, 257])),
+           opaque=st.booleans())
+    def test_grid_values_stream_each_point(self, seed, K, opaque):
+        # breakpoints on grid points; the K - 1 queries count at the call, before any value is read
+        dist = seeded_cdf(seed, K)
+        oracle = fq.CdfOracle((lambda x: dist(x)) if opaque else dist)
+        values, den = oracle.grid_values(K)
+        assert iter(values) is values and oracle.query_count == K - 1  # a stream, not a list
+        nums = list(values)
+        assert oracle.query_count == K - 1
+        assert nums == [0, *(dist(F(j, K)) * den for j in range(1, K)), den]
+        assert den == 1 if opaque else all(type(v) is int for v in nums)
+
+
+class TestStreamedPlan:
+    """A plan keeps its prefix sums and, while it is built, holds little else: the grid query streams into them."""
+
+    @staticmethod
+    def traced_plan(oracle, n, K) -> tuple[int, int]:
+        """(peak, kept): tracemalloc's peak while precompute runs and the size it leaves behind, above the start."""
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            plan = fq.precompute(oracle, n, F(1, K))
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(plan.prefix) == K + 2
+        return peak - start, kept - start
+
+    @pytest.mark.parametrize("n", [2, 5])
+    def test_piecewise_route(self, n):
+        # a list of the K + 1 numerators beside the sums took the peak to 1.7-2.0 times the plan
+        peak, kept = self.traced_plan(fq.CdfOracle(seeded_cubic(1, 8)), n, 2**14)
+        assert peak <= 1.25 * kept
+
+    @pytest.mark.parametrize("n", [2, 5])
+    def test_opaque_exact_route(self, n):
+        dist = seeded_cubic(1, 8)
+        peak, kept = self.traced_plan(fq.CdfOracle(lambda x: dist(x)), n, 2**10)
+        assert peak <= 1.25 * kept
 
 
 def csv_rows(argv) -> list[list[str]]:

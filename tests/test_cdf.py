@@ -252,6 +252,27 @@ class TestStronglyIncreasingTransform:
         assert t.query_count == 2
         assert oracle.query_count == 2  # the transformed oracle queries the given one
 
+    @given(st.fractions(min_value=0, max_value=1), st.fractions(min_value=F(1, 100), max_value=F(99, 100)),
+           st.booleans())
+    def test_oracle_mix_on_integer_pairs(self, x, delta, opaque):
+        # the mix of an exact oracle's answer is the Fraction formula, at one query on each oracle
+        square = fq.power_cdf(2)
+        oracle = fq.CdfOracle((lambda y: square(y)) if opaque else square)
+        t = fq.strongly_increasing_transform(oracle, delta)
+        value = t(x)
+        assert value == delta * x + (1 - delta) * square(x)
+        assert t.ratio(x.numerator, x.denominator) == (value.numerator, value.denominator)
+        assert t.query_count == oracle.query_count == 2
+
+    @given(st.fractions(min_value=0, max_value=1))
+    def test_oracle_mix_of_a_float_answer(self, x):
+        # a float answer, or a float delta, mixes in the arithmetic of its operands, as before
+        t = fq.strongly_increasing_transform(fq.CdfOracle(lambda y: float(y) ** 2), F(1, 3))
+        assert t(x) == F(1, 3) * x + F(2, 3) * (float(x) ** 2)
+        square = fq.power_cdf(2)
+        t = fq.strongly_increasing_transform(fq.CdfOracle(square), 0.25)
+        assert t(x) == 0.25 * x + 0.75 * square(x)
+
     @pytest.mark.parametrize("float_path", [True, False])
     def test_oracle_transform_float_view(self, square, float_path):
         # the mix runs in floats over the given oracle's float view, or over its exact values

@@ -14,8 +14,7 @@ from fpaeq import BidGrid, DomainError, JumpPointStrategy, PiecewisePoly, discre
 from fpaeq.cdf import float_view
 from fpaeq.poly import float_bounds
 
-from conftest import ceil_log2, lipschitz_bound
-from test_explicit import seeded_cubic
+from conftest import ceil_log2, lipschitz_bound, seeded_cubic
 
 WALK_CDFS = ["uniform", "square", "two_piece", "adversarial", "cubic"]
 
@@ -491,6 +490,24 @@ class TestCheckConditions:
             mp.setattr(fractions.Fraction, "__new__", counted)
             cert = fq.check_conditions(res.transformed_cdf, 3, res.strategy, res.certificate.gamma)
         assert len(built) == 1
+        assert cert == res.certificate and cert.passed
+
+    def test_one_fraction_per_oracle_query(self, square):
+        # behind the mixed oracle each of the m + 1 queries builds its one Fraction, on ints, and max_residual
+        # the last; the mix in Fraction arithmetic built 46 here
+        res = fq.solve(fq.CdfOracle(square), 3, grid_of(*(F(k, 16) for k in range(8))), F(1, 64))
+        built, new = [], fractions.Fraction.__new__
+
+        def counted(cls, *args, **kwargs):
+            built.append(args)
+            return new(cls, *args, **kwargs)
+
+        oracle, before = res.transformed_cdf, res.transformed_cdf.query_count
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fractions.Fraction, "__new__", counted)
+            cert = fq.check_conditions(oracle, 3, res.strategy, res.certificate.gamma)
+        assert len(built) == 8 + 2
+        assert oracle.query_count - before == 8 + 1
         assert cert == res.certificate and cert.passed
 
     def test_an_oracle_decides_by_boxes(self, monkeypatch):

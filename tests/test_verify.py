@@ -21,7 +21,7 @@ import fpaeq as fq
 from fpaeq import BidGrid, JumpPointStrategy
 from fpaeq.cdf import float_view
 
-from test_explicit import seeded_cubic
+from conftest import seeded_cubic
 
 
 def grid_of(*bids):

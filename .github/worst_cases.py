@@ -10,8 +10,9 @@ stays near 18 MB, below every run's own peak.  It prints one line per case and
 exits non-zero if any case failed: a non-zero exit, a bound passed, a sha256 that
 differs, or a certificate that does not pass.  The float verify rows then run again
 with numpy's AVX512 targets disabled and must give the same digests, since their
-float powers are taken by products; where numpy was built without those targets, the
-script prints that the rerun was skipped.  Times quoted below are on 2 vCPUs.
+float powers are taken by products; where numpy was built without those targets, or
+the CPU lacks AVX512 so that disabling them changes nothing, the script prints that
+the rerun was skipped.  Times quoted below are on 2 vCPUs.
 """
 
 import hashlib, json, os, random, signal, subprocess, sys, tempfile, time
@@ -159,11 +160,19 @@ def run(tmp, argv, out, bound, mb=None, sha256=None, certified=False, env=ENV) -
     return not failed
 
 
-def avx512_dispatched() -> bool:
-    """Whether numpy dispatches to every target of NO_AVX512; a child asks, so this script does not load numpy."""
-    code = "from numpy._core import _multiarray_umath as m; print(*getattr(m, '__cpu_dispatch__', ()))"
-    child = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=ENV)
-    return child.returncode == 0 and set(NO_AVX512.split()) <= set(child.stdout.split())
+def avx512_skip_reason() -> str | None:
+    """Why the float verify rows cannot run again without NO_AVX512, or None where they can: numpy must be built
+    with those targets and this CPU must run them.  A child asks, so this script does not load numpy."""
+    code = ("from numpy._core import _multiarray_umath as m; f = getattr(m, '__cpu_features__', {}); "
+            "print(int(bool(f.get('AVX512F') or f.get('X86_V4'))), *getattr(m, '__cpu_dispatch__', ()))")
+    env = {k: v for k, v in ENV.items() if k != "NPY_DISABLE_CPU_FEATURES"}
+    child = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    if child.returncode != 0:
+        return "numpy does not say which CPU targets it runs"
+    cpu, *dispatch = child.stdout.split()
+    if not set(NO_AVX512.split()) <= set(dispatch):
+        return "numpy was built without them"
+    return None if cpu == "1" else "this CPU lacks AVX512"
 
 
 if __name__ == "__main__":
@@ -171,10 +180,10 @@ if __name__ == "__main__":
         for name, obj in INPUTS.items():
             Path(tmp, name).write_text(json.dumps(obj))
         results = [run(tmp, argv, out, bound, **checks) for argv, out, bound, checks in CASES]
-        if avx512_dispatched():
+        if (skipped := avx512_skip_reason()) is None:
             env = {**ENV, "NPY_DISABLE_CPU_FEATURES": NO_AVX512}
             results += [run(tmp, argv, f"no-avx512-{out}", bound, env=env, **checks)
                         for argv, out, bound, checks in CASES if out in FLOAT_VERIFY_ROWS]
         else:
-            print(f"float verify rows without {NO_AVX512}: skipped, numpy was built without them", flush=True)
+            print(f"float verify rows without {NO_AVX512}: skipped, {skipped}", flush=True)
     sys.exit(not all(results))

@@ -225,28 +225,13 @@ class CdfOracle:
 
 
 class _AffineMix:
-    """x -> delta*x + (1 - delta)*F(x) for an oracle F: exact on a rational x, in floats through F's float view.
-
-    With x and delta rational, the oracle is read once as an integer pair
-    (:meth:`CdfOracle.ratio`): an exact answer a/c mixes on ints into one Fraction, and
-    a float answer mixes in floats, as any other x or delta does.
-    """
+    """x -> delta*x + (1 - delta)*F(x) for an oracle F: exact on a rational x, in floats through F's float view."""
 
     def __init__(self, oracle: CdfOracle, delta):
         self.oracle, self.delta = oracle, delta
 
     def __call__(self, x):
-        delta = self.delta
-        if isinstance(x, Rational) and isinstance(delta, Rational):
-            p, q = x.numerator, x.denominator
-            a, c = self.oracle.ratio(p, q)
-            if c.__class__ is not float:  # F(x) = a/c: (r p c + (s - r) a q) / (s q c), delta = r/s
-                r, s = delta.numerator, delta.denominator
-                return Fraction(r * p * c + (s - r) * a * q, s * q * c)
-            fx = a
-        else:
-            fx = self.oracle(x)
-        return delta * x + (1 - delta) * fx
+        return self.delta * x + (1 - self.delta) * self.oracle(x)
 
     def float_evaluator(self) -> Callable:
         inner, delta = self.oracle.float_evaluator(), float(self.delta)

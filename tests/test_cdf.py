@@ -254,7 +254,7 @@ class TestStronglyIncreasingTransform:
 
     @given(st.fractions(min_value=0, max_value=1), st.fractions(min_value=F(1, 100), max_value=F(99, 100)),
            st.booleans())
-    def test_oracle_mix_on_integer_pairs(self, x, delta, opaque):
+    def test_oracle_mix_values(self, x, delta, opaque):
         # the mix of an exact oracle's answer is the Fraction formula, at one query on each oracle
         square = fq.power_cdf(2)
         oracle = fq.CdfOracle((lambda y: square(y)) if opaque else square)
@@ -266,7 +266,7 @@ class TestStronglyIncreasingTransform:
 
     @given(st.fractions(min_value=0, max_value=1))
     def test_oracle_mix_of_a_float_answer(self, x):
-        # a float answer, or a float delta, mixes in the arithmetic of its operands, as before
+        # a float answer, or a float delta, mixes in the arithmetic of its operands
         t = fq.strongly_increasing_transform(fq.CdfOracle(lambda y: float(y) ** 2), F(1, 3))
         assert t(x) == F(1, 3) * x + F(2, 3) * (float(x) ** 2)
         square = fq.power_cdf(2)

@@ -492,24 +492,6 @@ class TestCheckConditions:
         assert len(built) == 1
         assert cert == res.certificate and cert.passed
 
-    def test_one_fraction_per_oracle_query(self, square):
-        # behind the mixed oracle each of the m + 1 queries builds its one Fraction, on ints, and max_residual
-        # the last; the mix in Fraction arithmetic built 46 here
-        res = fq.solve(fq.CdfOracle(square), 3, grid_of(*(F(k, 16) for k in range(8))), F(1, 64))
-        built, new = [], fractions.Fraction.__new__
-
-        def counted(cls, *args, **kwargs):
-            built.append(args)
-            return new(cls, *args, **kwargs)
-
-        oracle, before = res.transformed_cdf, res.transformed_cdf.query_count
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(fractions.Fraction, "__new__", counted)
-            cert = fq.check_conditions(oracle, 3, res.strategy, res.certificate.gamma)
-        assert len(built) == 8 + 2
-        assert oracle.query_count - before == 8 + 1
-        assert cert == res.certificate and cert.passed
-
     def test_an_oracle_decides_by_boxes(self, monkeypatch):
         # F's exact values at the jump points give an oracle's residuals float boxes too: at m = 256 one Delta is
         # computed exactly, where an exact residual for each bid took 256, and the oracle still answers once per

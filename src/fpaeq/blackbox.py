@@ -43,7 +43,7 @@ from fractions import Fraction
 from itertools import accumulate, repeat
 
 from .cdf import CdfOracle
-from .errors import DomainError, check_bidders
+from .errors import DomainError, check_bidders, check_unit_ratio
 
 # Largest grid a plan may tabulate, K = ceil(1/eps): K - 1 oracle queries and K + 1 powers
 # F(j/K)**(n-1) summed exactly.  Measured with CPython 3.11 on 2 vCPUs at K = MAX_K, through
@@ -134,8 +134,7 @@ def bid(plan: BlackBoxPlan, x) -> BidEvaluation:
     """
     if x.__class__ is tuple:
         p, q = x
-        if not 0 <= p <= q:
-            raise DomainError(f"x={Fraction(p, q)} outside [0, 1]")
+        check_unit_ratio(p, q)
     elif not 0 <= x <= 1:
         raise DomainError(f"x={x} outside [0, 1]")
     else:

@@ -21,7 +21,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_unit_ratio
 from .poly import PiecewisePoly, nonnegative_on, poly_derivative
 from .rationals import parse_rational, parse_rational_list, row_pair
 
@@ -171,7 +171,7 @@ class CdfOracle:
         return self._evaluator(x)
 
     def ratio(self, p: int, q: int) -> tuple:
-        """F(p/q), q > 0, as one query: (a, c) with F(p/q) = a / c.
+        """F(p/q) as one query: (a, c) with F(p/q) = a / c; DomainError, and no query, unless q > 0 and 0 <= p <= q.
 
         A piecewise-polynomial evaluator answers on ints by Horner's rule on
         its piece (:meth:`PiecewisePoly.row_ratio`), with no Fraction and no
@@ -179,6 +179,7 @@ class CdfOracle:
         its numerator and denominator, and any other answer a comes back as
         (a, 1.0).
         """
+        check_unit_ratio(p, q)
         self.query_count += 1
         ev = self._evaluator
         if isinstance(ev, PiecewisePoly):

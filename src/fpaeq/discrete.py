@@ -44,10 +44,11 @@ MAX_FLOAT_WALKS = 52 walks, bisection's count to 2**-52, with a bracket of
 
 The certificate reads F at the jump points once, exactly, as integer pairs
 (:func:`_cdf_pairs`, as do the exact verifier and win_probs).  It decides in
-floats what floats can decide and is exact everywhere else: each pair lies
-between two floats, and Delta and each residual in boxes rounded outward from
-those, so only the residuals whose boxes reach the largest lower end are
-computed exactly, on integer pairs, and every other one is skipped.  The one
+floats what floats can decide and is exact everywhere else: each residual,
+computed in floats from the correctly rounded floats of those pairs, lies
+within one a-priori bound of the gamma_k kind of the exact residual, so only
+the residuals whose intervals reach the largest lower end are computed
+exactly, on integer pairs, and every other one is skipped.  The one
 Fraction it builds is max_residual.  A pass remains a proof, and max_residual
 is the exact maximum.
 """
@@ -63,7 +64,7 @@ from typing import Sequence
 
 from .cdf import float_view, strongly_increasing_transform
 from .errors import DomainError, PrecisionError, check_bidders
-from .poly import PiecewisePoly, float_bounds, gamma_k
+from .poly import PiecewisePoly, gamma_k
 from .rationals import parse_rational
 
 ZERO = Fraction(0)
@@ -271,35 +272,14 @@ def _cdf_pairs(F, xs) -> list[tuple[int, int]]:
     return [F(x).as_integer_ratio() for x in xs]
 
 
-def _delta_box(fx, fy, n: int) -> tuple[float, float]:
-    """Floats around Delta(x, y) for F(x) in the float box fx and F(y) in fy, both inside [0, 1].
-
-    Delta is nondecreasing in both arguments, so the ends are Delta at the boxes' ends, each computed by
-    :func:`delta_win_prob`, :func:`_power_sum` and a division by n: a relative gamma_(2n), so the exact
-    end is within gamma_(2n) / (1 - gamma_(2n)) <= gamma_(4n) of its float, plus 2n * 2**-1074 for
-    underflow.  The slack between the two gammas covers the rounding of the bound itself, and each
-    end is taken one float further out, past the rounding of its own sum.
-    """
-    lo, hi = delta_win_prob(fx[0], fy[0], n), delta_win_prob(fx[1], fy[1], n)
-    rel, tiny = gamma_k(4 * n), 2 * n * 2.0**-1074
-    return max(math.nextafter(lo - (lo * rel + tiny), -math.inf), 0.0), math.nextafter(hi + hi * rel + tiny, math.inf)
-
-
-def _residual_box(s, b, u, win, signed: bool):
-    """Floats around |(s - b) Delta - u|, or max(0, (s - b) Delta - u) where signed, for s, b and u in their float
-    boxes and Delta in the box win; None unless the box of s - b is positive.  Each difference and product is
-    taken one float further out, past its rounding."""
-    down, up = -math.inf, math.inf
-    cl, ch = math.nextafter(s[0] - b[1], down), math.nextafter(s[1] - b[0], up)
-    if cl < 0:
-        return None
-    lo = math.nextafter(math.nextafter(cl * win[0], down) - u[1], down)
-    hi = math.nextafter(math.nextafter(ch * win[1], up) - u[0], up)
-    if signed:
-        return max(lo, 0.0), max(hi, 0.0)
-    if lo >= 0:
-        return lo, hi
-    return (-hi, -lo) if hi <= 0 else (0.0, max(-lo, hi))
+def _residual_interval(s: float, b: float, u: float, win: float, n: int, signed: bool) -> tuple[float, float]:
+    """Floats around |r|, or max(0, r) where signed, for an r within E = gamma_k ((s + b) Delta + |U|) + k 2**-1074,
+    k = 4n + 16, of r^ = (s - b) Delta - U on the floats s, b, U and Delta (:func:`check_conditions`)."""
+    k = 4 * n + 16
+    r = (s - b) * win - u
+    e = gamma_k(k) * ((s + b) * win + abs(u)) + k * 2.0**-1074
+    lo, hi = r - e, r + e
+    return (max(lo, 0.0), max(hi, 0.0)) if signed else (max(lo, -hi, 0.0), max(-lo, hi))
 
 
 def _larger(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
@@ -314,18 +294,32 @@ def check_conditions(F, n: int, strategy: JumpPointStrategy, gamma) -> Certifica
     s_{i-1} >= b_i and condition 2's U_{i-1} = U_i, so a pass has max_residual <= gamma.
     DomainError unless the strategy has a utility per jump point.
 
-    The jump points, bids, utilities and gamma are read as integer pairs (num, den), and so is F
-    at each jump point, once and exactly (:func:`_cdf_pairs`; m + 1 queries of a CdfOracle).  Every
-    decision is a cross-multiplication on them: conditions 3 and 2's U_{i-1} = U_i, each residual
-    against gamma, and the running maximum.  The residuals of Delta_i, condition 1's
-    |(s - b_i) Delta_i - U| at both ends of bid i's interval and condition 2's
-    max(0, (s_i - b_i) Delta_i - U_i), are decided in floats where floats can.  Each pair lies
-    between the floats of its :func:`float_bounds`, F's values inside [0, 1] as a cdf's do, and
-    Delta_i and each residual lie in the float boxes built from those (:func:`_delta_box`,
-    :func:`_residual_box`).  A residual is computed exactly, on integer pairs (Delta_i by
-    :func:`_delta_ratio`), only where its box reaches the largest lower end of all boxes.  Every
-    other one lies below the residual of that lower end, so it can decide neither the verdict nor
-    the maximum, and it is skipped.  The one Fraction built is max_residual.
+    The jump points, bids, utilities and gamma are read as integer pairs (num, den), and so is F at each
+    jump point, once and exactly (:func:`_cdf_pairs`; m + 1 queries of a CdfOracle).  Every decision is a
+    cross-multiplication on them: conditions 3 and 2's U_{i-1} = U_i, each residual against gamma, and the
+    running maximum.  The residuals of Delta_i, r = (s_j - b_i) Delta_i - U_j, taken as condition 1's |r|
+    at both ends j of bid i's interval and as condition 2's max(0, r) at j = i, are filtered in floats
+    first.  Each pair is taken once as its correctly rounded float, p / q on ints: s^_j, b^_i, U^_j and F^
+    at each jump point, F's values inside [0, 1] as a cdf's do, and Delta^_i = delta_win_prob(F^_(i-1),
+    F^_i, n).  Then r lies within E = gamma_k X^ + k 2**-1074 of r^ = (s^_j - b^_i) Delta^_i - U^_j, X^ the
+    float of (s^_j + b^_i) Delta^_i + |U^_j| and k = 4n + 16 (:func:`_residual_interval`).  A residual is
+    computed exactly, on integer pairs (Delta_i by :func:`_delta_ratio`), only where the upper end of its
+    interval reaches the largest lower end of all of them.  Every other one lies below the residual of that
+    lower end, so it can decide neither the verdict nor the maximum, and it is skipped.  The one Fraction
+    built is max_residual.
+
+    Proof of k, u = 2**-53 (Higham, Accuracy and Stability of Numerical Algorithms, 2.1 and 3.1): a rounding
+    moves its result by a relative u, or below the normal range by an absolute 2**-1075.  The relative
+    parts, with X = (s + b) Delta + |U|: the rounded cdf values move Delta, 1/n times a sum of nonnegative
+    products of n - 1 of them, by gamma_(n-1), and :func:`_power_sum` with the division by gamma_(2n-1);
+    s^ - b^ is within gamma_2 (s + b) of s - b, as s, b >= 0; then the product, U^ and the subtraction give
+    |r^ - r| <= gamma_(3n+2) X (Higham's lemma 3.3).  X^ takes the same 3n + 2 roundings, and the float of
+    gamma_k, E's two operations and r^ -+ E five more, each end by at most u (|r^| + E).  While n < 2**20
+    each product of two gammas here is below u, so the n + 14 roundings k keeps beyond 3n + 2 cover these.
+    The absolute parts, carried by factors below 1 + gamma_(3n+2): (n - 1) / 2 from F^, as Delta's slope
+    in each argument is at most (n - 1) / 2 on [0, 1], n - 1 from :func:`_power_sum`, one half each from
+    the division, s^, b^, U^ and the product, and none from a subtraction, exact in that range.  k 2**-1074
+    covers their (3n/2 + 2) 2**-1074 and E's own underflow.
     """
     s, u, bids = strategy.s, strategy.utilities, strategy.bids
     if len(u) != len(s):
@@ -346,13 +340,13 @@ def check_conditions(F, n: int, strategy: JumpPointStrategy, gamma) -> Certifica
         if apart:
             passed, worst = False, _larger(worst, (apart, aq * cq))
         pending.append((i, i, True))
-    sbox, bbox, ubox, fbox = ([float_bounds(*x) for x in xs] for xs in (sr, br, ur, fs))
-    wins = [_delta_box(fx, fy, n) for fx, fy in zip(fbox, fbox[1:])]
-    boxes = [_residual_box(sbox[j], bbox[i - 1], ubox[j], wins[i - 1], signed) for i, j, signed in pending]
-    top = max((box[0] for box in boxes if box), default=0.0)  # the largest lower end
+    sf, bf, uf, ff = ([p / q for p, q in xs] for xs in (sr, br, ur, fs))
+    wins = [delta_win_prob(fx, fy, n) for fx, fy in zip(ff, ff[1:])]
+    intervals = [_residual_interval(sf[j], bf[i - 1], uf[j], wins[i - 1], n, signed) for i, j, signed in pending]
+    top = max((lo for lo, _ in intervals), default=0.0)  # the largest lower end
     exact_wins = {}
-    for (i, j, signed), box in zip(pending, boxes):
-        if box and box[1] < top:  # below the residual of that lower end: it moves neither verdict nor maximum
+    for (i, j, signed), (_, hi) in zip(pending, intervals):
+        if hi < top:  # below the residual of that lower end: it moves neither verdict nor maximum
             continue
         (sp, sq), (bp, bq), (up, uq) = sr[j], br[i - 1], ur[j]
         c = sp * bq - bp * sq  # (s_j - b_i) sq bq

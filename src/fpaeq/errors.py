@@ -1,4 +1,4 @@
-"""The library's exceptions, and the check on the number of bidders every solver and verifier shares."""
+"""The library's exceptions, and the checks on a point's integer pair and on the number of bidders."""
 
 
 class DomainError(ValueError):
@@ -18,6 +18,12 @@ class PrecisionError(RuntimeError):
 # bids, eps 1/64) 0.5 s and the exact verify of its strategy 1.4 s, each printing rationals of
 # about 134,000 characters (.github/worst_cases.py).  At n = 256 (limit lifted) ccfpa-explicit on the cubic: 0.65 s in process.
 MAX_BIDDERS = 64
+
+
+def check_unit_ratio(p: int, q: int) -> None:
+    """Raise DomainError unless q > 0 and 0 <= p <= q: the pair of ints (p, q) is then a point p/q of [0, 1]."""
+    if q <= 0 or not 0 <= p <= q:
+        raise DomainError(f"x={p}/{q} " + ("outside [0, 1]" if q > 0 else "needs a denominator q > 0"))
 
 
 def check_bidders(n: int) -> None:

@@ -50,7 +50,7 @@ class RationalBidFunction:
         return eval_canonical(self, x)
 
     def ratio(self, p: int, q: int) -> tuple[int, int]:
-        """The bid at x = p/q, q > 0, as (num, den) on ints with no gcd taken, den > 0 where F(x) > 0.
+        """The bid at x = p/q, q > 0, in [0, 1] (else DomainError): (num, den) on ints, no gcd, den > 0 where F(x) > 0.
 
         Horner on the cdf row (nums, s) of degree d gives F(x) = A / (s q**d), and on the integral row
         (c, scale) I(x) = C / (scale q**((n-1) d + 1)), so the bid is

@@ -52,7 +52,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_unit_ratio
 
 
 def _trim(a: list[int]) -> list[int]:
@@ -318,9 +318,8 @@ class PiecewisePoly:
         return self.piece_of(x.numerator, x.denominator)
 
     def piece_of(self, p: int, q: int) -> int:
-        """:meth:`piece_index` of x = p/q, q > 0, with the exact comparisons cross-multiplied on ints."""
-        if p < 0 or p > q:
-            raise DomainError(f"x={Fraction(p, q)} outside [0, 1]")
+        """:meth:`piece_index` of x = p/q, cross-multiplied on ints; DomainError unless q > 0 and 0 <= p <= q."""
+        check_unit_ratio(p, q)
         fx, inner, bps = p / q, self._inner, self.breakpoints
         j = bisect.bisect_left(inner, math.nextafter(fx, -math.inf))
         while j < len(inner) and inner[j] <= fx and p * bps[j + 1].denominator > bps[j + 1].numerator * q:

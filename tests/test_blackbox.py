@@ -380,6 +380,20 @@ class TestOneQueryPerBid:
                 fq.bid(plan, pair)
         assert plan.oracle.query_count == 3
 
+    @pytest.mark.parametrize("pair", [(0, 0), (1, 0), (-1, -2), (3, 2)])
+    def test_every_pair_read_refuses_a_pair_off_the_unit_interval(self, square, pair):
+        # q <= 0, or p/q outside [0, 1]: bid's pair form, both routes of CdfOracle.ratio, PiecewisePoly.piece_of and
+        # RationalBidFunction.ratio raise a DomainError that names p and q, and no query is counted
+        p, q = pair
+        plan = fq.precompute(fq.CdfOracle(square), 2, F(1, 4))
+        oracles = [fq.CdfOracle(square), fq.CdfOracle(lambda x: square(x))]
+        reads = [lambda: fq.bid(plan, pair), *(lambda o=o: o.ratio(p, q) for o in oracles),
+                 lambda: square.piece_of(p, q), lambda: fq.canonical_bid_function(square, 2).ratio(p, q)]
+        for read in reads:
+            with pytest.raises(fq.DomainError, match=f"^x={p}/{q} "):
+                read()
+        assert plan.oracle.query_count == 3 and [o.query_count for o in oracles] == [0, 0]
+
     @pytest.mark.parametrize("samples", [1, 7, 32, 33, 100])
     def test_csv_rows_are_fraction_bids(self, samples):
         dist, n, K = seeded_cdf(3, 64), 5, 64

@@ -10,9 +10,8 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 import fpaeq as fq
-from fpaeq import BidGrid, DomainError, JumpPointStrategy, PiecewisePoly, discrete, explicit
+from fpaeq import BidGrid, DomainError, JumpPointStrategy, discrete, explicit
 from fpaeq.cdf import float_view
-from fpaeq.poly import float_bounds
 
 from conftest import ceil_log2, lipschitz_bound, seeded_cubic
 
@@ -115,55 +114,6 @@ def reference_compute_strategy(F_, n: int, grid: BidGrid, U, delta):
         uvec[i - 1] = (x - b) * win(fx, fs, n) if x < si else ui
         fs = fx
     return s, uvec
-
-
-def reference_check_conditions(F_, n: int, strategy: JumpPointStrategy, gamma) -> fq.Certificate:
-    """discrete.check_conditions as it was before it read F exactly at the jump points and decided on scalar floats
-    and integer pairs: F's boxes from one array call of float_bounded on a PiecewisePoly, none on any other cdf,
-    exact residuals in Fractions (Delta by delta_win_prob, the value of the integer sum it took), each boxed
-    residual below the largest lower end held as its box's upper end, and passed and max_residual over every
-    (residual, bound), the boxed ones included."""
-    s, u, bids = strategy.s, strategy.utilities, strategy.bids
-    boxed = isinstance(F_, PiecewisePoly)
-    fs = [None] * len(s) if boxed else [F_(x) for x in s]
-    residuals, pending = [], []
-    for i, b in enumerate(bids, 1):
-        lo, hi = s[i - 1], s[i]
-        residuals.append((F(0) if lo >= b else b - lo, 0))
-        if lo < hi:
-            pending += [(len(residuals), i, i, False), (len(residuals) + 1, i, i - 1, False)]
-            residuals += [None, None]
-        else:
-            residuals.append((abs(u[i] - u[i - 1]), 0))
-            pending.append((len(residuals), i, i, True))
-            residuals.append(None)
-    boxes = [None] * len(pending)
-    if boxed:
-        sbox, bbox, ubox = ([float_bounds(*x.as_integer_ratio()) for x in xs] for xs in (s, bids, u))
-        x, sides = np.array(sbox), np.array([-1.0, 1.0])
-        value, bound = F_.float_bounded()(x, F_.float_pieces(x))
-        ends = np.nextafter(value + sides * bound, sides * np.inf)
-        fbox = list(map(tuple, np.minimum(np.maximum(ends, 0.0), 1.0).tolist()))
-        wins = [discrete._delta_box(fx, fy, n) for fx, fy in zip(fbox, fbox[1:])]
-        boxes = [discrete._residual_box(sbox[j], bbox[i - 1], ubox[j], wins[i - 1], signed)
-                 for _, i, j, signed in pending]
-    top = max((box[0] for box in boxes if box), default=0.0)
-    exact_wins = {}
-    for (slot, i, j, signed), box in zip(pending, boxes):
-        if box and box[1] < top:
-            value = F(box[1])
-        else:
-            c = s[j] - bids[i - 1]
-            if c and i not in exact_wins:
-                for k in (i - 1, i):
-                    if fs[k] is None:
-                        fs[k] = F_(s[k])
-                exact_wins[i] = discrete.delta_win_prob(fs[i - 1], fs[i], n)
-            r = c * exact_wins[i] - u[j] if c else -u[j]
-            value = max(F(0), r) if signed else abs(r)
-        residuals[slot] = value, gamma
-    ok = all(r <= bound for r, bound in residuals)
-    return fq.Certificate(gamma, ok, max(r for r, _ in residuals))
 
 
 class TestBidGrid:
@@ -410,40 +360,29 @@ class TestCheckConditions:
         cert = fq.check_conditions(uniform, 2, s, F(1, 2))
         assert not cert.passed and cert.max_residual >= F(1, 4)  # condition 3: s_1 = 1/4 below the bid 1/2
 
-    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @settings(max_examples=200, deadline=None)
     @given(data=st.data())
-    def test_boxes_contain_the_exact_values(self, data, walk_cdfs):
-        # every float box of the certificate holds its exact value: F at each jump point, Delta of each bid and
-        # each residual, at jump points that are floats and at ones that are not, with utilities near the exact
-        # top utilities
-        name = data.draw(st.sampled_from(WALK_CDFS), label="cdf")
-        dist = fq.strongly_increasing_transform(walk_cdfs[name], F(1, 2 ** data.draw(st.integers(4, 40))))
+    def test_intervals_contain_the_exact_residuals(self, data):
+        # each residual (s - b) Delta - U, as |.| and as max(0, .), lies in the interval _residual_interval takes
+        # from the correctly rounded floats of s, b, U and F at the two jump points: n up to 64, cdf values of 60 to
+        # 900 bits and in the subnormal range, s below b, and U near the product, negative or far from it
         n = data.draw(st.integers(2, 64), label="n")
-        m = data.draw(st.integers(1, 16), label="m")
-        den = data.draw(st.sampled_from([100, 21, 2**60]), label="den")
-        bids = sorted(F(k, den) for k in data.draw(st.lists(st.integers(1, den - 1), unique=True, min_size=m - 1,
-                                                             max_size=m - 1), label="bids"))
-        g = BidGrid((F(0),) + tuple(bids))
-        inner = sorted(data.draw(st.one_of(st.just(b), st.fractions(b, 1, max_denominator=den),
-                                           st.floats(float(b), 1).map(F).filter(lambda x: x >= b))) for b in g.bids[1:])
-        s = [max(x, b) for x, b in zip([F(0)] + inner, g.bids)] + [F(1)]  # nondecreasing, s_(i-1) >= b_i
-        win = JumpPointStrategy(g, s, [F(0)] * (m + 1)).win_probs(dist, n)
-        noise = st.fractions(-1, 1, max_denominator=2**70).map(lambda x: x * F(1, 2**30))
-        u = [(s[j] - g.bids[max(j, 1) - 1]) * win[max(j, 1) - 1] + data.draw(noise) for j in range(m + 1)]
-        fbox, boxes = [float_bounds(*f) for f in discrete._cdf_pairs(dist, s)], 0
-        for x, (lo, hi) in zip(s, fbox):
-            assert 0 <= lo <= dist(x) <= hi <= 1
-        for i in range(1, m + 1):
-            dl, dh = discrete._delta_box(fbox[i - 1], fbox[i], n)
-            assert 0 <= dl <= win[i - 1] <= dh
-            for j in (i - 1, i):
-                r = (s[j] - g.bids[i - 1]) * win[i - 1] - u[j]
-                args = (*(float_bounds(*x.as_integer_ratio()) for x in (s[j], g.bids[i - 1], u[j])), (dl, dh))
-                for signed in (False, True):
-                    box = discrete._residual_box(*args, signed)  # None where s_j - b_i may be 0 or below
-                    assert box is None or box[0] <= (max(F(0), r) if signed else abs(r)) <= box[1]
-                    boxes += box is not None
-        assert boxes > 0
+        wide = st.integers(60, 900).flatmap(lambda bits: st.integers(2 ** (bits - 1), 2**bits)).flatmap(
+            lambda q: st.integers(0, q).map(lambda p: F(p, q)))
+        subnormal = st.builds(lambda p, e: F(p, 3 * 2**e), st.integers(1, 2**60), st.integers(1083, 1140))
+        cdf_value = st.one_of(wide, subnormal, st.sampled_from([F(0), F(1)]))
+        fx, fy = data.draw(cdf_value, label="F(x)"), data.draw(cdf_value, label="F(y)")
+        point = st.fractions(0, 1, max_denominator=2**70)
+        s, b = data.draw(point, label="s"), data.draw(point.filter(lambda x: x < 1), label="b")
+        win = sum(fx ** (n - 1 - k) * fy**k for k in range(n)) / n
+        noise = data.draw(st.fractions(-1, 1, max_denominator=2**70), label="noise")
+        near = data.draw(st.booleans(), label="near the product")
+        u = (s - b) * win * near + noise * F(2) ** data.draw(st.integers(-1100, 8), label="scale")
+        r = (s - b) * win - u
+        win_hat = discrete.delta_win_prob(float(fx), float(fy), n)
+        for signed in (False, True):
+            lo, hi = discrete._residual_interval(float(s), float(b), float(u), win_hat, n, signed)
+            assert lo <= (max(F(0), r) if signed else abs(r)) <= hi
 
     @pytest.mark.parametrize("seed", range(60))
     def test_same_verdict_as_the_exact_certificate(self, seed, walk_cdfs):
@@ -493,18 +432,25 @@ class TestCheckConditions:
         assert cert == res.certificate and cert.passed
 
     def test_an_oracle_decides_by_boxes(self, monkeypatch):
-        # F's exact values at the jump points give an oracle's residuals float boxes too: at m = 256 one Delta is
-        # computed exactly, where an exact residual for each bid took 256, and the oracle still answers once per
-        # jump point
-        bids = sorted(F(k, 2048) for k in random.Random(1).sample(range(1, 2048), 255))
-        res = fq.solve(fq.CdfOracle(fq.power_cdf(2)), 4, BidGrid((F(0), *bids)), F(1, 64))
-        oracle, calls, ratio = res.transformed_cdf, [], discrete._delta_ratio
+        # F's exact values at the jump points give every residual a float interval, so one Delta is computed
+        # exactly: x**2 behind an oracle at n = 4, m = 256, where an exact residual for each bid took 256 Deltas,
+        # and CI's dense degree-64 row at n = 64, m = 16, as a cdf and behind an oracle, where deciding every
+        # residual exactly takes about ten times as long.  An oracle still answers once per jump point
+        rng = random.Random(1)
+        weights = [rng.getrandbits(58) for _ in range(64)]  # the dense row's, as .github/worst_cases.py draws them
+        dense = fq.PiecewisePolyCdf((F(0), F(1)), ((F(0), *(F(w, sum(weights)) for w in weights)),))
+        calls, ratio = [], discrete._delta_ratio
         monkeypatch.setattr(discrete, "_delta_ratio", lambda *args: calls.append(args) or ratio(*args))
-        before = oracle.query_count
-        cert = fq.check_conditions(oracle, 4, res.strategy, res.certificate.gamma)
-        assert cert == res.certificate and cert.passed
-        assert len(calls) == 1
-        assert oracle.query_count - before == 257
+        for dist, n, m in ((fq.CdfOracle(fq.power_cdf(2)), 4, 256), (dense, 64, 16), (fq.CdfOracle(dense), 64, 16)):
+            bids = sorted(F(k, 2048) for k in random.Random(1).sample(range(1, 2048), m - 1))
+            res = fq.solve(dist, n, BidGrid((F(0), *bids)), F(1, 64))
+            mixed, calls[:] = res.transformed_cdf, []
+            oracle = isinstance(mixed, fq.CdfOracle)
+            before = mixed.query_count if oracle else 0
+            cert = fq.check_conditions(mixed, n, res.strategy, res.certificate.gamma)
+            assert cert == res.certificate and cert.passed
+            assert len(calls) == 1
+            assert not oracle or mixed.query_count - before == m + 1
 
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
@@ -800,46 +746,37 @@ def draw_cdf(data, walk_cdfs):
     return fq.strongly_increasing_transform(dist, F(1, 2 ** data.draw(st.integers(4, 40), label="mix")))
 
 
-def certificate_boxes(dist, n: int, strategy: JumpPointStrategy) -> dict:
-    """(box, P) of each condition-1 residual (bid i, jump point j) of an unpooled bid that check_conditions boxes:
-    the box, and P, the float below (s_j - b_i) Delta_i from which _residual_box takes U_j."""
+def certificate_intervals(dist, n: int, strategy: JumpPointStrategy) -> dict:
+    """The float interval of each condition-1 residual (bid i, jump point j) of an unpooled bid, as check_conditions
+    takes it from the floats of the exact values."""
     s, u, bids = strategy.s, strategy.utilities, strategy.bids
-    sbox, bbox, ubox = ([float_bounds(*x.as_integer_ratio()) for x in xs] for xs in (s, bids, u))
-    fbox, out = [float_bounds(*f) for f in discrete._cdf_pairs(dist, s)], {}
-    for i in range(1, len(bids) + 1):
-        win = discrete._delta_box(fbox[i - 1], fbox[i], n)
-        for j in (i - 1, i) if s[i - 1] < s[i] else ():
-            box = discrete._residual_box(sbox[j], bbox[i - 1], ubox[j], win, False)
-            if box:
-                margin = math.nextafter(sbox[j][0] - bbox[i - 1][1], -math.inf)
-                out[i, j] = box, math.nextafter(margin * win[0], -math.inf)
-    return out
+    fs = [p / q for p, q in discrete._cdf_pairs(dist, s)]
+    return {(i, j): discrete._residual_interval(float(s[j]), float(bids[i - 1]), float(u[j]),
+                                                discrete.delta_win_prob(fs[i - 1], fs[i], n), n, False)
+            for i in range(1, len(bids) + 1) for j in ((i - 1, i) if s[i - 1] < s[i] else ())}
 
 
-def share_the_top(dist, n: int, strategy: JumpPointStrategy) -> JumpPointStrategy | None:
-    """The strategy with U_m and one other utility U_j set so that bid m's residual at s_m and a residual at s_j
-    are each P - (P - T) = T, a float T above every residual before: their boxes share the largest lower end,
-    the float below T.  None where no U_j does so."""
-    m, boxes = len(strategy.bids), certificate_boxes(dist, n, strategy)
-    if (m, m) not in boxes:
-        return None
-    top, p_m = max(box[0] for box, _ in boxes.values()), boxes[m, m][1]
-    for (_, j), (_, p_j) in boxes.items():
-        step = max(math.ulp(p_m), math.ulp(p_j))  # T on this step: each P - T is a float, and P - (P - T) is T
-        T = math.ceil(4 * top / step + 1) * step
-        if j == m or not T <= min(p_m, p_j) / 2:
-            continue
-        u = list(strategy.utilities)
-        u[m], u[j] = F(p_m - T), F(p_j - T)
-        probe = JumpPointStrategy(BidGrid(strategy.bids), strategy.s, u)
-        lows = sorted((box[0] for box, _ in certificate_boxes(dist, n, probe).values()), reverse=True)
-        if lows[0] == lows[1]:
-            return probe
-    return None
+def share_the_top(dist, n: int, low: list, at: float, high: list) -> JumpPointStrategy:
+    """A strategy whose residuals (i, i) and (i + 1, i) share their floats, so their interval, at the top.
+
+    The bids are low (0 first, each below at), b_i = at and b_(i+1) = at + d with d = 2**-90, then high (above at,
+    at least one).  The jump points are the low bids, s_(i-1), s_i and s_(i+1) at at + 2d, at + 3d and at + 4d,
+    then the high bids but the first, and 1, so no bid pools.  For at above 2**-35 all five round to at, so where F's
+    floats at the three jump points agree, Delta_i and Delta_(i+1) have one float too.  Each U_j is
+    (s_j - b_j) Delta_j, and U_i 4 less: those two residuals are about 4, and every other one is at most 2.
+    """
+    a, d, i = F(at), F(1, 2**90), len(low) + 1
+    grid = BidGrid((*low, a, a + d, *high))
+    s = (*low, a + 2 * d, a + 3 * d, a + 4 * d, *high[1:], F(1))
+    win = JumpPointStrategy(grid, s, [F(0)] * len(s)).win_probs(dist, n)
+    u = [F(0)] + [(s[j] - grid.bids[j - 1]) * win[j - 1] for j in range(1, len(s))]
+    u[i] -= 4
+    return JumpPointStrategy(grid, s, u)
 
 
 class TestSameAsTheReference:
-    """compute_strategy and check_conditions give exactly what the reference copies above give."""
+    """compute_strategy gives exactly what the reference copy above gives, and check_conditions what the certificate
+    on Fractions throughout, exact_certificate, gives."""
 
     @settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
@@ -882,20 +819,33 @@ class TestSameAsTheReference:
         probe = JumpPointStrategy(g, s, u)
         F_ = fq.CdfOracle(dist) if kind == "oracle" else dist
         cert = fq.check_conditions(F_, n, probe, gamma)
-        assert cert == reference_check_conditions(F_, n, probe, gamma)
+        assert cert == fq.Certificate(gamma, *exact_certificate(dist, n, probe, gamma))
         assert kind in ("solved", "oracle") or not cert.passed
 
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
     def test_certificate_with_two_boxes_at_the_top(self, data, walk_cdfs):
-        # a utility nudged so that two residual boxes share the largest lower end: both are computed exactly
+        # two residuals whose intervals share the largest lower end are both computed exactly, and the certificate
+        # is the one on Fractions
         dist = draw_cdf(data, walk_cdfs)
-        n, m = data.draw(st.integers(2, 16), label="n"), data.draw(st.integers(2, 12), label="m")
-        g = draw_grid(data, m)
-        gamma = F(1, 2 ** data.draw(st.integers(6, 30), label="eps")) / (3 * n) / (2 * m)
-        probe = share_the_top(dist, n, discrete._search(float_view(dist), n, g, max(float(gamma / 4), 2.0**-52)))
-        assume(probe is not None)
-        assert fq.check_conditions(dist, n, probe, gamma) == reference_check_conditions(dist, n, probe, gamma)
+        n = data.draw(st.integers(2, 16), label="n")
+        at = data.draw(st.floats(1 / 8, 7 / 8), label="at")
+        ks = data.draw(st.lists(st.integers(1, 255), unique=True, min_size=1, max_size=10), label="bids")
+        low = [F(0)] + sorted(F(k, 256) for k in ks if k / 256 < at)
+        high = sorted(F(k, 256) for k in ks if k / 256 > at)
+        assume(high)
+        gamma = F(1, 2 ** data.draw(st.integers(6, 30), label="eps")) / (3 * n) / (2 * (len(low) + len(high) + 2))
+        probe, i = share_the_top(dist, n, low, at, high), len(low) + 1
+        assume(len({p / q for p, q in discrete._cdf_pairs(dist, probe.s[i - 1:i + 2])}) == 1)
+        intervals = certificate_intervals(dist, n, probe)
+        assert intervals[i, i] == intervals[i + 1, i] and intervals[i, i][0] == max(lo for lo, _ in intervals.values())
+        computed, larger = [], discrete._larger
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(discrete, "_larger", lambda a, b: computed.append(F(*b)) or larger(a, b))
+            cert = fq.check_conditions(dist, n, probe, gamma)
+        win, s, u = probe.win_probs(dist, n), probe.s, probe.utilities
+        assert {abs((s[i] - probe.bids[k - 1]) * win[k - 1] - u[i]) for k in (i, i + 1)} <= set(computed)
+        assert (cert.passed, cert.max_residual) == exact_certificate(dist, n, probe, gamma)
 
 
 class TestAgainstTheClosedForm:

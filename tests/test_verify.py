@@ -295,13 +295,13 @@ def scalar_grid_regret(dist, n, bid_fn):
     """The grid verifier's algorithm one point at a time, in threshold coordinates: one scalar float
     bid per z, z = v_low + (1 - v_low) j/512 over the support, made nondecreasing; the values are every
     fourth z.  The deviations are those bids, then for a jump-point strategy the points z, else the float
-    above each bid.  Each deviation b wins Delta(F(z-), F(z+)), ties split evenly: the exact delta_win_prob
-    of the two float cdf values where they differ, else F(z+)**(n-1), with z- and z+ the first and last z of
+    above each bid.  Each deviation b wins Delta(F(z-), F(z+)), ties split evenly: the float delta_win_prob
+    of the two float cdf values where they differ, else F(z+)**(n-1) by products, with z- and z+ the first and last z of
     b's run of equal bids, both the last z bidding below b if b is not one of the bids (for a jump-point
     strategy its exact thresholds below b and at b, step_threshold).  The own bid
     of each value wins by the same rule.  Then a double loop over the values and the deviations keeps the
     first largest regret, floored at 0.  It reads the bids and the cdf in the verifier's arithmetic,
-    float_view and numpy's ** on arrays: on an exact equilibrium every regret is rounding noise, so
+    float_view, delta_win_prob and products: on an exact equilibrium every regret is rounding noise, so
     another arithmetic picks another argmax."""
     fcdf, fbid = float_view(dist), float_view(bid_fn)
     v_low = float(dist.support_infimum())
@@ -318,7 +318,7 @@ def scalar_grid_regret(dist, n, bid_fn):
 
     def win(b):
         a, c = (fcdf(np.array([x]))[0] for x in edges(b))
-        return float(fq.delta_win_prob(F(a), F(c), n)) if a < c else (np.array([c]) ** (n - 1))[0]
+        return float(fq.delta_win_prob(c, a, n)) if a < c else functools.reduce(lambda x, y: x * y, [c] * (n - 1))
 
     wins = {b: win(b) for b in deviations}
     best = (float("-inf"), None)

@@ -36,8 +36,7 @@ mc = fq.monte_carlo_regret(dist, n, res.strategy, trials, seed)
 print(f"monte carlo regret: {mc.max_regret:.4f} +- {3 * mc.sigma:.4f} "
       f"({trials} trials, seed {seed})")
 
-j = res.strategy.piece_index(Fraction(1))
-top = (1 - grid.bids[j]) * res.strategy.win_probs(dist, n)[j]
+top = res.strategy.utilities[-1]  # the certified utility U of the top value v = 1
 # with continuous bids the top value's utility is the integral of F^(n-1);
 # for F(x) = x^2 and n = 3 that is 1/5 (and 1/n for the uniform cdf)
 nums, scale = fq.integral_coefficients(fq.power_coefficients(dist, n), dist)[-1]

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DomainError, check_unit_ratio
 from .poly import PiecewisePoly, nonnegative_on, poly_derivative
-from .rationals import parse_rational, parse_rational_list, row_pair
+from .rationals import breakpoint_rational, check_length, parse_rational, parse_rational_list, row_pair, shown
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -130,9 +130,10 @@ def make_adversarial_cdf(v1, gap, kink) -> PiecewisePolyCdf:
 
     The cdf equals the identity outside (v1, v1 + gap), runs at slope
     kink/(gap - kink) on [v1, v2 - kink] and at slope (gap - kink)/kink on
-    [v2 - kink, v2], with v2 = v1 + gap.
+    [v2 - kink, v2], with v2 = v1 + gap.  A string of more than MAX_CHARS characters is refused unread.
     """
-    v1, gap, xi = parse_rational(v1), parse_rational(gap), parse_rational(kink)
+    fields = {"v1": v1, "gap": gap, "kink": kink}
+    v1, gap, xi = (parse_rational(check_length(value, f"in {name}")) for name, value in fields.items())
     if not Fraction(2, 3) <= v1 < 1:
         raise DomainError("v1 must lie in [2/3, 1)")
     if not (gap > 0 and v1 + gap <= 1):
@@ -174,7 +175,7 @@ class CdfOracle:
         """F(p/q) as one query: (a, c) with F(p/q) = a / c; DomainError, and no query, unless q > 0 and 0 <= p <= q.
 
         A piecewise-polynomial evaluator answers on ints by Horner's rule on
-        its piece (:meth:`PiecewisePoly.row_ratio`), with no Fraction and no
+        its piece (:meth:`PiecewisePoly.ratio`), with no Fraction and no
         gcd.  Any other is called on Fraction(p, q): a rational answer gives
         its numerator and denominator, and any other answer a comes back as
         (a, 1.0).
@@ -183,7 +184,7 @@ class CdfOracle:
         self.query_count += 1
         ev = self._evaluator
         if isinstance(ev, PiecewisePoly):
-            return ev.row_ratio(ev.piece_of(p, q), p, q)
+            return ev.ratio(p, q)
         fx = ev(Fraction(p, q))
         return (fx.numerator, fx.denominator) if isinstance(fx, Rational) else (fx, 1.0)
 
@@ -299,12 +300,11 @@ def cdf_from_json(obj: dict) -> PiecewisePolyCdf:
     if kind == "uniform":
         return uniform_cdf()
     if kind == "power":
-        try:
-            exponent = parse_rational(obj["exponent"])
-        except KeyError:
+        if "exponent" not in obj:
             raise DomainError("power cdf needs an 'exponent' field")
-        if exponent.denominator != 1:
-            raise DomainError(f"exponent must be an integer in [1, {MAX_DEGREE}], got {exponent}")
+        exponent = parse_rational(check_length(obj["exponent"], "in the exponent"))
+        if exponent.denominator != 1 or not 1 <= exponent <= MAX_DEGREE:
+            raise DomainError(f"exponent must be an integer in [1, {MAX_DEGREE}], got {shown(obj['exponent'])}")
         return power_cdf(int(exponent))
     if kind == "adversarial":
         try:
@@ -314,7 +314,7 @@ def cdf_from_json(obj: dict) -> PiecewisePolyCdf:
         return make_adversarial_cdf(v1, gap, kink)
     if kind == "piecewise_poly":
         try:
-            bps = parse_rational_list(obj["breakpoints"], "breakpoints")
+            bps = parse_rational_list(obj["breakpoints"], "breakpoints", breakpoint_rational)
             coeffs = obj["coeffs"]
         except KeyError as exc:
             raise DomainError(f"piecewise_poly cdf is missing field {exc}")
@@ -333,9 +333,12 @@ def cdf_from_json(obj: dict) -> PiecewisePolyCdf:
 
 
 def check_row_bits(dist: PiecewisePolyCdf) -> None:
-    """DomainError unless every integer of each row of dist, in lowest terms, has at most MAX_ROW_BITS bits."""
-    for j, (nums, scale) in enumerate(dist.int_rows):
-        bits = max(scale.bit_length(), *(abs(c).bit_length() for c in nums))
+    """DomainError unless each breakpoint of dist, and every integer of each row of dist in lowest terms, needs
+    integers of at most MAX_ROW_BITS bits."""
+    parts = [(f"breakpoint {j}", b.as_integer_ratio()) for j, b in enumerate(dist.breakpoints)]
+    parts += [(f"coefficient row {j}", (scale, *nums)) for j, (nums, scale) in enumerate(dist.int_rows)]
+    for what, ints in parts:
+        bits = max(abs(c).bit_length() for c in ints)
         if bits > MAX_ROW_BITS:
-            raise DomainError(f"coefficient row {j} needs {bits}-bit integers over one denominator, "
-                              f"above the limit of {MAX_ROW_BITS} bits")
+            raise DomainError(f"{what} needs {bits}-bit integers over one denominator, above the limit of "
+                              f"{MAX_ROW_BITS} bits")

@@ -49,8 +49,7 @@ def _load_json(path: str, what: str) -> dict:
 
 def _arg_rational(text) -> Fraction:
     """parse_rational of a command-line value, which may have at most MAX_CHARS characters."""
-    check_length(text, "on the command line")
-    return parse_rational(text)
+    return parse_rational(check_length(text, "on the command line"))
 
 
 class InvalidCdf(Exception):

@@ -43,7 +43,8 @@ MAX_FLOAT_WALKS = 52 walks, bisection's count to 2**-52, with a bracket of
 2**-51 at worst.
 
 The certificate reads F at the jump points once, exactly, as integer pairs
-(:func:`_cdf_pairs`, as do the exact verifier and win_probs).  It decides in
+(:func:`_cdf_pairs`: :meth:`PiecewisePoly.ratio` of a piecewise cdf, one query
+of any other), as does the exact verifier.  It decides in
 floats what floats can decide and is exact everywhere else: each residual,
 computed in floats from the correctly rounded floats of those pairs, lies
 within one a-priori bound of the gamma_k kind of the exact residual, so only
@@ -123,11 +124,6 @@ class JumpPointStrategy(PiecewisePoly):
     def s(self) -> tuple[Fraction, ...]:
         """The jump points s_0..s_m: the breakpoints."""
         return self.breakpoints
-
-    def win_probs(self, F, n: int) -> tuple[Fraction, ...]:
-        """Delta_1..Delta_m: bid b_j wins with Delta(s_{j-1}, s_j), whatever the value."""
-        fs = _cdf_pairs(F, self.s)
-        return tuple(Fraction(*_delta_ratio(fx, fy, n)) for fx, fy in zip(fs, fs[1:]))
 
 
 @dataclass(frozen=True)
@@ -264,11 +260,11 @@ def _delta_ratio(fx: tuple[int, int], fy: tuple[int, int], n: int) -> tuple[int,
 def _cdf_pairs(F, xs) -> list[tuple[int, int]]:
     """F at each rational x of xs, exactly, as an integer pair (num, den), den > 0, with one read of F per point.
 
-    A :class:`PiecewisePoly` answers on ints, by its piece and Horner's rule (:meth:`PiecewisePoly.row_ratio`), with
-    no Fraction and no gcd.  Any other cdf, such as a CdfOracle, answers F(x), one query, and gives its ratio.
+    A :class:`PiecewisePoly` answers on ints, by its piece and Horner's rule (:meth:`PiecewisePoly.ratio`), with no
+    Fraction and no gcd.  Any other cdf, such as a CdfOracle, answers F(x), one query, and gives its ratio.
     """
     if isinstance(F, PiecewisePoly):
-        return [F.row_ratio(F.piece_of(p, q), p, q) for p, q in (x.as_integer_ratio() for x in xs)]
+        return [F.ratio(*x.as_integer_ratio()) for x in xs]
     return [F(x).as_integer_ratio() for x in xs]
 
 

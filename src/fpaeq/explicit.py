@@ -29,7 +29,8 @@ import numpy as np
 from .cdf import PiecewisePolyCdf, check_row_bits, float_view
 from .errors import DomainError, check_bidders
 from .poly import PiecewisePoly, gamma_k, horner_int, power_int
-from .rationals import format_rational, parse_rational_list, rational_pair, row_pair, shown
+from .rationals import (breakpoint_rational, check_length, format_rational, parse_rational_list, rational_pair,
+                        row_pair, shown)
 
 # A float bid is within this relative error of the exact one.  monotone_no_overbid_check
 # flags a gap above 1e-12 between two bids <= 1; two such floats are off by less than
@@ -47,7 +48,8 @@ class RationalBidFunction:
     integral_rows: tuple
 
     def __call__(self, x) -> Fraction:
-        return eval_canonical(self, x)
+        x = x if isinstance(x, Fraction) else Fraction(x)
+        return Fraction(*self.ratio(x.numerator, x.denominator))
 
     def ratio(self, p: int, q: int) -> tuple[int, int]:
         """The bid at x = p/q, q > 0, in [0, 1] (else DomainError): (num, den) on ints, no gcd, den > 0 where F(x) > 0.
@@ -172,16 +174,16 @@ def rbf_to_json(rbf: RationalBidFunction) -> dict:
 
 
 def rbf_from_json(obj: dict) -> RationalBidFunction:
-    """Read a "canonical_bid" object, with bounded work for bounded input: n within MAX_BIDDERS, each cdf row
-    within MAX_DEGREE and MAX_ROW_BITS and each of its strings within MAX_CHARS characters, as a cdf file's, and
-    each integral row of the length its cdf row's true degree d fixes, (n - 1) d + 2."""
+    """Read a "canonical_bid" object, with bounded work for bounded input: n within MAX_BIDDERS, breakpoints and cdf
+    rows within the limits of a cdf file's and n of at most MAX_CHARS characters, and each integral row of the
+    length its cdf row's true degree d fixes, (n - 1) d + 2."""
     if not isinstance(obj, dict) or obj.get("kind") != "canonical_bid":
         raise DomainError("expected a canonical_bid object")
     if missing := [name for name in ("n", "breakpoints", "pieces") if name not in obj]:
         raise DomainError(f"missing field {missing[0]!r}")
-    n = _positive(obj["n"], "n")
+    n = _positive(check_length(obj["n"], "in n"), "n")
     check_bidders(n)
-    bps = parse_rational_list(obj["breakpoints"], "breakpoints")
+    bps = parse_rational_list(obj["breakpoints"], "breakpoints", breakpoint_rational)
     if not (bps and bps[0] == 0 and bps[-1] == 1 and all(a < b for a, b in zip(bps, bps[1:]))):
         raise DomainError(f"breakpoints must increase strictly from 0 to 1, got {shown(obj['breakpoints'])}")
     pieces = obj["pieces"]
@@ -220,6 +222,5 @@ def _positive(value, what: str, parse=rational_pair) -> int:
 
 
 def eval_canonical(rbf: RationalBidFunction, x) -> Fraction:
-    """Exact bid at x, and x itself wherever F(x) = 0: :meth:`RationalBidFunction.ratio` as one Fraction."""
-    x = x if isinstance(x, Fraction) else Fraction(x)
-    return Fraction(*rbf.ratio(x.numerator, x.denominator))
+    """Exact bid at x, and x itself wherever F(x) = 0: ``rbf(x)``."""
+    return rbf(x)

@@ -4,9 +4,10 @@ Coefficient vectors are low-to-high degree: ``coeffs[l]`` multiplies ``x**l``.
 :class:`PiecewisePoly` is the one place that decides which piece a point falls
 in and how a piece is evaluated, exactly or in floats.  The piece search runs
 on one float table: each inner breakpoint is held as the largest float at or
-below it (:func:`float_bounds`), so a bisection on any float x counts exactly
+below it (:func:`float_below`), so a bisection on any float x counts exactly
 the breakpoints below x, and a rational x needs an exact comparison only where
-a breakpoint's table float is within one float below x's nearest float.  The float rows come with Horner's
+a breakpoint's table float is within one float below x's nearest float.  The one exact read is
+:meth:`PiecewisePoly.ratio`, the value at p/q as an integer pair.  The float rows come with Horner's
 a-priori error bound in one method, :meth:`PiecewisePoly.float_bounded`, on
 arrays: the float view of a rational bid function is its one caller.  The
 scalar float view runs on Python lists (:func:`float_rows`) and calls no numpy.
@@ -24,9 +25,8 @@ Miller's recurrence) run on Python ints, and each result is normalised once,
 where Fraction arithmetic would take a gcd per operation.  At a dyadic point,
 q = 2**e, Horner adds each coefficient shifted, with no product by a power of
 q; Miller's recurrence runs each coefficient's sum as a plain loop over the
-row's nonzero terms, with their weights computed once per power.  A row's Fractions are made
-only to be read (:attr:`PiecewisePoly.rows`), as when they are printed; float
-coefficients are the correctly rounded quotients of the integers.  The batch
+row's nonzero terms, with their weights computed once per power.  No Fraction is made of a
+row; float coefficients are the correctly rounded quotients of the integers.  The batch
 query on the grid j/K (:meth:`PiecewisePoly.grid_values`) tabulates each piece
 by forward differences (TAOCP vol. 2, 4.6.4): Horner's rule at the first
 e + 1 points of a row of degree e, then e integer additions per point, exact
@@ -71,15 +71,12 @@ def int_row(row: Sequence) -> tuple[tuple[int, ...], int]:
     return tuple(_trim([c.numerator * (scale // c.denominator) for c in row])) or (0,), scale
 
 
-def float_bounds(p: int, q: int) -> tuple[float, float]:
-    """The largest float at or below p/q, q > 0, and the smallest at or above it, p/q twice where it is a float:
-    its correctly rounded float and the float one ulp beyond it on p/q's side.  The pair need not be in lowest
-    terms, and a Fraction, an int or a float x gives it as ``x.as_integer_ratio()``."""
+def float_below(p: int, q: int) -> float:
+    """The largest float at or below p/q, q > 0: its correctly rounded float, or the float before it where that is
+    above p/q.  The pair need not be in lowest terms: a Fraction, an int or a float x gives it as x.as_integer_ratio()."""
     f = p / q
     a, c = f.as_integer_ratio()
-    if a * q > p * c:
-        return math.nextafter(f, -math.inf), f
-    return f, (f if a * q == p * c else math.nextafter(f, math.inf))
+    return math.nextafter(f, -math.inf) if a * q > p * c else f
 
 
 def horner_int(nums: Sequence[int], p: int, q: int) -> int:
@@ -289,12 +286,7 @@ class PiecewisePoly:
             raise DomainError("need one or more pieces, with exactly one coefficient row per piece")
         object.__setattr__(self, "breakpoints", breakpoints)
         object.__setattr__(self, "int_rows", tuple(int_rows))
-        object.__setattr__(self, "_inner", tuple(float_bounds(*b.as_integer_ratio())[0] for b in breakpoints[1:-1]))
-
-    @property
-    def rows(self) -> tuple[tuple[Fraction, ...], ...]:
-        """The rows as Fractions, made from :attr:`int_rows` at each read."""
-        return tuple(tuple(Fraction(c, scale) for c in nums) for nums, scale in self.int_rows)
+        object.__setattr__(self, "_inner", tuple(float_below(*b.as_integer_ratio()) for b in breakpoints[1:-1]))
 
     @property
     def pieces(self) -> int:
@@ -304,21 +296,17 @@ class PiecewisePoly:
     def degree(self) -> int:
         return max(len(nums) for nums, _ in self.int_rows) - 1
 
-    def piece_index(self, x) -> int:
-        """Index j of the piece that evaluates a rational x: bisect_left - 1, clipped to the pieces.
+    def piece_of(self, p: int, q: int) -> int:
+        """Index j of the piece of x = p/q: bisect_left - 1, clipped to the pieces; DomainError unless 0 <= p <= q, q > 0.
 
         That is the number of inner breakpoints below x.  The bisection runs
         on the float table the float paths search, the largest float at or
-        below each breakpoint (:func:`float_bounds`).  With fx the float
+        below each breakpoint (:func:`float_below`).  With fx the float
         nearest x, a breakpoint whose table float is below the float before
         fx is below x, and one whose table float is above fx is above x; only
         the table floats equal to fx or to the float before it are settled by
-        an exact comparison.
+        an exact comparison, cross-multiplied on ints.
         """
-        return self.piece_of(x.numerator, x.denominator)
-
-    def piece_of(self, p: int, q: int) -> int:
-        """:meth:`piece_index` of x = p/q, cross-multiplied on ints; DomainError unless q > 0 and 0 <= p <= q."""
         check_unit_ratio(p, q)
         fx, inner, bps = p / q, self._inner, self.breakpoints
         j = bisect.bisect_left(inner, math.nextafter(fx, -math.inf))
@@ -339,10 +327,15 @@ class PiecewisePoly:
         nums, scale = self.int_rows[j]
         return horner_int(nums, p, q), scale * q ** (len(nums) - 1)
 
+    def ratio(self, p: int, q: int) -> tuple[int, int]:
+        """The value at x = p/q as (num, den), den > 0, with no gcd taken: :meth:`row_ratio` on x's piece
+        (:meth:`piece_of`, with its DomainError).  The pair need not be in lowest terms."""
+        return self.row_ratio(self.piece_of(p, q), p, q)
+
     def __call__(self, x) -> Fraction:
-        """Exact value at x (converted to a Fraction)."""
+        """Exact value at x (converted to a Fraction): :meth:`ratio` as one Fraction."""
         x = x if isinstance(x, Fraction) else Fraction(x)
-        return Fraction(*self.row_ratio(self.piece_index(x), x.numerator, x.denominator))
+        return Fraction(*self.ratio(x.numerator, x.denominator))
 
     def grid_values(self, K: int) -> tuple[Iterator[int], int]:
         """(values, den) with self(j/K) == Fraction(v_j, den), where values yields the ints v_0, ..., v_K.
@@ -350,7 +343,7 @@ class PiecewisePoly:
         den is the lcm of the row scales times K**d, d the highest degree of
         the rows.  One walk through the pieces gives each piece the grid
         points up to its right breakpoint, so a point on a breakpoint goes to
-        the left piece, as in :meth:`piece_index`; the last piece takes the rest.
+        the left piece, as in :meth:`piece_of`; the last piece takes the rest.
 
         A piece is tabulated by forward differences (Knuth, TAOCP vol. 2,
         4.6.4): a row of true degree e takes :func:`horner_int` at its first
@@ -427,7 +420,7 @@ class PiecewisePoly:
         return lambda x, piece: (horner_floats(values, piece, x), gamma * horner_floats(sizes, piece, x) + tiny)
 
     def float_pieces(self, x: np.ndarray) -> np.ndarray:
-        """The piece of each float in x, by the same rule as :meth:`piece_index`; DomainError unless all of x is in [0, 1]."""
+        """The piece of each float in x, by the same rule as :meth:`piece_of`; DomainError unless all of x is in [0, 1]."""
         if not ((x >= 0) & (x <= 1)).all():  # a NaN fails too
             raise DomainError("x outside [0, 1]")
         return np.searchsorted(self._inner, x)

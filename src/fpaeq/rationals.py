@@ -75,16 +75,22 @@ def _digits(text: str) -> int:
     return _digits(text[:-half]) * 10**half + _digits(text[-half:])
 
 
-def check_length(value, where: str) -> None:
-    """DomainError for a string of more than MAX_CHARS characters, raised before any of its digits is read."""
+def check_length(value, where: str):
+    """value itself; DomainError for a string of more than MAX_CHARS characters, raised before any of its digits is
+    read and naming where it was given."""
     if isinstance(value, str) and len(value) > MAX_CHARS:
         raise DomainError(f"not a rational: {shown(value)} (more than {MAX_CHARS} characters {where})")
+    return value
+
+
+def breakpoint_rational(value) -> Fraction:
+    """parse_rational of a breakpoint of a cdf or bid file, which may have at most MAX_CHARS characters."""
+    return parse_rational(check_length(value, "in the breakpoints"))
 
 
 def row_pair(value) -> tuple[int, int]:
     """rational_pair of an entry of a cdf row, which may have at most MAX_CHARS characters."""
-    check_length(value, "in a cdf row")
-    return rational_pair(value)
+    return rational_pair(check_length(value, "in a cdf row"))
 
 
 def rational_pair(value) -> tuple[int, int]:

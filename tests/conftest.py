@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from fpaeq import PiecewisePolyCdf, make_adversarial_cdf, power_cdf, uniform_cdf
+from fpaeq.discrete import _delta_ratio
 from fpaeq.rationals import format_rational
 
 
@@ -72,10 +73,17 @@ def row_fractions(row) -> list:
     return [F(c, scale) for c in nums]
 
 
+def win_probs(strategy, dist, n: int) -> tuple:
+    """Delta_1..Delta_m of a jump-point strategy, exactly: bid b_j wins with Delta(s_{j-1}, s_j), dist read once
+    at each jump point."""
+    fs = [dist(x).as_integer_ratio() for x in strategy.s]
+    return tuple(F(*_delta_ratio(a, b, n)) for a, b in zip(fs, fs[1:]))
+
+
 def piecewise_json(dist) -> dict:
     """The piecewise_poly JSON description of a cdf, as cdf_from_json reads it."""
     return {"kind": "piecewise_poly", "breakpoints": [format_rational(b) for b in dist.breakpoints],
-            "coeffs": [[format_rational(c) for c in row] for row in dist.rows]}
+            "coeffs": [[format_rational(c) for c in row_fractions(row)] for row in dist.int_rows]}
 
 
 def ceil_log2(r: F) -> int:

@@ -143,8 +143,8 @@ def test_criterion_6_cdfpa_solver(uniform):
                 cert = fq.check_conditions(res.transformed_cdf, n, res.strategy, eps / (2 * m))
                 assert cert.passed
                 # (c) top-value equilibrium utility is 1/n up to eps
-                j = res.strategy.piece_index(F(1))
-                top = (1 - grid.bids[j]) * res.strategy.win_probs(uniform, n)[j]
+                s, j = res.strategy.s, res.strategy.piece_of(1, 1)
+                top = (1 - grid.bids[j]) * fq.delta_win_prob(uniform(s[j]), uniform(s[j + 1]), n)
                 assert abs(top - F(1, n)) <= eps
         assert time.monotonic() - start < 60.0
 

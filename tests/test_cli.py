@@ -63,6 +63,10 @@ def rational_texts(draw):
     return head
 
 
+# CI's dense degree-64 row (.github/worst_cases.py): 58-bit weights over their sum, a 64-bit denominator
+_RNG = random.Random(1)
+_WEIGHTS = [_RNG.getrandbits(58) for _ in range(64)]
+DENSE_ROW = ["0"] + [f"{w}/{sum(_WEIGHTS)}" for w in _WEIGHTS]
 # F = x and I = x**2 / 2, of n = 2: the bid x / 2
 HALF_PIECE = {"cdf": ["0", "1"], "cdf_scale": "1", "integral": ["0", "0", "1"], "integral_scale": "2"}
 
@@ -569,7 +573,7 @@ class TestInputContract:
     @pytest.mark.parametrize("where", ["piecewise_poly", "canonical_bid cdf", "canonical_bid cdf_scale"])
     def test_long_cdf_row_string_refused_before_its_digits(self, capout, tmp_path, monkeypatch, where):
         # a cdf row's entry is refused by its length, before any of its 10**6 digits is read: reading them took
-        # 0.4 s before the row's bit limit refused the row.  Integral rows and breakpoints keep no such bound
+        # 0.4 s before the row's bit limit refused the row.  Integral rows keep no such bound
         text = "1/" + "3" * 10**6
         if where == "piecewise_poly":
             obj = {"kind": "piecewise_poly", "breakpoints": ["0", "1"], "coeffs": [["0", text]]}
@@ -586,6 +590,57 @@ class TestInputContract:
         assert code == 2 and out == "" and err.count("\n") == 1 and len(err) < 250
         assert f"(more than {fq.rationals.MAX_CHARS} characters in a cdf row)" in err
         assert max(map(len, read), default=0) < 10
+
+    @pytest.mark.parametrize("where,sevens", [("piecewise_poly", 20), ("piecewise_poly", 4000),
+                                              ("piecewise_poly", 10_000), ("canonical_bid", 20),
+                                              ("canonical_bid", 10**6)])
+    def test_long_breakpoint_refused(self, capout, tmp_path, uniform_json, monkeypatch, where, sevens):
+        # b = 1/77...7 between two pieces: CI's dense degree-64 row twice, whose validate() took 4.7 s at 4000
+        # sevens, or the bid x / 2 twice.  Past MAX_CHARS characters no digit is read; at most that, the
+        # breakpoint's bits are refused as a row's are
+        b = "1/" + "7" * sevens
+        if where == "piecewise_poly":
+            obj, argv = {"kind": "piecewise_poly", "breakpoints": ["0", b, "1"], "coeffs": [DENSE_ROW] * 2}, [
+                "validate-cdf", "--cdf"]
+        else:
+            obj = {"kind": "canonical_bid", "n": 2, "breakpoints": ["0", b, "1"], "pieces": [HALF_PIECE] * 2}
+            argv = ["verify", "--mode", "grid", "--cdf", uniform_json, "--n", "2", "--strategy"]
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(obj))
+        read, digits = [], fq.rationals._digits
+        monkeypatch.setattr(fq.rationals, "_digits", lambda part: read.append(part) or digits(part))
+        code, out, err = capout(*argv, str(path))
+        assert code == 2 and out == "" and err.count("\n") == 1 and len(err) < 250
+        if len(b) > fq.rationals.MAX_CHARS:
+            assert f"(more than {fq.rationals.MAX_CHARS} characters in the breakpoints)" in err
+            assert max(map(len, read), default=0) < 70
+        else:
+            assert "breakpoint 1 needs" in err and f"above the limit of {fq.cdf.MAX_ROW_BITS} bits" in err
+
+    def test_64_bit_breakpoint_validates(self, capout, tmp_path):
+        b = "1/" + "7" * 19  # 63 bits
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps({"kind": "piecewise_poly", "breakpoints": ["0", b, "1"], "coeffs": [DENSE_ROW] * 2}))
+        code, out, err = capout("validate-cdf", "--cdf", str(path))
+        assert (code, err) == (0, "") and json.loads(out)["ok"] is True
+
+    @pytest.mark.parametrize("obj,field", [
+        ({"kind": "power", "exponent": "3" * 10**6}, "the exponent"),
+        ({"kind": "adversarial", "v1": "3" * 10**6, "gap": "1/10", "kink": "1/20"}, "v1"),
+        ({"kind": "canonical_bid", "n": "3" * 10**6, "breakpoints": ["0", "1"], "pieces": [HALF_PIECE]}, "n"),
+    ], ids=["power-exponent", "adversarial-v1", "canonical_bid-n"])
+    def test_long_integer_field_refused_by_its_length(self, capout, tmp_path, monkeypatch, obj, field):
+        # refused before its 10**6 digits are read (about 0.8 s each), with shown's short echo of the text, where
+        # formatting the int raised CPython's int-to-str error
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(obj))
+        read, digits = [], fq.rationals._digits
+        monkeypatch.setattr(fq.rationals, "_digits", lambda part: read.append(part) or digits(part))
+        argv = ["eval", "--at", "1/2", "--strategy"] if obj["kind"] == "canonical_bid" else ["validate-cdf", "--cdf"]
+        code, out, err = capout(*argv, str(path))
+        assert code == 2 and out == "" and err.count("\n") == 1 and len(err) < 250
+        assert f"(1000002 characters) (more than {fq.rationals.MAX_CHARS} characters in {field})" in err
+        assert "set_int_max_str_digits" not in err and max(map(len, read), default=0) < 70
 
     @pytest.mark.parametrize("sign", [1, -1])
     def test_format_rational_prints_every_digit(self, sign):
@@ -1276,7 +1331,8 @@ class TestLongIntegers:
         path.write_text(json.dumps({"kind": "power", "exponent": "1/" + "7" * 8000 + "x"}))
         code, out, err = capout("validate-cdf", "--cdf", str(path))
         assert (code, out) == (2, "")
-        assert err == f"error: cdf: not a rational: '1/{'7' * 57}...{'7' * 18}x' (8005 characters)\n"
+        assert err == (f"error: cdf: not a rational: '1/{'7' * 57}...{'7' * 18}x' (8005 characters) "
+                       "(more than 4300 characters in the exponent)\n")
 
 
 def cli_process(*argv, **kwargs) -> subprocess.Popen:

@@ -13,7 +13,7 @@ import fpaeq as fq
 from fpaeq import BidGrid, DomainError, JumpPointStrategy, discrete, explicit
 from fpaeq.cdf import float_view
 
-from conftest import ceil_log2, lipschitz_bound, seeded_cubic
+from conftest import ceil_log2, lipschitz_bound, seeded_cubic, win_probs
 
 WALK_CDFS = ["uniform", "square", "two_piece", "adversarial", "cubic"]
 
@@ -132,7 +132,8 @@ class TestBidGrid:
 class TestJumpPointStrategy:
     # the bid index of value v is 1 + the piece of v in the step bid function, b_j on piece j - 1
     def test_bid_index_intervals(self):
-        piece = JumpPointStrategy(grid_of("0", "1/4", "1/2"), (F(0), F(1, 3), F(2, 3), F(1)), (F(0),) * 4).piece_index
+        strategy = JumpPointStrategy(grid_of("0", "1/4", "1/2"), (F(0), F(1, 3), F(2, 3), F(1)), (F(0),) * 4)
+        piece = lambda x: strategy.piece_of(*x.as_integer_ratio())
         assert piece(F(0)) == 0
         assert piece(F(1, 4)) == 0
         assert piece(F(1, 3)) == 0
@@ -140,7 +141,8 @@ class TestJumpPointStrategy:
         assert piece(F(1)) == 2
 
     def test_merged_interval_skipped(self):
-        piece = JumpPointStrategy(grid_of("0", "1/4", "1/2"), (F(0), F(1, 2), F(1, 2), F(1)), (F(0),) * 4).piece_index
+        strategy = JumpPointStrategy(grid_of("0", "1/4", "1/2"), (F(0), F(1, 2), F(1, 2), F(1)), (F(0),) * 4)
+        piece = lambda x: strategy.piece_of(*x.as_integer_ratio())
         assert piece(F(1, 2)) == 0
         assert piece(F(3, 4)) == 2
 
@@ -153,7 +155,7 @@ class TestJumpPointStrategy:
             s = tuple(F(k, 8) for k in [s0] + sorted(rng.randint(s0, 8) for _ in range(m - 1))) + (F(1),)
             bid_fn = JumpPointStrategy(grid_of(*(F(i, 8) for i in range(m))), s, ())
             for v in set(s) | {F(i, 16) for i in range(17)}:
-                j = bid_fn.piece_index(v) + 1
+                j = bid_fn.piece_of(*v.as_integer_ratio()) + 1
                 if v <= s[0]:
                     assert j == 1
                 else:
@@ -180,7 +182,7 @@ class TestJumpPointStrategy:
     def test_win_probs(self, uniform):
         s = JumpPointStrategy(grid_of("0", "1/8", "1/4"), (F(0), F(1, 4), F(1, 4), F(1)), ())
         # n = 2: Delta(x, y) = (x + y)/2
-        assert s.win_probs(uniform, 2) == (F(1, 8), F(1, 4), F(5, 8))
+        assert win_probs(s, uniform, 2) == (F(1, 8), F(1, 4), F(5, 8))
 
     def test_as_bid_function(self):
         # the strategy is its own step bid function, and it carries its bids
@@ -399,7 +401,7 @@ class TestCheckConditions:
         strategy = discrete._search(mixed if exact_search else float_view(mixed), n, g,
                                     gamma / 4 if exact_search else float(gamma / 4))
         s, u = strategy.s, list(strategy.utilities)
-        win = strategy.win_probs(mixed, n)
+        win = win_probs(strategy, mixed, n)
         candidates = [u]
         for _ in range(4):
             v, j = list(u), rng.randrange(1, m + 1)
@@ -582,7 +584,7 @@ class TestSolve:
             res = fq.solve(square, 2, g, eps)
             s, u = res.strategy.s, res.strategy.utilities
             assert s[0] == g.bids[0] == 0 and u[0] == 0
-            assert (s[0] - g.bids[0]) * res.strategy.win_probs(res.transformed_cdf, 2)[0] - u[0] == 0
+            assert (s[0] - g.bids[0]) * win_probs(res.strategy, res.transformed_cdf, 2)[0] - u[0] == 0
             assert res.certificate.passed
         assert exact_searches == []
 
@@ -768,7 +770,7 @@ def share_the_top(dist, n: int, low: list, at: float, high: list) -> JumpPointSt
     a, d, i = F(at), F(1, 2**90), len(low) + 1
     grid = BidGrid((*low, a, a + d, *high))
     s = (*low, a + 2 * d, a + 3 * d, a + 4 * d, *high[1:], F(1))
-    win = JumpPointStrategy(grid, s, [F(0)] * len(s)).win_probs(dist, n)
+    win = win_probs(JumpPointStrategy(grid, s, [F(0)] * len(s)), dist, n)
     u = [F(0)] + [(s[j] - grid.bids[j - 1]) * win[j - 1] for j in range(1, len(s))]
     u[i] -= 4
     return JumpPointStrategy(grid, s, u)
@@ -813,7 +815,7 @@ class TestSameAsTheReference:
             s[i - 1], u[i - 1] = s[i], u[i] + gamma * data.draw(st.sampled_from([F(1, 2**40), -1, 3]), label="by")
         elif kind == "above gamma":  # bid i's residual at s_i, (s_i - b_i) Delta_i - U_i, put above gamma
             by = data.draw(st.sampled_from([1 + F(1, 2**60), 2, 3]), label="by")
-            u[i] = (s[i] - g.bids[i - 1]) * strategy.win_probs(dist, n)[i - 1] - gamma * by
+            u[i] = (s[i] - g.bids[i - 1]) * win_probs(strategy, dist, n)[i - 1] - gamma * by
         else:
             kind = "solved" if kind != "oracle" else kind
         probe = JumpPointStrategy(g, s, u)
@@ -843,7 +845,7 @@ class TestSameAsTheReference:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(discrete, "_larger", lambda a, b: computed.append(F(*b)) or larger(a, b))
             cert = fq.check_conditions(dist, n, probe, gamma)
-        win, s, u = probe.win_probs(dist, n), probe.s, probe.utilities
+        win, s, u = win_probs(probe, dist, n), probe.s, probe.utilities
         assert {abs((s[i] - probe.bids[k - 1]) * win[k - 1] - u[i]) for k in (i, i + 1)} <= set(computed)
         assert (cert.passed, cert.max_residual) == exact_certificate(dist, n, probe, gamma)
 

@@ -22,7 +22,7 @@ import fpaeq as fq
 from fpaeq import DomainError, PiecewisePoly, PiecewisePolyCdf, RationalBidFunction, discrete
 from fpaeq.cdf import ValidationReport
 from fpaeq.explicit import eval_canonical, power_coefficients
-from fpaeq.poly import float_bounds, horner_int, int_row, nonnegative_on, poly_derivative, power_int
+from fpaeq.poly import float_below, horner_int, int_row, nonnegative_on, poly_derivative, power_int
 
 from conftest import kronecker_power, poly_eval, row_fractions, seeded_cubic
 
@@ -94,7 +94,7 @@ def reference_piece(pp: PiecewisePoly, x) -> int:
 def reference_bid(rbf: RationalBidFunction, x) -> F:
     """eval_canonical in Fraction arithmetic: x - I(x) / F(x)**(n-1) on x's piece, and x where F(x) = 0."""
     j = reference_piece(rbf.cdf, x)
-    fx = poly_eval(rbf.cdf.rows[j], x)
+    fx = poly_eval(row_fractions(rbf.cdf.int_rows[j]), x)
     if fx == 0:
         return x
     nums, scale = rbf.integral_rows[j]
@@ -141,7 +141,7 @@ def reference_nonnegative(f, lo, hi) -> bool:
 def reference_validate(dist: PiecewisePolyCdf) -> ValidationReport:
     """validate() in Fraction arithmetic, with reference_nonnegative deciding whether each piece is nondecreasing."""
     bad = []
-    bps = dist.breakpoints
+    bps, rows = dist.breakpoints, [row_fractions(row) for row in dist.int_rows]
     if bps[0] != 0:
         bad.append(f"first breakpoint is {bps[0]}, expected 0")
     if bps[-1] != 1:
@@ -149,16 +149,16 @@ def reference_validate(dist: PiecewisePolyCdf) -> ValidationReport:
     for j in range(len(bps) - 1):
         if not bps[j] < bps[j + 1]:
             bad.append(f"breakpoints not strictly increasing at index {j}")
-    if poly_eval(dist.rows[0], F(0)) != 0:
+    if poly_eval(rows[0], F(0)) != 0:
         bad.append("F_1(0) != 0")
-    if poly_eval(dist.rows[-1], F(1)) != 1:
+    if poly_eval(rows[-1], F(1)) != 1:
         bad.append("F_k(1) != 1")
     for j in range(dist.pieces - 1):
         v = bps[j + 1]
-        left, right = poly_eval(dist.rows[j], v), poly_eval(dist.rows[j + 1], v)
+        left, right = poly_eval(rows[j], v), poly_eval(rows[j + 1], v)
         if left != right:
             bad.append(f"discontinuity at breakpoint {j + 1}: {left} != {right}")
-    for j, row in enumerate(dist.rows):
+    for j, row in enumerate(rows):
         lo, hi = bps[j], bps[j + 1]
         if lo < hi and not reference_nonnegative(poly_derivative(row), lo, hi):
             bad.append(f"piece {j}: decreasing somewhere in [{lo}, {hi}]")
@@ -248,7 +248,6 @@ class TestIntRow:
         pp = PiecewisePoly.from_int_rows(bps, scaled)
         ref = PiecewisePoly(bps, [row_fractions(row) for row in scaled])
         assert pp == ref and hash(pp) == hash(ref)
-        assert pp.rows == tuple(trimmed(row_fractions(row)) for row in scaled)
         for nums, scale in pp.int_rows:
             assert scale > 0 and math.gcd(scale, *nums) == 1 and all(type(c) is int for c in nums)
             assert nums[-1] != 0 or nums == (0,)
@@ -276,7 +275,7 @@ class TestPieceRule:
         ev = pp.float_evaluator()
         xs = sorted({y for b in bps for f in [float(b)]
                      for y in (f, math.nextafter(f, -1.0), math.nextafter(f, 2.0)) if 0 <= y <= 1})
-        want = [pp.piece_index(F(x)) for x in xs]
+        want = [pp.piece_of(*x.as_integer_ratio()) for x in xs]
         assert want == [reference_piece(pp, F(x)) for x in xs]
         assert [ev(x) for x in xs] == want
         assert ev(np.array(xs)).tolist() == want
@@ -286,7 +285,7 @@ class TestPieceRule:
         near += [F(x) + F(math.ulp(x)) / 2 for x in xs]
         for x in near:
             if 0 <= x <= 1:
-                assert pp.piece_index(x) == reference_piece(pp, x)
+                assert pp.piece_of(*x.as_integer_ratio()) == reference_piece(pp, x)
 
     def test_jump_point_that_floats_round_up(self):
         # jump points (0, 1/10, 1) with bids (0, 1/2): float 0.1 lies above 1/10, where the bid is 1/2
@@ -304,9 +303,9 @@ class TestPiecewiseEval:
         near = [b + d for b in pp.breakpoints for d in (F(-1, 2**80), F(1, 2**80)) if 0 <= b + d <= 1]
         for x in [F(0), F(1), *pp.breakpoints, *near, *rationals, *map(F, floats)]:
             j = reference_piece(pp, x)
-            assert pp.piece_index(x) == j
+            assert pp.piece_of(*x.as_integer_ratio()) == j
             value = pp(x)
-            assert value == poly_eval(pp.rows[j], x)
+            assert value == poly_eval(row_fractions(pp.int_rows[j]), x)
             assert normalised(value)
         for x in floats:
             assert pp(x) == pp(F(x))  # a float argument is its exact rational value
@@ -314,9 +313,9 @@ class TestPiecewiseEval:
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_float_bounds(self, data):
-        # the floats at or below and at or above p/q, one ulp apart unless p/q is a float, from the pair in
-        # lowest terms and times k: at rationals in [0, 1], at floats, at quotients in and below the subnormal
-        # range, and on ints of about 3,400 bits, the size of F on CI's dense row at a 53-bit jump point
+        # the largest float at or below p/q, the same from the pair in lowest terms and times k: at rationals in
+        # [0, 1], at floats, at quotients in and below the subnormal range, and on ints of about 3,400 bits, the
+        # size of F on CI's dense row at a 53-bit jump point
         kind = data.draw(st.sampled_from(["rational", "float", "subnormal", "long"]), label="kind")
         if kind == "rational":
             p, q = data.draw(unit, label="x").as_integer_ratio()
@@ -328,12 +327,11 @@ class TestPiecewiseEval:
             q = data.draw(st.integers(2**3390, 2**3410), label="q")
             p = data.draw(st.integers(0, q), label="p")
         x, k = F(p, q), data.draw(factors, label="k")
-        lo, hi = float_bounds(k * p, k * q)
-        assert (lo, hi) == float_bounds(p, q)
-        assert F(lo) <= x <= F(hi)
-        assert lo == hi if F(lo) == x else hi == math.nextafter(lo, math.inf)
+        lo = float_below(k * p, k * q)
+        assert lo == float_below(p, q)
+        assert F(lo) <= x < F(math.nextafter(lo, math.inf))
         if kind == "float":
-            assert lo == hi == p / q
+            assert lo == p / q
 
     @settings(max_examples=100, deadline=None)
     @given(piecewise(), st.lists(st.floats(0, 1), min_size=1, max_size=6))
@@ -348,8 +346,7 @@ class TestPiecewiseEval:
 
     @pytest.mark.parametrize("name", FIXTURES + ["cubic", "dense"])
     def test_float_enclosure_holds_a_cdf_between_floats(self, name, request):
-        # F's box in check_conditions, the floats around its exact pair (discrete._cdf_pairs), is inside [0, 1]
-        # and at most one ulp wide
+        # the float at or below F's exact pair (discrete._cdf_pairs) is in [0, 1], within one ulp below F
         if name == "cubic":
             dist = seeded_cubic(3, 8)
         elif name == "dense":
@@ -358,10 +355,9 @@ class TestPiecewiseEval:
             dist = request.getfixturevalue(name)
         xs = [F(k, 100) for k in range(101)] + [F(k, 21) for k in range(22)] + [F(1, 3) + F(1, 2**80)]
         for x, (p, q) in zip(xs, discrete._cdf_pairs(dist, xs)):
-            lo, hi = float_bounds(p, q)
+            lo = float_below(p, q)
             assert F(p, q) == dist(x)
-            assert 0 <= lo <= dist(x) <= hi <= 1
-            assert hi <= math.nextafter(lo, math.inf)
+            assert 0 <= lo <= dist(x) < F(math.nextafter(lo, math.inf)) and lo <= 1
 
     @settings(max_examples=80, deadline=None)
     @given(st.data())
@@ -386,7 +382,7 @@ class TestPiecewiseEval:
     @given(piecewise(), st.sampled_from([F(-1, BIG), F(-1), 1 + F(1, BIG), F(2)]))
     def test_domain_error(self, pp, x):
         with pytest.raises(DomainError):
-            pp.piece_index(x)
+            pp.piece_of(*x.as_integer_ratio())
         with pytest.raises(DomainError):
             pp(x)
 
@@ -435,6 +431,29 @@ class TestPiecewiseEval:
         # a jump-point strategy can repeat a jump point; the value there takes the first piece
         pp = PiecewisePoly((F(0), F(1, 2), F(1, 2), F(1)), ((F(0),), (F(1),), (F(2),)))
         assert [pp(x) for x in (F(1, 2), F(1, 2) + F(1, 2**70))] == [0, 2]
+
+
+class TestRatio:
+    """ratio(p, q) of a piecewise polynomial, a jump-point strategy, a CdfOracle and a rational bid function is the
+    exact value at p/q, as a call there gives it, from any integer pair of p/q."""
+
+    CUBIC = seeded_cubic(5, 3)  # breakpoints 1/3 and 2/3, which no float holds
+    STRATEGY = fq.JumpPointStrategy(fq.BidGrid((F(0), F(1, 5), F(5, 16), F(1, 2))),
+                                    (F(0), F(1, 10), F(1, 3), F(5, 7), F(1)), ())
+    NEAR = sorted({y for b in CUBIC.breakpoints + STRATEGY.s for y in (b - F(1, 2**80), b, b + F(1, 2**80))
+                   if 0 <= y <= 1})
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(["cdf", "strategy", "oracle", "bid"]), st.one_of(unit, st.sampled_from(NEAR)),
+           st.sampled_from([1, 2, 3, 2**40 + 1]))
+    def test_ratio_is_the_value(self, kind, x, k):
+        obj = {"cdf": self.CUBIC, "strategy": self.STRATEGY, "oracle": fq.CdfOracle(self.CUBIC),
+               "bid": fq.canonical_bid_function(self.CUBIC, 3)}[kind]
+        p, q = x.as_integer_ratio()
+        pair = obj.ratio(k * p, k * q)
+        if kind == "oracle":
+            assert obj.query_count == 1
+        assert F(*pair) == obj(x)
 
 
 class TestEvalCanonical:
@@ -545,7 +564,7 @@ class TestProducts:
             dist = PiecewisePolyCdf((F(0), F(1)), ((F(0), F(3, 8), F(-7, 2**40), F(5, 8) + F(7, 2**40)),))
         else:
             dist = request.getfixturevalue(name)
-        for row, power in zip(dist.rows, power_coefficients(dist, n)):
+        for row, power in zip(map(row_fractions, dist.int_rows), power_coefficients(dist, n)):
             assert row_fractions(power) == naive_power(row, n - 1)
 
 

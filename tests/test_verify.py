@@ -21,7 +21,7 @@ import fpaeq as fq
 from fpaeq import BidGrid, JumpPointStrategy
 from fpaeq.cdf import float_view
 
-from conftest import seeded_cubic
+from conftest import piecewise_json, seeded_cubic, win_probs
 
 
 def grid_of(*bids):
@@ -142,7 +142,7 @@ class TestExactRegretReference:
         report = fq.epsilon_bne_check_cdfpa(dist, 2, JumpPointStrategy(grid, s, ()))
         assert (report.max_regret, report.argmax) == (regret, argmax) == brute_force_exact_regret(dist, 2, grid, s)
         # the larger value does tie: its best deviation less its own bid's utility is the same regret
-        win = JumpPointStrategy(grid, s, ()).win_probs(dist, 2)
+        win = win_probs(JumpPointStrategy(grid, s, ()), dist, 2)
         j = next(j for j in range(grid.m) if s[j] < tied <= s[j + 1])
         assert max((tied - b) * w for b, w in zip(grid.bids, win)) - (tied - grid.bids[j]) * win[j] == regret
 
@@ -172,7 +172,7 @@ class TestExactRegretReference:
         assert report.max_regret == regret and report.argmax[0] == tied[0]
         assert (report.max_regret, report.argmax) == brute_force_exact_regret(dist, n, grid, s)
         # the larger value does tie
-        win, v = strategy.win_probs(dist, n), tied[1]
+        win, v = win_probs(strategy, dist, n), tied[1]
         j = next(j for j in range(grid.m) if s[j] < v <= s[j + 1])
         assert max((v - b) * w for b, w in zip(grid.bids, win)) - (v - grid.bids[j]) * win[j] == regret
 
@@ -399,7 +399,7 @@ def endpoint_sup_regret(dist, n, grid, s):
     own bid.  On [0, s_0] and on each step interval (s_(j-1), s_j] the own bid is fixed, so the
     regret is a maximum of lines minus a line: convex, with its supremum at an endpoint (at the
     left end of (s_(j-1), s_j], the limit from the right, under bid j)."""
-    win = JumpPointStrategy(grid, s, ()).win_probs(dist, n)
+    win = win_probs(JumpPointStrategy(grid, s, ()), dist, n)
     steps = [(F(0), s[0], 0)] + [(s[j - 1], s[j], j - 1) for j in range(1, grid.m + 1) if s[j - 1] < s[j]]
     best = F(0)
     for lo, hi, own in steps:
@@ -1053,8 +1053,7 @@ class TestSameReportOnEveryCpu:
         if not (features.get("AVX512F") or features.get("X86_V4")):
             pytest.skip("this CPU lacks AVX512, so disabling the targets changes nothing")
         dist = seeded_cubic(1, 4)
-        cdf = {"kind": "piecewise_poly", "breakpoints": [str(b) for b in dist.breakpoints],
-               "coeffs": [[str(c) for c in row] for row in dist.rows]}
+        cdf = piecewise_json(dist)
         code = f"""if True:
             import random
             from fractions import Fraction
